@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,41 +29,12 @@ from . import maps as mp
 from . import verify as vf
 from .sampling import annulus_points
 
-__all__ = ["RunConfig", "main", "build_parser"]
+__all__ = ["main", "build_parser"]
 
 CONFIG_KEYS = ("entry", "points", "seed", "tol", "out", "parameters")
-PARAMETER_KEYS = ("mu", "alpha", "t", "r1", "r2", "p1", "p2")
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
-
-
-@dataclass
-class RunConfig:
-    """Validated invocation: command, target, sampling, and overrides."""
-
-    command: str
-    entry_or_file: str
-    points: int = 1000
-    seed: int = 42
-    tol: float | None = None
-    out: str | None = None
-    parameters: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.points = int(self.points)
-        self.seed = int(self.seed)
-        if self.points < 1:
-            raise ValueError("points must be >= 1, got %d" % self.points)
-        if self.tol is not None:
-            self.tol = float(self.tol)
-            if not self.tol > 0:
-                raise ValueError("tol must be positive, got %g" % self.tol)
-        unknown = sorted(set(self.parameters) - set(PARAMETER_KEYS))
-        if unknown:
-            raise ValueError(
-                "unknown parameter key(s) %s; valid keys: %s"
-                % (", ".join(unknown), ", ".join(PARAMETER_KEYS)))
 
 
 def _coerce_number(value):
@@ -100,6 +70,10 @@ def _load_config_file(path: str) -> dict:
         raise ValueError("config 'parameters' must be an object")
     obj = dict(obj)
     obj["parameters"] = {k: _coerce_number(v) for k, v in params.items()}
+    # A value that int()/float() cannot read is a configuration error (exit 2).
+    for key, kind in (("points", int), ("seed", int), ("tol", float)):
+        if obj.get(key) is not None:
+            obj[key] = kind(obj[key])
     return obj
 
 
@@ -114,46 +88,45 @@ def _emit(payload, out_path: str | None) -> None:
 
 def _cli_parameters(args) -> dict:
     params = {}
-    if args.mu_re is not None or args.mu_im is not None:
-        params["mu"] = complex(args.mu_re or 0.0, args.mu_im or 0.0)
-    if args.alpha_re is not None or args.alpha_im is not None:
-        params["alpha"] = complex(args.alpha_re or 0.0, args.alpha_im or 0.0)
-    if args.t is not None:
-        params["t"] = args.t
-    for key in ("r1", "r2", "p1", "p2"):
-        val = getattr(args, key)
-        if val is not None:
-            params[key] = val
+    for key in ("mu", "alpha"):
+        real, imag = getattr(args, key + "_re"), getattr(args, key + "_im")
+        if real is not None or imag is not None:
+            params[key] = complex(real or 0.0, imag or 0.0)
+    for key in ("t", "r1", "r2", "p1", "p2"):
+        if getattr(args, key) is not None:
+            params[key] = getattr(args, key)
     return params
 
 
-def _resolve_verify_config(args) -> RunConfig:
+def _resolve_entry_config(args):
+    """Catalog entry, suite settings and output path; flags override --file."""
     file_conf: dict = {}
-    entry = args.entry
+    name = args.entry
     if args.file:
         if args.entry:
             raise ValueError("give either --entry or --file, not both")
         file_conf = _load_config_file(args.file)
-        entry = file_conf.get("entry")
-    if not entry:
+        name = file_conf.get("entry")
+    if not name:
         raise ValueError("no catalog entry named; use --entry or a config "
                          "file with an 'entry' key")
+
+    def setting(key):
+        value = getattr(args, key)
+        return value if value is not None else file_conf.get(key)
+
+    suite = vf.SuiteConfig(**{key: setting(key) for key in
+                              ("points", "seed", "tol")
+                              if setting(key) is not None})
     params = dict(file_conf.get("parameters", {}))
     params.update(_cli_parameters(args))
-    return RunConfig(
-        command=args.command,
-        entry_or_file=entry,
-        points=args.points if args.points is not None
-        else file_conf.get("points", 1000),
-        seed=args.seed if args.seed is not None else file_conf.get("seed", 42),
-        tol=args.tol if args.tol is not None else file_conf.get("tol"),
-        out=args.out if args.out is not None else file_conf.get("out"),
-        parameters=params,
-    )
+    return hopf.build_entry(name, params), suite, setting("out")
 
 
-def _entry_parameters(entry) -> dict:
-    return {k: v for k, v in sorted(entry.parameters.items())}
+def _entry_payload(command, entry, suite) -> dict:
+    return {"command": command, "entry": entry.name,
+            "parameters": vf.jsonify(dict(entry.parameters)),
+            "points": suite.points, "seed": suite.seed}
 
 
 # ---------------------------------------------------------------------------
@@ -162,22 +135,12 @@ def _entry_parameters(entry) -> dict:
 
 
 def cmd_verify(args) -> int:
-    config = _resolve_verify_config(args)
-    entry = hopf.build_entry(config.entry_or_file, config.parameters)
-    suite = vf.SuiteConfig(points=config.points, seed=config.seed,
-                           tol=config.tol)
+    entry, suite, out = _resolve_entry_config(args)
     reports = vf.run_suite(entry, suite)
     ok = vf.suite_passed(reports)
-    payload = {
-        "command": "verify",
-        "entry": entry.name,
-        "parameters": vf.jsonify(_entry_parameters(entry)),
-        "points": config.points,
-        "seed": config.seed,
-        "status": "pass" if ok else "fail",
-        "reports": vf.reports_to_json(reports),
-    }
-    _emit(payload, config.out)
+    _emit({**_entry_payload("verify", entry, suite),
+           "status": "pass" if ok else "fail",
+           "reports": vf.reports_to_json(reports)}, out)
     return EXIT_PASS if ok else EXIT_FAIL
 
 
@@ -277,39 +240,29 @@ def cmd_contraction(args) -> int:
 
 
 def cmd_solve_lee(args) -> int:
-    config = _resolve_verify_config(args)
-    entry = hopf.build_entry(config.entry_or_file, config.parameters)
+    entry, suite, out = _resolve_entry_config(args)
     if "Omega" not in entry.forms:
         raise ValueError("entry %r has no 2-form to solve against"
                          % entry.name)
     omega = entry.forms["Omega"]
-    tol = config.tol
-    if tol is None:
-        tol = vf.IMPLICIT_TOL if omega.has_implicit else vf.RATIONAL_TOL
-    pts = annulus_points(entry.ambient_dim, config.points, config.seed)
+    tol = vf._auto_tolerance(omega) if suite.tol is None else suite.tol
+    pts = annulus_points(entry.ambient_dim, suite.points, suite.seed)
     try:
         results = vf.solve_lee_many(omega, pts)
     except vf.DegenerateOmega as err:
         _emit({"command": "solve-lee", "entry": entry.name,
-               "error": str(err)}, config.out)
+               "error": str(err)}, out)
         print("solve-lee: %s" % err, file=sys.stderr)
         return EXIT_FAIL
     max_residual = max((r.residual for r in results), default=0.0)
     max_reality = max((r.reality_defect for r in results), default=0.0)
     ok = max_residual < tol
-    payload = {
-        "command": "solve-lee",
-        "entry": entry.name,
-        "parameters": vf.jsonify(_entry_parameters(entry)),
-        "points": config.points,
-        "seed": config.seed,
-        "tolerance": tol,
-        "max_residual": max_residual,
-        "max_reality_defect": max_reality,
-        "status": "pass" if ok else "fail",
-        "results": [r.to_json() for r in results],
-    }
-    _emit(payload, config.out)
+    _emit({**_entry_payload("solve-lee", entry, suite),
+           "tolerance": tol,
+           "max_residual": max_residual,
+           "max_reality_defect": max_reality,
+           "status": "pass" if ok else "fail",
+           "results": [r.to_json() for r in results]}, out)
     return EXIT_PASS if ok else EXIT_FAIL
 
 
@@ -330,15 +283,11 @@ def _add_entry_options(sub):
                      help="residual tolerance (default per entry)")
     sub.add_argument("--out", default=None, help="write JSON here instead "
                      "of standard output")
-    sub.add_argument("--mu-re", type=float, default=None)
-    sub.add_argument("--mu-im", type=float, default=None)
-    sub.add_argument("--alpha-re", type=float, default=None)
-    sub.add_argument("--alpha-im", type=float, default=None)
+    for flag in ("--mu-re", "--mu-im", "--alpha-re", "--alpha-im"):
+        sub.add_argument(flag, type=float, default=None)
     sub.add_argument("--t", type=complex, default=None)
-    sub.add_argument("--r1", type=float, default=None)
-    sub.add_argument("--r2", type=float, default=None)
-    sub.add_argument("--p1", type=float, default=None)
-    sub.add_argument("--p2", type=float, default=None)
+    for flag in ("--r1", "--r2", "--p1", "--p2"):
+        sub.add_argument(flag, type=float, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

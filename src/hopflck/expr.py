@@ -727,7 +727,11 @@ def numerically_equal(a: Expression, b: Expression, dim: int,
 
 
 def to_json(e: Expression):
-    """Serialize to the {op, args, value?, index?, weights?} tree format."""
+    """Serialize to the {op, args, value?, index?, weights?} tree format.
+
+    implicit_t nodes also carry newton_tol and newton_max_iter; from_json
+    falls back to the defaults when they are absent.
+    """
     if isinstance(e, Const):
         return {"op": "const", "value": [e.value.real, e.value.imag]}
     if isinstance(e, Var):
@@ -742,6 +746,8 @@ def to_json(e: Expression):
         return {"op": e.op, "args": [to_json(e.arg)]}
     if isinstance(e, ImplicitT):
         return {"op": "implicit_t", "weights": list(e.weights),
+                "newton_tol": e.newton_tol,
+                "newton_max_iter": e.newton_max_iter,
                 "args": [to_json(k) for k in e.children()]}
     raise TypeError("unknown node %r" % (e,))
 
@@ -773,7 +779,10 @@ def from_json(obj) -> Expression:
         args = [from_json(x) for x in obj["args"]]
         if len(args) != 2 * n:
             raise ValueError("implicit_t JSON needs 2n args")
-        return implicit_t(weights, args[:n], args[n:])
+        return implicit_t(weights, args[:n], args[n:],
+                          newton_tol=obj.get("newton_tol", NEWTON_TOL),
+                          newton_max_iter=obj.get("newton_max_iter",
+                                                  NEWTON_MAX_ITER))
     raise ValueError("unknown expression op %r" % (op,))
 
 

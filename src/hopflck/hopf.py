@@ -152,6 +152,13 @@ def example2_potential(n: int = 2, mu: complex = 2.0):
     surface case, larger n is provided on the same pattern.
     """
     mu = complex(mu)
+    try:
+        integral = int(n) == n
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise BadParameter("example2 needs an integer dimension n, got %r"
+                           % (n,))
     n = int(n)
     if not abs(mu) > 1:
         raise BadParameter("example2 needs |mu| > 1, got |mu| = %g" % abs(mu))
@@ -166,6 +173,7 @@ def example2_potential(n: int = 2, mu: complex = 2.0):
 def example2_entry(n: int = 2, mu: complex = 2.0) -> HopfSurfaceCatalogEntry:
     """Entry form of the potential: Omega = -i del delbar Phi, theta = 0."""
     phi, group = example2_potential(n, mu)
+    n = group.dim
     dbar_phi = fm.del_and_delbar(fm.scalar_form(n, phi))[1]
     omega_tilde = fm.del_and_delbar(dbar_phi)[0].scale(-1j)
     forms = {
@@ -372,47 +380,28 @@ def vaisman_entry(r=(1.0, 1.5), p=(1.0, 2.0)) -> HopfSurfaceCatalogEntry:
 # ---------------------------------------------------------------------------
 
 
-def _build_example1(params):
-    mu = params.pop("mu", 2.0)
-    return example1_entry(mu=mu)
-
-
-def _build_example2(params):
-    mu = params.pop("mu", 2.0)
-    n = int(params.pop("n", 2))
-    return example2_entry(n=n, mu=mu)
-
-
-def _build_kodaira(params):
-    alpha = params.pop("alpha", 0.5)
-    t = params.pop("t", 1.0)
-    return kodaira_entry(alpha=alpha, t=t)
-
-
-def _build_vaisman(params):
-    r = (params.pop("r1", 1.0), params.pop("r2", 1.5))
-    p = (params.pop("p1", 1.0), params.pop("p2", 2.0))
-    return vaisman_entry(r=r, p=p)
-
-
-_BUILDERS = {
-    "example1": _build_example1,
-    "example2": _build_example2,
-    "kodaira": _build_kodaira,
-    "vaisman": _build_vaisman,
+# name -> (constructor, default parameters).  The defaults name every key an
+# entry accepts; build_entry merges the given values over them.
+_CATALOG = {
+    "example1": (example1_entry, {"mu": 2.0}),
+    "example2": (example2_entry, {"mu": 2.0, "n": 2}),
+    "kodaira": (kodaira_entry, {"alpha": 0.5, "t": 1.0}),
+    "vaisman": (lambda r1, r2, p1, p2: vaisman_entry(r=(r1, r2), p=(p1, p2)),
+                {"r1": 1.0, "r2": 1.5, "p1": 1.0, "p2": 2.0}),
 }
 
-ENTRY_NAMES = tuple(sorted(_BUILDERS))
+ENTRY_NAMES = tuple(sorted(_CATALOG))
 
 
 def build_entry(name: str, parameters=None) -> HopfSurfaceCatalogEntry:
     """Build a catalog entry by name; unused parameters are rejected."""
-    if name not in _BUILDERS:
+    if name not in _CATALOG:
         raise UnknownEntry("unknown entry %r; known entries: %s"
                            % (name, ", ".join(ENTRY_NAMES)))
+    constructor, defaults = _CATALOG[name]
     params = dict(parameters or {})
-    entry = _BUILDERS[name](params)
-    if params:
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
         raise BadParameter("entry %r does not accept parameter(s): %s"
-                           % (name, ", ".join(sorted(params))))
-    return entry
+                           % (name, ", ".join(unknown)))
+    return constructor(**{**defaults, **params})

@@ -287,18 +287,7 @@ def conjugate_by_scaling(g: PolyAutomorphism, scaling: ScalingMap) -> PolyAutomo
     uniform weights this is the degree-(k-1) power of t on every degree-k
     term, which is the scaling law the deformation families rely on.
     """
-    if len(scaling.weights) != g.dim:
-        raise ex.DimensionMismatch("scaling weights do not match map dimension")
-    t = scaling.t
-    w = scaling.weights
-    tables = []
-    for i, comp in enumerate(g.components):
-        table = {}
-        for mono, c in comp.coeffs.items():
-            shift = sum(e * wj for e, wj in zip(mono, w)) - w[i]
-            table[mono] = c * t ** shift
-        tables.append(table)
-    return PolyAutomorphism.from_tables(tables)
+    return ScalingFamily(g, scaling.weights).at(scaling.t)
 
 
 class ScalingFamily:

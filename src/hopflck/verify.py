@@ -35,12 +35,12 @@ __all__ = [
     "verify_lck", "verify_potential", "verify_invariance",
     "run_suite", "suite_passed", "reports_to_json", "jsonify",
     "DegenerateOmega", "NonPositivePotential",
-    "RATIONAL_TOL", "IMPLICIT_TOL", "LEE_DET_EPS",
+    "RATIONAL_TOL", "IMPLICIT_TOL", "LEE_RCOND",
 ]
 
 RATIONAL_TOL = 1e-10
 IMPLICIT_TOL = 1e-8
-LEE_DET_EPS = 1e-10
+LEE_RCOND = 1e-10
 FIXED_POINT_TOL = 1e-8
 WORST_POINTS = 3
 
@@ -131,12 +131,9 @@ def _status(max_residual: float, tolerance: float) -> str:
 
 
 def _auto_tolerance(*objects) -> float:
-    for obj in objects:
-        if obj is None:
-            continue
-        if getattr(obj, "has_implicit", False):
-            return IMPLICIT_TOL
-    return RATIONAL_TOL
+    """IMPLICIT_TOL if any object contains the implicit radial coordinate."""
+    implicit = any(getattr(obj, "has_implicit", False) for obj in objects)
+    return IMPLICIT_TOL if implicit else RATIONAL_TOL
 
 
 def _pointwise_residual(a: fm.ExteriorForm, pts, memo=None) -> np.ndarray:
@@ -153,6 +150,38 @@ def _worst_points(pts, residuals, top: int = WORST_POINTS):
     order = np.argsort(residuals)[::-1][:top]
     return [{"point": [complex(c) for c in pts[k]],
              "residual": float(residuals[k])} for k in order]
+
+
+def _report(check_name, worst, tolerance, num_points, seed, details):
+    worst = float(worst)
+    return VerificationReport(check_name, _status(worst, tolerance), worst,
+                              tolerance, num_points, seed, details)
+
+
+def _lck_residuals(Omega, theta, pts):
+    """Per-point residuals of d Omega - theta ^ Omega and of d theta."""
+    memo = {}
+    lck = _pointwise_residual(fm.exterior_d(Omega) - fm.wedge(theta, Omega),
+                              pts, memo=memo)
+    closed = _pointwise_residual(fm.exterior_d(theta), pts, memo=memo)
+    return lck, closed
+
+
+def _definiteness_summary(form, pts) -> dict:
+    """Sign classification of a (1,1)-form, or the reason it has none."""
+    try:
+        rep = fm.definiteness(form, pts)
+    except (fm.NotType11, fm.NonHermitian) as err:
+        return {"error": str(err)}
+    return {"is_definite": rep.is_definite,
+            "is_semidefinite": rep.is_semidefinite,
+            "sign": rep.sign,
+            "min_abs_eigenvalue": rep.min_abs_eigenvalue}
+
+
+def _invariance_residual(a, g, pts) -> np.ndarray:
+    """Per-point residual of pullback(g, a) - a."""
+    return _pointwise_residual(fm.pullback(g.as_expressions(), a) - a, pts)
 
 
 # ---------------------------------------------------------------------------
@@ -185,16 +214,21 @@ def solve_lee_many(Omega: fm.ExteriorForm, points):
     triples = list(itertools.combinations(range(nn), 3))
     row_of = {t: r for r, t in enumerate(triples)}
 
+    mats = np.zeros((pts.shape[0], nn, nn), dtype=complex)
+    for (i, j), arr in omega_vals.items():
+        mats[:, i, j] = arr
+        mats[:, j, i] = -arr
+    sv = np.linalg.svd(mats, compute_uv=False)
+    degenerate = np.flatnonzero(~(sv[:, -1] > LEE_RCOND * sv[:, 0]))
+    if degenerate.size:
+        k = int(degenerate[0])
+        ratio = sv[k, -1] / sv[k, 0] if sv[k, 0] > 0 else 0.0
+        raise DegenerateOmega(
+            "2-form degenerate at point %d (sigma_min/sigma_max = %.3g)"
+            % (k, ratio))
+
     results = []
     for k in range(pts.shape[0]):
-        mat = np.zeros((nn, nn), dtype=complex)
-        for (i, j), arr in omega_vals.items():
-            mat[i, j] = arr[k]
-            mat[j, i] = -arr[k]
-        det = abs(np.linalg.det(mat))
-        if det <= LEE_DET_EPS:
-            raise DegenerateOmega(
-                "2-form degenerate at point %d (|det| = %.3g)" % (k, det))
         design = np.zeros((len(triples), nn), dtype=complex)
         for a in range(nn):
             for pair, arr in omega_vals.items():
@@ -222,7 +256,9 @@ def solve_lee_pointwise(Omega: fm.ExteriorForm, point) -> LeeSolveResult:
     The 2n unknown coefficients of theta in the covector basis are fitted by
     least squares against the 3-form d Omega; for a nondegenerate Omega in
     complex dimension >= 2 the solution is unique.  Raises DegenerateOmega
-    when the antisymmetric coefficient matrix of Omega is near singular.
+    when the antisymmetric coefficient matrix of Omega is near singular:
+    its smallest singular value is at most LEE_RCOND times its largest, a
+    test that does not depend on the scale of Omega.
     """
     return solve_lee_many(Omega, [tuple(point)])[0]
 
@@ -245,28 +281,16 @@ def verify_lck(Omega: fm.ExteriorForm, theta: fm.ExteriorForm, points,
         raise ex.DimensionMismatch("forms live in different dimensions")
     tol = _auto_tolerance(Omega, theta) if tolerance is None else float(tolerance)
     pts = np.asarray(points, dtype=complex)
-    memo = {}
-    lck_res = _pointwise_residual(
-        fm.exterior_d(Omega) - fm.wedge(theta, Omega), pts, memo=memo)
-    closed_res = _pointwise_residual(fm.exterior_d(theta), pts, memo=memo)
+    lck_res, closed_res = _lck_residuals(Omega, theta, pts)
     details = {
         "lck_residual": float(lck_res.max(initial=0.0)),
         "lee_closedness_residual": float(closed_res.max(initial=0.0)),
         "worst_points": _worst_points(pts, np.maximum(lck_res, closed_res)),
+        "definiteness": _definiteness_summary(fm.bidegree_part(Omega, 1, 1),
+                                              pts),
     }
-    try:
-        rep = fm.definiteness(fm.bidegree_part(Omega, 1, 1), pts)
-        details["definiteness"] = {
-            "is_definite": rep.is_definite,
-            "is_semidefinite": rep.is_semidefinite,
-            "sign": rep.sign,
-            "min_abs_eigenvalue": rep.min_abs_eigenvalue,
-        }
-    except (fm.NotType11, fm.NonHermitian) as err:
-        details["definiteness"] = {"error": str(err)}
     worst = max(details["lck_residual"], details["lee_closedness_residual"])
-    return VerificationReport(check_name, _status(worst, tol), worst, tol,
-                              int(pts.shape[0]), seed, details)
+    return _report(check_name, worst, tol, int(pts.shape[0]), seed, details)
 
 
 def _axis_points(dim: int) -> np.ndarray:
@@ -308,16 +332,10 @@ def verify_potential(Phi: ex.Expression, group, points,
     omega_tilde = fm.del_and_delbar(dbar)[0].scale(-1j)
     closed = float(_pointwise_residual(fm.exterior_d(omega_tilde), pts,
                                        memo=memo).max(initial=0.0))
-    details = {"closedness_residual": closed, "generators": []}
-    try:
-        rep = fm.definiteness(omega_tilde, pts)
-        details["definiteness"] = {
-            "is_definite": rep.is_definite,
-            "sign": rep.sign,
-            "min_abs_eigenvalue": rep.min_abs_eigenvalue,
-        }
-    except (fm.NotType11, fm.NonHermitian) as err:
-        details["definiteness"] = {"error": str(err)}
+    definiteness = _definiteness_summary(omega_tilde, pts)
+    definiteness.pop("is_semidefinite", None)
+    details = {"closedness_residual": closed, "generators": [],
+               "definiteness": definiteness}
 
     worst = closed
     for name, gen in _generator_list(group):
@@ -331,8 +349,7 @@ def verify_potential(Phi: ex.Expression, group, points,
         if rho <= 0:
             worst = max(worst, 1.0)
             details["nonpositive_ratio"] = True
-    return VerificationReport(check_name, _status(worst, tol), worst, tol,
-                              int(pts.shape[0]), seed, details)
+    return _report(check_name, worst, tol, int(pts.shape[0]), seed, details)
 
 
 def verify_invariance(a: fm.ExteriorForm, g: PolyAutomorphism, points,
@@ -341,12 +358,9 @@ def verify_invariance(a: fm.ExteriorForm, g: PolyAutomorphism, points,
     """Max residual of pullback(g, a) - a over the samples."""
     tol = _auto_tolerance(a) if tolerance is None else float(tolerance)
     pts = np.asarray(points, dtype=complex)
-    diff = fm.pullback(g.as_expressions(), a) - a
-    res = _pointwise_residual(diff, pts)
-    worst = float(res.max(initial=0.0))
-    details = {"worst_points": _worst_points(pts, res)}
-    return VerificationReport(check_name, _status(worst, tol), worst, tol,
-                              int(pts.shape[0]), seed, details)
+    res = _invariance_residual(a, g, pts)
+    return _report(check_name, res.max(initial=0.0), tol, int(pts.shape[0]),
+                   seed, {"worst_points": _worst_points(pts, res)})
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +386,11 @@ class SuiteConfig:
             raise ValueError("tol must be positive, got %r" % (self.tol,))
 
 
-def _margin_report(check_name, margin, num_points, seed, details):
-    return VerificationReport(check_name, _status(margin, 0.0), float(margin),
-                              0.0, num_points, seed, details)
+def _orientations(gen):
+    """The generator, then its inverse when it is linear (computed lazily)."""
+    yield "generator", gen
+    if gen.is_linear():
+        yield "generator_inverse", gen.inverse_linear()
 
 
 def run_suite(entry: HopfSurfaceCatalogEntry,
@@ -393,88 +409,68 @@ def run_suite(entry: HopfSurfaceCatalogEntry,
     tol = config.tol
     if tol is None:
         tol = _auto_tolerance(*entry.forms.values(), entry.potential)
+    npts, seed = config.points, config.seed
     reports = []
     forms = entry.forms
-    memo = {}
 
     if "Omega" in forms and "theta" in forms:
-        om, th = forms["Omega"], forms["theta"]
-        lck_res = _pointwise_residual(fm.exterior_d(om) - fm.wedge(th, om),
-                                      pts, memo=memo)
-        worst = float(lck_res.max(initial=0.0))
-        reports.append(VerificationReport(
-            "lck_residual", _status(worst, tol), worst, tol, config.points,
-            config.seed, {"worst_points": _worst_points(pts, lck_res)}))
-
-        closed_res = _pointwise_residual(fm.exterior_d(th), pts, memo=memo)
-        worst = float(closed_res.max(initial=0.0))
-        reports.append(VerificationReport(
-            "lee_closedness", _status(worst, tol), worst, tol, config.points,
-            config.seed, {"worst_points": _worst_points(pts, closed_res)}))
+        lck_res, closed_res = _lck_residuals(forms["Omega"], forms["theta"],
+                                             pts)
+        for name, res in (("lck_residual", lck_res),
+                          ("lee_closedness", closed_res)):
+            reports.append(_report(name, res.max(initial=0.0), tol, npts,
+                                   seed,
+                                   {"worst_points": _worst_points(pts, res)}))
 
     if "Omega" in forms:
-        try:
-            rep = fm.definiteness(fm.bidegree_part(forms["Omega"], 1, 1), pts)
-            ok = rep.is_definite and rep.sign is not None
-            margin = -rep.min_abs_eigenvalue if ok else 1.0
-            details = {"is_definite": rep.is_definite,
-                       "is_semidefinite": rep.is_semidefinite,
-                       "sign": rep.sign,
-                       "min_abs_eigenvalue": rep.min_abs_eigenvalue}
-        except (fm.NotType11, fm.NonHermitian) as err:
-            margin, details = 1.0, {"error": str(err)}
-        reports.append(_margin_report("definiteness", margin, config.points,
-                                      config.seed, details))
+        details = _definiteness_summary(
+            fm.bidegree_part(forms["Omega"], 1, 1), pts)
+        ok = details.get("is_definite") and details["sign"] is not None
+        margin = -details["min_abs_eigenvalue"] if ok else 1.0
+        reports.append(_report("definiteness", margin, 0.0, npts, seed,
+                               details))
 
     if entry.potential is not None:
         reports.append(verify_potential(entry.potential, entry.group, pts,
-                                        tolerance=tol, seed=config.seed))
+                                        tolerance=tol, seed=seed))
 
     for key in ("theta", "psi"):
         if key not in forms:
             continue
-        worst = 0.0
-        details = {"generators": []}
-        for name, gen in _generator_list(entry.group):
-            diff = fm.pullback(gen.as_expressions(), forms[key]) - forms[key]
-            res = float(_pointwise_residual(diff, pts).max(initial=0.0))
-            details["generators"].append({"generator": name, "residual": res})
-            worst = max(worst, res)
-        reports.append(VerificationReport(
-            "invariance_%s" % key, _status(worst, tol), worst, tol,
-            config.points, config.seed, details))
+        generators = [
+            {"generator": name, "residual": float(
+                _invariance_residual(forms[key], gen, pts).max(initial=0.0))}
+            for name, gen in _generator_list(entry.group)]
+        worst = max([0.0] + [g["residual"] for g in generators])
+        reports.append(_report("invariance_%s" % key, worst, tol, npts, seed,
+                               {"generators": generators}))
 
     fpf = fixed_point_free_check(entry.group, tol=FIXED_POINT_TOL)
     margin = FIXED_POINT_TOL - fpf.min_distance if fpf.distances else -1.0
-    reports.append(_margin_report(
-        "fixed_point_free", margin,
-        len(entry.group.finite_part), config.seed,
+    reports.append(_report(
+        "fixed_point_free", margin, 0.0, len(entry.group.finite_part), seed,
         {"is_free": fpf.is_free,
          "min_distance": fpf.min_distance if fpf.distances else None,
          "distances": [{"element": k, "distance": d}
                        for k, d in fpf.distances]}))
 
-    gen = entry.group.cyclic_generator
-    first = contraction_test(gen, radius=config.contraction_radius,
-                             eps=config.contraction_eps,
-                             max_iter=config.contraction_max_iter)
-    certified, which = first, "generator"
-    if not first.is_contraction and gen.is_linear():
-        second = contraction_test(gen.inverse_linear(),
-                                  radius=config.contraction_radius,
-                                  eps=config.contraction_eps,
-                                  max_iter=config.contraction_max_iter)
-        if second.is_contraction:
-            certified, which = second, "generator_inverse"
-    margin = certified.spectral_radius - 1.0 if certified.is_contraction else 1.0
-    reports.append(_margin_report(
-        "contraction", margin, certified.num_points, config.seed,
-        {"certified_map": which if certified.is_contraction else None,
-         "is_contraction": certified.is_contraction,
-         "spectral_radius": certified.spectral_radius,
-         "iterations_needed": certified.iterations_needed,
-         "radius": certified.radius, "eps": certified.eps,
-         "reason": certified.reason}))
+    own = None
+    for which, g in _orientations(entry.group.cyclic_generator):
+        res = contraction_test(g, radius=config.contraction_radius,
+                               eps=config.contraction_eps,
+                               max_iter=config.contraction_max_iter)
+        own = own or res  # the generator's own result
+        if res.is_contraction:
+            break
+    else:
+        res, which = own, None
+    margin = res.spectral_radius - 1.0 if res.is_contraction else 1.0
+    reports.append(_report(
+        "contraction", margin, 0.0, res.num_points, seed,
+        {"certified_map": which, "is_contraction": res.is_contraction,
+         "spectral_radius": res.spectral_radius,
+         "iterations_needed": res.iterations_needed,
+         "radius": res.radius, "eps": res.eps, "reason": res.reason}))
     return reports
 
 

@@ -1,12 +1,16 @@
 """End-to-end tests of the command-line interface, run in process."""
 
+import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hopflck.cli as cli
 import hopflck.maps as mp
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, argv):
@@ -108,10 +112,26 @@ class TestVerifyCommand:
         assert code == 2 and "valid keys" in err
 
     def test_unknown_parameter_key(self, capsys, tmp_path):
+        for entry in ("example1", "example2"):
+            conf = write_json(tmp_path / "conf.json",
+                              {"entry": entry, "parameters": {"beta": 1}})
+            code, _, err = run(capsys, ["verify", "--file", conf])
+            assert code == 2 and "beta" in err
+
+    def test_config_file_reaches_example2_dimension(self, capsys, tmp_path):
         conf = write_json(tmp_path / "conf.json",
-                          {"entry": "example1", "parameters": {"beta": 1.0}})
+                          {"entry": "example2", "points": 40,
+                           "parameters": {"n": 3}})
+        code, out, _ = run(capsys, ["verify", "--file", conf])
+        assert code == 0
+        assert json.loads(out)["parameters"]["n"] == 3
+        assert '"n": 3\n' in out
+
+    def test_non_integral_dimension_rejected(self, capsys, tmp_path):
+        conf = write_json(tmp_path / "conf.json",
+                          {"entry": "example2", "parameters": {"n": 2.5}})
         code, _, err = run(capsys, ["verify", "--file", conf])
-        assert code == 2 and "beta" in err
+        assert code == 2 and "dimension n" in err and "2.5" in err
 
     def test_unreadable_config(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -273,6 +293,16 @@ class TestParser:
         capsys.readouterr()
 
     def test_console_entry_point_exists(self):
-        import importlib.metadata as md
-        eps = md.entry_points(group="console_scripts")
-        assert any(e.name == "hopflck" for e in eps)
+        # Read the declaration itself, so the check holds without installing.
+        text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+        try:
+            import tomllib
+        except ModuleNotFoundError:  # Python 3.10
+            section = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+            lines = [line.split("=", 1) for line in section.splitlines()
+                     if line.strip().startswith("hopflck")]
+            scripts = {k.strip(): v.strip().strip("\"'") for k, v in lines}
+        else:
+            scripts = tomllib.loads(text)["project"]["scripts"]
+        module, _, attr = scripts["hopflck"].partition(":")
+        assert getattr(importlib.import_module(module), attr) is cli.main

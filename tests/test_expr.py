@@ -249,6 +249,8 @@ class TestJson:
         lambda: ex.implicit_t((2.0, 3.0),
                               z_args=(ex.mul(ex.const(2.0), ex.z(1)),
                                       ex.z(2))),
+        lambda: ex.implicit_t((1, 1.5), newton_tol=1e-6),
+        lambda: ex.implicit_t((1.0, 1.5), newton_max_iter=7),
     ])
     def test_round_trip_is_identity(self, builder):
         e = builder()

@@ -10,6 +10,7 @@ import hopflck.forms as fm
 import hopflck.hopf as hp
 import hopflck.maps as mp
 import hopflck.verify as vf
+from hopflck.sampling import annulus_points
 from oracles import random_annulus
 
 
@@ -45,6 +46,20 @@ class TestSolveLee:
         fs = hp.example1_entry().forms["fubini_study"]
         with pytest.raises(vf.DegenerateOmega):
             vf.solve_lee_pointwise(fs, (1.0, 0.5))
+        with pytest.raises(vf.DegenerateOmega):
+            vf.solve_lee_many(fs, random_annulus(2, 50, seed=204))
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e3])
+    def test_degeneracy_test_is_scale_invariant(self, scale):
+        # theta solves d(c Omega) = theta ^ (c Omega) for every constant c.
+        om = hp.example1_entry().forms["Omega"]
+        pts = np.concatenate([[(0.8 + 0.1j, -0.6)],
+                              random_annulus(2, 20, seed=203)])
+        base = vf.solve_lee_many(om, pts)
+        scaled = vf.solve_lee_many(om.scale(scale), pts)
+        for a, b in zip(base, scaled):
+            assert np.allclose(b.theta_coeffs, a.theta_coeffs,
+                               rtol=1e-9, atol=1e-12)
 
     def test_degree_guard(self):
         with pytest.raises(ValueError, match="2-form"):
@@ -216,6 +231,23 @@ class TestRunSuite:
         contraction = reports[-1]
         assert contraction.status == "fail"
         assert contraction.details["certified_map"] is None
+        # Neither orientation contracts; the generator's own result is kept,
+        # not that of its inverse diag(1/1.2, 2).
+        own = mp.contraction_test(bad_group.cyclic_generator)
+        assert contraction.details["spectral_radius"] == pytest.approx(1.2)
+        assert contraction.details["reason"] == own.reason
+
+    @pytest.mark.parametrize("make", [hp.example1_entry, hp.vaisman_entry])
+    def test_suite_residuals_match_verify_lck(self, make):
+        entry = make()
+        config = self.small()
+        by_name = {r.check_name: r for r in vf.run_suite(entry, config)}
+        pts = annulus_points(entry.ambient_dim, config.points, config.seed)
+        lck = vf.verify_lck(entry.forms["Omega"], entry.forms["theta"], pts)
+        assert lck.details["lck_residual"] == \
+            by_name["lck_residual"].max_residual
+        assert lck.details["lee_closedness_residual"] == \
+            by_name["lee_closedness"].max_residual
 
     def test_reports_are_json_safe_and_deterministic(self):
         config = self.small()
