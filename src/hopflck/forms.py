@@ -331,29 +331,33 @@ def evaluate_form(a: ExteriorForm, point):
     return {index: complex(vals[0]) for index, vals in many.items()}
 
 
-def evaluate_form_many(a: ExteriorForm, points, memo=None):
+def evaluate_form_many(a: ExteriorForm, points):
     """Coefficients over an (m, n) point array, as {index: (m,) array}.
 
-    Coefficient subterms are shared through one memo table, so common
-    denominators and implicit solves run once for the whole form.
+    All coefficients run through one evaluation tape: the shared DAG is
+    compiled once into a post-order list of operations, run over chunks of
+    points, and each intermediate is freed after its last use.  Common
+    denominators and implicit solves are thus computed once per chunk for
+    the whole form.  A failure names the first failing coefficient in sorted
+    order.
     """
     pts = np.asarray(points, dtype=complex)
     m = pts.shape[0]
-    if memo is None:
-        memo = {}
+    indices, coeffs = zip(*a.sorted_terms()) if a.terms else ((), ())
+    try:
+        values = ex._evaluate_roots(coeffs, pts)
+    except ex._RootFailure as fail:
+        raise FormEvaluationError(indices[fail.root], fail.cause) from fail.cause
     out = {}
-    for index, coeff in a.sorted_terms():
-        try:
-            vals = ex.evaluate_many(coeff, pts, memo)
-        except ex.EvaluationError as err:
-            raise FormEvaluationError(index, err) from err
-        out[index] = np.broadcast_to(np.asarray(vals, dtype=complex), (m,))
+    for index, vals in zip(indices, values):
+        vals = np.asarray(vals, dtype=complex)
+        out[index] = vals if vals.shape == (m,) else np.broadcast_to(vals, (m,))
     return out
 
 
-def max_form_residual(a: ExteriorForm, points, memo=None) -> float:
+def max_form_residual(a: ExteriorForm, points) -> float:
     """max |coefficient| of ``a`` over the sample points (0.0 if no terms)."""
-    values = evaluate_form_many(a, points, memo)
+    values = evaluate_form_many(a, points)
     worst = 0.0
     for vals in values.values():
         worst = max(worst, float(np.max(np.abs(vals))))
@@ -406,14 +410,13 @@ def definiteness(a: ExteriorForm, points,
     if n != a.ambient_dim:
         raise ex.DimensionMismatch("points dimension %d vs form on C^%d"
                                    % (n, a.ambient_dim))
-    memo: dict = {}
     for p, q in ((2, 0), (0, 2)):
-        stray = max_form_residual(bidegree_part(a, p, q), pts, memo)
+        stray = max_form_residual(bidegree_part(a, p, q), pts)
         if stray >= type_tol:
             raise NotType11("(%d,%d) part has residual %.3g >= %.3g"
                             % (p, q, stray, type_tol))
 
-    values = evaluate_form_many(bidegree_part(a, 1, 1), pts, memo)
+    values = evaluate_form_many(bidegree_part(a, 1, 1), pts)
     coeff = np.zeros((m, n, n), dtype=complex)
     for (i, j), vals in values.items():
         coeff[:, i, j - n] = vals

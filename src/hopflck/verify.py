@@ -136,10 +136,10 @@ def _auto_tolerance(*objects) -> float:
     return IMPLICIT_TOL if implicit else RATIONAL_TOL
 
 
-def _pointwise_residual(a: fm.ExteriorForm, pts, memo=None) -> np.ndarray:
+def _pointwise_residual(a: fm.ExteriorForm, pts) -> np.ndarray:
     """Per-point max absolute coefficient of a form (0 where it has none)."""
     pts = np.asarray(pts, dtype=complex)
-    vals = fm.evaluate_form_many(a, pts, memo=memo)
+    vals = fm.evaluate_form_many(a, pts)
     out = np.zeros(pts.shape[0], dtype=float)
     for arr in vals.values():
         out = np.maximum(out, np.abs(arr))
@@ -160,10 +160,9 @@ def _report(check_name, worst, tolerance, num_points, seed, details):
 
 def _lck_residuals(Omega, theta, pts):
     """Per-point residuals of d Omega - theta ^ Omega and of d theta."""
-    memo = {}
     lck = _pointwise_residual(fm.exterior_d(Omega) - fm.wedge(theta, Omega),
-                              pts, memo=memo)
-    closed = _pointwise_residual(fm.exterior_d(theta), pts, memo=memo)
+                              pts)
+    closed = _pointwise_residual(fm.exterior_d(theta), pts)
     return lck, closed
 
 
@@ -208,9 +207,8 @@ def solve_lee_many(Omega: fm.ExteriorForm, points):
     n = Omega.ambient_dim
     nn = 2 * n
     pts = np.asarray(points, dtype=complex)
-    memo = {}
-    omega_vals = fm.evaluate_form_many(Omega, pts, memo=memo)
-    dom_vals = fm.evaluate_form_many(fm.exterior_d(Omega), pts, memo=memo)
+    omega_vals = fm.evaluate_form_many(Omega, pts)
+    dom_vals = fm.evaluate_form_many(fm.exterior_d(Omega), pts)
     triples = list(itertools.combinations(range(nn), 3))
     row_of = {t: r for r, t in enumerate(triples)}
 
@@ -320,8 +318,7 @@ def verify_potential(Phi: ex.Expression, group, points,
     tol = _auto_tolerance(Phi) if tolerance is None else float(tolerance)
     n = group.dim
     pts = np.concatenate([_axis_points(n), np.asarray(points, dtype=complex)])
-    memo = {}
-    vals = ex.evaluate_many(Phi, pts, memo=memo)
+    vals = ex.evaluate_many(Phi, pts)
     if float(np.max(np.abs(vals.imag))) > 1e-12 or float(vals.real.min()) <= 0:
         raise NonPositivePotential(
             "potential must be real and positive on the samples "
@@ -330,8 +327,8 @@ def verify_potential(Phi: ex.Expression, group, points,
 
     dbar = fm.del_and_delbar(fm.scalar_form(n, Phi))[1]
     omega_tilde = fm.del_and_delbar(dbar)[0].scale(-1j)
-    closed = float(_pointwise_residual(fm.exterior_d(omega_tilde), pts,
-                                       memo=memo).max(initial=0.0))
+    closed = float(_pointwise_residual(fm.exterior_d(omega_tilde),
+                                       pts).max(initial=0.0))
     definiteness = _definiteness_summary(omega_tilde, pts)
     definiteness.pop("is_semidefinite", None)
     details = {"closedness_residual": closed, "generators": [],

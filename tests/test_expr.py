@@ -106,6 +106,64 @@ class TestEvaluation:
             ex.evaluate(ex.z(3), (1.0, 2.0))
 
 
+class TestChunkedEvaluation:
+    """evaluate_many runs its tape over chunks of ex._CHUNK points."""
+
+    C = ex._CHUNK
+    SIZES = (1, C - 1, C, C + 1, 3 * C + 17)
+    POINTS = annulus_points(2, 3 * C + 17, seed=21)
+
+    @staticmethod
+    def _rational():
+        z1, z2, zb1, zb2 = ex.z(1), ex.z(2), ex.zbar(1), ex.zbar(2)
+        return (z1 ** 2 * zb2 + 3) / (1 + z1 * zb1) - z2 ** -2
+
+    @staticmethod
+    def _implicit():
+        t = ex.implicit_t((1.0, 1.5))
+        return ex.exp(ex.mul(ex.const(2.0), t)) * ex.z(1) + t
+
+    def _checked_indices(self, m):
+        """Both sides of every chunk boundary, the ends, and a sample."""
+        near = {k for b in range(0, m + 1, self.C) for k in range(b - 2, b + 2)}
+        rng = np.random.default_rng(m)
+        sample = set(rng.choice(m, size=min(m, 48), replace=False).tolist())
+        return sorted(k for k in near | sample | {m - 1} if 0 <= k < m)
+
+    # The Newton iteration stops once the worst point of a batch is below
+    # newton_tol = 1e-12, so a point evaluated alone may stop one step
+    # earlier: |dt| < 1e-12 and |d/dt (exp(2t) z1 + t)| < 10 on the annulus.
+    @pytest.mark.parametrize("kind, tol", [("rational", 1e-14),
+                                           ("implicit", 1e-11)])
+    @pytest.mark.parametrize("m", SIZES)
+    def test_matches_pointwise_evaluation(self, kind, tol, m):
+        e = getattr(self, "_" + kind)()
+        pts = self.POINTS[:m]
+        vals = ex.evaluate_many(e, pts)
+        assert vals.shape == (m,) and vals.dtype == complex
+        for lo in range(0, m, self.C):
+            part = ex.evaluate_many(e, pts[lo:lo + self.C])
+            assert np.array_equal(part, vals[lo:lo + self.C])
+        for k in self._checked_indices(m):
+            assert abs(vals[k] - ex.evaluate(e, pts[k])) <= tol
+
+    @pytest.mark.parametrize("m", SIZES)
+    def test_return_contract(self, m):
+        pts = self.POINTS[:m]
+        t = ex.evaluate_many(ex.implicit_t((1.0, 1.5)), pts)
+        assert t.shape == (m,) and t.dtype == np.float64
+        c = ex.evaluate_many(ex.const(2 - 1j), pts)
+        assert np.shape(c) == () and c == 2 - 1j
+
+    def test_deep_sum_evaluates_without_recursion(self):
+        e = ex.z(1)
+        for k in range(2, 3001):
+            e = ex.add(e, ex.mul(ex.const(float(k)), ex.z(1)))
+        pts = annulus_points(2, 5, seed=22)
+        vals = ex.evaluate_many(e, pts)
+        assert np.allclose(vals, 3000 * 3001 / 2 * pts[:, 0], rtol=1e-12)
+
+
 class TestWirtinger:
     def test_variable_derivatives(self):
         assert ex.wirtinger_d(ex.z(1), 1) is ex.const(1.0)

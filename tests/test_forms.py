@@ -220,6 +220,68 @@ class TestEvaluation:
         assert info.value.index == (1,)
         assert isinstance(info.value.cause, ex.DivisionNearZero)
 
+    @pytest.mark.parametrize("coeff, bad, error", [
+        (ex.div(ex.const(1.0), ex.z(1)), (0.0, 0.8), ex.DivisionNearZero),
+        (ex.log(ex.z(1)), (-2.0, 0.8), ex.LogBranchError),
+        (ex.implicit_t((1.0, 2.0), newton_max_iter=1), (3.0, 0.5),
+         ex.NewtonDivergence),
+    ])
+    def test_error_past_first_chunk_names_term_and_point(self, coeff, bad,
+                                                         error):
+        # (0.6, 0.8) is on the unit sphere, where t = 0 solves at once.
+        pts = np.tile(np.array([0.6, 0.8], dtype=complex), (ex._CHUNK + 40, 1))
+        k = ex._CHUNK + 17
+        pts[k] = bad
+        with pytest.raises(error) as direct:
+            ex.evaluate_many(coeff, pts)
+        assert direct.value.point == bad
+        a = fm.form_from_terms(2, 1, {(0,): ex.z(2), (1,): coeff,
+                                      (3,): ex.mul(ex.z(1), coeff)})
+        with pytest.raises(fm.FormEvaluationError) as info:
+            fm.evaluate_form_many(a, pts)
+        assert info.value.index == (1,)
+        assert isinstance(info.value.cause, error)
+        assert info.value.cause.point == bad
+
+    @pytest.mark.parametrize("m, k", [(10, 4),
+                                      (ex._CHUNK + 40, ex._CHUNK + 17)])
+    def test_later_term_error_after_implicit_term(self, m, k):
+        # The later term fails in the last chunk, past every point the
+        # earlier term's Newton solve still has to cover.
+        pts = np.tile(np.array([0.6, 0.8], dtype=complex), (m, 1))
+        pts[k] = (0.0, 0.8)
+        a = fm.form_from_terms(2, 1, {(0,): ex.implicit_t((1.0, 2.0)),
+                                      (1,): ex.div(ex.const(1.0), ex.z(1))})
+        with pytest.raises(fm.FormEvaluationError) as info:
+            fm.evaluate_form_many(a, pts)
+        assert info.value.index == (1,)
+        assert isinstance(info.value.cause, ex.DivisionNearZero)
+        assert info.value.cause.point == (0.0, 0.8)
+
+    def test_error_names_first_term_failing_anywhere(self):
+        # The later term fails in the first chunk, the earlier one only in
+        # the second; the report still names the earlier term.
+        pts = np.tile(np.array([0.6, 0.8], dtype=complex), (2 * ex._CHUNK, 1))
+        pts[3] = (0.6, 0.0)
+        pts[ex._CHUNK + 5] = (0.0, 0.8)
+        a = fm.form_from_terms(2, 1, {(0,): ex.div(ex.const(1.0), ex.z(1)),
+                                      (1,): ex.div(ex.const(1.0), ex.z(2))})
+        with pytest.raises(fm.FormEvaluationError) as info:
+            fm.evaluate_form_many(a, pts)
+        assert info.value.index == (0,)
+        assert info.value.cause.point == (0.0, 0.8)
+
+    def test_deep_sum_evaluates_without_recursion(self):
+        e = ex.z(1)
+        for k in range(2, 3001):
+            e = ex.add(e, ex.mul(ex.const(float(k)), ex.z(1)))
+        a = fm.form_from_terms(2, 1, {(0,): e, (2,): ex.zbar(1)})
+        pts = annulus_points(2, 5, seed=23)
+        vals = fm.evaluate_form_many(a, pts)
+        assert np.allclose(vals[(0,)], 3000 * 3001 / 2 * pts[:, 0],
+                           rtol=1e-12)
+        assert np.array_equal(vals[(2,)], np.conj(pts[:, 0]))
+
     def test_max_residual_of_empty_form(self):
         assert fm.max_form_residual(fm.ExteriorForm(2, 1, {}), PTS) == 0.0
 
