@@ -1,6 +1,6 @@
 """Symbolic scalar expressions in the variables z_1..z_n and their conjugates.
 
-Expressions are immutable trees built by the small constructors in this module
+Expressions are immutable DAGs built by the small constructors in this module
 (:func:`const`, :func:`z`, :func:`zbar`, :func:`add`, ...).  Wirtinger calculus
 treats z_i and zbar_i as independent coordinates, so every node differentiates
 exactly with respect to either family.  Construction performs only constant
@@ -8,7 +8,15 @@ folding and structural zero/one elimination; there is no general simplifier.
 
 All constructors intern their results: structurally identical expressions are
 the *same* Python object.  Equality and hashing therefore coincide with
-structural equality, and a shared subterm is a single DAG node.
+structural equality, and a shared subterm is a single DAG node.  The intern
+table holds its nodes weakly and each node keeps its own derivatives, so an
+expression that nothing references any more is freed with its derivatives.
+
+Each node kind has its rules in one table, ``_KINDS``: evaluate, rebuild from
+new children, differentiate from the children's derivatives, JSON fields and
+pretty form.  Evaluation, differentiation, substitution, conjugation and JSON
+all drive those rules through one explicit-stack post-order walk, so the
+depth of an expression is bounded by memory, not by the recursion limit.
 
 Evaluation compiles the DAG below one or more roots into a tape: a post-order
 list of operations, one slot per node, each slot knowing its last consumer.
@@ -27,7 +35,8 @@ differentiation, which keeps the whole calculus closed under ``wirtinger_d``.
 from __future__ import annotations
 
 import cmath
-import math
+import weakref
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -77,18 +86,32 @@ class DimensionMismatch(ValueError):
 # Node classes
 # ---------------------------------------------------------------------------
 
+# The intern table: key -> weak reference to the node.  Keys name children
+# by id(); that is sound because a live node holds its children, and a dead
+# node's entry leaves the table with it.  (A WeakValueDictionary does the
+# same, but its KeyedRef is built in Python and costs about 2 us per node.)
 _INTERN: dict = {}
+
+
+class _Ref(weakref.ref):
+    __slots__ = ("key",)
+
+
+def _forget(ref):
+    if _INTERN.get(ref.key) is ref:
+        del _INTERN[ref.key]
 
 
 class Expression:
     """Base class for all expression nodes.  Instances are interned."""
 
-    __slots__ = ("max_index", "has_conj", "has_implicit")
+    __slots__ = ("args", "max_index", "has_conj", "has_implicit", "_derivs",
+                 "__weakref__")
 
     op = ""
 
     def children(self):
-        return ()
+        return self.args
 
     # -- operator sugar -----------------------------------------------------
 
@@ -136,14 +159,6 @@ def _coerce(value):
     raise TypeError("cannot interpret %r as an expression" % (value,))
 
 
-def _finish(node, key, max_index, has_conj, has_implicit):
-    node.max_index = max_index
-    node.has_conj = has_conj
-    node.has_implicit = has_implicit
-    _INTERN[key] = node
-    return node
-
-
 class Const(Expression):
     __slots__ = ("value",)
     op = "const"
@@ -159,70 +174,52 @@ class ConjVar(Expression):
     op = "zbar"
 
 
-class _Binary(Expression):
-    __slots__ = ("a", "b")
-
-    def children(self):
-        return (self.a, self.b)
-
-
-class Add(_Binary):
+class Add(Expression):
     __slots__ = ()
     op = "add"
 
 
-class Sub(_Binary):
+class Sub(Expression):
     __slots__ = ()
     op = "sub"
 
 
-class Mul(_Binary):
+class Mul(Expression):
     __slots__ = ()
     op = "mul"
 
 
-class Div(_Binary):
+class Div(Expression):
     __slots__ = ()
     op = "div"
 
 
 class IntPow(Expression):
-    __slots__ = ("base", "power")
+    __slots__ = ("power",)
     op = "pow"
-
-    def children(self):
-        return (self.base,)
 
 
 class Exp(Expression):
-    __slots__ = ("arg",)
+    __slots__ = ()
     op = "exp"
-
-    def children(self):
-        return (self.arg,)
 
 
 class Log(Expression):
-    __slots__ = ("arg",)
+    __slots__ = ()
     op = "log"
-
-    def children(self):
-        return (self.arg,)
 
 
 class ImplicitT(Expression):
     """t(w) with sum_i a_i(w) b_i(w) exp(2 r_i t) = 1, solved by Newton.
 
-    The default arguments a_i = z_i, b_i = zbar_i make a_i b_i = |w_i|^2 at
-    actual points; substitution rewrites the arguments in place, so conjugated
-    or composed occurrences stay within the expression language.
+    The children are a_1..a_n followed by b_1..b_n.  The defaults a_i = z_i,
+    b_i = zbar_i make a_i b_i = |w_i|^2 at actual points; substitution
+    rewrites the arguments in place, so conjugated or composed occurrences
+    stay within the expression language.
     """
 
-    __slots__ = ("weights", "z_args", "zbar_args", "newton_tol", "newton_max_iter")
+    __slots__ = ("weights", "newton_tol", "newton_max_iter")
     op = "implicit_t"
-
-    def children(self):
-        return self.z_args + self.zbar_args
 
 
 # ---------------------------------------------------------------------------
@@ -230,75 +227,65 @@ class ImplicitT(Expression):
 # ---------------------------------------------------------------------------
 
 
+def _intern(cls, key, args=(), **attrs):
+    """The node interned under ``key``, built as ``cls`` on first use.
+
+    A new node takes its flags from its children; ``attrs`` sets the kind's
+    own fields and overrides a flag where the node itself adds to it.
+    """
+    ref = _INTERN.get(key)
+    node = None if ref is None else ref()
+    if node is None:
+        node = cls()
+        node.args = args
+        node.max_index, node.has_conj, node.has_implicit = 0, False, False
+        for c in args:
+            if c.max_index > node.max_index:
+                node.max_index = c.max_index
+            node.has_conj |= c.has_conj
+            node.has_implicit |= c.has_implicit
+        node._derivs = None
+        for name, value in attrs.items():
+            setattr(node, name, value)
+        _INTERN[key] = ref = _Ref(node, _forget)
+        ref.key = key
+    return node
+
+
 def const(value) -> Expression:
     v = complex(value)
-    key = ("c", v.real, v.imag)
-    hit = _INTERN.get(key)
-    if hit is not None:
-        return hit
-    node = Const()
-    node.value = v
-    return _finish(node, key, 0, False, False)
+    return _intern(Const, ("c", v.real, v.imag), value=v)
 
 
+# Constants are interned too, so these are the only zero and one.
 _ZERO = const(0.0)
 _ONE = const(1.0)
 
 
-def z(index: int) -> Expression:
+def _variable(cls, tag, index, has_conj):
     if not isinstance(index, int) or index < 1:
         raise ValueError("variable index must be a positive integer, got %r" % (index,))
-    key = ("z", index)
-    hit = _INTERN.get(key)
-    if hit is not None:
-        return hit
-    node = Var()
-    node.index = index
-    return _finish(node, key, index, False, False)
+    return _intern(cls, (tag, index), index=index, max_index=index,
+                   has_conj=has_conj)
+
+
+def z(index: int) -> Expression:
+    return _variable(Var, "z", index, False)
 
 
 def zbar(index: int) -> Expression:
-    if not isinstance(index, int) or index < 1:
-        raise ValueError("variable index must be a positive integer, got %r" % (index,))
-    key = ("zb", index)
-    hit = _INTERN.get(key)
-    if hit is not None:
-        return hit
-    node = ConjVar()
-    node.index = index
-    return _finish(node, key, index, True, False)
-
-
-def _is_zero(e):
-    return e is _ZERO or (isinstance(e, Const) and e.value == 0)
-
-
-def _is_one(e):
-    return e is _ONE or (isinstance(e, Const) and e.value == 1)
-
-
-def _make_binary(cls, tag, a, b):
-    key = (tag, id(a), id(b))
-    hit = _INTERN.get(key)
-    if hit is not None:
-        return hit
-    node = cls()
-    node.a = a
-    node.b = b
-    return _finish(node, key, max(a.max_index, b.max_index),
-                   a.has_conj or b.has_conj,
-                   a.has_implicit or b.has_implicit)
+    return _variable(ConjVar, "zb", index, True)
 
 
 def add(a: Expression, b: Expression) -> Expression:
     a, b = _coerce(a), _coerce(b)
     if isinstance(a, Const) and isinstance(b, Const):
         return const(a.value + b.value)
-    if _is_zero(a):
+    if a is _ZERO:
         return b
-    if _is_zero(b):
+    if b is _ZERO:
         return a
-    return _make_binary(Add, "+", a, b)
+    return _intern(Add, ("+", id(a), id(b)), (a, b))
 
 
 def sub(a: Expression, b: Expression) -> Expression:
@@ -307,22 +294,22 @@ def sub(a: Expression, b: Expression) -> Expression:
         return _ZERO
     if isinstance(a, Const) and isinstance(b, Const):
         return const(a.value - b.value)
-    if _is_zero(b):
+    if b is _ZERO:
         return a
-    return _make_binary(Sub, "-", a, b)
+    return _intern(Sub, ("-", id(a), id(b)), (a, b))
 
 
 def mul(a: Expression, b: Expression) -> Expression:
     a, b = _coerce(a), _coerce(b)
     if isinstance(a, Const) and isinstance(b, Const):
         return const(a.value * b.value)
-    if _is_zero(a) or _is_zero(b):
+    if a is _ZERO or b is _ZERO:
         return _ZERO
-    if _is_one(a):
+    if a is _ONE:
         return b
-    if _is_one(b):
+    if b is _ONE:
         return a
-    return _make_binary(Mul, "*", a, b)
+    return _intern(Mul, ("*", id(a), id(b)), (a, b))
 
 
 def div(a: Expression, b: Expression) -> Expression:
@@ -334,9 +321,9 @@ def div(a: Expression, b: Expression) -> Expression:
             return const(a.value / b.value)
         if b.value == 1:
             return a
-    if _is_zero(a):
+    if a is _ZERO:
         return _ZERO
-    return _make_binary(Div, "/", a, b)
+    return _intern(Div, ("/", id(a), id(b)), (a, b))
 
 
 def intpow(base: Expression, power: int) -> Expression:
@@ -351,40 +338,21 @@ def intpow(base: Expression, power: int) -> Expression:
         if base.value == 0 and power < 0:
             raise ValueError("negative power of a structural zero")
         return const(base.value ** power)
-    key = ("^", id(base), power)
-    hit = _INTERN.get(key)
-    if hit is not None:
-        return hit
-    node = IntPow()
-    node.base = base
-    node.power = power
-    return _finish(node, key, base.max_index, base.has_conj, base.has_implicit)
+    return _intern(IntPow, ("^", id(base), power), (base,), power=power)
 
 
 def exp(arg: Expression) -> Expression:
     arg = _coerce(arg)
     if isinstance(arg, Const):
         return const(cmath.exp(arg.value))
-    key = ("e", id(arg))
-    hit = _INTERN.get(key)
-    if hit is not None:
-        return hit
-    node = Exp()
-    node.arg = arg
-    return _finish(node, key, arg.max_index, arg.has_conj, arg.has_implicit)
+    return _intern(Exp, ("e", id(arg)), (arg,))
 
 
 def log(arg: Expression) -> Expression:
     arg = _coerce(arg)
     if isinstance(arg, Const) and not (arg.value.real <= 0 and arg.value.imag == 0):
         return const(cmath.log(arg.value))
-    key = ("l", id(arg))
-    hit = _INTERN.get(key)
-    if hit is not None:
-        return hit
-    node = Log()
-    node.arg = arg
-    return _finish(node, key, arg.max_index, arg.has_conj, arg.has_implicit)
+    return _intern(Log, ("l", id(arg)), (arg,))
 
 
 def implicit_t(weights, z_args=None, zbar_args=None,
@@ -406,88 +374,293 @@ def implicit_t(weights, z_args=None, zbar_args=None,
         zbar_args = tuple(_coerce(a) for a in zbar_args)
     if len(z_args) != n or len(zbar_args) != n:
         raise DimensionMismatch("implicit time needs %d argument pairs" % n)
-    key = ("t", weights, float(newton_tol), int(newton_max_iter),
+    newton_tol, newton_max_iter = float(newton_tol), int(newton_max_iter)
+    key = ("t", weights, newton_tol, newton_max_iter,
            tuple(id(a) for a in z_args), tuple(id(b) for b in zbar_args))
-    hit = _INTERN.get(key)
-    if hit is not None:
-        return hit
-    node = ImplicitT()
-    node.weights = weights
-    node.z_args = z_args
-    node.zbar_args = zbar_args
-    node.newton_tol = float(newton_tol)
-    node.newton_max_iter = int(newton_max_iter)
-    kids = z_args + zbar_args
-    return _finish(node, key, max(k.max_index for k in kids),
-                   True, True)
+    return _intern(ImplicitT, key, z_args + zbar_args, weights=weights,
+                   newton_tol=newton_tol, newton_max_iter=newton_max_iter,
+                   has_conj=True, has_implicit=True)
 
 
 # ---------------------------------------------------------------------------
-# Wirtinger differentiation
+# Rules per node kind
 # ---------------------------------------------------------------------------
 
-_DIFF_CACHE: dict = {}
+
+def _bad_point(pts, values, mask):
+    idx = 0 if np.ndim(values) == 0 else int(np.argmax(mask))
+    return tuple(complex(c) for c in pts[idx])
+
+
+def _apply_div(e, args, pts):
+    num, den = args
+    bad = np.abs(den) < DIVISION_EPS
+    if np.any(bad):
+        raise DivisionNearZero("divisor magnitude below %g" % DIVISION_EPS,
+                               _bad_point(pts, den, bad))
+    return num / den
+
+
+def _apply_pow(e, args, pts):
+    base = args[0]
+    if e.power < 0:
+        bad = np.abs(base) < DIVISION_EPS
+        if np.any(bad):
+            raise DivisionNearZero(
+                "negative-power base magnitude below %g" % DIVISION_EPS,
+                _bad_point(pts, base, bad))
+    return base ** e.power
+
+
+def _apply_log(e, args, pts):
+    arg = np.asarray(args[0])
+    bad = (np.abs(arg) < DIVISION_EPS) | ((arg.real < 0) & (arg.imag == 0))
+    if np.any(bad):
+        raise LogBranchError("log on the closed negative real axis",
+                             _bad_point(pts, arg, bad))
+    return np.log(arg)
+
+
+def _apply_implicit(e, args, pts):
+    m = pts.shape[0]
+    r = np.asarray(e.weights)
+    n = len(r)
+    s = np.empty((m, n))
+    for k in range(n):
+        s[:, k] = np.broadcast_to(np.asarray(args[k] * args[n + k]), (m,)).real
+    total = s.sum(axis=1)
+    bad = total <= 0
+    if np.any(bad):
+        raise NewtonDivergence("implicit time undefined (zero radius)",
+                               _bad_point(pts, total, bad))
+    t = -np.log(total) / (2.0 * r.max())
+    for _ in range(e.newton_max_iter):
+        growth = np.exp(2.0 * t[:, None] * r[None, :])
+        f = (s * growth).sum(axis=1) - 1.0
+        if np.max(np.abs(f)) < e.newton_tol:
+            return t
+        fprime = (2.0 * r[None, :] * s * growth).sum(axis=1)
+        t = t - f / fprime
+    growth = np.exp(2.0 * t[:, None] * r[None, :])
+    f = (s * growth).sum(axis=1) - 1.0
+    if np.max(np.abs(f)) < e.newton_tol:
+        return t
+    bad = np.abs(f) >= e.newton_tol
+    raise NewtonDivergence("Newton failed to reach %g in %d iterations"
+                           % (e.newton_tol, e.newton_max_iter),
+                           _bad_point(pts, f, bad))
+
+
+def _derive_div(e, d, *_):
+    a, b = e.args
+    return div(sub(mul(d[0], b), mul(a, d[1])), mul(b, b))
+
+
+def _derive_implicit(e, d, *_):
+    # Implicit differentiation of  F(t, w) = sum_k a_k b_k exp(2 r_k t) - 1 = 0:
+    #   dt = -(sum_k (da_k b_k + a_k db_k) E_k) / (sum_k 2 r_k a_k b_k E_k)
+    # where E_k = exp(2 r_k t) reuses this very node, so evaluation shares the
+    # single Newton solve.
+    n = len(e.weights)
+    numerator = _ZERO
+    denominator = _ZERO
+    for w, a, b, da, db in zip(e.weights, e.args[:n], e.args[n:], d[:n], d[n:]):
+        ek = exp(mul(const(2.0 * w), e))
+        numerator = add(numerator, mul(add(mul(da, b), mul(a, db)), ek))
+        denominator = add(denominator, mul(const(2.0 * w), mul(mul(a, b), ek)))
+    if numerator is _ZERO:
+        return _ZERO
+    return mul(const(-1.0), div(numerator, denominator))
+
+
+def _rebuild_implicit(e, kids, zs, zbs, conj):
+    # t is real, so conjugation swaps its argument families: the result is
+    # the same node again for the default arguments.
+    n = len(e.weights)
+    a, b = (kids[n:], kids[:n]) if conj else (kids[:n], kids[n:])
+    return implicit_t(e.weights, a, b, e.newton_tol, e.newton_max_iter)
+
+
+def _json_real(x) -> float:
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError("expected a number, got %r" % (x,))
+    return float(x)
+
+
+def _json_int(x) -> int:
+    if isinstance(x, bool) or not (
+            isinstance(x, int) or isinstance(x, float) and x.is_integer()):
+        raise ValueError("expected an integer, got %r" % (x,))
+    return int(x)
+
+
+def _parse_const(f, kids):
+    re, im = f["value"]
+    return const(complex(_json_real(re), _json_real(im)))
+
+
+def _parse_implicit(f, kids):
+    weights = [_json_real(w) for w in f["weights"]]
+    n = len(weights)
+    return implicit_t(weights, kids[:n], kids[n:],
+                      _json_real(f.get("newton_tol", NEWTON_TOL)),
+                      _json_int(f.get("newton_max_iter", NEWTON_MAX_ITER)))
+
+
+def _pretty_const(e, s):
+    v = e.value
+    return "%g" % v.real if v.imag == 0 else "(%g%+gj)" % (v.real, v.imag)
+
+
+class _Kind(NamedTuple):
+    arity: int | None  # None: checked by the constructor
+    apply: Callable    # (node, child values, chunk of points) -> values
+    rebuild: Callable  # (node, new children, z images, zbar images, conj) -> node
+    derive: Callable   # (node, child derivatives, index, conj) -> derivative
+    fields: Callable   # node -> JSON fields besides op and args
+    parse: Callable    # (JSON node, children) -> node
+    pretty: Callable   # (node, child strings) -> str
+
+
+def _no_fields(e):
+    return {}
+
+
+def _binary(symbol, make, apply, derive):
+    return _Kind(2, apply, lambda e, k, *_: make(*k), derive, _no_fields,
+                 lambda f, k: make(*k),
+                 lambda e, s: "(%s %s %s)" % (s[0], symbol, s[1]))
+
+
+def _unary(name, make, apply, derive):
+    return _Kind(1, apply, lambda e, k, *_: make(k[0]), derive, _no_fields,
+                 lambda f, k: make(k[0]), lambda e, s: "%s(%s)" % (name, s[0]))
+
+
+_KINDS = {
+    Const: _Kind(
+        0, lambda e, v, pts: e.value,
+        lambda e, k, zs, zbs, conj: const(e.value.conjugate()) if conj else e,
+        lambda e, d, i, conj: _ZERO,
+        lambda e: {"value": [e.value.real, e.value.imag]},
+        _parse_const, _pretty_const),
+    Var: _Kind(
+        0, lambda e, v, pts: pts[:, e.index - 1],
+        lambda e, k, zs, zbs, conj: zs[e.index - 1],
+        lambda e, d, i, conj: _ONE if (not conj and e.index == i) else _ZERO,
+        lambda e: {"index": e.index},
+        lambda f, k: z(_json_int(f["index"])), lambda e, s: "z%d" % e.index),
+    ConjVar: _Kind(
+        0, lambda e, v, pts: np.conj(pts[:, e.index - 1]),
+        lambda e, k, zs, zbs, conj: zbs[e.index - 1],
+        lambda e, d, i, conj: _ONE if (conj and e.index == i) else _ZERO,
+        lambda e: {"index": e.index},
+        lambda f, k: zbar(_json_int(f["index"])), lambda e, s: "~z%d" % e.index),
+    Add: _binary("+", add, lambda e, v, pts: v[0] + v[1],
+                 lambda e, d, *_: add(*d)),
+    Sub: _binary("-", sub, lambda e, v, pts: v[0] - v[1],
+                 lambda e, d, *_: sub(*d)),
+    Mul: _binary("*", mul, lambda e, v, pts: v[0] * v[1],
+                 lambda e, d, *_: add(mul(d[0], e.args[1]), mul(e.args[0], d[1]))),
+    Div: _binary("/", div, _apply_div, _derive_div),
+    IntPow: _Kind(
+        1, _apply_pow,
+        lambda e, k, *_: intpow(k[0], e.power),
+        lambda e, d, *_: mul(mul(const(e.power), intpow(e.args[0], e.power - 1)),
+                             d[0]),
+        lambda e: {"value": e.power},
+        lambda f, k: intpow(k[0], _json_int(f["value"])),
+        lambda e, s: "%s^%d" % (s[0], e.power)),
+    Exp: _unary("exp", exp, lambda e, v, pts: np.exp(v[0]),
+                lambda e, d, *_: mul(e, d[0])),
+    Log: _unary("log", log, _apply_log, lambda e, d, *_: div(d[0], e.args[0])),
+    ImplicitT: _Kind(
+        None, _apply_implicit, _rebuild_implicit, _derive_implicit,
+        lambda e: {"weights": list(e.weights), "newton_tol": e.newton_tol,
+                   "newton_max_iter": e.newton_max_iter},
+        _parse_implicit,
+        lambda e, s: "t[%s]" % ",".join("%g" % w for w in e.weights)),
+}
+
+_BY_OP = {cls.op: kind for cls, kind in _KINDS.items()}
+
+
+# ---------------------------------------------------------------------------
+# The post-order walk, differentiation and rebuilding
+# ---------------------------------------------------------------------------
+
+
+def _post_order(root, done):
+    """The nodes below ``root`` with ``done(node)`` false, children first.
+
+    Each node comes once, provided the caller makes ``done`` true for it
+    before asking for the next one.  The walk keeps an explicit stack.
+    """
+    if done(root):
+        return
+    stack = [(root, iter(root.args))]
+    while stack:
+        node, pending = stack[-1]
+        for child in pending:
+            if not done(child):
+                stack.append((child, iter(child.args)))
+                break
+        else:
+            stack.pop()
+            yield node
 
 
 def wirtinger_d(e: Expression, index: int, conjugate: bool = False) -> Expression:
     """Exact partial derivative of ``e`` by z_index (or zbar_index)."""
     if index < 1:
         raise ValueError("variable index must be positive")
-    key = (id(e), index, conjugate)
-    hit = _DIFF_CACHE.get(key)
-    if hit is not None:
-        return hit
-    result = _diff(e, index, conjugate)
-    _DIFF_CACHE[key] = result
-    return result
+    key = (index, conjugate)
+    for node in _post_order(e, lambda node: key in (node._derivs or ())):
+        d = [c._derivs[key] for c in node.args]
+        if node._derivs is None:
+            node._derivs = {}
+        node._derivs[key] = _KINDS[type(node)].derive(node, d, index, conjugate)
+    return e._derivs[key]
 
 
-def _diff(e, i, conj):
-    if isinstance(e, Const):
-        return _ZERO
-    if isinstance(e, Var):
-        return _ONE if (not conj and e.index == i) else _ZERO
-    if isinstance(e, ConjVar):
-        return _ONE if (conj and e.index == i) else _ZERO
-    if isinstance(e, Add):
-        return add(wirtinger_d(e.a, i, conj), wirtinger_d(e.b, i, conj))
-    if isinstance(e, Sub):
-        return sub(wirtinger_d(e.a, i, conj), wirtinger_d(e.b, i, conj))
-    if isinstance(e, Mul):
-        return add(mul(wirtinger_d(e.a, i, conj), e.b),
-                   mul(e.a, wirtinger_d(e.b, i, conj)))
-    if isinstance(e, Div):
-        num = sub(mul(wirtinger_d(e.a, i, conj), e.b),
-                  mul(e.a, wirtinger_d(e.b, i, conj)))
-        return div(num, mul(e.b, e.b))
-    if isinstance(e, IntPow):
-        inner = wirtinger_d(e.base, i, conj)
-        return mul(mul(const(e.power), intpow(e.base, e.power - 1)), inner)
-    if isinstance(e, Exp):
-        return mul(e, wirtinger_d(e.arg, i, conj))
-    if isinstance(e, Log):
-        return div(wirtinger_d(e.arg, i, conj), e.arg)
-    if isinstance(e, ImplicitT):
-        return _diff_implicit(e, i, conj)
-    raise TypeError("unknown node %r" % (e,))
+def _rebuild(e, zs, zbs, conj):
+    """``e`` with z_i -> zs[i-1] and zbar_i -> zbs[i-1]; with ``conj`` also
+    every constant conjugated and every implicit time's families swapped."""
+    new = {}
+    for node in _post_order(e, new.__contains__):
+        new[node] = _KINDS[type(node)].rebuild(
+            node, [new[c] for c in node.args], zs, zbs, conj)
+    return new[e]
 
 
-def _diff_implicit(e, i, conj):
-    # Implicit differentiation of  F(t, w) = sum_k a_k b_k exp(2 r_k t) - 1 = 0:
-    #   dt = -(sum_k (da_k b_k + a_k db_k) E_k) / (sum_k 2 r_k a_k b_k E_k)
-    # where E_k = exp(2 r_k t) reuses this very node, so evaluation shares the
-    # single Newton solve.
-    numerator = _ZERO
-    denominator = _ZERO
-    for w, a, b in zip(e.weights, e.z_args, e.zbar_args):
-        ek = exp(mul(const(2.0 * w), e))
-        da = wirtinger_d(a, i, conj)
-        db = wirtinger_d(b, i, conj)
-        numerator = add(numerator, mul(add(mul(da, b), mul(a, db)), ek))
-        denominator = add(denominator, mul(const(2.0 * w), mul(mul(a, b), ek)))
-    if _is_zero(numerator):
-        return _ZERO
-    return mul(const(-1.0), div(numerator, denominator))
+def substitute(e: Expression, z_exprs, zbar_exprs=None) -> Expression:
+    """Replace z_i by z_exprs[i-1] and zbar_i by zbar_exprs[i-1].
+
+    When ``zbar_exprs`` is omitted, the formal conjugates of ``z_exprs`` are
+    used, which is the right choice for point transformations.
+    """
+    z_exprs = tuple(_coerce(x) for x in z_exprs)
+    if zbar_exprs is None:
+        zbar_exprs = tuple(formal_conjugate(x) for x in z_exprs)
+    else:
+        zbar_exprs = tuple(_coerce(x) for x in zbar_exprs)
+    if len(z_exprs) != len(zbar_exprs):
+        raise DimensionMismatch("z and zbar substitution tuples differ in length")
+    if e.max_index > len(z_exprs):
+        raise DimensionMismatch(
+            "expression uses z_%d but substitution has length %d"
+            % (e.max_index, len(z_exprs)))
+    return _rebuild(e, z_exprs, zbar_exprs, False)
+
+
+def formal_conjugate(e: Expression) -> Expression:
+    """The expression whose value is the complex conjugate of ``e``.
+
+    Swaps z_i with zbar_i and conjugates constants.  The implicit-time node is
+    real-valued, so conjugation swaps its two argument families.
+    """
+    indices = range(1, e.max_index + 1)
+    return _rebuild(e, [zbar(i) for i in indices], [z(i) for i in indices], True)
 
 
 # ---------------------------------------------------------------------------
@@ -561,45 +734,37 @@ class _Tape:
     """
 
     def __init__(self, roots):
-        slot, last_use = {}, {}
-        self.ops, self.owner = [], []  # (rule, node, child slots, dead slots)
-        self.first_op = []
+        # ops: (rule, node, child slots); last[s]: the operation after which
+        # slot s is dropped, -1 for a root, which is kept.
+        slot, self.ops, self.last, self.owner, self.first_op = {}, [], [], [], []
         for k, root in enumerate(roots):
             self.first_op.append(len(self.ops))
-            stack = [] if root in slot else [(root, iter(root.children()))]
-            while stack:
-                node, pending = stack[-1]
-                for child in pending:
-                    if child not in slot:
-                        stack.append((child, iter(child.children())))
-                        break
-                else:
-                    stack.pop()
-                    kids = [slot[c] for c in node.children()]
-                    for c in kids:
-                        last_use[c] = len(self.ops)
-                    slot[node] = len(self.ops)
-                    self.ops.append((_APPLY[type(node)], node, kids, []))
-                    self.owner.append(k)
+            for node in _post_order(root, slot.__contains__):
+                kids = tuple(map(slot.__getitem__, node.args))
+                for c in kids:
+                    self.last[c] = len(self.ops)
+                slot[node] = len(self.ops)
+                self.ops.append((_KINDS[type(node)].apply, node, kids))
+                self.last.append(-1)
+                self.owner.append(k)
         self.roots = [slot[r] for r in roots]
-        kept = set(self.roots)
-        for c, i in last_use.items():
-            if c not in kept:
-                self.ops[i][3].append(c)
+        for s in self.roots:
+            self.last[s] = -1
 
     def run(self, pts):
         m = pts.shape[0]
         outs = [None] * len(self.roots)
-        ops, failure = self.ops, None
+        ops, last, failure = self.ops, self.last, None
         # At m = 0 one empty pass still gives every output its shape.
         for lo in range(0, max(m, 1), _CHUNK):
             chunk = pts[lo:lo + _CHUNK]
             vals = [None] * len(ops)
             try:
-                for i, (rule, node, kids, dead) in enumerate(ops):
+                for i, (rule, node, kids) in enumerate(ops):
                     vals[i] = rule(node, [vals[c] for c in kids], chunk)
-                    for c in dead:
-                        vals[c] = None
+                    for c in kids:
+                        if last[c] == i:
+                            vals[c] = None
             except EvaluationError as err:
                 # The earlier roots passed this chunk; only they can still
                 # fail first, so later chunks run their operations alone.
@@ -620,190 +785,6 @@ class _Tape:
         if failure is not None:
             raise failure
         return outs
-
-
-def _bad_point(pts, values, mask):
-    idx = 0 if np.ndim(values) == 0 else int(np.argmax(mask))
-    return tuple(complex(c) for c in pts[idx])
-
-
-def _apply_div(e, args, pts):
-    num, den = args
-    bad = np.abs(den) < DIVISION_EPS
-    if np.any(bad):
-        raise DivisionNearZero("divisor magnitude below %g" % DIVISION_EPS,
-                               _bad_point(pts, den, bad))
-    return num / den
-
-
-def _apply_pow(e, args, pts):
-    base = args[0]
-    if e.power < 0:
-        bad = np.abs(base) < DIVISION_EPS
-        if np.any(bad):
-            raise DivisionNearZero(
-                "negative-power base magnitude below %g" % DIVISION_EPS,
-                _bad_point(pts, base, bad))
-    return base ** e.power
-
-
-def _apply_log(e, args, pts):
-    arg = np.asarray(args[0])
-    bad = (np.abs(arg) < DIVISION_EPS) | ((arg.real < 0) & (arg.imag == 0))
-    if np.any(bad):
-        raise LogBranchError("log on the closed negative real axis",
-                             _bad_point(pts, arg, bad))
-    return np.log(arg)
-
-
-def _apply_implicit(e, args, pts):
-    m = pts.shape[0]
-    r = np.asarray(e.weights)
-    n = len(r)
-    s = np.empty((m, n))
-    for k in range(n):
-        s[:, k] = np.broadcast_to(np.asarray(args[k] * args[n + k]), (m,)).real
-    total = s.sum(axis=1)
-    bad = total <= 0
-    if np.any(bad):
-        raise NewtonDivergence("implicit time undefined (zero radius)",
-                               _bad_point(pts, total, bad))
-    t = -np.log(total) / (2.0 * r.max())
-    for _ in range(e.newton_max_iter):
-        growth = np.exp(2.0 * t[:, None] * r[None, :])
-        f = (s * growth).sum(axis=1) - 1.0
-        if np.max(np.abs(f)) < e.newton_tol:
-            return t
-        fprime = (2.0 * r[None, :] * s * growth).sum(axis=1)
-        t = t - f / fprime
-    growth = np.exp(2.0 * t[:, None] * r[None, :])
-    f = (s * growth).sum(axis=1) - 1.0
-    if np.max(np.abs(f)) < e.newton_tol:
-        return t
-    bad = np.abs(f) >= e.newton_tol
-    raise NewtonDivergence("Newton failed to reach %g in %d iterations"
-                           % (e.newton_tol, e.newton_max_iter),
-                           _bad_point(pts, f, bad))
-
-
-# One evaluation rule per node kind: (node, child values, chunk) -> values.
-_APPLY = {
-    Const: lambda e, args, pts: e.value,
-    Var: lambda e, args, pts: pts[:, e.index - 1],
-    ConjVar: lambda e, args, pts: np.conj(pts[:, e.index - 1]),
-    Add: lambda e, args, pts: args[0] + args[1],
-    Sub: lambda e, args, pts: args[0] - args[1],
-    Mul: lambda e, args, pts: args[0] * args[1],
-    Div: _apply_div,
-    IntPow: _apply_pow,
-    Exp: lambda e, args, pts: np.exp(args[0]),
-    Log: _apply_log,
-    ImplicitT: _apply_implicit,
-}
-
-
-# ---------------------------------------------------------------------------
-# Substitution and formal conjugation
-# ---------------------------------------------------------------------------
-
-
-def substitute(e: Expression, z_exprs, zbar_exprs=None) -> Expression:
-    """Replace z_i by z_exprs[i-1] and zbar_i by zbar_exprs[i-1].
-
-    When ``zbar_exprs`` is omitted, the formal conjugates of ``z_exprs`` are
-    used, which is the right choice for point transformations.
-    """
-    z_exprs = tuple(_coerce(x) for x in z_exprs)
-    if zbar_exprs is None:
-        zbar_exprs = tuple(formal_conjugate(x) for x in z_exprs)
-    else:
-        zbar_exprs = tuple(_coerce(x) for x in zbar_exprs)
-    if len(z_exprs) != len(zbar_exprs):
-        raise DimensionMismatch("z and zbar substitution tuples differ in length")
-    if e.max_index > len(z_exprs):
-        raise DimensionMismatch(
-            "expression uses z_%d but substitution has length %d"
-            % (e.max_index, len(z_exprs)))
-    return _subst(e, z_exprs, zbar_exprs, {})
-
-
-def _subst(e, zs, zbs, memo):
-    hit = memo.get(id(e))
-    if hit is not None:
-        return hit
-    if isinstance(e, Const):
-        out = e
-    elif isinstance(e, Var):
-        out = zs[e.index - 1]
-    elif isinstance(e, ConjVar):
-        out = zbs[e.index - 1]
-    elif isinstance(e, Add):
-        out = add(_subst(e.a, zs, zbs, memo), _subst(e.b, zs, zbs, memo))
-    elif isinstance(e, Sub):
-        out = sub(_subst(e.a, zs, zbs, memo), _subst(e.b, zs, zbs, memo))
-    elif isinstance(e, Mul):
-        out = mul(_subst(e.a, zs, zbs, memo), _subst(e.b, zs, zbs, memo))
-    elif isinstance(e, Div):
-        out = div(_subst(e.a, zs, zbs, memo), _subst(e.b, zs, zbs, memo))
-    elif isinstance(e, IntPow):
-        out = intpow(_subst(e.base, zs, zbs, memo), e.power)
-    elif isinstance(e, Exp):
-        out = exp(_subst(e.arg, zs, zbs, memo))
-    elif isinstance(e, Log):
-        out = log(_subst(e.arg, zs, zbs, memo))
-    elif isinstance(e, ImplicitT):
-        out = implicit_t(e.weights,
-                         tuple(_subst(a, zs, zbs, memo) for a in e.z_args),
-                         tuple(_subst(b, zs, zbs, memo) for b in e.zbar_args),
-                         e.newton_tol, e.newton_max_iter)
-    else:
-        raise TypeError("unknown node %r" % (e,))
-    memo[id(e)] = out
-    return out
-
-
-def formal_conjugate(e: Expression) -> Expression:
-    """The expression whose value is the complex conjugate of ``e``.
-
-    Swaps z_i with zbar_i and conjugates constants.  The implicit-time node is
-    real-valued, so conjugation swaps its two argument families.
-    """
-    return _conj(e, {})
-
-
-def _conj(e, memo):
-    hit = memo.get(id(e))
-    if hit is not None:
-        return hit
-    if isinstance(e, Const):
-        out = const(e.value.conjugate())
-    elif isinstance(e, Var):
-        out = zbar(e.index)
-    elif isinstance(e, ConjVar):
-        out = z(e.index)
-    elif isinstance(e, Add):
-        out = add(_conj(e.a, memo), _conj(e.b, memo))
-    elif isinstance(e, Sub):
-        out = sub(_conj(e.a, memo), _conj(e.b, memo))
-    elif isinstance(e, Mul):
-        out = mul(_conj(e.a, memo), _conj(e.b, memo))
-    elif isinstance(e, Div):
-        out = div(_conj(e.a, memo), _conj(e.b, memo))
-    elif isinstance(e, IntPow):
-        out = intpow(_conj(e.base, memo), e.power)
-    elif isinstance(e, Exp):
-        out = exp(_conj(e.arg, memo))
-    elif isinstance(e, Log):
-        out = log(_conj(e.arg, memo))
-    elif isinstance(e, ImplicitT):
-        out = implicit_t(e.weights,
-                         tuple(_conj(b, memo) for b in e.zbar_args),
-                         tuple(_conj(a, memo) for a in e.z_args),
-                         e.newton_tol, e.newton_max_iter)
-    else:
-        raise TypeError("unknown node %r" % (e,))
-    memo[id(e)] = out
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -828,86 +809,59 @@ def numerically_equal(a: Expression, b: Expression, dim: int,
 
 
 def to_json(e: Expression):
-    """Serialize to the {op, args, value?, index?, weights?} tree format.
+    """Serialize to a node table: ``{"nodes": [...], "root": k}``.
 
-    implicit_t nodes also carry newton_tol and newton_max_iter; from_json
-    falls back to the defaults when they are absent.
+    Each shared node appears once, as ``{"op", fields..., "args"}`` with
+    ``args`` the indices of its children, which come earlier in the table
+    (leaves have no ``args``).  The fields are ``value`` ([re, im] for const,
+    the exponent for pow), ``index`` (z, zbar), and ``weights``,
+    ``newton_tol``, ``newton_max_iter`` (implicit_t).
     """
-    if isinstance(e, Const):
-        return {"op": "const", "value": [e.value.real, e.value.imag]}
-    if isinstance(e, Var):
-        return {"op": "z", "index": e.index}
-    if isinstance(e, ConjVar):
-        return {"op": "zbar", "index": e.index}
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return {"op": e.op, "args": [to_json(e.a), to_json(e.b)]}
-    if isinstance(e, IntPow):
-        return {"op": "pow", "value": e.power, "args": [to_json(e.base)]}
-    if isinstance(e, (Exp, Log)):
-        return {"op": e.op, "args": [to_json(e.arg)]}
-    if isinstance(e, ImplicitT):
-        return {"op": "implicit_t", "weights": list(e.weights),
-                "newton_tol": e.newton_tol,
-                "newton_max_iter": e.newton_max_iter,
-                "args": [to_json(k) for k in e.children()]}
-    raise TypeError("unknown node %r" % (e,))
+    index, nodes = {}, []
+    for node in _post_order(e, index.__contains__):
+        entry = {"op": node.op, **_KINDS[type(node)].fields(node)}
+        if node.args:
+            entry["args"] = [index[c] for c in node.args]
+        index[node] = len(nodes)
+        nodes.append(entry)
+    return {"nodes": nodes, "root": index[e]}
 
 
 def from_json(obj) -> Expression:
-    """Inverse of :func:`to_json`; reconstructs through the interning layer."""
-    if not isinstance(obj, dict) or "op" not in obj:
-        raise ValueError("expression JSON must be an object with an 'op' key")
-    op = obj["op"]
-    if op == "const":
-        re, im = obj["value"]
-        return const(complex(re, im))
-    if op == "z":
-        return z(int(obj["index"]))
-    if op == "zbar":
-        return zbar(int(obj["index"]))
-    if op in ("add", "sub", "mul", "div"):
-        a, b = (from_json(x) for x in obj["args"])
-        return {"add": add, "sub": sub, "mul": mul, "div": div}[op](a, b)
-    if op == "pow":
-        return intpow(from_json(obj["args"][0]), int(obj["value"]))
-    if op == "exp":
-        return exp(from_json(obj["args"][0]))
-    if op == "log":
-        return log(from_json(obj["args"][0]))
-    if op == "implicit_t":
-        weights = obj["weights"]
-        n = len(weights)
-        args = [from_json(x) for x in obj["args"]]
-        if len(args) != 2 * n:
-            raise ValueError("implicit_t JSON needs 2n args")
-        return implicit_t(weights, args[:n], args[n:],
-                          newton_tol=obj.get("newton_tol", NEWTON_TOL),
-                          newton_max_iter=obj.get("newton_max_iter",
-                                                  NEWTON_MAX_ITER))
-    raise ValueError("unknown expression op %r" % (op,))
+    """Inverse of :func:`to_json`; rebuilds through the constructors.
+
+    Raises ValueError for anything that is not such a table.  A missing
+    ``newton_tol`` or ``newton_max_iter`` takes the default.
+    """
+    try:
+        entries, root = obj["nodes"], obj["root"]
+    except (KeyError, TypeError) as err:
+        raise ValueError("expression JSON must be an object with 'nodes' "
+                         "and 'root'") from err
+    if not isinstance(entries, list):
+        raise ValueError("expression JSON 'nodes' must be a list")
+    nodes = []
+    for i, entry in enumerate(entries):
+        try:
+            kind = _BY_OP[entry["op"]]
+            kids = []
+            for a in entry.get("args", []):
+                a = _json_int(a)
+                if not 0 <= a < i:
+                    raise ValueError("arg %d is not an earlier node" % a)
+                kids.append(nodes[a])
+            if kind.arity is not None and len(kids) != kind.arity:
+                raise ValueError("needs %d args" % kind.arity)
+            nodes.append(kind.parse(entry, kids))
+        except (KeyError, TypeError, ValueError) as err:
+            raise ValueError("bad expression JSON node %d: %s" % (i, err)) from err
+    root = _json_int(root)
+    if not 0 <= root < len(nodes):
+        raise ValueError("expression JSON root %d is not a node index" % root)
+    return nodes[root]
 
 
 def _pretty(e, depth=0):
     if depth > 4:
         return "..."
-    if isinstance(e, Const):
-        v = e.value
-        if v.imag == 0:
-            return "%g" % v.real
-        return "(%g%+gj)" % (v.real, v.imag)
-    if isinstance(e, Var):
-        return "z%d" % e.index
-    if isinstance(e, ConjVar):
-        return "~z%d" % e.index
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        sym = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[e.op]
-        return "(%s %s %s)" % (_pretty(e.a, depth + 1), sym, _pretty(e.b, depth + 1))
-    if isinstance(e, IntPow):
-        return "%s^%d" % (_pretty(e.base, depth + 1), e.power)
-    if isinstance(e, Exp):
-        return "exp(%s)" % _pretty(e.arg, depth + 1)
-    if isinstance(e, Log):
-        return "log(%s)" % _pretty(e.arg, depth + 1)
-    if isinstance(e, ImplicitT):
-        return "t[%s]" % ",".join("%g" % w for w in e.weights)
-    return "?"
+    return _KINDS[type(e)].pretty(e, [_pretty(c, depth + 1) for c in e.args])

@@ -83,7 +83,7 @@ class ExteriorForm:
                 raise ex.DimensionMismatch(
                     "coefficient uses z_%d beyond dimension %d"
                     % (coeff.max_index, ambient_dim))
-            if ex._is_zero(coeff):
+            if coeff is ex._ZERO:
                 continue
             if index in clean:
                 raise ValueError("duplicate index %r" % (index,))
@@ -240,7 +240,7 @@ def _d_split(a: ExteriorForm, which: str) -> ExteriorForm:
             if b in in_index:
                 continue
             dc = _basis_derivative(coeff, b, n)
-            if ex._is_zero(dc):
+            if dc is ex._ZERO:
                 continue
             pos = sum(1 for i in index if i < b)
             if pos % 2:

@@ -1,5 +1,6 @@
 """Symbolic engine: interning, Wirtinger calculus, implicit radial time."""
 
+import gc
 import math
 
 import numpy as np
@@ -61,6 +62,21 @@ class TestInterning:
         assert ex.sub(a, a) is ex.const(0.0)
         assert ex.intpow(a, 1) is a
         assert ex.intpow(a, 0) is ex.const(1.0)
+
+    def test_table_shrinks_when_expressions_die(self):
+        from hopflck import forms as fm
+        from hopflck import hopf as hp
+        gc.collect()
+        start = len(ex._INTERN)
+        grown = []
+        for k in range(50):
+            entry = hp.build_entry("vaisman", {"r1": 1.0 + 0.01 * (k + 1)})
+            d_omega = fm.exterior_d(entry.forms["Omega"])
+            grown.append(len(ex._INTERN) - start)
+            del entry, d_omega
+        gc.collect()
+        assert min(grown) > 500  # each entry really built a fresh DAG
+        assert len(ex._INTERN) - start <= 20
 
     def test_flags(self):
         e = ex.mul(ex.z(1), ex.zbar(3))
@@ -155,13 +171,33 @@ class TestChunkedEvaluation:
         c = ex.evaluate_many(ex.const(2 - 1j), pts)
         assert np.shape(c) == () and c == 2 - 1j
 
-    def test_deep_sum_evaluates_without_recursion(self):
+    @staticmethod
+    def _deep_sum():
+        """z1 + 2 z1 + ... + 3000 z1, a DAG 3000 nodes deep."""
         e = ex.z(1)
         for k in range(2, 3001):
             e = ex.add(e, ex.mul(ex.const(float(k)), ex.z(1)))
+        return e
+
+    def test_deep_sum_evaluates_without_recursion(self):
+        e = self._deep_sum()
         pts = annulus_points(2, 5, seed=22)
         vals = ex.evaluate_many(e, pts)
         assert np.allclose(vals, 3000 * 3001 / 2 * pts[:, 0], rtol=1e-12)
+
+    def test_deep_sum_walks_without_recursion(self):
+        e = self._deep_sum()
+        assert ex.wirtinger_d(e, 1) is ex.const(3000 * 3001 / 2)
+        assert ex.wirtinger_d(e, 1, conjugate=True) is ex.const(0.0)
+        pts = annulus_points(1, 5, seed=23)
+        doubled = ex.substitute(e, (ex.mul(ex.const(2.0), ex.z(1)),))
+        assert np.allclose(ex.evaluate_many(doubled, pts),
+                           3000 * 3001 * pts[:, 0], rtol=1e-12)
+        conj = ex.formal_conjugate(e)
+        assert np.allclose(ex.evaluate_many(conj, pts),
+                           3000 * 3001 / 2 * np.conj(pts[:, 0]), rtol=1e-12)
+        assert ex.formal_conjugate(conj) is e
+        assert ex.from_json(ex.to_json(e)) is e
 
 
 class TestWirtinger:
@@ -314,9 +350,76 @@ class TestJson:
         e = builder()
         assert ex.from_json(ex.to_json(e)) is e
 
-    def test_rejects_malformed(self):
+    def test_table_has_one_entry_per_node(self):
+        zz = ex.mul(ex.z(1), ex.zbar(1))
+        e = ex.div(ex.exp(zz), ex.add(ex.const(1.0), zz))
+        table = ex.to_json(e)
+        ops = [node["op"] for node in table["nodes"]]
+        assert sorted(ops) == sorted(["z", "zbar", "mul", "exp", "const",
+                                      "add", "div"])
+        assert table["root"] == len(ops) - 1
+        for k, node in enumerate(table["nodes"]):
+            assert all(0 <= a < k for a in node.get("args", []))
+
+    Z1 = {"op": "z", "index": 1}
+
+    @pytest.mark.parametrize("obj", [
+        pytest.param({"op": "wat"}, id="not-a-table"),
+        pytest.param([], id="not-an-object"),
+        pytest.param({"nodes": {}, "root": 0}, id="nodes-not-a-list"),
+        pytest.param({"nodes": [Z1]}, id="missing-root"),
+        pytest.param({"nodes": [], "root": 0}, id="empty"),
+        pytest.param({"nodes": [Z1], "root": 1}, id="root-out-of-range"),
+        pytest.param({"nodes": [Z1], "root": 0.5}, id="root-non-integral"),
+        pytest.param({"nodes": ["z"], "root": 0}, id="node-not-an-object"),
+        pytest.param({"nodes": [{"index": 1}], "root": 0}, id="missing-op"),
+        pytest.param({"nodes": [{"op": "wat"}], "root": 0}, id="unknown-op"),
+        pytest.param({"nodes": [{"op": "z"}], "root": 0}, id="missing-index"),
+        pytest.param({"nodes": [{"op": "z", "index": 1.5}], "root": 0},
+                     id="non-integral-index"),
+        pytest.param({"nodes": [{"op": "zbar", "index": True}], "root": 0},
+                     id="boolean-index"),
+        pytest.param({"nodes": [{"op": "z", "index": 0}], "root": 0},
+                     id="zero-index"),
+        pytest.param({"nodes": [{"op": "const", "value": 3}], "root": 0},
+                     id="const-not-a-pair"),
+        pytest.param({"nodes": [{"op": "const", "value": ["1", 0]}],
+                      "root": 0}, id="const-not-numbers"),
+        pytest.param({"nodes": [Z1, {"op": "pow", "value": 1.5, "args": [0]}],
+                      "root": 1}, id="non-integral-power"),
+        pytest.param({"nodes": [Z1, {"op": "pow", "args": [0]}], "root": 1},
+                     id="missing-power"),
+        pytest.param({"nodes": [Z1, {"op": "add", "args": [0]}], "root": 1},
+                     id="too-few-args"),
+        pytest.param({"nodes": [Z1, {"op": "exp", "args": [0, 0]}],
+                      "root": 1}, id="too-many-args"),
+        pytest.param({"nodes": [{"op": "exp", "args": [0]}], "root": 0},
+                     id="arg-is-itself"),
+        pytest.param({"nodes": [{"op": "exp", "args": [1]}, Z1], "root": 0},
+                     id="arg-is-later"),
+        pytest.param({"nodes": [Z1, {"op": "exp", "args": [-1]}], "root": 1},
+                     id="arg-negative"),
+        pytest.param({"nodes": [Z1, {"op": "exp", "args": ["0"]}], "root": 1},
+                     id="arg-not-a-number"),
+        pytest.param({"nodes": [Z1, {"op": "implicit_t", "weights": [1, 2],
+                                     "args": [0, 0, 0]}], "root": 1},
+                     id="implicit-wrong-arity"),
+        pytest.param({"nodes": [Z1, {"op": "implicit_t", "weights": [1, 2],
+                                     "newton_max_iter": 7.5,
+                                     "args": [0, 0, 0, 0]}], "root": 1},
+                     id="non-integral-newton-max-iter"),
+        pytest.param({"nodes": [Z1, {"op": "implicit_t", "weights": 3,
+                                     "args": [0, 0]}], "root": 1},
+                     id="weights-not-a-list"),
+    ])
+    def test_rejects_malformed(self, obj):
         with pytest.raises(ValueError):
-            ex.from_json({"op": "wat"})
+            ex.from_json(obj)
+
+    def test_integral_floats_accepted(self):
+        obj = {"nodes": [{"op": "z", "index": 1.0},
+                         {"op": "pow", "value": 3.0, "args": [0]}], "root": 1}
+        assert ex.from_json(obj) is ex.intpow(ex.z(1), 3)
 
 
 class TestNumericallyEqual:

@@ -1,11 +1,14 @@
 """Exterior algebra: wedge, d, bidegree, pullback, definiteness."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from hopflck import expr as ex
 from hopflck import forms as fm
+from hopflck import hopf as hp
 from hopflck.sampling import annulus_points
 
 
@@ -350,3 +353,26 @@ class TestJson:
         t = ex.implicit_t((1.0, 1.5))
         a = fm.form_from_terms(2, 1, {(0,): t})
         assert fm.form_from_json(fm.form_to_json(a)) == a
+
+    @staticmethod
+    def _dag_size(root):
+        seen, stack = set(), [root]
+        while stack:
+            node = stack.pop()
+            if node not in seen:
+                seen.add(node)
+                stack.extend(node.children())
+        return len(seen)
+
+    @pytest.mark.parametrize("name", hp.ENTRY_NAMES)
+    def test_catalog_round_trip_is_identity(self, name):
+        entry = hp.build_entry(name)
+        forms = [g for f in entry.forms.values() for g in (f, fm.exterior_d(f))]
+        for f in forms:
+            obj = fm.form_to_json(f)
+            back = fm.form_from_json(json.loads(json.dumps(obj)))
+            assert back.terms.keys() == f.terms.keys()
+            for item in obj["terms"]:
+                coeff = f.terms[tuple(item["index"])]
+                assert back.terms[tuple(item["index"])] is coeff
+                assert len(item["coeff"]["nodes"]) == self._dag_size(coeff)
