@@ -24,6 +24,7 @@ import sys
 import numpy as np
 
 from . import expr as ex
+from . import forms as fm
 from . import hopf
 from . import maps as mp
 from . import verify as vf
@@ -38,9 +39,10 @@ EXIT_CONFIG = 2
 
 
 def _coerce_number(value):
-    if isinstance(value, (list, tuple)) and len(value) == 2:
+    if isinstance(value, (list, tuple)) and len(value) == 2 and not any(
+            isinstance(v, bool) for v in value):
         return complex(float(value[0]), float(value[1]))
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     if isinstance(value, complex):
         return value
@@ -70,10 +72,16 @@ def _load_config_file(path: str) -> dict:
         raise ValueError("config 'parameters' must be an object")
     obj = dict(obj)
     obj["parameters"] = {k: _coerce_number(v) for k, v in params.items()}
-    # A value that int()/float() cannot read is a configuration error (exit 2).
+    # A value that int()/float() cannot read is a configuration error (exit 2),
+    # and so is a boolean or, for points and seed, a non-integral float.
     for key, kind in (("points", int), ("seed", int), ("tol", float)):
-        if obj.get(key) is not None:
-            obj[key] = kind(obj[key])
+        value = obj.get(key)
+        if isinstance(value, bool) or (kind is int and isinstance(value, float)
+                                       and not value.is_integer()):
+            raise ValueError("config %r must be a %s number, got %r"
+                             % (key, "whole" if kind is int else "real", value))
+        if value is not None:
+            obj[key] = kind(value)
     return obj
 
 
@@ -331,20 +339,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
+    # The evaluation errors subclass ValueError, so they are caught first.
+    except (ex.EvaluationError, fm.FormEvaluationError, mp.IllConditioned,
+            mp.IterationDiverged) as err:
+        print("error: %s" % err, file=sys.stderr)
+        return EXIT_FAIL
     except (hopf.UnknownEntry, hopf.BadParameter, hopf.NotJordan,
             ValueError) as err:
         msg = err.args[0] if err.args else str(err)
         print("error: %s" % msg, file=sys.stderr)
         return EXIT_CONFIG
-    except (ex.EvaluationError, mp.IllConditioned,
-            mp.IterationDiverged) as err:
-        print("error: %s" % err, file=sys.stderr)
-        return EXIT_FAIL
 
 
 if __name__ == "__main__":

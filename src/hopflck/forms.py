@@ -25,6 +25,7 @@ __all__ = [
     "ExteriorForm", "scalar_form", "d_z", "d_zbar", "form_from_terms",
     "wedge", "exterior_d", "del_and_delbar", "bidegree_part", "pullback",
     "evaluate_form", "evaluate_form_many", "max_form_residual",
+    "pointwise_residual", "kaehler_form",
     "definiteness", "DefinitenessReport", "HermitianMatrixSample",
     "form_to_json", "form_from_json",
     "NonHolomorphicMap", "NotType11", "NonHermitian", "FormEvaluationError",
@@ -261,6 +262,12 @@ def del_and_delbar(a: ExteriorForm):
     return _d_split(a, "del"), _d_split(a, "delbar")
 
 
+def kaehler_form(ambient_dim: int, potential) -> ExteriorForm:
+    """The (1,1)-form -i del delbar Phi of a potential Phi."""
+    dbar = del_and_delbar(scalar_form(ambient_dim, potential))[1]
+    return del_and_delbar(dbar)[0].scale(-1j)
+
+
 def bidegree_part(a: ExteriorForm, p: int, q: int) -> ExteriorForm:
     """Keep the terms with p unbarred and q barred covectors."""
     if p + q != a.degree:
@@ -355,13 +362,18 @@ def evaluate_form_many(a: ExteriorForm, points):
     return out
 
 
+def pointwise_residual(a: ExteriorForm, points) -> np.ndarray:
+    """Per-point max |coefficient| of ``a`` (0 where it has no terms)."""
+    pts = np.asarray(points, dtype=complex)
+    out = np.zeros(pts.shape[0], dtype=float)
+    for vals in evaluate_form_many(a, pts).values():
+        out = np.maximum(out, np.abs(vals))
+    return out
+
+
 def max_form_residual(a: ExteriorForm, points) -> float:
     """max |coefficient| of ``a`` over the sample points (0.0 if no terms)."""
-    values = evaluate_form_many(a, points)
-    worst = 0.0
-    for vals in values.values():
-        worst = max(worst, float(np.max(np.abs(vals))))
-    return worst
+    return float(pointwise_residual(a, points).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------

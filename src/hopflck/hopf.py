@@ -174,10 +174,8 @@ def example2_entry(n: int = 2, mu: complex = 2.0) -> HopfSurfaceCatalogEntry:
     """Entry form of the potential: Omega = -i del delbar Phi, theta = 0."""
     phi, group = example2_potential(n, mu)
     n = group.dim
-    dbar_phi = fm.del_and_delbar(fm.scalar_form(n, phi))[1]
-    omega_tilde = fm.del_and_delbar(dbar_phi)[0].scale(-1j)
     forms = {
-        "Omega": omega_tilde,
+        "Omega": fm.kaehler_form(n, phi),
         "theta": fm.ExteriorForm(n, 1, {}),
     }
     params = {"mu": mu, "n": n}
@@ -394,7 +392,8 @@ ENTRY_NAMES = tuple(sorted(_CATALOG))
 
 
 def build_entry(name: str, parameters=None) -> HopfSurfaceCatalogEntry:
-    """Build a catalog entry by name; unused parameters are rejected."""
+    """Build a catalog entry by name; unused and non-finite parameters are
+    rejected."""
     if name not in _CATALOG:
         raise UnknownEntry("unknown entry %r; known entries: %s"
                            % (name, ", ".join(ENTRY_NAMES)))
@@ -404,4 +403,9 @@ def build_entry(name: str, parameters=None) -> HopfSurfaceCatalogEntry:
     if unknown:
         raise BadParameter("entry %r does not accept parameter(s): %s"
                            % (name, ", ".join(unknown)))
+    for key, value in params.items():
+        if (isinstance(value, (int, float, complex))
+                and not cmath.isfinite(value)):
+            raise BadParameter("entry %r needs finite parameters, got %s = %r"
+                               % (name, key, value))
     return constructor(**{**defaults, **params})

@@ -363,8 +363,13 @@ def contraction_test(g: PolyAutomorphism, radius: float = 1.0,
     The necessary spectral condition rho(linear part) < 1 is checked first;
     only then is the seeded point set (2 n^2 + 64 sphere points) iterated
     until every orbit norm drops below eps.  Any orbit passing 1e6 raises
-    IterationDiverged rather than reporting a silent failure.
+    IterationDiverged rather than reporting a silent failure.  A radius or
+    eps that is not finite and positive raises ValueError.
     """
+    for name, value in (("radius", radius), ("eps", eps)):
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError("contraction %s must be finite and > 0, got %r"
+                             % (name, value))
     n = g.dim
     count = 2 * n * n + 64
     rho = spectral_radius(g.linear_part())

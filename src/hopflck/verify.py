@@ -136,16 +136,6 @@ def _auto_tolerance(*objects) -> float:
     return IMPLICIT_TOL if implicit else RATIONAL_TOL
 
 
-def _pointwise_residual(a: fm.ExteriorForm, pts) -> np.ndarray:
-    """Per-point max absolute coefficient of a form (0 where it has none)."""
-    pts = np.asarray(pts, dtype=complex)
-    vals = fm.evaluate_form_many(a, pts)
-    out = np.zeros(pts.shape[0], dtype=float)
-    for arr in vals.values():
-        out = np.maximum(out, np.abs(arr))
-    return out
-
-
 def _worst_points(pts, residuals, top: int = WORST_POINTS):
     order = np.argsort(residuals)[::-1][:top]
     return [{"point": [complex(c) for c in pts[k]],
@@ -160,9 +150,9 @@ def _report(check_name, worst, tolerance, num_points, seed, details):
 
 def _lck_residuals(Omega, theta, pts):
     """Per-point residuals of d Omega - theta ^ Omega and of d theta."""
-    lck = _pointwise_residual(fm.exterior_d(Omega) - fm.wedge(theta, Omega),
-                              pts)
-    closed = _pointwise_residual(fm.exterior_d(theta), pts)
+    lck = fm.pointwise_residual(
+        fm.exterior_d(Omega) - fm.wedge(theta, Omega), pts)
+    closed = fm.pointwise_residual(fm.exterior_d(theta), pts)
     return lck, closed
 
 
@@ -180,7 +170,7 @@ def _definiteness_summary(form, pts) -> dict:
 
 def _invariance_residual(a, g, pts) -> np.ndarray:
     """Per-point residual of pullback(g, a) - a."""
-    return _pointwise_residual(fm.pullback(g.as_expressions(), a) - a, pts)
+    return fm.pointwise_residual(fm.pullback(g.as_expressions(), a) - a, pts)
 
 
 # ---------------------------------------------------------------------------
@@ -188,31 +178,18 @@ def _invariance_residual(a, g, pts) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _wedge_sign(a: int, pair) -> tuple | None:
-    """Index and sign of e_a ^ e_i ^ e_j for i < j, or None if degenerate."""
-    i, j = pair
-    if a == i or a == j:
-        return None
-    if a < i:
-        return (a, i, j), 1.0
-    if a < j:
-        return (i, a, j), -1.0
-    return (i, j, a), 1.0
-
-
 def solve_lee_many(Omega: fm.ExteriorForm, points):
-    """Least-squares Lee form at each point; see solve_lee_pointwise."""
+    """Least-squares Lee form at all points at once; see solve_lee_pointwise."""
     if Omega.degree != 2:
         raise ValueError("Lee solve expects a 2-form")
     n = Omega.ambient_dim
     nn = 2 * n
     pts = np.asarray(points, dtype=complex)
+    m = pts.shape[0]
     omega_vals = fm.evaluate_form_many(Omega, pts)
     dom_vals = fm.evaluate_form_many(fm.exterior_d(Omega), pts)
-    triples = list(itertools.combinations(range(nn), 3))
-    row_of = {t: r for r, t in enumerate(triples)}
 
-    mats = np.zeros((pts.shape[0], nn, nn), dtype=complex)
+    mats = np.zeros((m, nn, nn), dtype=complex)
     for (i, j), arr in omega_vals.items():
         mats[:, i, j] = arr
         mats[:, j, i] = -arr
@@ -225,27 +202,28 @@ def solve_lee_many(Omega: fm.ExteriorForm, points):
             "2-form degenerate at point %d (sigma_min/sigma_max = %.3g)"
             % (k, ratio))
 
-    results = []
-    for k in range(pts.shape[0]):
-        design = np.zeros((len(triples), nn), dtype=complex)
-        for a in range(nn):
-            for pair, arr in omega_vals.items():
-                hit = _wedge_sign(a, pair)
-                if hit is None:
-                    continue
-                triple, sign = hit
-                design[row_of[triple], a] += sign * arr[k]
-        target = np.zeros(len(triples), dtype=complex)
-        for triple, arr in dom_vals.items():
-            target[row_of[triple]] = arr[k]
-        coeffs, *_ = np.linalg.lstsq(design, target, rcond=None)
-        residual = float(np.max(np.abs(design @ coeffs - target)))
-        reality = float(max(abs(coeffs[n + i] - np.conj(coeffs[i]))
-                            for i in range(n)))
-        results.append(LeeSolveResult(
-            tuple(complex(c) for c in pts[k]),
-            tuple(complex(c) for c in coeffs), residual, reality))
-    return results
+    # (theta ^ Omega)_abc = theta_a W_bc - theta_b W_ac + theta_c W_ab for
+    # a < b < c, so each point's design matrix is read off W = mats.
+    triples = list(itertools.combinations(range(nn), 3))
+    a, b, c = np.array(triples).T
+    rows = np.arange(len(triples))
+    design = np.zeros((m, len(triples), nn), dtype=complex)
+    design[:, rows, a] = mats[:, b, c]
+    design[:, rows, b] = -mats[:, a, c]
+    design[:, rows, c] = mats[:, a, b]
+    zero = np.zeros(m, dtype=complex)
+    target = np.stack([dom_vals.get(t, zero) for t in triples],
+                      axis=1)[:, :, None]
+
+    # One batched QR solve; the gate above guarantees full column rank.
+    q, r = np.linalg.qr(design)
+    coeffs = np.linalg.solve(r, np.conj(q.swapaxes(1, 2)) @ target)
+    residual = np.abs(design @ coeffs - target).max(axis=(1, 2))
+    coeffs = coeffs[..., 0]
+    reality = np.abs(coeffs[:, n:] - np.conj(coeffs[:, :n])).max(axis=1)
+    return [LeeSolveResult(tuple(p), tuple(th), res, real)
+            for p, th, res, real in zip(pts.tolist(), coeffs.tolist(),
+                                        residual.tolist(), reality.tolist())]
 
 
 def solve_lee_pointwise(Omega: fm.ExteriorForm, point) -> LeeSolveResult:
@@ -291,10 +269,6 @@ def verify_lck(Omega: fm.ExteriorForm, theta: fm.ExteriorForm, points,
     return _report(check_name, worst, tol, int(pts.shape[0]), seed, details)
 
 
-def _axis_points(dim: int) -> np.ndarray:
-    return np.eye(dim, dtype=complex)
-
-
 def _generator_list(group):
     """Named generators: the cyclic one plus non-identity finite elements."""
     gens = [("cyclic", group.cyclic_generator)]
@@ -317,7 +291,8 @@ def verify_potential(Phi: ex.Expression, group, points,
     """
     tol = _auto_tolerance(Phi) if tolerance is None else float(tolerance)
     n = group.dim
-    pts = np.concatenate([_axis_points(n), np.asarray(points, dtype=complex)])
+    pts = np.concatenate([np.eye(n, dtype=complex),
+                          np.asarray(points, dtype=complex)])
     vals = ex.evaluate_many(Phi, pts)
     if float(np.max(np.abs(vals.imag))) > 1e-12 or float(vals.real.min()) <= 0:
         raise NonPositivePotential(
@@ -325,10 +300,8 @@ def verify_potential(Phi: ex.Expression, group, points,
             "(worst imaginary part %.3g, min real part %.3g)"
             % (float(np.max(np.abs(vals.imag))), float(vals.real.min())))
 
-    dbar = fm.del_and_delbar(fm.scalar_form(n, Phi))[1]
-    omega_tilde = fm.del_and_delbar(dbar)[0].scale(-1j)
-    closed = float(_pointwise_residual(fm.exterior_d(omega_tilde),
-                                       pts).max(initial=0.0))
+    omega_tilde = fm.kaehler_form(n, Phi)
+    closed = fm.max_form_residual(fm.exterior_d(omega_tilde), pts)
     definiteness = _definiteness_summary(omega_tilde, pts)
     definiteness.pop("is_semidefinite", None)
     details = {"closedness_residual": closed, "generators": [],

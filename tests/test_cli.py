@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 import hopflck.cli as cli
+import hopflck.expr as ex
+import hopflck.forms as fm
 import hopflck.maps as mp
+import hopflck.verify as vf
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -133,6 +136,47 @@ class TestVerifyCommand:
         code, _, err = run(capsys, ["verify", "--file", conf])
         assert code == 2 and "dimension n" in err and "2.5" in err
 
+    def test_non_finite_parameter_rejected(self, capsys):
+        code, _, err = run(capsys, ["verify", "--entry", "vaisman",
+                                    "--r1", "nan"])
+        assert code == 2 and "finite" in err and "r1 = nan" in err
+        code, _, err = run(capsys, ["verify", "--entry", "kodaira",
+                                    "--t", "nan"])
+        assert code == 2 and "finite" in err and "t = (nan+0j)" in err
+
+    @pytest.mark.parametrize("key,value", [
+        ("points", 2.7), ("points", True), ("seed", 4.5), ("seed", False),
+    ])
+    def test_non_integral_points_or_seed_rejected(self, capsys, tmp_path,
+                                                  key, value):
+        conf = write_json(tmp_path / "conf.json",
+                          {"entry": "example1", "points": 20, key: value})
+        code, _, err = run(capsys, ["verify", "--file", conf])
+        assert code == 2 and key in err and repr(value) in err
+
+    def test_integral_float_points_accepted(self, capsys, tmp_path):
+        conf = write_json(tmp_path / "conf.json",
+                          {"entry": "example1", "points": 20.0, "seed": 3.0})
+        code, out, _ = run(capsys, ["verify", "--file", conf])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["points"] == 20 and payload["seed"] == 3
+
+    def test_boolean_parameter_rejected(self, capsys, tmp_path):
+        conf = write_json(tmp_path / "conf.json",
+                          {"entry": "vaisman", "points": 20,
+                           "parameters": {"r1": True}})
+        code, _, err = run(capsys, ["verify", "--file", conf])
+        assert code == 2 and "True" in err
+
+    def test_evaluation_failure_exits_1(self, capsys, monkeypatch):
+        def fail(*_):
+            raise fm.FormEvaluationError((0, 1), ex.NewtonDivergence("x"))
+        monkeypatch.setattr(vf, "run_suite", fail)
+        code, out, err = run(capsys, ["verify", "--entry", "example1",
+                                      "--points", "20"])
+        assert code == 1 and out == "" and "error" in err
+
     def test_unreadable_config(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -249,6 +293,18 @@ class TestContractionCommand:
         assert payload["is_contraction"] is False
         assert "spectral" in payload["reason"]
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--radius", "0"), ("--radius", "inf"), ("--eps", "-1e-6"),
+        ("--eps", "nan"),
+    ])
+    def test_non_positive_or_non_finite_settings_rejected(
+            self, capsys, tmp_path, flag, value):
+        path = matrix_file(tmp_path, [[0.5, 0.0], [0.0, 0.5]])
+        code, out, err = run(capsys, ["contraction", "--file", path,
+                                      "%s=%s" % (flag, value)])
+        assert code == 2 and out == ""
+        assert flag[2:] in err and repr(float(value)) in err
+
     def test_divergent_orbit(self, capsys, tmp_path):
         g = mp.PolyAutomorphism.from_tables(
             [{(1, 0): 0.5, (2, 0): 1.0}, {(0, 1): 0.5}])
@@ -291,6 +347,14 @@ class TestParser:
             cli.main([])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    def test_main_reuses_one_parser(self, capsys, monkeypatch):
+        def refuse():
+            raise AssertionError("parser rebuilt")
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        code, out, _ = run(capsys, ["verify", "--entry", "example1",
+                                    "--points", "20"])
+        assert code == 0 and json.loads(out)["status"] == "pass"
 
     def test_console_entry_point_exists(self):
         # Read the declaration itself, so the check holds without installing.

@@ -288,6 +288,12 @@ class TestEvaluation:
     def test_max_residual_of_empty_form(self):
         assert fm.max_form_residual(fm.ExteriorForm(2, 1, {}), PTS) == 0.0
 
+    def test_residuals_keep_a_nan_coefficient(self):
+        a = fm.form_from_terms(2, 1, {(0,): ex.const(float("nan")),
+                                      (1,): ex.const(1.0)})
+        assert np.isnan(fm.max_form_residual(a, PTS))
+        assert np.isnan(fm.pointwise_residual(a, PTS)).all()
+
 
 class TestDefiniteness:
     def test_positive_definite(self):

@@ -354,3 +354,16 @@ class TestRegistry:
     def test_bad_parameter_propagates(self):
         with pytest.raises(hp.BadParameter):
             hp.build_entry("example1", {"mu": 0.5})
+
+    @pytest.mark.parametrize("name,params", [
+        ("vaisman", {"r1": math.nan}),
+        ("vaisman", {"p2": math.inf}),
+        ("kodaira", {"t": complex(math.nan, 0.0)}),
+        ("example1", {"mu": complex(2.0, math.inf)}),
+    ])
+    def test_non_finite_parameter_rejected(self, name, params):
+        (key, value), = params.items()
+        with pytest.raises(hp.BadParameter,
+                           match="finite.*%s = " % key) as err:
+            hp.build_entry(name, params)
+        assert repr(value) in str(err.value)

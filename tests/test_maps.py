@@ -300,6 +300,15 @@ class TestContraction:
         with pytest.raises(mp.IterationDiverged):
             mp.contraction_test(g, radius=10.0)
 
+    @pytest.mark.parametrize("radius,eps", [
+        (0.0, 1e-6), (-1.0, 1e-6), (float("inf"), 1e-6), (float("nan"), 1e-6),
+        (1.0, 0.0), (1.0, float("nan")),
+    ])
+    def test_radius_and_eps_must_be_finite_and_positive(self, radius, eps):
+        g = mp.PolyAutomorphism.diagonal([0.5, 0.5])
+        with pytest.raises(ValueError, match="finite and > 0"):
+            mp.contraction_test(g, radius=radius, eps=eps)
+
     def test_deterministic_given_seed(self):
         g = mp.PolyAutomorphism.from_matrix([[0.7, 1.0], [0.0, 0.7]])
         a = mp.contraction_test(g)

@@ -61,6 +61,41 @@ class TestSolveLee:
             assert np.allclose(b.theta_coeffs, a.theta_coeffs,
                                rtol=1e-9, atol=1e-12)
 
+    def test_matches_per_point_least_squares_in_dimension_three(self):
+        # Omega = omega / rho on C^3 has theta = -d log rho; its 20 x 6
+        # design matrices are overdetermined.  The reference builds each
+        # column from forms.wedge and solves point by point.
+        n = 3
+        rho = ex.const(0.0)
+        for i in range(1, n + 1):
+            rho = ex.add(rho, ex.mul(ex.z(i), ex.zbar(i)))
+        om = fm.kaehler_form(n, rho).scale(ex.div(ex.const(1.0), rho))
+        pts = random_annulus(n, 12, seed=205)
+        results = vf.solve_lee_many(om, pts)
+
+        basis = [fm.d_z(n, i) for i in range(1, n + 1)]
+        basis += [fm.d_zbar(n, i) for i in range(1, n + 1)]
+        cols = [fm.evaluate_form_many(fm.wedge(e, om), pts) for e in basis]
+        dom = fm.evaluate_form_many(fm.exterior_d(om), pts)
+        triples = sorted(dom)
+        for k, res in enumerate(results):
+            design = np.array([[col.get(t, np.zeros(len(pts)))[k]
+                                for col in cols] for t in triples])
+            target = np.array([dom[t][k] for t in triples])
+            want, *_ = np.linalg.lstsq(design, target, rcond=None)
+            assert np.allclose(res.theta_coeffs, want, rtol=0, atol=1e-13)
+            z = pts[k]
+            closed = -np.concatenate([z.conj(), z]) / np.sum(np.abs(z) ** 2)
+            assert np.allclose(res.theta_coeffs, closed, rtol=0, atol=1e-13)
+            assert res.residual < 1e-13 and res.reality_defect < 1e-13
+
+    def test_degenerate_error_names_first_bad_point(self):
+        # dz1 ^ dzbar1 + z1 dz2 ^ dzbar2 degenerates where z1 = 0.
+        om = fm.ExteriorForm(2, 2, {(0, 2): ex.const(1.0), (1, 3): ex.z(1)})
+        pts = [(1.0, 1.0), (0.5j, 1.0), (0.0, 1.0), (0.0, 2.0)]
+        with pytest.raises(vf.DegenerateOmega, match="at point 2 "):
+            vf.solve_lee_many(om, pts)
+
     def test_degree_guard(self):
         with pytest.raises(ValueError, match="2-form"):
             vf.solve_lee_pointwise(hp.example1_entry().forms["theta"], (1.0, 0.5))
