@@ -85,13 +85,39 @@ def _load_config_file(path: str) -> dict:
     return obj
 
 
+def _render(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
 def _emit(payload, out_path: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    _write(_render(payload), out_path)
+
+
+def _write(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+# Stands in for the results list while the header is rendered; json writes
+# it as "\u0000results", which no header value can contain.
+_RESULTS_MARKER = "\0results"
+
+
+def _lee_record_template(n: int) -> str:
+    """One solve-lee result as _render lays it out, with a %r per float.
+
+    The values go in the order point (re, im pairs), reality_defect,
+    residual, theta_coeffs (re, im pairs): sorted keys, at the depth of an
+    item of the report's results list.
+    """
+    pair = "        [\n          %r,\n          %r\n        ]"
+    return ('    {\n      "point": [\n%s\n      ],\n'
+            '      "reality_defect": %%r,\n      "residual": %%r,\n'
+            '      "theta_coeffs": [\n%s\n      ]\n    }'
+            % (",\n".join([pair] * n), ",\n".join([pair] * (2 * n))))
 
 
 def _cli_parameters(args) -> dict:
@@ -256,21 +282,38 @@ def cmd_solve_lee(args) -> int:
     tol = vf._auto_tolerance(omega) if suite.tol is None else suite.tol
     pts = annulus_points(entry.ambient_dim, suite.points, suite.seed)
     try:
-        results = vf.solve_lee_many(omega, pts)
+        coeffs, residual, reality = vf._solve_lee_arrays(omega, pts)
     except vf.DegenerateOmega as err:
         _emit({"command": "solve-lee", "entry": entry.name,
                "error": str(err)}, out)
         print("solve-lee: %s" % err, file=sys.stderr)
         return EXIT_FAIL
-    max_residual = max((r.residual for r in results), default=0.0)
-    max_reality = max((r.reality_defect for r in results), default=0.0)
+    # Python's max over Python floats keeps or drops a NaN by the same rule
+    # as a max over LeeSolveResult fields.
+    max_residual = max(residual.tolist(), default=0.0)
     ok = max_residual < tol
-    _emit({**_entry_payload("solve-lee", entry, suite),
-           "tolerance": tol,
-           "max_residual": max_residual,
-           "max_reality_defect": max_reality,
-           "status": "pass" if ok else "fail",
-           "results": [r.to_json() for r in results]}, out)
+    payload = {**_entry_payload("solve-lee", entry, suite),
+               "tolerance": tol,
+               "max_residual": max_residual,
+               "max_reality_defect": max(reality.tolist(), default=0.0),
+               "status": "pass" if ok else "fail",
+               "results": _RESULTS_MARKER}
+    # One row per record, in the template's order of values.
+    table = np.concatenate([pts.view(np.float64), reality[:, None],
+                            residual[:, None], coeffs.view(np.float64)],
+                           axis=1)
+    if np.isfinite(table).all():
+        template = _lee_record_template(entry.ambient_dim)
+        records = ",\n".join([template % tuple(row)
+                               for row in table.tolist()])
+        head, tail = _render(payload).split(json.dumps(_RESULTS_MARKER))
+        text = "".join((head, "[\n", records, "\n  ]", tail))
+    else:
+        # allow_nan=False rejects the report with json's own ValueError.
+        payload["results"] = [r.to_json() for r in vf._lee_results(
+            pts, coeffs, residual, reality)]
+        text = _render(payload)
+    _write(text, out)
     return EXIT_PASS if ok else EXIT_FAIL
 
 

@@ -9,6 +9,12 @@ the expression of g in the coordinates pulled back through T(z)_i = t^{w_i} z_i.
 A monomial c z^e in component i therefore picks up the factor t^(<e,w> - w_i);
 with uniform weights (1, ..., 1) a degree-k term scales by t^(k-1), so the
 family interpolates between the map at t = 1 and its linear part at t = 0.
+
+Invertibility: a PolyAutomorphism needs a finite linear part whose smallest
+singular value exceeds LINEAR_RCOND times its largest; otherwise it raises
+SingularLinearPart.  The ratio does not change when the map is scaled, so
+mu^-1 * I is accepted for every finite mu != 0, while a linear part with
+condition number above 1e12 (for example diag(e^-0.01, e^-50)) is refused.
 """
 
 from __future__ import annotations
@@ -29,11 +35,11 @@ __all__ = [
     "matrix_to_json", "matrix_from_json",
     "SingularLinearPart", "DegreeOverflow", "IterationDiverged",
     "IllConditioned", "NotJordan",
-    "DEGREE_CAP", "LINEAR_DET_EPS", "UNITARY_TOL", "ORBIT_DIVERGENCE",
+    "DEGREE_CAP", "LINEAR_RCOND", "UNITARY_TOL", "ORBIT_DIVERGENCE",
 ]
 
 DEGREE_CAP = 16
-LINEAR_DET_EPS = 1e-12
+LINEAR_RCOND = 1e-12
 UNITARY_TOL = 1e-10
 ORBIT_DIVERGENCE = 1e6
 CONTRACTION_SEED = 1234
@@ -169,10 +175,15 @@ class PolyAutomorphism:
                 raise ValueError("component %d has a constant term" % (k + 1,))
         self.dim = dim
         self.components = tuple(comps)
-        det = abs(np.linalg.det(self.linear_part()))
-        if det <= LINEAR_DET_EPS:
-            raise SingularLinearPart("|det| = %.3g <= %.3g"
-                                     % (det, LINEAR_DET_EPS))
+        lin = self.linear_part()
+        if not np.isfinite(lin).all():
+            raise SingularLinearPart("linear part has a non-finite entry")
+        sv = np.linalg.svd(lin, compute_uv=False)
+        if not sv[-1] > LINEAR_RCOND * sv[0]:
+            ratio = sv[-1] / sv[0] if sv[0] > 0 else 0.0
+            raise SingularLinearPart(
+                "linear part near singular (sigma_min/sigma_max = %.3g <= %.3g)"
+                % (ratio, LINEAR_RCOND))
 
     @classmethod
     def from_tables(cls, tables) -> "PolyAutomorphism":
@@ -375,7 +386,7 @@ def contraction_test(g: PolyAutomorphism, radius: float = 1.0,
     rho = spectral_radius(g.linear_part())
     if rho >= 1.0:
         return ContractionResult(False, None, rho, count, radius, eps,
-                                 reason="spectral radius %.6g >= 1" % rho)
+                                 reason="spectral radius %.17g >= 1" % rho)
     pts = sphere_points(n, count, radius, seed)
     current = pts
     for k in range(max_iter + 1):

@@ -178,8 +178,13 @@ def _invariance_residual(a, g, pts) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def solve_lee_many(Omega: fm.ExteriorForm, points):
-    """Least-squares Lee form at all points at once; see solve_lee_pointwise."""
+def _solve_lee_arrays(Omega: fm.ExteriorForm, points):
+    """The Lee solve as arrays: coeffs (m, 2n), residual (m,), reality (m,).
+
+    ``coeffs`` holds theta's coefficients at each point, ``residual`` the
+    largest entry of |theta ^ Omega - d Omega| and ``reality`` the largest
+    |theta_zbar_i - conj(theta_z_i)|.  See solve_lee_pointwise.
+    """
     if Omega.degree != 2:
         raise ValueError("Lee solve expects a 2-form")
     n = Omega.ambient_dim
@@ -221,9 +226,20 @@ def solve_lee_many(Omega: fm.ExteriorForm, points):
     residual = np.abs(design @ coeffs - target).max(axis=(1, 2))
     coeffs = coeffs[..., 0]
     reality = np.abs(coeffs[:, n:] - np.conj(coeffs[:, :n])).max(axis=1)
+    return coeffs, residual, reality
+
+
+def _lee_results(points, coeffs, residual, reality):
+    """LeeSolveResults from the arrays of _solve_lee_arrays."""
+    pts = np.asarray(points, dtype=complex)
     return [LeeSolveResult(tuple(p), tuple(th), res, real)
             for p, th, res, real in zip(pts.tolist(), coeffs.tolist(),
                                         residual.tolist(), reality.tolist())]
+
+
+def solve_lee_many(Omega: fm.ExteriorForm, points):
+    """Least-squares Lee form at all points at once; see solve_lee_pointwise."""
+    return _lee_results(points, *_solve_lee_arrays(Omega, points))
 
 
 def solve_lee_pointwise(Omega: fm.ExteriorForm, point) -> LeeSolveResult:

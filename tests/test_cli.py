@@ -10,8 +10,10 @@ import pytest
 import hopflck.cli as cli
 import hopflck.expr as ex
 import hopflck.forms as fm
+import hopflck.hopf as hopf
 import hopflck.maps as mp
 import hopflck.verify as vf
+from hopflck.sampling import annulus_points
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -25,6 +27,38 @@ def run(capsys, argv):
 def write_json(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def lee_reference(out):
+    """A solve-lee report as json.dumps renders it, from a fresh solve.
+
+    The header is taken from ``out`` and the results are recomputed with
+    the public solve_lee_many on the report's own entry, points and seed.
+    """
+    payload = json.loads(out)
+    params = {k: complex(*v) if isinstance(v, list) else v
+              for k, v in payload["parameters"].items()}
+    entry = hopf.build_entry(payload["entry"], params)
+    pts = annulus_points(entry.ambient_dim, payload["points"], payload["seed"])
+    results = vf.solve_lee_many(entry.forms["Omega"], pts)
+    assert payload["max_residual"] == max(r.residual for r in results)
+    assert payload["max_reality_defect"] == max(r.reality_defect
+                                                for r in results)
+    payload["results"] = [r.to_json() for r in results]
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def assert_same_text(got, want):
+    """Name the first differing line; pytest's own diff of megabyte strings
+    takes minutes."""
+    if got == want:
+        return
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    k = next((i for i, (a, b) in enumerate(zip(got_lines, want_lines))
+              if a != b), min(len(got_lines), len(want_lines)))
+    pytest.fail("line %d differs: got %r, want %r" % (
+        k + 1, got_lines[k] if k < len(got_lines) else None,
+        want_lines[k] if k < len(want_lines) else None))
 
 
 def quadratic_map_file(tmp_path):
@@ -176,6 +210,19 @@ class TestVerifyCommand:
         code, out, err = run(capsys, ["verify", "--entry", "example1",
                                       "--points", "20"])
         assert code == 1 and out == "" and "error" in err
+
+    def test_tiny_scaling_generator_accepted(self, capsys):
+        # The generator is 1e-8 * I: |det| = 1e-16, condition number 1.
+        code, out, _ = run(capsys, ["verify", "--entry", "example1",
+                                    "--mu-re", "1e8", "--points", "50"])
+        assert code == 0 and json.loads(out)["status"] == "pass"
+
+    def test_ill_conditioned_generator_rejected(self, capsys):
+        # The generator has condition number e^50.
+        code, out, err = run(capsys, ["verify", "--entry", "vaisman",
+                                      "--r1", "0.01", "--r2", "50"])
+        assert code == 2 and out == ""
+        assert "sigma_min/sigma_max" in err
 
     def test_unreadable_config(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -339,6 +386,69 @@ class TestSolveLeeCommand:
     def test_entry_without_forms(self, capsys):
         code, _, err = run(capsys, ["solve-lee", "--entry", "kodaira"])
         assert code == 2 and "no 2-form" in err
+
+    @pytest.mark.parametrize("points", [1, 2, 5000])
+    @pytest.mark.parametrize("source", ["example1", "vaisman", "example2-n3"])
+    def test_report_bytes_match_json_dumps(self, capsys, tmp_path, source,
+                                           points):
+        if source == "example2-n3":
+            argv = ["--file", write_json(tmp_path / "conf.json",
+                                         {"entry": "example2",
+                                          "parameters": {"n": 3}})]
+        else:
+            argv = ["--entry", source]
+        code, out, _ = run(capsys, ["solve-lee", *argv,
+                                    "--points", str(points)])
+        assert code == 0
+        assert_same_text(out, lee_reference(out))
+        payload = json.loads(out)
+        assert len(payload["results"]) == points
+        assert len(payload["results"][0]["point"]) == (
+            3 if source == "example2-n3" else 2)
+
+    def test_out_file_matches_stdout(self, capsys, tmp_path):
+        argv = ["solve-lee", "--entry", "vaisman", "--points", "40"]
+        _, out, _ = run(capsys, argv)
+        path = tmp_path / "lee.json"
+        assert run(capsys, argv + ["--out", str(path)]) == (0, "", "")
+        assert_same_text(path.read_text(encoding="utf-8"), out)
+
+    def test_extreme_floats_rendered_as_json_renders_them(self, capsys,
+                                                          monkeypatch):
+        solve = vf._solve_lee_arrays
+
+        def extreme(*args):
+            coeffs, residual, reality = solve(*args)
+            coeffs[0, :3] = [-0.0, 5e-324 + 1e300j, -1e300]
+            reality[0] = 5e-324
+            residual[0] = -0.0
+            return coeffs, residual, reality
+        monkeypatch.setattr(vf, "_solve_lee_arrays", extreme)
+        code, out, _ = run(capsys, ["solve-lee", "--entry", "example1",
+                                    "--points", "3"])
+        assert code == 0
+        assert_same_text(out, lee_reference(out))
+        for text in ("-0.0", "5e-324", "1e+300", "-1e+300"):
+            assert "          %s" % text in out
+
+    @pytest.mark.parametrize("array", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
+    def test_non_finite_value_fails_as_json_fails(self, capsys, monkeypatch,
+                                                  tmp_path, array, bad):
+        solve = vf._solve_lee_arrays
+
+        def poisoned(*args):
+            arrays = solve(*args)
+            arrays[array][-1] = bad
+            return arrays
+        monkeypatch.setattr(vf, "_solve_lee_arrays", poisoned)
+        with pytest.raises(ValueError) as want:
+            json.dumps([bad], indent=2, allow_nan=False)
+        path = tmp_path / "lee.json"
+        code, out, err = run(capsys, ["solve-lee", "--entry", "example1",
+                                      "--points", "4", "--out", str(path)])
+        assert (code, out, err) == (2, "", "error: %s\n" % want.value)
+        assert not path.exists()
 
 
 class TestParser:

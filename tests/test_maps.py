@@ -126,6 +126,26 @@ class TestPolyAutomorphism:
             mp.PolyAutomorphism.from_tables([{(1, 0): 1.0},
                                              {(1, 0): 1.0}])
 
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+    def test_invertibility_gate_ignores_scale(self, scale):
+        # det(scale * I) is 1e-16 at scale 1e-8, but the map is well
+        # conditioned at every scale.
+        g = mp.PolyAutomorphism.diagonal([scale, scale])
+        assert g.eval((1.0, 1.0)) == (scale, scale)
+
+    def test_ill_conditioned_linear_part_rejected(self):
+        # det = 1e-3, far from zero, but sigma_min/sigma_max = 1e-15.
+        with pytest.raises(mp.SingularLinearPart,
+                           match="sigma_min/sigma_max = 1e-15"):
+            mp.PolyAutomorphism.diagonal([1e6, 1e-9])
+        with pytest.raises(mp.SingularLinearPart,
+                           match="sigma_min/sigma_max = 0 "):
+            mp.PolyAutomorphism.from_tables([{(0, 2): 1.0}, {(2, 0): 1.0}])
+
+    def test_non_finite_linear_part_rejected(self):
+        with pytest.raises(mp.SingularLinearPart, match="non-finite"):
+            mp.PolyAutomorphism.diagonal([float("nan"), 1.0])
+
     def test_component_dimension_mismatch(self):
         with pytest.raises(ex.DimensionMismatch):
             mp.PolyAutomorphism([mp.Polynomial(2, {(1, 0): 1.0}),
@@ -278,6 +298,13 @@ class TestContraction:
         assert res.iterations_needed is None
         assert res.spectral_radius == pytest.approx(1.2)
         assert "spectral" in res.reason
+
+    def test_reason_prints_spectral_radius_in_full(self):
+        g = mp.PolyAutomorphism.diagonal([1.0000001, 0.5])
+        res = mp.contraction_test(g)
+        assert not res.is_contraction
+        assert "1.0000001" in res.reason
+        assert float(res.reason.split()[2]) == res.spectral_radius
 
     def test_identity_is_not_a_contraction(self):
         res = mp.contraction_test(mp.PolyAutomorphism.identity(2))
