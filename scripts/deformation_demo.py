@@ -68,11 +68,11 @@ def part_two(alpha, size):
         block[i, i + 1] = 1.0
     fam = hopf.family_to_diagonal(block)
     for t in T_VALUES:
-        mat = fam.at(t)
-        dec = mp.jordan_form(mat)
+        at = fam.at(t)
+        dec = mp.jordan_form(at.linear_part())
         blocks = ", ".join("J(%.3g%+.3gj, %d)" % (l.real, l.imag, s)
                            for l, s in dec.blocks)
-        contraction = mp.contraction_test(mp.PolyAutomorphism.from_matrix(mat))
+        contraction = mp.contraction_test(at)
         cert = ("contraction in %s iterations" % contraction.iterations_needed
                 if contraction.is_contraction
                 else "not a contraction (%s)" % contraction.reason)

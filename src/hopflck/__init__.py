@@ -16,8 +16,8 @@ from .hopf import (HopfSurfaceCatalogEntry, build_entry, example1_entry,
                    family_to_linear, kodaira_entry, kodaira_family,
                    vaisman_entry, weighted_sasaki, weighted_sasaki_invariant)
 from .maps import (ContractionResult, GroupSpec, JordanDecomposition,
-                   PolyAutomorphism, Polynomial, ScalingFamily, ScalingMap,
-                   conjugate_by_scaling, contraction_test, equivariance_check,
+                   PolyAutomorphism, Polynomial, ScalingFamily,
+                   contraction_test, equivariance_check,
                    fixed_point_free_check, jordan_form)
 from .verify import (LeeSolveResult, SuiteConfig, VerificationReport,
                      run_suite, solve_lee_many, solve_lee_pointwise,
@@ -33,9 +33,9 @@ __all__ = [
     "ExteriorForm", "exterior_d", "del_and_delbar", "wedge", "pullback",
     "bidegree_part", "definiteness", "DefinitenessReport",
     "evaluate_form", "evaluate_form_many", "max_form_residual",
-    "Polynomial", "PolyAutomorphism", "ScalingMap", "ScalingFamily",
+    "Polynomial", "PolyAutomorphism", "ScalingFamily",
     "GroupSpec", "ContractionResult", "JordanDecomposition",
-    "conjugate_by_scaling", "contraction_test", "jordan_form",
+    "contraction_test", "jordan_form",
     "fixed_point_free_check", "equivariance_check",
     "HopfSurfaceCatalogEntry", "build_entry", "example1_entry",
     "example2_entry", "example2_potential", "kodaira_entry",

@@ -3,8 +3,9 @@
 Commands
 --------
 verify       run the full verification suite on a named catalog entry
-deform       conjugate a polynomial map (linearize) or Jordan matrix
-             (diagonalize) through the scaling families
+deform       walk a scaling family t -> T_t^-1 g T_t from a polynomial map
+             to its linear part (linearize) or from a Jordan matrix to its
+             diagonal (diagonalize)
 jordan       numerical Jordan normal form of a matrix from a JSON file
 contraction  certify the contraction property of a map from a JSON file
 solve-lee    pointwise Lee-form recovery on a catalog entry's 2-form
@@ -18,6 +19,7 @@ parse error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 
@@ -191,39 +193,33 @@ def _load_map_or_matrix(path: str):
 
 
 def cmd_deform(args) -> int:
-    g, matrix = _load_map_or_matrix(args.file)
     t = args.t if args.t is not None else 1.0
+    if not cmath.isfinite(t):
+        raise ValueError("deform needs a finite --t, got %r" % (t,))
+    g, matrix = _load_map_or_matrix(args.file)
     if args.family == "linearize":
-        if g is None:
-            g = mp.PolyAutomorphism.from_matrix(matrix)
-        fam = hopf.family_to_linear(g)
-        at_t = fam.at(t)
-        limit = fam.limit0()
+        fam = hopf.family_to_linear(
+            g if g is not None else mp.PolyAutomorphism.from_matrix(matrix))
+    elif matrix is None and not g.is_linear():
+        raise hopf.NotJordan("diagonalize needs a matrix (or a linear map)")
+    else:
+        fam = hopf.family_to_diagonal(
+            g.linear_part() if matrix is None else matrix)
+    at_t, limit = fam.at(t), fam.limit0()
+    if args.family == "linearize":
         payload = {
-            "command": "deform",
-            "family": "linearize",
-            "t": vf.jsonify(complex(t)),
             "map_at_t": mp.map_to_json(at_t),
             "limit0": mp.map_to_json(limit),
-            "at_one_equals_input": fam.at(1.0) == g,
+            "at_one_equals_input": fam.at(1.0) == fam.base,
             "limit_equals_linear_part": np.array_equal(
-                limit.linear_part(), g.linear_part()) and limit.is_linear(),
+                limit.linear_part(), fam.base.linear_part())
+            and limit.is_linear(),
         }
     else:
-        if matrix is None:
-            if not g.is_linear():
-                raise hopf.NotJordan(
-                    "diagonalize needs a matrix (or a linear map)")
-            matrix = g.linear_part()
-        fam = hopf.family_to_diagonal(matrix)
-        payload = {
-            "command": "deform",
-            "family": "diagonalize",
-            "t": vf.jsonify(complex(t)),
-            "matrix_at_t": mp.matrix_to_json(fam.at(t)),
-            "limit0": mp.matrix_to_json(fam.limit0()),
-        }
-    _emit(payload, args.out)
+        payload = {"matrix_at_t": mp.matrix_to_json(at_t.linear_part()),
+                   "limit0": mp.matrix_to_json(limit.linear_part())}
+    _emit({"command": "deform", "family": args.family,
+           "t": vf.jsonify(complex(t)), **payload}, args.out)
     return EXIT_PASS
 
 

@@ -16,9 +16,10 @@ of the quotient Hopf manifold:
 * ``vaisman``   — the weighted Vaisman structure Omega = -theta ^ psi + d psi
   on a diagonal Hopf surface with weights (r1, r2) and phases (p1, p2).
 
-The module also hosts the two deformation-family builders: uniform scaling
-that interpolates a polynomial contraction with its linear part, and the
-graded scaling that melts the superdiagonal of a Jordan matrix.
+The module also builds the two deformation families, both
+:class:`~hopflck.maps.ScalingFamily` curves t -> T_t^{-1} g T_t: uniform
+weights interpolate a polynomial contraction with its linear part, and the
+graded weights (0, 1, ..., n-1) melt the superdiagonal of a Jordan matrix.
 
 On the Vaisman entry: the raw weighted 1-form returned by
 :func:`weighted_sasaki` is invariant under the deck group only when the two
@@ -44,7 +45,7 @@ __all__ = [
     "HopfSurfaceCatalogEntry", "BadParameter", "UnknownEntry",
     "example1_entry", "example2_potential", "example2_entry",
     "kodaira_family", "kodaira_entry", "vaisman_entry",
-    "family_to_linear", "family_to_diagonal", "JordanMatrixFamily",
+    "family_to_linear", "family_to_diagonal",
     "weighted_sasaki", "weighted_sasaki_invariant", "implicit_time",
     "ENTRY_NAMES", "build_entry",
 ]
@@ -219,60 +220,45 @@ def family_to_linear(g: PolyAutomorphism) -> ScalingFamily:
     return ScalingFamily(g, (1,) * g.dim)
 
 
-class JordanMatrixFamily:
-    """Graded scaling of a Jordan matrix: every superdiagonal 1 becomes t.
+def _snapped_jordan(matrix, tol: float = 1e-12) -> np.ndarray:
+    """The Jordan matrix within tol of ``matrix``, or NotJordan.
 
-    Conjugating by the graded scaling T_t = diag(t^(n-1), ..., t, 1)
-    multiplies entry (i, j) by t^(j-i); on a Jordan matrix only the
-    superdiagonal moves, so ``at(t)`` replaces each unit there by exactly t
-    and ``at(0)`` is the diagonal of eigenvalues.
+    Off-diagonal entries snap to exact 0, superdiagonal ones to exact 0 or
+    1, and a superdiagonal 1 must join equal diagonal values.  The
+    comparisons are written so that a NaN entry fails them.
     """
-
-    def __init__(self, matrix, tol: float = 1e-12):
-        a = np.asarray(matrix, dtype=complex)
-        n = a.shape[0]
-        if a.shape != (n, n):
-            raise NotJordan("matrix must be square")
-        mask = np.zeros(n, dtype=bool)
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                if j == i + 1:
-                    s = a[i, j]
-                    if abs(s) <= tol:
-                        continue
-                    if abs(s - 1.0) > tol:
-                        raise NotJordan(
-                            "superdiagonal entry (%d, %d) = %s is neither 0 "
+    a = np.asarray(matrix, dtype=complex)
+    n = a.shape[0]
+    if a.shape != (n, n):
+        raise NotJordan("matrix must be square")
+    snapped = np.diag(np.diag(a))
+    for (i, j), s in np.ndenumerate(a):
+        if i == j or abs(s) <= tol:
+            continue
+        if j != i + 1:
+            raise NotJordan("entry (%d, %d) = %s breaks Jordan structure"
+                            % (i, j, s))
+        if not abs(s - 1.0) <= tol:
+            raise NotJordan("superdiagonal entry (%d, %d) = %s is neither 0 "
                             "nor 1" % (i, j, s))
-                    if abs(a[i, i] - a[j, j]) > tol:
-                        raise NotJordan(
-                            "superdiagonal 1 at (%d, %d) joins distinct "
+        if not abs(a[i, i] - a[j, j]) <= tol:
+            raise NotJordan("superdiagonal 1 at (%d, %d) joins distinct "
                             "diagonal values" % (i, j))
-                    mask[i] = True
-                elif abs(a[i, j]) > tol:
-                    raise NotJordan("entry (%d, %d) = %s breaks Jordan "
-                                    "structure" % (i, j, a[i, j]))
-        self.diagonal = np.diag(a).copy()
-        self.superdiagonal_mask = mask
-        self.dim = n
-
-    def at(self, t) -> np.ndarray:
-        t = complex(t)
-        out = np.diag(self.diagonal).astype(complex)
-        for i in range(self.dim - 1):
-            if self.superdiagonal_mask[i]:
-                out[i, i + 1] = t
-        return out
-
-    def limit0(self) -> np.ndarray:
-        return np.diag(self.diagonal).astype(complex)
+        snapped[i, j] = 1.0
+    return snapped
 
 
-def family_to_diagonal(matrix) -> JordanMatrixFamily:
-    """Family t -> A_t for a Jordan matrix A; raises NotJordan otherwise."""
-    return JordanMatrixFamily(matrix)
+def family_to_diagonal(matrix) -> ScalingFamily:
+    """Graded scaling family t -> T_t^{-1} J T_t of a Jordan matrix J.
+
+    The weights (0, 1, ..., n-1) multiply entry (i, j) by t^(j-i); on a
+    Jordan matrix only the superdiagonal moves, so ``at(t).linear_part()``
+    has each unit there replaced by exactly t and ``limit0().linear_part()``
+    is the diagonal of eigenvalues.  Raises NotJordan before any map is
+    built, and SingularLinearPart for an eigenvalue 0.
+    """
+    j = _snapped_jordan(matrix)
+    return ScalingFamily(PolyAutomorphism.from_matrix(j), range(len(j)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Maps are stored as exact monomial tables {exponent tuple: complex coefficient},
 so composition, conjugation by diagonal scalings, and the degree-wise scaling
 laws hold coefficient by coefficient rather than only up to sampling error.
 
-Conjugation convention: ``conjugate_by_scaling(g, T)`` returns T^{-1} . g . T,
+Conjugation convention: ``ScalingFamily(g, w).at(t)`` returns T^{-1} . g . T,
 the expression of g in the coordinates pulled back through T(z)_i = t^{w_i} z_i.
 A monomial c z^e in component i therefore picks up the factor t^(<e,w> - w_i);
 with uniform weights (1, ..., 1) a degree-k term scales by t^(k-1), so the
@@ -27,9 +27,9 @@ from . import expr as ex
 from .sampling import sphere_points
 
 __all__ = [
-    "Polynomial", "PolyAutomorphism", "ScalingMap", "ScalingFamily",
+    "Polynomial", "PolyAutomorphism", "ScalingFamily",
     "GroupSpec", "ContractionResult", "JordanDecomposition",
-    "FixedPointReport", "conjugate_by_scaling", "contraction_test",
+    "FixedPointReport", "contraction_test",
     "jordan_form", "fixed_point_free_check", "equivariance_check",
     "spectral_radius", "map_to_json", "map_from_json",
     "matrix_to_json", "matrix_from_json",
@@ -268,46 +268,17 @@ class PolyAutomorphism:
 
 
 # ---------------------------------------------------------------------------
-# Scaling maps and conjugation families
+# Scaling conjugation families
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ScalingMap:
-    """Diagonal coordinate scaling T(z)_i = t^{weights_i} z_i, t != 0."""
-
-    weights: tuple
-    t: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights",
-                           tuple(int(w) for w in self.weights))
-        object.__setattr__(self, "t", complex(self.t))
-        if self.t == 0:
-            raise ValueError("scaling parameter must be nonzero")
-
-    def apply(self, point):
-        return tuple(self.t ** w * complex(c)
-                     for w, c in zip(self.weights, point))
-
-
-def conjugate_by_scaling(g: PolyAutomorphism, scaling: ScalingMap) -> PolyAutomorphism:
-    """T^{-1} . g . T for a diagonal scaling T: exact monomial rescaling.
-
-    The monomial c z^e of component i maps to c t^(<e,w> - w_i) z^e.  With
-    uniform weights this is the degree-(k-1) power of t on every degree-k
-    term, which is the scaling law the deformation families rely on.
-    """
-    return ScalingFamily(g, scaling.weights).at(scaling.t)
 
 
 class ScalingFamily:
     """The curve t -> T_t^{-1} . g . T_t with precomputed monomial shifts.
 
-    ``at(t)`` reproduces :func:`conjugate_by_scaling` for t != 0 and extends
-    to t = 0 whenever no monomial carries a negative shift (then absent
-    monomials simply drop out, e.g. the uniform family lands on the linear
-    part).
+    For t != 0, ``at(t)`` rescales the monomial c z^e of component i to
+    c t^(<e,w> - w_i) z^e.  It extends to t = 0 whenever no monomial
+    carries a negative shift (then absent monomials simply drop out, e.g.
+    the uniform family lands on the linear part).
     """
 
     def __init__(self, base: PolyAutomorphism, weights):

@@ -290,6 +290,68 @@ class TestDeformCommand:
         assert code == 0 and out == ""
         assert json.loads(out_path.read_text())["command"] == "deform"
 
+    # Standard output of these three requests before both families became
+    # one ScalingFamily, in compact form; the test re-indents it the way the
+    # CLI writes JSON and compares bytes.
+    PINNED = {
+        "mixed-blocks": (
+            "diagonalize", "0.25",
+            [[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 5.0]],
+            '{"command": "deform", "family": "diagonalize", "limit0": '
+            '[[[2.0, 0.0], [0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0], '
+            '[0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0], [5.0, 0.0]]], '
+            '"matrix_at_t": [[[2.0, 0.0], [0.25, 0.0], [0.0, 0.0]], '
+            '[[0.0, 0.0], [2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0], '
+            '[5.0, 0.0]]], "t": [0.25, 0.0]}'),
+        "quadratic-map": (
+            "linearize", "0.5", None,
+            '{"at_one_equals_input": true, "command": "deform", '
+            '"family": "linearize", "limit0": {"components": '
+            '[[{"coeff": [1.0, 0.0], "monomial": [1, 0]}], '
+            '[{"coeff": [1.0, 0.0], "monomial": [0, 1]}]], "dim": 2}, '
+            '"limit_equals_linear_part": true, "map_at_t": {"components": '
+            '[[{"coeff": [0.5, 0.0], "monomial": [0, 2]}, '
+            '{"coeff": [1.0, 0.0], "monomial": [1, 0]}], '
+            '[{"coeff": [1.0, 0.0], "monomial": [0, 1]}]], "dim": 2}, '
+            '"t": [0.5, 0.0]}'),
+        # The superdiagonal 1 + 1e-13 snaps to exactly 1, so it prints t.
+        "snapped-superdiagonal": (
+            "diagonalize", "0.25", [[0.5, 1 + 1e-13], [0.0, 0.5]],
+            '{"command": "deform", "family": "diagonalize", "limit0": '
+            '[[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]], '
+            '"matrix_at_t": [[[0.5, 0.0], [0.25, 0.0]], [[0.0, 0.0], '
+            '[0.5, 0.0]]], "t": [0.25, 0.0]}'),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_stdout_bytes_pinned(self, capsys, tmp_path, case):
+        family, t, matrix, compact = self.PINNED[case]
+        path = (quadratic_map_file(tmp_path) if matrix is None
+                else matrix_file(tmp_path, matrix))
+        code, out, err = run(capsys, ["deform", "--file", path,
+                                      "--family", family, "--t", t])
+        assert (code, err) == (0, "")
+        assert out == json.dumps(json.loads(compact), sort_keys=True,
+                                 indent=2) + "\n"
+
+    @pytest.mark.parametrize("family", ["linearize", "diagonalize"])
+    @pytest.mark.parametrize("t", ["nan", "inf", "-inf", "nan+1j", "1+nanj",
+                                   "1-infj"])
+    def test_non_finite_t_rejected(self, capsys, tmp_path, family, t):
+        path = matrix_file(tmp_path, [[0.5, 1.0], [0.0, 0.5]])
+        code, out, err = run(capsys, ["deform", "--file", path,
+                                      "--family", family, "--t=" + t])
+        assert (code, out) == (2, "")
+        assert err == "error: deform needs a finite --t, got %r\n" % complex(t)
+
+    @pytest.mark.parametrize("family", ["linearize", "diagonalize"])
+    def test_singular_jordan_matrix_rejected(self, capsys, tmp_path, family):
+        path = matrix_file(tmp_path, [[0.0, 1.0], [0.0, 0.0]])
+        code, out, err = run(capsys, ["deform", "--file", path,
+                                      "--family", family])
+        assert (code, out) == (2, "")
+        assert "sigma_min/sigma_max" in err
+
 
 class TestJordanCommand:
     def test_diagonalizable(self, capsys, tmp_path):

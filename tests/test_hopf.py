@@ -163,7 +163,7 @@ class TestLinearizationFamily:
         assert hp.family_to_linear(g).at(0.5).eval((1.0, 1.0)) == (1.5, 1.0)
 
 
-class TestJordanMatrixFamily:
+class TestDiagonalizingFamily:
     def block(self, lam, n):
         j = np.diag([lam] * n).astype(complex)
         for i in range(n - 1):
@@ -174,20 +174,20 @@ class TestJordanMatrixFamily:
     def test_superdiagonal_becomes_t(self, n):
         fam = hp.family_to_diagonal(self.block(0.5, n))
         t = 0.3 - 0.1j
-        at = fam.at(t)
+        at = fam.at(t).linear_part()
         expected = np.diag([0.5] * n).astype(complex)
         for i in range(n - 1):
             expected[i, i + 1] = t
         assert np.array_equal(at, expected)
-        assert np.array_equal(fam.at(1.0), self.block(0.5, n))
-        assert np.array_equal(fam.limit0(), np.diag([0.5] * n))
+        assert np.array_equal(fam.at(1.0).linear_part(), self.block(0.5, n))
+        assert np.array_equal(fam.limit0().linear_part(), np.diag([0.5] * n))
 
     def test_mixed_blocks(self):
         a = np.zeros((3, 3), dtype=complex)
         a[0, 0] = a[1, 1] = 2.0
         a[0, 1] = 1.0
         a[2, 2] = 5.0
-        at = hp.family_to_diagonal(a).at(0.25)
+        at = hp.family_to_diagonal(a).at(0.25).linear_part()
         assert at[0, 1] == 0.25 and at[1, 2] == 0.0
         assert np.array_equal(np.diag(at), [2.0, 2.0, 5.0])
 
@@ -200,6 +200,20 @@ class TestJordanMatrixFamily:
             hp.family_to_diagonal([[1.0, 0.0], [1.0, 1.0]])
         with pytest.raises(mp.NotJordan, match="square"):
             hp.family_to_diagonal(np.ones((2, 3)))
+
+    def test_rejects_nan_entries(self):
+        nan = float("nan")
+        with pytest.raises(mp.NotJordan, match="breaks"):
+            hp.family_to_diagonal([[0.5, 0.0], [nan, 0.5]])
+        with pytest.raises(mp.NotJordan, match="neither 0 nor 1"):
+            hp.family_to_diagonal([[0.5, nan], [0.0, 0.5]])
+        with pytest.raises(mp.NotJordan, match="distinct diagonal"):
+            hp.family_to_diagonal([[nan, 1.0], [0.0, 0.5]])
+
+    def test_near_entries_snap_to_exact_zero_and_one(self):
+        fam = hp.family_to_diagonal([[0.5, 1 - 1e-13], [1e-13, 0.5]])
+        assert np.array_equal(fam.at(1.0).linear_part(),
+                              [[0.5, 1.0], [0.0, 0.5]])
 
 
 class TestWeightedContactForm:

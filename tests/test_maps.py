@@ -205,7 +205,7 @@ class TestConjugation:
     def test_uniform_weights_scale_by_degree_minus_one(self):
         g = mp.PolyAutomorphism.from_tables(random_poly_tables(2, 4, seed=41))
         t = 0.37 - 0.21j
-        conj = mp.conjugate_by_scaling(g, mp.ScalingMap((1, 1), t))
+        conj = mp.ScalingFamily(g, (1, 1)).at(t)
         for comp, orig in zip(conj.components, g.components):
             for mono, c in comp.coeffs.items():
                 k = sum(mono)
@@ -215,7 +215,7 @@ class TestConjugation:
         g = mp.PolyAutomorphism.from_tables(random_poly_tables(2, 3, seed=42))
         t = 0.8 + 0.3j
         weights = (2, 1)
-        conj = mp.conjugate_by_scaling(g, mp.ScalingMap(weights, t))
+        conj = mp.ScalingFamily(g, weights).at(t)
         for pt in random_annulus(2, 8, seed=43):
             expected = conjugated_map_numeric(g.eval, weights, t, pt)
             assert np.allclose(conj.eval(pt), expected, atol=1e-9)
@@ -223,19 +223,14 @@ class TestConjugation:
     def test_is_group_homomorphism(self):
         g = mp.PolyAutomorphism.from_tables(random_poly_tables(2, 2, seed=44))
         h = mp.PolyAutomorphism.from_tables(random_poly_tables(2, 2, seed=45))
-        s = mp.ScalingMap((1, 1), 0.5)
-        lhs = mp.conjugate_by_scaling(g.compose(h), s)
-        rhs = mp.conjugate_by_scaling(g, s).compose(mp.conjugate_by_scaling(h, s))
+        lhs = mp.ScalingFamily(g.compose(h), (1, 1)).at(0.5)
+        rhs = (mp.ScalingFamily(g, (1, 1)).at(0.5)
+               .compose(mp.ScalingFamily(h, (1, 1)).at(0.5)))
         assert lhs == rhs
 
     def test_weight_length_mismatch(self):
         with pytest.raises(ex.DimensionMismatch):
-            mp.conjugate_by_scaling(mp.PolyAutomorphism.identity(2),
-                                    mp.ScalingMap((1, 1, 1), 2.0))
-
-    def test_zero_scaling_parameter_rejected(self):
-        with pytest.raises(ValueError, match="nonzero"):
-            mp.ScalingMap((1, 1), 0.0)
+            mp.ScalingFamily(mp.PolyAutomorphism.identity(2), (1, 1, 1))
 
 
 class TestScalingFamily:
@@ -246,12 +241,6 @@ class TestScalingFamily:
     def test_at_one_is_base(self):
         fam = mp.ScalingFamily(self.quadratic(), (1, 1))
         assert fam.at(1.0) == self.quadratic()
-
-    def test_at_matches_direct_conjugation(self):
-        g = mp.PolyAutomorphism.from_tables(random_poly_tables(2, 3, seed=51))
-        fam = mp.ScalingFamily(g, (1, 1))
-        for t in (0.5, -0.25 + 0.1j, 2.0):
-            assert fam.at(t) == mp.conjugate_by_scaling(g, mp.ScalingMap((1, 1), t))
 
     def test_limit_is_linear_part_for_uniform_weights(self):
         g = mp.PolyAutomorphism.from_tables(random_poly_tables(2, 4, seed=52))
