@@ -218,7 +218,7 @@ class ImplicitT(Expression):
     stay within the expression language.
     """
 
-    __slots__ = ("weights", "newton_tol", "newton_max_iter")
+    __slots__ = ("weights",)
     op = "implicit_t"
 
 
@@ -355,9 +355,7 @@ def log(arg: Expression) -> Expression:
     return _intern(Log, ("l", id(arg)), (arg,))
 
 
-def implicit_t(weights, z_args=None, zbar_args=None,
-               newton_tol: float = NEWTON_TOL,
-               newton_max_iter: int = NEWTON_MAX_ITER) -> Expression:
+def implicit_t(weights, z_args=None, zbar_args=None) -> Expression:
     weights = tuple(float(w) for w in weights)
     n = len(weights)
     if n < 2:
@@ -374,11 +372,9 @@ def implicit_t(weights, z_args=None, zbar_args=None,
         zbar_args = tuple(_coerce(a) for a in zbar_args)
     if len(z_args) != n or len(zbar_args) != n:
         raise DimensionMismatch("implicit time needs %d argument pairs" % n)
-    newton_tol, newton_max_iter = float(newton_tol), int(newton_max_iter)
-    key = ("t", weights, newton_tol, newton_max_iter,
-           tuple(id(a) for a in z_args), tuple(id(b) for b in zbar_args))
+    key = ("t", weights, tuple(id(a) for a in z_args),
+           tuple(id(b) for b in zbar_args))
     return _intern(ImplicitT, key, z_args + zbar_args, weights=weights,
-                   newton_tol=newton_tol, newton_max_iter=newton_max_iter,
                    has_conj=True, has_implicit=True)
 
 
@@ -434,20 +430,20 @@ def _apply_implicit(e, args, pts):
         raise NewtonDivergence("implicit time undefined (zero radius)",
                                _bad_point(pts, total, bad))
     t = -np.log(total) / (2.0 * r.max())
-    for _ in range(e.newton_max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         growth = np.exp(2.0 * t[:, None] * r[None, :])
         f = (s * growth).sum(axis=1) - 1.0
-        if np.max(np.abs(f)) < e.newton_tol:
+        if np.max(np.abs(f)) < NEWTON_TOL:
             return t
         fprime = (2.0 * r[None, :] * s * growth).sum(axis=1)
         t = t - f / fprime
     growth = np.exp(2.0 * t[:, None] * r[None, :])
     f = (s * growth).sum(axis=1) - 1.0
-    if np.max(np.abs(f)) < e.newton_tol:
+    if np.max(np.abs(f)) < NEWTON_TOL:
         return t
-    bad = np.abs(f) >= e.newton_tol
+    bad = np.abs(f) >= NEWTON_TOL
     raise NewtonDivergence("Newton failed to reach %g in %d iterations"
-                           % (e.newton_tol, e.newton_max_iter),
+                           % (NEWTON_TOL, NEWTON_MAX_ITER),
                            _bad_point(pts, f, bad))
 
 
@@ -478,7 +474,7 @@ def _rebuild_implicit(e, kids, zs, zbs, conj):
     # the same node again for the default arguments.
     n = len(e.weights)
     a, b = (kids[n:], kids[:n]) if conj else (kids[:n], kids[n:])
-    return implicit_t(e.weights, a, b, e.newton_tol, e.newton_max_iter)
+    return implicit_t(e.weights, a, b)
 
 
 def _json_real(x) -> float:
@@ -500,11 +496,16 @@ def _parse_const(f, kids):
 
 
 def _parse_implicit(f, kids):
+    # Older tables carry the Newton settings; a value other than the module
+    # constant would be silently lost, so it is refused.
+    for name, value in (("newton_tol", NEWTON_TOL),
+                        ("newton_max_iter", NEWTON_MAX_ITER)):
+        if name in f and f[name] != value:
+            raise ValueError("%s must be the fixed %r, got %r"
+                             % (name, value, f[name]))
     weights = [_json_real(w) for w in f["weights"]]
     n = len(weights)
-    return implicit_t(weights, kids[:n], kids[n:],
-                      _json_real(f.get("newton_tol", NEWTON_TOL)),
-                      _json_int(f.get("newton_max_iter", NEWTON_MAX_ITER)))
+    return implicit_t(weights, kids[:n], kids[n:])
 
 
 def _pretty_const(e, s):
@@ -576,9 +577,7 @@ _KINDS = {
     Log: _unary("log", log, _apply_log, lambda e, d, *_: div(d[0], e.args[0])),
     ImplicitT: _Kind(
         None, _apply_implicit, _rebuild_implicit, _derive_implicit,
-        lambda e: {"weights": list(e.weights), "newton_tol": e.newton_tol,
-                   "newton_max_iter": e.newton_max_iter},
-        _parse_implicit,
+        lambda e: {"weights": list(e.weights)}, _parse_implicit,
         lambda e, s: "t[%s]" % ",".join("%g" % w for w in e.weights)),
 }
 
@@ -792,15 +791,13 @@ class _Tape:
 # ---------------------------------------------------------------------------
 
 
-def numerically_equal(a: Expression, b: Expression, dim: int,
-                      seed: int = 0, num_points: int = 64,
-                      tol: float = 1e-10) -> bool:
-    """Test a == b by evaluation at seeded annulus points (0.5 <= |z| <= 2)."""
+def numerically_equal(a: Expression, b: Expression, dim: int) -> bool:
+    """Test a == b within 1e-10 at 64 annulus points of seed 0."""
     from .sampling import annulus_points
-    pts = annulus_points(dim, num_points, seed)
-    va = np.broadcast_to(np.asarray(evaluate_many(a, pts)), (num_points,))
-    vb = np.broadcast_to(np.asarray(evaluate_many(b, pts)), (num_points,))
-    return bool(np.max(np.abs(va - vb)) <= tol)
+    pts = annulus_points(dim, 64, 0)
+    va = np.broadcast_to(np.asarray(evaluate_many(a, pts)), (64,))
+    vb = np.broadcast_to(np.asarray(evaluate_many(b, pts)), (64,))
+    return bool(np.max(np.abs(va - vb)) <= 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -814,8 +811,8 @@ def to_json(e: Expression):
     Each shared node appears once, as ``{"op", fields..., "args"}`` with
     ``args`` the indices of its children, which come earlier in the table
     (leaves have no ``args``).  The fields are ``value`` ([re, im] for const,
-    the exponent for pow), ``index`` (z, zbar), and ``weights``,
-    ``newton_tol``, ``newton_max_iter`` (implicit_t).
+    the exponent for pow), ``index`` (z, zbar), and ``weights``
+    (implicit_t, solved with NEWTON_TOL and NEWTON_MAX_ITER).
     """
     index, nodes = {}, []
     for node in _post_order(e, index.__contains__):
@@ -830,8 +827,9 @@ def to_json(e: Expression):
 def from_json(obj) -> Expression:
     """Inverse of :func:`to_json`; rebuilds through the constructors.
 
-    Raises ValueError for anything that is not such a table.  A missing
-    ``newton_tol`` or ``newton_max_iter`` takes the default.
+    Raises ValueError for anything that is not such a table.  An implicit_t
+    entry may still carry ``newton_tol`` and ``newton_max_iter``, as older
+    tables do, but only with the values of NEWTON_TOL and NEWTON_MAX_ITER.
     """
     try:
         entries, root = obj["nodes"], obj["root"]

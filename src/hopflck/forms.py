@@ -404,10 +404,7 @@ class DefinitenessReport:
     worst_sample: HermitianMatrixSample | None = field(repr=False, default=None)
 
 
-def definiteness(a: ExteriorForm, points,
-                 herm_rtol: float = HERMITIAN_RTOL,
-                 type_tol: float = TYPE11_TOL,
-                 zero_tol: float = ZERO_EIGENVALUE_TOL) -> DefinitenessReport:
+def definiteness(a: ExteriorForm, points) -> DefinitenessReport:
     """Classify the sign of a (1,1)-form through H = i C at each point.
 
     With this extraction the coefficient matrix of -i sum h_ij dz_i dzbar_j
@@ -424,9 +421,9 @@ def definiteness(a: ExteriorForm, points,
                                    % (n, a.ambient_dim))
     for p, q in ((2, 0), (0, 2)):
         stray = max_form_residual(bidegree_part(a, p, q), pts)
-        if stray >= type_tol:
+        if stray >= TYPE11_TOL:
             raise NotType11("(%d,%d) part has residual %.3g >= %.3g"
-                            % (p, q, stray, type_tol))
+                            % (p, q, stray, TYPE11_TOL))
 
     values = evaluate_form_many(bidegree_part(a, 1, 1), pts)
     coeff = np.zeros((m, n, n), dtype=complex)
@@ -438,15 +435,15 @@ def definiteness(a: ExteriorForm, points,
     scale = np.maximum(np.linalg.norm(hermitian, axis=(1, 2)), 1e-30)
     rel = defect / scale
     worst_h = int(np.argmax(rel))
-    if rel[worst_h] >= herm_rtol:
+    if rel[worst_h] >= HERMITIAN_RTOL:
         raise NonHermitian("hermiticity defect %.3g at point %r"
                            % (rel[worst_h],
                               tuple(complex(c) for c in pts[worst_h])))
     sym = 0.5 * (hermitian + np.conj(np.transpose(hermitian, (0, 2, 1))))
     eigs = np.linalg.eigvalsh(sym)
 
-    pos = eigs > zero_tol
-    neg = eigs < -zero_tol
+    pos = eigs > ZERO_EIGENVALUE_TOL
+    neg = eigs < -ZERO_EIGENVALUE_TOL
     point_pos = pos.any(axis=1)
     point_neg = neg.any(axis=1)
     mixed = point_pos & point_neg

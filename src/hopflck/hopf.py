@@ -47,8 +47,11 @@ __all__ = [
     "kodaira_family", "kodaira_entry", "vaisman_entry",
     "family_to_linear", "family_to_diagonal",
     "weighted_sasaki", "weighted_sasaki_invariant", "implicit_time",
-    "ENTRY_NAMES", "build_entry",
+    "ENTRY_NAMES", "build_entry", "JORDAN_SNAP_TOL",
 ]
+
+# family_to_diagonal snaps off-diagonal entries this close to 0 or 1.
+JORDAN_SNAP_TOL = 1e-12
 
 
 class BadParameter(ValueError):
@@ -220,8 +223,8 @@ def family_to_linear(g: PolyAutomorphism) -> ScalingFamily:
     return ScalingFamily(g, (1,) * g.dim)
 
 
-def _snapped_jordan(matrix, tol: float = 1e-12) -> np.ndarray:
-    """The Jordan matrix within tol of ``matrix``, or NotJordan.
+def _snapped_jordan(matrix) -> np.ndarray:
+    """The Jordan matrix within JORDAN_SNAP_TOL of ``matrix``, or NotJordan.
 
     Off-diagonal entries snap to exact 0, superdiagonal ones to exact 0 or
     1, and a superdiagonal 1 must join equal diagonal values.  The
@@ -233,15 +236,15 @@ def _snapped_jordan(matrix, tol: float = 1e-12) -> np.ndarray:
         raise NotJordan("matrix must be square")
     snapped = np.diag(np.diag(a))
     for (i, j), s in np.ndenumerate(a):
-        if i == j or abs(s) <= tol:
+        if i == j or abs(s) <= JORDAN_SNAP_TOL:
             continue
         if j != i + 1:
             raise NotJordan("entry (%d, %d) = %s breaks Jordan structure"
                             % (i, j, s))
-        if not abs(s - 1.0) <= tol:
+        if not abs(s - 1.0) <= JORDAN_SNAP_TOL:
             raise NotJordan("superdiagonal entry (%d, %d) = %s is neither 0 "
                             "nor 1" % (i, j, s))
-        if not abs(a[i, i] - a[j, j]) <= tol:
+        if not abs(a[i, i] - a[j, j]) <= JORDAN_SNAP_TOL:
             raise NotJordan("superdiagonal 1 at (%d, %d) joins distinct "
                             "diagonal values" % (i, j))
         snapped[i, j] = 1.0

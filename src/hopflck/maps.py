@@ -35,14 +35,19 @@ __all__ = [
     "matrix_to_json", "matrix_from_json",
     "SingularLinearPart", "DegreeOverflow", "IterationDiverged",
     "IllConditioned", "NotJordan",
-    "DEGREE_CAP", "LINEAR_RCOND", "UNITARY_TOL", "ORBIT_DIVERGENCE",
+    "DEGREE_CAP", "LINEAR_RCOND", "UNITARY_TOL", "RELATION_TOL",
+    "FIXED_POINT_TOL", "ORBIT_DIVERGENCE", "CONTRACTION_MAX_ITER",
 ]
 
 DEGREE_CAP = 16
 LINEAR_RCOND = 1e-12
 UNITARY_TOL = 1e-10
+RELATION_TOL = 1e-8      # closure of the finite part under products/inverses
+FIXED_POINT_TOL = 1e-8   # least |eigenvalue - 1| of a non-identity element
 ORBIT_DIVERGENCE = 1e6
+CONTRACTION_MAX_ITER = 1000
 CONTRACTION_SEED = 1234
+RANK_GRAY_ZONE = 10.0    # factor around a rank threshold that is ambiguous
 
 
 class SingularLinearPart(ValueError):
@@ -109,18 +114,18 @@ class Polynomial:
     def scale(self, factor):
         return Polynomial(self.dim, {m: c * factor for m, c in self.coeffs.items()})
 
-    def mul(self, other, cap: int | None = None) -> "Polynomial":
+    def mul(self, other) -> "Polynomial":
         out: dict = {}
         for ma, ca in self.coeffs.items():
             for mb, cb in other.coeffs.items():
                 m = tuple(a + b for a, b in zip(ma, mb))
-                if cap is not None and sum(m) > cap:
+                if sum(m) > DEGREE_CAP:
                     raise DegreeOverflow("monomial degree %d exceeds cap %d"
-                                         % (sum(m), cap))
+                                         % (sum(m), DEGREE_CAP))
                 out[m] = out.get(m, 0) + ca * cb
         return Polynomial(self.dim, out)
 
-    def compose(self, args, cap: int = DEGREE_CAP) -> "Polynomial":
+    def compose(self, args) -> "Polynomial":
         """Substitute args[j] for variable j; exact coefficient arithmetic."""
         one = Polynomial(self.dim, {(0,) * self.dim: 1.0})
         total = Polynomial(self.dim, {})
@@ -128,7 +133,7 @@ class Polynomial:
             term = one.scale(c)
             for j, e in enumerate(mono):
                 for _ in range(e):
-                    term = term.mul(args[j], cap=cap)
+                    term = term.mul(args[j])
             total = total + term
         return total
 
@@ -239,12 +244,11 @@ class PolyAutomorphism:
                 mat[i, j] = comp.coeffs.get(mono, 0.0)
         return mat
 
-    def compose(self, other: "PolyAutomorphism",
-                cap: int = DEGREE_CAP) -> "PolyAutomorphism":
+    def compose(self, other: "PolyAutomorphism") -> "PolyAutomorphism":
         """self after other: (self.compose(other))(z) = self(other(z))."""
         if other.dim != self.dim:
             raise ex.DimensionMismatch("composition dimension mismatch")
-        comps = [c.compose(other.components, cap=cap) for c in self.components]
+        comps = [c.compose(other.components) for c in self.components]
         return PolyAutomorphism(comps)
 
     def inverse_linear(self) -> "PolyAutomorphism":
@@ -296,6 +300,7 @@ class ScalingFamily:
             self._shifts.append(rows)
 
     def at(self, t) -> PolyAutomorphism:
+        """T_t^{-1} . g . T_t; ValueError where a coefficient is not finite."""
         t = complex(t)
         tables = []
         for rows in self._shifts:
@@ -305,11 +310,20 @@ class ScalingFamily:
                     if shift < 0:
                         raise ValueError(
                             "family has a pole at t = 0 (shift %d)" % shift)
-                    if shift > 0:
-                        continue
-                    table[mono] = c
-                else:
-                    table[mono] = c * t ** shift
+                    if shift == 0:
+                        table[mono] = c
+                    continue
+                try:
+                    value = c * t ** shift
+                except (OverflowError, ZeroDivisionError):
+                    # Python's complex power signals overflow, or a power of
+                    # an underflowed zero, by raising; sometimes it gives nan.
+                    value = complex("nan")
+                if not np.isfinite(value):
+                    raise ValueError(
+                        "family coefficient c t^%d is not finite at t = %r"
+                        % (shift, t))
+                table[mono] = value
             tables.append(table)
         return PolyAutomorphism.from_tables(tables)
 
@@ -338,15 +352,15 @@ def spectral_radius(matrix) -> float:
 
 
 def contraction_test(g: PolyAutomorphism, radius: float = 1.0,
-                     eps: float = 1e-6, max_iter: int = 1000,
-                     seed: int = CONTRACTION_SEED) -> ContractionResult:
+                     eps: float = 1e-6) -> ContractionResult:
     """Certify that iterates of g send the radius-sphere inside eps.
 
     The necessary spectral condition rho(linear part) < 1 is checked first;
-    only then is the seeded point set (2 n^2 + 64 sphere points) iterated
-    until every orbit norm drops below eps.  Any orbit passing 1e6 raises
-    IterationDiverged rather than reporting a silent failure.  A radius or
-    eps that is not finite and positive raises ValueError.
+    only then is the point set (2 n^2 + 64 sphere points of CONTRACTION_SEED)
+    iterated, at most CONTRACTION_MAX_ITER times, until every orbit norm
+    drops below eps.  Any orbit passing 1e6 raises IterationDiverged rather
+    than reporting a silent failure.  A radius or eps that is not finite and
+    positive raises ValueError.
     """
     for name, value in (("radius", radius), ("eps", eps)):
         if not (np.isfinite(value) and value > 0):
@@ -358,9 +372,8 @@ def contraction_test(g: PolyAutomorphism, radius: float = 1.0,
     if rho >= 1.0:
         return ContractionResult(False, None, rho, count, radius, eps,
                                  reason="spectral radius %.17g >= 1" % rho)
-    pts = sphere_points(n, count, radius, seed)
-    current = pts
-    for k in range(max_iter + 1):
+    current = sphere_points(n, count, radius, CONTRACTION_SEED)
+    for k in range(CONTRACTION_MAX_ITER + 1):
         norms = np.linalg.norm(current, axis=1)
         if float(norms.max()) < eps:
             return ContractionResult(True, k, rho, count, radius, eps)
@@ -370,7 +383,7 @@ def contraction_test(g: PolyAutomorphism, radius: float = 1.0,
         current = g.eval_many(current)
     return ContractionResult(False, None, rho, count, radius, eps,
                              reason="norms still >= eps after %d iterations"
-                             % max_iter)
+                             % CONTRACTION_MAX_ITER)
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +412,10 @@ class JordanDecomposition:
         return j
 
 
-def _nullspace(matrix, tol, ambiguity=10.0):
+def _nullspace(matrix, tol):
     """Orthonormal nullspace basis by SVD, with a gray-zone ambiguity guard."""
     u, s, vh = np.linalg.svd(matrix)
-    gray = (s > tol / ambiguity) & (s < tol * ambiguity)
+    gray = (s > tol / RANK_GRAY_ZONE) & (s < tol * RANK_GRAY_ZONE)
     if np.any(gray):
         raise IllConditioned(
             "singular value %.3g sits in the rank-decision gray zone around %.3g"
@@ -428,6 +441,11 @@ def jordan_form(matrix, cluster_tol: float = 1e-8,
         raise ValueError("matrix must be square")
     if n > 16:
         raise ValueError("jordan_form handles n <= 16, got %d" % n)
+    bad = np.argwhere(~np.isfinite(a))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError("matrix entry (%d, %d) = %r is not finite"
+                         % (i, j, complex(a[i, j])))
     scale = float(np.linalg.norm(a, 2))
     if scale == 0:
         return JordanDecomposition(tuple((0j, 1) for _ in range(n)),
@@ -528,7 +546,7 @@ class GroupSpec:
     """Finite unitary part plus an infinite-cyclic polynomial generator.
 
     Construction validates unitarity of the finite part and its closure under
-    products and inverses (within relation_tolerance).  Whether the cyclic
+    products and inverses (within RELATION_TOL).  Whether the cyclic
     generator (or, for expanding presentations, its inverse) is an actual
     contraction is certified separately by :func:`contraction_test`, so that
     deliberately broken groups can still be assembled and reported on.
@@ -536,7 +554,6 @@ class GroupSpec:
 
     finite_part: tuple
     cyclic_generator: PolyAutomorphism
-    relation_tolerance: float = 1e-8
 
     def __post_init__(self):
         mats = tuple(np.asarray(u, dtype=complex) for u in self.finite_part)
@@ -556,8 +573,7 @@ class GroupSpec:
             raise ValueError("finite part must contain the identity")
 
         def member(v):
-            return any(np.linalg.norm(v - u) < self.relation_tolerance
-                       for u in mats)
+            return any(np.linalg.norm(v - u) < RELATION_TOL for u in mats)
 
         for i, u in enumerate(mats):
             if not member(u.conj().T):
@@ -589,8 +605,11 @@ class FixedPointReport:
     distances: tuple  # (element index, min |eigenvalue - 1|)
 
 
-def fixed_point_free_check(group: GroupSpec, tol: float = 1e-8) -> FixedPointReport:
-    """No non-identity finite element may have an eigenvalue at 1."""
+def fixed_point_free_check(group: GroupSpec) -> FixedPointReport:
+    """No non-identity finite element may have an eigenvalue at 1.
+
+    Free means every such eigenvalue is farther than FIXED_POINT_TOL from 1.
+    """
     distances = []
     worst = float("inf")
     for k, u in group.non_identity_elements():
@@ -599,7 +618,7 @@ def fixed_point_free_check(group: GroupSpec, tol: float = 1e-8) -> FixedPointRep
         worst = min(worst, dist)
     if not distances:
         return FixedPointReport(True, float("inf"), ())
-    return FixedPointReport(worst > tol, worst, tuple(distances))
+    return FixedPointReport(worst > FIXED_POINT_TOL, worst, tuple(distances))
 
 
 # ---------------------------------------------------------------------------

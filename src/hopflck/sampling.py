@@ -15,15 +15,13 @@ ANNULUS_INNER = 0.5
 ANNULUS_OUTER = 2.0
 
 
-def annulus_points(dim: int, count: int, seed: int,
-                   inner: float = ANNULUS_INNER,
-                   outer: float = ANNULUS_OUTER) -> np.ndarray:
-    """(count, dim) complex array with inner <= |z| <= outer."""
+def annulus_points(dim: int, count: int, seed: int) -> np.ndarray:
+    """(count, dim) complex array with ANNULUS_INNER <= |z| <= ANNULUS_OUTER."""
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
     norms = np.linalg.norm(raw, axis=1)
     norms[norms == 0] = 1.0
-    radii = rng.uniform(inner, outer, size=count)
+    radii = rng.uniform(ANNULUS_INNER, ANNULUS_OUTER, size=count)
     return raw * (radii / norms)[:, None]
 
 
@@ -34,15 +32,3 @@ def sphere_points(dim: int, count: int, radius: float, seed: int) -> np.ndarray:
     norms = np.linalg.norm(raw, axis=1)
     norms[norms == 0] = 1.0
     return raw * (radius / norms)[:, None]
-
-
-def cylinder_samples(dim: int, count: int, seed: int,
-                     t_low: float = -1.0, t_high: float = 1.0):
-    """Pairs (t, z) with t uniform in [t_low, t_high] and z on the unit sphere."""
-    rng = np.random.default_rng(seed)
-    ts = rng.uniform(t_low, t_high, size=count)
-    raw = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
-    norms = np.linalg.norm(raw, axis=1)
-    norms[norms == 0] = 1.0
-    zs = raw / norms[:, None]
-    return [(float(t), zs[k]) for k, t in enumerate(ts)]

@@ -26,7 +26,8 @@ import numpy as np
 from . import expr as ex
 from . import forms as fm
 from .hopf import HopfSurfaceCatalogEntry
-from .maps import PolyAutomorphism, contraction_test, fixed_point_free_check
+from .maps import (FIXED_POINT_TOL, PolyAutomorphism, contraction_test,
+                   fixed_point_free_check)
 from .sampling import annulus_points
 
 __all__ = [
@@ -41,7 +42,6 @@ __all__ = [
 RATIONAL_TOL = 1e-10
 IMPLICIT_TOL = 1e-8
 LEE_RCOND = 1e-10
-FIXED_POINT_TOL = 1e-8
 WORST_POINTS = 3
 
 
@@ -136,8 +136,8 @@ def _auto_tolerance(*objects) -> float:
     return IMPLICIT_TOL if implicit else RATIONAL_TOL
 
 
-def _worst_points(pts, residuals, top: int = WORST_POINTS):
-    order = np.argsort(residuals)[::-1][:top]
+def _worst_points(pts, residuals):
+    order = np.argsort(residuals)[::-1][:WORST_POINTS]
     return [{"point": [complex(c) for c in pts[k]],
              "residual": float(residuals[k])} for k in order]
 
@@ -261,8 +261,8 @@ def solve_lee_pointwise(Omega: fm.ExteriorForm, point) -> LeeSolveResult:
 
 
 def verify_lck(Omega: fm.ExteriorForm, theta: fm.ExteriorForm, points,
-               tolerance: float | None = None, seed: int = 0,
-               check_name: str = "lck") -> VerificationReport:
+               tolerance: float | None = None,
+               seed: int = 0) -> VerificationReport:
     """Check d Omega = theta ^ Omega and d theta = 0 over the samples.
 
     Pass requires both residuals under the tolerance.  The report also
@@ -282,7 +282,7 @@ def verify_lck(Omega: fm.ExteriorForm, theta: fm.ExteriorForm, points,
                                               pts),
     }
     worst = max(details["lck_residual"], details["lee_closedness_residual"])
-    return _report(check_name, worst, tol, int(pts.shape[0]), seed, details)
+    return _report("lck", worst, tol, int(pts.shape[0]), seed, details)
 
 
 def _generator_list(group):
@@ -294,8 +294,8 @@ def _generator_list(group):
 
 
 def verify_potential(Phi: ex.Expression, group, points,
-                     tolerance: float | None = None, seed: int = 0,
-                     check_name: str = "potential_homothety") -> VerificationReport:
+                     tolerance: float | None = None,
+                     seed: int = 0) -> VerificationReport:
     """Check that the group acts on the potential by pointwise-constant ratios.
 
     The coordinate axis points are always appended to the samples, so the
@@ -335,17 +335,18 @@ def verify_potential(Phi: ex.Expression, group, points,
         if rho <= 0:
             worst = max(worst, 1.0)
             details["nonpositive_ratio"] = True
-    return _report(check_name, worst, tol, int(pts.shape[0]), seed, details)
+    return _report("potential_homothety", worst, tol, int(pts.shape[0]), seed,
+                   details)
 
 
 def verify_invariance(a: fm.ExteriorForm, g: PolyAutomorphism, points,
-                      tolerance: float | None = None, seed: int = 0,
-                      check_name: str = "invariance") -> VerificationReport:
+                      tolerance: float | None = None,
+                      seed: int = 0) -> VerificationReport:
     """Max residual of pullback(g, a) - a over the samples."""
     tol = _auto_tolerance(a) if tolerance is None else float(tolerance)
     pts = np.asarray(points, dtype=complex)
     res = _invariance_residual(a, g, pts)
-    return _report(check_name, res.max(initial=0.0), tol, int(pts.shape[0]),
+    return _report("invariance", res.max(initial=0.0), tol, int(pts.shape[0]),
                    seed, {"worst_points": _worst_points(pts, res)})
 
 
@@ -356,14 +357,11 @@ def verify_invariance(a: fm.ExteriorForm, g: PolyAutomorphism, points,
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Sampling and contraction parameters for run_suite."""
+    """Sampling parameters and tolerance override for run_suite."""
 
     points: int = 1000
     seed: int = 42
     tol: float | None = None
-    contraction_radius: float = 1.0
-    contraction_eps: float = 1e-6
-    contraction_max_iter: int = 1000
 
     def __post_init__(self):
         if self.points < 1:
@@ -431,7 +429,7 @@ def run_suite(entry: HopfSurfaceCatalogEntry,
         reports.append(_report("invariance_%s" % key, worst, tol, npts, seed,
                                {"generators": generators}))
 
-    fpf = fixed_point_free_check(entry.group, tol=FIXED_POINT_TOL)
+    fpf = fixed_point_free_check(entry.group)
     margin = FIXED_POINT_TOL - fpf.min_distance if fpf.distances else -1.0
     reports.append(_report(
         "fixed_point_free", margin, 0.0, len(entry.group.finite_part), seed,
@@ -442,9 +440,7 @@ def run_suite(entry: HopfSurfaceCatalogEntry,
 
     own = None
     for which, g in _orientations(entry.group.cyclic_generator):
-        res = contraction_test(g, radius=config.contraction_radius,
-                               eps=config.contraction_eps,
-                               max_iter=config.contraction_max_iter)
+        res = contraction_test(g)
         own = own or res  # the generator's own result
         if res.is_contraction:
             break

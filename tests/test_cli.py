@@ -72,7 +72,63 @@ def matrix_file(tmp_path, matrix, name="mat.json"):
                       {"matrix": mp.matrix_to_json(np.asarray(matrix))})
 
 
+# Per entry at --points 200: the checks in order as (check_name, status,
+# tolerance, num_points), then the contraction report's radius, eps,
+# iterations_needed, certified_map and reason.  Residual digits are left
+# out, since they follow the machine's libm and BLAS; every tolerance, budget
+# and seed below shows up in one of these fields.
+_CHECKS = ("lck_residual", "lee_closedness", "definiteness")
+VERIFY_PINS = {
+    "example1": (
+        [*zip(_CHECKS, ("pass",) * 3, (1e-10, 1e-10, 0.0), (200,) * 3),
+         ("invariance_theta", "pass", 1e-10, 200),
+         ("invariance_psi", "pass", 1e-10, 200),
+         ("fixed_point_free", "pass", 0.0, 1), ("contraction", "pass", 0.0, 72)],
+        (1.0, 1e-6, 20, "generator_inverse", "")),
+    "example2": (
+        [*zip(_CHECKS, ("pass",) * 3, (1e-10, 1e-10, 0.0), (200,) * 3),
+         ("potential_homothety", "pass", 1e-10, 202),
+         ("invariance_theta", "pass", 1e-10, 200),
+         ("fixed_point_free", "pass", 0.0, 1), ("contraction", "pass", 0.0, 72)],
+        (1.0, 1e-6, 20, "generator_inverse", "")),
+    "kodaira": (
+        [("fixed_point_free", "pass", 0.0, 1), ("contraction", "pass", 0.0, 72)],
+        (1.0, 1e-6, 26, "generator", "")),
+    "vaisman": (
+        [*zip(_CHECKS, ("pass",) * 3, (1e-8, 1e-8, 0.0), (200,) * 3),
+         ("invariance_theta", "pass", 1e-8, 200),
+         ("invariance_psi", "pass", 1e-8, 200),
+         ("fixed_point_free", "pass", 0.0, 1), ("contraction", "pass", 0.0, 72)],
+        (1.0, 1e-6, 14, "generator", "")),
+}
+
+
 class TestVerifyCommand:
+    @pytest.mark.parametrize("entry", sorted(VERIFY_PINS))
+    def test_platform_independent_fields_pinned(self, capsys, entry):
+        code, out, err = run(capsys, ["verify", "--entry", entry,
+                                      "--points", "200"])
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        checks, contraction = VERIFY_PINS[entry]
+        assert payload["status"] == "pass"
+        assert [(r["check_name"], r["status"], r["tolerance"], r["num_points"])
+                for r in payload["reports"]] == checks
+        assert {r["seed"] for r in payload["reports"]} == {42}
+        details = payload["reports"][-1]["details"]
+        assert tuple(details[k] for k in (
+            "radius", "eps", "iterations_needed", "certified_map",
+            "reason")) == contraction
+
+    def test_orbit_budget_pinned(self, capsys):
+        code, out, _ = run(capsys, ["verify", "--entry", "kodaira", "--points",
+                                    "200", "--alpha-re", "0.99", "--t", "100"])
+        assert code == 1
+        details = json.loads(out)["reports"][-1]["details"]
+        assert (details["certified_map"], details["iterations_needed"],
+                details["reason"]) == (
+            None, None, "norms still >= eps after 1000 iterations")
+
     def test_passing_entry(self, capsys):
         code, out, _ = run(capsys, ["verify", "--entry", "example1",
                                     "--points", "50", "--seed", "7"])
@@ -344,6 +400,16 @@ class TestDeformCommand:
         assert (code, out) == (2, "")
         assert err == "error: deform needs a finite --t, got %r\n" % complex(t)
 
+    def test_overflowing_coefficient_rejected(self, capsys, tmp_path):
+        g = mp.PolyAutomorphism.from_tables(
+            [{(1, 0): 1.0, (0, 3): 1.0}, {(0, 1): 1.0}])
+        path = write_json(tmp_path / "cubic.json", mp.map_to_json(g))
+        code, out, err = run(capsys, ["deform", "--file", path,
+                                      "--family", "linearize", "--t", "1e200"])
+        assert (code, out) == (2, "")
+        assert err == ("error: family coefficient c t^2 is not finite at "
+                       "t = (1e+200+0j)\n")
+
     @pytest.mark.parametrize("family", ["linearize", "diagonalize"])
     def test_singular_jordan_matrix_rejected(self, capsys, tmp_path, family):
         path = matrix_file(tmp_path, [[0.0, 1.0], [0.0, 0.0]])
@@ -381,6 +447,12 @@ class TestJordanCommand:
         code, _, err = run(capsys, ["jordan", "--file",
                                     quadratic_map_file(tmp_path)])
         assert code == 2 and "matrix" in err
+
+    def test_non_finite_entry_rejected(self, capsys, tmp_path):
+        path = matrix_file(tmp_path, [[np.nan, 1.0], [0.0, 0.5]])
+        code, out, err = run(capsys, ["jordan", "--file", path])
+        assert (code, out) == (2, "")
+        assert err == "error: matrix entry (0, 0) = (nan+0j) is not finite\n"
 
 
 class TestContractionCommand:

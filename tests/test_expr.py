@@ -1,6 +1,7 @@
 """Symbolic engine: interning, Wirtinger calculus, implicit radial time."""
 
 import gc
+import json
 import math
 
 import numpy as np
@@ -325,6 +326,18 @@ class TestImplicitTime:
         with pytest.raises(ex.NewtonDivergence):
             ex.evaluate(ex.implicit_t((1.0, 1.0)), (0.0, 0.0))
 
+    def test_newton_settings_follow_the_constants(self, monkeypatch):
+        # _apply_implicit reads the constants at call time.
+        t = ex.implicit_t((1.0, 2.0))
+        assert ex.evaluate(t, (3.0, 0.5)).real < 0
+        monkeypatch.setattr(ex, "NEWTON_MAX_ITER", 1)
+        with pytest.raises(ex.NewtonDivergence, match="in 1 iterations"):
+            ex.evaluate(t, (3.0, 0.5))
+        monkeypatch.setattr(ex, "NEWTON_MAX_ITER", 50)
+        monkeypatch.setattr(ex, "NEWTON_TOL", 0.0)
+        with pytest.raises(ex.NewtonDivergence, match="reach 0 in 50"):
+            ex.evaluate(t, (3.0, 0.5))
+
     def test_weight_validation(self):
         with pytest.raises(ValueError):
             ex.implicit_t((1.0,))
@@ -343,8 +356,10 @@ class TestJson:
         lambda: ex.implicit_t((2.0, 3.0),
                               z_args=(ex.mul(ex.const(2.0), ex.z(1)),
                                       ex.z(2))),
-        lambda: ex.implicit_t((1, 1.5), newton_tol=1e-6),
-        lambda: ex.implicit_t((1.0, 1.5), newton_max_iter=7),
+        lambda: ex.formal_conjugate(
+            ex.implicit_t((2.0, 3.0), z_args=(ex.mul(ex.const(2.0), ex.z(1)),
+                                              ex.z(2)))),
+        lambda: ex.implicit_t((1.0, 1.5, 2.5)),
     ])
     def test_round_trip_is_identity(self, builder):
         e = builder()
@@ -414,6 +429,32 @@ class TestJson:
     ])
     def test_rejects_malformed(self, obj):
         with pytest.raises(ValueError):
+            ex.from_json(obj)
+
+    # An implicit_t entry may carry newton_tol and newton_max_iter; the table
+    # loads only when they equal the module constants.
+    WITH_SETTINGS = {"nodes": [{"op": "z", "index": 1},
+                               {"op": "z", "index": 2},
+                               {"op": "zbar", "index": 1},
+                               {"op": "zbar", "index": 2},
+                               {"op": "implicit_t", "weights": [1.0, 1.5],
+                                "newton_tol": 1e-12, "newton_max_iter": 50,
+                                "args": [0, 1, 2, 3]}], "root": 4}
+
+    def test_table_with_constant_newton_settings_loads(self):
+        assert ex.from_json(self.WITH_SETTINGS) is ex.implicit_t((1.0, 1.5))
+        table = ex.to_json(ex.implicit_t((1.0, 1.5)))
+        assert table["nodes"][-1] == {"op": "implicit_t",
+                                      "weights": [1.0, 1.5],
+                                      "args": [0, 1, 2, 3]}
+
+    @pytest.mark.parametrize("field, value", [
+        ("newton_tol", 1e-6), ("newton_tol", "1e-12"),
+        ("newton_max_iter", 7), ("newton_max_iter", 50.5)])
+    def test_other_newton_settings_refused_by_name(self, field, value):
+        obj = json.loads(json.dumps(self.WITH_SETTINGS))
+        obj["nodes"][-1][field] = value
+        with pytest.raises(ValueError, match="node 4: %s must be" % field):
             ex.from_json(obj)
 
     def test_integral_floats_accepted(self):

@@ -226,12 +226,13 @@ class TestEvaluation:
     @pytest.mark.parametrize("coeff, bad, error", [
         (ex.div(ex.const(1.0), ex.z(1)), (0.0, 0.8), ex.DivisionNearZero),
         (ex.log(ex.z(1)), (-2.0, 0.8), ex.LogBranchError),
-        (ex.implicit_t((1.0, 2.0), newton_max_iter=1), (3.0, 0.5),
-         ex.NewtonDivergence),
+        (ex.implicit_t((1.0, 2.0)), (3.0, 0.5), ex.NewtonDivergence),
     ])
     def test_error_past_first_chunk_names_term_and_point(self, coeff, bad,
-                                                         error):
-        # (0.6, 0.8) is on the unit sphere, where t = 0 solves at once.
+                                                         error, monkeypatch):
+        # (0.6, 0.8) is on the unit sphere, where t = 0 solves at once; with
+        # one Newton step allowed, (3.0, 0.5) diverges.
+        monkeypatch.setattr(ex, "NEWTON_MAX_ITER", 1)
         pts = np.tile(np.array([0.6, 0.8], dtype=complex), (ex._CHUNK + 40, 1))
         k = ex._CHUNK + 17
         pts[k] = bad

@@ -62,10 +62,11 @@ class TestPolynomial:
             assert abs(poly_eval_naive(prod.coeffs, pt) - expected) < 1e-12
 
     def test_mul_degree_cap(self):
-        p = mp.Polynomial(1, {(9,): 1.0})
-        with pytest.raises(mp.DegreeOverflow):
-            p.mul(p, cap=16)
-        assert p.mul(p, cap=18).coeffs == {(18,): 1.0}
+        p = mp.Polynomial(1, {(8,): 1.0})
+        assert mp.DEGREE_CAP == 16
+        assert p.mul(p).coeffs == {(16,): 1.0}
+        with pytest.raises(mp.DegreeOverflow, match="degree 17 exceeds cap 16"):
+            p.mul(mp.Polynomial(1, {(9,): 1.0}))
 
     def test_compose_matches_pointwise_substitution(self):
         p = mp.Polynomial(2, {(2, 0): 1.0, (1, 1): -1j, (0, 0): 0.5})
@@ -263,6 +264,23 @@ class TestScalingFamily:
         with pytest.raises(ex.DimensionMismatch):
             mp.ScalingFamily(self.quadratic(), (1, 1, 1))
 
+    # The quadratic term's shift is 2 w_2 - w_1.  Python's complex power
+    # raises OverflowError for 1e200 ** 3, raises ZeroDivisionError for
+    # 1e-200 ** -2 and returns nan for 1e200 ** -2.
+    @pytest.mark.parametrize("weights, t, shift", [
+        ((1, 2), 1e200, 3), ((4, 1), 1e-200, -2), ((4, 1), 1e200, -2)])
+    def test_non_finite_coefficient_names_t_and_shift(self, weights, t, shift):
+        fam = mp.ScalingFamily(self.quadratic(), weights)
+        with pytest.raises(ValueError) as info:
+            fam.at(t)
+        assert str(info.value) == (
+            "family coefficient c t^%d is not finite at t = %r"
+            % (shift, complex(t)))
+
+    def test_underflowing_coefficient_drops_out(self):
+        fam = mp.ScalingFamily(self.quadratic(), (1, 2))
+        assert fam.at(1e-200) == fam.limit0()
+
 
 class TestContraction:
     def test_uniform_half_contraction_iteration_count(self):
@@ -370,6 +388,16 @@ class TestJordanForm:
         dec = mp.jordan_form(a, cluster_tol=1e-6)
         assert block_key(dec.blocks, digits=6) == [((-0.5, 0.0), 2), ((0.0, 1.0), 2)]
         assert dec.reconstruction_residual < 1e-8
+
+    @pytest.mark.parametrize("i, j, value", [(0, 0, np.nan), (1, 0, np.inf),
+                                             (1, 1, complex(0.5, -np.inf))])
+    def test_non_finite_entry_named(self, i, j, value):
+        a = np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex)
+        a[i, j] = value
+        with pytest.raises(ValueError) as info:
+            mp.jordan_form(a)
+        assert str(info.value) == ("matrix entry (%d, %d) = %r is not finite"
+                                   % (i, j, complex(value)))
 
     def test_zero_matrix(self):
         dec = mp.jordan_form(np.zeros((3, 3)))

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from hopflck.sampling import annulus_points, cylinder_samples, sphere_points
+from hopflck.sampling import annulus_points, sphere_points
 
 
 class TestAnnulusPoints:
@@ -14,11 +14,6 @@ class TestAnnulusPoints:
         pts = annulus_points(2, 500, seed=2)
         norms = np.linalg.norm(pts, axis=1)
         assert norms.min() >= 0.5 and norms.max() <= 2.0
-
-    def test_custom_bounds(self):
-        pts = annulus_points(2, 200, seed=3, inner=1.0, outer=1.5)
-        norms = np.linalg.norm(pts, axis=1)
-        assert norms.min() >= 1.0 and norms.max() <= 1.5
 
     def test_deterministic_per_seed(self):
         a = annulus_points(2, 50, seed=4)
@@ -37,16 +32,3 @@ class TestSpherePoints:
     def test_deterministic_per_seed(self):
         assert np.array_equal(sphere_points(3, 40, 1.0, seed=7),
                               sphere_points(3, 40, 1.0, seed=7))
-
-
-class TestCylinderSamples:
-    def test_structure(self):
-        samples = cylinder_samples(2, 60, seed=8)
-        assert len(samples) == 60
-        for t, z in samples:
-            assert -1.0 <= t <= 1.0
-            assert abs(np.linalg.norm(z) - 1.0) < 1e-12
-
-    def test_custom_interval(self):
-        samples = cylinder_samples(2, 30, seed=9, t_low=2.0, t_high=3.0)
-        assert all(2.0 <= t <= 3.0 for t, _ in samples)
