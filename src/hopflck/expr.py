@@ -24,7 +24,10 @@ The tape runs over the points in fixed-size chunks; every operation runs once
 per chunk, so repeated subterms (denominators, implicit solves) are computed
 once, and each intermediate array is freed as soon as its last consumer has
 run.  Intermediate memory therefore grows with the chunk size, not with the
-point count.
+point count.  The tape hands each chunk's root values to a consumer, which
+keeps them or folds them (say, to a per-point maximum), so a caller runs
+everything it needs at one point array through one tape and one pass: one
+Newton solve per implicit time for a whole verification suite.
 
 The one non-algebraic node is :class:`ImplicitT`, the real-valued function
 t(w) solving  sum_i |w_i|^2 exp(2 r_i t) = 1  for positive weights r_i.  It
@@ -704,21 +707,45 @@ class _RootFailure(Exception):
         self.cause = cause
 
 
+def _points(points):
+    """``points`` as a complex (m, n) array."""
+    pts = np.asarray(points, dtype=complex)
+    if pts.ndim != 2:
+        raise DimensionMismatch("points must be an (m, n) array")
+    return pts
+
+
+def _check_dimension(roots, pts):
+    used = max((r.max_index for r in roots), default=0)
+    if used > pts.shape[1]:
+        raise DimensionMismatch(
+            "expression uses z_%d but points have dimension %d"
+            % (used, pts.shape[1]))
+
+
 def _evaluate_roots(roots, points):
     """Values of several expressions at the same points, through one tape.
 
     Raises :class:`_RootFailure` naming the first root, in the given order,
     that fails at any point.
     """
-    pts = np.asarray(points, dtype=complex)
-    if pts.ndim != 2:
-        raise DimensionMismatch("points must be an (m, n) array")
-    used = max((r.max_index for r in roots), default=0)
-    if used > pts.shape[1]:
-        raise DimensionMismatch(
-            "expression uses z_%d but points have dimension %d"
-            % (used, pts.shape[1]))
-    return _Tape(roots).run(pts)
+    pts = _points(points)
+    _check_dimension(roots, pts)
+    m, outs = pts.shape[0], [None] * len(roots)
+
+    def collect(lo, k, value):
+        # A single chunk's values are the outputs; a constant stays a scalar.
+        if m <= _CHUNK or np.ndim(value) == 0:
+            outs[k] = value
+            return
+        if outs[k] is None:
+            outs[k] = np.empty(m, value.dtype)
+        outs[k][lo:lo + _CHUNK] = value
+
+    failure = _Tape(roots).run(pts, collect)
+    if failure is not None:
+        raise failure
+    return outs
 
 
 class _Tape:
@@ -728,8 +755,7 @@ class _Tape:
     Operations are grouped by the first root that reaches them, in root
     order, so ``ops[:first_op[k]]`` computes exactly roots 0..k-1 and an
     error maps back to its root.  A non-root slot is dropped right after its
-    last consumer runs; root slots are copied into the outputs at the end of
-    each chunk.
+    last consumer runs; root slots are handed on at the end of each chunk.
     """
 
     def __init__(self, roots):
@@ -750,10 +776,18 @@ class _Tape:
         for s in self.roots:
             self.last[s] = -1
 
-    def run(self, pts):
+    def run(self, pts, consume):
+        """Run the operations over ``pts`` chunk by chunk.
+
+        At the end of each chunk, which starts at point ``lo``,
+        ``consume(lo, k, values)`` gets root k's values for every root k.
+        Returns the :class:`_RootFailure` of the first root, in order, that
+        fails at any point, or None.  From the chunk where a root fails on,
+        only the roots before it are computed and handed on, since only they
+        can still fail first.
+        """
         m = pts.shape[0]
-        outs = [None] * len(self.roots)
-        ops, last, failure = self.ops, self.last, None
+        ops, last, roots, failure = self.ops, self.last, self.roots, None
         # At m = 0 one empty pass still gives every output its shape.
         for lo in range(0, max(m, 1), _CHUNK):
             chunk = pts[lo:lo + _CHUNK]
@@ -765,25 +799,12 @@ class _Tape:
                         if last[c] == i:
                             vals[c] = None
             except EvaluationError as err:
-                # The earlier roots passed this chunk; only they can still
-                # fail first, so later chunks run their operations alone.
                 failure = _RootFailure(self.owner[i], err)
                 ops = self.ops[:self.first_op[failure.root]]
-                continue
-            if failure is not None:
-                continue
-            if m <= _CHUNK:  # a single chunk's root values are the outputs
-                return [vals[s] for s in self.roots]
-            for k, s in enumerate(self.roots):
-                if np.ndim(vals[s]) == 0:  # a constant stays a scalar
-                    outs[k] = vals[s]
-                    continue
-                if outs[k] is None:
-                    outs[k] = np.empty(m, vals[s].dtype)
-                outs[k][lo:lo + _CHUNK] = vals[s]
-        if failure is not None:
-            raise failure
-        return outs
+                roots = self.roots[:failure.root]
+            for k, s in enumerate(roots):
+                consume(lo, k, vals[s])
+        return failure
 
 
 # ---------------------------------------------------------------------------

@@ -348,32 +348,80 @@ def evaluate_form_many(a: ExteriorForm, points):
     the whole form.  A failure names the first failing coefficient in sorted
     order.
     """
-    pts = np.asarray(points, dtype=complex)
-    m = pts.shape[0]
-    indices, coeffs = zip(*a.sorted_terms()) if a.terms else ((), ())
-    try:
-        values = ex._evaluate_roots(coeffs, pts)
-    except ex._RootFailure as fail:
-        raise FormEvaluationError(indices[fail.root], fail.cause) from fail.cause
-    out = {}
-    for index, vals in zip(indices, values):
-        vals = np.asarray(vals, dtype=complex)
-        out[index] = vals if vals.shape == (m,) else np.broadcast_to(vals, (m,))
-    return out
+    return _evaluate_forms([(a, True)], points)[0]
 
 
 def pointwise_residual(a: ExteriorForm, points) -> np.ndarray:
     """Per-point max |coefficient| of ``a`` (0 where it has no terms)."""
-    pts = np.asarray(points, dtype=complex)
-    out = np.zeros(pts.shape[0], dtype=float)
-    for vals in evaluate_form_many(a, pts).values():
-        out = np.maximum(out, np.abs(vals))
-    return out
+    return _evaluate_forms([(a, False)], points)[0]
 
 
 def max_form_residual(a: ExteriorForm, points) -> float:
     """max |coefficient| of ``a`` over the sample points (0.0 if no terms)."""
     return float(pointwise_residual(a, points).max(initial=0.0))
+
+
+class _Evaluation:
+    """The values of :func:`_evaluate_forms`, in request order.
+
+    Indexing at or past the first request that failed raises its error, so
+    a caller that takes the values in request order meets each error where
+    evaluating the forms one at a time would have raised it.
+    """
+
+    def __init__(self, values, failed_at, error):
+        self.values, self.failed_at, self.error = values, failed_at, error
+
+    def __getitem__(self, k):
+        if k >= self.failed_at:
+            raise self.error
+        return self.values[k]
+
+
+def _evaluate_forms(requests, points) -> _Evaluation:
+    """Several forms at one point array, through one tape and one pass.
+
+    ``requests`` is a sequence of (form, full) pairs.  A full form gets its
+    coefficients as from :func:`evaluate_form_many`; any other only its
+    :func:`pointwise_residual`, folded chunk by chunk so that none of its
+    coefficients is kept at every point.  Each form's sorted coefficients
+    are the tape's roots, in request order, so an error belongs to the
+    first form that fails and names the term :func:`evaluate_form_many`
+    would name.
+    """
+    pts = ex._points(points)
+    m = pts.shape[0]
+    roots, where, folds, values = [], [], [], []
+    failed_at, error = len(requests), None
+    for k, (form, full) in enumerate(requests):
+        try:
+            ex._check_dimension(form.terms.values(), pts)
+        except ex.DimensionMismatch as err:
+            failed_at, error = k, err
+            break
+        terms = form.sorted_terms()
+        values.append({} if full else np.zeros(m))
+        roots += [c for _, c in terms]
+        where += [(k, index) for index, _ in terms]
+        folds += [None if full else values[k]] * len(terms)
+
+    def consume(lo, j, value):
+        fold = folds[j]
+        if fold is None:
+            k, index = where[j]
+            if index not in values[k]:
+                values[k][index] = np.empty(m, dtype=complex)
+            values[k][index][lo:lo + ex._CHUNK] = value
+        else:
+            seg = fold[lo:lo + ex._CHUNK]
+            np.maximum(seg, np.abs(value), out=seg)
+
+    failure = ex._Tape(roots).run(pts, consume)
+    if failure is not None:
+        failed_at, index = where[failure.root]
+        error = FormEvaluationError(index, failure.cause)
+        error.__cause__ = failure.cause
+    return _Evaluation(values, failed_at, error)
 
 
 # ---------------------------------------------------------------------------
@@ -412,24 +460,45 @@ def definiteness(a: ExteriorForm, points) -> DefinitenessReport:
     sign +1.  The common sign is recorded, never assumed: degenerate and
     negative catalog forms are legitimate outputs.
     """
+    pts = np.asarray(points, dtype=complex)
+    _check_type11_shape(a, pts)
+    return _classify(a, pts, _evaluate_forms(_definiteness_requests(a), pts), 0)
+
+
+def _definiteness_requests(a: ExteriorForm):
+    """What :func:`definiteness` evaluates, as :func:`_evaluate_forms`
+    requests: the residuals of the (2,0) and (0,2) parts of ``a``, then its
+    (1,1) part in full."""
+    return [(bidegree_part(a, 2, 0), False), (bidegree_part(a, 0, 2), False),
+            (bidegree_part(a, 1, 1), True)]
+
+
+def _check_type11_shape(a: ExteriorForm, pts):
     if a.degree != 2:
         raise NotType11("definiteness needs a 2-form, got degree %d" % a.degree)
-    pts = np.asarray(points, dtype=complex)
-    m, n = pts.shape
+    _, n = pts.shape
     if n != a.ambient_dim:
         raise ex.DimensionMismatch("points dimension %d vs form on C^%d"
                                    % (n, a.ambient_dim))
-    for p, q in ((2, 0), (0, 2)):
-        stray = max_form_residual(bidegree_part(a, p, q), pts)
+
+
+def _classify(a: ExteriorForm, pts, evaluation, k) -> DefinitenessReport:
+    """:func:`definiteness` from the values of its requests, which start at
+    ``evaluation[k]``."""
+    _check_type11_shape(a, pts)
+    m, n = pts.shape
+    for j, (p, q) in enumerate(((2, 0), (0, 2))):
+        stray = float(evaluation[k + j].max(initial=0.0))
         if stray >= TYPE11_TOL:
             raise NotType11("(%d,%d) part has residual %.3g >= %.3g"
                             % (p, q, stray, TYPE11_TOL))
 
-    values = evaluate_form_many(bidegree_part(a, 1, 1), pts)
+    values = evaluation[k + 2]
     coeff = np.zeros((m, n, n), dtype=complex)
     for (i, j), vals in values.items():
         coeff[:, i, j - n] = vals
     hermitian = 1j * coeff
+    del coeff  # freed before the temporaries below, for peak memory
     defect = np.linalg.norm(hermitian - np.conj(np.transpose(hermitian, (0, 2, 1))),
                             axis=(1, 2))
     scale = np.maximum(np.linalg.norm(hermitian, axis=(1, 2)), 1e-30)

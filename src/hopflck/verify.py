@@ -36,12 +36,14 @@ __all__ = [
     "verify_lck", "verify_potential", "verify_invariance",
     "run_suite", "suite_passed", "reports_to_json", "jsonify",
     "DegenerateOmega", "NonPositivePotential",
-    "RATIONAL_TOL", "IMPLICIT_TOL", "LEE_RCOND",
+    "RATIONAL_TOL", "IMPLICIT_TOL", "LEE_RCOND", "POTENTIAL_IMAG_RTOL",
 ]
 
 RATIONAL_TOL = 1e-10
 IMPLICIT_TOL = 1e-8
 LEE_RCOND = 1e-10
+# A potential counts as real where |Im Phi| <= POTENTIAL_IMAG_RTOL |Re Phi|.
+POTENTIAL_IMAG_RTOL = 1e-12
 WORST_POINTS = 3
 
 
@@ -148,18 +150,22 @@ def _report(check_name, worst, tolerance, num_points, seed, details):
                               tolerance, num_points, seed, details)
 
 
-def _lck_residuals(Omega, theta, pts):
-    """Per-point residuals of d Omega - theta ^ Omega and of d theta."""
-    lck = fm.pointwise_residual(
-        fm.exterior_d(Omega) - fm.wedge(theta, Omega), pts)
-    closed = fm.pointwise_residual(fm.exterior_d(theta), pts)
-    return lck, closed
+# Each check's forms are requests for fm._evaluate_forms, so that run_suite
+# evaluates all of them at its points through one tape; a check then reduces
+# the values, which it takes in request order.
 
 
-def _definiteness_summary(form, pts) -> dict:
-    """Sign classification of a (1,1)-form, or the reason it has none."""
+def _lck_requests(Omega, theta):
+    """d Omega - theta ^ Omega and d theta, for their per-point residuals."""
+    return [(fm.exterior_d(Omega) - fm.wedge(theta, Omega), False),
+            (fm.exterior_d(theta), False)]
+
+
+def _definiteness_summary(form, pts, evaluation, k) -> dict:
+    """Sign classification of a (1,1)-form, or the reason it has none, from
+    its fm._definiteness_requests values at ``evaluation[k]`` on."""
     try:
-        rep = fm.definiteness(form, pts)
+        rep = fm._classify(form, pts, evaluation, k)
     except (fm.NotType11, fm.NonHermitian) as err:
         return {"error": str(err)}
     return {"is_definite": rep.is_definite,
@@ -168,9 +174,9 @@ def _definiteness_summary(form, pts) -> dict:
             "min_abs_eigenvalue": rep.min_abs_eigenvalue}
 
 
-def _invariance_residual(a, g, pts) -> np.ndarray:
-    """Per-point residual of pullback(g, a) - a."""
-    return fm.pointwise_residual(fm.pullback(g.as_expressions(), a) - a, pts)
+def _invariance_request(a, g):
+    """pullback(g, a) - a, for its per-point residual."""
+    return fm.pullback(g.as_expressions(), a) - a, False
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +197,9 @@ def _solve_lee_arrays(Omega: fm.ExteriorForm, points):
     nn = 2 * n
     pts = np.asarray(points, dtype=complex)
     m = pts.shape[0]
-    omega_vals = fm.evaluate_form_many(Omega, pts)
-    dom_vals = fm.evaluate_form_many(fm.exterior_d(Omega), pts)
+    both = fm._evaluate_forms([(Omega, True), (fm.exterior_d(Omega), True)],
+                              pts)
+    omega_vals, dom_vals = both[0], both[1]
 
     mats = np.zeros((m, nn, nn), dtype=complex)
     for (i, j), arr in omega_vals.items():
@@ -273,13 +280,15 @@ def verify_lck(Omega: fm.ExteriorForm, theta: fm.ExteriorForm, points,
         raise ex.DimensionMismatch("forms live in different dimensions")
     tol = _auto_tolerance(Omega, theta) if tolerance is None else float(tolerance)
     pts = np.asarray(points, dtype=complex)
-    lck_res, closed_res = _lck_residuals(Omega, theta, pts)
+    omega11 = fm.bidegree_part(Omega, 1, 1)
+    values = fm._evaluate_forms(
+        _lck_requests(Omega, theta) + fm._definiteness_requests(omega11), pts)
+    lck_res, closed_res = values[0], values[1]
     details = {
         "lck_residual": float(lck_res.max(initial=0.0)),
         "lee_closedness_residual": float(closed_res.max(initial=0.0)),
         "worst_points": _worst_points(pts, np.maximum(lck_res, closed_res)),
-        "definiteness": _definiteness_summary(fm.bidegree_part(Omega, 1, 1),
-                                              pts),
+        "definiteness": _definiteness_summary(omega11, pts, values, 2),
     }
     worst = max(details["lck_residual"], details["lee_closedness_residual"])
     return _report("lck", worst, tol, int(pts.shape[0]), seed, details)
@@ -310,15 +319,19 @@ def verify_potential(Phi: ex.Expression, group, points,
     pts = np.concatenate([np.eye(n, dtype=complex),
                           np.asarray(points, dtype=complex)])
     vals = ex.evaluate_many(Phi, pts)
-    if float(np.max(np.abs(vals.imag))) > 1e-12 or float(vals.real.min()) <= 0:
+    imag = np.abs(vals.imag)
+    if (np.any(~(imag <= POTENTIAL_IMAG_RTOL * np.abs(vals.real)))
+            or float(vals.real.min()) <= 0):
         raise NonPositivePotential(
             "potential must be real and positive on the samples "
             "(worst imaginary part %.3g, min real part %.3g)"
-            % (float(np.max(np.abs(vals.imag))), float(vals.real.min())))
+            % (float(np.max(imag)), float(vals.real.min())))
 
     omega_tilde = fm.kaehler_form(n, Phi)
-    closed = fm.max_form_residual(fm.exterior_d(omega_tilde), pts)
-    definiteness = _definiteness_summary(omega_tilde, pts)
+    values = fm._evaluate_forms([(fm.exterior_d(omega_tilde), False)]
+                                + fm._definiteness_requests(omega_tilde), pts)
+    closed = float(values[0].max(initial=0.0))
+    definiteness = _definiteness_summary(omega_tilde, pts, values, 1)
     definiteness.pop("is_semidefinite", None)
     details = {"closedness_residual": closed, "generators": [],
                "definiteness": definiteness}
@@ -345,7 +358,7 @@ def verify_invariance(a: fm.ExteriorForm, g: PolyAutomorphism, points,
     """Max residual of pullback(g, a) - a over the samples."""
     tol = _auto_tolerance(a) if tolerance is None else float(tolerance)
     pts = np.asarray(points, dtype=complex)
-    res = _invariance_residual(a, g, pts)
+    res = fm._evaluate_forms([_invariance_request(a, g)], pts)[0]
     return _report("invariance", res.max(initial=0.0), tol, int(pts.shape[0]),
                    seed, {"worst_points": _worst_points(pts, res)})
 
@@ -394,21 +407,36 @@ def run_suite(entry: HopfSurfaceCatalogEntry,
     if tol is None:
         tol = _auto_tolerance(*entry.forms.values(), entry.potential)
     npts, seed = config.points, config.seed
-    reports = []
     forms = entry.forms
+    generators = _generator_list(entry.group)
+    lck = "Omega" in forms and "theta" in forms
+    invariant = [key for key in ("theta", "psi") if key in forms]
 
-    if "Omega" in forms and "theta" in forms:
-        lck_res, closed_res = _lck_residuals(forms["Omega"], forms["theta"],
-                                             pts)
-        for name, res in (("lck_residual", lck_res),
-                          ("lee_closedness", closed_res)):
+    # Every form a check evaluates at pts, in check order, in one call.
+    requests = []
+    if lck:
+        requests += _lck_requests(forms["Omega"], forms["theta"])
+    if "Omega" in forms:
+        omega11 = fm.bidegree_part(forms["Omega"], 1, 1)
+        requests += fm._definiteness_requests(omega11)
+    for key in invariant:
+        requests += [_invariance_request(forms[key], gen)
+                     for _, gen in generators]
+    values = fm._evaluate_forms(requests, pts)
+    k = 0  # where the next check's values start
+    reports = []
+
+    if lck:
+        for name in ("lck_residual", "lee_closedness"):
+            res = values[k]
+            k += 1
             reports.append(_report(name, res.max(initial=0.0), tol, npts,
                                    seed,
                                    {"worst_points": _worst_points(pts, res)}))
 
     if "Omega" in forms:
-        details = _definiteness_summary(
-            fm.bidegree_part(forms["Omega"], 1, 1), pts)
+        details = _definiteness_summary(omega11, pts, values, k)
+        k += 3
         ok = details.get("is_definite") and details["sign"] is not None
         margin = -details["min_abs_eigenvalue"] if ok else 1.0
         reports.append(_report("definiteness", margin, 0.0, npts, seed,
@@ -418,16 +446,15 @@ def run_suite(entry: HopfSurfaceCatalogEntry,
         reports.append(verify_potential(entry.potential, entry.group, pts,
                                         tolerance=tol, seed=seed))
 
-    for key in ("theta", "psi"):
-        if key not in forms:
-            continue
-        generators = [
-            {"generator": name, "residual": float(
-                _invariance_residual(forms[key], gen, pts).max(initial=0.0))}
-            for name, gen in _generator_list(entry.group)]
-        worst = max([0.0] + [g["residual"] for g in generators])
+    for key in invariant:
+        residuals = []
+        for name, _ in generators:
+            residuals.append({"generator": name,
+                              "residual": float(values[k].max(initial=0.0))})
+            k += 1
+        worst = max([0.0] + [g["residual"] for g in residuals])
         reports.append(_report("invariance_%s" % key, worst, tol, npts, seed,
-                               {"generators": generators}))
+                               {"generators": residuals}))
 
     fpf = fixed_point_free_check(entry.group)
     margin = FIXED_POINT_TOL - fpf.min_distance if fpf.distances else -1.0

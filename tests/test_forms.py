@@ -295,6 +295,40 @@ class TestEvaluation:
         assert np.isnan(fm.max_form_residual(a, PTS))
         assert np.isnan(fm.pointwise_residual(a, PTS)).all()
 
+    def test_joint_evaluation_raises_each_error_at_its_form(self):
+        pts = annulus_points(2, 10, seed=24)
+        ok = fm.form_from_terms(2, 1, {(0,): ex.z(1)})
+        bad = fm.form_from_terms(2, 1, {(1,): ex.div(
+            ex.const(1.0), ex.mul(ex.const(1e-20), ex.z(1)))})
+        wide = fm.form_from_terms(2, 1, {(1,): ex.z(2)})
+        values = fm._evaluate_forms([(ok, True), (bad, False), (ok, False)],
+                                    pts)
+        assert np.array_equal(values[0][(0,)], pts[:, 0])
+        for k in (1, 2):
+            with pytest.raises(fm.FormEvaluationError, match=r"term \(1,\)"):
+                values[k]
+        # The dimension error of the second form comes before the third
+        # form's evaluation error, which is never reached.
+        narrow = fm._evaluate_forms([(ok, False), (wide, False), (bad, False)],
+                                    pts[:, :1])
+        assert np.array_equal(narrow[0], np.abs(pts[:, 0]))
+        for k in (1, 2):
+            with pytest.raises(ex.DimensionMismatch, match="uses z_2"):
+                narrow[k]
+
+    def test_nan_survives_the_per_chunk_fold(self):
+        pts = annulus_points(2, 2 * ex._CHUNK + 1, seed=22)
+        a = fm.form_from_terms(2, 1, {(0,): ex.const(float("nan")),
+                                      (1,): ex.const(1.0)})
+        assert np.isnan(fm.pointwise_residual(a, pts)).all()
+        # A NaN at one point of the second chunk stays at that point.
+        pts[ex._CHUNK + 5] = (float("nan"), 0.8)
+        b = fm.form_from_terms(2, 1, {(0,): ex.mul(ex.z(1), ex.z(2)),
+                                      (1,): ex.z(2)})
+        res = fm.pointwise_residual(b, pts)
+        assert np.flatnonzero(np.isnan(res)).tolist() == [ex._CHUNK + 5]
+        assert np.isnan(fm.max_form_residual(b, pts))
+
 
 class TestDefiniteness:
     def test_positive_definite(self):

@@ -191,6 +191,27 @@ class TestVerifyPotential:
         with pytest.raises(vf.NonPositivePotential):
             vf.verify_potential(ex.z(1), group, random_annulus(2, 5, seed=225))
 
+    @pytest.mark.parametrize("scale", [1.0, 1e4, 1e8, 1e12])
+    def test_realness_test_is_relative(self, scale):
+        # The cross terms leave a rounding-size imaginary part that grows with
+        # the scale; relative to Re Phi it does not.
+        phi, group = hp.example2_potential()
+        cross = ex.add(ex.mul(ex.z(1), ex.zbar(2)), ex.mul(ex.z(2), ex.zbar(1)))
+        scaled = ex.mul(ex.const(scale),
+                        ex.add(phi, ex.mul(ex.const(0.5), cross)))
+        pts = random_annulus(2, 50, seed=226)
+        if scale >= 1e8:
+            assert np.max(np.abs(ex.evaluate_many(scaled, pts).imag)) > 1e-12
+        rep = vf.verify_potential(scaled, group, pts)
+        assert rep.status == "pass"
+        assert rep.details["definiteness"]["sign"] == 1
+
+    def test_small_relative_imaginary_part_rejected(self):
+        phi, group = hp.example2_potential()
+        tilted = ex.add(phi, ex.mul(ex.const(0.1j), ex.mul(ex.z(1), ex.zbar(1))))
+        with pytest.raises(vf.NonPositivePotential):
+            vf.verify_potential(tilted, group, random_annulus(2, 5, seed=227))
+
 
 class TestVerifyInvariance:
     def test_invariant_form_passes(self):
@@ -298,6 +319,134 @@ class TestRunSuite:
         for name in ("definiteness", "fixed_point_free", "contraction"):
             assert by_name[name].tolerance == 0.0
             assert by_name[name].max_residual < 0.0  # negative margin = pass
+
+
+def _residual_one_form_at_a_time(form, pts):
+    """Per-point max |coefficient| from the full coefficient arrays."""
+    out = np.zeros(len(pts))
+    for vals in fm.evaluate_form_many(form, pts).values():
+        out = np.maximum(out, np.abs(vals))
+    return out
+
+
+def _record_tapes(monkeypatch):
+    """Record (tape, point array shape) for every tape run from now on."""
+    runs = []
+    run = ex._Tape.run
+
+    def record(tape, pts, *args):
+        runs.append((tape, pts.shape))
+        return run(tape, pts, *args)
+
+    monkeypatch.setattr(ex._Tape, "run", record)
+    return runs
+
+
+def _implicit_ops(tape):
+    return sum(isinstance(node, ex.ImplicitT) for _, node, _ in tape.ops)
+
+
+class TestSuiteOnePass:
+    """run_suite evaluates its forms through one tape; every value must equal
+    the one the checks give when called one at a time."""
+
+    POINTS = 2 * ex._CHUNK + 1
+
+    @pytest.mark.parametrize("name", hp.ENTRY_NAMES)
+    def test_values_equal_checks_one_at_a_time(self, name):
+        entry = hp.build_entry(name)
+        config = vf.SuiteConfig(points=self.POINTS, seed=5)
+        pts = annulus_points(entry.ambient_dim, config.points, config.seed)
+        reports = vf.run_suite(entry, config)
+        by_name = {r.check_name: r for r in reports}
+        forms = entry.forms
+        if "theta" in forms:
+            omega, theta = forms["Omega"], forms["theta"]
+            lck = vf.verify_lck(omega, theta, pts)
+            for check, key, form in (
+                    ("lck_residual", "lck_residual",
+                     fm.exterior_d(omega) - fm.wedge(theta, omega)),
+                    ("lee_closedness", "lee_closedness_residual",
+                     fm.exterior_d(theta))):
+                res = _residual_one_form_at_a_time(form, pts)
+                assert by_name[check].max_residual == lck.details[key]
+                assert by_name[check].max_residual == res.max(initial=0.0)
+                assert by_name[check].details["worst_points"] == \
+                    vf._worst_points(pts, res)
+            alone = fm.definiteness(fm.bidegree_part(omega, 1, 1), pts)
+            details = by_name["definiteness"].details
+            assert details == lck.details["definiteness"]
+            assert (details["is_definite"], details["is_semidefinite"],
+                    details["sign"], details["min_abs_eigenvalue"]) == \
+                (alone.is_definite, alone.is_semidefinite, alone.sign,
+                 alone.min_abs_eigenvalue)
+        for key in ("theta", "psi"):
+            if key not in forms:
+                continue
+            gens = vf._generator_list(entry.group)
+            got = by_name["invariance_%s" % key].details["generators"]
+            assert [g["generator"] for g in got] == [n for n, _ in gens]
+            for g, (_, gen) in zip(got, gens):
+                assert g["residual"] == vf.verify_invariance(
+                    forms[key], gen, pts).max_residual
+        if entry.potential is not None:
+            alone = vf.verify_potential(entry.potential, entry.group, pts,
+                                        tolerance=by_name["lck_residual"].tolerance,
+                                        seed=config.seed)
+            assert by_name["potential_homothety"].to_json() == alone.to_json()
+        if name == "kodaira":
+            assert [r.check_name for r in reports] == ["fixed_point_free",
+                                                       "contraction"]
+
+    def test_vaisman_suite_runs_one_tape(self, monkeypatch):
+        runs = _record_tapes(monkeypatch)
+        vf.run_suite(hp.vaisman_entry(), vf.SuiteConfig(points=300))
+        at_samples = [tape for tape, shape in runs if shape == (300, 2)]
+        # Form by form this took 7 tapes with 7 implicit solves; the union
+        # holds t(z) and t(lambda z) once each.
+        assert len(at_samples) == 1
+        assert _implicit_ops(at_samples[0]) == 2
+
+    def test_lee_solve_runs_one_tape(self, monkeypatch):
+        runs = _record_tapes(monkeypatch)
+        vf.solve_lee_many(hp.vaisman_entry().forms["Omega"],
+                          random_annulus(2, 20, seed=241))
+        assert len(runs) == 1
+        assert _implicit_ops(runs[0][0]) == 1
+
+    def test_negative_potential_wins_over_failing_invariance(self):
+        # theta cannot be evaluated anywhere, but its invariance check comes
+        # after the potential's, which must refuse first.
+        phi, group = hp.example2_potential()
+        theta = fm.form_from_terms(2, 1, {(0,): ex.div(
+            ex.const(1.0), ex.mul(ex.const(1e-20), ex.z(1)))})
+        entry = hp.HopfSurfaceCatalogEntry(
+            "bad", 2, {"theta": theta}, group, {},
+            potential=ex.mul(ex.const(-1.0), phi))
+        with pytest.raises(vf.NonPositivePotential):
+            vf.run_suite(entry, vf.SuiteConfig(points=self.POINTS))
+
+    def test_failing_lck_term_named_as_form_by_form(self):
+        # theta has a pole at one sample point in the second chunk; the
+        # message is the one the form-by-form evaluation gave.
+        pts = annulus_points(2, self.POINTS, 42)
+        pole = complex(pts[ex._CHUNK + 5, 0])
+        theta = fm.form_from_terms(2, 1, {
+            (0,): ex.div(ex.const(1.0), ex.sub(ex.z(1), ex.const(pole))),
+            (2,): ex.zbar(2)})
+        e1 = hp.example1_entry()
+        point = ("((0.37110403142633874+0.09692012012175072j), "
+                 "(-0.6115043659882006-0.689771163990944j))")
+        for forms, term in (({"Omega": e1.forms["Omega"], "theta": theta},
+                             "(0, 1, 3)"),
+                            ({**e1.forms, "psi": theta}, "(0,)")):
+            entry = hp.HopfSurfaceCatalogEntry("bad", 2, forms, e1.group, {})
+            with pytest.raises(fm.FormEvaluationError) as info:
+                vf.run_suite(entry, vf.SuiteConfig(points=self.POINTS))
+            assert str(info.value) == (
+                "term %s: divisor magnitude below 1e-14 at point %s"
+                % (term, point))
+            assert isinstance(info.value.cause, ex.DivisionNearZero)
 
 
 class TestJsonify:
