@@ -294,21 +294,18 @@ def cmd_solve_lee(args) -> int:
                "max_reality_defect": max(reality.tolist(), default=0.0),
                "status": "pass" if ok else "fail",
                "results": _RESULTS_MARKER}
+    head, tail = _render(payload).split(json.dumps(_RESULTS_MARKER))
     # One row per record, in the template's order of values.
     table = np.concatenate([pts.view(np.float64), reality[:, None],
                             residual[:, None], coeffs.view(np.float64)],
                            axis=1)
-    if np.isfinite(table).all():
-        template = _lee_record_template(entry.ambient_dim)
-        records = ",\n".join([template % tuple(row)
-                               for row in table.tolist()])
-        head, tail = _render(payload).split(json.dumps(_RESULTS_MARKER))
-        text = "".join((head, "[\n", records, "\n  ]", tail))
-    else:
-        # allow_nan=False rejects the report with json's own ValueError.
-        payload["results"] = [r.to_json() for r in vf._lee_results(
-            pts, coeffs, residual, reality)]
-        text = _render(payload)
+    finite = np.isfinite(table)
+    if not finite.all():
+        # allow_nan=False rejects the value with json's own ValueError.
+        _render(float(table[~finite][0]))
+    template = _lee_record_template(entry.ambient_dim)
+    records = ",\n".join([template % tuple(row) for row in table.tolist()])
+    text = "".join((head, "[\n", records, "\n  ]", tail))
     _write(text, out)
     return EXIT_PASS if ok else EXIT_FAIL
 

@@ -433,17 +433,15 @@ def _apply_implicit(e, args, pts):
         raise NewtonDivergence("implicit time undefined (zero radius)",
                                _bad_point(pts, total, bad))
     t = -np.log(total) / (2.0 * r.max())
-    for _ in range(NEWTON_MAX_ITER):
+    # NEWTON_MAX_ITER steps, each followed by a residual test; the step
+    # after the last test is discarded.
+    for _ in range(NEWTON_MAX_ITER + 1):
         growth = np.exp(2.0 * t[:, None] * r[None, :])
         f = (s * growth).sum(axis=1) - 1.0
-        if np.max(np.abs(f)) < NEWTON_TOL:
+        if np.all(np.abs(f) < NEWTON_TOL):
             return t
         fprime = (2.0 * r[None, :] * s * growth).sum(axis=1)
         t = t - f / fprime
-    growth = np.exp(2.0 * t[:, None] * r[None, :])
-    f = (s * growth).sum(axis=1) - 1.0
-    if np.max(np.abs(f)) < NEWTON_TOL:
-        return t
     bad = np.abs(f) >= NEWTON_TOL
     raise NewtonDivergence("Newton failed to reach %g in %d iterations"
                            % (NEWTON_TOL, NEWTON_MAX_ITER),

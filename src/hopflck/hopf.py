@@ -279,23 +279,30 @@ def _check_weights(r) -> tuple:
     return r
 
 
+def _contact_form(r, e) -> fm.ExteriorForm:
+    """i (sum_j r_j |z_j|^2 E_j)^-1 sum_i E_i (z_i dzbar_i - zbar_i dz_i)."""
+    (r1, r2), (e1, e2) = r, e
+    den = ex.add(
+        ex.mul(ex.const(r1), ex.mul(ex.mul(ex.z(1), ex.zbar(1)), e1)),
+        ex.mul(ex.const(r2), ex.mul(ex.mul(ex.z(2), ex.zbar(2)), e2)))
+    mi = ex.const(-1j)
+    pi_ = ex.const(1j)
+    terms = {
+        (0,): ex.div(ex.mul(mi, ex.mul(ex.zbar(1), e1)), den),
+        (1,): ex.div(ex.mul(mi, ex.mul(ex.zbar(2), e2)), den),
+        (2,): ex.div(ex.mul(pi_, ex.mul(ex.z(1), e1)), den),
+        (3,): ex.div(ex.mul(pi_, ex.mul(ex.z(2), e2)), den),
+    }
+    return fm.form_from_terms(2, 1, terms)
+
+
 def weighted_sasaki(r=(1.0, 1.0)) -> fm.ExteriorForm:
     """The weighted contact 1-form i (sum r_i |z_i|^2)^-1 (z dzbar - zbar dz).
 
     With equal unit weights this is coefficientwise the psi of example1.
     """
-    r1, r2 = _check_weights(r)
-    den = ex.add(ex.mul(ex.const(r1), ex.mul(ex.z(1), ex.zbar(1))),
-                 ex.mul(ex.const(r2), ex.mul(ex.z(2), ex.zbar(2))))
-    mi = ex.const(-1j)
-    pi_ = ex.const(1j)
-    terms = {
-        (0,): ex.div(ex.mul(mi, ex.zbar(1)), den),
-        (1,): ex.div(ex.mul(mi, ex.zbar(2)), den),
-        (2,): ex.div(ex.mul(pi_, ex.z(1)), den),
-        (3,): ex.div(ex.mul(pi_, ex.z(2)), den),
-    }
-    return fm.form_from_terms(2, 1, terms)
+    one = ex.const(1.0)
+    return _contact_form(_check_weights(r), (one, one))
 
 
 def implicit_time(r=(1.0, 1.0)) -> ex.Expression:
@@ -322,18 +329,7 @@ def weighted_sasaki_invariant(r=(1.0, 1.0)) -> fm.ExteriorForm:
     t = ex.implicit_t((r1, r2))
     e1 = ex.exp(ex.mul(ex.const(2 * r1), t))
     e2 = ex.exp(ex.mul(ex.const(2 * r2), t))
-    den = ex.add(
-        ex.mul(ex.const(r1), ex.mul(ex.mul(ex.z(1), ex.zbar(1)), e1)),
-        ex.mul(ex.const(r2), ex.mul(ex.mul(ex.z(2), ex.zbar(2)), e2)))
-    mi = ex.const(-1j)
-    pi_ = ex.const(1j)
-    terms = {
-        (0,): ex.div(ex.mul(mi, ex.mul(ex.zbar(1), e1)), den),
-        (1,): ex.div(ex.mul(mi, ex.mul(ex.zbar(2), e2)), den),
-        (2,): ex.div(ex.mul(pi_, ex.mul(ex.z(1), e1)), den),
-        (3,): ex.div(ex.mul(pi_, ex.mul(ex.z(2), e2)), den),
-    }
-    return fm.form_from_terms(2, 1, terms)
+    return _contact_form((r1, r2), (e1, e2))
 
 
 def vaisman_entry(r=(1.0, 1.5), p=(1.0, 2.0)) -> HopfSurfaceCatalogEntry:

@@ -37,6 +37,7 @@ __all__ = [
     "IllConditioned", "NotJordan",
     "DEGREE_CAP", "LINEAR_RCOND", "UNITARY_TOL", "RELATION_TOL",
     "FIXED_POINT_TOL", "ORBIT_DIVERGENCE", "CONTRACTION_MAX_ITER",
+    "RANK_RTOL", "CLUSTER_TOL",
 ]
 
 DEGREE_CAP = 16
@@ -48,6 +49,8 @@ ORBIT_DIVERGENCE = 1e6
 CONTRACTION_MAX_ITER = 1000
 CONTRACTION_SEED = 1234
 RANK_GRAY_ZONE = 10.0    # factor around a rank threshold that is ambiguous
+RANK_RTOL = 1e-8         # singular values of ||A||-scaled powers counted as 0
+CLUSTER_TOL = 1e-6       # eigenvalues of A/||A|| this close are identified
 
 
 class SingularLinearPart(ValueError):
@@ -424,16 +427,17 @@ def _nullspace(matrix, tol):
     return vh[rank:].conj().T
 
 
-def jordan_form(matrix, cluster_tol: float = 1e-8,
-                rank_rtol: float = 1e-8) -> JordanDecomposition:
+def jordan_form(matrix) -> JordanDecomposition:
     """Numerical Jordan normal form for matrices up to 16 x 16.
 
-    Eigenvalues closer than cluster_tol are identified (their mean is used),
-    block sizes come from the nullity chain of the shifted powers, and chains
-    of generalized eigenvectors are picked greedily with an independence
-    check.  Rank decisions falling in a gray zone around the threshold, and
-    reconstructions worse than 1e-8 relative, raise IllConditioned instead of
-    being resolved silently.
+    Eigenvalues of A/||A|| closer than CLUSTER_TOL are identified (their
+    mean is used); rounding splits a 2-block by about sqrt(1e-16) = 1e-8
+    (Golub & Wilkinson, SIAM Review 18, 1976), well inside it.  Block sizes
+    come from the nullity chain of the shifted powers, with ranks decided at
+    RANK_RTOL, and chains of generalized eigenvectors are picked greedily
+    with an independence check.  Rank decisions falling in a gray zone around
+    the threshold, and reconstructions worse than 1e-8 relative, raise
+    IllConditioned instead of being resolved silently.
     """
     a = np.asarray(matrix, dtype=complex)
     n = a.shape[0]
@@ -459,7 +463,7 @@ def jordan_form(matrix, cluster_tol: float = 1e-8,
     for lam in eigs:
         placed = False
         for cl in clusters:
-            if any(abs(lam - mu) < cluster_tol for mu in cl):
+            if any(abs(lam - mu) < CLUSTER_TOL for mu in cl):
                 cl.append(lam)
                 placed = True
                 break
@@ -481,7 +485,7 @@ def jordan_form(matrix, cluster_tol: float = 1e-8,
                 raise IllConditioned(
                     "nullity chain for eigenvalue %s never reaches "
                     "multiplicity %d" % (lam, mult))
-            ns = _nullspace(powers[-1], rank_rtol)
+            ns = _nullspace(powers[-1], RANK_RTOL)
             nullspaces.append(ns)
             nullities.append(ns.shape[1])
             if nullities[-1] <= nullities[-2] and nullities[-1] < mult:

@@ -236,17 +236,13 @@ def _solve_lee_arrays(Omega: fm.ExteriorForm, points):
     return coeffs, residual, reality
 
 
-def _lee_results(points, coeffs, residual, reality):
-    """LeeSolveResults from the arrays of _solve_lee_arrays."""
+def solve_lee_many(Omega: fm.ExteriorForm, points):
+    """Least-squares Lee form at all points at once; see solve_lee_pointwise."""
     pts = np.asarray(points, dtype=complex)
+    coeffs, residual, reality = _solve_lee_arrays(Omega, pts)
     return [LeeSolveResult(tuple(p), tuple(th), res, real)
             for p, th, res, real in zip(pts.tolist(), coeffs.tolist(),
                                         residual.tolist(), reality.tolist())]
-
-
-def solve_lee_many(Omega: fm.ExteriorForm, points):
-    """Least-squares Lee form at all points at once; see solve_lee_pointwise."""
-    return _lee_results(points, *_solve_lee_arrays(Omega, points))
 
 
 def solve_lee_pointwise(Omega: fm.ExteriorForm, point) -> LeeSolveResult:

@@ -338,6 +338,10 @@ class TestImplicitTime:
         with pytest.raises(ex.NewtonDivergence, match="reach 0 in 50"):
             ex.evaluate(t, (3.0, 0.5))
 
+    def test_zero_points_give_an_empty_float_array(self):
+        tv = ex.evaluate_many(ex.implicit_t((1.0, 2.0)), np.zeros((0, 2)))
+        assert tv.shape == (0,) and tv.dtype == np.float64
+
     def test_weight_validation(self):
         with pytest.raises(ValueError):
             ex.implicit_t((1.0,))

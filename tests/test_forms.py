@@ -286,6 +286,12 @@ class TestEvaluation:
                            rtol=1e-12)
         assert np.array_equal(vals[(2,)], np.conj(pts[:, 0]))
 
+    def test_implicit_time_form_at_zero_points(self):
+        omega = hp.build_entry("vaisman").forms["Omega"]
+        vals = fm.evaluate_form_many(omega, np.zeros((0, 2), dtype=complex))
+        assert list(vals) == sorted(omega.terms)
+        assert all(v.shape == (0,) for v in vals.values())
+
     def test_max_residual_of_empty_form(self):
         assert fm.max_form_residual(fm.ExteriorForm(2, 1, {}), PTS) == 0.0
 

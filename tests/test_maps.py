@@ -373,8 +373,10 @@ class TestJordanForm:
         dec = mp.jordan_form(j)
         assert block_key(dec.blocks) == [((-1.0, 0.0), 1), ((2.0, 0.0), 3)]
 
-    def test_conjugated_defective_matrix_recovers_structure(self):
-        rng = np.random.default_rng(99)
+    @staticmethod
+    def dense_two_blocks(seed):
+        """p J(i, 2) (+) J(-0.5, 2) p^-1 for a well-conditioned dense p."""
+        rng = np.random.default_rng(seed)
         j = np.zeros((4, 4), dtype=complex)
         j[0, 0] = j[1, 1] = 1j
         j[0, 1] = 1.0
@@ -384,10 +386,46 @@ class TestJordanForm:
             p = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             if np.linalg.cond(p) < 50:
                 break
-        a = p @ j @ np.linalg.inv(p)
-        dec = mp.jordan_form(a, cluster_tol=1e-6)
+        return p @ j @ np.linalg.inv(p)
+
+    def test_conjugated_defective_matrix_recovers_structure(self):
+        dec = mp.jordan_form(self.dense_two_blocks(99))
         assert block_key(dec.blocks, digits=6) == [((-0.5, 0.0), 2), ((0.0, 1.0), 2)]
         assert dec.reconstruction_residual < 1e-8
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_dense_conjugates_read_at_defaults(self, seed):
+        # Rounding splits a 2-block by about sqrt(1e-16) = 1e-8 (seed 35:
+        # -0.5 +- 3e-8), inside the cluster radius CLUSTER_TOL = 1e-6.
+        dec = mp.jordan_form(self.dense_two_blocks(seed))
+        assert block_key(dec.blocks, digits=6) == [((-0.5, 0.0), 2), ((0.0, 1.0), 2)]
+        assert dec.reconstruction_residual < 1e-8
+
+    @pytest.mark.parametrize("diagonal", [[1.0] * 4 + [1.003],
+                                          [1.003] + [1.0] * 4,
+                                          [0.5, 0.5, 0.50002],
+                                          [1.0] * 15 + [1.15]])
+    def test_repeated_eigenvalue_keeps_distinct_ones_apart(self, diagonal):
+        # An exactly repeated eigenvalue does not widen the cluster radius.
+        dec = mp.jordan_form(np.diag(diagonal))
+        assert [s for _, s in dec.blocks] == [1] * len(diagonal)
+        assert sorted(round(lam.real, 6) for lam, _ in dec.blocks) == sorted(diagonal)
+
+    @pytest.mark.parametrize("gap, sizes", [(1e-5, [1, 1]), (2e-6, [1, 1]),
+                                            (5e-7, None), (1e-7, None)])
+    def test_close_distinct_pair_boundary(self, gap, sizes):
+        # A pair closer than CLUSTER_TOL = 1e-6 forms one cluster, which the
+        # rank test refuses as ambiguous; a wider pair is resolved.
+        a = np.diag([1.0, 1.0 + gap])
+        if sizes is None:
+            with pytest.raises(mp.IllConditioned):
+                mp.jordan_form(a)
+        else:
+            assert [s for _, s in mp.jordan_form(a).blocks] == sizes
+
+    def test_takes_only_the_matrix(self):
+        import inspect
+        assert list(inspect.signature(mp.jordan_form).parameters) == ["matrix"]
 
     @pytest.mark.parametrize("i, j, value", [(0, 0, np.nan), (1, 0, np.inf),
                                              (1, 1, complex(0.5, -np.inf))])
