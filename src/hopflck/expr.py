@@ -33,6 +33,13 @@ The one non-algebraic node is :class:`ImplicitT`, the real-valued function
 t(w) solving  sum_i |w_i|^2 exp(2 r_i t) = 1  for positive weights r_i.  It
 evaluates via a guarded Newton iteration and differentiates via implicit
 differentiation, which keeps the whole calculus closed under ``wirtinger_d``.
+
+A :func:`param` leaf is a real number named but not given: its derivative is
+zero, conjugation leaves it alone, and a tape takes its value from the
+binding (name -> number) that it runs with.  An expression written over
+params is a template: compiled into a tape once, it is evaluated for fresh
+numbers by binding them, with no new construction.  Implicit-time weights
+may be params too.
 """
 
 from __future__ import annotations
@@ -45,12 +52,12 @@ import numpy as np
 
 __all__ = [
     "Expression", "Const", "Var", "ConjVar", "Add", "Sub", "Mul", "Div",
-    "IntPow", "Exp", "Log", "ImplicitT",
+    "IntPow", "Exp", "Log", "ImplicitT", "Param",
     "const", "z", "zbar", "add", "sub", "mul", "div", "intpow", "exp", "log",
-    "implicit_t", "wirtinger_d", "evaluate", "evaluate_many", "substitute",
+    "implicit_t", "param", "wirtinger_d", "evaluate", "evaluate_many", "substitute",
     "formal_conjugate", "numerically_equal", "to_json", "from_json",
     "EvaluationError", "DivisionNearZero", "NewtonDivergence",
-    "LogBranchError", "DimensionMismatch",
+    "LogBranchError", "UnboundParam", "DimensionMismatch",
     "DIVISION_EPS", "NEWTON_TOL", "NEWTON_MAX_ITER",
 ]
 
@@ -79,6 +86,10 @@ class NewtonDivergence(EvaluationError):
 
 class LogBranchError(EvaluationError):
     """Log evaluated on the closed negative real axis."""
+
+
+class UnboundParam(EvaluationError):
+    """A param was evaluated without a value in the binding."""
 
 
 class DimensionMismatch(ValueError):
@@ -215,14 +226,20 @@ class Log(Expression):
 class ImplicitT(Expression):
     """t(w) with sum_i a_i(w) b_i(w) exp(2 r_i t) = 1, solved by Newton.
 
-    The children are a_1..a_n followed by b_1..b_n.  The defaults a_i = z_i,
-    b_i = zbar_i make a_i b_i = |w_i|^2 at actual points; substitution
-    rewrites the arguments in place, so conjugated or composed occurrences
-    stay within the expression language.
+    The children are a_1..a_n followed by b_1..b_n, then the weights that are
+    params, in order; ``weights`` holds each weight as a float or its param.
+    The defaults a_i = z_i, b_i = zbar_i make a_i b_i = |w_i|^2 at actual
+    points; substitution rewrites the arguments in place, so conjugated or
+    composed occurrences stay within the expression language.
     """
 
     __slots__ = ("weights",)
     op = "implicit_t"
+
+
+class Param(Expression):
+    __slots__ = ("name",)
+    op = "param"
 
 
 # ---------------------------------------------------------------------------
@@ -358,12 +375,20 @@ def log(arg: Expression) -> Expression:
     return _intern(Log, ("l", id(arg)), (arg,))
 
 
+def param(name: str) -> Expression:
+    """The real number bound to ``name`` when the expression is evaluated."""
+    if not isinstance(name, str) or not name:
+        raise ValueError("param name must be a non-empty string, got %r" % (name,))
+    return _intern(Param, ("p", name), name=name)
+
+
 def implicit_t(weights, z_args=None, zbar_args=None) -> Expression:
-    weights = tuple(float(w) for w in weights)
+    """The implicit time with the given weights: positive numbers or params."""
+    weights = tuple(w if isinstance(w, Param) else float(w) for w in weights)
     n = len(weights)
     if n < 2:
         raise ValueError("implicit time needs at least two weights")
-    if any(w <= 0 for w in weights):
+    if any(not isinstance(w, Param) and w <= 0 for w in weights):
         raise ValueError("implicit-time weights must be positive, got %r" % (weights,))
     if z_args is None:
         z_args = tuple(z(i) for i in range(1, n + 1))
@@ -375,9 +400,10 @@ def implicit_t(weights, z_args=None, zbar_args=None) -> Expression:
         zbar_args = tuple(_coerce(a) for a in zbar_args)
     if len(z_args) != n or len(zbar_args) != n:
         raise DimensionMismatch("implicit time needs %d argument pairs" % n)
-    key = ("t", weights, tuple(id(a) for a in z_args),
-           tuple(id(b) for b in zbar_args))
-    return _intern(ImplicitT, key, z_args + zbar_args, weights=weights,
+    args = z_args + zbar_args + tuple(w for w in weights if isinstance(w, Param))
+    key = ("t", tuple(None if isinstance(w, Param) else w for w in weights),
+           tuple(id(a) for a in args))
+    return _intern(ImplicitT, key, args, weights=weights,
                    has_conj=True, has_implicit=True)
 
 
@@ -420,10 +446,30 @@ def _apply_log(e, args, pts):
     return np.log(arg)
 
 
+def _apply_param(e, args, pts):
+    raise UnboundParam("param %r is not bound" % e.name)
+
+
+def _bound(value, args, pts):
+    # A bound param's operation: the tape puts its value where the node was.
+    return value
+
+
+def _weights(e, kids):
+    """The weights of implicit time ``e``, each param replaced by its entry
+    of ``kids`` (the node's children or their images)."""
+    n = len(e.weights)
+    bound = iter(kids[2 * n:])
+    return [w if isinstance(w, float) else next(bound) for w in e.weights]
+
+
 def _apply_implicit(e, args, pts):
     m = pts.shape[0]
-    r = np.asarray(e.weights)
+    r = np.array([complex(w).real for w in _weights(e, args)])
     n = len(r)
+    if not np.all(r > 0):
+        raise NewtonDivergence("implicit-time weights must be positive, got %r"
+                               % (r.tolist(),))
     s = np.empty((m, n))
     for k in range(n):
         s[:, k] = np.broadcast_to(np.asarray(args[k] * args[n + k]), (m,)).real
@@ -461,10 +507,12 @@ def _derive_implicit(e, d, *_):
     n = len(e.weights)
     numerator = _ZERO
     denominator = _ZERO
-    for w, a, b, da, db in zip(e.weights, e.args[:n], e.args[n:], d[:n], d[n:]):
-        ek = exp(mul(const(2.0 * w), e))
+    for w, a, b, da, db in zip(e.weights, e.args[:n], e.args[n:2 * n], d[:n],
+                               d[n:2 * n]):
+        two_w = mul(2.0, w)  # folds to const(2 w) for a numeric weight
+        ek = exp(mul(two_w, e))
         numerator = add(numerator, mul(add(mul(da, b), mul(a, db)), ek))
-        denominator = add(denominator, mul(const(2.0 * w), mul(mul(a, b), ek)))
+        denominator = add(denominator, mul(two_w, mul(mul(a, b), ek)))
     if numerator is _ZERO:
         return _ZERO
     return mul(const(-1.0), div(numerator, denominator))
@@ -474,8 +522,8 @@ def _rebuild_implicit(e, kids, zs, zbs, conj):
     # t is real, so conjugation swaps its argument families: the result is
     # the same node again for the default arguments.
     n = len(e.weights)
-    a, b = (kids[n:], kids[:n]) if conj else (kids[:n], kids[n:])
-    return implicit_t(e.weights, a, b)
+    a, b = kids[:n], kids[n:2 * n]
+    return implicit_t(_weights(e, kids), *((b, a) if conj else (a, b)))
 
 
 def _json_real(x) -> float:
@@ -504,9 +552,15 @@ def _parse_implicit(f, kids):
         if name in f and f[name] != value:
             raise ValueError("%s must be the fixed %r, got %r"
                              % (name, value, f[name]))
-    weights = [_json_real(w) for w in f["weights"]]
-    n = len(weights)
-    return implicit_t(weights, kids[:n], kids[n:])
+    # A weight that is a param is null here and comes after the arguments.
+    weights = [None if w is None else _json_real(w) for w in f["weights"]]
+    n, params = len(weights), weights.count(None)
+    if len(kids) != 2 * n + params:
+        raise ValueError("implicit_t with %d weights, %d of them params, needs "
+                         "%d args" % (n, params, 2 * n + params))
+    bound = iter(kids[2 * n:])
+    return implicit_t([next(bound) if w is None else w for w in weights],
+                      kids[:n], kids[n:2 * n])
 
 
 def _pretty_const(e, s):
@@ -578,8 +632,15 @@ _KINDS = {
     Log: _unary("log", log, _apply_log, lambda e, d, *_: div(d[0], e.args[0])),
     ImplicitT: _Kind(
         None, _apply_implicit, _rebuild_implicit, _derive_implicit,
-        lambda e: {"weights": list(e.weights)}, _parse_implicit,
-        lambda e, s: "t[%s]" % ",".join("%g" % w for w in e.weights)),
+        lambda e: {"weights": [w if isinstance(w, float) else None
+                               for w in e.weights]},
+        _parse_implicit,
+        lambda e, s: "t[%s]" % ",".join(
+            "%g" % w if isinstance(w, float) else w.name for w in e.weights)),
+    Param: _Kind(
+        0, _apply_param, lambda e, *_: e, lambda e, *_: _ZERO,
+        lambda e: {"name": e.name}, lambda f, k: param(f["name"]),
+        lambda e, s: e.name),
 }
 
 _BY_OP = {cls.op: kind for cls, kind in _KINDS.items()}
@@ -680,12 +741,13 @@ def evaluate_many(e: Expression, points) -> np.ndarray:
 
     Returns an array of shape (m,): float64 when every operation below ``e``
     stays real (a bare implicit time), complex otherwise.  A constant
-    expression returns its scalar value, which broadcasts to (m,).
+    expression returns its scalar value, which broadcasts to (m,).  A param
+    raises UnboundParam: a template is evaluated through :class:`_Tape`,
+    whose runs take a binding.
     """
-    try:
-        return _evaluate_roots((e,), points)[0]
-    except _RootFailure as fail:
-        raise fail.cause from None
+    pts = _points(points)
+    _check_dimension((e,), pts.shape[1])
+    return _Tape((e,)).values(pts)[0]
 
 
 # Points per tape pass.  Intermediates live only for one chunk, so peak memory
@@ -713,37 +775,11 @@ def _points(points):
     return pts
 
 
-def _check_dimension(roots, pts):
+def _check_dimension(roots, dim):
     used = max((r.max_index for r in roots), default=0)
-    if used > pts.shape[1]:
+    if used > dim:
         raise DimensionMismatch(
-            "expression uses z_%d but points have dimension %d"
-            % (used, pts.shape[1]))
-
-
-def _evaluate_roots(roots, points):
-    """Values of several expressions at the same points, through one tape.
-
-    Raises :class:`_RootFailure` naming the first root, in the given order,
-    that fails at any point.
-    """
-    pts = _points(points)
-    _check_dimension(roots, pts)
-    m, outs = pts.shape[0], [None] * len(roots)
-
-    def collect(lo, k, value):
-        # A single chunk's values are the outputs; a constant stays a scalar.
-        if m <= _CHUNK or np.ndim(value) == 0:
-            outs[k] = value
-            return
-        if outs[k] is None:
-            outs[k] = np.empty(m, value.dtype)
-        outs[k][lo:lo + _CHUNK] = value
-
-    failure = _Tape(roots).run(pts, collect)
-    if failure is not None:
-        raise failure
-    return outs
+            "expression uses z_%d but points have dimension %d" % (used, dim))
 
 
 class _Tape:
@@ -758,7 +794,8 @@ class _Tape:
 
     def __init__(self, roots):
         # ops: (rule, node, child slots); last[s]: the operation after which
-        # slot s is dropped, -1 for a root, which is kept.
+        # slot s is dropped, -1 for a root, which is kept.  params: the
+        # operations of the param leaves, which each run binds.
         slot, self.ops, self.last, self.owner, self.first_op = {}, [], [], [], []
         for k, root in enumerate(roots):
             self.first_op.append(len(self.ops))
@@ -773,10 +810,14 @@ class _Tape:
         self.roots = [slot[r] for r in roots]
         for s in self.roots:
             self.last[s] = -1
+        self.params = [i for i, (_, node, _) in enumerate(self.ops)
+                       if isinstance(node, Param)]
 
-    def run(self, pts, consume):
+    def run(self, pts, consume, binding=None):
         """Run the operations over ``pts`` chunk by chunk.
 
+        Each param named in ``binding`` takes its value, as a complex number
+        like a constant's; evaluating any other param raises UnboundParam.
         At the end of each chunk, which starts at point ``lo``,
         ``consume(lo, k, values)`` gets root k's values for every root k.
         Returns the :class:`_RootFailure` of the first root, in order, that
@@ -785,7 +826,14 @@ class _Tape:
         can still fail first.
         """
         m = pts.shape[0]
-        ops, last, roots, failure = self.ops, self.last, self.roots, None
+        bound = self.ops
+        if self.params and binding:
+            bound = list(bound)
+            for i in self.params:
+                name = bound[i][1].name
+                if name in binding:
+                    bound[i] = (_bound, complex(float(binding[name])), ())
+        ops, last, roots, failure = bound, self.last, self.roots, None
         # At m = 0 one empty pass still gives every output its shape.
         for lo in range(0, max(m, 1), _CHUNK):
             chunk = pts[lo:lo + _CHUNK]
@@ -798,11 +846,33 @@ class _Tape:
                             vals[c] = None
             except EvaluationError as err:
                 failure = _RootFailure(self.owner[i], err)
-                ops = self.ops[:self.first_op[failure.root]]
+                ops = bound[:self.first_op[failure.root]]
                 roots = self.roots[:failure.root]
             for k, s in enumerate(roots):
                 consume(lo, k, vals[s])
         return failure
+
+    def values(self, pts, binding=None):
+        """Every root's values at the (m, n) array ``pts``, in root order.
+
+        A root's values are an (m,) array, or its scalar where it is
+        constant.  Raises the error of the first root that fails.
+        """
+        m, outs = pts.shape[0], [None] * len(self.roots)
+
+        def collect(lo, k, value):
+            # A single chunk's values are the outputs; a constant stays a scalar.
+            if m <= _CHUNK or np.ndim(value) == 0:
+                outs[k] = value
+                return
+            if outs[k] is None:
+                outs[k] = np.empty(m, value.dtype)
+            outs[k][lo:lo + _CHUNK] = value
+
+        failure = self.run(pts, collect, binding)
+        if failure is not None:
+            raise failure.cause from None
+        return outs
 
 
 # ---------------------------------------------------------------------------

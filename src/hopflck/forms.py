@@ -29,12 +29,14 @@ __all__ = [
     "definiteness", "DefinitenessReport", "HermitianMatrixSample",
     "form_to_json", "form_from_json",
     "NonHolomorphicMap", "NotType11", "NonHermitian", "FormEvaluationError",
-    "HERMITIAN_RTOL", "TYPE11_TOL", "ZERO_EIGENVALUE_TOL",
+    "HERMITIAN_RTOL", "TYPE11_TOL", "ZERO_EIGENVALUE_RTOL",
 ]
 
 HERMITIAN_RTOL = 1e-10
 TYPE11_TOL = 1e-8
-ZERO_EIGENVALUE_TOL = 1e-9
+# An eigenvalue counts as zero where |lambda| <= ZERO_EIGENVALUE_RTOL times
+# the largest |eigenvalue| at its point, so a sign does not depend on scale.
+ZERO_EIGENVALUE_RTOL = 1e-9
 
 
 class NonHolomorphicMap(ValueError):
@@ -390,38 +392,54 @@ def _evaluate_forms(requests, points) -> _Evaluation:
     would name.
     """
     pts = ex._points(points)
-    m = pts.shape[0]
-    roots, where, folds, values = [], [], [], []
-    failed_at, error = len(requests), None
-    for k, (form, full) in enumerate(requests):
-        try:
-            ex._check_dimension(form.terms.values(), pts)
-        except ex.DimensionMismatch as err:
-            failed_at, error = k, err
-            break
-        terms = form.sorted_terms()
-        values.append({} if full else np.zeros(m))
-        roots += [c for _, c in terms]
-        where += [(k, index) for index, _ in terms]
-        folds += [None if full else values[k]] * len(terms)
+    return _RequestTape(requests, pts.shape[1]).run(pts)
 
-    def consume(lo, j, value):
-        fold = folds[j]
-        if fold is None:
+
+class _RequestTape:
+    """:func:`_evaluate_forms` requests compiled once for points in C^dim.
+
+    Each :meth:`run` binds the params and evaluates every request through
+    the one compiled tape, so a template's requests are built and compiled
+    once however many bindings they are run with.
+    """
+
+    def __init__(self, requests, dim):
+        roots, self.where, self.full = [], [], []
+        self.failed_at, self.error = len(requests), None
+        for k, (form, full) in enumerate(requests):
+            try:
+                ex._check_dimension(form.terms.values(), dim)
+            except ex.DimensionMismatch as err:
+                self.failed_at, self.error = k, err
+                break
+            terms = form.sorted_terms()
+            self.full.append(full)
+            roots += [c for _, c in terms]
+            self.where += [(k, index) for index, _ in terms]
+        self.tape = ex._Tape(roots)
+
+    def run(self, pts, binding=None) -> _Evaluation:
+        """The values of the requests at the complex (m, dim) array ``pts``."""
+        m, where = pts.shape[0], self.where
+        values = [{} if full else np.zeros(m) for full in self.full]
+
+        def consume(lo, j, value):
             k, index = where[j]
-            if index not in values[k]:
-                values[k][index] = np.empty(m, dtype=complex)
-            values[k][index][lo:lo + ex._CHUNK] = value
-        else:
-            seg = fold[lo:lo + ex._CHUNK]
-            np.maximum(seg, np.abs(value), out=seg)
+            if self.full[k]:
+                if index not in values[k]:
+                    values[k][index] = np.empty(m, dtype=complex)
+                values[k][index][lo:lo + ex._CHUNK] = value
+            else:
+                seg = values[k][lo:lo + ex._CHUNK]
+                np.maximum(seg, np.abs(value), out=seg)
 
-    failure = ex._Tape(roots).run(pts, consume)
-    if failure is not None:
-        failed_at, index = where[failure.root]
-        error = FormEvaluationError(index, failure.cause)
-        error.__cause__ = failure.cause
-    return _Evaluation(values, failed_at, error)
+        failed_at, error = self.failed_at, self.error
+        failure = self.tape.run(pts, consume, binding)
+        if failure is not None:
+            failed_at, index = where[failure.root]
+            error = FormEvaluationError(index, failure.cause)
+            error.__cause__ = failure.cause
+        return _Evaluation(values, failed_at, error)
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +500,13 @@ def _check_type11_shape(a: ExteriorForm, pts):
                                    % (n, a.ambient_dim))
 
 
+def _frobenius(mats):
+    """Frobenius norm of each matrix in a complex (m, n, n) array, with no
+    temporary array of that size."""
+    flat = mats.view(np.float64).reshape(mats.shape[0], -1)
+    return np.sqrt(np.einsum("ij,ij->i", flat, flat))
+
+
 def _classify(a: ExteriorForm, pts, evaluation, k) -> DefinitenessReport:
     """:func:`definiteness` from the values of its requests, which start at
     ``evaluation[k]``."""
@@ -493,26 +518,29 @@ def _classify(a: ExteriorForm, pts, evaluation, k) -> DefinitenessReport:
             raise NotType11("(%d,%d) part has residual %.3g >= %.3g"
                             % (p, q, stray, TYPE11_TOL))
 
-    values = evaluation[k + 2]
-    coeff = np.zeros((m, n, n), dtype=complex)
-    for (i, j), vals in values.items():
-        coeff[:, i, j - n] = vals
-    hermitian = 1j * coeff
-    del coeff  # freed before the temporaries below, for peak memory
-    defect = np.linalg.norm(hermitian - np.conj(np.transpose(hermitian, (0, 2, 1))),
-                            axis=(1, 2))
-    scale = np.maximum(np.linalg.norm(hermitian, axis=(1, 2)), 1e-30)
-    rel = defect / scale
+    # Two (m, n, n) arrays in all: H = i C, and its conjugate transpose,
+    # which becomes the symmetrized matrix; H then becomes half its defect.
+    hermitian = np.zeros((m, n, n), dtype=complex)
+    for (i, j), vals in evaluation[k + 2].items():
+        hermitian[:, i, j - n] = vals
+    hermitian *= 1j
+    scale = np.maximum(_frobenius(hermitian), 1e-30)
+    sym = np.conjugate(hermitian.transpose(0, 2, 1))
+    np.add(sym, hermitian, out=sym)
+    sym *= 0.5
+    np.subtract(hermitian, sym, out=hermitian)  # (H - H^*) / 2
+    rel = 2.0 * _frobenius(hermitian) / scale
+    del hermitian
     worst_h = int(np.argmax(rel))
     if rel[worst_h] >= HERMITIAN_RTOL:
         raise NonHermitian("hermiticity defect %.3g at point %r"
                            % (rel[worst_h],
                               tuple(complex(c) for c in pts[worst_h])))
-    sym = 0.5 * (hermitian + np.conj(np.transpose(hermitian, (0, 2, 1))))
     eigs = np.linalg.eigvalsh(sym)
 
-    pos = eigs > ZERO_EIGENVALUE_TOL
-    neg = eigs < -ZERO_EIGENVALUE_TOL
+    zero = ZERO_EIGENVALUE_RTOL * np.abs(eigs).max(axis=1, keepdims=True)
+    pos = eigs > zero
+    neg = eigs < -zero
     point_pos = pos.any(axis=1)
     point_neg = neg.any(axis=1)
     mixed = point_pos & point_neg

@@ -21,6 +21,12 @@ The module also builds the two deformation families, both
 weights interpolate a polynomial contraction with its linear part, and the
 graded weights (0, 1, ..., n-1) melt the superdiagonal of a Jordan matrix.
 
+Each entry writes its forms and potential once, in a function whose inputs
+may be numbers or :func:`~hopflck.expr.param` leaves (an
+:class:`EntryTemplate`).  With the entry's numbers it gives the entry's
+forms, built on first access of ``forms``; with params it gives the template
+that :func:`hopflck.verify.run_suite` compiles once and binds per entry.
+
 On the Vaisman entry: the raw weighted 1-form returned by
 :func:`weighted_sasaki` is invariant under the deck group only when the two
 weights agree.  The entry therefore uses :func:`weighted_sasaki_invariant`,
@@ -32,8 +38,8 @@ equal weights, and is deck-invariant for all weights.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
 from types import MappingProxyType
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,7 +48,7 @@ from . import forms as fm
 from .maps import (GroupSpec, NotJordan, PolyAutomorphism, ScalingFamily)
 
 __all__ = [
-    "HopfSurfaceCatalogEntry", "BadParameter", "UnknownEntry",
+    "HopfSurfaceCatalogEntry", "EntryTemplate", "BadParameter", "UnknownEntry",
     "example1_entry", "example2_potential", "example2_entry",
     "kodaira_family", "kodaira_entry", "vaisman_entry",
     "family_to_linear", "family_to_diagonal",
@@ -62,26 +68,73 @@ class UnknownEntry(KeyError):
     """No catalog entry with the requested name."""
 
 
-@dataclass(frozen=True, eq=False)
+class EntryTemplate(NamedTuple):
+    """How a catalog entry writes its forms and potential.
+
+    ``write(*fixed, **inputs)`` returns (forms, potential).  ``fixed`` sets
+    the shape, such as the dimension.  Each input may be a number or the
+    ex.param of its name: with the entry's numbers, ``inputs``, it gives the
+    entry's forms; with params it gives the template, over which the
+    entry's numbers are a binding.
+    """
+
+    write: Callable
+    inputs: dict
+    fixed: tuple = ()
+
+    def build(self, symbolic: bool = False):
+        inputs = self.inputs
+        if symbolic:
+            inputs = {key: ex.param(key) for key in inputs}
+        return self.write(*self.fixed, **inputs)
+
+
 class HopfSurfaceCatalogEntry:
-    """Immutable bundle of named forms, deck group, and parameters."""
+    """Immutable bundle of named forms, deck group, and parameters.
 
-    name: str
-    ambient_dim: int
-    forms: MappingProxyType = field(repr=False)
-    group: GroupSpec = field(repr=False)
-    parameters: MappingProxyType
-    potential: ex.Expression | None = field(repr=False, default=None)
+    A catalog entry carries a ``template`` in place of its forms and
+    potential, which are then built from it on first access.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "forms", MappingProxyType(dict(self.forms)))
-        object.__setattr__(self, "parameters",
-                           MappingProxyType(dict(self.parameters)))
-        for key, form in self.forms.items():
+    __slots__ = ("name", "ambient_dim", "group", "parameters", "template",
+                 "_built")
+
+    def __init__(self, name, ambient_dim, forms, group, parameters,
+                 potential=None, template=None):
+        if template is not None and (forms or potential is not None):
+            raise ValueError("give an entry its forms or a template, not both")
+        for key, value in (("name", name), ("ambient_dim", ambient_dim),
+                           ("group", group), ("template", template),
+                           ("parameters", MappingProxyType(dict(parameters))),
+                           ("_built", None)):
+            object.__setattr__(self, key, value)
+        if template is None:
+            self._check(forms or {}, potential)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("catalog entries are immutable")
+
+    def __repr__(self):
+        return "HopfSurfaceCatalogEntry(name=%r, ambient_dim=%r, parameters=%r)" % (
+            self.name, self.ambient_dim, dict(self.parameters))
+
+    @property
+    def forms(self) -> MappingProxyType:
+        return (self._built or self._check(*self.template.build()))[0]
+
+    @property
+    def potential(self) -> ex.Expression | None:
+        return (self._built or self._check(*self.template.build()))[1]
+
+    def _check(self, forms, potential):
+        forms = MappingProxyType(dict(forms))
+        for key, form in forms.items():
             if form.ambient_dim != self.ambient_dim:
                 raise ex.DimensionMismatch(
                     "form %r has ambient dimension %d, entry expects %d"
                     % (key, form.ambient_dim, self.ambient_dim))
+        object.__setattr__(self, "_built", (forms, potential))
+        return self._built
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +160,13 @@ def example1_entry(mu: complex = 2.0) -> HopfSurfaceCatalogEntry:
     mu = complex(mu)
     if not abs(mu) > 1:
         raise BadParameter("example1 needs |mu| > 1, got |mu| = %g" % abs(mu))
+    group = GroupSpec((np.eye(2, dtype=complex),),
+                      PolyAutomorphism.diagonal([mu] * 2))
+    return HopfSurfaceCatalogEntry("example1", 2, None, group, {"mu": mu},
+                                   template=EntryTemplate(_example1_forms, {}))
+
+
+def _example1_forms():
     n = 2
     rho = _norm_squared(n)
     rho2 = ex.mul(rho, rho)
@@ -139,9 +199,7 @@ def example1_entry(mu: complex = 2.0) -> HopfSurfaceCatalogEntry:
         "psi": fm.form_from_terms(n, 1, psi_terms),
         "fubini_study": fm.form_from_terms(n, 2, fs_terms),
     }
-    group = GroupSpec((np.eye(n, dtype=complex),),
-                      PolyAutomorphism.diagonal([mu] * n))
-    return HopfSurfaceCatalogEntry("example1", n, forms, group, {"mu": mu})
+    return forms, None
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +213,11 @@ def example2_potential(n: int = 2, mu: complex = 2.0):
     The group acts on Phi by the homothety factor |mu|^2; n = 2 is the
     surface case, larger n is provided on the same pattern.
     """
+    group = _example2_group(n, mu)
+    return _norm_squared(group.dim), group
+
+
+def _example2_group(n, mu) -> GroupSpec:
     mu = complex(mu)
     try:
         integral = int(n) == n
@@ -168,23 +231,26 @@ def example2_potential(n: int = 2, mu: complex = 2.0):
         raise BadParameter("example2 needs |mu| > 1, got |mu| = %g" % abs(mu))
     if n < 2:
         raise BadParameter("example2 needs dimension >= 2, got %d" % n)
-    phi = _norm_squared(n)
-    group = GroupSpec((np.eye(n, dtype=complex),),
-                      PolyAutomorphism.diagonal([mu] * n))
-    return phi, group
+    return GroupSpec((np.eye(n, dtype=complex),),
+                     PolyAutomorphism.diagonal([mu] * n))
 
 
 def example2_entry(n: int = 2, mu: complex = 2.0) -> HopfSurfaceCatalogEntry:
     """Entry form of the potential: Omega = -i del delbar Phi, theta = 0."""
-    phi, group = example2_potential(n, mu)
+    group = _example2_group(n, mu)
     n = group.dim
+    return HopfSurfaceCatalogEntry(
+        "example2", n, None, group, {"mu": mu, "n": n},
+        template=EntryTemplate(_example2_forms, {}, (n,)))
+
+
+def _example2_forms(n):
+    phi = _norm_squared(n)
     forms = {
         "Omega": fm.kaehler_form(n, phi),
         "theta": fm.ExteriorForm(n, 1, {}),
     }
-    params = {"mu": mu, "n": n}
-    return HopfSurfaceCatalogEntry("example2", n, forms, group, params,
-                                   potential=phi)
+    return forms, phi
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +276,12 @@ def kodaira_entry(alpha: complex = 0.5, t: complex = 1.0) -> HopfSurfaceCatalogE
     gen = kodaira_family(alpha, t)
     group = GroupSpec((np.eye(2, dtype=complex),), gen)
     params = {"alpha": complex(alpha), "t": complex(t)}
-    return HopfSurfaceCatalogEntry("kodaira", 2, {}, group, params)
+    return HopfSurfaceCatalogEntry("kodaira", 2, None, group, params,
+                                   template=EntryTemplate(_no_forms, {}))
+
+
+def _no_forms():
+    return {}, None
 
 
 def family_to_linear(g: PolyAutomorphism) -> ScalingFamily:
@@ -280,11 +351,14 @@ def _check_weights(r) -> tuple:
 
 
 def _contact_form(r, e) -> fm.ExteriorForm:
-    """i (sum_j r_j |z_j|^2 E_j)^-1 sum_i E_i (z_i dzbar_i - zbar_i dz_i)."""
+    """i (sum_j r_j |z_j|^2 E_j)^-1 sum_i E_i (z_i dzbar_i - zbar_i dz_i).
+
+    The weights r_j may be numbers or params.
+    """
     (r1, r2), (e1, e2) = r, e
     den = ex.add(
-        ex.mul(ex.const(r1), ex.mul(ex.mul(ex.z(1), ex.zbar(1)), e1)),
-        ex.mul(ex.const(r2), ex.mul(ex.mul(ex.z(2), ex.zbar(2)), e2)))
+        ex.mul(r1, ex.mul(ex.mul(ex.z(1), ex.zbar(1)), e1)),
+        ex.mul(r2, ex.mul(ex.mul(ex.z(2), ex.zbar(2)), e2)))
     mi = ex.const(-1j)
     pi_ = ex.const(1j)
     terms = {
@@ -325,10 +399,15 @@ def weighted_sasaki_invariant(r=(1.0, 1.0)) -> fm.ExteriorForm:
     invariant under diag(e^{-r_1 + i p_1}, e^{-r_2 + i p_2}) for all weights
     because t picks up exactly +1 under the deck generator.
     """
-    r1, r2 = _check_weights(r)
+    return _transported_contact_form(*_check_weights(r))
+
+
+def _transported_contact_form(r1, r2) -> fm.ExteriorForm:
+    """weighted_sasaki_invariant for weights that may be numbers or params."""
     t = ex.implicit_t((r1, r2))
-    e1 = ex.exp(ex.mul(ex.const(2 * r1), t))
-    e2 = ex.exp(ex.mul(ex.const(2 * r2), t))
+    # 2 r folds to a constant for a numeric weight.
+    e1 = ex.exp(ex.mul(ex.mul(2.0, r1), t))
+    e2 = ex.exp(ex.mul(ex.mul(2.0, r2), t))
     return _contact_form((r1, r2), (e1, e2))
 
 
@@ -346,16 +425,22 @@ def vaisman_entry(r=(1.0, 1.5), p=(1.0, 2.0)) -> HopfSurfaceCatalogEntry:
         raise BadParameter("need two phases, got %d" % len(p))
     if any(x == 0 for x in p):
         raise BadParameter("phases must be nonzero, got %r" % (p,))
-    t = ex.implicit_t((r1, r2))
-    theta = fm.exterior_d(fm.scalar_form(2, t))
-    psi = weighted_sasaki_invariant((r1, r2))
-    omega = fm.exterior_d(psi) - fm.wedge(theta, psi)
     lam = [cmath.exp(complex(-r1, p[0])), cmath.exp(complex(-r2, p[1]))]
     group = GroupSpec((np.eye(2, dtype=complex),),
                       PolyAutomorphism.diagonal(lam))
-    forms = {"Omega": omega, "theta": theta, "psi": psi}
     params = {"r1": r1, "r2": r2, "p1": p[0], "p2": p[1]}
-    return HopfSurfaceCatalogEntry("vaisman", 2, forms, group, params)
+    template = EntryTemplate(_vaisman_forms, {"r1": r1, "r2": r2})
+    return HopfSurfaceCatalogEntry("vaisman", 2, None, group, params,
+                                   template=template)
+
+
+def _vaisman_forms(r1, r2):
+    """Omega, theta and psi of vaisman_entry; weights numbers or params."""
+    t = ex.implicit_t((r1, r2))
+    theta = fm.exterior_d(fm.scalar_form(2, t))
+    psi = _transported_contact_form(r1, r2)
+    omega = fm.exterior_d(psi) - fm.wedge(theta, psi)
+    return {"Omega": omega, "theta": theta, "psi": psi}, None
 
 
 # ---------------------------------------------------------------------------

@@ -152,14 +152,19 @@ class Polynomial:
         return out
 
     def as_expression(self) -> ex.Expression:
-        total = ex.const(0.0)
-        for mono, c in sorted(self.coeffs.items()):
-            term = ex.const(c)
-            for j, e in enumerate(mono):
-                if e:
-                    term = ex.mul(term, ex.intpow(ex.z(j + 1), e))
-            total = ex.add(total, term)
-        return total
+        return _monomial_sum((mono, ex.const(c))
+                             for mono, c in sorted(self.coeffs.items()))
+
+
+def _monomial_sum(terms) -> ex.Expression:
+    """sum of coeff * z^mono over (mono, coeff expression) pairs, in order."""
+    total = ex.const(0.0)
+    for mono, term in terms:
+        for j, e in enumerate(mono):
+            if e:
+                term = ex.mul(term, ex.intpow(ex.z(j + 1), e))
+        total = ex.add(total, term)
+    return total
 
 
 class PolyAutomorphism:
@@ -361,9 +366,10 @@ def contraction_test(g: PolyAutomorphism, radius: float = 1.0,
     The necessary spectral condition rho(linear part) < 1 is checked first;
     only then is the point set (2 n^2 + 64 sphere points of CONTRACTION_SEED)
     iterated, at most CONTRACTION_MAX_ITER times, until every orbit norm
-    drops below eps.  Any orbit passing 1e6 raises IterationDiverged rather
-    than reporting a silent failure.  A radius or eps that is not finite and
-    positive raises ValueError.
+    drops below eps.  A linear map steps all orbits by one matrix product.
+    Any orbit passing 1e6 raises IterationDiverged rather than reporting a
+    silent failure.  A radius or eps that is not finite and positive raises
+    ValueError.
     """
     for name, value in (("radius", radius), ("eps", eps)):
         if not (np.isfinite(value) and value > 0):
@@ -375,15 +381,19 @@ def contraction_test(g: PolyAutomorphism, radius: float = 1.0,
     if rho >= 1.0:
         return ContractionResult(False, None, rho, count, radius, eps,
                                  reason="spectral radius %.17g >= 1" % rho)
+    step = g.eval_many
+    if g.is_linear():
+        a_t = g.linear_part().T
+        step = lambda z: z @ a_t  # each row z_k becomes A z_k
     current = sphere_points(n, count, radius, CONTRACTION_SEED)
     for k in range(CONTRACTION_MAX_ITER + 1):
-        norms = np.linalg.norm(current, axis=1)
-        if float(norms.max()) < eps:
+        largest = float(np.linalg.norm(current, axis=1).max())
+        if largest < eps:
             return ContractionResult(True, k, rho, count, radius, eps)
-        if float(norms.max()) > ORBIT_DIVERGENCE:
+        if largest > ORBIT_DIVERGENCE:
             raise IterationDiverged("orbit norm %.3g exceeded %.0g after %d steps"
-                                    % (float(norms.max()), ORBIT_DIVERGENCE, k))
-        current = g.eval_many(current)
+                                    % (largest, ORBIT_DIVERGENCE, k))
+        current = step(current)
     return ContractionResult(False, None, rho, count, radius, eps,
                              reason="norms still >= eps after %d iterations"
                              % CONTRACTION_MAX_ITER)

@@ -19,6 +19,7 @@ Two conventions used throughout:
 from __future__ import annotations
 
 import itertools
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +28,7 @@ from . import expr as ex
 from . import forms as fm
 from .hopf import HopfSurfaceCatalogEntry
 from .maps import (FIXED_POINT_TOL, PolyAutomorphism, contraction_test,
-                   fixed_point_free_check)
+                   fixed_point_free_check, _monomial_sum)
 from .sampling import annulus_points
 
 __all__ = [
@@ -37,6 +38,7 @@ __all__ = [
     "run_suite", "suite_passed", "reports_to_json", "jsonify",
     "DegenerateOmega", "NonPositivePotential",
     "RATIONAL_TOL", "IMPLICIT_TOL", "LEE_RCOND", "POTENTIAL_IMAG_RTOL",
+    "SUITE_CACHE_SIZE",
 ]
 
 RATIONAL_TOL = 1e-10
@@ -45,6 +47,9 @@ LEE_RCOND = 1e-10
 # A potential counts as real where |Im Phi| <= POTENTIAL_IMAG_RTOL |Re Phi|.
 POTENTIAL_IMAG_RTOL = 1e-12
 WORST_POINTS = 3
+# Compiled suites run_suite keeps, one per catalog template; the least
+# recently used goes first.
+SUITE_CACHE_SIZE = 8
 
 
 class DegenerateOmega(ValueError):
@@ -174,9 +179,9 @@ def _definiteness_summary(form, pts, evaluation, k) -> dict:
             "min_abs_eigenvalue": rep.min_abs_eigenvalue}
 
 
-def _invariance_request(a, g):
-    """pullback(g, a) - a, for its per-point residual."""
-    return fm.pullback(g.as_expressions(), a) - a, False
+def _invariance_request(a, g_exprs):
+    """pullback(g, a) - a, for its per-point residual; g as expressions."""
+    return fm.pullback(g_exprs, a) - a, False
 
 
 # ---------------------------------------------------------------------------
@@ -311,41 +316,58 @@ def verify_potential(Phi: ex.Expression, group, points,
     pass requires every spread under the tolerance and every ratio positive.
     """
     tol = _auto_tolerance(Phi) if tolerance is None else float(tolerance)
-    n = group.dim
-    pts = np.concatenate([np.eye(n, dtype=complex),
-                          np.asarray(points, dtype=complex)])
-    vals = ex.evaluate_many(Phi, pts)
-    imag = np.abs(vals.imag)
-    if (np.any(~(imag <= POTENTIAL_IMAG_RTOL * np.abs(vals.real)))
-            or float(vals.real.min()) <= 0):
-        raise NonPositivePotential(
-            "potential must be real and positive on the samples "
-            "(worst imaginary part %.3g, min real part %.3g)"
-            % (float(np.max(imag)), float(vals.real.min())))
+    return _PotentialCheck(Phi, group.dim).run(group, points, tol, seed)
 
-    omega_tilde = fm.kaehler_form(n, Phi)
-    values = fm._evaluate_forms([(fm.exterior_d(omega_tilde), False)]
-                                + fm._definiteness_requests(omega_tilde), pts)
-    closed = float(values[0].max(initial=0.0))
-    definiteness = _definiteness_summary(omega_tilde, pts, values, 1)
-    definiteness.pop("is_semidefinite", None)
-    details = {"closedness_residual": closed, "generators": [],
-               "definiteness": definiteness}
 
-    worst = closed
-    for name, gen in _generator_list(group):
-        moved = ex.evaluate_many(Phi, gen.eval_many(pts))
-        ratios = (moved / vals).real
-        rho = float(ratios.mean())
-        spread = float(ratios.max() - ratios.min())
-        details["generators"].append(
-            {"generator": name, "rho": rho, "deviation": spread})
-        worst = max(worst, spread)
-        if rho <= 0:
-            worst = max(worst, 1.0)
-            details["nonpositive_ratio"] = True
-    return _report("potential_homothety", worst, tol, int(pts.shape[0]), seed,
-                   details)
+class _PotentialCheck:
+    """verify_potential with its symbolic part built and compiled once.
+
+    That part is Phi, and d omega~ with the definiteness requests of
+    omega~ = -i del delbar Phi; :meth:`run` binds the params of Phi.
+    """
+
+    def __init__(self, Phi, n):
+        ex._check_dimension((Phi,), n)
+        self.phi = ex._Tape([Phi])
+        self.omega_tilde = fm.kaehler_form(n, Phi)
+        self.forms = fm._RequestTape(
+            [(fm.exterior_d(self.omega_tilde), False)]
+            + fm._definiteness_requests(self.omega_tilde), n)
+
+    def run(self, group, points, tol, seed, binding=None):
+        n = group.dim
+        pts = np.concatenate([np.eye(n, dtype=complex),
+                              np.asarray(points, dtype=complex)])
+        vals = self.phi.values(pts, binding)[0]
+        imag = np.abs(vals.imag)
+        if (np.any(~(imag <= POTENTIAL_IMAG_RTOL * np.abs(vals.real)))
+                or float(vals.real.min()) <= 0):
+            raise NonPositivePotential(
+                "potential must be real and positive on the samples "
+                "(worst imaginary part %.3g, min real part %.3g)"
+                % (float(np.max(imag)), float(vals.real.min())))
+
+        values = self.forms.run(pts, binding)
+        closed = float(values[0].max(initial=0.0))
+        definiteness = _definiteness_summary(self.omega_tilde, pts, values, 1)
+        definiteness.pop("is_semidefinite", None)
+        details = {"closedness_residual": closed, "generators": [],
+                   "definiteness": definiteness}
+
+        worst = closed
+        for name, gen in _generator_list(group):
+            moved = self.phi.values(gen.eval_many(pts), binding)[0]
+            ratios = (moved / vals).real
+            rho = float(ratios.mean())
+            spread = float(ratios.max() - ratios.min())
+            details["generators"].append(
+                {"generator": name, "rho": rho, "deviation": spread})
+            worst = max(worst, spread)
+            if rho <= 0:
+                worst = max(worst, 1.0)
+                details["nonpositive_ratio"] = True
+        return _report("potential_homothety", worst, tol, int(pts.shape[0]),
+                       seed, details)
 
 
 def verify_invariance(a: fm.ExteriorForm, g: PolyAutomorphism, points,
@@ -354,7 +376,8 @@ def verify_invariance(a: fm.ExteriorForm, g: PolyAutomorphism, points,
     """Max residual of pullback(g, a) - a over the samples."""
     tol = _auto_tolerance(a) if tolerance is None else float(tolerance)
     pts = np.asarray(points, dtype=complex)
-    res = fm._evaluate_forms([_invariance_request(a, g)], pts)[0]
+    res = fm._evaluate_forms([_invariance_request(a, g.as_expressions())],
+                             pts)[0]
     return _report("invariance", res.max(initial=0.0), tol, int(pts.shape[0]),
                    seed, {"worst_points": _worst_points(pts, res)})
 
@@ -386,6 +409,93 @@ def _orientations(gen):
         yield "generator_inverse", gen.inverse_linear()
 
 
+class _Suite:
+    """What run_suite evaluates, built and compiled once.
+
+    ``forms``, ``potential`` and the generators' expressions ``deck`` may
+    hold params; each run binds them.  ``requests`` holds every form a check
+    evaluates at the sample points, in check order, as one tape.
+    """
+
+    def __init__(self, dim, forms, potential, deck):
+        self.tolerance = _auto_tolerance(*forms.values(), potential)
+        self.lck = "Omega" in forms and "theta" in forms
+        self.invariant = [key for key in ("theta", "psi") if key in forms]
+        self.omega11 = None
+        requests = []
+        if self.lck:
+            requests += _lck_requests(forms["Omega"], forms["theta"])
+        if "Omega" in forms:
+            self.omega11 = fm.bidegree_part(forms["Omega"], 1, 1)
+            requests += fm._definiteness_requests(self.omega11)
+        for key in self.invariant:
+            requests += [_invariance_request(forms[key], g) for g in deck]
+        self.requests = fm._RequestTape(requests, dim)
+        self.potential = (None if potential is None
+                          else _PotentialCheck(potential, dim))
+
+
+_SUITES: OrderedDict = OrderedDict()
+
+
+def _coefficient_name(k, i, mono):
+    """Name of the coefficient of z^mono in component i of generator k."""
+    return "g%d[%d]%s" % (k, i, mono)
+
+
+def _deck_template(support):
+    """Generator expressions with the given monomials per component, each
+    coefficient the re/im pair of params named after it."""
+    deck = []
+    for k, comps in enumerate(support):
+        exprs = []
+        for i, monos in enumerate(comps):
+            terms = []
+            for mono in monos:
+                name = _coefficient_name(k, i, mono)
+                terms.append((mono, ex.add(
+                    ex.param(name + ".re"),
+                    ex.mul(ex.const(1j), ex.param(name + ".im")))))
+            exprs.append(_monomial_sum(terms))
+        deck.append(tuple(exprs))
+    return deck
+
+
+def _suite(entry, generators):
+    """The compiled suite of ``entry`` and the binding to run it with.
+
+    A catalog entry's suite is its template's, with every generator
+    coefficient a param; it is built on the first run of its template
+    (entry and dimension) and generator monomial support, and then kept, up
+    to SUITE_CACHE_SIZE suites.  The binding takes the template's inputs from
+    the entry and each coefficient from its generator, as the group has it.
+    An entry built from its own forms gets a fresh suite and no binding.
+    """
+    template = entry.template
+    if template is None:
+        deck = [gen.as_expressions() for _, gen in generators]
+        return _Suite(entry.ambient_dim, entry.forms, entry.potential,
+                      deck), {}
+    binding = dict(template.inputs)
+    support = []
+    for k, (_, gen) in enumerate(generators):
+        support.append(tuple(tuple(sorted(c.coeffs)) for c in gen.components))
+        for i, comp in enumerate(gen.components):
+            for mono, c in comp.coeffs.items():
+                name = _coefficient_name(k, i, mono)
+                binding[name + ".re"], binding[name + ".im"] = c.real, c.imag
+    key = (template.write, template.fixed, tuple(support))
+    suite = _SUITES.pop(key, None)
+    if suite is None:
+        forms, potential = template.build(symbolic=True)
+        suite = _Suite(entry.ambient_dim, forms, potential,
+                       _deck_template(support))
+    _SUITES[key] = suite
+    while len(_SUITES) > SUITE_CACHE_SIZE:
+        _SUITES.popitem(last=False)
+    return suite, binding
+
+
 def run_suite(entry: HopfSurfaceCatalogEntry,
               config: SuiteConfig | None = None):
     """Run every applicable check on a catalog entry, in a fixed order.
@@ -396,33 +506,21 @@ def run_suite(entry: HopfSurfaceCatalogEntry,
     contraction property of the cyclic generator.  A generator that is not
     itself a contraction but is linear is retried through its inverse, since
     either orientation of the deck action presents the same quotient.
+
+    A catalog entry's forms are not built: its compiled template is run
+    with the entry's numbers bound (see _suite).
     """
     config = config or SuiteConfig()
     pts = annulus_points(entry.ambient_dim, config.points, config.seed)
-    tol = config.tol
-    if tol is None:
-        tol = _auto_tolerance(*entry.forms.values(), entry.potential)
     npts, seed = config.points, config.seed
-    forms = entry.forms
     generators = _generator_list(entry.group)
-    lck = "Omega" in forms and "theta" in forms
-    invariant = [key for key in ("theta", "psi") if key in forms]
-
-    # Every form a check evaluates at pts, in check order, in one call.
-    requests = []
-    if lck:
-        requests += _lck_requests(forms["Omega"], forms["theta"])
-    if "Omega" in forms:
-        omega11 = fm.bidegree_part(forms["Omega"], 1, 1)
-        requests += fm._definiteness_requests(omega11)
-    for key in invariant:
-        requests += [_invariance_request(forms[key], gen)
-                     for _, gen in generators]
-    values = fm._evaluate_forms(requests, pts)
+    suite, binding = _suite(entry, generators)
+    tol = suite.tolerance if config.tol is None else config.tol
+    values = suite.requests.run(pts, binding)
     k = 0  # where the next check's values start
     reports = []
 
-    if lck:
+    if suite.lck:
         for name in ("lck_residual", "lee_closedness"):
             res = values[k]
             k += 1
@@ -430,19 +528,19 @@ def run_suite(entry: HopfSurfaceCatalogEntry,
                                    seed,
                                    {"worst_points": _worst_points(pts, res)}))
 
-    if "Omega" in forms:
-        details = _definiteness_summary(omega11, pts, values, k)
+    if suite.omega11 is not None:
+        details = _definiteness_summary(suite.omega11, pts, values, k)
         k += 3
         ok = details.get("is_definite") and details["sign"] is not None
         margin = -details["min_abs_eigenvalue"] if ok else 1.0
         reports.append(_report("definiteness", margin, 0.0, npts, seed,
                                details))
 
-    if entry.potential is not None:
-        reports.append(verify_potential(entry.potential, entry.group, pts,
-                                        tolerance=tol, seed=seed))
+    if suite.potential is not None:
+        reports.append(suite.potential.run(entry.group, pts, tol, seed,
+                                           binding))
 
-    for key in invariant:
+    for key in suite.invariant:
         residuals = []
         for name, _ in generators:
             residuals.append({"generator": name,

@@ -1,7 +1,11 @@
 """End-to-end tests of the command-line interface, run in process."""
 
+import gc
 import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -285,6 +289,52 @@ class TestVerifyCommand:
         bad.write_text("{not json")
         code, _, err = run(capsys, ["verify", "--file", str(bad)])
         assert code == 2 and "JSON" in err
+
+
+class TestSuiteCacheThroughCli:
+    """verify runs a compiled template per entry; rebinding it must give
+    what a fresh process gives."""
+
+    BASE = ["--points", "300", "--seed", "9"]
+
+    @pytest.mark.parametrize("name,a,b", [
+        ("vaisman", ["--r1=0.8", "--r2=1.7", "--p1=0.5", "--p2=-1.1"],
+         ["--r1=1.9", "--r2=0.6", "--p1=2.0", "--p2=0.3"]),
+        ("example1", ["--mu-re=1.5", "--mu-im=1.0"],
+         ["--mu-re=-3.0", "--mu-im=0.5"]),
+        ("example2", ["--mu-re=0.5", "--mu-im=-2.0"],
+         ["--mu-re=2.5", "--mu-im=0.0"]),
+        ("kodaira", ["--alpha-re=0.3", "--alpha-im=0.4", "--t=0.5-1j"],
+         ["--alpha-re=-0.6", "--alpha-im=0.1", "--t=2+0j"]),
+    ])
+    def test_rebinding_gives_a_fresh_process_bytes(self, capsys, name, a, b):
+        argv = ["verify", "--entry", name] + self.BASE
+        outs = []
+        for flags in (a, b, a):
+            code, out, err = run(capsys, argv + flags)
+            assert (code, err) == (0, "")
+            outs.append(out)
+        assert outs[0] == outs[2] != outs[1]
+        fresh = subprocess.run(
+            [sys.executable, "-m", "hopflck.cli"] + argv + a,
+            capture_output=True, text=True, check=False,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+        assert (fresh.returncode, fresh.stderr) == (0, "")
+        assert fresh.stdout == outs[0]
+
+    def test_warm_request_leaves_no_cyclic_garbage(self, capsys):
+        # Building the vaisman forms per request left 1,125 objects for the
+        # cyclic collector; the stdlib JSON encoder alone leaves 33.
+        argv = ["verify", "--entry", "vaisman", "--points", "100"]
+        run(capsys, argv)
+        gc.collect()
+        gc.disable()
+        try:
+            run(capsys, argv + ["--r1=1.3", "--p2=-0.7"])
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert found <= 40
 
 
 class TestDeformCommand:

@@ -349,6 +349,77 @@ class TestImplicitTime:
             ex.implicit_t((1.0, -2.0))
 
 
+class TestParam:
+    PTS = annulus_points(2, 50, seed=31)
+
+    def test_leaf_is_interned_real_and_constant(self):
+        r = ex.param("r")
+        assert r is ex.param("r") and r is not ex.param("s")
+        assert r.max_index == 0 and not r.has_conj and not r.has_implicit
+        assert ex.formal_conjugate(r) is r
+        assert ex.wirtinger_d(ex.mul(r, ex.z(1)), 1) is r
+        assert ex.wirtinger_d(r, 1, True) is ex.const(0.0)
+        with pytest.raises(ValueError, match="non-empty string"):
+            ex.param("")
+
+    def test_unbound_param_named_in_error(self):
+        e = ex.add(ex.z(1), ex.mul(ex.param("weight_a"), ex.zbar(2)))
+        with pytest.raises(ex.UnboundParam, match="param 'weight_a' is not bound"):
+            ex.evaluate_many(e, self.PTS)
+        with pytest.raises(ex.UnboundParam, match="'weight_a'"):
+            ex._Tape([e]).values(self.PTS, {"other": 1.0})
+
+    def test_one_tape_takes_any_binding(self):
+        e = ex.mul(ex.add(ex.param("a"), ex.mul(ex.const(1j), ex.param("b"))),
+                   ex.z(1))
+        tape = ex._Tape([e])
+        for a, b in ((2.0, 0.5), (-1.0, 3.0), (2.0, 0.5)):
+            got = tape.values(self.PTS, {"a": a, "b": b})[0]
+            assert np.array_equal(got, complex(a, b) * self.PTS[:, 0])
+
+    def test_bound_template_equals_folded_constants_bit_for_bit(self):
+        # 2 r and r (z1 zbar1) over params against the folded constants.
+        def build(r):
+            return ex.add(ex.mul(ex.mul(2.0, r), ex.z(1)),
+                          ex.mul(r, ex.mul(ex.z(1), ex.zbar(1))))
+        template = build(ex.param("r"))
+        for r in (1.0, 0.37, 2.5):
+            want = ex.evaluate_many(build(r), self.PTS)
+            got = ex._Tape([template]).values(self.PTS, {"r": r})[0]
+            assert np.array_equal(got, want)
+
+    def test_implicit_time_with_param_weights(self):
+        r1, r2 = ex.param("r1"), ex.param("r2")
+        t = ex.implicit_t((r1, r2))
+        assert t.args[4:] == (r1, r2) and t.weights == (r1, r2)
+        assert ex.formal_conjugate(t) is t
+        mixed = ex.implicit_t((1.0, r2))
+        assert mixed.args[4:] == (r2,) and mixed.weights == (1.0, r2)
+        for w in ((1.0, 1.5), (0.7, 2.3)):
+            binding = {"r1": w[0], "r2": w[1]}
+            numeric = ex.implicit_t(w)
+            for index, conj in ((None, None), (1, False), (2, True)):
+                a, b = t, numeric
+                if index is not None:
+                    a = ex.wirtinger_d(t, index, conj)
+                    b = ex.wirtinger_d(numeric, index, conj)
+                assert np.array_equal(ex._Tape([a]).values(self.PTS, binding)[0],
+                                      ex.evaluate_many(b, self.PTS))
+        with pytest.raises(ex.NewtonDivergence, match="positive"):
+            ex._Tape([t]).values(self.PTS, {"r1": 1.0, "r2": -2.0})
+
+    def test_param_weights_round_trip_through_json(self):
+        t = ex.implicit_t((1.0, ex.param("r2")))
+        table = ex.to_json(t)
+        assert table["nodes"][-1] == {"op": "implicit_t", "weights": [1.0, None],
+                                      "args": [0, 1, 2, 3, 4]}
+        assert table["nodes"][4] == {"op": "param", "name": "r2"}
+        assert ex.from_json(json.loads(json.dumps(table))) is t
+        table["nodes"][-1]["args"] = [0, 1, 2, 3]
+        with pytest.raises(ValueError, match="needs 5 args"):
+            ex.from_json(table)
+
+
 class TestJson:
     @pytest.mark.parametrize("builder", [
         lambda: ex.const(1.5 - 2j),

@@ -381,6 +381,18 @@ class TestDefiniteness:
         with pytest.raises(fm.NonHermitian):
             fm.definiteness(a, PTS)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-9, 1e-12])
+    def test_sign_does_not_depend_on_scale(self, scale):
+        phi = ex.mul(ex.const(scale), ex.add(ex.mul(ex.z(1), ex.zbar(1)),
+                                             ex.mul(ex.z(2), ex.zbar(2))))
+        rep = fm.definiteness(fm.kaehler_form(2, phi), PTS)
+        assert rep.is_definite and rep.sign == 1
+        assert rep.min_abs_eigenvalue == pytest.approx(scale)
+
+    def test_zero_form_has_sign_zero(self):
+        rep = fm.definiteness(fm.ExteriorForm(2, 2, {}), PTS)
+        assert rep.sign == 0 and rep.is_semidefinite and not rep.is_definite
+
     def test_worst_sample_recorded(self):
         a = fm.form_from_terms(2, 2, {(0, 2): ex.const(-1j),
                                       (1, 3): ex.const(-1j)})

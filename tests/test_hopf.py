@@ -381,3 +381,49 @@ class TestRegistry:
                            match="finite.*%s = " % key) as err:
             hp.build_entry(name, params)
         assert repr(value) in str(err.value)
+
+
+class TestTemplates:
+    @pytest.mark.parametrize("name", hp.ENTRY_NAMES)
+    def test_forms_built_on_first_access_only(self, monkeypatch, name):
+        builds = []
+        build = hp.EntryTemplate.build
+
+        def counting(self, symbolic=False):
+            builds.append(symbolic)
+            return build(self, symbolic)
+
+        monkeypatch.setattr(hp.EntryTemplate, "build", counting)
+        entry = hp.build_entry(name)
+        assert builds == []
+        forms, potential = entry.forms, entry.potential
+        assert builds == [False]
+        assert entry.forms is forms and entry.potential is potential
+
+    def test_entry_is_immutable_and_takes_forms_or_template(self):
+        entry = hp.build_entry("kodaira")
+        with pytest.raises(AttributeError, match="immutable"):
+            entry.name = "other"
+        with pytest.raises(ValueError, match="not both"):
+            hp.HopfSurfaceCatalogEntry(
+                "x", 2, {"theta": fm.ExteriorForm(2, 1, {})}, entry.group, {},
+                template=entry.template)
+
+    def test_template_with_params_is_the_same_shape_for_all_weights(self):
+        a = hp.vaisman_entry(r=(0.8, 1.7)).template.build(symbolic=True)
+        b = hp.vaisman_entry(r=(1.9, 0.6)).template.build(symbolic=True)
+        assert a == b
+
+    @pytest.mark.parametrize("r", [(1.0, 1.5), (0.8, 1.7), (1.9, 0.6)])
+    def test_bound_template_gives_the_forms_bit_for_bit(self, r):
+        entry = hp.vaisman_entry(r=r, p=(0.5, -1.1))
+        template, _ = entry.template.build(symbolic=True)
+        binding = dict(entry.template.inputs)
+        pts = random_annulus(2, 40, seed=127)
+        for key, form in entry.forms.items():
+            want = fm.evaluate_form_many(form, pts)
+            got = fm._RequestTape([(template[key], True)], 2).run(
+                pts, binding)[0]
+            assert sorted(got) == sorted(want)
+            for index in want:
+                assert np.array_equal(got[index], want[index])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import hopflck.expr as ex
+import hopflck.hopf as hp
 import hopflck.maps as mp
 from oracles import (conjugated_map_numeric, geometric_contraction_count,
                      poly_eval_naive, random_annulus)
@@ -348,6 +349,27 @@ class TestContraction:
         a = mp.contraction_test(g)
         b = mp.contraction_test(g)
         assert a == b
+
+    @pytest.mark.parametrize("name", hp.ENTRY_NAMES + ("jordan",))
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_matrix_step_gives_polynomial_step_verdict(self, monkeypatch,
+                                                      name, inverse):
+        if name == "jordan":
+            g = mp.PolyAutomorphism.from_matrix([[0.7, 1.0], [0.0, 0.7]])
+        else:
+            g = hp.build_entry(name).group.cyclic_generator
+        if inverse:
+            g = g.inverse_linear()
+
+        def refuse(self, pts):
+            raise AssertionError("a linear orbit stepped by eval_many")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(mp.PolyAutomorphism, "eval_many", refuse)
+            fast = mp.contraction_test(g)
+        monkeypatch.setattr(mp.PolyAutomorphism, "is_linear", lambda self: False)
+        slow = mp.contraction_test(g)
+        assert fast == slow
 
 
 class TestJordanForm:

@@ -449,6 +449,66 @@ class TestSuiteOnePass:
             assert isinstance(info.value.cause, ex.DivisionNearZero)
 
 
+class TestSuiteCache:
+    """run_suite compiles each catalog template once and binds each entry's
+    numbers to it."""
+
+    CONFIG = vf.SuiteConfig(points=300, seed=3)
+
+    def test_bounded_least_recently_used_dropped(self):
+        vf._SUITES.clear()
+        for n in range(2, 13):
+            vf.run_suite(hp.build_entry("example2", {"n": n}),
+                         vf.SuiteConfig(points=20))
+            assert len(vf._SUITES) <= vf.SUITE_CACHE_SIZE == 8
+        assert [fixed for _, fixed, _ in vf._SUITES] == [
+            (n,) for n in range(5, 13)]
+        vf.run_suite(hp.build_entry("example2", {"n": 5}),
+                     vf.SuiteConfig(points=20))
+        assert [fixed for _, fixed, _ in vf._SUITES][-1] == (5,)
+
+    def test_warm_run_builds_nothing(self, monkeypatch):
+        vf.run_suite(hp.build_entry("vaisman"), self.CONFIG)
+        builds = []
+        build = hp.EntryTemplate.build
+        monkeypatch.setattr(
+            hp.EntryTemplate, "build",
+            lambda self, symbolic=False: builds.append(symbolic)
+            or build(self, symbolic))
+        runs = _record_tapes(monkeypatch)
+        before = list(vf._SUITES)
+        vf.run_suite(hp.build_entry("vaisman", {"r1": 1.23, "p2": -0.4}),
+                     self.CONFIG)
+        assert builds == [] and list(vf._SUITES) == before
+        assert [tape for tape, _ in runs] == [
+            vf._SUITES[before[-1]].requests.tape]
+
+    def test_support_is_part_of_the_key(self):
+        a = hp.build_entry("kodaira", {"t": 1.0})
+        b = hp.build_entry("kodaira", {"t": 0.0})
+        vf.run_suite(a, self.CONFIG)
+        vf.run_suite(b, self.CONFIG)
+        assert [support for _, _, support in list(vf._SUITES)[-2:]] == [
+            ((((0, 1), (1, 0)), ((0, 1),)),), ((((1, 0),), ((0, 1),)),)]
+
+    @pytest.mark.parametrize("name,params", [
+        ("vaisman", {"r1": 0.8, "r2": 1.7, "p1": 0.5, "p2": -1.1}),
+        ("vaisman", {"r1": 1.2, "r2": 1.2}),
+        ("example1", {"mu": 1.5 + 1j}),
+        ("example2", {"mu": -0.5 + 2j, "n": 3}),
+        ("kodaira", {"alpha": 0.3 - 0.4j, "t": 2j}),
+    ])
+    def test_same_reports_as_the_entry_built_by_hand(self, name, params):
+        entry = hp.build_entry(name, params)
+        by_hand = hp.HopfSurfaceCatalogEntry(
+            name, entry.ambient_dim, entry.forms, entry.group,
+            entry.parameters, potential=entry.potential)
+        keys = list(vf._SUITES)
+        got = vf.reports_to_json(vf.run_suite(by_hand, self.CONFIG))
+        assert list(vf._SUITES) == keys  # an entry by hand is not cached
+        assert vf.reports_to_json(vf.run_suite(entry, self.CONFIG)) == got
+
+
 class TestJsonify:
     def test_complex_becomes_pair(self):
         assert vf.jsonify({"a": 1 + 2j}) == {"a": [1.0, 2.0]}
