@@ -40,15 +40,23 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 
 
-def _coerce_number(value):
-    if isinstance(value, (list, tuple)) and len(value) == 2 and not any(
-            isinstance(v, bool) for v in value):
-        return complex(float(value[0]), float(value[1]))
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if isinstance(value, complex):
-        return value
-    raise ValueError("expected a number or [re, im] pair, got %r" % (value,))
+def _json_number(what, value, kind=float):
+    """A JSON number as ``kind``; a value of another type, a boolean, a
+    non-integral float for int or an int beyond the float range is refused."""
+    if not isinstance(value, bool) and (isinstance(value, int) or isinstance(
+            value, float) and (kind is float or value.is_integer())):
+        try:
+            return kind(value)
+        except OverflowError:
+            pass
+    raise ValueError("%s must be a %s number, got %r"
+                     % (what, "whole" if kind is int else "real", value))
+
+
+def _coerce_number(key, value):
+    if isinstance(value, list):
+        return mp._json_complex(value, "parameter %s =" % key)
+    return _json_number("parameter %s" % key, value)
 
 
 def _load_json(path: str):
@@ -73,17 +81,16 @@ def _load_config_file(path: str) -> dict:
     if not isinstance(params, dict):
         raise ValueError("config 'parameters' must be an object")
     obj = dict(obj)
-    obj["parameters"] = {k: _coerce_number(v) for k, v in params.items()}
-    # A value that int()/float() cannot read is a configuration error (exit 2),
-    # and so is a boolean or, for points and seed, a non-integral float.
-    for key, kind in (("points", int), ("seed", int), ("tol", float)):
+    obj["parameters"] = {k: _coerce_number(k, v) for k, v in params.items()}
+    # A value of another JSON type is a configuration error (exit 2).
+    for key in ("entry", "out"):
         value = obj.get(key)
-        if isinstance(value, bool) or (kind is int and isinstance(value, float)
-                                       and not value.is_integer()):
-            raise ValueError("config %r must be a %s number, got %r"
-                             % (key, "whole" if kind is int else "real", value))
-        if value is not None:
-            obj[key] = kind(value)
+        if value is not None and not isinstance(value, str):
+            raise ValueError("config %r must be a string, got %r"
+                             % (key, value))
+    for key, kind in (("points", int), ("seed", int), ("tol", float)):
+        if obj.get(key) is not None:
+            obj[key] = _json_number("config %r" % key, obj[key], kind)
     return obj
 
 

@@ -9,8 +9,9 @@ folding and structural zero/one elimination; there is no general simplifier.
 All constructors intern their results: structurally identical expressions are
 the *same* Python object.  Equality and hashing therefore coincide with
 structural equality, and a shared subterm is a single DAG node.  The intern
-table holds its nodes weakly and each node keeps its own derivatives, so an
-expression that nothing references any more is freed with its derivatives.
+table holds its nodes weakly and a node refers only to its children, so no
+DAG is a reference cycle: an expression that nothing references any more is
+freed at once.
 
 Each node kind has its rules in one table, ``_KINDS``: evaluate, rebuild from
 new children, differentiate from the children's derivatives, JSON fields and
@@ -119,8 +120,7 @@ def _forget(ref):
 class Expression:
     """Base class for all expression nodes.  Instances are interned."""
 
-    __slots__ = ("args", "max_index", "has_conj", "has_implicit", "_derivs",
-                 "__weakref__")
+    __slots__ = ("args", "max_index", "has_conj", "has_implicit", "__weakref__")
 
     op = ""
 
@@ -264,7 +264,6 @@ def _intern(cls, key, args=(), **attrs):
                 node.max_index = c.max_index
             node.has_conj |= c.has_conj
             node.has_implicit |= c.has_implicit
-        node._derivs = None
         for name, value in attrs.items():
             setattr(node, name, value)
         _INTERN[key] = ref = _Ref(node, _forget)
@@ -675,13 +674,11 @@ def wirtinger_d(e: Expression, index: int, conjugate: bool = False) -> Expressio
     """Exact partial derivative of ``e`` by z_index (or zbar_index)."""
     if index < 1:
         raise ValueError("variable index must be positive")
-    key = (index, conjugate)
-    for node in _post_order(e, lambda node: key in (node._derivs or ())):
-        d = [c._derivs[key] for c in node.args]
-        if node._derivs is None:
-            node._derivs = {}
-        node._derivs[key] = _KINDS[type(node)].derive(node, d, index, conjugate)
-    return e._derivs[key]
+    d = {}
+    for node in _post_order(e, d.__contains__):
+        d[node] = _KINDS[type(node)].derive(
+            node, [d[c] for c in node.args], index, conjugate)
+    return d[e]
 
 
 def _rebuild(e, zs, zbs, conj):

@@ -226,12 +226,6 @@ def wedge(a: ExteriorForm, b: ExteriorForm) -> ExteriorForm:
     return ExteriorForm(a.ambient_dim, degree, terms)
 
 
-def _basis_derivative(coeff, basis_id, n):
-    if basis_id < n:
-        return ex.wirtinger_d(coeff, basis_id + 1, False)
-    return ex.wirtinger_d(coeff, basis_id - n + 1, True)
-
-
 def _d_split(a: ExteriorForm, which: str) -> ExteriorForm:
     n = a.ambient_dim
     lo, hi = (0, n) if which == "del" else ((n, 2 * n) if which == "delbar"
@@ -242,7 +236,7 @@ def _d_split(a: ExteriorForm, which: str) -> ExteriorForm:
         for b in range(lo, hi):
             if b in in_index:
                 continue
-            dc = _basis_derivative(coeff, b, n)
+            dc = ex.wirtinger_d(coeff, b % n + 1, b >= n)
             if dc is ex._ZERO:
                 continue
             pos = sum(1 for i in index if i < b)

@@ -240,7 +240,7 @@ def example2_entry(n: int = 2, mu: complex = 2.0) -> HopfSurfaceCatalogEntry:
     group = _example2_group(n, mu)
     n = group.dim
     return HopfSurfaceCatalogEntry(
-        "example2", n, None, group, {"mu": mu, "n": n},
+        "example2", n, None, group, {"mu": complex(mu), "n": n},
         template=EntryTemplate(_example2_forms, {}, (n,)))
 
 

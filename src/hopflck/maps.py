@@ -19,6 +19,7 @@ condition number above 1e12 (for example diag(e^-0.01, e^-50)) is refused.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -674,12 +675,28 @@ def map_to_json(g: PolyAutomorphism):
     return {"dim": g.dim, "components": comps}
 
 
+def _json_complex(pair, what) -> complex:
+    """The complex number of a JSON [re, im] pair of real numbers."""
+    if isinstance(pair, list) and len(pair) == 2 and all(
+            isinstance(x, (int, float)) and not isinstance(x, bool)
+            for x in pair):
+        try:
+            return complex(*pair)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ValueError("%s %s must be a [re, im] pair of real numbers"
+                     % (what, json.dumps(pair)))
+
+
 def map_from_json(obj) -> PolyAutomorphism:
     try:
-        dim = int(obj["dim"])
+        dim = ex._json_int(obj["dim"])
         comps = obj["components"]
     except (KeyError, TypeError) as err:
         raise ValueError("map JSON needs dim and components") from err
+    if not (isinstance(comps, list)
+            and all(isinstance(comp, list) for comp in comps)):
+        raise ValueError("map JSON components must be a list of term lists")
     if len(comps) != dim:
         raise ex.DimensionMismatch("map JSON has %d components for dim %d"
                                    % (len(comps), dim))
@@ -687,9 +704,13 @@ def map_from_json(obj) -> PolyAutomorphism:
     for comp in comps:
         table = {}
         for item in comp:
-            mono = tuple(int(e) for e in item["monomial"])
-            re, im = item["coeff"]
-            table[mono] = table.get(mono, 0) + complex(re, im)
+            if not (isinstance(item, dict) and isinstance(
+                    item.get("monomial"), list) and "coeff" in item):
+                raise ValueError("map term %s needs a monomial list and a "
+                                 "coeff" % json.dumps(item))
+            mono = tuple(ex._json_int(e) for e in item["monomial"])
+            c = _json_complex(item["coeff"], "coefficient")
+            table[mono] = table.get(mono, 0) + c
         tables.append(table)
     return PolyAutomorphism.from_tables(tables)
 
@@ -701,10 +722,8 @@ def matrix_to_json(matrix):
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    rows = []
-    for row in obj:
-        rows.append([complex(entry[0], entry[1]) for entry in row])
-    a = np.asarray(rows, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix JSON must be square")
-    return a
+    if not (isinstance(obj, list) and obj and all(
+            isinstance(row, list) and len(row) == len(obj) for row in obj)):
+        raise ValueError("matrix JSON must be a square list of rows")
+    return np.array([[_json_complex(entry, "matrix entry") for entry in row]
+                     for row in obj], dtype=complex)

@@ -263,6 +263,48 @@ class TestVerifyCommand:
         code, _, err = run(capsys, ["verify", "--file", conf])
         assert code == 2 and "True" in err
 
+    @pytest.mark.parametrize("key,value", [
+        ("out", 7), ("out", 1), ("entry", ["example1"]), ("points", [1]),
+        ("tol", {}), ("seed", "3"), ("tol", "1e-8"), ("tol", 10 ** 400),
+    ])
+    def test_config_value_of_wrong_json_type_rejected(self, capsys, tmp_path,
+                                                      key, value):
+        # open() takes an integer "out" as a file descriptor, which it
+        # writes to and then closes: 1 would close standard output.
+        conf = write_json(tmp_path / "conf.json",
+                          {"entry": "example1", "points": 20, key: value})
+        code, out, err = run(capsys, ["verify", "--file", conf])
+        assert (code, out) == (2, "")
+        assert err == "error: config %r must be a %s, got %r\n" % (
+            key, {"out": "string", "entry": "string", "tol": "real number"}
+            .get(key, "whole number"), value)
+
+    @pytest.mark.parametrize("value", [[3, "a"], [3, 0, 7], [3, False], "3",
+                                       10 ** 400])
+    def test_config_parameter_of_wrong_json_type_rejected(
+            self, capsys, tmp_path, value):
+        conf = write_json(tmp_path / "conf.json",
+                          {"entry": "example1", "parameters": {"mu": value}})
+        code, out, err = run(capsys, ["verify", "--file", conf])
+        assert (code, out) == (2, "") and err.count("\n") == 1
+        assert err.startswith("error: parameter mu")
+
+    @pytest.mark.parametrize("flags,conf", [
+        ([], None), (["--mu-re", "3"], None), ([], {"mu": 3}),
+        ([], {"mu": [3, 0]}),
+    ])
+    def test_example2_reports_mu_as_a_pair(self, capsys, tmp_path, flags,
+                                           conf):
+        argv = ["verify", "--points", "20"] + flags
+        if conf is None:
+            argv += ["--entry", "example2"]
+        else:
+            argv += ["--file", write_json(tmp_path / "conf.json", {
+                "entry": "example2", "parameters": conf})]
+        code, out, _ = run(capsys, argv)
+        mu = 3.0 if flags or conf else 2.0
+        assert code == 0 and json.loads(out)["parameters"]["mu"] == [mu, 0.0]
+
     def test_evaluation_failure_exits_1(self, capsys, monkeypatch):
         def fail(*_):
             raise fm.FormEvaluationError((0, 1), ex.NewtonDivergence("x"))
@@ -335,6 +377,47 @@ class TestSuiteCacheThroughCli:
         finally:
             gc.enable()
         assert found <= 40
+
+    def test_building_vaisman_forms_leaves_no_cyclic_garbage(self):
+        # The derivative of an Exp or ImplicitT node refers back to that
+        # node, so a node that kept its derivatives would be a cycle.
+        gc.collect()
+        gc.disable()
+        try:
+            entry = hopf.build_entry("vaisman", {"r1": 1.3, "p2": -0.7})
+            d_omega = fm.exterior_d(entry.forms["Omega"])
+            del entry, d_omega
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert found == 0
+
+    def test_solve_lee_vaisman_leaves_little_cyclic_garbage(self, capsys):
+        # The stdlib JSON encoder alone leaves 33.
+        gc.collect()
+        gc.disable()
+        try:
+            code, _, _ = run(capsys, ["solve-lee", "--entry", "vaisman",
+                                      "--points", "100"])
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert code == 0 and found <= 40
+
+    def test_repeated_wirtinger_d_is_one_node_and_no_cycle(self):
+        # Weights no catalog entry uses, so every node here is new.
+        gc.collect()
+        gc.disable()
+        try:
+            t = ex.implicit_t((1.25, 3.75))
+            e = ex.mul(ex.exp(ex.mul(2.0, t)), ex.zbar(1))
+            first = ex.wirtinger_d(e, 1)
+            same = ex.wirtinger_d(e, 1) is first
+            del t, e, first
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert same and found == 0
 
 
 class TestDeformCommand:
@@ -504,6 +587,22 @@ class TestJordanCommand:
         assert (code, out) == (2, "")
         assert err == "error: matrix entry (0, 0) = (nan+0j) is not finite\n"
 
+    @pytest.mark.parametrize("matrix,message", [
+        ([[1, 2], [3, 4]], "matrix entry 1 must be a [re, im] pair"),
+        ([[["a", 0]]], 'matrix entry ["a", 0] must be a [re, im] pair'),
+        (5, "matrix JSON must be a square list of rows"),
+        ([[[1, 0], [0, 0]], [[0, 0]]], "matrix JSON must be a square"),
+        ([[[1, 0, 7]]], "matrix entry [1, 0, 7] must be a [re, im] pair"),
+        ([[[True, 0]]], "matrix entry [true, 0] must be a [re, im] pair"),
+    ], ids=["reals", "string-part", "number", "ragged", "three-numbers",
+            "boolean-part"])
+    def test_malformed_matrix_rejected(self, capsys, tmp_path, matrix,
+                                       message):
+        path = write_json(tmp_path / "bad.json", {"matrix": matrix})
+        code, out, err = run(capsys, ["jordan", "--file", path])
+        assert (code, out) == (2, "") and err.count("\n") == 1
+        assert err.startswith("error: " + message)
+
 
 class TestContractionCommand:
     def test_certifies_uniform_contraction(self, capsys, tmp_path):
@@ -535,6 +634,36 @@ class TestContractionCommand:
                                       "%s=%s" % (flag, value)])
         assert code == 2 and out == ""
         assert flag[2:] in err and repr(float(value)) in err
+
+    @pytest.mark.parametrize("components,message", [
+        ([[{"coeff": [0.5, 0]}], [{"monomial": [0, 1], "coeff": [0.5, 0]}]],
+         'map term {"coeff": [0.5, 0]} needs a monomial list and a coeff'),
+        ([[{"monomial": [1, 0], "coeff": 0.5}],
+          [{"monomial": [0, 1], "coeff": [0.5, 0]}]],
+         "coefficient 0.5 must be a [re, im] pair"),
+        (7, "map JSON components must be a list of term lists"),
+        ([[{"monomial": [1, 0], "coeff": [0.5, 0, 7]}],
+          [{"monomial": [0, 1], "coeff": [0.5, 0]}]],
+         "coefficient [0.5, 0, 7] must be a [re, im] pair"),
+        ([[{"monomial": [1, 0], "coeff": [0.5, False]}],
+          [{"monomial": [0, 1], "coeff": [0.5, 0]}]],
+         "coefficient [0.5, false] must be a [re, im] pair"),
+    ], ids=["no-monomial", "bare-coeff", "number", "three-numbers",
+            "boolean-part"])
+    def test_malformed_map_rejected(self, capsys, tmp_path, components,
+                                    message):
+        path = write_json(tmp_path / "bad.json",
+                          {"dim": 2, "components": components})
+        code, out, err = run(capsys, ["contraction", "--file", path])
+        assert (code, out) == (2, "") and err.count("\n") == 1
+        assert err.startswith("error: " + message)
+
+    @pytest.mark.parametrize("matrix", [[[1, 2], [3, 4]], 5])
+    def test_malformed_matrix_rejected(self, capsys, tmp_path, matrix):
+        path = write_json(tmp_path / "bad.json", {"matrix": matrix})
+        code, out, err = run(capsys, ["contraction", "--file", path])
+        assert (code, out) == (2, "") and err.count("\n") == 1
+        assert err.startswith("error: matrix ")
 
     def test_divergent_orbit(self, capsys, tmp_path):
         g = mp.PolyAutomorphism.from_tables(
