@@ -425,6 +425,12 @@ def _apply_div(e, args, pts):
     return num / den
 
 
+def _apply_quotient(e, args, pts):
+    # A division whose divisor an earlier operation of the same chunk has
+    # already passed through _apply_div (see _Tape).
+    return args[0] / args[1]
+
+
 def _apply_pow(e, args, pts):
     base = args[0]
     if e.power < 0:
@@ -462,30 +468,45 @@ def _weights(e, kids):
     return [w if isinstance(w, float) else next(bound) for w in e.weights]
 
 
+def _column_sum(columns):
+    """The left-to-right sum of equal-length arrays, in a new array."""
+    total = columns[0] + columns[1]
+    for column in columns[2:]:
+        total += column
+    return total
+
+
 def _apply_implicit(e, args, pts):
+    # One contiguous real column per weight.  Every sum below runs left to
+    # right over the weights, the order numpy's sum(axis=1) of an (m, n)
+    # array takes for n <= 7 (numpy 2.4), so t has the bits of that (m, n)
+    # formulation.
     m = pts.shape[0]
-    r = np.array([complex(w).real for w in _weights(e, args)])
+    r = [complex(w).real for w in _weights(e, args)]
     n = len(r)
-    if not np.all(r > 0):
+    if not all(w > 0 for w in r):
         raise NewtonDivergence("implicit-time weights must be positive, got %r"
-                               % (r.tolist(),))
-    s = np.empty((m, n))
-    for k in range(n):
-        s[:, k] = np.broadcast_to(np.asarray(args[k] * args[n + k]), (m,)).real
-    total = s.sum(axis=1)
+                               % (r,))
+    s = [np.ascontiguousarray(
+        np.broadcast_to(np.asarray(args[k] * args[n + k]), (m,)).real,
+        dtype=float) for k in range(n)]
+    total = _column_sum(s)
     bad = total <= 0
     if np.any(bad):
         raise NewtonDivergence("implicit time undefined (zero radius)",
                                _bad_point(pts, total, bad))
-    t = -np.log(total) / (2.0 * r.max())
+    t = -np.log(total) / (2.0 * max(r))
+    slope = [(2.0 * w) * sk for w, sk in zip(r, s)]
     # NEWTON_MAX_ITER steps, each followed by a residual test; the step
     # after the last test is discarded.
     for _ in range(NEWTON_MAX_ITER + 1):
-        growth = np.exp(2.0 * t[:, None] * r[None, :])
-        f = (s * growth).sum(axis=1) - 1.0
+        two_t = 2.0 * t
+        growth = [np.exp(two_t * w) for w in r]
+        f = _column_sum([sk * gk for sk, gk in zip(s, growth)])
+        f -= 1.0
         if np.all(np.abs(f) < NEWTON_TOL):
             return t
-        fprime = (2.0 * r[None, :] * s * growth).sum(axis=1)
+        fprime = _column_sum([dk * gk for dk, gk in zip(slope, growth)])
         t = t - f / fprime
     bad = np.abs(f) >= NEWTON_TOL
     raise NewtonDivergence("Newton failed to reach %g in %d iterations"
@@ -748,10 +769,11 @@ def evaluate_many(e: Expression, points) -> np.ndarray:
 
 
 # Points per tape pass.  Intermediates live only for one chunk, so peak memory
-# is (live slots) x _CHUNK x 16 bytes.  Median of 4 run_suite(vaisman) calls
-# at 50k points on a 2-vCPU Xeon (AVX-512, 2 MB L2 per core): 0.70 s with 1k
-# chunks, where per-op dispatch shows, 0.58 s with 2k, 0.53 s with 4k,
-# 0.59 s with 8k and 0.61 s with 16k.
+# is (live slots) x _CHUNK x 16 bytes.  Median of 7 run_suite(vaisman) calls
+# at 50k points, one tape of 1027 operations, on a 2-vCPU Xeon (AVX-512,
+# 2 MB L2 per core): 0.27 s with 1k chunks, where per-op dispatch shows,
+# 0.22 s with 2k, 0.20 s with 4k, 0.24 s with 8k and 0.26 s with 16k.  The
+# Newton stop is decided per chunk, so another size would move digits.
 _CHUNK = 4096
 
 
@@ -787,26 +809,40 @@ class _Tape:
     order, so ``ops[:first_op[k]]`` computes exactly roots 0..k-1 and an
     error maps back to its root.  A non-root slot is dropped right after its
     last consumer runs; root slots are handed on at the end of each chunk.
+
+    Only the first division by a slot tests its magnitude: every later one
+    runs after it in the same chunk, on the same values, and in every prefix
+    ``ops[:first_op[k]]`` that holds it, so it divides plainly.
     """
 
     def __init__(self, roots):
-        # ops: (rule, node, child slots); last[s]: the operation after which
-        # slot s is dropped, -1 for a root, which is kept.  params: the
-        # operations of the param leaves, which each run binds.
-        slot, self.ops, self.last, self.owner, self.first_op = {}, [], [], [], []
+        # ops: (rule, node, child slots); frees[i]: the slots dropped after
+        # operation i, their last consumer (a root slot is never dropped).
+        # params: the operations of the param leaves, which each run binds.
+        slot, self.ops, self.owner, self.first_op = {}, [], [], []
+        last, guarded = [], set()
         for k, root in enumerate(roots):
             self.first_op.append(len(self.ops))
             for node in _post_order(root, slot.__contains__):
                 kids = tuple(map(slot.__getitem__, node.args))
                 for c in kids:
-                    self.last[c] = len(self.ops)
+                    last[c] = len(self.ops)
+                rule = _KINDS[type(node)].apply
+                if rule is _apply_div:
+                    if kids[1] in guarded:
+                        rule = _apply_quotient
+                    guarded.add(kids[1])
                 slot[node] = len(self.ops)
-                self.ops.append((_KINDS[type(node)].apply, node, kids))
-                self.last.append(-1)
+                self.ops.append((rule, node, kids))
+                last.append(-1)
                 self.owner.append(k)
         self.roots = [slot[r] for r in roots]
         for s in self.roots:
-            self.last[s] = -1
+            last[s] = -1
+        self.frees = [()] * len(self.ops)
+        for s, i in enumerate(last):
+            if i >= 0:
+                self.frees[i] += (s,)
         self.params = [i for i, (_, node, _) in enumerate(self.ops)
                        if isinstance(node, Param)]
 
@@ -830,7 +866,7 @@ class _Tape:
                 name = bound[i][1].name
                 if name in binding:
                     bound[i] = (_bound, complex(float(binding[name])), ())
-        ops, last, roots, failure = bound, self.last, self.roots, None
+        ops, frees, roots, failure = bound, self.frees, self.roots, None
         # At m = 0 one empty pass still gives every output its shape.
         for lo in range(0, max(m, 1), _CHUNK):
             chunk = pts[lo:lo + _CHUNK]
@@ -838,9 +874,8 @@ class _Tape:
             try:
                 for i, (rule, node, kids) in enumerate(ops):
                     vals[i] = rule(node, [vals[c] for c in kids], chunk)
-                    for c in kids:
-                        if last[c] == i:
-                            vals[c] = None
+                    for c in frees[i]:
+                        vals[c] = None
             except EvaluationError as err:
                 failure = _RootFailure(self.owner[i], err)
                 ops = bound[:self.first_op[failure.root]]

@@ -38,7 +38,7 @@ __all__ = [
     "run_suite", "suite_passed", "reports_to_json", "jsonify",
     "DegenerateOmega", "NonPositivePotential",
     "RATIONAL_TOL", "IMPLICIT_TOL", "LEE_RCOND", "POTENTIAL_IMAG_RTOL",
-    "SUITE_CACHE_SIZE",
+    "SUITE_CACHE_SIZE", "MAX_POINTS",
 ]
 
 RATIONAL_TOL = 1e-10
@@ -50,6 +50,9 @@ WORST_POINTS = 3
 # Compiled suites run_suite keeps, one per catalog template; the least
 # recently used goes first.
 SUITE_CACHE_SIZE = 8
+# Most sample points a suite or a Lee solve takes.  At this size verify on
+# vaisman peaks at about 320 MB and solve-lee prints about 630 MB of JSON.
+MAX_POINTS = 10 ** 6
 
 
 class DegenerateOmega(ValueError):
@@ -398,6 +401,9 @@ class SuiteConfig:
     def __post_init__(self):
         if self.points < 1:
             raise ValueError("points must be >= 1, got %d" % self.points)
+        if self.points > MAX_POINTS:
+            raise ValueError("points must be <= %d, got %d"
+                             % (MAX_POINTS, self.points))
         if self.tol is not None and not self.tol > 0:
             raise ValueError("tol must be positive, got %r" % (self.tol,))
 

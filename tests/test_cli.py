@@ -248,6 +248,23 @@ class TestVerifyCommand:
         code, _, err = run(capsys, ["verify", "--file", conf])
         assert code == 2 and key in err and repr(value) in err
 
+    @pytest.mark.parametrize("command", ["verify", "solve-lee"])
+    def test_oversized_points_flag_rejected(self, capsys, command):
+        code, out, err = run(capsys, [command, "--entry", "example1",
+                                      "--points", "100000000000000"])
+        assert code == 2 and out == ""
+        assert err == ("error: points must be <= %d, got 100000000000000\n"
+                       % vf.MAX_POINTS)
+
+    def test_oversized_points_in_config_rejected(self, capsys, tmp_path):
+        # A whole float beyond any array numpy can allocate.
+        conf = write_json(tmp_path / "conf.json",
+                          {"entry": "example1", "points": 1e30})
+        code, _, err = run(capsys, ["verify", "--file", conf])
+        assert code == 2 and err.count("\n") == 1
+        assert err.startswith("error: points must be <= ")
+        assert str(int(1e30)) in err
+
     def test_integral_float_points_accepted(self, capsys, tmp_path):
         conf = write_json(tmp_path / "conf.json",
                           {"entry": "example1", "points": 20.0, "seed": 3.0})

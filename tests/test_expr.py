@@ -9,6 +9,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hopflck import expr as ex
+from hopflck import forms as fm
+from hopflck import hopf as hp
+from hopflck import verify as vf
 from hopflck.sampling import annulus_points
 
 from oracles import fd_wirtinger, implicit_time_reference
@@ -229,7 +232,7 @@ class TestWirtinger:
         assert ex.evaluate(d_log, p) == pytest.approx(
             np.conj(p[0]) / (1 + p[0] * np.conj(p[0])))
 
-    def test_derivative_cache_returns_same_node(self):
+    def test_repeated_derivative_is_the_interned_node(self):
         e = ex.mul(ex.z(1), ex.exp(ex.z(2)))
         assert ex.wirtinger_d(e, 2) is ex.wirtinger_d(e, 2)
 
@@ -347,6 +350,116 @@ class TestImplicitTime:
             ex.implicit_t((1.0,))
         with pytest.raises(ValueError):
             ex.implicit_t((1.0, -2.0))
+
+
+def _newton_matrix_reference(weights, args, m):
+    """t by the (m, n)-array Newton iteration that _apply_implicit replaced:
+    row sums of s * growth, with the same start, stop rule and budget."""
+    r = np.array([complex(w).real for w in weights])
+    n = len(r)
+    s = np.empty((m, n))
+    for k in range(n):
+        s[:, k] = np.broadcast_to(np.asarray(args[k] * args[n + k]), (m,)).real
+    t = -np.log(s.sum(axis=1)) / (2.0 * r.max())
+    for _ in range(ex.NEWTON_MAX_ITER + 1):
+        growth = np.exp(2.0 * t[:, None] * r[None, :])
+        f = (s * growth).sum(axis=1) - 1.0
+        if np.all(np.abs(f) < ex.NEWTON_TOL):
+            return t
+        fprime = (2.0 * r[None, :] * s * growth).sum(axis=1)
+        t = t - f / fprime
+    raise AssertionError("reference Newton did not converge")
+
+
+class TestTapeKernels:
+    """The per-chunk kernels of _Tape: the column-wise Newton solve, one
+    magnitude guard per divisor slot, and precomputed slot frees."""
+
+    WEIGHTS = (1.0, 1.5, 2.5, 0.7, 3.1)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("m", [1, ex._CHUNK, ex._CHUNK + 1])
+    @pytest.mark.parametrize("as_params", [False, True])
+    def test_newton_equals_matrix_formulation(self, n, m, as_params):
+        weights = self.WEIGHTS[:n]
+        names = ["r%d" % k for k in range(n)]
+        t = ex.implicit_t([ex.param(a) for a in names] if as_params
+                          else weights)
+        pts = annulus_points(n, m, seed=40 + n)
+        args = ([pts[:, k] for k in range(n)]
+                + [np.conj(pts[:, k]) for k in range(n)])
+        bound = [complex(w) for w in weights] if as_params else []
+        want = _newton_matrix_reference(weights, args, m)
+        got = ex._apply_implicit(t, args + bound, pts)
+        assert got.dtype == np.float64 and np.array_equal(got, want)
+        # Through a tape the solve runs, and stops, chunk by chunk.
+        binding = dict(zip(names, weights)) if as_params else None
+        chunked = np.concatenate([
+            _newton_matrix_reference(weights, [a[lo:lo + ex._CHUNK]
+                                               for a in args],
+                                     min(ex._CHUNK, m - lo))
+            for lo in range(0, m, ex._CHUNK)])
+        assert np.array_equal(ex._Tape([t]).values(pts, binding)[0], chunked)
+
+    def test_vaisman_suite_guards_each_divisor_once(self):
+        entry = hp.build_entry("vaisman")
+        suite, _ = vf._suite(entry, vf._generator_list(entry.group))
+        tape = suite.requests.tape
+        divs = [(i, rule, kids[1]) for i, (rule, node, kids)
+                in enumerate(tape.ops) if isinstance(node, ex.Div)]
+        first = {}
+        for i, _, den in divs:
+            first.setdefault(den, i)
+        guarded = [i for i, rule, _ in divs if rule is ex._apply_div]
+        assert (len(divs), len(guarded)) == (64, 7)
+        assert guarded == sorted(first.values())
+        assert all(rule is ex._apply_quotient
+                   for i, rule, _ in divs if i not in guarded)
+
+    def test_frees_drop_each_slot_after_its_last_consumer(self):
+        z1, zb1 = ex.z(1), ex.zbar(1)
+        sq = ex.mul(z1, z1)
+        a, b = ex.add(sq, zb1), ex.div(sq, ex.add(zb1, 2.0))
+        tape = ex._Tape([a, b])
+        freed = [s for f in tape.frees for s in f]
+        assert len(freed) == len(set(freed))
+        assert not set(freed) & set(tape.roots)
+        # Every slot but the roots is freed after the last op that reads it.
+        for s in range(len(tape.ops)):
+            readers = [i for i, (_, _, kids) in enumerate(tape.ops)
+                       if s in kids]
+            if s in tape.roots:
+                continue
+            assert s in tape.frees[max(readers)]
+
+    # Two coefficients divide by the same z1 - 0.5, which vanishes at point
+    # k (second chunk); only the first division on that slot tests it.  In
+    # the second layout the later coefficient also divides by z2, which
+    # vanishes in the first chunk, so it fails first in time but the earlier
+    # coefficient is named.  The expectations are those of the tape that
+    # tested every division.
+    @pytest.mark.parametrize("layout", ["shared", "later_fails_first"])
+    def test_shared_divisor_failure_names_the_same_root(self, layout):
+        z1, z2, zb2 = ex.z(1), ex.z(2), ex.zbar(2)
+        den = ex.sub(z1, 0.5)
+        later = ex.div(ex.mul(z1, z2), den)
+        if layout == "later_fails_first":
+            later = ex.add(later, ex.div(1.0, z2))
+        a = fm.form_from_terms(2, 1, {(0,): z2, (1,): ex.div(zb2, den),
+                                      (3,): later})
+        pts = np.tile(np.array([0.6, 0.8], dtype=complex),
+                      (2 * ex._CHUNK, 1))
+        k = ex._CHUNK + 17
+        pts[k] = (0.5, 0.8)
+        pts[3] = (0.6, 0.0)
+        with pytest.raises(fm.FormEvaluationError) as info:
+            fm.evaluate_form_many(a, pts)
+        assert info.value.index == (1,)
+        assert isinstance(info.value.cause, ex.DivisionNearZero)
+        assert info.value.cause.point == (0.5, 0.8)
+        assert str(info.value) == (
+            "term (1,): divisor magnitude below 1e-14 at point "
+            "((0.5+0j), (0.8+0j))")
 
 
 class TestParam:

@@ -236,6 +236,10 @@ class TestSuiteConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="points"):
             vf.SuiteConfig(points=0)
+        with pytest.raises(ValueError, match="points must be <= %d, got %d"
+                           % (vf.MAX_POINTS, vf.MAX_POINTS + 1)):
+            vf.SuiteConfig(points=vf.MAX_POINTS + 1)
+        assert vf.SuiteConfig(points=vf.MAX_POINTS).points == vf.MAX_POINTS
         with pytest.raises(ValueError, match="tol"):
             vf.SuiteConfig(tol=0.0)
         vf.SuiteConfig(tol=1e-6)
