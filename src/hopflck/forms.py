@@ -15,6 +15,7 @@ definiteness of (1,1)-forms via the Hermitian coefficient matrix H = i C.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -443,7 +444,8 @@ class _RequestTape:
 
 @dataclass(frozen=True, eq=False)
 class HermitianMatrixSample:
-    """H = i C extracted at a point from a (1,1)-form with coefficients C."""
+    """The Hermitian part (H + H^*)/2 of H = i C at a point of a (1,1)-form
+    with coefficients C, its eigenvalues and the hermiticity defect of H."""
 
     point: tuple
     matrix: np.ndarray
@@ -453,7 +455,16 @@ class HermitianMatrixSample:
 
 @dataclass(frozen=True, eq=False)
 class DefinitenessReport:
-    """Joint eigenvalue-sign summary of a (1,1)-form over sample points."""
+    """Joint eigenvalue-sign summary of a (1,1)-form over sample points.
+
+    ``eigenvalues`` holds each point's eigenvalues of (H + H^*)/2 in
+    ascending order, as an (m, n) array.  For n = 2 they come from a closed
+    form (see :func:`_closed_form_2x2`) and lie within a few ulps of the
+    point's largest |eigenvalue| of LAPACK's; at each point where a decision
+    is that close, they are LAPACK's own, so every verdict,
+    ``min_abs_eigenvalue`` and ``worst_sample`` are what LAPACK's eigvalsh
+    at every point gives.  For other n they are LAPACK's at every point.
+    """
 
     is_definite: bool
     is_semidefinite: bool
@@ -494,16 +505,156 @@ def _check_type11_shape(a: ExteriorForm, pts):
                                    % (n, a.ambient_dim))
 
 
-def _frobenius(mats):
-    """Frobenius norm of each matrix in a complex (m, n, n) array, with no
-    temporary array of that size."""
-    flat = mats.view(np.float64).reshape(mats.shape[0], -1)
-    return np.sqrt(np.einsum("ij,ij->i", flat, flat))
+def _defect_ratio(c):
+    """(rel, |H|_F^2) for H = i C, as in :func:`_hermiticity_defect` but
+    without care for over- or underflow."""
+    norm2 = np.zeros(len(c[0][0]))
+    defect2 = np.zeros_like(norm2)
+    for i, row in enumerate(c):
+        for j, x in enumerate(row):
+            norm2 += x.real * x.real
+            norm2 += x.imag * x.imag
+            if i == j:
+                defect2 += x.real * x.real  # Im H_ii = Re C_ii
+            elif i < j:
+                # H_ij - conj(H_ji) = i (C_ij + conj(C_ji)) is twice the
+                # defect at (i, j) and at (j, i).
+                y = c[j][i]
+                dre, dim = x.real + y.real, x.imag - y.imag
+                dre *= dre
+                dim *= dim
+                dre += dim
+                dre *= 0.5
+                defect2 += dre
+    defect2 *= 4.0
+    rel = np.divide(defect2, norm2, out=defect2, where=norm2 > 0)
+    return np.sqrt(rel, out=rel), norm2
+
+
+# |H|_F^2 in this range leaves the defect ratio unharmed by over- and
+# underflow; elsewhere each point is scaled by a power of two first.
+_SAFE_NORM2 = (2.0 ** -800, 2.0 ** 800)
+
+
+def _hermiticity_defect(c):
+    """2 |H - (H + H^*)/2|_F / |H|_F for H = i C at each point, with
+    ``c[i][j]`` the (m,) column of C_ij; 0 where H is exactly zero."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        rel, norm2 = _defect_ratio(c)
+    lo, hi = _SAFE_NORM2
+    far = np.flatnonzero(~((norm2 >= lo) & (norm2 <= hi)))
+    if far.size:
+        parts = [x[far].view(np.float64).reshape(-1, 2)
+                 for row in c for x in row]
+        big = np.max([np.abs(p).max(axis=1) for p in parts], axis=0)
+        shift = -np.frexp(big)[1][:, None]
+        scaled = iter([np.ldexp(p, shift).view(complex)[:, 0]
+                       for p in parts])
+        rel[far] = _defect_ratio([[next(scaled) for _ in c] for _ in c])[0]
+    return rel
+
+
+def _hermitian_part(c, rows):
+    """(H + H^*)/2 for H = i C at the points ``rows``, as a
+    (len(rows), n, n) array: the bits that LAPACK's eigvalsh reads."""
+    n = len(c)
+    h = [[x[rows] * 1j for x in row] for row in c]
+    sym = np.empty((len(rows), n, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            np.add(np.conjugate(h[j][i]), h[i][j], out=sym[:, i, j])
+    sym *= 0.5
+    return sym
+
+
+# The closed-form 2x2 eigenvalues and LAPACK's are both backward stable: at
+# a point they differ by a few ulps of max|lambda|, which is at most 2.5
+# times the largest part of (H + H^*)/2.  Where a decision lies within
+# _CLOSED_FORM_BAND times that part, LAPACK makes it.  Outside
+# _CLOSED_FORM_RANGE of the largest part the band underflows, or (H + H^*)/2
+# may overflow, so LAPACK decides there too.
+_CLOSED_FORM_BAND = 2.0 ** -40
+_CLOSED_FORM_RANGE = (2.0 ** -1000, 2.0 ** 1020)
+
+
+def _closed_form_2x2(c):
+    """Ascending eigenvalues of each 2x2 (H + H^*)/2 for H = i C as an
+    (m, 2) array, and the sorted indices of the points LAPACK must decide.
+
+    a = H_11, d = H_22 and b, the (2,1) entry of (H + H^*)/2, are scaled at
+    each point by the power of two that ``np.frexp`` takes from max(|a|,
+    |d|, |Re b|, |Im b|), which is exact.  The eigenvalue of larger modulus
+    is then rt1 = (a + d +- hypot(a - d, 2|b|))/2, signed as a + d, and the
+    other is det/rt1: the stable formula of LAPACK's dlae2.  LAPACK decides a
+    point where the smaller eigenvalue lies within the band of the sign
+    test's zero threshold, where min|lambda| lies within the band of the
+    smallest over all points (so that minimum and its first index are
+    LAPACK's), at a non-finite entry and outside the range.
+    """
+    (c11, c12), (c21, c22) = c
+    # H = i C: Re H = -Im C and Im H = Re C.  The four parts share one
+    # (4, m) array, so that one ldexp scales them all.
+    parts = np.empty((4, len(c11)))
+    a, d, b_re, b_im = parts
+    np.negative(c11.imag, out=a)
+    np.negative(c22.imag, out=d)
+    np.add(c21.imag, c12.imag, out=b_re)
+    b_re *= -0.5
+    np.subtract(c21.real, c12.real, out=b_im)
+    b_im *= 0.5
+    big = np.abs(parts).max(axis=0)
+    e = np.frexp(big)[1]
+    with np.errstate(invalid="ignore", over="ignore"):
+        np.ldexp(parts, -e, out=parts)
+        bb = b_re * b_re
+        bb += b_im * b_im  # |b|^2
+        sm = a + d
+        rt = a - d
+        rt *= rt
+        rt += 4.0 * bb
+        # rt1 = (sm +- hypot(a - d, 2|b|)) / 2, signed as sm
+        rt1 = np.copysign(np.sqrt(rt, out=rt), sm, out=rt)
+        rt1 += sm
+        rt1 *= 0.5
+        det = np.multiply(a, d, out=a)
+        det -= bb
+        # rt1 = 0 only where S = 0, and there det = 0 already.
+        rt2 = np.divide(det, rt1, out=det, where=rt1 != 0)
+        # |rt1| = |S|_2 is at least the largest entry of S, so only rt2 can
+        # lie near the zero threshold.
+        small = np.abs(rt2)
+        gap = np.maximum(np.abs(rt1, out=sm), small, out=sm)
+        gap *= ZERO_EIGENVALUE_RTOL
+        gap -= small
+        decided = np.abs(gap, out=gap) > _CLOSED_FORM_BAND
+        lo, hi = _CLOSED_FORM_RANGE
+        in_range = (big >= lo) & (big < hi)
+        decided &= in_range
+
+        eigs = np.empty((len(big), 2))
+        np.ldexp(np.minimum(rt1, rt2, out=d), e, out=eigs[:, 0])
+        np.ldexp(np.maximum(rt1, rt2, out=d), e, out=eigs[:, 1])
+        # LAPACK's smallest min|lambda| is at most the ceiling, and a point
+        # whose min|lambda| exceeds it by more than the band cannot be where
+        # that minimum lies.
+        low = np.ldexp(small, e, out=small)
+        band = big * _CLOSED_FORM_BAND
+        ceiling = np.min(low + band, where=in_range, initial=np.inf)
+        low -= band
+        decided &= low > ceiling
+    return eigs, np.flatnonzero(~decided)
 
 
 def _classify(a: ExteriorForm, pts, evaluation, k) -> DefinitenessReport:
     """:func:`definiteness` from the values of its requests, which start at
-    ``evaluation[k]``."""
+    ``evaluation[k]``.
+
+    For n = 2 the eigenvalues come in closed form, and LAPACK's eigvalsh
+    runs only on the points where a decision is within rounding of the
+    closed form (see :func:`_closed_form_2x2`); for other n it runs on
+    every point.  Either way every decision, min |eigenvalue| and the worst
+    sample are LAPACK's.
+    """
     _check_type11_shape(a, pts)
     m, n = pts.shape
     for j, (p, q) in enumerate(((2, 0), (0, 2))):
@@ -512,59 +663,61 @@ def _classify(a: ExteriorForm, pts, evaluation, k) -> DefinitenessReport:
             raise NotType11("(%d,%d) part has residual %.3g >= %.3g"
                             % (p, q, stray, TYPE11_TOL))
 
-    # Two (m, n, n) arrays in all: H = i C, and its conjugate transpose,
-    # which becomes the symmetrized matrix; H then becomes half its defect.
-    hermitian = np.zeros((m, n, n), dtype=complex)
-    for (i, j), vals in evaluation[k + 2].items():
-        hermitian[:, i, j - n] = vals
-    hermitian *= 1j
-    scale = np.maximum(_frobenius(hermitian), 1e-30)
-    sym = np.conjugate(hermitian.transpose(0, 2, 1))
-    np.add(sym, hermitian, out=sym)
-    sym *= 0.5
-    np.subtract(hermitian, sym, out=hermitian)  # (H - H^*) / 2
-    rel = 2.0 * _frobenius(hermitian) / scale
-    del hermitian
+    # C as one (m,) column per entry; an entry without a term is 0.
+    values, blank = evaluation[k + 2], np.zeros(m, dtype=complex)
+    c = [[values.get((i, n + j), blank) for j in range(n)] for i in range(n)]
+    rel = _hermiticity_defect(c)
     worst_h = int(np.argmax(rel))
     if rel[worst_h] >= HERMITIAN_RTOL:
         raise NonHermitian("hermiticity defect %.3g at point %r"
                            % (rel[worst_h],
                               tuple(complex(c) for c in pts[worst_h])))
-    eigs = np.linalg.eigvalsh(sym)
+    if n == 2:
+        eigs, rows = _closed_form_2x2(c)
+        sym = _hermitian_part(c, rows)
+        eigs[rows] = np.linalg.eigvalsh(sym)
+    else:
+        rows = np.arange(m)
+        sym = _hermitian_part(c, rows)
+        eigs = np.linalg.eigvalsh(sym)
 
-    zero = ZERO_EIGENVALUE_RTOL * np.abs(eigs).max(axis=1, keepdims=True)
-    pos = eigs > zero
-    neg = eigs < -zero
-    point_pos = pos.any(axis=1)
-    point_neg = neg.any(axis=1)
-    mixed = point_pos & point_neg
-    if mixed.any():
+    # Reduce over the n eigenvalue columns: along axis 1 of an (m, n) array
+    # numpy would run an inner loop of length n per point.
+    cols = eigs.T
+    mags = [np.abs(x) for x in cols]
+    zero = ZERO_EIGENVALUE_RTOL * functools.reduce(np.maximum, mags)
+    pos = [x > zero for x in cols]
+    np.negative(zero, out=zero)
+    neg = [x < zero for x in cols]
+    point_pos = functools.reduce(np.logical_or, pos)
+    point_neg = functools.reduce(np.logical_or, neg)
+    if (point_pos & point_neg).any():
         sign = None
         is_definite = is_semidefinite = False
     elif point_neg.any() and not point_pos.any():
         sign = -1
         is_semidefinite = True
-        is_definite = bool(np.all(neg))
+        is_definite = all(x.all() for x in neg)
     elif point_pos.any() and not point_neg.any():
         sign = 1
         is_semidefinite = True
-        is_definite = bool(np.all(pos))
+        is_definite = all(x.all() for x in pos)
     else:
         sign = 0
         is_semidefinite = True
         is_definite = False
 
-    min_abs = float(np.min(np.abs(eigs)))
-    worst = int(np.argmin(np.abs(eigs).min(axis=1)))
+    smallest = functools.reduce(np.minimum, mags)
+    worst = int(np.argmin(smallest))
     sample = HermitianMatrixSample(
         point=tuple(complex(c) for c in pts[worst]),
-        matrix=sym[worst],
+        matrix=sym[np.searchsorted(rows, worst)],
         eigenvalues=eigs[worst],
         hermiticity_defect=float(rel[worst]))
     return DefinitenessReport(is_definite=is_definite,
                               is_semidefinite=is_semidefinite,
                               sign=sign,
-                              min_abs_eigenvalue=min_abs,
+                              min_abs_eigenvalue=float(smallest[worst]),
                               num_points=m,
                               eigenvalues=eigs,
                               worst_sample=sample)

@@ -376,12 +376,14 @@ class TestDefiniteness:
         with pytest.raises(fm.NotType11):
             fm.definiteness(a, PTS)
 
-    def test_rejects_non_hermitian(self):
-        a = fm.form_from_terms(2, 2, {(0, 3): ex.const(-1j)})
-        with pytest.raises(fm.NonHermitian):
+    @pytest.mark.parametrize("scale", [1.0, 1e-60, 1e-200])
+    def test_rejects_non_hermitian(self, scale):
+        a = fm.form_from_terms(2, 2, {(0, 3): ex.const(-1j * scale)})
+        with pytest.raises(fm.NonHermitian, match="defect 1.41 "):
             fm.definiteness(a, PTS)
 
-    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-9, 1e-12])
+    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-9, 1e-12,
+                                       1e-300, 1e-200, 1e200, 1e300])
     def test_sign_does_not_depend_on_scale(self, scale):
         phi = ex.mul(ex.const(scale), ex.add(ex.mul(ex.z(1), ex.zbar(1)),
                                              ex.mul(ex.z(2), ex.zbar(2))))
@@ -399,6 +401,139 @@ class TestDefiniteness:
         rep = fm.definiteness(a, PTS)
         assert rep.worst_sample is not None
         assert rep.worst_sample.matrix.shape == (2, 2)
+
+
+def _classify_matrices(hs):
+    """:func:`fm._classify` on an (m, 2, 2) stack of matrices H, fed in as
+    the (1,1) coefficients C = -i H of a form on C^2."""
+    m = len(hs)
+    values = {(i, 2 + j): -1j * hs[:, i, j] for i in range(2) for j in range(2)}
+    evaluation = [np.zeros(m), np.zeros(m), values]
+    return fm._classify(fm.ExteriorForm(2, 2), np.zeros((m, 2), complex),
+                        evaluation, 0)
+
+
+def _decisions(eigs):
+    """The sign test's per-eigenvalue verdicts, (positive, negative)."""
+    zero = fm.ZERO_EIGENVALUE_RTOL * np.abs(eigs).max(axis=1, keepdims=True)
+    return eigs > zero, eigs < -zero
+
+
+def _hermitian_stack(rng, m, kind):
+    """m Hermitian 2x2 matrices U diag(lam) U^* of one kind, unit scale."""
+    u = np.linalg.qr(rng.normal(size=(m, 2, 2))
+                     + 1j * rng.normal(size=(m, 2, 2)))[0]
+    lam = rng.uniform(0.1, 10.0, size=(m, 2))
+    if kind == "negative":
+        lam = -lam
+    elif kind == "indefinite":
+        lam[:, 0] *= -1.0
+    elif kind == "rank1":
+        lam[:, 0] = 0.0
+    elif kind == "zero":
+        lam[rng.random(m) < 0.25] = 0.0
+    elif kind == "diagonal":
+        u = np.broadcast_to(np.eye(2), (m, 2, 2))
+    elif kind in ("near_zero", "near_zero_negative"):
+        # The small eigenvalue a few ulps of the large one from the sign
+        # test's zero threshold, on either side.
+        big = lam[:, 1]
+        steps = rng.integers(-4, 5, size=m) * np.spacing(big)
+        lam[:, 0] = fm.ZERO_EIGENVALUE_RTOL * big + steps
+        if kind == "near_zero_negative":
+            lam = -lam
+    hs = u @ (lam[:, :, None] * np.conjugate(u.transpose(0, 2, 1)))
+    return (hs + np.conjugate(hs.transpose(0, 2, 1))) / 2
+
+
+@pytest.fixture
+def eigvalsh_shapes(monkeypatch):
+    """The shape of every stack passed to np.linalg.eigvalsh."""
+    shapes, eigvalsh = [], np.linalg.eigvalsh
+
+    def counted(a):
+        shapes.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return shapes
+
+
+class TestClosedForm2x2:
+    """n = 2 eigenvalues come in closed form, with LAPACK only where a
+    decision is within rounding: every verdict must be what LAPACK's
+    eigvalsh at every point gives."""
+
+    KINDS = ["positive", "negative", "indefinite", "rank1", "zero",
+             "diagonal", "near_zero", "near_zero_negative"]
+
+    @staticmethod
+    def _lapack_everywhere(monkeypatch, hs):
+        # An infinite band leaves every decision to LAPACK.
+        with monkeypatch.context() as patch:
+            patch.setattr(fm, "_CLOSED_FORM_BAND", np.inf)
+            return _classify_matrices(hs)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e-150, 1e150, 1e300])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_lapack_everywhere(self, monkeypatch, kind, scale):
+        for seed in range(4):
+            rng = np.random.default_rng([seed, self.KINDS.index(kind)])
+            hs = _hermitian_stack(rng, 200, kind) * scale
+            ref = self._lapack_everywhere(monkeypatch, hs)
+            h = (-1j * hs) * 1j
+            sym = (np.conjugate(h.transpose(0, 2, 1)) + h) * 0.5
+            assert np.array_equal(ref.eigenvalues, np.linalg.eigvalsh(sym))
+
+            rep = _classify_matrices(hs)
+            assert (rep.sign, rep.is_definite, rep.is_semidefinite) == (
+                ref.sign, ref.is_definite, ref.is_semidefinite)
+            for got, want in zip(_decisions(rep.eigenvalues),
+                                 _decisions(ref.eigenvalues)):
+                assert np.array_equal(got, want)
+            assert (repr(rep.min_abs_eigenvalue)
+                    == repr(ref.min_abs_eigenvalue))
+            got, want = rep.worst_sample, ref.worst_sample
+            assert got.point == want.point
+            assert got.matrix.tobytes() == want.matrix.tobytes()
+            assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+            assert (repr(got.hermiticity_defect)
+                    == repr(want.hermiticity_defect))
+            top = np.abs(ref.eigenvalues).max(axis=1, keepdims=True)
+            assert np.all(np.abs(rep.eigenvalues - ref.eigenvalues)
+                          <= 16 * np.spacing(top))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e-200, 1e200, 1e300])
+    @pytest.mark.parametrize("kind", ["positive", "negative", "indefinite"])
+    def test_lapack_runs_on_few_points(self, eigvalsh_shapes, kind, scale):
+        hs = _hermitian_stack(np.random.default_rng(3), 500, kind) * scale
+        rep = _classify_matrices(hs)
+        assert rep.sign == {"positive": 1, "negative": -1,
+                            "indefinite": None}[kind]
+        assert len(eigvalsh_shapes) == 1
+        assert 1 <= eigvalsh_shapes[0][0] <= 5
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_point_goes_to_lapack(self, monkeypatch, bad):
+        hs = _hermitian_stack(np.random.default_rng(5), 50, "positive")
+        hs[7, 0, 0] = bad
+        rep = _classify_matrices(hs)
+        ref = self._lapack_everywhere(monkeypatch, hs)
+        assert rep.eigenvalues[7].tobytes() == ref.eigenvalues[7].tobytes()
+        assert (rep.sign, repr(rep.min_abs_eigenvalue)) == (
+            ref.sign, repr(ref.min_abs_eigenvalue))
+        assert rep.worst_sample.point == ref.worst_sample.point
+
+    def test_three_dimensional_forms_use_lapack_at_every_point(
+            self, eigvalsh_shapes):
+        phi = ex.add(ex.add(ex.mul(ex.z(1), ex.zbar(1)),
+                            ex.mul(ex.z(2), ex.zbar(2))),
+                     ex.mul(ex.z(3), ex.zbar(3)))
+        pts = annulus_points(3, 40, seed=4)
+        rep = fm.definiteness(fm.kaehler_form(3, phi), pts)
+        assert rep.is_definite and rep.sign == 1
+        assert eigvalsh_shapes == [(40, 3, 3)]
 
 
 class TestJson:
