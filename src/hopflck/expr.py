@@ -23,12 +23,15 @@ Evaluation compiles the DAG below one or more roots into a tape: a post-order
 list of operations, one slot per node, each slot knowing its last consumer.
 The tape runs over the points in fixed-size chunks; every operation runs once
 per chunk, so repeated subterms (denominators, implicit solves) are computed
-once, and each intermediate array is freed as soon as its last consumer has
-run.  Intermediate memory therefore grows with the chunk size, not with the
-point count.  The tape hands each chunk's root values to a consumer, which
-keeps them or folds them (say, to a per-point maximum), so a caller runs
-everything it needs at one point array through one tape and one pass: one
-Newton solve per implicit time for a whole verification suite.
+once.  Where each intermediate array lives is decided when the tape is
+compiled: in an operand that the operation is the last consumer of, or in a
+buffer of an arena that each run allocates once and reuses chunk after chunk,
+once the value in it has had its last consumer.  So an arithmetic operation
+allocates nothing, and intermediate memory grows with the chunk size, not
+with the point count.  The tape hands each root's values, chunk by chunk, to
+a consumer, which keeps them or folds them (say, to a per-point maximum), so
+a caller runs everything it needs at one point array through one tape and one
+pass: one Newton solve per implicit time for a whole verification suite.
 
 The one non-algebraic node is :class:`ImplicitT`, the real-valued function
 t(w) solving  sum_i |w_i|^2 exp(2 r_i t) = 1  for positive weights r_i.  It
@@ -416,22 +419,23 @@ def _bad_point(pts, values, mask):
     return tuple(complex(c) for c in pts[idx])
 
 
-def _apply_div(e, args, pts):
+def _apply_div(e, args, pts, out=None):
     num, den = args
     bad = np.abs(den) < DIVISION_EPS
     if np.any(bad):
         raise DivisionNearZero("divisor magnitude below %g" % DIVISION_EPS,
                                _bad_point(pts, den, bad))
-    return num / den
+    # Written only once the guard has passed.
+    return num / den if out is None else np.divide(num, den, out=out)
 
 
-def _apply_quotient(e, args, pts):
+def _apply_quotient(e, args, pts, out=None):
     # A division whose divisor an earlier operation of the same chunk has
     # already passed through _apply_div (see _Tape).
     return args[0] / args[1]
 
 
-def _apply_pow(e, args, pts):
+def _apply_pow(e, args, pts, out=None):
     base = args[0]
     if e.power < 0:
         bad = np.abs(base) < DIVISION_EPS
@@ -442,7 +446,7 @@ def _apply_pow(e, args, pts):
     return base ** e.power
 
 
-def _apply_log(e, args, pts):
+def _apply_log(e, args, pts, out=None):
     arg = np.asarray(args[0])
     bad = (np.abs(arg) < DIVISION_EPS) | ((arg.real < 0) & (arg.imag == 0))
     if np.any(bad):
@@ -451,11 +455,11 @@ def _apply_log(e, args, pts):
     return np.log(arg)
 
 
-def _apply_param(e, args, pts):
+def _apply_param(e, args, pts, out=None):
     raise UnboundParam("param %r is not bound" % e.name)
 
 
-def _bound(value, args, pts):
+def _bound(value, args, pts, out=None):
     # A bound param's operation: the tape puts its value where the node was.
     return value
 
@@ -476,7 +480,7 @@ def _column_sum(columns):
     return total
 
 
-def _apply_implicit(e, args, pts):
+def _apply_implicit(e, args, pts, out=None):
     # One contiguous real column per weight.  Every sum below runs left to
     # right over the weights, the order numpy's sum(axis=1) of an (m, n)
     # array takes for n <= 7 (numpy 2.4), so t has the bits of that (m, n)
@@ -590,7 +594,7 @@ def _pretty_const(e, s):
 
 class _Kind(NamedTuple):
     arity: int | None  # None: checked by the constructor
-    apply: Callable    # (node, child values, chunk of points) -> values
+    apply: Callable    # (node, child values, chunk of points, out) -> values
     rebuild: Callable  # (node, new children, z images, zbar images, conj) -> node
     derive: Callable   # (node, child derivatives, index, conj) -> derivative
     fields: Callable   # node -> JSON fields besides op and args
@@ -615,28 +619,28 @@ def _unary(name, make, apply, derive):
 
 _KINDS = {
     Const: _Kind(
-        0, lambda e, v, pts: e.value,
+        0, lambda e, v, pts, out=None: e.value,
         lambda e, k, zs, zbs, conj: const(e.value.conjugate()) if conj else e,
         lambda e, d, i, conj: _ZERO,
         lambda e: {"value": [e.value.real, e.value.imag]},
         _parse_const, _pretty_const),
     Var: _Kind(
-        0, lambda e, v, pts: pts[:, e.index - 1],
+        0, lambda e, v, pts, out=None: pts[:, e.index - 1],
         lambda e, k, zs, zbs, conj: zs[e.index - 1],
         lambda e, d, i, conj: _ONE if (not conj and e.index == i) else _ZERO,
         lambda e: {"index": e.index},
         lambda f, k: z(_json_int(f["index"])), lambda e, s: "z%d" % e.index),
     ConjVar: _Kind(
-        0, lambda e, v, pts: np.conj(pts[:, e.index - 1]),
+        0, lambda e, v, pts, out=None: np.conj(pts[:, e.index - 1], out=out),
         lambda e, k, zs, zbs, conj: zbs[e.index - 1],
         lambda e, d, i, conj: _ONE if (conj and e.index == i) else _ZERO,
         lambda e: {"index": e.index},
         lambda f, k: zbar(_json_int(f["index"])), lambda e, s: "~z%d" % e.index),
-    Add: _binary("+", add, lambda e, v, pts: v[0] + v[1],
+    Add: _binary("+", add, lambda e, v, pts, out=None: v[0] + v[1],
                  lambda e, d, *_: add(*d)),
-    Sub: _binary("-", sub, lambda e, v, pts: v[0] - v[1],
+    Sub: _binary("-", sub, lambda e, v, pts, out=None: v[0] - v[1],
                  lambda e, d, *_: sub(*d)),
-    Mul: _binary("*", mul, lambda e, v, pts: v[0] * v[1],
+    Mul: _binary("*", mul, lambda e, v, pts, out=None: v[0] * v[1],
                  lambda e, d, *_: add(mul(d[0], e.args[1]), mul(e.args[0], d[1]))),
     Div: _binary("/", div, _apply_div, _derive_div),
     IntPow: _Kind(
@@ -647,7 +651,7 @@ _KINDS = {
         lambda e: {"value": e.power},
         lambda f, k: intpow(k[0], _json_int(f["value"])),
         lambda e, s: "%s^%d" % (s[0], e.power)),
-    Exp: _unary("exp", exp, lambda e, v, pts: np.exp(v[0]),
+    Exp: _unary("exp", exp, lambda e, v, pts, out=None: np.exp(v[0], out=out),
                 lambda e, d, *_: mul(e, d[0])),
     Log: _unary("log", log, _apply_log, lambda e, d, *_: div(d[0], e.args[0])),
     ImplicitT: _Kind(
@@ -768,12 +772,13 @@ def evaluate_many(e: Expression, points) -> np.ndarray:
     return _Tape((e,)).values(pts)[0]
 
 
-# Points per tape pass.  Intermediates live only for one chunk, so peak memory
-# is (live slots) x _CHUNK x 16 bytes.  Median of 7 run_suite(vaisman) calls
-# at 50k points, one tape of 1027 operations, on a 2-vCPU Xeon (AVX-512,
-# 2 MB L2 per core): 0.27 s with 1k chunks, where per-op dispatch shows,
-# 0.22 s with 2k, 0.20 s with 4k, 0.24 s with 8k and 0.26 s with 16k.  The
-# Newton stop is decided per chunk, so another size would move digits.
+# Points per tape pass.  Intermediates live only for one chunk, so the arena
+# holds (most slots live at once) x _CHUNK x 16 bytes.  Median of 7
+# run_suite(vaisman) calls at 50k points, one tape of 1027 operations, on a
+# 2-vCPU Xeon (AVX-512, 2 MB L2 per core), chunk sizes interleaved in one
+# process: 0.22 s with 1k chunks, where per-op dispatch shows, 0.19 s with
+# 2k, 0.175 s with 4k, 0.175 s with 8k and 0.20 s with 16k.  The Newton stop
+# is decided per chunk, so another size would move digits.
 _CHUNK = 4096
 
 
@@ -801,28 +806,57 @@ def _check_dimension(roots, dim):
             "expression uses z_%d but points have dimension %d" % (used, dim))
 
 
+# The rules that the tape runs as a bare ufunc call when a child is an array,
+# and the rules that write their array result into ``out`` when given one.
+_UFUNCS = {_KINDS[Add].apply: np.add, _KINDS[Sub].apply: np.subtract,
+           _KINDS[Mul].apply: np.multiply, _apply_quotient: np.divide}
+_WRITES_OUT = {*_UFUNCS, _KINDS[Exp].apply, _KINDS[ConjVar].apply, _apply_div}
+
+
+def _tape_dtype(node, kids):
+    """The type of ``node``'s values on a tape, float or complex for an
+    array, None for a Python scalar, from its children's types ``kids``."""
+    if isinstance(node, ImplicitT):
+        return float
+    if isinstance(node, (Var, ConjVar)):
+        return complex
+    if all(k is None for k in kids):
+        return None
+    # A scalar is a Python complex, which makes the result complex.
+    return float if all(k is float for k in kids) else complex
+
+
 class _Tape:
     """The DAG below ``roots`` as a post-order list of operations.
 
     Each operation reads the slots of its children and fills its own slot.
     Operations are grouped by the first root that reaches them, in root
-    order, so ``ops[:first_op[k]]`` computes exactly roots 0..k-1 and an
-    error maps back to its root.  A non-root slot is dropped right after its
-    last consumer runs; root slots are handed on at the end of each chunk.
+    order: group k ends with root k's values, which go to the consumer at
+    once, and an error belongs to the root of its group.
 
     Only the first division by a slot tests its magnitude: every later one
     runs after it in the same chunk, on the same values, and in every prefix
-    ``ops[:first_op[k]]`` that holds it, so it divides plainly.
+    of the groups that holds it, so it divides plainly.
+
+    ``plan`` is what :meth:`run` executes.  An addition, subtraction,
+    multiplication or unguarded division with an array child is a bare
+    ufunc call; every other operation calls its rule.  Where each array
+    lives is fixed here, by liveness.  A root's values are a fresh array,
+    since a consumer may keep them.  Any other result that a rule can write
+    into ``out`` goes into a child whose last consumer this operation is,
+    where that child has the result's type, is not a view of the points and
+    is not a root; failing that, into a buffer of the run's arena, which is
+    free again once the last consumer of the value in it has run.
     """
 
     def __init__(self, roots):
-        # ops: (rule, node, child slots); frees[i]: the slots dropped after
-        # operation i, their last consumer (a root slot is never dropped).
+        # ops: (rule, node, child slots); frees[i]: the slots whose last
+        # consumer is operation i (a root slot has none).
         # params: the operations of the param leaves, which each run binds.
-        slot, self.ops, self.owner, self.first_op = {}, [], [], []
+        slot, self.ops, first_op = {}, [], []
         last, guarded = [], set()
-        for k, root in enumerate(roots):
-            self.first_op.append(len(self.ops))
+        for root in roots:
+            first_op.append(len(self.ops))
             for node in _post_order(root, slot.__contains__):
                 kids = tuple(map(slot.__getitem__, node.args))
                 for c in kids:
@@ -835,8 +869,14 @@ class _Tape:
                 slot[node] = len(self.ops)
                 self.ops.append((rule, node, kids))
                 last.append(-1)
-                self.owner.append(k)
         self.roots = [slot[r] for r in roots]
+        # groups: (first operation, end, root slot, whether the slot can be
+        # dropped once consumed: no later group reads it).
+        ends = first_op[1:] + [len(self.ops)]
+        self.groups = [
+            (start, stop, s, last[s] < stop and s not in self.roots[k + 1:])
+            for k, (start, stop, s) in enumerate(zip(first_op, ends,
+                                                     self.roots))]
         for s in self.roots:
             last[s] = -1
         self.frees = [()] * len(self.ops)
@@ -845,43 +885,106 @@ class _Tape:
                 self.frees[i] += (s,)
         self.params = [i for i, (_, node, _) in enumerate(self.ops)
                        if isinstance(node, Param)]
+        self._place()
+
+    def _place(self):
+        """Fill ``plan``, one (f, a, b, out) per operation, and ``arena``,
+        the type of each arena buffer.
+
+        ``run`` keeps one list of cells: the slots, then the arena's
+        buffers, then None.  ``out`` is the cell whose array the operation
+        writes into; -1, the None, asks for a fresh array.  A ufunc call
+        reads slots ``a`` and ``b``; a rule has ``a`` = (node, child slots)
+        and ``b`` = None.
+        """
+        n, roots = len(self.ops), set(self.roots)
+        self.plan, self.arena = [], []
+        # Per slot: its type, whether an operation may write into its
+        # array, and its arena buffer; per type, the buffers free for reuse.
+        types, writable, buffer = [], [], []
+        spare = {float: [], complex: []}
+        for i, (rule, node, kids) in enumerate(self.ops):
+            dtype = _tape_dtype(node, [types[c] for c in kids])
+            out, buf = -1, None
+            if dtype is not None and i not in roots and rule in _WRITES_OUT:
+                dying = self.frees[i]
+                out = next((c for c in kids if c in dying and writable[c]
+                            and types[c] is dtype), -1)
+                if out >= 0:
+                    buf = buffer[out]
+                else:
+                    if not spare[dtype]:
+                        spare[dtype].append(len(self.arena))
+                        self.arena.append(dtype)
+                    buf = spare[dtype].pop()
+                    out = n + buf
+            if dtype is not None and rule in _UFUNCS:
+                self.plan.append((_UFUNCS[rule], kids[0], kids[1], out))
+            else:
+                self.plan.append((rule, (node, kids), None, out))
+            types.append(dtype)
+            writable.append(dtype is not None and i not in roots
+                            and not isinstance(node, Var))
+            buffer.append(buf)
+            for c in self.frees[i]:
+                if c != out and buffer[c] is not None:
+                    spare[types[c]].append(buffer[c])
 
     def run(self, pts, consume, binding=None):
         """Run the operations over ``pts`` chunk by chunk.
 
         Each param named in ``binding`` takes its value, as a complex number
         like a constant's; evaluating any other param raises UnboundParam.
-        At the end of each chunk, which starts at point ``lo``,
-        ``consume(lo, k, values)`` gets root k's values for every root k.
+        In each chunk, which starts at point ``lo``, ``consume(lo, k,
+        values)`` gets root k's values for every root k, in root order.
         Returns the :class:`_RootFailure` of the first root, in order, that
         fails at any point, or None.  From the chunk where a root fails on,
         only the roots before it are computed and handed on, since only they
         can still fail first.
         """
         m = pts.shape[0]
-        bound = self.ops
+        plan = self.plan
         if self.params and binding:
-            bound = list(bound)
+            plan = list(plan)
             for i in self.params:
-                name = bound[i][1].name
+                name = self.ops[i][1].name
                 if name in binding:
-                    bound[i] = (_bound, complex(float(binding[name])), ())
-        ops, frees, roots, failure = bound, self.frees, self.roots, None
+                    value = complex(float(binding[name]))
+                    plan[i] = (_bound, (value, ()), None, -1)
+        groups = [(start, plan[start:stop], s, drop)
+                  for start, stop, s, drop in self.groups]
+        n, size, failure = len(plan), min(m, _CHUNK), None
+        arena = [np.empty(size, dtype) for dtype in self.arena]
+        cells = arena + [None]
         # At m = 0 one empty pass still gives every output its shape.
         for lo in range(0, max(m, 1), _CHUNK):
             chunk = pts[lo:lo + _CHUNK]
-            vals = [None] * len(ops)
-            try:
-                for i, (rule, node, kids) in enumerate(ops):
-                    vals[i] = rule(node, [vals[c] for c in kids], chunk)
-                    for c in frees[i]:
-                        vals[c] = None
-            except EvaluationError as err:
-                failure = _RootFailure(self.owner[i], err)
-                ops = bound[:self.first_op[failure.root]]
-                roots = self.roots[:failure.root]
-            for k, s in enumerate(roots):
+            if len(chunk) < size:  # the short last chunk
+                cells = [a[:len(chunk)] for a in arena] + [None]
+            if len(chunk) == 1:
+                # numpy multiplies 1-element complex arrays whose output is
+                # an input in its reduction loop, which rounds otherwise
+                # than the loop a fresh output gets: nothing goes in place.
+                groups = [(start, [(f, a, b, -1 if out < n else out)
+                                   for f, a, b, out in ops], s, drop)
+                          for start, ops, s, drop in groups]
+            vals = [None] * n + cells
+            for k, (start, ops, s, drop) in enumerate(groups):
+                try:
+                    for i, (f, a, b, out) in enumerate(ops, start):
+                        if b is None:
+                            node, kids = a
+                            vals[i] = f(node, [vals[c] for c in kids], chunk,
+                                        vals[out])
+                        else:
+                            vals[i] = f(vals[a], vals[b], vals[out])
+                except EvaluationError as err:
+                    failure = _RootFailure(k, err)
+                    groups = groups[:k]
+                    break
                 consume(lo, k, vals[s])
+                if drop:
+                    vals[s] = None
         return failure
 
     def values(self, pts, binding=None):

@@ -49,7 +49,8 @@ class NotType11(ValueError):
 
 
 class NonHermitian(ValueError):
-    """The extracted coefficient matrix was not Hermitian within tolerance."""
+    """The extracted coefficient matrix was not Hermitian within tolerance,
+    or not finite."""
 
 
 class FormEvaluationError(ValueError):
@@ -417,6 +418,7 @@ class _RequestTape:
         """The values of the requests at the complex (m, dim) array ``pts``."""
         m, where = pts.shape[0], self.where
         values = [{} if full else np.zeros(m) for full in self.full]
+        magnitude = np.empty(min(m, ex._CHUNK))  # one chunk's |value|
 
         def consume(lo, j, value):
             k, index = where[j]
@@ -426,7 +428,8 @@ class _RequestTape:
                 values[k][index][lo:lo + ex._CHUNK] = value
             else:
                 seg = values[k][lo:lo + ex._CHUNK]
-                np.maximum(seg, np.abs(value), out=seg)
+                np.maximum(seg, np.abs(value, out=magnitude[:len(seg)]),
+                           out=seg)
 
         failed_at, error = self.failed_at, self.error
         failure = self.tape.run(pts, consume, binding)
@@ -652,20 +655,29 @@ def _classify(a: ExteriorForm, pts, evaluation, k) -> DefinitenessReport:
     For n = 2 the eigenvalues come in closed form, and LAPACK's eigvalsh
     runs only on the points where a decision is within rounding of the
     closed form (see :func:`_closed_form_2x2`); for other n it runs on
-    every point.  Either way every decision, min |eigenvalue| and the worst
-    sample are LAPACK's.
+    every point.  Where the matrices it gets are bit for bit alike, one
+    call serves them all.  Either way every decision, min |eigenvalue| and
+    the worst sample are LAPACK's.  A non-finite coefficient raises NonHermitian naming the
+    first point that has one.
     """
     _check_type11_shape(a, pts)
     m, n = pts.shape
     for j, (p, q) in enumerate(((2, 0), (0, 2))):
         stray = float(evaluation[k + j].max(initial=0.0))
-        if stray >= TYPE11_TOL:
+        if not stray < TYPE11_TOL:  # a NaN residual is refused too
             raise NotType11("(%d,%d) part has residual %.3g >= %.3g"
                             % (p, q, stray, TYPE11_TOL))
 
     # C as one (m,) column per entry; an entry without a term is 0.
     values, blank = evaluation[k + 2], np.zeros(m, dtype=complex)
     c = [[values.get((i, n + j), blank) for j in range(n)] for i in range(n)]
+    # A NaN would win the argmax below and pass every comparison.
+    finite = functools.reduce(np.logical_and,
+                              [np.isfinite(x) for row in c for x in row])
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise NonHermitian("non-finite coefficient at point %r"
+                           % (tuple(complex(c) for c in pts[bad]),))
     rel = _hermiticity_defect(c)
     worst_h = int(np.argmax(rel))
     if rel[worst_h] >= HERMITIAN_RTOL:
@@ -674,12 +686,16 @@ def _classify(a: ExteriorForm, pts, evaluation, k) -> DefinitenessReport:
                               tuple(complex(c) for c in pts[worst_h])))
     if n == 2:
         eigs, rows = _closed_form_2x2(c)
-        sym = _hermitian_part(c, rows)
-        eigs[rows] = np.linalg.eigvalsh(sym)
     else:
-        rows = np.arange(m)
-        sym = _hermitian_part(c, rows)
-        eigs = np.linalg.eigvalsh(sym)
+        eigs, rows = np.empty((m, n)), np.arange(m)
+    sym = _hermitian_part(c, rows)
+    # Where every matrix has the bits of the first (a constant form), LAPACK
+    # gives each the same eigenvalues, so one call does.
+    bits = sym.view(np.int64)
+    if len(sym) > 1 and (bits == bits[0]).all():
+        eigs[rows] = np.linalg.eigvalsh(sym[:1])
+    else:
+        eigs[rows] = np.linalg.eigvalsh(sym)
 
     # Reduce over the n eigenvalue columns: along axis 1 of an (m, n) array
     # numpy would run an inner loop of length n per point.

@@ -3,10 +3,11 @@
 import gc
 import json
 import math
+import operator
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hopflck import expr as ex
 from hopflck import forms as fm
@@ -373,7 +374,8 @@ def _newton_matrix_reference(weights, args, m):
 
 class TestTapeKernels:
     """The per-chunk kernels of _Tape: the column-wise Newton solve, one
-    magnitude guard per divisor slot, and precomputed slot frees."""
+    magnitude guard per divisor slot, and each slot's last consumer, after
+    which its storage is free for reuse."""
 
     WEIGHTS = (1.0, 1.5, 2.5, 0.7, 3.1)
 
@@ -460,6 +462,191 @@ class TestTapeKernels:
         assert str(info.value) == (
             "term (1,): divisor magnitude below 1e-14 at point "
             "((0.5+0j), (0.8+0j))")
+
+
+# Python's operators: numpy's ufuncs on arrays, Python arithmetic on scalars.
+_OPERATORS = {ex.Add: operator.add, ex.Sub: operator.sub,
+              ex.Mul: operator.mul, ex.Div: operator.truediv}
+
+
+def _reference_values(roots, pts, binding):
+    """Each root's values by a plain walk over the nodes: one fresh numpy
+    array per node, no slots, arena or in-place writes."""
+    vals = {}
+    for root in roots:
+        for node in ex._post_order(root, vals.__contains__):
+            v = [vals[c] for c in node.args]
+            kind = type(node)
+            if kind is ex.Const:
+                vals[node] = node.value
+            elif kind is ex.Param:
+                vals[node] = complex(float(binding[node.name]))
+            elif kind in (ex.Var, ex.ConjVar):
+                col = pts[:, node.index - 1]
+                vals[node] = col if kind is ex.Var else np.conj(col)
+            elif kind in _OPERATORS:
+                vals[node] = _OPERATORS[kind](*v)
+            elif kind is ex.IntPow:
+                vals[node] = v[0] ** node.power
+            elif kind in (ex.Exp, ex.Log):
+                vals[node] = (np.exp if kind is ex.Exp else np.log)(v[0])
+            else:
+                vals[node] = ex._apply_implicit(node, v, pts)
+    return [vals[r] for r in roots]
+
+
+def _chunked_reference(roots, pts, binding):
+    """_reference_values chunk by chunk, as the tape's Newton stop is."""
+    m = pts.shape[0]
+    parts = [_reference_values(roots, pts[lo:lo + ex._CHUNK], binding)
+             for lo in range(0, max(m, 1), ex._CHUNK)]
+    return [p[0] if m <= ex._CHUNK or np.ndim(p[0]) == 0
+            else np.concatenate(p) for p in zip(*parts)]
+
+
+def _same_bits(got, want):
+    if np.shape(got) != np.shape(want):
+        return False
+    got, want = (np.ascontiguousarray(np.atleast_1d(x)) for x in (got, want))
+    return (got.dtype == want.dtype
+            and np.array_equal(got.view(float), want.view(float),
+                               equal_nan=True)
+            and got.tobytes() == want.tobytes())
+
+
+def _random_dag(rng):
+    """Roots over a random DAG with shared subterms: complex and t-valued
+    (float64) slots, params, scalar x array operations, and divisors that
+    stay away from zero, some of them shared."""
+    t = ex.implicit_t((1.0, ex.param("r")))
+    pool = [ex.z(1), ex.z(2), ex.zbar(1), ex.zbar(2), t,
+            ex.mul(t, t), ex.exp(ex.mul(ex.const(0.5), t)),
+            ex.mul(ex.param("p"), ex.const(0.5 - 1j)),
+            ex.const(complex(rng.normal(), rng.normal()))]
+    safe = [ex.add(ex.const(1.0), ex.mul(ex.z(1), ex.zbar(1))),
+            ex.exp(t), ex.add(ex.const(2.0), t)]
+    for _ in range(int(rng.integers(5, 40))):
+        a, b = (pool[int(k)] for k in rng.integers(0, len(pool), size=2))
+        op = int(rng.integers(0, 8))
+        if op < 3:
+            node = (ex.add, ex.sub, ex.mul)[op](a, b)
+        elif op == 3:
+            node = ex.div(a, safe[int(rng.integers(0, len(safe)))])
+        elif op == 4:
+            node = ex.intpow(a, int(rng.integers(2, 4)))
+        elif op == 5:
+            node = ex.exp(ex.mul(ex.const(0.1), a))
+        elif op == 6:
+            node = ex.mul(t, a)  # float64 x anything
+        else:
+            node = ex.log(safe[int(rng.integers(0, len(safe)))])
+        pool.append(node)
+    picks = rng.integers(0, len(pool), size=int(rng.integers(1, 6)))
+    return [pool[int(k)] for k in picks]
+
+
+class TestTapeBits:
+    """The tape writes into dying operands and reuses one arena per run;
+    every value must keep the bits of a plain per-node evaluation."""
+
+    BINDING = {"r": 1.5, "p": 0.7}
+    C = ex._CHUNK
+    POINTS = annulus_points(2, 2 * C + 5, seed=50)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("m", [0, 1, 2, 7, C, C + 1, 2 * C + 5])
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_dags_match_the_reference(self, m, seed):
+        roots = _random_dag(np.random.default_rng(seed))
+        pts = self.POINTS[:m]
+        want = _chunked_reference(roots, pts, self.BINDING)
+        got = ex._Tape(roots).values(pts, self.BINDING)
+        for g, w in zip(got, want):
+            assert _same_bits(g, w)
+
+    def test_random_dags_use_every_placement(self):
+        # The property above covers in-place writes, the arena and fresh
+        # roots, float64 arena buffers included.
+        kinds, types = set(), set()
+        for seed in range(40):
+            tape = ex._Tape(_random_dag(np.random.default_rng(seed)))
+            n = len(tape.plan)
+            for i, (_, _, b, out) in enumerate(tape.plan):
+                kinds.add("fresh" if out == -1 else
+                          "in place" if out < n else "arena")
+            types.update(tape.arena)
+        assert kinds == {"fresh", "in place", "arena"}
+        assert types == {float, complex}
+
+    def test_one_point_chunks_keep_the_bits_of_fresh_products(self):
+        # An in-place complex product of 1-element arrays would round
+        # otherwise than a fresh one at about half of these points.
+        e = ex.mul(ex.mul(ex.mul(ex.z(1), ex.zbar(2)), ex.const(0.3 - 1.7j)),
+                   ex.add(ex.z(2), ex.const(1.0)))
+        tape = ex._Tape([e])
+        for k in range(64):
+            pts = self.POINTS[k:k + 1]
+            assert _same_bits(tape.values(pts)[0],
+                              _reference_values([e], pts, {})[0])
+        pts = self.POINTS[:self.C + 1]
+        assert _same_bits(tape.values(pts)[0],
+                          _chunked_reference([e], pts, {})[0])
+
+    def test_points_are_never_written(self):
+        z1, zb1, z2 = ex.z(1), ex.zbar(1), ex.z(2)
+        roots = [ex.mul(ex.add(z1, zb1), ex.sub(z2, z1)), z1,
+                 ex.exp(ex.mul(z2, ex.const(0.5))), ex.div(z2, ex.add(z1, 3.0))]
+        pts = self.POINTS.copy()
+        pts.flags.writeable = False  # a write would raise
+        before = pts.tobytes()
+        ex._Tape(roots).values(pts)
+        assert pts.tobytes() == before
+
+    def test_one_chunk_result_survives_a_later_run(self):
+        t = ex.implicit_t((1.0, 1.5))
+        roots = [ex.mul(ex.add(ex.z(1), t), ex.zbar(2)), t,
+                 ex.add(ex.mul(ex.z(1), ex.z(1)), ex.const(1j))]
+        tape = ex._Tape(roots)
+        first = tape.values(self.POINTS[:100])
+        kept = [v.copy() for v in first]
+        tape.values(self.POINTS[100:200])
+        tape.values(self.POINTS)
+        assert all(_same_bits(a, b) for a, b in zip(first, kept))
+
+    def test_division_failure_in_chunk_two(self):
+        z1, z2 = ex.z(1), ex.z(2)
+        roots = [ex.mul(ex.add(z1, z2), z2),
+                 ex.add(ex.div(ex.mul(z1, z2), ex.sub(z1, 0.5)), z2),
+                 ex.mul(z1, z1)]
+        pts = self.POINTS.copy()
+        k = self.C + 17
+        pts[k] = (0.5, 0.8)
+        calls = []
+        failure = ex._Tape(roots).run(
+            pts, lambda lo, j, v: calls.append((lo, j, v.copy())))
+        assert failure.root == 1
+        assert isinstance(failure.cause, ex.DivisionNearZero)
+        assert failure.cause.point == (0.5, 0.8)
+        # Every root of the first chunk; from the failing chunk on, only
+        # the roots before the failing one.
+        assert [(lo, j) for lo, j, _ in calls] == [
+            (0, 0), (0, 1), (0, 2), (self.C, 0), (2 * self.C, 0)]
+        for lo, j, v in calls:
+            want = _reference_values([roots[j]], pts[lo:lo + self.C], {})[0]
+            assert _same_bits(v, want)
+
+    def test_two_bindings_back_to_back(self):
+        t = ex.implicit_t((ex.param("r"), 2.0))
+        roots = [ex.mul(ex.mul(ex.param("p"), ex.z(1)), ex.exp(t)),
+                 ex.sub(t, ex.mul(ex.param("p"), t))]
+        tape = ex._Tape(roots)
+        bindings = [{"r": 1.0, "p": 0.5}, {"r": 0.4, "p": -2.0}]
+        for pts in (self.POINTS[:300], self.POINTS):
+            got = [tape.values(pts, b) for b in bindings + bindings[:1]]
+            for b, vals in zip(bindings + bindings[:1], got):
+                want = _chunked_reference(roots, pts, b)
+                assert all(_same_bits(g, w) for g, w in zip(vals, want))
 
 
 class TestParam:

@@ -405,12 +405,13 @@ class TestDefiniteness:
 
 def _classify_matrices(hs):
     """:func:`fm._classify` on an (m, 2, 2) stack of matrices H, fed in as
-    the (1,1) coefficients C = -i H of a form on C^2."""
+    the (1,1) coefficients C = -i H of a form on C^2, at the points (k, 0)."""
     m = len(hs)
     values = {(i, 2 + j): -1j * hs[:, i, j] for i in range(2) for j in range(2)}
     evaluation = [np.zeros(m), np.zeros(m), values]
-    return fm._classify(fm.ExteriorForm(2, 2), np.zeros((m, 2), complex),
-                        evaluation, 0)
+    pts = np.zeros((m, 2), complex)
+    pts[:, 0] = np.arange(m)
+    return fm._classify(fm.ExteriorForm(2, 2), pts, evaluation, 0)
 
 
 def _decisions(eigs):
@@ -434,6 +435,8 @@ def _hermitian_stack(rng, m, kind):
         lam[rng.random(m) < 0.25] = 0.0
     elif kind == "diagonal":
         u = np.broadcast_to(np.eye(2), (m, 2, 2))
+    elif kind == "constant":
+        u, lam = u[:1].repeat(m, axis=0), lam[:1].repeat(m, axis=0)
     elif kind in ("near_zero", "near_zero_negative"):
         # The small eigenvalue a few ulps of the large one from the sign
         # test's zero threshold, on either side.
@@ -465,7 +468,7 @@ class TestClosedForm2x2:
     eigvalsh at every point gives."""
 
     KINDS = ["positive", "negative", "indefinite", "rank1", "zero",
-             "diagonal", "near_zero", "near_zero_negative"]
+             "diagonal", "near_zero", "near_zero_negative", "constant"]
 
     @staticmethod
     def _lapack_everywhere(monkeypatch, hs):
@@ -513,23 +516,58 @@ class TestClosedForm2x2:
         assert len(eigvalsh_shapes) == 1
         assert 1 <= eigvalsh_shapes[0][0] <= 5
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
+    def test_constant_matrices_take_one_lapack_call(self, eigvalsh_shapes,
+                                                    scale):
+        hs = _hermitian_stack(np.random.default_rng(6), 500, "constant")
+        hs *= scale
+        rep = _classify_matrices(hs)
+        assert eigvalsh_shapes == [(1, 2, 2)]
+        h = (-1j * hs) * 1j
+        sym = (np.conjugate(h.transpose(0, 2, 1)) + h) * 0.5
+        assert rep.eigenvalues.tobytes() == np.linalg.eigvalsh(sym).tobytes()
+        # One bit apart at one point: LAPACK on every point again.
+        hs[250, 0, 0] = np.nextafter(hs[250, 0, 0].real, np.inf)
+        _classify_matrices(hs)
+        assert eigvalsh_shapes[1] == (500, 2, 2)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_point_goes_to_lapack(self, monkeypatch, bad):
+    def test_non_finite_point_is_refused(self, bad):
         hs = _hermitian_stack(np.random.default_rng(5), 50, "positive")
         hs[7, 0, 0] = bad
-        rep = _classify_matrices(hs)
-        ref = self._lapack_everywhere(monkeypatch, hs)
-        assert rep.eigenvalues[7].tobytes() == ref.eigenvalues[7].tobytes()
-        assert (rep.sign, repr(rep.min_abs_eigenvalue)) == (
-            ref.sign, repr(ref.min_abs_eigenvalue))
-        assert rep.worst_sample.point == ref.worst_sample.point
+        with pytest.raises(fm.NonHermitian,
+                           match=r"non-finite coefficient at point "
+                                 r"\(\(7\+0j\), 0j\)"):
+            _classify_matrices(hs)
+
+    def test_nan_does_not_hide_a_hermiticity_defect(self):
+        hs = np.repeat(np.eye(2, dtype=complex)[None], 5, axis=0)
+        hs[1, 0, 1] = 1.0
+        with pytest.raises(fm.NonHermitian, match="defect 0.816 at point "
+                                                  r"\(\(1\+0j\), 0j\)"):
+            _classify_matrices(hs)
+        hs[3, 1, 1] = np.nan
+        with pytest.raises(fm.NonHermitian, match="non-finite coefficient"):
+            _classify_matrices(hs)
+
+    def test_nan_residual_of_a_stray_part_is_refused(self):
+        hs = _hermitian_stack(np.random.default_rng(5), 5, "positive")
+        values = {(i, 2 + j): -1j * hs[:, i, j]
+                  for i in range(2) for j in range(2)}
+        stray = np.zeros(5)
+        stray[2] = np.nan
+        with pytest.raises(fm.NotType11, match="residual nan"):
+            fm._classify(fm.ExteriorForm(2, 2), np.zeros((5, 2), complex),
+                         [stray, np.zeros(5), values], 0)
 
     def test_three_dimensional_forms_use_lapack_at_every_point(
             self, eigvalsh_shapes):
+        # |z1|^4 makes H differ from point to point.
         phi = ex.add(ex.add(ex.mul(ex.z(1), ex.zbar(1)),
                             ex.mul(ex.z(2), ex.zbar(2))),
-                     ex.mul(ex.z(3), ex.zbar(3)))
+                     ex.add(ex.mul(ex.z(3), ex.zbar(3)),
+                            ex.intpow(ex.mul(ex.z(1), ex.zbar(1)), 2)))
         pts = annulus_points(3, 40, seed=4)
         rep = fm.definiteness(fm.kaehler_form(3, phi), pts)
         assert rep.is_definite and rep.sign == 1
