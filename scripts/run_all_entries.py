@@ -40,9 +40,13 @@ def main(argv=None) -> int:
         all_ok = all_ok and ok
         print("%-10s %-4s  %5.2fs" % (name, "pass" if ok else "FAIL", elapsed))
         for rep in reports:
-            print("    %-22s %-4s  residual %11.3e  tol %g"
+            # A proven identity's residual is 0; its float cross-check shows.
+            proven = rep.details.get("method") == "exact-modular"
+            print("    %-22s %-4s  residual %11.3e  tol %g%s"
                   % (rep.check_name, rep.status, rep.max_residual,
-                     rep.tolerance))
+                     rep.tolerance,
+                     "  exact (float %.3e)" % rep.details["float_residual"]
+                     if proven else ""))
         if out_dir:
             payload = {"entry": name, "points": args.points,
                        "seed": args.seed,

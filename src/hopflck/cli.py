@@ -331,7 +331,8 @@ def _add_entry_options(sub):
     sub.add_argument("--seed", type=int, default=None,
                      help="sampling seed (default 42)")
     sub.add_argument("--tol", type=float, default=None,
-                     help="residual tolerance (default per entry)")
+                     help="residual tolerance (default per entry); an "
+                     "identity proven exactly has residual 0")
     sub.add_argument("--out", default=None, help="write JSON here instead "
                      "of standard output")
     for flag in ("--mu-re", "--mu-im", "--alpha-re", "--alpha-im"):

@@ -44,11 +44,20 @@ binding (name -> number) that it runs with.  An expression written over
 params is a template: compiled into a tape once, it is evaluated for fresh
 numbers by binding them, with no new construction.  Implicit-time weights
 may be params too.
+
+A tape also runs over the integers modulo the prime MODULAR_PRIME
+(:meth:`_Tape.prove`), with each z_i, zbar_i, exp, log, implicit time and
+param an independent unknown drawn at random: a root that vanishes in every
+trial is zero as a rational function of those unknowns, except with a
+probability that its degree bounds (the Schwartz-Zippel lemma), and so for
+every binding and at every point where it can be evaluated.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
+import random
 import weakref
 from typing import Callable, NamedTuple
 
@@ -63,11 +72,22 @@ __all__ = [
     "EvaluationError", "DivisionNearZero", "NewtonDivergence",
     "LogBranchError", "UnboundParam", "DimensionMismatch",
     "DIVISION_EPS", "NEWTON_TOL", "NEWTON_MAX_ITER",
+    "MODULAR_PRIME", "MODULAR_TRIALS", "MODULAR_SEED",
 ]
 
 DIVISION_EPS = 1e-14
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
+# Exact identity tests (_Tape.prove) evaluate over the integers mod
+# MODULAR_PRIME = 2^62 + 169, a prime = 1 (mod 4), in MODULAR_TRIALS trials
+# whose residues random.Random(MODULAR_SEED) draws.
+MODULAR_PRIME = 4611686018427388073
+MODULAR_TRIALS = 3
+MODULAR_SEED = 2023
+_P = MODULAR_PRIME
+# sqrt(-1) mod p: 3 is not a square mod p, so 3^((p-1)/4) squares to
+# 3^((p-1)/2) = -1.
+_I_MOD = pow(3, (_P - 1) // 4, _P)
 
 
 class EvaluationError(ValueError):
@@ -419,40 +439,58 @@ def _bad_point(pts, values, mask):
     return tuple(complex(c) for c in pts[idx])
 
 
-def _apply_div(e, args, pts, out=None):
-    num, den = args
+# The checks of the operations that can fail on their operand: each takes
+# the operation's node and child values (the operand last) and raises where
+# the operation is undefined.  _Tape also runs them alone, as guards.
+
+
+def _check_divisor(e, args, pts, out=None):
+    den = args[-1]
     bad = np.abs(den) < DIVISION_EPS
     if np.any(bad):
         raise DivisionNearZero("divisor magnitude below %g" % DIVISION_EPS,
                                _bad_point(pts, den, bad))
+
+
+def _check_base(e, args, pts, out=None):
+    base = args[0]
+    bad = np.abs(base) < DIVISION_EPS
+    if np.any(bad):
+        raise DivisionNearZero(
+            "negative-power base magnitude below %g" % DIVISION_EPS,
+            _bad_point(pts, base, bad))
+
+
+def _check_log(e, args, pts, out=None):
+    arg = np.asarray(args[0])
+    bad = (np.abs(arg) < DIVISION_EPS) | ((arg.real < 0) & (arg.imag == 0))
+    if np.any(bad):
+        raise LogBranchError("log on the closed negative real axis",
+                             _bad_point(pts, arg, bad))
+
+
+def _apply_div(e, args, pts, out=None):
+    _check_divisor(e, args, pts)
+    num, den = args
     # Written only once the guard has passed.
     return num / den if out is None else np.divide(num, den, out=out)
 
 
 def _apply_quotient(e, args, pts, out=None):
     # A division whose divisor an earlier operation of the same chunk has
-    # already passed through _apply_div (see _Tape).
+    # already checked (see _Tape).
     return args[0] / args[1]
 
 
 def _apply_pow(e, args, pts, out=None):
-    base = args[0]
     if e.power < 0:
-        bad = np.abs(base) < DIVISION_EPS
-        if np.any(bad):
-            raise DivisionNearZero(
-                "negative-power base magnitude below %g" % DIVISION_EPS,
-                _bad_point(pts, base, bad))
-    return base ** e.power
+        _check_base(e, args, pts)
+    return args[0] ** e.power
 
 
 def _apply_log(e, args, pts, out=None):
-    arg = np.asarray(args[0])
-    bad = (np.abs(arg) < DIVISION_EPS) | ((arg.real < 0) & (arg.imag == 0))
-    if np.any(bad):
-        raise LogBranchError("log on the closed negative real axis",
-                             _bad_point(pts, arg, bad))
-    return np.log(arg)
+    _check_log(e, args, pts)
+    return np.log(np.asarray(args[0]))
 
 
 def _apply_param(e, args, pts, out=None):
@@ -516,6 +554,74 @@ def _apply_implicit(e, args, pts, out=None):
     raise NewtonDivergence("Newton failed to reach %g in %d iterations"
                            % (NEWTON_TOL, NEWTON_MAX_ITER),
                            _bad_point(pts, f, bad))
+
+
+# Rules over the integers mod MODULAR_PRIME.  A residue rule takes the
+# node, its children's residues (never None) and ``draw``, which gives a
+# symbol its residue; it returns None where the value is undefined (a
+# divisor or negative-power base of 0).  A degree rule bounds the degrees
+# of the numerator and denominator of the node as a rational function of
+# the symbols, from its children's bounds.
+
+
+def _residue(x: float):
+    """The float ``x`` exactly, mod p; None for inf and nan."""
+    if not math.isfinite(x):
+        return None
+    num, den = x.as_integer_ratio()
+    return num * pow(den, -1, _P) % _P
+
+
+def _modular_const(e, v, draw):
+    re, im = _residue(e.value.real), _residue(e.value.imag)
+    if re is None or im is None:
+        return None
+    return (re + _I_MOD * im) % _P
+
+
+def _modular_symbol(e, v, draw):
+    # z_i, zbar_i, exp, log, implicit time and param: independent unknowns.
+    return draw(e)
+
+
+def _modular_div(e, v, draw):
+    if v[1] == 0:
+        return None
+    return v[0] * pow(v[1], -1, _P) % _P
+
+
+def _modular_pow(e, v, draw):
+    if e.power < 0 and v[0] == 0:
+        return None
+    return pow(v[0], e.power, _P)
+
+
+def _degree_const(e, d):
+    return 0, 0
+
+
+def _degree_symbol(e, d):
+    return 1, 0
+
+
+def _degree_sum(e, d):
+    (a, b), (c, f) = d
+    return max(a + f, c + b), b + f
+
+
+def _degree_product(e, d):
+    (a, b), (c, f) = d
+    return a + c, b + f
+
+
+def _degree_quotient(e, d):
+    (a, b), (c, f) = d
+    return a + f, b + c
+
+
+def _degree_pow(e, d):
+    (a, b), k = d[0], e.power
+    return (k * a, k * b) if k > 0 else (-k * b, -k * a)
 
 
 def _derive_div(e, d, *_):
@@ -595,6 +701,8 @@ def _pretty_const(e, s):
 class _Kind(NamedTuple):
     arity: int | None  # None: checked by the constructor
     apply: Callable    # (node, child values, chunk of points, out) -> values
+    modular: Callable  # (node, child residues, draw) -> residue or None
+    degree: Callable   # (node, child degree bounds) -> (numerator, denominator)
     rebuild: Callable  # (node, new children, z images, zbar images, conj) -> node
     derive: Callable   # (node, child derivatives, index, conj) -> derivative
     fields: Callable   # node -> JSON fields besides op and args
@@ -606,45 +714,52 @@ def _no_fields(e):
     return {}
 
 
-def _binary(symbol, make, apply, derive):
-    return _Kind(2, apply, lambda e, k, *_: make(*k), derive, _no_fields,
-                 lambda f, k: make(*k),
+def _binary(symbol, make, apply, modular, degree, derive):
+    return _Kind(2, apply, modular, degree, lambda e, k, *_: make(*k), derive,
+                 _no_fields, lambda f, k: make(*k),
                  lambda e, s: "(%s %s %s)" % (s[0], symbol, s[1]))
 
 
 def _unary(name, make, apply, derive):
-    return _Kind(1, apply, lambda e, k, *_: make(k[0]), derive, _no_fields,
+    # exp and log: symbols over the integers mod p.
+    return _Kind(1, apply, _modular_symbol, _degree_symbol,
+                 lambda e, k, *_: make(k[0]), derive, _no_fields,
                  lambda f, k: make(k[0]), lambda e, s: "%s(%s)" % (name, s[0]))
 
 
 _KINDS = {
     Const: _Kind(
-        0, lambda e, v, pts, out=None: e.value,
+        0, lambda e, v, pts, out=None: e.value, _modular_const, _degree_const,
         lambda e, k, zs, zbs, conj: const(e.value.conjugate()) if conj else e,
         lambda e, d, i, conj: _ZERO,
         lambda e: {"value": [e.value.real, e.value.imag]},
         _parse_const, _pretty_const),
     Var: _Kind(
-        0, lambda e, v, pts, out=None: pts[:, e.index - 1],
-        lambda e, k, zs, zbs, conj: zs[e.index - 1],
+        0, lambda e, v, pts, out=None: pts[:, e.index - 1], _modular_symbol,
+        _degree_symbol, lambda e, k, zs, zbs, conj: zs[e.index - 1],
         lambda e, d, i, conj: _ONE if (not conj and e.index == i) else _ZERO,
         lambda e: {"index": e.index},
         lambda f, k: z(_json_int(f["index"])), lambda e, s: "z%d" % e.index),
     ConjVar: _Kind(
         0, lambda e, v, pts, out=None: np.conj(pts[:, e.index - 1], out=out),
+        _modular_symbol, _degree_symbol,
         lambda e, k, zs, zbs, conj: zbs[e.index - 1],
         lambda e, d, i, conj: _ONE if (conj and e.index == i) else _ZERO,
         lambda e: {"index": e.index},
         lambda f, k: zbar(_json_int(f["index"])), lambda e, s: "~z%d" % e.index),
     Add: _binary("+", add, lambda e, v, pts, out=None: v[0] + v[1],
+                 lambda e, v, draw: (v[0] + v[1]) % _P, _degree_sum,
                  lambda e, d, *_: add(*d)),
     Sub: _binary("-", sub, lambda e, v, pts, out=None: v[0] - v[1],
+                 lambda e, v, draw: (v[0] - v[1]) % _P, _degree_sum,
                  lambda e, d, *_: sub(*d)),
     Mul: _binary("*", mul, lambda e, v, pts, out=None: v[0] * v[1],
+                 lambda e, v, draw: v[0] * v[1] % _P, _degree_product,
                  lambda e, d, *_: add(mul(d[0], e.args[1]), mul(e.args[0], d[1]))),
-    Div: _binary("/", div, _apply_div, _derive_div),
+    Div: _binary("/", div, _apply_div, _modular_div, _degree_quotient,
+                 _derive_div),
     IntPow: _Kind(
-        1, _apply_pow,
+        1, _apply_pow, _modular_pow, _degree_pow,
         lambda e, k, *_: intpow(k[0], e.power),
         lambda e, d, *_: mul(mul(const(e.power), intpow(e.args[0], e.power - 1)),
                              d[0]),
@@ -655,14 +770,16 @@ _KINDS = {
                 lambda e, d, *_: mul(e, d[0])),
     Log: _unary("log", log, _apply_log, lambda e, d, *_: div(d[0], e.args[0])),
     ImplicitT: _Kind(
-        None, _apply_implicit, _rebuild_implicit, _derive_implicit,
+        None, _apply_implicit, _modular_symbol, _degree_symbol,
+        _rebuild_implicit, _derive_implicit,
         lambda e: {"weights": [w if isinstance(w, float) else None
                                for w in e.weights]},
         _parse_implicit,
         lambda e, s: "t[%s]" % ",".join(
             "%g" % w if isinstance(w, float) else w.name for w in e.weights)),
     Param: _Kind(
-        0, _apply_param, lambda e, *_: e, lambda e, *_: _ZERO,
+        0, _apply_param, _modular_symbol, _degree_symbol, lambda e, *_: e,
+        lambda e, *_: _ZERO,
         lambda e: {"name": e.name}, lambda f, k: param(f["name"]),
         lambda e, s: e.name),
 }
@@ -811,6 +928,23 @@ def _check_dimension(roots, dim):
 _UFUNCS = {_KINDS[Add].apply: np.add, _KINDS[Sub].apply: np.subtract,
            _KINDS[Mul].apply: np.multiply, _apply_quotient: np.divide}
 _WRITES_OUT = {*_UFUNCS, _KINDS[Exp].apply, _KINDS[ConjVar].apply, _apply_div}
+_CHECKS = {_check_divisor, _check_base, _check_log}
+
+
+def _check_of(node):
+    """How evaluating ``node`` can fail: (check, operand) where a check rule
+    tests the operand, (None, node) where evaluating the node itself is the
+    test (implicit time, param), or None where it cannot fail."""
+    kind = type(node)
+    if kind is Div:
+        return _check_divisor, node.args[1]
+    if kind is IntPow and node.power < 0:
+        return _check_base, node.args[0]
+    if kind is Log:
+        return _check_log, node.args[0]
+    if kind is ImplicitT or kind is Param:
+        return None, node
+    return None
 
 
 def _tape_dtype(node, kids):
@@ -834,9 +968,17 @@ class _Tape:
     order: group k ends with root k's values, which go to the consumer at
     once, and an error belongs to the root of its group.
 
-    Only the first division by a slot tests its magnitude: every later one
-    runs after it in the same chunk, on the same values, and in every prefix
-    of the groups that holds it, so it divides plainly.
+    A root whose index is in ``checked`` keeps its group but not its values:
+    the group holds only what can fail below the root and is not reached by
+    an earlier root, in post-order, each as the operand's operations and
+    then its check (an implicit time or a param is computed).  So the root
+    fails exactly where evaluating it would, with the same error and point,
+    and the consumer never sees it.
+
+    Only the first test of a slot by a check rule runs: every later one
+    runs after it in the same chunk, on the same values, and in every
+    prefix of the groups that holds it, so a later division by that slot
+    divides plainly and a later guard is left out.
 
     ``plan`` is what :meth:`run` executes.  An addition, subtraction,
     multiplication or unguarded division with an array child is a bare
@@ -845,40 +987,68 @@ class _Tape:
     since a consumer may keep them.  Any other result that a rule can write
     into ``out`` goes into a child whose last consumer this operation is,
     where that child has the result's type, is not a view of the points and
-    is not a root; failing that, into a buffer of the run's arena, which is
-    free again once the last consumer of the value in it has run.
+    is not a root; failing that, into a buffer of the arena, which is free
+    again once the last consumer of the value in it has run.  Once a run
+    has filled a chunk the arena lives as long as the tape, so runs of one
+    tape must not overlap.
     """
 
-    def __init__(self, roots):
+    def __init__(self, roots, checked=()):
         # ops: (rule, node, child slots); frees[i]: the slots whose last
-        # consumer is operation i (a root slot has none).
+        # consumer is operation i (a root slot has none); roots: each root's
+        # slot, None for a checked root.
         # params: the operations of the param leaves, which each run binds.
-        slot, self.ops, first_op = {}, [], []
-        last, guarded = [], set()
-        for root in roots:
-            first_op.append(len(self.ops))
-            for node in _post_order(root, slot.__contains__):
+        slot, self.ops, first_op, self.roots = {}, [], [], []
+        last, tested, reached, checked = [], set(), set(), set(checked)
+
+        def emit(rule, node, kids):
+            for c in kids:
+                last[c] = len(self.ops)
+            self.ops.append((rule, node, kids))
+            last.append(-1)
+
+        def compute(top):
+            for node in _post_order(top, slot.__contains__):
+                reached.add(node)
                 kids = tuple(map(slot.__getitem__, node.args))
-                for c in kids:
-                    last[c] = len(self.ops)
                 rule = _KINDS[type(node)].apply
                 if rule is _apply_div:
-                    if kids[1] in guarded:
+                    if (_check_divisor, kids[1]) in tested:
                         rule = _apply_quotient
-                    guarded.add(kids[1])
+                    tested.add((_check_divisor, kids[1]))
                 slot[node] = len(self.ops)
-                self.ops.append((rule, node, kids))
-                last.append(-1)
-        self.roots = [slot[r] for r in roots]
+                emit(rule, node, kids)
+
+        for k, root in enumerate(roots):
+            first_op.append(len(self.ops))
+            if k not in checked:
+                compute(root)
+                self.roots.append(slot[root])
+                continue
+            self.roots.append(None)
+            for node in _post_order(root, reached.__contains__):
+                reached.add(node)
+                check = _check_of(node)
+                if check is None:
+                    continue
+                rule, operand = check
+                if (rule, slot.get(operand)) in tested:
+                    continue
+                compute(operand)
+                if rule is not None:
+                    tested.add((rule, slot[operand]))
+                    emit(rule, node, (slot[operand],))
         # groups: (first operation, end, root slot, whether the slot can be
         # dropped once consumed: no later group reads it).
         ends = first_op[1:] + [len(self.ops)]
         self.groups = [
-            (start, stop, s, last[s] < stop and s not in self.roots[k + 1:])
+            (start, stop, s, s is not None and last[s] < stop
+             and s not in self.roots[k + 1:])
             for k, (start, stop, s) in enumerate(zip(first_op, ends,
                                                      self.roots))]
         for s in self.roots:
-            last[s] = -1
+            if s is not None:
+                last[s] = -1
         self.frees = [()] * len(self.ops)
         for s, i in enumerate(last):
             if i >= 0:
@@ -904,7 +1074,8 @@ class _Tape:
         types, writable, buffer = [], [], []
         spare = {float: [], complex: []}
         for i, (rule, node, kids) in enumerate(self.ops):
-            dtype = _tape_dtype(node, [types[c] for c in kids])
+            dtype = (None if rule in _CHECKS
+                     else _tape_dtype(node, [types[c] for c in kids]))
             out, buf = -1, None
             if dtype is not None and i not in roots and rule in _WRITES_OUT:
                 dying = self.frees[i]
@@ -929,6 +1100,7 @@ class _Tape:
             for c in self.frees[i]:
                 if c != out and buffer[c] is not None:
                     spare[types[c]].append(buffer[c])
+        self.buffers = []
 
     def run(self, pts, consume, binding=None):
         """Run the operations over ``pts`` chunk by chunk.
@@ -936,11 +1108,11 @@ class _Tape:
         Each param named in ``binding`` takes its value, as a complex number
         like a constant's; evaluating any other param raises UnboundParam.
         In each chunk, which starts at point ``lo``, ``consume(lo, k,
-        values)`` gets root k's values for every root k, in root order.
-        Returns the :class:`_RootFailure` of the first root, in order, that
-        fails at any point, or None.  From the chunk where a root fails on,
-        only the roots before it are computed and handed on, since only they
-        can still fail first.
+        values)`` gets root k's values for every root k that is not
+        checked, in root order.  Returns the :class:`_RootFailure` of the
+        first root, in order, that fails at any point, or None.  From the
+        chunk where a root fails on, only the roots before it are computed
+        and handed on, since only they can still fail first.
         """
         m = pts.shape[0]
         plan = self.plan
@@ -954,7 +1126,15 @@ class _Tape:
         groups = [(start, plan[start:stop], s, drop)
                   for start, stop, s, drop in self.groups]
         n, size, failure = len(plan), min(m, _CHUNK), None
-        arena = [np.empty(size, dtype) for dtype in self.arena]
+        # The first run that fills a chunk keeps its arena on the tape, and
+        # every later run takes views of it: buffers of _CHUNK points are
+        # large enough for the allocator to hand back to the system between
+        # runs and fault in again.  Until then each run allocates its own,
+        # so that a cached tape that only runs short chunks keeps nothing.
+        if size == _CHUNK and not self.buffers:
+            self.buffers = [np.empty(size, dtype) for dtype in self.arena]
+        arena = ([a[:size] for a in self.buffers] if self.buffers
+                 else [np.empty(size, dtype) for dtype in self.arena])
         cells = arena + [None]
         # At m = 0 one empty pass still gives every output its shape.
         for lo in range(0, max(m, 1), _CHUNK):
@@ -982,10 +1162,50 @@ class _Tape:
                     failure = _RootFailure(k, err)
                     groups = groups[:k]
                     break
-                consume(lo, k, vals[s])
+                if s is not None:
+                    consume(lo, k, vals[s])
                 if drop:
                     vals[s] = None
         return failure
+
+    def modular(self, draw):
+        """Every root's residue mod MODULAR_PRIME and its numerator degree.
+
+        The operations run over the integers mod p, each symbol (z_i,
+        zbar_i, exp, log, implicit time, param) at ``draw(node)``.  A
+        residue is None where a divisor or negative-power base below the
+        root is 0.  The degree bounds the numerator of the root as a
+        rational function of the symbols.  For a tape with no checked root.
+        """
+        vals, degrees = [], []
+        for _, node, kids in self.ops:
+            kind = _KINDS[type(node)]
+            args = [vals[c] for c in kids]
+            vals.append(None if None in args
+                        else kind.modular(node, args, draw))
+            degrees.append(kind.degree(node, [degrees[c] for c in kids]))
+        return ([vals[s] for s in self.roots],
+                [degrees[s][0] for s in self.roots])
+
+    def prove(self):
+        """Whether each root vanished in MODULAR_TRIALS trials of
+        :meth:`modular`, and each root's numerator degree.
+
+        In each trial every symbol takes a residue drawn uniformly from the
+        integers mod p by random.Random(MODULAR_SEED).  A root with a
+        divisor that is 0 in some trial has not vanished.  By the
+        Schwartz-Zippel lemma, a root that is not identically zero (and
+        whose numerator is not 0 mod p) vanishes in one trial with
+        probability at most degree / p, and in every trial with that to
+        the power MODULAR_TRIALS.
+        """
+        rng = random.Random(MODULAR_SEED)
+        vanished = [True] * len(self.roots)
+        for _ in range(MODULAR_TRIALS):
+            values, degrees = self.modular(
+                lambda node: rng.randrange(MODULAR_PRIME))
+            vanished = [v and r == 0 for v, r in zip(vanished, values)]
+        return vanished, degrees
 
     def values(self, pts, binding=None):
         """Every root's values at the (m, n) array ``pts``, in root order.

@@ -397,11 +397,17 @@ class _RequestTape:
     Each :meth:`run` binds the params and evaluates every request through
     the one compiled tape, so a template's requests are built and compiled
     once however many bindings they are run with.
+
+    A request whose index is in ``proven`` is known to vanish: its terms
+    are checked roots of the tape (see ex._Tape), so it gets no values (its
+    entry is None), but any error its terms would raise is raised at its
+    position, naming the same term and point.
     """
 
-    def __init__(self, requests, dim):
+    def __init__(self, requests, dim, proven=()):
         roots, self.where, self.full = [], [], []
         self.failed_at, self.error = len(requests), None
+        checked = []
         for k, (form, full) in enumerate(requests):
             try:
                 ex._check_dimension(form.terms.values(), dim)
@@ -409,15 +415,18 @@ class _RequestTape:
                 self.failed_at, self.error = k, err
                 break
             terms = form.sorted_terms()
-            self.full.append(full)
+            self.full.append(None if k in proven else full)
+            if k in proven:
+                checked += range(len(roots), len(roots) + len(terms))
             roots += [c for _, c in terms]
             self.where += [(k, index) for index, _ in terms]
-        self.tape = ex._Tape(roots)
+        self.tape = ex._Tape(roots, checked)
 
     def run(self, pts, binding=None) -> _Evaluation:
         """The values of the requests at the complex (m, dim) array ``pts``."""
         m, where = pts.shape[0], self.where
-        values = [{} if full else np.zeros(m) for full in self.full]
+        values = [None if full is None else {} if full else np.zeros(m)
+                  for full in self.full]
         magnitude = np.empty(min(m, ex._CHUNK))  # one chunk's |value|
 
         def consume(lo, j, value):
@@ -640,9 +649,12 @@ def _closed_form_2x2(c):
         # LAPACK's smallest min|lambda| is at most the ceiling, and a point
         # whose min|lambda| exceeds it by more than the band cannot be where
         # that minimum lies.
+        # big and bb are not read again: band and low + band reuse them,
+        # which keeps this, the classification's memory peak, lower.
         low = np.ldexp(small, e, out=small)
-        band = big * _CLOSED_FORM_BAND
-        ceiling = np.min(low + band, where=in_range, initial=np.inf)
+        band = np.multiply(big, _CLOSED_FORM_BAND, out=big)
+        ceiling = np.min(np.add(low, band, out=bb), where=in_range,
+                         initial=np.inf)
         low -= band
         decided &= low > ceiling
     return eigs, np.flatnonzero(~decided)

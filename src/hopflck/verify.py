@@ -5,6 +5,15 @@ annulus points and reports the worst residual against a tolerance.  Reports
 are plain dataclasses with a fixed JSON shape so that identical inputs
 produce byte-identical output.
 
+The exception is the lcK pair d Omega = theta ^ Omega, d theta = 0 in
+run_suite: each suite first tests it exactly, by evaluating its
+coefficients at random residues modulo a prime (ex._Tape.prove).  A proven
+identity is no longer sampled at every point: its report carries residual
+0.0, the proof's false-pass bound, and the float residual at the first
+CROSS_CHECK_POINTS points as a cross-check, while every point is still
+checked for the evaluation errors that sampling would raise.  The library
+functions (verify_lck, max_form_residual, ...) stay sampled.
+
 Two conventions used throughout:
 
 * Pass/fail is always ``max_residual < tolerance``.  Checks that are
@@ -38,7 +47,7 @@ __all__ = [
     "run_suite", "suite_passed", "reports_to_json", "jsonify",
     "DegenerateOmega", "NonPositivePotential",
     "RATIONAL_TOL", "IMPLICIT_TOL", "LEE_RCOND", "POTENTIAL_IMAG_RTOL",
-    "SUITE_CACHE_SIZE", "MAX_POINTS",
+    "SUITE_CACHE_SIZE", "MAX_POINTS", "CROSS_CHECK_POINTS",
 ]
 
 RATIONAL_TOL = 1e-10
@@ -53,6 +62,9 @@ SUITE_CACHE_SIZE = 8
 # Most sample points a suite or a Lee solve takes.  At this size verify on
 # vaisman peaks at about 320 MB and solve-lee prints about 630 MB of JSON.
 MAX_POINTS = 10 ** 6
+# A suite's identity proven exactly still has its float residual computed,
+# as a cross-check, at the first CROSS_CHECK_POINTS sample points.
+CROSS_CHECK_POINTS = 256
 
 
 class DegenerateOmega(ValueError):
@@ -70,7 +82,18 @@ class NonPositivePotential(ValueError):
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """One named check: status is pass exactly when max_residual < tolerance."""
+    """One named check: status is pass exactly when max_residual < tolerance.
+
+    run_suite's lck_residual and lee_closedness reports name their
+    ``method`` in ``details``.  "sampled": ``max_residual`` is the largest
+    residual over the sample points, whose worst are ``worst_points``.
+    "exact-modular": the identity vanished at ``trials`` random points
+    modulo ``prime`` (ex.MODULAR_TRIALS, ex.MODULAR_PRIME), with every
+    param, exp, log and implicit time an unknown, so ``max_residual`` is 0.0;
+    ``false_pass_bound`` bounds the chance that a nonzero identity passes
+    so, and ``float_residual`` and ``worst_points`` come from the float
+    residual at the first CROSS_CHECK_POINTS sample points.
+    """
 
     check_name: str
     status: str
@@ -415,12 +438,42 @@ def _orientations(gen):
         yield "generator_inverse", gen.inverse_linear()
 
 
+def _proofs(requests, dim):
+    """Each request's exact test: its proof details, or None where it is not
+    proven, and a tape of the proven requests (None if there is none).
+
+    A request is proven when every coefficient vanished in each trial of
+    ex._Tape.prove, params included as unknowns, so that it vanishes for
+    every binding.  ``false_pass_bound`` is the Schwartz-Zippel bound on the
+    chance that a coefficient that is not identically zero vanished in each
+    trial, summed over the coefficients; a bound of 1 or more proves nothing.
+    """
+    tape = fm._RequestTape(requests, dim)
+    vanished, degrees = tape.tape.prove()
+    p, trials = ex.MODULAR_PRIME, ex.MODULAR_TRIALS
+    proofs = []
+    for k in range(len(requests)):
+        roots = [j for j, (i, _) in enumerate(tape.where) if i == k]
+        bound = sum(((min(degrees[j], p) / p) ** trials for j in roots), 0.0)
+        proven = (k < tape.failed_at and bound < 1
+                  and all(vanished[j] for j in roots))
+        proofs.append({"prime": p, "trials": trials, "false_pass_bound": bound}
+                      if proven else None)
+    proven = [r for r, proof in zip(requests, proofs) if proof]
+    if len(proven) < len(requests):
+        tape = fm._RequestTape(proven, dim) if proven else None
+    return proofs, tape
+
+
 class _Suite:
     """What run_suite evaluates, built and compiled once.
 
     ``forms``, ``potential`` and the generators' expressions ``deck`` may
     hold params; each run binds them.  ``requests`` holds every form a check
-    evaluates at the sample points, in check order, as one tape.
+    evaluates at the sample points, in check order, as one tape.  The lcK
+    pair is tested exactly first (``proofs``): a proven one is only checked
+    for errors there, and its float residual comes from the tape
+    ``cross_check`` at the first CROSS_CHECK_POINTS points.
     """
 
     def __init__(self, dim, forms, potential, deck):
@@ -428,15 +481,17 @@ class _Suite:
         self.lck = "Omega" in forms and "theta" in forms
         self.invariant = [key for key in ("theta", "psi") if key in forms]
         self.omega11 = None
-        requests = []
+        requests, self.proofs, self.cross_check = [], [], None
         if self.lck:
             requests += _lck_requests(forms["Omega"], forms["theta"])
+            self.proofs, self.cross_check = _proofs(requests, dim)
         if "Omega" in forms:
             self.omega11 = fm.bidegree_part(forms["Omega"], 1, 1)
             requests += fm._definiteness_requests(self.omega11)
         for key in self.invariant:
             requests += [_invariance_request(forms[key], g) for g in deck]
-        self.requests = fm._RequestTape(requests, dim)
+        self.requests = fm._RequestTape(
+            requests, dim, {k for k, proof in enumerate(self.proofs) if proof})
         self.potential = (None if potential is None
                           else _PotentialCheck(potential, dim))
 
@@ -527,12 +582,26 @@ def run_suite(entry: HopfSurfaceCatalogEntry,
     reports = []
 
     if suite.lck:
-        for name in ("lck_residual", "lee_closedness"):
-            res = values[k]
+        head, checked, j = pts[:CROSS_CHECK_POINTS], None, 0
+        for name, proof in zip(("lck_residual", "lee_closedness"),
+                               suite.proofs):
+            res = values[k]  # raises the error of a failing request
             k += 1
-            reports.append(_report(name, res.max(initial=0.0), tol, npts,
-                                   seed,
-                                   {"worst_points": _worst_points(pts, res)}))
+            if proof is None:
+                reports.append(_report(
+                    name, res.max(initial=0.0), tol, npts, seed,
+                    {"method": "sampled",
+                     "worst_points": _worst_points(pts, res)}))
+                continue
+            if checked is None:
+                checked = suite.cross_check.run(head, binding)
+            res = checked[j]
+            j += 1
+            reports.append(_report(
+                name, 0.0, tol, npts, seed,
+                {"method": "exact-modular", **proof,
+                 "float_residual": float(res.max(initial=0.0)),
+                 "worst_points": _worst_points(head, res)}))
 
     if suite.omega11 is not None:
         details = _definiteness_summary(suite.omega11, pts, values, k)

@@ -4,6 +4,7 @@ import gc
 import json
 import math
 import operator
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -406,17 +407,22 @@ class TestTapeKernels:
     def test_vaisman_suite_guards_each_divisor_once(self):
         entry = hp.build_entry("vaisman")
         suite, _ = vf._suite(entry, vf._generator_list(entry.group))
-        tape = suite.requests.tape
-        divs = [(i, rule, kids[1]) for i, (rule, node, kids)
-                in enumerate(tape.ops) if isinstance(node, ex.Div)]
-        first = {}
-        for i, _, den in divs:
-            first.setdefault(den, i)
-        guarded = [i for i, rule, _ in divs if rule is ex._apply_div]
-        assert (len(divs), len(guarded)) == (64, 7)
-        assert guarded == sorted(first.values())
-        assert all(rule is ex._apply_quotient
-                   for i, rule, _ in divs if i not in guarded)
+        # The lcK pair's own tape divides; the suite's tape has the proven
+        # pair's divisor checks (a Div node whose one child is the divisor)
+        # and the divisions of the other checks.
+        for tape, counts in ((suite.cross_check.tape, (56, 5)),
+                             (suite.requests.tape, (29, 7))):
+            divs = [(i, rule, kids[-1]) for i, (rule, node, kids)
+                    in enumerate(tape.ops) if isinstance(node, ex.Div)]
+            first = {}
+            for i, _, den in divs:
+                first.setdefault(den, i)
+            guarded = [i for i, rule, _ in divs
+                       if rule in (ex._apply_div, ex._check_divisor)]
+            assert (len(divs), len(guarded)) == counts
+            assert guarded == sorted(first.values())
+            assert all(rule is ex._apply_quotient
+                       for i, rule, _ in divs if i not in guarded)
 
     def test_frees_drop_each_slot_after_its_last_consumer(self):
         z1, zb1 = ex.z(1), ex.zbar(1)
@@ -647,6 +653,253 @@ class TestTapeBits:
             for b, vals in zip(bindings + bindings[:1], got):
                 want = _chunked_reference(roots, pts, b)
                 assert all(_same_bits(g, w) for g, w in zip(vals, want))
+
+
+def _failing_roots(rng, pts):
+    """Up to three roots that fail at one chosen point each: a division, a
+    negative power or a log whose operand is exactly 0 there, or an
+    implicit time of radius 0 there, bare or inside a larger expression."""
+    roots = []
+    for _ in range(int(rng.integers(0, 4))):
+        j = int(rng.integers(0, len(pts)))
+        c1, c2 = (complex(c) for c in pts[j])
+        zero = ex.sub(ex.z(1), ex.const(c1))
+        kind = int(rng.integers(0, 4))
+        if kind == 0:
+            bad = ex.div(ex.z(2), zero)
+        elif kind == 1:
+            bad = ex.intpow(zero, -int(rng.integers(1, 3)))
+        elif kind == 2:
+            bad = ex.log(zero)
+        else:  # the implicit time of w = z - z_j: zero radius at z_j
+            bad = ex.implicit_t(
+                (1.0, 2.0), (zero, ex.sub(ex.z(2), c2)),
+                (ex.sub(ex.zbar(1), c1.conjugate()),
+                 ex.sub(ex.zbar(2), c2.conjugate())))
+        if rng.random() < 0.5:
+            bad = ex.mul(ex.add(bad, ex.zbar(2)), ex.z(1))
+        roots.append(bad)
+    return roots
+
+
+class TestCheckedRoots:
+    """A checked root fails where the root itself would: same root, error
+    and point; the other roots are handed on as from the full tape."""
+
+    BINDING = {"r": 1.5, "p": 0.7}
+    C = ex._CHUNK
+    POINTS = annulus_points(2, 2 * C + 5, seed=52)
+
+    @staticmethod
+    def _run(tape, pts, binding):
+        calls = []
+        failure = tape.run(pts, lambda lo, k, v: calls.append((lo, k, v)),
+                           binding)
+        return failure, calls
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("m", [1, 7, C + 1, 2 * C + 5])
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_dags_fail_as_unchecked(self, m, seed):
+        rng = np.random.default_rng(seed)
+        pts = self.POINTS[:m]
+        roots = _random_dag(rng) + _failing_roots(rng, pts)
+        rng.shuffle(roots)
+        checked = {k for k in range(len(roots)) if rng.random() < 0.5}
+        want, full = self._run(ex._Tape(roots), pts, self.BINDING)
+        tape = ex._Tape(roots, checked)
+        got, calls = self._run(tape, pts, self.BINDING)
+        assert [tape.roots[k] is None for k in range(len(roots))] == [
+            k in checked for k in range(len(roots))]
+        assert (want is None) == (got is None)
+        if want is not None:
+            assert got.root == want.root
+            assert type(got.cause) is type(want.cause)
+            assert str(got.cause) == str(want.cause)
+        # The consumer sees every other root, chunk for chunk, and no check.
+        expected = [(lo, k, v) for lo, k, v in full if k not in checked]
+        assert [(lo, k) for lo, k, _ in calls] == [
+            (lo, k) for lo, k, _ in expected]
+        assert all(_same_bits(g, w) for (_, _, g), (_, _, w)
+                   in zip(calls, expected))
+
+    def test_checks_are_the_fewest_operations(self):
+        # A checked root keeps only its divisor's operations and the check;
+        # an implicit time is computed, since evaluating it is its test.
+        z1, z2 = ex.z(1), ex.z(2)
+        t = ex.implicit_t((1.0, 2.0))
+        den = ex.add(ex.mul(z1, z1), ex.const(1.0))
+        root = ex.mul(ex.div(ex.mul(z2, z2), den), ex.exp(t))
+        tape = ex._Tape([root, ex.div(z2, den)], {0})
+        rules = [rule for rule, _, _ in tape.ops]
+        assert rules[:tape.groups[1][0]] == [
+            ex._KINDS[ex.Var].apply, ex._KINDS[ex.Mul].apply,
+            ex._KINDS[ex.Const].apply, ex._KINDS[ex.Add].apply,
+            ex._check_divisor, ex._KINDS[ex.Var].apply,
+            ex._KINDS[ex.ConjVar].apply, ex._KINDS[ex.ConjVar].apply,
+            ex._apply_implicit]
+        # The later division by the checked divisor divides plainly.
+        assert rules[-1] is ex._apply_quotient
+        assert tape.roots[0] is None and tape.groups[0][2] is None
+
+
+# ---------------------------------------------------------------------------
+# Exact evaluation mod p
+# ---------------------------------------------------------------------------
+
+P = ex.MODULAR_PRIME
+
+
+def _mod(q):
+    """A Gaussian rational (re, im) of Fractions mod p."""
+    re, im = ((f.numerator * pow(f.denominator, -1, P)) % P for f in q)
+    return (re + ex._I_MOD * im) % P
+
+
+def _gauss_mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _gauss_inv(a):
+    norm = a[0] * a[0] + a[1] * a[1]
+    return None if norm == 0 else (a[0] / norm, -a[1] / norm)
+
+
+def _fraction_values(roots, point):
+    """Each root's exact value at a point of Gaussian rationals, or None
+    where a divisor or negative-power base is 0."""
+    vals = {}
+    for root in roots:
+        for node in ex._post_order(root, vals.__contains__):
+            v = [vals[c] for c in node.args]
+            kind = type(node)
+            if None in v:
+                vals[node] = None
+            elif kind is ex.Const:
+                vals[node] = (Fraction(node.value.real),
+                              Fraction(node.value.imag))
+            elif kind is ex.Var:
+                vals[node] = point[node.index - 1]
+            elif kind is ex.ConjVar:
+                re, im = point[node.index - 1]
+                vals[node] = (re, -im)
+            elif kind is ex.Add:
+                vals[node] = (v[0][0] + v[1][0], v[0][1] + v[1][1])
+            elif kind is ex.Sub:
+                vals[node] = (v[0][0] - v[1][0], v[0][1] - v[1][1])
+            elif kind is ex.Mul:
+                vals[node] = _gauss_mul(*v)
+            elif kind is ex.Div:
+                inv = _gauss_inv(v[1])
+                vals[node] = None if inv is None else _gauss_mul(v[0], inv)
+            else:
+                base = v[0] if node.power > 0 else _gauss_inv(v[0])
+                value = (Fraction(1), Fraction(0))
+                for _ in range(abs(node.power)):
+                    value = None if base is None else _gauss_mul(value, base)
+                vals[node] = value
+    return [vals[r] for r in roots]
+
+
+def _dyadic(rng):
+    return float(Fraction(int(rng.integers(-40, 41)),
+                          2 ** int(rng.integers(0, 6))))
+
+
+def _rational_dag(rng):
+    """Roots over dyadic constants, z_i and zbar_i with + - * / and
+    integer powers of either sign."""
+    pool = [ex.z(1), ex.z(2), ex.zbar(1), ex.zbar(2),
+            ex.const(complex(_dyadic(rng), _dyadic(rng)))]
+    for _ in range(int(rng.integers(3, 14))):
+        a, b = (pool[int(k)] for k in rng.integers(0, len(pool), size=2))
+        op = int(rng.integers(0, 6))
+        try:
+            if op < 4:
+                node = (ex.add, ex.sub, ex.mul, ex.div)[op](a, b)
+            elif op == 4:
+                node = ex.intpow(a, int(rng.choice([-3, -2, -1, 2, 3])))
+            else:
+                node = ex.mul(a, ex.const(complex(_dyadic(rng), 0.0)))
+        except ValueError:  # a structural zero divided by or inverted
+            continue
+        pool.append(node)
+    picks = rng.integers(0, len(pool), size=int(rng.integers(1, 5)))
+    return [pool[int(k)] for k in picks]
+
+
+class TestModular:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_residues_are_exact_values_mod_p(self, seed):
+        rng = np.random.default_rng(seed)
+        roots = _rational_dag(rng)
+        # Small integers make a zero divisor likely now and then.
+        point = [(Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4))),
+                  Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4))))
+                 for _ in range(2)]
+        symbols = {ex.z(i + 1): _mod(q) for i, q in enumerate(point)}
+        symbols.update({ex.zbar(i + 1): _mod((q[0], -q[1]))
+                        for i, q in enumerate(point)})
+        got, _ = ex._Tape(roots).modular(symbols.__getitem__)
+        want = _fraction_values(roots, point)
+        assert got == [None if w is None else _mod(w) for w in want]
+
+    def test_constants_are_exact(self):
+        c = 0.1 - 2.75j  # 0.1 is the nearest double, not 1/10
+        got, _ = ex._Tape([ex.const(c)]).modular(None)
+        assert got == [_mod((Fraction(c.real), Fraction(c.imag)))]
+        assert ex._I_MOD ** 2 % P == P - 1 and P % 4 == 1
+        assert ex._Tape([ex.const(math.inf)]).modular(None)[0] == [None]
+
+    @pytest.mark.parametrize("make,degree", [
+        (lambda z1, z2: ex.const(3.0), 0),
+        (lambda z1, z2: z1, 1),
+        (lambda z1, z2: ex.mul(z1, ex.zbar(2)), 2),
+        (lambda z1, z2: ex.intpow(ex.add(z1, z2), 3), 3),
+        (lambda z1, z2: ex.div(z1, ex.add(z2, 1.0)), 1),
+        (lambda z1, z2: ex.intpow(z1, -2), 0),
+        (lambda z1, z2: ex.add(ex.div(z1, z2), ex.div(z2, z1)), 2),
+        (lambda z1, z2: ex.div(ex.mul(z1, z1), ex.sub(z1, z2)), 2),
+        (lambda z1, z2: ex.mul(ex.exp(z1), ex.intpow(z2, 2)), 3),
+        (lambda z1, z2: ex.sub(ex.intpow(ex.implicit_t((1.0, 2.0)), 2),
+                               ex.param("r")), 2),
+    ])
+    def test_degree_bounds_the_numerator(self, make, degree):
+        # Each numerator has exactly this total degree in its unknowns.
+        _, got = ex._Tape([make(ex.z(1), ex.z(2))]).modular(lambda node: 1)
+        assert got == [degree]
+
+    def test_degree_is_an_upper_bound(self):
+        # (z1^2 - z2^2) / (z1 - z2) is z1 + z2, of degree 1; the bound,
+        # which does not cancel, is 2.
+        z1, z2 = ex.z(1), ex.z(2)
+        e = ex.div(ex.sub(ex.mul(z1, z1), ex.mul(z2, z2)), ex.sub(z1, z2))
+        assert ex._Tape([e]).modular(lambda node: 1)[1] == [2]
+
+    def test_zero_divisor_is_not_proven(self):
+        z1, z2 = ex.z(1), ex.z(2)
+        # A divisor that is 0 for these residues only: that trial fails.
+        e = ex.div(ex.const(1.0), ex.sub(z1, z2))
+        assert ex._Tape([e]).modular(lambda node: 5)[0] == [None]
+        # z1 z2 - z2 z1 is 0 for all residues: it vanishes, and a root
+        # that divides by it is not proven, though its value is 0 wherever
+        # it is defined.
+        zero = ex.sub(ex.mul(z1, z2), ex.mul(z2, z1))
+        vanished, _ = ex._Tape([zero, ex.div(zero, zero),
+                                ex.sub(ex.div(zero, zero), ex.const(1.0)),
+                                ex.sub(z1, z2)]).prove()
+        assert vanished == [True, False, False, False]
+
+    def test_proof_is_seeded(self):
+        z1 = ex.z(1)
+        tape = ex._Tape([ex.sub(ex.intpow(ex.add(z1, 1.0), 2),
+                                ex.add(ex.mul(z1, z1),
+                                       ex.add(ex.mul(2.0, z1), 1.0))),
+                         ex.sub(z1, ex.zbar(1))])
+        assert tape.prove() == ([True, False], [2, 1])
+        assert tape.prove() == tape.prove()
 
 
 class TestParam:

@@ -299,15 +299,21 @@ class TestRunSuite:
 
     @pytest.mark.parametrize("make", [hp.example1_entry, hp.vaisman_entry])
     def test_suite_residuals_match_verify_lck(self, make):
+        # Both identities are proven, so their float residuals are the
+        # cross-check's, at the first CROSS_CHECK_POINTS points.
         entry = make()
         config = self.small()
         by_name = {r.check_name: r for r in vf.run_suite(entry, config)}
         pts = annulus_points(entry.ambient_dim, config.points, config.seed)
-        lck = vf.verify_lck(entry.forms["Omega"], entry.forms["theta"], pts)
+        lck = vf.verify_lck(entry.forms["Omega"], entry.forms["theta"],
+                            pts[:vf.CROSS_CHECK_POINTS])
+        for check in ("lck_residual", "lee_closedness"):
+            assert by_name[check].details["method"] == "exact-modular"
+            assert by_name[check].max_residual == 0.0
         assert lck.details["lck_residual"] == \
-            by_name["lck_residual"].max_residual
+            by_name["lck_residual"].details["float_residual"]
         assert lck.details["lee_closedness_residual"] == \
-            by_name["lee_closedness"].max_residual
+            by_name["lee_closedness"].details["float_residual"]
 
     def test_reports_are_json_safe_and_deterministic(self):
         config = self.small()
@@ -367,16 +373,22 @@ class TestSuiteOnePass:
         if "theta" in forms:
             omega, theta = forms["Omega"], forms["theta"]
             lck = vf.verify_lck(omega, theta, pts)
+            # The catalog's lcK pairs are proven: their float residuals come
+            # from the first CROSS_CHECK_POINTS points.
+            head = pts[:vf.CROSS_CHECK_POINTS]
+            lck_head = vf.verify_lck(omega, theta, head)
             for check, key, form in (
                     ("lck_residual", "lck_residual",
                      fm.exterior_d(omega) - fm.wedge(theta, omega)),
                     ("lee_closedness", "lee_closedness_residual",
                      fm.exterior_d(theta))):
-                res = _residual_one_form_at_a_time(form, pts)
-                assert by_name[check].max_residual == lck.details[key]
-                assert by_name[check].max_residual == res.max(initial=0.0)
-                assert by_name[check].details["worst_points"] == \
-                    vf._worst_points(pts, res)
+                res = _residual_one_form_at_a_time(form, head)
+                details = by_name[check].details
+                assert details["method"] == "exact-modular"
+                assert by_name[check].max_residual == 0.0
+                assert details["float_residual"] == lck_head.details[key]
+                assert details["float_residual"] == res.max(initial=0.0)
+                assert details["worst_points"] == vf._worst_points(head, res)
             alone = fm.definiteness(fm.bidegree_part(omega, 1, 1), pts)
             details = by_name["definiteness"].details
             assert details == lck.details["definiteness"]
@@ -453,6 +465,75 @@ class TestSuiteOnePass:
             assert isinstance(info.value.cause, ex.DivisionNearZero)
 
 
+class TestExactIdentities:
+    """run_suite proves the lcK pair once per suite; what it does not prove
+    it samples as before."""
+
+    POINTS = 2 * ex._CHUNK + 1
+
+    @pytest.mark.parametrize("name", ["example1", "vaisman"])
+    def test_perturbed_lee_form_is_sampled(self, name):
+        # theta (1 + 1e-7) breaks d Omega = theta ^ Omega but not d theta = 0.
+        entry = hp.build_entry(name)
+        forms = dict(entry.forms)
+        forms["theta"] = forms["theta"] * (1 + 1e-7)
+        bad = hp.HopfSurfaceCatalogEntry(name, 2, forms, entry.group, {})
+        config = vf.SuiteConfig(points=self.POINTS, seed=5)
+        pts = annulus_points(2, config.points, config.seed)
+        by_name = {r.check_name: r for r in vf.run_suite(bad, config)}
+        lck = by_name["lck_residual"]
+        assert lck.status == "fail" and lck.details["method"] == "sampled"
+        res = _residual_one_form_at_a_time(
+            fm.exterior_d(forms["Omega"])
+            - fm.wedge(forms["theta"], forms["Omega"]), pts)
+        alone = vf.verify_lck(forms["Omega"], forms["theta"], pts)
+        assert lck.max_residual == alone.details["lck_residual"] \
+            == res.max(initial=0.0)
+        assert lck.details == {"method": "sampled",
+                               "worst_points": vf._worst_points(pts, res)}
+        closed = by_name["lee_closedness"]
+        assert closed.passed and closed.details["method"] == "exact-modular"
+
+    def test_catalog_proofs_are_tight(self):
+        for name in ("example1", "example2", "vaisman"):
+            reports = vf.run_suite(hp.build_entry(name),
+                                   vf.SuiteConfig(points=20))
+            for r in reports[:2]:
+                assert r.passed and r.max_residual == 0.0
+                assert r.details["method"] == "exact-modular"
+                assert r.details["prime"] == ex.MODULAR_PRIME
+                assert r.details["trials"] == ex.MODULAR_TRIALS
+                assert r.details["false_pass_bound"] < 1e-30
+
+    def test_failure_in_a_proven_identity_is_the_sampled_one(self):
+        # Omega = omega_0 / g and theta = -dg / g with g = z1 - a: the lcK
+        # identity holds and is proven, but d Omega divides by g^2, which
+        # is below DIVISION_EPS at one point of the second chunk where g
+        # itself (the divisor of Omega and theta) is not.
+        pts = annulus_points(2, self.POINTS, 42)
+        k = ex._CHUNK + 5
+        g = ex.sub(ex.z(1), ex.const(complex(pts[k, 0]) - 1e-8))
+        omega = fm.form_from_terms(2, 2, {(0, 2): ex.div(-1j, g),
+                                          (1, 3): ex.div(-1j, g)})
+        theta = fm.form_from_terms(2, 1, {(0,): ex.div(-1.0, g)})
+        entry = hp.HopfSurfaceCatalogEntry(
+            "pole", 2, {"Omega": omega, "theta": theta},
+            hp.example1_entry().group, {})
+        suite, _ = vf._suite(entry, vf._generator_list(entry.group))
+        assert suite.proofs[0] is not None
+        with pytest.raises(fm.FormEvaluationError) as sampled:
+            fm.pointwise_residual(
+                fm.exterior_d(omega) - fm.wedge(theta, omega), pts)
+        with pytest.raises(fm.FormEvaluationError) as info:
+            vf.run_suite(entry, vf.SuiteConfig(points=self.POINTS))
+        assert str(info.value) == str(sampled.value)
+        assert str(info.value).startswith(
+            "term (0, 1, 3): divisor magnitude below 1e-14 at point")
+        assert info.value.cause.point == tuple(pts[k])
+        for form in (omega, theta):
+            fm.pointwise_residual(form, pts)  # g alone is not too small
+
+
 class TestSuiteCache:
     """run_suite compiles each catalog template once and binds each entry's
     numbers to it."""
@@ -484,8 +565,9 @@ class TestSuiteCache:
         vf.run_suite(hp.build_entry("vaisman", {"r1": 1.23, "p2": -0.4}),
                      self.CONFIG)
         assert builds == [] and list(vf._SUITES) == before
-        assert [tape for tape, _ in runs] == [
-            vf._SUITES[before[-1]].requests.tape]
+        suite = vf._SUITES[before[-1]]
+        assert [tape for tape, _ in runs] == [suite.requests.tape,
+                                              suite.cross_check.tape]
 
     def test_support_is_part_of_the_key(self):
         a = hp.build_entry("kodaira", {"t": 1.0})
@@ -510,7 +592,14 @@ class TestSuiteCache:
         keys = list(vf._SUITES)
         got = vf.reports_to_json(vf.run_suite(by_hand, self.CONFIG))
         assert list(vf._SUITES) == keys  # an entry by hand is not cached
-        assert vf.reports_to_json(vf.run_suite(entry, self.CONFIG)) == got
+        want = vf.reports_to_json(vf.run_suite(entry, self.CONFIG))
+        # The template proves the lcK pair with its params as unknowns, so
+        # its false-pass bound counts their degrees too.
+        for a, b in zip(got, want):
+            if "false_pass_bound" in b["details"]:
+                assert a["details"].pop("false_pass_bound") <= \
+                    b["details"].pop("false_pass_bound") < 1e-30
+        assert want == got
 
 
 class TestJsonify:
