@@ -482,10 +482,20 @@ def _apply_quotient(e, args, pts, out=None):
     return args[0] / args[1]
 
 
+def _apply_power(e, args, pts, out=None):
+    # A power whose negative-power base is already checked.
+    return args[0] ** e.power
+
+
 def _apply_pow(e, args, pts, out=None):
     if e.power < 0:
         _check_base(e, args, pts)
     return args[0] ** e.power
+
+
+def _apply_logarithm(e, args, pts, out=None):
+    # A log whose argument is already checked.
+    return np.log(np.asarray(args[0]))
 
 
 def _apply_log(e, args, pts, out=None):
@@ -701,6 +711,7 @@ def _pretty_const(e, s):
 class _Kind(NamedTuple):
     arity: int | None  # None: checked by the constructor
     apply: Callable    # (node, child values, chunk of points, out) -> values
+    check: Callable    # node -> how evaluating it can fail (see _Tape)
     modular: Callable  # (node, child residues, draw) -> residue or None
     degree: Callable   # (node, child degree bounds) -> (numerator, denominator)
     rebuild: Callable  # (node, new children, z images, zbar images, conj) -> node
@@ -714,35 +725,48 @@ def _no_fields(e):
     return {}
 
 
-def _binary(symbol, make, apply, modular, degree, derive):
-    return _Kind(2, apply, modular, degree, lambda e, k, *_: make(*k), derive,
-                 _no_fields, lambda f, k: make(*k),
+# Check rules: None where evaluating the node cannot fail; (check, operand
+# index, the apply rule without the check) where the check tests that
+# operand first; _SELF_CHECKED where evaluating the node is itself the test
+# (implicit time, param).
+def _cannot_fail(e):
+    return None
+
+
+_SELF_CHECKED = (None, None, None)
+
+
+def _binary(symbol, make, apply, modular, degree, derive, check=_cannot_fail):
+    return _Kind(2, apply, check, modular, degree, lambda e, k, *_: make(*k),
+                 derive, _no_fields, lambda f, k: make(*k),
                  lambda e, s: "(%s %s %s)" % (s[0], symbol, s[1]))
 
 
-def _unary(name, make, apply, derive):
+def _unary(name, make, apply, derive, check=_cannot_fail):
     # exp and log: symbols over the integers mod p.
-    return _Kind(1, apply, _modular_symbol, _degree_symbol,
+    return _Kind(1, apply, check, _modular_symbol, _degree_symbol,
                  lambda e, k, *_: make(k[0]), derive, _no_fields,
                  lambda f, k: make(k[0]), lambda e, s: "%s(%s)" % (name, s[0]))
 
 
 _KINDS = {
     Const: _Kind(
-        0, lambda e, v, pts, out=None: e.value, _modular_const, _degree_const,
+        0, lambda e, v, pts, out=None: e.value, _cannot_fail, _modular_const,
+        _degree_const,
         lambda e, k, zs, zbs, conj: const(e.value.conjugate()) if conj else e,
         lambda e, d, i, conj: _ZERO,
         lambda e: {"value": [e.value.real, e.value.imag]},
         _parse_const, _pretty_const),
     Var: _Kind(
-        0, lambda e, v, pts, out=None: pts[:, e.index - 1], _modular_symbol,
-        _degree_symbol, lambda e, k, zs, zbs, conj: zs[e.index - 1],
+        0, lambda e, v, pts, out=None: pts[:, e.index - 1], _cannot_fail,
+        _modular_symbol, _degree_symbol,
+        lambda e, k, zs, zbs, conj: zs[e.index - 1],
         lambda e, d, i, conj: _ONE if (not conj and e.index == i) else _ZERO,
         lambda e: {"index": e.index},
         lambda f, k: z(_json_int(f["index"])), lambda e, s: "z%d" % e.index),
     ConjVar: _Kind(
         0, lambda e, v, pts, out=None: np.conj(pts[:, e.index - 1], out=out),
-        _modular_symbol, _degree_symbol,
+        _cannot_fail, _modular_symbol, _degree_symbol,
         lambda e, k, zs, zbs, conj: zbs[e.index - 1],
         lambda e, d, i, conj: _ONE if (conj and e.index == i) else _ZERO,
         lambda e: {"index": e.index},
@@ -757,9 +781,11 @@ _KINDS = {
                  lambda e, v, draw: v[0] * v[1] % _P, _degree_product,
                  lambda e, d, *_: add(mul(d[0], e.args[1]), mul(e.args[0], d[1]))),
     Div: _binary("/", div, _apply_div, _modular_div, _degree_quotient,
-                 _derive_div),
+                 _derive_div, lambda e: (_check_divisor, 1, _apply_quotient)),
     IntPow: _Kind(
-        1, _apply_pow, _modular_pow, _degree_pow,
+        1, _apply_pow,
+        lambda e: (_check_base, 0, _apply_power) if e.power < 0 else None,
+        _modular_pow, _degree_pow,
         lambda e, k, *_: intpow(k[0], e.power),
         lambda e, d, *_: mul(mul(const(e.power), intpow(e.args[0], e.power - 1)),
                              d[0]),
@@ -768,9 +794,11 @@ _KINDS = {
         lambda e, s: "%s^%d" % (s[0], e.power)),
     Exp: _unary("exp", exp, lambda e, v, pts, out=None: np.exp(v[0], out=out),
                 lambda e, d, *_: mul(e, d[0])),
-    Log: _unary("log", log, _apply_log, lambda e, d, *_: div(d[0], e.args[0])),
+    Log: _unary("log", log, _apply_log, lambda e, d, *_: div(d[0], e.args[0]),
+                lambda e: (_check_log, 0, _apply_logarithm)),
     ImplicitT: _Kind(
-        None, _apply_implicit, _modular_symbol, _degree_symbol,
+        None, _apply_implicit, lambda e: _SELF_CHECKED, _modular_symbol,
+        _degree_symbol,
         _rebuild_implicit, _derive_implicit,
         lambda e: {"weights": [w if isinstance(w, float) else None
                                for w in e.weights]},
@@ -778,7 +806,8 @@ _KINDS = {
         lambda e, s: "t[%s]" % ",".join(
             "%g" % w if isinstance(w, float) else w.name for w in e.weights)),
     Param: _Kind(
-        0, _apply_param, _modular_symbol, _degree_symbol, lambda e, *_: e,
+        0, _apply_param, lambda e: _SELF_CHECKED, _modular_symbol,
+        _degree_symbol, lambda e, *_: e,
         lambda e, *_: _ZERO,
         lambda e: {"name": e.name}, lambda f, k: param(f["name"]),
         lambda e, s: e.name),
@@ -931,22 +960,6 @@ _WRITES_OUT = {*_UFUNCS, _KINDS[Exp].apply, _KINDS[ConjVar].apply, _apply_div}
 _CHECKS = {_check_divisor, _check_base, _check_log}
 
 
-def _check_of(node):
-    """How evaluating ``node`` can fail: (check, operand) where a check rule
-    tests the operand, (None, node) where evaluating the node itself is the
-    test (implicit time, param), or None where it cannot fail."""
-    kind = type(node)
-    if kind is Div:
-        return _check_divisor, node.args[1]
-    if kind is IntPow and node.power < 0:
-        return _check_base, node.args[0]
-    if kind is Log:
-        return _check_log, node.args[0]
-    if kind is ImplicitT or kind is Param:
-        return None, node
-    return None
-
-
 def _tape_dtype(node, kids):
     """The type of ``node``'s values on a tape, float or complex for an
     array, None for a Python scalar, from its children's types ``kids``."""
@@ -975,10 +988,11 @@ class _Tape:
     fails exactly where evaluating it would, with the same error and point,
     and the consumer never sees it.
 
-    Only the first test of a slot by a check rule runs: every later one
-    runs after it in the same chunk, on the same values, and in every
-    prefix of the groups that holds it, so a later division by that slot
-    divides plainly and a later guard is left out.
+    Each kind's ``check`` rule says how its nodes can fail.  Only the first
+    test of a slot by a check runs: every later one runs after it in the
+    same chunk, on the same values, and in every prefix of the groups that
+    holds it, so a later division, negative power or log of that slot runs
+    its rule without the check and a later guard is left out.
 
     ``plan`` is what :meth:`run` executes.  An addition, subtraction,
     multiplication or unguarded division with an array child is a bare
@@ -1011,11 +1025,13 @@ class _Tape:
             for node in _post_order(top, slot.__contains__):
                 reached.add(node)
                 kids = tuple(map(slot.__getitem__, node.args))
-                rule = _KINDS[type(node)].apply
-                if rule is _apply_div:
-                    if (_check_divisor, kids[1]) in tested:
-                        rule = _apply_quotient
-                    tested.add((_check_divisor, kids[1]))
+                kind = _KINDS[type(node)]
+                rule, check = kind.apply, kind.check(node)
+                if check is not None and check[0] is not None:
+                    test, operand, plain = check
+                    if (test, kids[operand]) in tested:
+                        rule = plain
+                    tested.add((test, kids[operand]))
                 slot[node] = len(self.ops)
                 emit(rule, node, kids)
 
@@ -1028,16 +1044,17 @@ class _Tape:
             self.roots.append(None)
             for node in _post_order(root, reached.__contains__):
                 reached.add(node)
-                check = _check_of(node)
+                check = _KINDS[type(node)].check(node)
                 if check is None:
                     continue
-                rule, operand = check
-                if (rule, slot.get(operand)) in tested:
+                test, operand, _ = check
+                operand = node if test is None else node.args[operand]
+                if (test, slot.get(operand)) in tested:
                     continue
                 compute(operand)
-                if rule is not None:
-                    tested.add((rule, slot[operand]))
-                    emit(rule, node, (slot[operand],))
+                if test is not None:
+                    tested.add((test, slot[operand]))
+                    emit(test, node, (slot[operand],))
         # groups: (first operation, end, root slot, whether the slot can be
         # dropped once consumed: no later group reads it).
         ends = first_op[1:] + [len(self.ops)]

@@ -1,6 +1,7 @@
 """Tests for the Lee-form solver, identity checks, and the verification suite."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -466,44 +467,101 @@ class TestSuiteOnePass:
 
 
 class TestExactIdentities:
-    """run_suite proves the lcK pair once per suite; what it does not prove
-    it samples as before."""
+    """run_suite proves the lcK pair once per suite; what it does not prove,
+    or what its float cross-check contradicts, it samples as before."""
 
     POINTS = 2 * ex._CHUNK + 1
+
+    def run_by_hand(self, name, forms, config):
+        entry = hp.build_entry(name)
+        forms = {**entry.forms, **forms}
+        bad = hp.HopfSurfaceCatalogEntry(name, 2, forms, entry.group, {})
+        pts = annulus_points(2, config.points, config.seed)
+        return forms, pts, {r.check_name: r for r in vf.run_suite(bad, config)}
+
+    def assert_sampled(self, report, forms, pts):
+        """``report`` is the one sampling all of ``pts`` gives."""
+        omega, theta = forms["Omega"], forms["theta"]
+        form, key = {
+            "lck_residual": (fm.exterior_d(omega) - fm.wedge(theta, omega),
+                             "lck_residual"),
+            "lee_closedness": (fm.exterior_d(theta),
+                               "lee_closedness_residual")}[report.check_name]
+        res = _residual_one_form_at_a_time(form, pts)
+        alone = vf.verify_lck(omega, theta, pts)
+        assert report.max_residual == alone.details[key] \
+            == res.max(initial=0.0)
+        assert report.details == {"method": "sampled",
+                                  "worst_points": vf._worst_points(pts, res)}
 
     @pytest.mark.parametrize("name", ["example1", "vaisman"])
     def test_perturbed_lee_form_is_sampled(self, name):
         # theta (1 + 1e-7) breaks d Omega = theta ^ Omega but not d theta = 0.
-        entry = hp.build_entry(name)
-        forms = dict(entry.forms)
-        forms["theta"] = forms["theta"] * (1 + 1e-7)
-        bad = hp.HopfSurfaceCatalogEntry(name, 2, forms, entry.group, {})
-        config = vf.SuiteConfig(points=self.POINTS, seed=5)
-        pts = annulus_points(2, config.points, config.seed)
-        by_name = {r.check_name: r for r in vf.run_suite(bad, config)}
+        theta = hp.build_entry(name).forms["theta"] * (1 + 1e-7)
+        forms, pts, by_name = self.run_by_hand(
+            name, {"theta": theta}, vf.SuiteConfig(points=self.POINTS, seed=5))
         lck = by_name["lck_residual"]
-        assert lck.status == "fail" and lck.details["method"] == "sampled"
-        res = _residual_one_form_at_a_time(
-            fm.exterior_d(forms["Omega"])
-            - fm.wedge(forms["theta"], forms["Omega"]), pts)
-        alone = vf.verify_lck(forms["Omega"], forms["theta"], pts)
-        assert lck.max_residual == alone.details["lck_residual"] \
-            == res.max(initial=0.0)
-        assert lck.details == {"method": "sampled",
-                               "worst_points": vf._worst_points(pts, res)}
+        assert lck.status == "fail"
+        self.assert_sampled(lck, forms, pts)
         closed = by_name["lee_closedness"]
         assert closed.passed and closed.details["method"] == "exact-modular"
 
+    def test_tolerance_below_rounding_is_sampled(self):
+        # The proof holds, but a tolerance below the float residual of the
+        # cross-check sends both identities back to sampling, which fails.
+        config = vf.SuiteConfig(points=self.POINTS, seed=5, tol=1e-20)
+        forms, pts, by_name = self.run_by_hand("example1", {}, config)
+        for check in ("lck_residual", "lee_closedness"):
+            assert by_name[check].status == "fail"
+            self.assert_sampled(by_name[check], forms, pts)
+        _, _, by_name = self.run_by_hand(
+            "example1", {}, vf.SuiteConfig(points=self.POINTS, seed=5))
+        for check in ("lck_residual", "lee_closedness"):
+            assert by_name[check].details["method"] == "exact-modular"
+
+    def test_identity_that_holds_only_modulo_the_prime_is_sampled(self):
+        # p = x^2 + y^2 (Cornacchia), so the constant c = x + iy or x - iy is
+        # 0 modulo p, with i the square root of -1 there, while |c| is about
+        # 2^31 and exact as a float.  theta + c zbar_1 dz_1 then passes the
+        # exact test but breaks both identities by about 1e9 in floats.
+        p, root = ex.MODULAR_PRIME, ex._I_MOD
+        a, b = p, root
+        while b * b > p:
+            a, b = b, a % b
+        x = b
+        y = math.isqrt(p - x * x)
+        assert x * x + y * y == p
+        c = complex(x, y if (x + root * y) % p == 0 else -y)
+        assert ex._modular_const(ex.const(c), (), None) == 0
+        eta = fm.form_from_terms(2, 1, {(0,): ex.mul(ex.const(c),
+                                                     ex.zbar(1))})
+        entry = hp.build_entry("example1")
+        theta = entry.forms["theta"] + eta
+        by_hand = hp.HopfSurfaceCatalogEntry(
+            "example1", 2, {**entry.forms, "theta": theta}, entry.group, {})
+        suite, _ = vf._suite(by_hand, vf._generator_list(by_hand.group))
+        assert None not in suite.proofs  # the exact test alone passes
+        config = vf.SuiteConfig(points=self.POINTS, seed=5)
+        forms, pts, by_name = self.run_by_hand("example1", {"theta": theta},
+                                               config)
+        for check in ("lck_residual", "lee_closedness"):
+            assert by_name[check].status == "fail"
+            assert by_name[check].max_residual > 1e9
+            self.assert_sampled(by_name[check], forms, pts)
+
     def test_catalog_proofs_are_tight(self):
         for name in ("example1", "example2", "vaisman"):
-            reports = vf.run_suite(hp.build_entry(name),
-                                   vf.SuiteConfig(points=20))
+            entry = hp.build_entry(name)
+            reports = vf.run_suite(entry, vf.SuiteConfig(points=20))
+            suite, _ = vf._suite(entry, vf._generator_list(entry.group))
+            assert all(bound <= vf.FALSE_PASS_BOUND for bound in suite.proofs)
             for r in reports[:2]:
                 assert r.passed and r.max_residual == 0.0
                 assert r.details["method"] == "exact-modular"
                 assert r.details["prime"] == ex.MODULAR_PRIME
                 assert r.details["trials"] == ex.MODULAR_TRIALS
-                assert r.details["false_pass_bound"] < 1e-30
+                assert r.details["false_pass_bound"] == vf.FALSE_PASS_BOUND \
+                    < 1e-30
 
     def test_failure_in_a_proven_identity_is_the_sampled_one(self):
         # Omega = omega_0 / g and theta = -dg / g with g = z1 - a: the lcK
@@ -592,14 +650,7 @@ class TestSuiteCache:
         keys = list(vf._SUITES)
         got = vf.reports_to_json(vf.run_suite(by_hand, self.CONFIG))
         assert list(vf._SUITES) == keys  # an entry by hand is not cached
-        want = vf.reports_to_json(vf.run_suite(entry, self.CONFIG))
-        # The template proves the lcK pair with its params as unknowns, so
-        # its false-pass bound counts their degrees too.
-        for a, b in zip(got, want):
-            if "false_pass_bound" in b["details"]:
-                assert a["details"].pop("false_pass_bound") <= \
-                    b["details"].pop("false_pass_bound") < 1e-30
-        assert want == got
+        assert vf.reports_to_json(vf.run_suite(entry, self.CONFIG)) == got
 
 
 class TestJsonify:
