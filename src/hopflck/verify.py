@@ -48,7 +48,8 @@ __all__ = [
     "verify_lck", "verify_potential", "verify_invariance",
     "run_suite", "suite_passed", "reports_to_json", "jsonify",
     "DegenerateOmega", "NonPositivePotential",
-    "RATIONAL_TOL", "IMPLICIT_TOL", "LEE_RCOND", "POTENTIAL_IMAG_RTOL",
+    "RATIONAL_TOL", "IMPLICIT_TOL", "LEE_RCOND", "LEE_BAND",
+    "POTENTIAL_IMAG_RTOL",
     "SUITE_CACHE_SIZE", "MAX_POINTS", "CROSS_CHECK_POINTS",
     "FALSE_PASS_BOUND",
 ]
@@ -56,6 +57,12 @@ __all__ = [
 RATIONAL_TOL = 1e-10
 IMPLICIT_TOL = 1e-8
 LEE_RCOND = 1e-10
+# On C^2, where the closed-form sigma_min/sigma_max of Omega's coefficient
+# array lies within LEE_BAND * LEE_RCOND of LEE_RCOND, LAPACK's SVD decides
+# degeneracy.  Both ratios are within a few ulps of 1 of the exact one,
+# about 1e-6 of LEE_RCOND, so the band is wide enough and almost never
+# entered.
+LEE_BAND = 2.0 ** -10
 # A potential counts as real where |Im Phi| <= POTENTIAL_IMAG_RTOL |Re Phi|.
 POTENTIAL_IMAG_RTOL = 1e-12
 WORST_POINTS = 3
@@ -186,6 +193,12 @@ def _worst_points(pts, residuals):
              "residual": float(residuals[k])} for k in order]
 
 
+def _worst(residuals) -> float:
+    """The largest of ``residuals``, or NaN if one is NaN, so that the check
+    fails: Python's max keeps a NaN only in first place."""
+    return float(np.max(residuals))
+
+
 def _report(check_name, worst, tolerance, num_points, seed, details):
     worst = float(worst)
     return VerificationReport(check_name, _status(worst, tolerance), worst,
@@ -241,45 +254,155 @@ def _solve_lee_arrays(Omega: fm.ExteriorForm, points):
     m = pts.shape[0]
     both = fm._evaluate_forms([(Omega, True), (fm.exterior_d(Omega), True)],
                               pts)
-    omega_vals, dom_vals = both[0], both[1]
+    # Omega's W_ij for i < j and d Omega's V_abc for a < b < c, one row each.
+    pairs = list(itertools.combinations(range(nn), 2))
+    triples = list(itertools.combinations(range(nn), 3))
+    w = np.zeros((len(pairs), m), dtype=complex)
+    v = np.zeros((len(triples), m), dtype=complex)
+    for rows, keys, vals in ((w, pairs, both[0]), (v, triples, both[1])):
+        for k, key in enumerate(keys):
+            if key in vals:
+                rows[k] = vals[key]
+    return _lee_solve(w, v, n)
 
-    mats = np.zeros((m, nn, nn), dtype=complex)
-    for (i, j), arr in omega_vals.items():
-        mats[:, i, j] = arr
-        mats[:, j, i] = -arr
-    sv = np.linalg.svd(mats, compute_uv=False)
-    degenerate = np.flatnonzero(~(sv[:, -1] > LEE_RCOND * sv[:, 0]))
-    if degenerate.size:
-        k = int(degenerate[0])
-        ratio = sv[k, -1] / sv[k, 0] if sv[k, 0] > 0 else 0.0
-        raise DegenerateOmega(
-            "2-form degenerate at point %d (sigma_min/sigma_max = %.3g)"
-            % (k, ratio))
 
+def _lee_solve(w, v, n):
+    """_solve_lee_arrays from the (pairs, m) array ``w`` of Omega's W_ij,
+    i < j, and the (triples, m) array ``v`` of d Omega's V_abc, a < b < c,
+    rows in lexicographic order: closed form on C^2 (see _lee_closed_form),
+    least squares otherwise."""
+    nn = 2 * n
+    if n != 2:
+        _gate_degeneracy(w, nn, np.arange(w.shape[1]), None)
+        coeffs, residual = _lee_least_squares(w, v, nn)
+    else:
+        theta = _lee_closed_form(w, v)
+        # (theta ^ Omega)_abc = theta_a W_bc - theta_b W_ac + theta_c W_ab
+        index = {pair: k for k, pair in
+                 enumerate(itertools.combinations(range(nn), 2))}
+        residual = np.zeros(w.shape[1])
+        for k, (a, b, c) in enumerate(itertools.combinations(range(nn), 3)):
+            r = theta[a] * w[index[b, c]]
+            r -= theta[b] * w[index[a, c]]
+            r += theta[c] * w[index[a, b]]
+            r -= v[k]
+            np.maximum(residual, np.abs(r), out=residual)
+        coeffs = theta.T.copy()
+    reality = np.abs(coeffs[:, n:] - np.conj(coeffs[:, :n])).max(axis=1)
+    return coeffs, residual, reality
+
+
+def _gate_degeneracy(w, nn, rows, clear):
+    """Raise DegenerateOmega at the first point where W is degenerate.
+
+    LAPACK's singular values decide at the points ``rows`` of the (pairs,
+    m) array ``w``: degenerate where sigma_min <= LEE_RCOND sigma_max, or
+    where that is not true because a value is NaN.  ``clear`` is the first
+    point known to be degenerate without them, or None.  The message gives
+    LAPACK's sigma_min/sigma_max at the first point.
+    """
+    sv = np.linalg.svd(_antisymmetric(w[:, rows], nn), compute_uv=False)
+    bad = rows[~(sv[:, -1] > LEE_RCOND * sv[:, 0])]
+    first = min(bad[:1].tolist() + ([] if clear is None else [clear]),
+                default=None)
+    if first is None:
+        return
+    sv = np.linalg.svd(_antisymmetric(w[:, [first]], nn),
+                       compute_uv=False)[0]
+    ratio = sv[-1] / sv[0] if sv[0] > 0 else 0.0
+    raise DegenerateOmega(
+        "2-form degenerate at point %d (sigma_min/sigma_max = %.3g)"
+        % (first, ratio))
+
+
+def _antisymmetric(w, nn):
+    """The (m, nn, nn) matrices W from the (pairs, m) array of W_ij, i < j."""
+    mats = np.zeros((w.shape[1], nn, nn), dtype=complex)
+    for k, (i, j) in enumerate(itertools.combinations(range(nn), 2)):
+        mats[:, i, j] = w[k]
+        mats[:, j, i] = -w[k]
+    return mats
+
+
+def _lee_least_squares(w, v, nn):
+    """theta (m, nn) and its residual (m,) by one batched QR solve of each
+    point's design matrix, which must have full column rank."""
+    mats = _antisymmetric(w, nn)
     # (theta ^ Omega)_abc = theta_a W_bc - theta_b W_ac + theta_c W_ab for
     # a < b < c, so each point's design matrix is read off W = mats.
     triples = list(itertools.combinations(range(nn), 3))
     a, b, c = np.array(triples).T
     rows = np.arange(len(triples))
-    design = np.zeros((m, len(triples), nn), dtype=complex)
+    design = np.zeros((w.shape[1], len(triples), nn), dtype=complex)
     design[:, rows, a] = mats[:, b, c]
     design[:, rows, b] = -mats[:, a, c]
     design[:, rows, c] = mats[:, a, b]
-    zero = np.zeros(m, dtype=complex)
-    target = np.stack([dom_vals.get(t, zero) for t in triples],
-                      axis=1)[:, :, None]
-
-    # One batched QR solve; the gate above guarantees full column rank.
+    target = v.T[:, :, None]
     q, r = np.linalg.qr(design)
     coeffs = np.linalg.solve(r, np.conj(q.swapaxes(1, 2)) @ target)
     residual = np.abs(design @ coeffs - target).max(axis=(1, 2))
-    coeffs = coeffs[..., 0]
-    reality = np.abs(coeffs[:, n:] - np.conj(coeffs[:, :n])).max(axis=1)
-    return coeffs, residual, reality
+    return coeffs[..., 0], residual
+
+
+def _scaled(x):
+    """The complex (k, m) array ``x`` with column j times 2^-e_j, and e: the
+    power of two that brings the column's largest real or imaginary part
+    into [0.5, 1), so the scaling is exact (e_j = 0 on a zero column)."""
+    parts = x.view(np.float64)
+    big = np.abs(parts).max(axis=0, initial=0.0)
+    e = np.frexp(np.maximum(big[0::2], big[1::2]))[1]
+    return np.ldexp(parts, np.repeat(-e, 2)).view(complex), e
+
+
+def _lee_closed_form(w, v):
+    """theta on C^2 at each point as a (4, m) array, in closed form.
+
+    W is Omega's antisymmetric coefficient array and V = d Omega, rows of
+    ``w`` and ``v`` as in _lee_solve.  theta ^ Omega = V is solved by
+    theta = -W *V / Pf W, with Pf W = W01 W23 - W02 W13 + W03 W12 and the
+    dual *V = (V123, -V023, V013, -V012).  W's singular values come in
+    pairs s1 >= s2 with s1 s2 = |Pf W| and s1^2 + s2^2 = sum_{i<j} |W_ij|^2,
+    so s2/s1 = |Pf W| / s1^2: LAPACK decides degeneracy only where that is
+    within LEE_BAND of the gate or not finite (see _gate_degeneracy).  W
+    and V are scaled at each point by powers of two (see _scaled), so no
+    quantity overflows or underflows before theta is scaled back.
+    """
+    ws, ew = _scaled(w)
+    w01, w02, w03, w12, w13, w23 = ws
+    (v012, v013, v023, v123), ev = _scaled(v)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        pf = w01 * w23
+        pf -= w02 * w13
+        pf += w03 * w12
+        # s1^2 = (S + sqrt(S^2 - 4 |Pf W|^2)) / 2; S^2 >= 4 |Pf W|^2 but
+        # for rounding.
+        s = np.square(ws.view(np.float64)).sum(axis=0)
+        s = s[0::2] + s[1::2]
+        p = np.abs(pf)
+        s1 = np.sqrt(np.maximum(s * s - 4.0 * p * p, 0.0))
+        s1 += s
+        s1 *= 0.5
+        ratio = p / s1
+        decided = np.abs(ratio - LEE_RCOND) > LEE_BAND * LEE_RCOND
+        decided &= np.isfinite(s)  # every W_ij is finite
+        clear = np.flatnonzero(decided & (ratio <= LEE_RCOND))
+        _gate_degeneracy(w, 4, np.flatnonzero(~decided),
+                         int(clear[0]) if clear.size else None)
+
+        # theta_a Pf W = sum_b W_ab (-*V)_b, written out.
+        theta = np.empty((4, len(pf)), dtype=complex)
+        theta[0] = w01 * v023 - w02 * v013 + w03 * v012
+        theta[1] = w01 * v123 - w12 * v013 + w13 * v012
+        theta[2] = w02 * v123 - w12 * v023 + w23 * v012
+        theta[3] = w03 * v123 - w13 * v023 + w23 * v013
+        theta /= pf
+    parts = theta.view(np.float64)
+    np.ldexp(parts, np.repeat(ev - ew, 2), out=parts)
+    return theta
 
 
 def solve_lee_many(Omega: fm.ExteriorForm, points):
-    """Least-squares Lee form at all points at once; see solve_lee_pointwise."""
+    """The Lee form at all points at once; see solve_lee_pointwise."""
     pts = np.asarray(points, dtype=complex)
     coeffs, residual, reality = _solve_lee_arrays(Omega, pts)
     return [LeeSolveResult(tuple(p), tuple(th), res, real)
@@ -290,12 +413,17 @@ def solve_lee_many(Omega: fm.ExteriorForm, points):
 def solve_lee_pointwise(Omega: fm.ExteriorForm, point) -> LeeSolveResult:
     """Solve d Omega = theta ^ Omega for theta at a single point.
 
-    The 2n unknown coefficients of theta in the covector basis are fitted by
-    least squares against the 3-form d Omega; for a nondegenerate Omega in
-    complex dimension >= 2 the solution is unique.  Raises DegenerateOmega
-    when the antisymmetric coefficient matrix of Omega is near singular:
-    its smallest singular value is at most LEE_RCOND times its largest, a
-    test that does not depend on the scale of Omega.
+    For a nondegenerate Omega in complex dimension >= 2 the 2n coefficients
+    of theta in the covector basis are unique.  On C^2 theta ^ Omega is an
+    invertible 4x4 map and theta comes in closed form through the Pfaffian
+    of Omega's coefficient matrix (see _lee_closed_form); in other
+    dimensions they are fitted by least squares against the 3-form d Omega.
+    ``residual`` is the largest |theta ^ Omega - d Omega| either way.
+    Raises DegenerateOmega when the antisymmetric coefficient matrix of
+    Omega is near singular: LAPACK's smallest singular value is at most
+    LEE_RCOND times its largest, a test that does not depend on the scale
+    of Omega.  On C^2 LAPACK is asked only where the closed-form ratio is
+    within LEE_BAND of that threshold, with the same verdict.
     """
     return solve_lee_many(Omega, [tuple(point)])[0]
 
@@ -328,7 +456,8 @@ def verify_lck(Omega: fm.ExteriorForm, theta: fm.ExteriorForm, points,
         "worst_points": _worst_points(pts, np.maximum(lck_res, closed_res)),
         "definiteness": _definiteness_summary(omega11, pts, values, 2),
     }
-    worst = max(details["lck_residual"], details["lee_closedness_residual"])
+    worst = _worst([details["lck_residual"],
+                    details["lee_closedness_residual"]])
     return _report("lck", worst, tol, int(pts.shape[0]), seed, details)
 
 
@@ -391,7 +520,7 @@ class _PotentialCheck:
         details = {"closedness_residual": closed, "generators": [],
                    "definiteness": definiteness}
 
-        worst = closed
+        worst = [closed]
         for name, gen in _generator_list(group):
             moved = self.phi.values(gen.eval_many(pts), binding)[0]
             ratios = (moved / vals).real
@@ -399,12 +528,12 @@ class _PotentialCheck:
             spread = float(ratios.max() - ratios.min())
             details["generators"].append(
                 {"generator": name, "rho": rho, "deviation": spread})
-            worst = max(worst, spread)
+            worst.append(spread)
             if rho <= 0:
-                worst = max(worst, 1.0)
+                worst.append(1.0)
                 details["nonpositive_ratio"] = True
-        return _report("potential_homothety", worst, tol, int(pts.shape[0]),
-                       seed, details)
+        return _report("potential_homothety", _worst(worst), tol,
+                       int(pts.shape[0]), seed, details)
 
 
 def verify_invariance(a: fm.ExteriorForm, g: PolyAutomorphism, points,
@@ -644,7 +773,7 @@ def run_suite(entry: HopfSurfaceCatalogEntry,
             residuals.append({"generator": name,
                               "residual": float(values[k].max(initial=0.0))})
             k += 1
-        worst = max([0.0] + [g["residual"] for g in residuals])
+        worst = _worst([0.0] + [g["residual"] for g in residuals])
         reports.append(_report("invariance_%s" % key, worst, tol, npts, seed,
                                {"generators": residuals}))
 

@@ -238,6 +238,15 @@ class TestVerifyCommand:
                                     "--t", "nan"])
         assert code == 2 and "finite" in err and "t = (nan+0j)" in err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_residual_is_refused(self, capsys):
+        # Every invariance residual is NaN at mu = 1e200: the report fails,
+        # and json refuses to print the NaN.
+        code, out, err = run(capsys, ["verify", "--entry", "example1",
+                                      "--mu-re", "1e200", "--points", "3"])
+        assert (code, out) == (2, "") and err.count("\n") == 1
+        assert err.startswith("error: Out of range float values")
+
     @pytest.mark.parametrize("key,value", [
         ("points", 2.7), ("points", True), ("seed", 4.5), ("seed", False),
     ])

@@ -1,5 +1,6 @@
 """Tests for the Lee-form solver, identity checks, and the verification suite."""
 
+import itertools
 import json
 import math
 
@@ -108,6 +109,172 @@ class TestSolveLee:
         assert "theta_coeffs" in payload
 
 
+def antisymmetric_mats(w):
+    """The (m, 4, 4) matrices W from the (6, m) rows W01, ..., W23."""
+    mats = np.zeros((w.shape[1], 4, 4), dtype=complex)
+    for k, (i, j) in enumerate(itertools.combinations(range(4), 2)):
+        mats[:, i, j] = w[k]
+        mats[:, j, i] = -w[k]
+    return mats
+
+
+def youla_rows(rng, s1, s2):
+    """The (6,) upper entries of U diag(s1 J, s2 J) U^T, U a random unitary
+    and J = [[0, 1], [-1, 0]]: an antisymmetric W with singular values s1,
+    s1, s2, s2."""
+    u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    j = np.zeros((4, 4))
+    j[0, 1], j[1, 0], j[2, 3], j[3, 2] = s1, -s1, s2, -s2
+    w = u @ j @ u.T
+    return np.array([w[a, b] for a, b in itertools.combinations(range(4), 2)])
+
+
+def lapack_gate(w):
+    """The degeneracy gate of the least-squares path, which takes LAPACK's
+    singular values at every point."""
+    sv = np.linalg.svd(antisymmetric_mats(w), compute_uv=False)
+    bad = np.flatnonzero(~(sv[:, -1] > vf.LEE_RCOND * sv[:, 0]))
+    if bad.size:
+        k = int(bad[0])
+        ratio = sv[k, -1] / sv[k, 0] if sv[k, 0] > 0 else 0.0
+        raise vf.DegenerateOmega(
+            "2-form degenerate at point %d (sigma_min/sigma_max = %.3g)"
+            % (k, ratio))
+
+
+def outcome(call, *args):
+    """None, or the type and message of the error ``call`` raises."""
+    try:
+        call(*args)
+    except (vf.DegenerateOmega, np.linalg.LinAlgError) as err:
+        return type(err).__name__, str(err)
+    return None
+
+
+class TestLeeClosedForm:
+    """On C^2 theta = -W *V / Pf W, against the batched QR solve that every
+    other dimension uses, called directly."""
+
+    @pytest.mark.parametrize("w_scale,v_scale", [
+        (1.0, 1.0), (1e100, 1e100), (1e-100, 1e-100), (1e150, 1e150),
+        (1e-150, 1e-150), (1e150, 1e-100), (1e-150, 1e100), (1e100, 1.0),
+        (1e-100, 1.0)])
+    def test_matches_least_squares_at_every_scale(self, w_scale, v_scale):
+        rng = np.random.default_rng(291)
+        m = 64
+        s2 = 10.0 ** rng.uniform(-3, 0, size=m)
+        w = np.stack([youla_rows(rng, 1.0, s) for s in s2], axis=1) * w_scale
+        v = (rng.normal(size=(4, m)) + 1j * rng.normal(size=(4, m))) * v_scale
+        coeffs, residual, reality = vf._lee_solve(w, v, 2)
+        want, want_residual = vf._lee_least_squares(w, v, 4)
+
+        cond = 1.0 / s2  # sigma_max / sigma_min
+        size = np.abs(want).max(axis=1)
+        assert np.all(size > 0) and np.all(np.isfinite(size))
+        err = np.abs(coeffs - want).max(axis=1)
+        assert np.all(err <= 1e-12 * cond * size)
+        # Both residuals are rounding errors of |theta| |W| + |V|.
+        terms = size * np.abs(w).max(axis=0) + np.abs(v).max(axis=0)
+        assert np.all(residual <= 1e-12 * cond * terms)
+        assert np.all(want_residual <= 1e-12 * cond * terms)
+        want_reality = np.abs(want[:, 2:] - np.conj(want[:, :2])).max(axis=1)
+        assert np.all(np.abs(reality - want_reality) <= 1e-12 * cond * size)
+
+    def test_inverts_the_wedge(self):
+        # theta ^ Omega for a known theta, solved back.
+        rng = np.random.default_rng(292)
+        m = 32
+        w = np.stack([youla_rows(rng, 1.0, 0.3) for _ in range(m)], axis=1)
+        theta = rng.normal(size=(m, 4)) + 1j * rng.normal(size=(m, 4))
+        v = np.empty((4, m), dtype=complex)
+        pair = {p: k for k, p in enumerate(itertools.combinations(range(4), 2))}
+        for k, (a, b, c) in enumerate(itertools.combinations(range(4), 3)):
+            v[k] = (theta[:, a] * w[pair[b, c]] - theta[:, b] * w[pair[a, c]]
+                    + theta[:, c] * w[pair[a, b]])
+        coeffs, residual, _ = vf._lee_solve(w, v, 2)
+        assert np.allclose(coeffs, theta, rtol=0, atol=1e-13)
+        assert np.all(residual < 1e-13)
+
+    @pytest.mark.parametrize("k", [3, 6, 9, 11, 14, 20, 30])
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_gate_agrees_with_lapack_across_the_band(self, k, side):
+        rng = np.random.default_rng(293 + k)
+        ratio = vf.LEE_RCOND * (1 + side * 2.0 ** -k)
+        w = np.stack([youla_rows(rng, 2.0, 1.0), youla_rows(rng, 1.0, 0.7),
+                      youla_rows(rng, 3.0, 3.0 * ratio),
+                      youla_rows(rng, 1.0, 0.1)], axis=1)
+        v = rng.normal(size=(4, 4)) + 0j
+        want = outcome(lapack_gate, w)
+        assert outcome(vf._lee_solve, w, v, 2) == want
+        if 2.0 ** -k > vf.LEE_BAND:  # outside the band, far from rounding
+            assert (want is None) == (side > 0)
+
+    @pytest.mark.parametrize("ratios", [
+        [0.5, vf.LEE_RCOND * (1 + 2.0 ** -30), 1e-12, 0.5],
+        [0.5, 1e-12, vf.LEE_RCOND * (1 - 2.0 ** -30), 0.5],
+        [vf.LEE_RCOND * (1 - 2.0 ** -30), vf.LEE_RCOND * (1 + 2.0 ** -30)],
+        [0.5, 0.0, 1e-12],
+        [1.0, 1.0, 1.0]])
+    def test_first_degenerate_point_agrees_with_lapack(self, ratios):
+        rng = np.random.default_rng(294)
+        w = np.stack([youla_rows(rng, 1.0, r) for r in ratios], axis=1)
+        v = rng.normal(size=(4, len(ratios))) + 0j
+        assert outcome(vf._lee_solve, w, v, 2) == outcome(lapack_gate, w)
+
+    def test_rank_two_is_degenerate_as_lapack_says(self):
+        rng = np.random.default_rng(295)
+        a, b = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
+        wedge = np.array([a[i] * b[j] - a[j] * b[i]
+                          for i, j in itertools.combinations(range(4), 2)])
+        exact = np.array([0, 1, 0, 0, 0, 0], dtype=complex)  # dz1 ^ dzbar1
+        for bad in (wedge, exact):
+            w = np.stack([youla_rows(rng, 1.0, 0.5), bad], axis=1)
+            v = np.ones((4, 2), dtype=complex)
+            want = outcome(lapack_gate, w)
+            assert want[0] == "DegenerateOmega" and "at point 1 " in want[1]
+            assert outcome(vf._lee_solve, w, v, 2) == want
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0, np.nan)])
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_non_finite_coefficient_raises_what_lapack_raises(self, value,
+                                                              where):
+        # Point 1 is degenerate; LAPACK refuses a NaN, and takes an inf.
+        rng = np.random.default_rng(296)
+        w = np.stack([youla_rows(rng, 1.0, 0.5), youla_rows(rng, 1.0, 1e-12),
+                      youla_rows(rng, 1.0, 0.5)], axis=1)
+        w[4, where] = value
+        v = np.ones((4, 3), dtype=complex)
+        want = outcome(lapack_gate, w)
+        assert want is not None
+        assert outcome(vf._lee_solve, w, v, 2) == want
+
+    def test_no_points(self):
+        om = hp.example1_entry().forms["Omega"]
+        coeffs, residual, reality = vf._solve_lee_arrays(
+            om, np.empty((0, 2), dtype=complex))
+        assert coeffs.shape == (0, 4)
+        assert residual.shape == reality.shape == (0,)
+        assert vf.solve_lee_many(om, np.empty((0, 2), dtype=complex)) == []
+
+    def test_one_point_is_a_row_of_many(self):
+        om = hp.example1_entry().forms["Omega"]
+        pts = random_annulus(2, 9, seed=297)
+        many = vf.solve_lee_many(om, pts)
+        for k in (0, 4, 8):
+            assert vf.solve_lee_pointwise(om, pts[k]) == many[k]
+        z = pts[4]
+        closed = -np.concatenate([z.conj(), z]) / np.sum(np.abs(z) ** 2)
+        assert np.allclose(many[4].theta_coeffs, closed, rtol=0, atol=1e-15)
+
+    def test_constant_kaehler_form_has_lee_form_zero(self):
+        # example2's Omega has constant coefficients and d Omega = 0.
+        om = hp.example2_entry().forms["Omega"]
+        coeffs, residual, reality = vf._solve_lee_arrays(
+            om, random_annulus(2, 50, seed=298))
+        assert np.all(coeffs == 0)
+        assert np.all(residual == 0) and np.all(reality == 0)
+
+
 class TestVerifyLck:
     def test_catalog_entry_passes(self):
         e = hp.example1_entry()
@@ -143,6 +310,19 @@ class TestVerifyLck:
         pts = random_annulus(2, 40, seed=214)
         rep = vf.verify_lck(rescaled, shifted, pts, tolerance=1e-9)
         assert rep.passed and rep.max_residual < 1e-12
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_closedness_residual_fails(self):
+        # theta ^ Omega has no terms, so the lcK residual is 0.0; d theta is
+        # 0 but for exp(800) * exp(-800) = inf * 0 = NaN at the second point.
+        f = ex.mul(ex.exp(ex.zbar(1)), ex.exp(ex.mul(ex.const(-1.0),
+                                                     ex.zbar(1))))
+        theta = fm.ExteriorForm(2, 1, {(0,): f})
+        om = fm.ExteriorForm(2, 2, {(0, 2): ex.const(1.0)})
+        rep = vf.verify_lck(om, theta, [(0.5, 0.5), (800.0, 0.5)])
+        assert rep.details["lck_residual"] == 0.0
+        assert math.isnan(rep.details["lee_closedness_residual"])
+        assert rep.status == "fail" and math.isnan(rep.max_residual)
 
     def test_dimension_mismatch(self):
         e1 = hp.example1_entry()
@@ -206,6 +386,18 @@ class TestVerifyPotential:
         rep = vf.verify_potential(scaled, group, pts)
         assert rep.status == "pass"
         assert rep.details["definiteness"]["sign"] == 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_spread_fails(self):
+        # Phi(g z) overflows at every point, so every ratio is inf and the
+        # spread inf - inf is NaN.
+        phi, _ = hp.example2_potential()
+        group = mp.GroupSpec((np.eye(2),),
+                             mp.PolyAutomorphism.diagonal([1e200, 1e200]))
+        rep = vf.verify_potential(phi, group, random_annulus(2, 5, seed=228))
+        assert rep.details["closedness_residual"] < 1e-12
+        assert math.isnan(rep.details["generators"][0]["deviation"])
+        assert rep.status == "fail" and math.isnan(rep.max_residual)
 
     def test_small_relative_imaginary_part_rejected(self):
         phi, group = hp.example2_potential()
@@ -275,6 +467,17 @@ class TestRunSuite:
                                                    "contraction"]
         assert vf.suite_passed(reports)
         assert reports[-1].details["certified_map"] == "generator"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_invariance_residual_fails(self):
+        reports = vf.run_suite(hp.build_entry("example1", {"mu": 1e200 + 0j}),
+                               vf.SuiteConfig(points=3))
+        by_name = {r.check_name: r for r in reports}
+        for key in ("theta", "psi"):
+            rep = by_name["invariance_" + key]
+            assert [math.isnan(g["residual"])
+                    for g in rep.details["generators"]] == [True]
+            assert rep.status == "fail" and math.isnan(rep.max_residual)
 
     def test_vaisman_suite_uses_implicit_tolerance(self):
         reports = vf.run_suite(hp.vaisman_entry(), self.small())
