@@ -271,25 +271,43 @@ def _lee_solve(w, v, n):
     i < j, and the (triples, m) array ``v`` of d Omega's V_abc, a < b < c,
     rows in lexicographic order: closed form on C^2 (see _lee_closed_form),
     least squares otherwise."""
-    nn = 2 * n
     if n != 2:
-        _gate_degeneracy(w, nn, np.arange(w.shape[1]), None)
-        coeffs, residual = _lee_least_squares(w, v, nn)
+        _gate_degeneracy(w, 2 * n, np.arange(w.shape[1]), [])
+        coeffs, residual = _lee_least_squares(w, v, 2 * n)
     else:
         theta = _lee_closed_form(w, v)
-        # (theta ^ Omega)_abc = theta_a W_bc - theta_b W_ac + theta_c W_ab
-        index = {pair: k for k, pair in
-                 enumerate(itertools.combinations(range(nn), 2))}
-        residual = np.zeros(w.shape[1])
-        for k, (a, b, c) in enumerate(itertools.combinations(range(nn), 3)):
-            r = theta[a] * w[index[b, c]]
-            r -= theta[b] * w[index[a, c]]
-            r += theta[c] * w[index[a, b]]
-            r -= v[k]
-            np.maximum(residual, np.abs(r), out=residual)
+        a, b, c, bc, ac, ab = _wedge_rows(4)
+        residual = np.abs(theta[a] * w[bc] - theta[b] * w[ac]
+                          + theta[c] * w[ab] - v).max(axis=0)
         coeffs = theta.T.copy()
     reality = np.abs(coeffs[:, n:] - np.conj(coeffs[:, :n])).max(axis=1)
     return coeffs, residual, reality
+
+
+def _wedge_rows(nn):
+    """(theta ^ Omega)_abc = theta_a W_bc - theta_b W_ac + theta_c W_ab: the
+    arrays a, b, c over the triples a < b < c, and the rows of W_bc, W_ac
+    and W_ab among the pairs."""
+    pair = {ij: k for k, ij in enumerate(itertools.combinations(range(nn), 2))}
+    a, b, c = np.array(list(itertools.combinations(range(nn), 3))).T
+    return (a, b, c) + tuple(np.array([pair[ij] for ij in zip(x, y)], int)
+                             for x, y in ((b, c), (a, c), (a, b)))
+
+
+def _lee_least_squares(w, v, nn):
+    """theta (m, nn) and its residual (m,) by one batched QR solve of each
+    point's design matrix, which must have full column rank."""
+    a, b, c, bc, ac, ab = _wedge_rows(nn)
+    rows = np.arange(len(a))
+    design = np.zeros((w.shape[1], len(a), nn), dtype=complex)
+    design[:, rows, a] = w[bc].T
+    design[:, rows, b] = -w[ac].T
+    design[:, rows, c] = w[ab].T
+    target = v.T[:, :, None]
+    q, r = np.linalg.qr(design)
+    coeffs = np.linalg.solve(r, np.conj(q.swapaxes(1, 2)) @ target)
+    residual = np.abs(design @ coeffs - target).max(axis=(1, 2))
+    return coeffs[..., 0], residual
 
 
 def _gate_degeneracy(w, nn, rows, clear):
@@ -297,22 +315,19 @@ def _gate_degeneracy(w, nn, rows, clear):
 
     LAPACK's singular values decide at the points ``rows`` of the (pairs,
     m) array ``w``: degenerate where sigma_min <= LEE_RCOND sigma_max, or
-    where that is not true because a value is NaN.  ``clear`` is the first
-    point known to be degenerate without them, or None.  The message gives
-    LAPACK's sigma_min/sigma_max at the first point.
+    where that is not true because a value is NaN.  ``clear`` holds points
+    known to be degenerate without them.  The message gives LAPACK's
+    sigma_min/sigma_max at the first point.
     """
     sv = np.linalg.svd(_antisymmetric(w[:, rows], nn), compute_uv=False)
-    bad = rows[~(sv[:, -1] > LEE_RCOND * sv[:, 0])]
-    first = min(bad[:1].tolist() + ([] if clear is None else [clear]),
-                default=None)
-    if first is None:
-        return
-    sv = np.linalg.svd(_antisymmetric(w[:, [first]], nn),
-                       compute_uv=False)[0]
-    ratio = sv[-1] / sv[0] if sv[0] > 0 else 0.0
-    raise DegenerateOmega(
-        "2-form degenerate at point %d (sigma_min/sigma_max = %.3g)"
-        % (first, ratio))
+    bad = np.concatenate([rows[~(sv[:, -1] > LEE_RCOND * sv[:, 0])], clear])
+    if bad.size:
+        k = int(bad.min())
+        sv = np.linalg.svd(_antisymmetric(w[:, [k]], nn), compute_uv=False)[0]
+        ratio = sv[-1] / sv[0] if sv[0] > 0 else 0.0
+        raise DegenerateOmega(
+            "2-form degenerate at point %d (sigma_min/sigma_max = %.3g)"
+            % (k, ratio))
 
 
 def _antisymmetric(w, nn):
@@ -322,26 +337,6 @@ def _antisymmetric(w, nn):
         mats[:, i, j] = w[k]
         mats[:, j, i] = -w[k]
     return mats
-
-
-def _lee_least_squares(w, v, nn):
-    """theta (m, nn) and its residual (m,) by one batched QR solve of each
-    point's design matrix, which must have full column rank."""
-    mats = _antisymmetric(w, nn)
-    # (theta ^ Omega)_abc = theta_a W_bc - theta_b W_ac + theta_c W_ab for
-    # a < b < c, so each point's design matrix is read off W = mats.
-    triples = list(itertools.combinations(range(nn), 3))
-    a, b, c = np.array(triples).T
-    rows = np.arange(len(triples))
-    design = np.zeros((w.shape[1], len(triples), nn), dtype=complex)
-    design[:, rows, a] = mats[:, b, c]
-    design[:, rows, b] = -mats[:, a, c]
-    design[:, rows, c] = mats[:, a, b]
-    target = v.T[:, :, None]
-    q, r = np.linalg.qr(design)
-    coeffs = np.linalg.solve(r, np.conj(q.swapaxes(1, 2)) @ target)
-    residual = np.abs(design @ coeffs - target).max(axis=(1, 2))
-    return coeffs[..., 0], residual
 
 
 def _scaled(x):
@@ -358,11 +353,11 @@ def _lee_closed_form(w, v):
     """theta on C^2 at each point as a (4, m) array, in closed form.
 
     W is Omega's antisymmetric coefficient array and V = d Omega, rows of
-    ``w`` and ``v`` as in _lee_solve.  theta ^ Omega = V is solved by
-    theta = -W *V / Pf W, with Pf W = W01 W23 - W02 W13 + W03 W12 and the
-    dual *V = (V123, -V023, V013, -V012).  W's singular values come in
-    pairs s1 >= s2 with s1 s2 = |Pf W| and s1^2 + s2^2 = sum_{i<j} |W_ij|^2,
-    so s2/s1 = |Pf W| / s1^2: LAPACK decides degeneracy only where that is
+    ``w`` and ``v`` as in _lee_solve.  theta ^ Omega = V is solved by theta
+    = -W *V / Pf W, with Pf W = W01 W23 - W02 W13 + W03 W12 and the dual *V
+    = (V123, -V023, V013, -V012).  W's singular values come in pairs s1 >=
+    s2 with s1 s2 = |Pf W| and s1^2 + s2^2 = sum_{i<j} |W_ij|^2 = S, so
+    s2/s1 = |Pf W| / s1^2: LAPACK decides degeneracy only where that is
     within LEE_BAND of the gate or not finite (see _gate_degeneracy).  W
     and V are scaled at each point by powers of two (see _scaled), so no
     quantity overflows or underflows before theta is scaled back.
@@ -371,30 +366,21 @@ def _lee_closed_form(w, v):
     w01, w02, w03, w12, w13, w23 = ws
     (v012, v013, v023, v123), ev = _scaled(v)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        pf = w01 * w23
-        pf -= w02 * w13
-        pf += w03 * w12
-        # s1^2 = (S + sqrt(S^2 - 4 |Pf W|^2)) / 2; S^2 >= 4 |Pf W|^2 but
-        # for rounding.
-        s = np.square(ws.view(np.float64)).sum(axis=0)
-        s = s[0::2] + s[1::2]
+        pf = w01 * w23 - w02 * w13 + w03 * w12
         p = np.abs(pf)
-        s1 = np.sqrt(np.maximum(s * s - 4.0 * p * p, 0.0))
-        s1 += s
-        s1 *= 0.5
-        ratio = p / s1
+        s = (ws.real ** 2 + ws.imag ** 2).sum(axis=0)
+        # s1^2 = (S + sqrt(S^2 - 4 |Pf W|^2)) / 2, where S^2 >= 4 |Pf W|^2
+        # but for rounding.
+        ratio = 2 * p / (s + np.sqrt(np.maximum(s * s - 4 * p * p, 0.0)))
         decided = np.abs(ratio - LEE_RCOND) > LEE_BAND * LEE_RCOND
         decided &= np.isfinite(s)  # every W_ij is finite
-        clear = np.flatnonzero(decided & (ratio <= LEE_RCOND))
         _gate_degeneracy(w, 4, np.flatnonzero(~decided),
-                         int(clear[0]) if clear.size else None)
-
-        # theta_a Pf W = sum_b W_ab (-*V)_b, written out.
-        theta = np.empty((4, len(pf)), dtype=complex)
-        theta[0] = w01 * v023 - w02 * v013 + w03 * v012
-        theta[1] = w01 * v123 - w12 * v013 + w13 * v012
-        theta[2] = w02 * v123 - w12 * v023 + w23 * v012
-        theta[3] = w03 * v123 - w13 * v023 + w23 * v013
+                         np.flatnonzero(decided & (ratio <= LEE_RCOND)))
+        # theta_a Pf W = sum_b W_ab (-*V)_b
+        theta = np.array([w01 * v023 - w02 * v013 + w03 * v012,
+                          w01 * v123 - w12 * v013 + w13 * v012,
+                          w02 * v123 - w12 * v023 + w23 * v012,
+                          w03 * v123 - w13 * v023 + w23 * v013])
         theta /= pf
     parts = theta.view(np.float64)
     np.ldexp(parts, np.repeat(ev - ew, 2), out=parts)
