@@ -276,9 +276,7 @@ def _lee_solve(w, v, n):
         coeffs, residual = _lee_least_squares(w, v, 2 * n)
     else:
         theta = _lee_closed_form(w, v)
-        a, b, c, bc, ac, ab = _wedge_rows(4)
-        residual = np.abs(theta[a] * w[bc] - theta[b] * w[ac]
-                          + theta[c] * w[ab] - v).max(axis=0)
+        residual = np.abs(_wedge(theta, w) - v).max(axis=0)
         coeffs = theta.T.copy()
     reality = np.abs(coeffs[:, n:] - np.conj(coeffs[:, :n])).max(axis=1)
     return coeffs, residual, reality
@@ -292,6 +290,12 @@ def _wedge_rows(nn):
     a, b, c = np.array(list(itertools.combinations(range(nn), 3))).T
     return (a, b, c) + tuple(np.array([pair[ij] for ij in zip(x, y)], int)
                              for x, y in ((b, c), (a, c), (a, b)))
+
+
+def _wedge(theta, w):
+    """theta ^ Omega on C^2 as a (triples, m) array, theta as (4, m)."""
+    a, b, c, bc, ac, ab = _wedge_rows(4)
+    return theta[a] * w[bc] - theta[b] * w[ac] + theta[c] * w[ab]
 
 
 def _lee_least_squares(w, v, nn):
@@ -355,16 +359,18 @@ def _lee_closed_form(w, v):
     W is Omega's antisymmetric coefficient array and V = d Omega, rows of
     ``w`` and ``v`` as in _lee_solve.  theta ^ Omega = V is solved by theta
     = -W *V / Pf W, with Pf W = W01 W23 - W02 W13 + W03 W12 and the dual *V
-    = (V123, -V023, V013, -V012).  W's singular values come in pairs s1 >=
-    s2 with s1 s2 = |Pf W| and s1^2 + s2^2 = sum_{i<j} |W_ij|^2 = S, so
-    s2/s1 = |Pf W| / s1^2: LAPACK decides degeneracy only where that is
-    within LEE_BAND of the gate or not finite (see _gate_degeneracy).  W
-    and V are scaled at each point by powers of two (see _scaled), so no
-    quantity overflows or underflows before theta is scaled back.
+    = (V123, -V023, V013, -V012), and one step of iterative refinement
+    (theta minus the solution for theta ^ Omega - V), which brings the
+    residual down to the batched QR solve's.  W's singular values come in
+    pairs s1 >= s2 with s1 s2 = |Pf W| and s1^2 + s2^2 = sum_{i<j} |W_ij|^2
+    = S, so s2/s1 = |Pf W| / s1^2: LAPACK decides degeneracy only where
+    that is within LEE_BAND of the gate or not finite (see
+    _gate_degeneracy).  W and each right-hand side are scaled at each point
+    by powers of two (see _scaled), so no quantity overflows or underflows
+    before theta is scaled back.
     """
     ws, ew = _scaled(w)
     w01, w02, w03, w12, w13, w23 = ws
-    (v012, v013, v023, v123), ev = _scaled(v)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         pf = w01 * w23 - w02 * w13 + w03 * w12
         p = np.abs(pf)
@@ -374,16 +380,24 @@ def _lee_closed_form(w, v):
         ratio = 2 * p / (s + np.sqrt(np.maximum(s * s - 4 * p * p, 0.0)))
         decided = np.abs(ratio - LEE_RCOND) > LEE_BAND * LEE_RCOND
         decided &= np.isfinite(s)  # every W_ij is finite
-        _gate_degeneracy(w, 4, np.flatnonzero(~decided),
-                         np.flatnonzero(decided & (ratio <= LEE_RCOND)))
+    _gate_degeneracy(w, 4, np.flatnonzero(~decided),
+                     np.flatnonzero(decided & (ratio <= LEE_RCOND)))
+
+    def solve(v):
+        (v012, v013, v023, v123), ev = _scaled(v)
         # theta_a Pf W = sum_b W_ab (-*V)_b
         theta = np.array([w01 * v023 - w02 * v013 + w03 * v012,
                           w01 * v123 - w12 * v013 + w13 * v012,
                           w02 * v123 - w12 * v023 + w23 * v012,
                           w03 * v123 - w13 * v023 + w23 * v013])
-        theta /= pf
-    parts = theta.view(np.float64)
-    np.ldexp(parts, np.repeat(ev - ew, 2), out=parts)
+        with np.errstate(invalid="ignore"):
+            theta /= pf
+        parts = theta.view(np.float64)
+        np.ldexp(parts, np.repeat(ev - ew, 2), out=parts)
+        return theta
+
+    theta = solve(v)
+    theta -= solve(_wedge(theta, w) - v)
     return theta
 
 
