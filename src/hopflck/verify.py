@@ -371,7 +371,7 @@ def _lee_closed_form(w, v):
     """
     ws, ew = _scaled(w)
     w01, w02, w03, w12, w13, w23 = ws
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+    with np.errstate(invalid="ignore"):  # NaN where W is 0 or not finite
         pf = w01 * w23 - w02 * w13 + w03 * w12
         p = np.abs(pf)
         s = (ws.real ** 2 + ws.imag ** 2).sum(axis=0)
@@ -390,8 +390,7 @@ def _lee_closed_form(w, v):
                           w01 * v123 - w12 * v013 + w13 * v012,
                           w02 * v123 - w12 * v023 + w23 * v012,
                           w03 * v123 - w13 * v023 + w23 * v013])
-        with np.errstate(invalid="ignore"):
-            theta /= pf
+        theta /= pf
         parts = theta.view(np.float64)
         np.ldexp(parts, np.repeat(ev - ew, 2), out=parts)
         return theta
