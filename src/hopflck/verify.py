@@ -361,13 +361,13 @@ def _lee_closed_form(w, v):
     = -W *V / Pf W, with Pf W = W01 W23 - W02 W13 + W03 W12 and the dual *V
     = (V123, -V023, V013, -V012), and one step of iterative refinement
     (theta minus the solution for theta ^ Omega - V), which brings the
-    residual down to the batched QR solve's.  W's singular values come in
-    pairs s1 >= s2 with s1 s2 = |Pf W| and s1^2 + s2^2 = sum_{i<j} |W_ij|^2
-    = S, so s2/s1 = |Pf W| / s1^2: LAPACK decides degeneracy only where
-    that is within LEE_BAND of the gate or not finite (see
-    _gate_degeneracy).  W and each right-hand side are scaled at each point
-    by powers of two (see _scaled), so no quantity overflows or underflows
-    before theta is scaled back.
+    residual down to the batched QR solve's level.  W's singular values
+    come in pairs s1 >= s2 with s1 s2 = |Pf W| and s1^2 + s2^2 =
+    sum_{i<j} |W_ij|^2 = S, so s2/s1 = |Pf W| / s1^2: LAPACK decides
+    degeneracy only where that is within LEE_BAND of the gate or not finite
+    (see _gate_degeneracy).  W and each right-hand side are scaled at each
+    point by powers of two (see _scaled), so no quantity overflows or
+    underflows before theta is scaled back.
     """
     ws, ew = _scaled(w)
     w01, w02, w03, w12, w13, w23 = ws

@@ -187,7 +187,8 @@ class TestLeeClosedForm:
         w = np.stack([youla_rows(rng, 1.0, 0.3) for _ in range(m)], axis=1)
         theta = rng.normal(size=(m, 4)) + 1j * rng.normal(size=(m, 4))
         v = np.empty((4, m), dtype=complex)
-        pair = {p: k for k, p in enumerate(itertools.combinations(range(4), 2))}
+        pair = {ij: k for k, ij in
+                enumerate(itertools.combinations(range(4), 2))}
         for k, (a, b, c) in enumerate(itertools.combinations(range(4), 3)):
             v[k] = (theta[:, a] * w[pair[b, c]] - theta[:, b] * w[pair[a, c]]
                     + theta[:, c] * w[pair[a, b]])
