@@ -120,13 +120,222 @@ def _lee_record_template(n: int) -> str:
 
     The values go in the order point (re, im pairs), reality_defect,
     residual, theta_coeffs (re, im pairs): sorted keys, at the depth of an
-    item of the report's results list.
+    item of the report's results list.  _lee_records writes the text
+    between the %r's as it stands and each value as repr writes it.
     """
     pair = "        [\n          %r,\n          %r\n        ]"
     return ('    {\n      "point": [\n%s\n      ],\n'
             '      "reality_defect": %%r,\n      "residual": %%r,\n'
             '      "theta_coeffs": [\n%s\n      ]\n    }'
             % (",\n".join([pair] * n), ",\n".join([pair] * (2 * n))))
+
+
+# ---------------------------------------------------------------------------
+# solve-lee's records: repr of every float at once
+# ---------------------------------------------------------------------------
+#
+# repr(x) is the shortest decimal that reads back as x, the closest one when
+# several are shortest.  Schubfach computes that decimal with a few 64 x 64
+# -> 128-bit products (R. Giulietti, "The Schubfach way to render doubles",
+# 2020; the paper's figures and the names below follow its Java
+# implementation), here on uint64 arrays in 32-bit limbs.  The digits then
+# go into byte slots in repr's layout, NUL where a slot shows nothing, and
+# bytes.translate squeezes the NULs out.  Every uint64 operation below has
+# a non-negative Python int or a uint64/bool array as its other operand.
+
+# Records written per chunk.
+_WRITE_CHUNK = 1024
+# Schubfach's k = floor(log10 2^q) over the normal doubles, q = -1074 ... 971.
+_K_MIN, _K_MAX = -324, 292
+# Each value's slots: 6 words of 8 bytes, in the order of the text.
+#   word 0: sign, "0." and up to 3 zeros (0 < |x| < 1e-4 is exponential),
+#           a NUL, the first digit;
+#   words 1-4: digits 2-17, each after a slot for the decimal point;
+#   word 5: the exponent ("e-05", "e+16", "e-308").
+_FIELD_WORDS = 6
+_M32 = 0xFFFFFFFF
+_ASCII_ZEROS = 0x3030303030303030
+
+
+def _schubfach_table():
+    """g(k) = floor(10^-k 2^(125 - floor(log2 10^-k))) + 1 for _K_MIN <= k
+    <= _K_MAX, as uint64 arrays (g1, g0) with g = g1 2^63 + g0."""
+    g = []
+    for k in range(_K_MIN, _K_MAX + 1):
+        p = 10 ** abs(k)
+        if k > 0:  # floor(log2 10^-k) = -bitlength(10^k)
+            g.append((1 << 125 + p.bit_length()) // p + 1)
+        else:
+            e = p.bit_length() - 1
+            g.append((p << 125 - e if e <= 125 else p >> e - 125) + 1)
+    return (np.array([x >> 63 for x in g], np.uint64),
+            np.array([x & (1 << 63) - 1 for x in g], np.uint64))
+
+
+def _layout_table():
+    """repr's layout as small arrays.
+
+    Indexed by the row of the point position d = _K_MIN + 16 ... _K_MAX +
+    17, where x = 0.(digits) 10^d: word 0's "0." and zeros, word 5, the
+    digit the point goes before (0: the point is in word 0 or absent) and
+    the fewest digits shown (1000.0 shows five).  Indexed by word 1 ... 4
+    and then by p or n: that word's point before digit p, and its mask of
+    the first n digits.  repr is exponential unless -4 < d <= 16.
+    """
+    lead, expo, point, least = [], [], [], []
+    for d in range(_K_MIN + 16, _K_MAX + 18):
+        fixed = -4 < d <= 16
+        lead.append(b"\0" + b"0." + b"0" * -d if fixed and d <= 0 else b"")
+        expo.append(b"" if fixed else b"e%+03d" % (d - 1))
+        point.append(d if fixed and d > 0 else 0 if fixed else 1)
+        least.append(d + 1 if fixed and d > 0 else 0)
+    lead, expo = (np.frombuffer(b"".join(w.ljust(8, b"\0") for w in col),
+                                "<u8") for col in (lead, expo))
+    dots = np.array([[0x2E << 16 * (p - 1 - 4 * w) if 0 <= p - 1 - 4 * w < 4
+                      else 0 for p in range(17)] for w in range(4)], np.uint64)
+    masks = np.array([[(1 << 16 * min(max(n - 1 - 4 * w, 0), 4)) - 1
+                       for n in range(18)] for w in range(4)], np.uint64)
+    return (lead, expo, np.array(point), np.array(least), dots, masks)
+
+
+def _mulhi(a1, a0, b1, b0):
+    """The high 64 bits of a b from 32-bit limbs, b < 2^59."""
+    mid = a1 * b0 + a0 * b1 + (a0 * b0 >> 32)
+    return a1 * b1 + (mid >> 32)
+
+
+def _rop(g, cp):
+    """Schubfach's rop: g cp 2^-127 rounded to odd (the paper's figure 8)."""
+    g1, g11, g10, g01, g00 = g
+    c1, c0 = cp >> 32, cp & _M32
+    z = (g1 * cp >> 1) + _mulhi(g01, g00, c1, c0)
+    sticky = ((z & (1 << 63) - 1) + (1 << 63) - 1) >> 63
+    return (_mulhi(g11, g10, c1, c0) + (z >> 63)) | sticky
+
+
+def _shortest(bits, table):
+    """(f, k) for the normal doubles with bits ``bits`` (sign bit clear):
+    f 10^k is the shortest decimal in the double's rounding interval, the
+    closest one if several are, the even one of a tie.  f has 16 or 17
+    digits, trailing zeros included."""
+    bq = bits >> 52
+    t = bits & (1 << 52) - 1
+    c = t | 1 << 52
+    odd = c & 1  # an odd c leaves out the ends of the interval
+    cb = c << 2
+    irregular = (t == 0) & (bq > 1)  # at 2^e the gap below is half as wide
+    q = bq.astype(np.int64) - 1075
+    k = (q * 661971961083 - irregular * 274743187321) >> 41
+    h = (q + (-k * 913124641741 >> 38) + 2).astype(np.uint64)
+    g1, g0 = (column.take(k - _K_MIN) for column in table)
+    g = (g1, g1 >> 32, g1 & _M32, g0 >> 32, g0 & _M32)
+    vb = _rop(g, cb << h)
+    vbl = _rop(g, cb - 2 + irregular << h) + odd
+    vbr = _rop(g, cb + 2 << h) - odd
+    s = vb >> 2
+    # s or s + 1, whichever alone lies in the interval, else the closer,
+    # else the even one.
+    uin = vbl <= s << 2
+    win = (s << 2) + 4 <= vbr
+    rest = vb & 3
+    f = s + np.where(uin == win, (rest > 2) | (rest == 2) & (s & 1 == 1), win)
+    # The multiple of ten below or above, when just one of them lies in it.
+    sp10 = s // 10 * 10
+    upin = vbl <= sp10 << 2
+    wpin = (sp10 << 2) + 40 <= vbr
+    np.copyto(f, sp10, where=upin & ~wpin)
+    np.copyto(f, sp10 + 10, where=wpin & ~upin)
+    return f, k
+
+
+def _digit_bytes(x):
+    """The 8 digits of each x < 10^8 (uint64), one per byte, the first in
+    the lowest byte: halves, then quarters, then digits, in parallel lanes."""
+    hi = x // 10000
+    v = hi | x - hi * 10000 << 32
+    q = v * 5243 >> 19 & 0x0000007F0000007F  # each 32-bit lane // 100
+    v = q | v - q * 100 << 16
+    q = v * 103 >> 10 & 0x000F000F000F000F  # each 16-bit lane // 10
+    return q | v - q * 10 << 8
+
+
+def _spread(v):
+    """The 4 bytes of each v < 2^32 at the odd bytes of a uint64."""
+    v = (v | v << 16) & 0x0000FFFF0000FFFF
+    return ((v | v << 8) & 0x00FF00FF00FF00FF) << 8
+
+
+def _top_byte(w):
+    """The index of the highest nonzero byte of each w (uint64, every byte
+    at most 9), or -128 where w = 0: the exponent of w as a double, which
+    rounding cannot carry past the top byte."""
+    return ((w.astype(np.float64).view(np.int64) >> 52) - 1023) >> 3
+
+
+def _repr_words(x, table, layout):
+    """repr of each float64 of the finite ``x`` as a (_FIELD_WORDS, len(x))
+    uint64 array: the slots of x[i] are the bytes of column i."""
+    lead, expo, point, least, dots, masks = layout
+    bits = x.view(np.uint64)
+    mag = bits & (1 << 63) - 1
+    # Zeros and subnormals go through as the least normal and are set below.
+    f, k = _shortest(np.maximum(mag, 1 << 52), table)
+    longer = f >= 10 ** 16
+    digits = np.where(longer, f, f * 10)  # 17 digits
+    at = k + 16 + longer - (_K_MIN + 16)  # row of the point position
+    zero = mag == 0
+    np.copyto(digits, 0, where=zero)
+    np.copyto(at, 1 - (_K_MIN + 16), where=zero)  # "0.0"
+    hi = digits // 10 ** 8
+    first = hi // 10 ** 8
+    wa = _digit_bytes(hi - first * 10 ** 8)  # digits 2-9
+    wb = _digit_bytes(digits - hi * 10 ** 8)  # digits 10-17
+    count = 1 + np.maximum(np.maximum(9 + _top_byte(wb), 1 + _top_byte(wa)), 0)
+    shown = np.maximum(count, least.take(at))
+    pos = point.take(at)
+    words = np.empty((_FIELD_WORDS, len(x)), np.uint64)
+    words[0] = (bits >> 63) * 0x2D | lead.take(at) | first + 0x30 << 56
+    wa += _ASCII_ZEROS
+    wb += _ASCII_ZEROS
+    for w, quad in enumerate((wa & _M32, wa >> 32, wb & _M32, wb >> 32)):
+        words[w + 1] = (_spread(quad) | dots[w].take(pos)) & masks[w].take(shown)
+    words[5] = expo.take(at)
+    for i in np.flatnonzero((mag < 1 << 52) & ~zero):  # subnormals
+        words[:, i] = np.frombuffer(
+            repr(float(x[i])).encode().ljust(8 * _FIELD_WORDS, b"\0"), "<u8")
+    return words
+
+
+def _lee_records(table, template):
+    """The text of ``",\\n".join(template % tuple(row) for row in table)``
+    as ASCII bytes, in one piece per _WRITE_CHUNK records, for a finite
+    float64 ``table`` of shape (records, values)."""
+    rows, width = table.shape
+    # One record's words: each piece of text NUL-padded to whole words,
+    # then a value's slots.
+    pieces = template.split("%r")
+    pieces[-1] += ",\n"
+    record, cols = [], []
+    for v, text in enumerate(pieces):
+        record.append(text.encode().ljust(-(-len(text) // 8) * 8, b"\0"))
+        if v < width:
+            at = sum(map(len, record)) // 8
+            cols.append(range(at, at + _FIELD_WORDS))
+            record.append(bytes(8 * _FIELD_WORDS))
+    record = np.frombuffer(b"".join(record), "<u8")
+    cols = np.array(cols)
+    schubfach, layout = _schubfach_table(), _layout_table()
+    out = []
+    for start in range(0, rows, _WRITE_CHUNK):
+        chunk = table[start:start + _WRITE_CHUNK]
+        words = _repr_words(chunk.reshape(-1), schubfach, layout)
+        block = np.broadcast_to(record, (len(chunk), len(record))).copy()
+        block[:, cols] = words.reshape(_FIELD_WORDS, len(chunk),
+                                       width).transpose(1, 2, 0)
+        out.append(block.tobytes().translate(None, b"\0"))
+    if out:
+        out[-1] = out[-1][:-2]
+    return out
 
 
 def _cli_parameters(args) -> dict:
@@ -310,9 +519,9 @@ def cmd_solve_lee(args) -> int:
     if not finite.all():
         # allow_nan=False rejects the value with json's own ValueError.
         _render(float(table[~finite][0]))
-    template = _lee_record_template(entry.ambient_dim)
-    records = ",\n".join([template % tuple(row) for row in table.tolist()])
-    text = "".join((head, "[\n", records, "\n  ]", tail))
+    text = b"".join([head.encode(), b"[\n", *_lee_records(
+        table, _lee_record_template(entry.ambient_dim)), b"\n  ]",
+        tail.encode()]).decode("ascii")
     _write(text, out)
     return EXIT_PASS if ok else EXIT_FAIL
 

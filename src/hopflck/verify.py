@@ -270,7 +270,12 @@ def _lee_solve(w, v, n):
     """_solve_lee_arrays from the (pairs, m) array ``w`` of Omega's W_ij,
     i < j, and the (triples, m) array ``v`` of d Omega's V_abc, a < b < c,
     rows in lexicographic order: closed form on C^2 (see _lee_closed_form),
-    least squares otherwise."""
+    least squares otherwise.  A non-finite W_ij is refused before any solve,
+    naming its first point."""
+    finite = np.isfinite(w).all(axis=0)
+    if not finite.all():
+        raise DegenerateOmega("2-form has a non-finite coefficient at point %d"
+                              % np.argmin(finite))
     if n != 2:
         _gate_degeneracy(w, 2 * n, np.arange(w.shape[1]), [])
         coeffs, residual = _lee_least_squares(w, v, 2 * n)
@@ -318,8 +323,8 @@ def _gate_degeneracy(w, nn, rows, clear):
     """Raise DegenerateOmega at the first point where W is degenerate.
 
     LAPACK's singular values decide at the points ``rows`` of the (pairs,
-    m) array ``w``: degenerate where sigma_min <= LEE_RCOND sigma_max, or
-    where that is not true because a value is NaN.  ``clear`` holds points
+    m) array ``w``, whose values are finite: degenerate where sigma_min <=
+    LEE_RCOND sigma_max.  ``clear`` holds points
     known to be degenerate without them.  The message gives LAPACK's
     sigma_min/sigma_max at the first point.
     """
@@ -364,14 +369,14 @@ def _lee_closed_form(w, v):
     residual down to the batched QR solve's level.  W's singular values
     come in pairs s1 >= s2 with s1 s2 = |Pf W| and s1^2 + s2^2 =
     sum_{i<j} |W_ij|^2 = S, so s2/s1 = |Pf W| / s1^2: LAPACK decides
-    degeneracy only where that is within LEE_BAND of the gate or not finite
+    degeneracy only where that is within LEE_BAND of the gate or not a number
     (see _gate_degeneracy).  W and each right-hand side are scaled at each
     point by powers of two (see _scaled), so no quantity overflows or
     underflows before theta is scaled back.
     """
     ws, ew = _scaled(w)
     w01, w02, w03, w12, w13, w23 = ws
-    with np.errstate(invalid="ignore"):  # NaN where W is 0 or not finite
+    with np.errstate(invalid="ignore"):  # NaN where W is 0
         pf = w01 * w23 - w02 * w13 + w03 * w12
         p = np.abs(pf)
         s = (ws.real ** 2 + ws.imag ** 2).sum(axis=0)
@@ -379,7 +384,6 @@ def _lee_closed_form(w, v):
         # but for rounding.
         ratio = 2 * p / (s + np.sqrt(np.maximum(s * s - 4 * p * p, 0.0)))
         decided = np.abs(ratio - LEE_RCOND) > LEE_BAND * LEE_RCOND
-        decided &= np.isfinite(s)  # every W_ij is finite
     _gate_degeneracy(w, 4, np.flatnonzero(~decided),
                      np.flatnonzero(decided & (ratio <= LEE_RCOND)))
 
@@ -418,10 +422,10 @@ def solve_lee_pointwise(Omega: fm.ExteriorForm, point) -> LeeSolveResult:
     of Omega's coefficient matrix (see _lee_closed_form); in other
     dimensions they are fitted by least squares against the 3-form d Omega.
     ``residual`` is the largest |theta ^ Omega - d Omega| either way.
-    Raises DegenerateOmega when the antisymmetric coefficient matrix of
-    Omega is near singular: LAPACK's smallest singular value is at most
-    LEE_RCOND times its largest, a test that does not depend on the scale
-    of Omega.  On C^2 LAPACK is asked only where the closed-form ratio is
+    Raises DegenerateOmega when a coefficient of Omega is not finite, and
+    when the antisymmetric coefficient matrix of Omega is near singular:
+    LAPACK's smallest singular value is at most LEE_RCOND times its
+    largest, a test that does not depend on the scale of Omega.  On C^2 LAPACK is asked only where the closed-form ratio is
     within LEE_BAND of that threshold, with the same verdict.
     """
     return solve_lee_many(Omega, [tuple(point)])[0]

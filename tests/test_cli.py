@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import hopflck.cli as cli
 import hopflck.expr as ex
@@ -702,6 +704,70 @@ class TestContractionCommand:
         assert "contraction" in err
 
 
+def written(values):
+    """The solve-lee writer's text of each float of ``values``, one value
+    per record."""
+    table = np.asarray(values, dtype=float).reshape(-1, 1)
+    return b"".join(cli._lee_records(table, "%r")).decode().split(",\n")
+
+
+def edge_floats():
+    """Floats where the shortest repr changes shape or length: every power
+    of two and of ten with its neighbours, the decimal point positions at
+    which repr turns exponential, whole numbers and the ends of the range,
+    each with its negative."""
+    anchors = ([2.0 ** e for e in range(-1074, 1024)]
+               + [float("1e%d" % e) for e in range(-323, 309)]
+               + [1e-5, 1e-4, 1e16, 1e15, 0.001, 1.0, 10.0,
+                  9.999999999999999e-05, 9999999999999998.0,
+                  2.2250738585072014e-308, 1.7976931348623157e308])
+    x = np.array(anchors)
+    with np.errstate(over="ignore"):
+        x = np.concatenate([x, np.nextafter(x, 0.0), np.nextafter(x, np.inf),
+                            2.0 ** 53 + 2.0 * np.arange(-2000, 2001),
+                            np.arange(-2000.0, 2001.0), [0.0]])
+    x = x[np.isfinite(x)]
+    return np.concatenate([x, -x])
+
+
+class TestLeeWriter:
+    """The solve-lee writer against repr and the per-record template."""
+
+    @settings(max_examples=200)
+    @given(hnp.arrays(np.float64, st.integers(1, 40), elements=st.floats(
+        allow_nan=False, allow_infinity=False)))
+    def test_property_matches_repr(self, x):
+        assert written(x) == [repr(v) for v in x.tolist()]
+
+    def test_random_bit_patterns_match_repr(self):
+        bits = np.random.default_rng(20).integers(
+            0, 2 ** 64, 10 ** 6, dtype=np.uint64, endpoint=False)
+        x = bits.view(np.float64)
+        x = x[np.isfinite(x)]
+        assert len(x) > 990_000
+        got = written(x)
+        bad = [(v, g) for v, g in zip(x.tolist(), got) if g != repr(v)]
+        assert len(got) == len(x) and not bad[:5]
+
+    def test_edge_values_match_repr(self):
+        x = edge_floats()
+        assert np.any(x == 5e-324) and np.any(np.signbit(x) & (x == 0))
+        got = written(x)
+        bad = [(v, g) for v, g in zip(x.tolist(), got) if g != repr(v)]
+        assert len(got) == len(x) and not bad[:5]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("rows", [0, 1, cli._WRITE_CHUNK - 1,
+                                      cli._WRITE_CHUNK, cli._WRITE_CHUNK + 1])
+    def test_records_match_the_template(self, n, rows):
+        template = cli._lee_record_template(n)
+        rng = np.random.default_rng(rows)
+        table = rng.normal(size=(rows, 6 * n + 2)) * 10.0 ** rng.integers(
+            -20, 20, size=(rows, 6 * n + 2))
+        want = ",\n".join([template % tuple(row) for row in table.tolist()])
+        assert b"".join(cli._lee_records(table, template)).decode() == want
+
+
 class TestSolveLeeCommand:
     def test_catalog_entry(self, capsys):
         code, out, _ = run(capsys, ["solve-lee", "--entry", "example1",
@@ -726,8 +792,11 @@ class TestSolveLeeCommand:
         code, _, err = run(capsys, ["solve-lee", "--entry", "kodaira"])
         assert code == 2 and "no 2-form" in err
 
-    @pytest.mark.parametrize("points", [1, 2, 5000])
-    @pytest.mark.parametrize("source", ["example1", "vaisman", "example2-n3"])
+    @pytest.mark.parametrize("source,points", [
+        (source, points) for source in ("example1", "vaisman", "example2-n3")
+        for points in (1, 2, 5000, cli._WRITE_CHUNK - 1, cli._WRITE_CHUNK,
+                       cli._WRITE_CHUNK + 1)]
+        + [("example1", 20000), ("vaisman", 20000)])
     def test_report_bytes_match_json_dumps(self, capsys, tmp_path, source,
                                            points):
         if source == "example2-n3":

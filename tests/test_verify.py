@@ -254,17 +254,31 @@ class TestLeeClosedForm:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0, np.nan)])
     @pytest.mark.parametrize("where", [0, 1, 2])
-    def test_non_finite_coefficient_raises_what_lapack_raises(self, value,
-                                                              where):
-        # Point 1 is degenerate; LAPACK refuses a NaN, and takes an inf.
+    def test_non_finite_coefficient_raises_what_lapack_raises(
+            self, capfd, value, where):
+        # Refused before any SVD, even after the degenerate point 1: LAPACK
+        # fails to converge on a NaN, and on an inf prints to stderr and
+        # returns NaN singular values.
         rng = np.random.default_rng(296)
         w = np.stack([youla_rows(rng, 1.0, 0.5), youla_rows(rng, 1.0, 1e-12),
                       youla_rows(rng, 1.0, 0.5)], axis=1)
         w[4, where] = value
         v = np.ones((4, 3), dtype=complex)
-        want = outcome(lapack_gate, w)
-        assert want is not None
-        assert outcome(vf._lee_solve, w, v, 2) == want
+        with pytest.raises(vf.DegenerateOmega,
+                           match="non-finite coefficient at point %d$" % where):
+            vf._lee_solve(w, v, 2)
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_coefficient_is_refused_on_c3(self, capfd, value):
+        rng = np.random.default_rng(299)
+        w = rng.normal(size=(15, 3)) + 1j * rng.normal(size=(15, 3))
+        w[7, 1] = value
+        v = np.ones((20, 3), dtype=complex)
+        with pytest.raises(vf.DegenerateOmega,
+                           match="non-finite coefficient at point 1$"):
+            vf._lee_solve(w, v, 3)
+        assert capfd.readouterr().err == ""
 
     def test_no_points(self):
         om = hp.example1_entry().forms["Omega"]
