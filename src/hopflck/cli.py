@@ -99,15 +99,16 @@ def _render(payload) -> str:
 
 
 def _emit(payload, out_path: str | None) -> None:
-    _write(_render(payload), out_path)
+    _write([_render(payload)], out_path)
 
 
-def _write(text: str, out_path: str | None) -> None:
+def _write(pieces, out_path: str | None) -> None:
+    """Write the strings of ``pieces`` in order to ``out_path`` or stdout."""
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 # Stands in for the results list while the header is rendered; json writes
@@ -120,7 +121,7 @@ def _lee_record_template(n: int) -> str:
 
     The values go in the order point (re, im pairs), reality_defect,
     residual, theta_coeffs (re, im pairs): sorted keys, at the depth of an
-    item of the report's results list.  _lee_records writes the text
+    item of the report's results list.  _lee_text writes the text
     between the %r's as it stands and each value as repr writes it.
     """
     pair = "        [\n          %r,\n          %r\n        ]"
@@ -306,10 +307,10 @@ def _repr_words(x, table, layout):
     return words
 
 
-def _lee_records(table, template):
-    """The text of ``",\\n".join(template % tuple(row) for row in table)``
-    as ASCII bytes, in one piece per _WRITE_CHUNK records, for a finite
-    float64 ``table`` of shape (records, values)."""
+def _lee_text(head, table, template, tail):
+    """The pieces of ``head + ",\\n".join(template % tuple(row) for row in
+    table) + tail``, one per _WRITE_CHUNK records, for a finite float64
+    ``table`` of shape (records, values)."""
     rows, width = table.shape
     # One record's words: each piece of text NUL-padded to whole words,
     # then a value's slots.
@@ -325,17 +326,17 @@ def _lee_records(table, template):
     record = np.frombuffer(b"".join(record), "<u8")
     cols = np.array(cols)
     schubfach, layout = _schubfach_table(), _layout_table()
-    out = []
+    yield head
     for start in range(0, rows, _WRITE_CHUNK):
         chunk = table[start:start + _WRITE_CHUNK]
         words = _repr_words(chunk.reshape(-1), schubfach, layout)
         block = np.broadcast_to(record, (len(chunk), len(record))).copy()
         block[:, cols] = words.reshape(_FIELD_WORDS, len(chunk),
                                        width).transpose(1, 2, 0)
-        out.append(block.tobytes().translate(None, b"\0"))
-    if out:
-        out[-1] = out[-1][:-2]
-    return out
+        text = block.tobytes().translate(None, b"\0").decode("ascii")
+        # The last record has no ",\n".
+        yield text[:-2] if start + _WRITE_CHUNK >= rows else text
+    yield tail
 
 
 def _cli_parameters(args) -> dict:
@@ -519,10 +520,9 @@ def cmd_solve_lee(args) -> int:
     if not finite.all():
         # allow_nan=False rejects the value with json's own ValueError.
         _render(float(table[~finite][0]))
-    text = b"".join([head.encode(), b"[\n", *_lee_records(
-        table, _lee_record_template(entry.ambient_dim)), b"\n  ]",
-        tail.encode()]).decode("ascii")
-    _write(text, out)
+    _write(_lee_text(head + "[\n", table,
+                     _lee_record_template(entry.ambient_dim), "\n  ]" + tail),
+           out)
     return EXIT_PASS if ok else EXIT_FAIL
 
 

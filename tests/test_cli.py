@@ -708,7 +708,7 @@ def written(values):
     """The solve-lee writer's text of each float of ``values``, one value
     per record."""
     table = np.asarray(values, dtype=float).reshape(-1, 1)
-    return b"".join(cli._lee_records(table, "%r")).decode().split(",\n")
+    return "".join(cli._lee_text("", table, "%r", "")).split(",\n")
 
 
 def edge_floats():
@@ -765,7 +765,8 @@ class TestLeeWriter:
         table = rng.normal(size=(rows, 6 * n + 2)) * 10.0 ** rng.integers(
             -20, 20, size=(rows, 6 * n + 2))
         want = ",\n".join([template % tuple(row) for row in table.tolist()])
-        assert b"".join(cli._lee_records(table, template)).decode() == want
+        text = "".join(cli._lee_text("[", table, template, "]"))
+        assert text == "[%s]" % want
 
 
 class TestSolveLeeCommand:
