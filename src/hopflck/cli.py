@@ -179,9 +179,10 @@ def _layout_table():
     Indexed by the row of the point position d = _K_MIN + 16 ... _K_MAX +
     17, where x = 0.(digits) 10^d: word 0's "0." and zeros, word 5, the
     digit the point goes before (0: the point is in word 0 or absent) and
-    the fewest digits shown (1000.0 shows five).  Indexed by word 1 ... 4
-    and then by p or n: that word's point before digit p, and its mask of
-    the first n digits.  repr is exponential unless -4 < d <= 16.
+    the fewest digits shown (1000.0 shows five).  Indexed by words 1 ... 4
+    (rows 0 ... 3) and then by p or n: that word's point before digit p,
+    and its mask of the first n digits.  repr is exponential unless -4 < d
+    <= 16.
     """
     lead, expo, point, least = [], [], [], []
     for d in range(_K_MIN + 16, _K_MAX + 18):
@@ -200,7 +201,7 @@ def _layout_table():
 
 
 def _mulhi(a1, a0, b1, b0):
-    """The high 64 bits of a b from 32-bit limbs, b < 2^59."""
+    """The high 64 bits of a b from 32-bit limbs, a < 2^63, b < 2^59."""
     mid = a1 * b0 + a0 * b1 + (a0 * b0 >> 32)
     return a1 * b1 + (mid >> 32)
 
