@@ -300,7 +300,8 @@ def _repr_words(x, table, layout):
     wa += _ASCII_ZEROS
     wb += _ASCII_ZEROS
     for w, quad in enumerate((wa & _M32, wa >> 32, wb & _M32, wb >> 32)):
-        words[w + 1] = (_spread(quad) | dots[w].take(pos)) & masks[w].take(shown)
+        words[w + 1] = ((_spread(quad) | dots[w].take(pos))
+                        & masks[w].take(shown))
     words[5] = expo.take(at)
     for i in np.flatnonzero((mag < 1 << 52) & ~zero):  # subnormals
         words[:, i] = np.frombuffer(

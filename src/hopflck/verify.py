@@ -425,8 +425,9 @@ def solve_lee_pointwise(Omega: fm.ExteriorForm, point) -> LeeSolveResult:
     Raises DegenerateOmega when a coefficient of Omega is not finite, and
     when the antisymmetric coefficient matrix of Omega is near singular:
     LAPACK's smallest singular value is at most LEE_RCOND times its
-    largest, a test that does not depend on the scale of Omega.  On C^2 LAPACK is asked only where the closed-form ratio is
-    within LEE_BAND of that threshold, with the same verdict.
+    largest, a test that does not depend on the scale of Omega.  On C^2
+    LAPACK is asked only where the closed-form ratio is within LEE_BAND of
+    that threshold, with the same verdict.
     """
     return solve_lee_many(Omega, [tuple(point)])[0]
 

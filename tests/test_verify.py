@@ -264,8 +264,8 @@ class TestLeeClosedForm:
                       youla_rows(rng, 1.0, 0.5)], axis=1)
         w[4, where] = value
         v = np.ones((4, 3), dtype=complex)
-        with pytest.raises(vf.DegenerateOmega,
-                           match="non-finite coefficient at point %d$" % where):
+        with pytest.raises(vf.DegenerateOmega, match=(
+                "non-finite coefficient at point %d$" % where)):
             vf._lee_solve(w, v, 2)
         assert capfd.readouterr().err == ""
 
