@@ -346,17 +346,70 @@ def evaluate_form_many(a: ExteriorForm, points):
     the whole form.  A failure names the first failing coefficient in sorted
     order.
     """
-    return _evaluate_forms([(a, True)], points)[0]
+    return _evaluate_forms([(a, _Full)], points)[0]
 
 
 def pointwise_residual(a: ExteriorForm, points) -> np.ndarray:
     """Per-point max |coefficient| of ``a`` (0 where it has no terms)."""
-    return _evaluate_forms([(a, False)], points)[0]
+    return _evaluate_forms([(a, _Residual)], points)[0]
 
 
 def max_form_residual(a: ExteriorForm, points) -> float:
     """max |coefficient| of ``a`` over the sample points (0.0 if no terms)."""
-    return float(pointwise_residual(a, points).max(initial=0.0))
+    return _evaluate_forms([(a, _Max)], points)[0]
+
+
+# How a request keeps its form's coefficients.  A fold is made per run as
+# fold(form, m, scratch), with ``scratch`` a float buffer of one chunk that
+# all folds of the run share; the tape hands it each term's values of each
+# chunk, in root order, as add(lo, index, value), where ``value`` is an array
+# of the chunk's points or a scalar; result() is what the request gives.
+
+
+class _Full:
+    """Every coefficient at every point: {index: (m,) complex array}."""
+
+    def __init__(self, form, m, scratch):
+        self.m, self.values = m, {}
+
+    def add(self, lo, index, value):
+        if index not in self.values:
+            self.values[index] = np.empty(self.m, dtype=complex)
+        self.values[index][lo:lo + ex._CHUNK] = value
+
+    def result(self):
+        return self.values
+
+
+class _Residual:
+    """The per-point max |coefficient|, an (m,) array (0 without terms)."""
+
+    def __init__(self, form, m, scratch):
+        self.values, self.scratch = np.zeros(m), scratch
+
+    def add(self, lo, index, value):
+        seg = self.values[lo:lo + ex._CHUNK]
+        np.maximum(seg, np.abs(value, out=self.scratch[:len(seg)]), out=seg)
+
+    def result(self):
+        return self.values
+
+
+class _Max:
+    """The max |coefficient| over every point, as a float: 0.0 without
+    terms, and NaN once a coefficient is NaN, as ``.max(initial=0.0)`` of
+    the per-point residual gives."""
+
+    def __init__(self, form, m, scratch):
+        self.value, self.m, self.scratch = 0.0, m, scratch
+
+    def add(self, lo, index, value):
+        size = min(ex._CHUNK, self.m - lo)
+        magnitude = np.abs(value, out=self.scratch[:size])
+        self.value = magnitude.max(initial=self.value)
+
+    def result(self):
+        return float(self.value)
 
 
 class _Evaluation:
@@ -379,13 +432,12 @@ class _Evaluation:
 def _evaluate_forms(requests, points) -> _Evaluation:
     """Several forms at one point array, through one tape and one pass.
 
-    ``requests`` is a sequence of (form, full) pairs.  A full form gets its
-    coefficients as from :func:`evaluate_form_many`; any other only its
-    :func:`pointwise_residual`, folded chunk by chunk so that none of its
-    coefficients is kept at every point.  Each form's sorted coefficients
-    are the tape's roots, in request order, so an error belongs to the
-    first form that fails and names the term :func:`evaluate_form_many`
-    would name.
+    ``requests`` is a sequence of (form, fold) pairs: the fold (_Full,
+    _Residual, _Max or _Definite) takes the form's coefficients chunk by
+    chunk and keeps of them what its request gives.  Each form's sorted
+    coefficients are the tape's roots, in request order, so an error
+    belongs to the first form that fails and names the term
+    :func:`evaluate_form_many` would name.
     """
     pts = ex._points(points)
     return _RequestTape(requests, pts.shape[1]).run(pts)
@@ -405,17 +457,17 @@ class _RequestTape:
     """
 
     def __init__(self, requests, dim, proven=()):
-        roots, self.where, self.full = [], [], []
+        roots, self.where, self.folds = [], [], []
         self.failed_at, self.error = len(requests), None
         checked = []
-        for k, (form, full) in enumerate(requests):
+        for k, (form, fold) in enumerate(requests):
             try:
                 ex._check_dimension(form.terms.values(), dim)
             except ex.DimensionMismatch as err:
                 self.failed_at, self.error = k, err
                 break
             terms = form.sorted_terms()
-            self.full.append(None if k in proven else full)
+            self.folds.append((form, None if k in proven else fold))
             if k in proven:
                 checked += range(len(roots), len(roots) + len(terms))
             roots += [c for _, c in terms]
@@ -425,20 +477,13 @@ class _RequestTape:
     def run(self, pts, binding=None) -> _Evaluation:
         """The values of the requests at the complex (m, dim) array ``pts``."""
         m, where = pts.shape[0], self.where
-        values = [None if full is None else {} if full else np.zeros(m)
-                  for full in self.full]
-        magnitude = np.empty(min(m, ex._CHUNK))  # one chunk's |value|
+        scratch = np.empty(min(m, ex._CHUNK))  # one chunk's |value|
+        folds = [None if fold is None else fold(form, m, scratch)
+                 for form, fold in self.folds]
 
         def consume(lo, j, value):
             k, index = where[j]
-            if self.full[k]:
-                if index not in values[k]:
-                    values[k][index] = np.empty(m, dtype=complex)
-                values[k][index][lo:lo + ex._CHUNK] = value
-            else:
-                seg = values[k][lo:lo + ex._CHUNK]
-                np.maximum(seg, np.abs(value, out=magnitude[:len(seg)]),
-                           out=seg)
+            folds[k].add(lo, index, value)
 
         failed_at, error = self.failed_at, self.error
         failure = self.tape.run(pts, consume, binding)
@@ -446,7 +491,10 @@ class _RequestTape:
             failed_at, index = where[failure.root]
             error = FormEvaluationError(index, failure.cause)
             error.__cause__ = failure.cause
-        return _Evaluation(values, failed_at, error)
+        return _Evaluation([None if fold is None or k >= failed_at
+                            else fold.result()
+                            for k, fold in enumerate(folds)],
+                           failed_at, error)
 
 
 # ---------------------------------------------------------------------------
@@ -502,10 +550,10 @@ def definiteness(a: ExteriorForm, points) -> DefinitenessReport:
 
 def _definiteness_requests(a: ExteriorForm):
     """What :func:`definiteness` evaluates, as :func:`_evaluate_forms`
-    requests: the residuals of the (2,0) and (0,2) parts of ``a``, then its
-    (1,1) part in full."""
-    return [(bidegree_part(a, 2, 0), False), (bidegree_part(a, 0, 2), False),
-            (bidegree_part(a, 1, 1), True)]
+    requests: the largest residuals of the (2,0) and (0,2) parts of ``a``,
+    then the classification of its (1,1) part."""
+    return [(bidegree_part(a, 2, 0), _Max), (bidegree_part(a, 0, 2), _Max),
+            (bidegree_part(a, 1, 1), _Definite)]
 
 
 def _check_type11_shape(a: ExteriorForm, pts):
@@ -589,9 +637,12 @@ _CLOSED_FORM_BAND = 2.0 ** -40
 _CLOSED_FORM_RANGE = (2.0 ** -1000, 2.0 ** 1020)
 
 
-def _closed_form_2x2(c):
-    """Ascending eigenvalues of each 2x2 (H + H^*)/2 for H = i C as an
-    (m, 2) array, and the sorted indices of the points LAPACK must decide.
+def _closed_form_2x2(c, eigs):
+    """The ascending eigenvalues of each 2x2 (H + H^*)/2 for H = i C, written
+    into the (m, 2) array ``eigs``, and what decides the points LAPACK must
+    take: each point's floor, the least min|lambda| LAPACK may give there
+    (-inf where LAPACK decides whatever the other points hold), and the
+    ceiling, the least min|lambda| + band over the points in range.
 
     a = H_11, d = H_22 and b, the (2,1) entry of (H + H^*)/2, are scaled at
     each point by the power of two that ``np.frexp`` takes from max(|a|,
@@ -599,9 +650,10 @@ def _closed_form_2x2(c):
     is then rt1 = (a + d +- hypot(a - d, 2|b|))/2, signed as a + d, and the
     other is det/rt1: the stable formula of LAPACK's dlae2.  LAPACK decides a
     point where the smaller eigenvalue lies within the band of the sign
-    test's zero threshold, where min|lambda| lies within the band of the
-    smallest over all points (so that minimum and its first index are
-    LAPACK's), at a non-finite entry and outside the range.
+    test's zero threshold, at a non-finite entry and outside the range, and
+    where min|lambda| lies within the band of the smallest over all points,
+    that is where its floor is at most the ceiling over all points, so that
+    minimum and its first index are LAPACK's.
     """
     (c11, c12), (c21, c22) = c
     # H = i C: Re H = -Im C and Im H = Re C.  The four parts share one
@@ -643,112 +695,188 @@ def _closed_form_2x2(c):
         in_range = (big >= lo) & (big < hi)
         decided &= in_range
 
-        eigs = np.empty((len(big), 2))
         np.ldexp(np.minimum(rt1, rt2, out=d), e, out=eigs[:, 0])
         np.ldexp(np.maximum(rt1, rt2, out=d), e, out=eigs[:, 1])
         # LAPACK's smallest min|lambda| is at most the ceiling, and a point
         # whose min|lambda| exceeds it by more than the band cannot be where
-        # that minimum lies.
-        # big and bb are not read again: band and low + band reuse them,
-        # which keeps this, the classification's memory peak, lower.
+        # that minimum lies.  big and bb are not read again: band and
+        # low + band reuse them.
         low = np.ldexp(small, e, out=small)
         band = np.multiply(big, _CLOSED_FORM_BAND, out=big)
         ceiling = np.min(np.add(low, band, out=bb), where=in_range,
                          initial=np.inf)
-        low -= band
-        decided &= low > ceiling
-    return eigs, np.flatnonzero(~decided)
+        floor = np.subtract(low, band, out=low)
+        floor[~decided] = -np.inf
+    return floor, float(ceiling)
+
+
+def _point(pts, k):
+    return tuple(complex(c) for c in pts[k])
+
+
+class _Definite:
+    """The fold of a (1,1)-form's coefficients C that :func:`_classify`
+    finishes: the eigenvalues of (H + H^*)/2 for H = i C, chunk by chunk.
+
+    A chunk is classified once the tape has handed over the form's last
+    term; an entry without a term is 0.  Of each point it keeps the
+    eigenvalues, and the coefficients only where LAPACK may still have to
+    decide: for n = 2 where the point's floor (see :func:`_closed_form_2x2`)
+    is at most the ceiling of the chunks so far, which only falls, and for
+    other n everywhere.  It also keeps the first point with a non-finite
+    coefficient, after which it classifies nothing, and the first point of
+    the largest hermiticity defect.
+    """
+
+    def __init__(self, form, m, scratch):
+        self.n, self.m = form.ambient_dim, m
+        self.last = max(form.terms, default=None)  # the tape's last term
+        self.chunk, self.done = {}, 0
+        self.eigenvalues = np.empty((m, self.n))
+        self.non_finite = None
+        self.defect = (0.0, 0)
+        self.ceiling = np.inf
+        # Per chunk: the kept points, their (n*n, k) coefficients, floors
+        # and hermiticity defects.
+        self.kept = []
+
+    def add(self, lo, index, value):
+        self.chunk[index] = value
+        if index == self.last:
+            self._classify_chunk(lo)
+
+    def result(self):
+        # A form without terms is 0 at every point.
+        for lo in range(self.done, self.m, ex._CHUNK):
+            self._classify_chunk(lo)
+        return self
+
+    def _classify_chunk(self, lo):
+        n, size = self.n, min(ex._CHUNK, self.m - lo)
+        values, self.chunk, self.done = self.chunk, {}, lo + size
+        if self.non_finite is not None:
+            return
+        c = [[np.broadcast_to(np.asarray(values.get((i, n + j), 0j),
+                                         dtype=complex), (size,))
+              for j in range(n)] for i in range(n)]
+        # A NaN would win the argmax below and pass every comparison.
+        finite = functools.reduce(np.logical_and,
+                                  [np.isfinite(x) for row in c for x in row])
+        if not finite.all():
+            self.non_finite = lo + int(np.argmin(finite))
+            return
+        rel = _hermiticity_defect(c)
+        worst = int(np.argmax(rel))
+        if rel[worst] > self.defect[0]:
+            self.defect = (rel[worst], lo + worst)
+        if n == 2:
+            floor, ceiling = _closed_form_2x2(
+                c, self.eigenvalues[lo:lo + size])
+            self.ceiling = min(self.ceiling, ceiling)
+            keep = np.flatnonzero(~(floor > self.ceiling))
+            floor = floor[keep]
+        else:
+            keep = np.arange(size)
+            floor = np.full(size, -np.inf)
+        self.kept.append((lo + keep, np.array([x[keep] for row in c
+                                               for x in row]),
+                          floor, rel[keep]))
+
+    def report(self, pts) -> DefinitenessReport:
+        """The classification at ``pts``; NonHermitian at the first point
+        with a non-finite coefficient, else at the first point of the
+        largest hermiticity defect if that reaches HERMITIAN_RTOL."""
+        if self.non_finite is not None:
+            raise NonHermitian("non-finite coefficient at point %r"
+                               % (_point(pts, self.non_finite),))
+        defect, at = self.defect
+        if defect >= HERMITIAN_RTOL:
+            raise NonHermitian("hermiticity defect %.3g at point %r"
+                               % (defect, _point(pts, at)))
+        n, eigs = self.n, self.eigenvalues
+        points, coeffs, floor, rel = (np.concatenate(x, axis=-1)
+                                      for x in zip(*self.kept))
+        select = np.flatnonzero(~(floor > self.ceiling))
+        rows = points[select]
+        sym = _hermitian_part([list(coeffs[i * n:(i + 1) * n])
+                               for i in range(n)], select)
+        # Where every matrix has the bits of the first (a constant form),
+        # LAPACK gives each the same eigenvalues, so one call does.
+        bits = sym.view(np.int64)
+        if len(sym) > 1 and (bits == bits[0]).all():
+            eigs[rows] = np.linalg.eigvalsh(sym[:1])
+        else:
+            eigs[rows] = np.linalg.eigvalsh(sym)
+
+        # Reduce over the n eigenvalue columns of each chunk: along axis 1
+        # of an (m, n) array numpy would run an inner loop of length n per
+        # point.
+        any_pos = any_neg = mixed = False
+        all_pos = all_neg = True
+        smallest, worst = None, 0
+        for lo in range(0, self.m, ex._CHUNK):
+            cols = eigs[lo:lo + ex._CHUNK].T
+            mags = [np.abs(x) for x in cols]
+            zero = ZERO_EIGENVALUE_RTOL * functools.reduce(np.maximum, mags)
+            pos = [x > zero for x in cols]
+            np.negative(zero, out=zero)
+            neg = [x < zero for x in cols]
+            point_pos = functools.reduce(np.logical_or, pos)
+            point_neg = functools.reduce(np.logical_or, neg)
+            mixed = mixed or bool((point_pos & point_neg).any())
+            any_pos = any_pos or bool(point_pos.any())
+            any_neg = any_neg or bool(point_neg.any())
+            all_pos = all_pos and all(x.all() for x in pos)
+            all_neg = all_neg and all(x.all() for x in neg)
+            small = functools.reduce(np.minimum, mags)
+            k = int(np.argmin(small))
+            if smallest is None or small[k] < smallest:
+                smallest, worst = small[k], lo + k
+        if mixed:
+            sign = None
+            is_definite = is_semidefinite = False
+        elif any_neg and not any_pos:
+            sign, is_semidefinite, is_definite = -1, True, all_neg
+        elif any_pos and not any_neg:
+            sign, is_semidefinite, is_definite = 1, True, all_pos
+        else:
+            sign, is_semidefinite, is_definite = 0, True, False
+
+        at = int(np.searchsorted(rows, worst))
+        sample = HermitianMatrixSample(
+            point=_point(pts, worst), matrix=sym[at],
+            eigenvalues=eigs[worst],
+            hermiticity_defect=float(rel[select[at]]))
+        return DefinitenessReport(is_definite=is_definite,
+                                  is_semidefinite=is_semidefinite,
+                                  sign=sign,
+                                  min_abs_eigenvalue=float(smallest),
+                                  num_points=self.m,
+                                  eigenvalues=eigs,
+                                  worst_sample=sample)
 
 
 def _classify(a: ExteriorForm, pts, evaluation, k) -> DefinitenessReport:
     """:func:`definiteness` from the values of its requests, which start at
-    ``evaluation[k]``.
+    ``evaluation[k]``: the largest residuals of the (2,0) and (0,2) parts,
+    then the (1,1) part's :class:`_Definite` fold.
 
     For n = 2 the eigenvalues come in closed form, and LAPACK's eigvalsh
     runs only on the points where a decision is within rounding of the
     closed form (see :func:`_closed_form_2x2`); for other n it runs on
     every point.  Where the matrices it gets are bit for bit alike, one
     call serves them all.  Either way every decision, min |eigenvalue| and
-    the worst sample are LAPACK's.  A non-finite coefficient raises NonHermitian naming the
+    the worst sample are LAPACK's.  A stray (2,0) or (0,2) part raises
+    NotType11; then a non-finite coefficient raises NonHermitian naming the
     first point that has one.
     """
     _check_type11_shape(a, pts)
-    m, n = pts.shape
     for j, (p, q) in enumerate(((2, 0), (0, 2))):
-        stray = float(evaluation[k + j].max(initial=0.0))
+        stray = evaluation[k + j]
         if not stray < TYPE11_TOL:  # a NaN residual is refused too
             raise NotType11("(%d,%d) part has residual %.3g >= %.3g"
                             % (p, q, stray, TYPE11_TOL))
-
-    # C as one (m,) column per entry; an entry without a term is 0.
-    values, blank = evaluation[k + 2], np.zeros(m, dtype=complex)
-    c = [[values.get((i, n + j), blank) for j in range(n)] for i in range(n)]
-    # A NaN would win the argmax below and pass every comparison.
-    finite = functools.reduce(np.logical_and,
-                              [np.isfinite(x) for row in c for x in row])
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        raise NonHermitian("non-finite coefficient at point %r"
-                           % (tuple(complex(c) for c in pts[bad]),))
-    rel = _hermiticity_defect(c)
-    worst_h = int(np.argmax(rel))
-    if rel[worst_h] >= HERMITIAN_RTOL:
-        raise NonHermitian("hermiticity defect %.3g at point %r"
-                           % (rel[worst_h],
-                              tuple(complex(c) for c in pts[worst_h])))
-    if n == 2:
-        eigs, rows = _closed_form_2x2(c)
-    else:
-        eigs, rows = np.empty((m, n)), np.arange(m)
-    sym = _hermitian_part(c, rows)
-    # Where every matrix has the bits of the first (a constant form), LAPACK
-    # gives each the same eigenvalues, so one call does.
-    bits = sym.view(np.int64)
-    if len(sym) > 1 and (bits == bits[0]).all():
-        eigs[rows] = np.linalg.eigvalsh(sym[:1])
-    else:
-        eigs[rows] = np.linalg.eigvalsh(sym)
-
-    # Reduce over the n eigenvalue columns: along axis 1 of an (m, n) array
-    # numpy would run an inner loop of length n per point.
-    cols = eigs.T
-    mags = [np.abs(x) for x in cols]
-    zero = ZERO_EIGENVALUE_RTOL * functools.reduce(np.maximum, mags)
-    pos = [x > zero for x in cols]
-    np.negative(zero, out=zero)
-    neg = [x < zero for x in cols]
-    point_pos = functools.reduce(np.logical_or, pos)
-    point_neg = functools.reduce(np.logical_or, neg)
-    if (point_pos & point_neg).any():
-        sign = None
-        is_definite = is_semidefinite = False
-    elif point_neg.any() and not point_pos.any():
-        sign = -1
-        is_semidefinite = True
-        is_definite = all(x.all() for x in neg)
-    elif point_pos.any() and not point_neg.any():
-        sign = 1
-        is_semidefinite = True
-        is_definite = all(x.all() for x in pos)
-    else:
-        sign = 0
-        is_semidefinite = True
-        is_definite = False
-
-    smallest = functools.reduce(np.minimum, mags)
-    worst = int(np.argmin(smallest))
-    sample = HermitianMatrixSample(
-        point=tuple(complex(c) for c in pts[worst]),
-        matrix=sym[np.searchsorted(rows, worst)],
-        eigenvalues=eigs[worst],
-        hermiticity_defect=float(rel[worst]))
-    return DefinitenessReport(is_definite=is_definite,
-                              is_semidefinite=is_semidefinite,
-                              sign=sign,
-                              min_abs_eigenvalue=float(smallest[worst]),
-                              num_points=m,
-                              eigenvalues=eigs,
-                              worst_sample=sample)
+    return evaluation[k + 2].report(pts)
 
 
 # ---------------------------------------------------------------------------

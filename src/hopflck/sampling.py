@@ -14,21 +14,50 @@ import numpy as np
 ANNULUS_INNER = 0.5
 ANNULUS_OUTER = 2.0
 
+# Rows per slice of the norm computation.
+_SLICE = 4096
+
+
+def _gaussian_points(rng, dim: int, count: int):
+    """(count, dim) complex standard normals, real parts drawn first, and
+    each row's Euclidean norm (1.0 where it is 0).
+
+    The points take one complex array and one float buffer, which holds
+    the draws and then the norms.  The norms are np.linalg.norm's own
+    expression, over slices of rows.
+    """
+    raw = np.empty((count, dim), dtype=complex)
+    buffer = np.empty(count * max(dim, 1))
+    draws = buffer[:count * dim].reshape(count, dim)
+    raw.real = rng.standard_normal(out=draws)
+    raw.imag = rng.standard_normal(out=draws)
+    norms = buffer[:count]
+    for lo in range(0, count, _SLICE):
+        x = raw[lo:lo + _SLICE]
+        np.sqrt(np.add.reduce((x.conj() * x).real, axis=1),
+                out=norms[lo:lo + _SLICE])
+    norms[norms == 0] = 1.0
+    return raw, norms
+
+
+def _scaled(raw, factor):
+    """raw * factor[:, None], with the bits of that complex product, in
+    place: each part of each row times its real factor."""
+    parts = raw.view(np.float64)  # (count, 2 dim)
+    parts *= factor[:, None]
+    return raw
+
 
 def annulus_points(dim: int, count: int, seed: int) -> np.ndarray:
     """(count, dim) complex array with ANNULUS_INNER <= |z| <= ANNULUS_OUTER."""
     rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
-    norms = np.linalg.norm(raw, axis=1)
-    norms[norms == 0] = 1.0
+    raw, norms = _gaussian_points(rng, dim, count)
     radii = rng.uniform(ANNULUS_INNER, ANNULUS_OUTER, size=count)
-    return raw * (radii / norms)[:, None]
+    return _scaled(raw, np.divide(radii, norms, out=radii))
 
 
 def sphere_points(dim: int, count: int, radius: float, seed: int) -> np.ndarray:
     """(count, dim) complex array with |z| = radius exactly (up to rounding)."""
     rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
-    norms = np.linalg.norm(raw, axis=1)
-    norms[norms == 0] = 1.0
-    return raw * (radius / norms)[:, None]
+    raw, norms = _gaussian_points(rng, dim, count)
+    return _scaled(raw, np.divide(radius, norms, out=norms))

@@ -212,8 +212,8 @@ def _report(check_name, worst, tolerance, num_points, seed, details):
 
 def _lck_requests(Omega, theta):
     """d Omega - theta ^ Omega and d theta, for their per-point residuals."""
-    return [(fm.exterior_d(Omega) - fm.wedge(theta, Omega), False),
-            (fm.exterior_d(theta), False)]
+    return [(fm.exterior_d(Omega) - fm.wedge(theta, Omega), fm._Residual),
+            (fm.exterior_d(theta), fm._Residual)]
 
 
 def _definiteness_summary(form, pts, evaluation, k) -> dict:
@@ -229,9 +229,9 @@ def _definiteness_summary(form, pts, evaluation, k) -> dict:
             "min_abs_eigenvalue": rep.min_abs_eigenvalue}
 
 
-def _invariance_request(a, g_exprs):
-    """pullback(g, a) - a, for its per-point residual; g as expressions."""
-    return fm.pullback(g_exprs, a) - a, False
+def _invariance_request(a, g_exprs, fold):
+    """pullback(g, a) - a, for its residual by ``fold``; g as expressions."""
+    return fm.pullback(g_exprs, a) - a, fold
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +252,8 @@ def _solve_lee_arrays(Omega: fm.ExteriorForm, points):
     nn = 2 * n
     pts = np.asarray(points, dtype=complex)
     m = pts.shape[0]
-    both = fm._evaluate_forms([(Omega, True), (fm.exterior_d(Omega), True)],
-                              pts)
+    both = fm._evaluate_forms(
+        [(Omega, fm._Full), (fm.exterior_d(Omega), fm._Full)], pts)
     # Omega's W_ij for i < j and d Omega's V_abc for a < b < c, one row each.
     pairs = list(itertools.combinations(range(nn), 2))
     triples = list(itertools.combinations(range(nn), 3))
@@ -501,7 +501,7 @@ class _PotentialCheck:
         self.phi = ex._Tape([Phi])
         self.omega_tilde = fm.kaehler_form(n, Phi)
         self.forms = fm._RequestTape(
-            [(fm.exterior_d(self.omega_tilde), False)]
+            [(fm.exterior_d(self.omega_tilde), fm._Max)]
             + fm._definiteness_requests(self.omega_tilde), n)
 
     def run(self, group, points, tol, seed, binding=None):
@@ -518,7 +518,7 @@ class _PotentialCheck:
                 % (float(np.max(imag)), float(vals.real.min())))
 
         values = self.forms.run(pts, binding)
-        closed = float(values[0].max(initial=0.0))
+        closed = values[0]
         definiteness = _definiteness_summary(self.omega_tilde, pts, values, 1)
         definiteness.pop("is_semidefinite", None)
         details = {"closedness_residual": closed, "generators": [],
@@ -546,8 +546,8 @@ def verify_invariance(a: fm.ExteriorForm, g: PolyAutomorphism, points,
     """Max residual of pullback(g, a) - a over the samples."""
     tol = _auto_tolerance(a) if tolerance is None else float(tolerance)
     pts = np.asarray(points, dtype=complex)
-    res = fm._evaluate_forms([_invariance_request(a, g.as_expressions())],
-                             pts)[0]
+    res = fm._evaluate_forms(
+        [_invariance_request(a, g.as_expressions(), fm._Residual)], pts)[0]
     return _report("invariance", res.max(initial=0.0), tol, int(pts.shape[0]),
                    seed, {"worst_points": _worst_points(pts, res)})
 
@@ -635,7 +635,8 @@ class _Suite:
             self.omega11 = fm.bidegree_part(forms["Omega"], 1, 1)
             requests += fm._definiteness_requests(self.omega11)
         for key in self.invariant:
-            requests += [_invariance_request(forms[key], g) for g in deck]
+            requests += [_invariance_request(forms[key], g, fm._Max)
+                         for g in deck]
         self.requests = fm._RequestTape(
             requests, dim,
             {k for k, proof in enumerate(self.proofs) if proof is not None})
@@ -775,7 +776,7 @@ def run_suite(entry: HopfSurfaceCatalogEntry,
         residuals = []
         for name, _ in generators:
             residuals.append({"generator": name,
-                              "residual": float(values[k].max(initial=0.0))})
+                              "residual": values[k]})
             k += 1
         worst = _worst([0.0] + [g["residual"] for g in residuals])
         reports.append(_report("invariance_%s" % key, worst, tol, npts, seed,

@@ -307,16 +307,17 @@ class TestEvaluation:
         bad = fm.form_from_terms(2, 1, {(1,): ex.div(
             ex.const(1.0), ex.mul(ex.const(1e-20), ex.z(1)))})
         wide = fm.form_from_terms(2, 1, {(1,): ex.z(2)})
-        values = fm._evaluate_forms([(ok, True), (bad, False), (ok, False)],
-                                    pts)
+        values = fm._evaluate_forms(
+            [(ok, fm._Full), (bad, fm._Residual), (ok, fm._Residual)], pts)
         assert np.array_equal(values[0][(0,)], pts[:, 0])
         for k in (1, 2):
             with pytest.raises(fm.FormEvaluationError, match=r"term \(1,\)"):
                 values[k]
         # The dimension error of the second form comes before the third
         # form's evaluation error, which is never reached.
-        narrow = fm._evaluate_forms([(ok, False), (wide, False), (bad, False)],
-                                    pts[:, :1])
+        narrow = fm._evaluate_forms(
+            [(ok, fm._Residual), (wide, fm._Residual), (bad, fm._Residual)],
+            pts[:, :1])
         assert np.array_equal(narrow[0], np.abs(pts[:, 0]))
         for k in (1, 2):
             with pytest.raises(ex.DimensionMismatch, match="uses z_2"):
@@ -403,15 +404,27 @@ class TestDefiniteness:
         assert rep.worst_sample.matrix.shape == (2, 2)
 
 
+def _definite_fold(values, n, m, stray=(0.0, 0.0)):
+    """The :func:`fm._definiteness_requests` values of a form on C^n whose
+    (1,1) coefficients are ``values`` ({index: (m,) array}), handed to its
+    fold chunk by chunk in index order as the tape hands them."""
+    form = fm.form_from_terms(n, 2, {index: ex.const(1.0) for index in values})
+    fold = fm._Definite(form, m, None)
+    for lo in range(0, m, ex._CHUNK):
+        for index in sorted(values):
+            fold.add(lo, index, values[index][lo:lo + ex._CHUNK])
+    return [*stray, fold.result()]
+
+
 def _classify_matrices(hs):
     """:func:`fm._classify` on an (m, 2, 2) stack of matrices H, fed in as
     the (1,1) coefficients C = -i H of a form on C^2, at the points (k, 0)."""
     m = len(hs)
     values = {(i, 2 + j): -1j * hs[:, i, j] for i in range(2) for j in range(2)}
-    evaluation = [np.zeros(m), np.zeros(m), values]
     pts = np.zeros((m, 2), complex)
     pts[:, 0] = np.arange(m)
-    return fm._classify(fm.ExteriorForm(2, 2), pts, evaluation, 0)
+    return fm._classify(fm.ExteriorForm(2, 2), pts,
+                        _definite_fold(values, 2, m), 0)
 
 
 def _decisions(eigs):
@@ -555,11 +568,9 @@ class TestClosedForm2x2:
         hs = _hermitian_stack(np.random.default_rng(5), 5, "positive")
         values = {(i, 2 + j): -1j * hs[:, i, j]
                   for i in range(2) for j in range(2)}
-        stray = np.zeros(5)
-        stray[2] = np.nan
         with pytest.raises(fm.NotType11, match="residual nan"):
             fm._classify(fm.ExteriorForm(2, 2), np.zeros((5, 2), complex),
-                         [stray, np.zeros(5), values], 0)
+                         _definite_fold(values, 2, 5, (np.nan, 0.0)), 0)
 
     def test_three_dimensional_forms_use_lapack_at_every_point(
             self, eigvalsh_shapes):
@@ -572,6 +583,172 @@ class TestClosedForm2x2:
         rep = fm.definiteness(fm.kaehler_form(3, phi), pts)
         assert rep.is_definite and rep.sign == 1
         assert eigvalsh_shapes == [(40, 3, 3)]
+
+
+@pytest.fixture
+def eigvalsh_inputs(monkeypatch):
+    """A copy of every stack passed to np.linalg.eigvalsh."""
+    inputs, eigvalsh = [], np.linalg.eigvalsh
+
+    def recorded(a):
+        inputs.append(np.array(a))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    return inputs
+
+
+def _max_fold(values, m):
+    """A _Max fold handed the (m,) array ``values`` chunk by chunk."""
+    fold = fm._Max(None, m, np.empty(min(m, ex._CHUNK)))
+    for lo in range(0, m, ex._CHUNK):
+        fold.add(lo, (0,), values[lo:lo + ex._CHUNK])
+    return fold.result()
+
+
+class TestStreamedClassification:
+    """_Definite classifies each chunk as the tape hands it over and keeps
+    coefficients only where LAPACK may still decide: every report byte and
+    every row passed to LAPACK must be those of one pass over all points."""
+
+    @staticmethod
+    def _both(monkeypatch, inputs, values, n, m, pts):
+        """The streamed report and the one-chunk report of ``values``, with
+        the stacks each passed to eigvalsh."""
+        got = []
+        for chunk in (ex._CHUNK, max(m, ex._CHUNK)):
+            del inputs[:]
+            with monkeypatch.context() as patch:
+                patch.setattr(ex, "_CHUNK", chunk)
+                rep = fm._classify(fm.ExteriorForm(n, 2), pts,
+                                   _definite_fold(values, n, m), 0)
+            got.append((rep, list(inputs)))
+        return got
+
+    @staticmethod
+    def _assert_same(got, want):
+        (rep, calls), (ref, ref_calls) = got, want
+        assert [c.tobytes() for c in calls] == [c.tobytes()
+                                                for c in ref_calls]
+        assert (rep.sign, rep.is_definite, rep.is_semidefinite,
+                rep.num_points) == (ref.sign, ref.is_definite,
+                                    ref.is_semidefinite, ref.num_points)
+        assert rep.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
+        assert repr(rep.min_abs_eigenvalue) == repr(ref.min_abs_eigenvalue)
+        a, b = rep.worst_sample, ref.worst_sample
+        assert a.point == b.point
+        assert a.matrix.tobytes() == b.matrix.tobytes()
+        assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
+        assert repr(a.hermiticity_defect) == repr(b.hermiticity_defect)
+
+    @pytest.mark.parametrize("m", [1, ex._CHUNK, ex._CHUNK + 1, 50_000])
+    def test_vaisman_matches_one_pass(self, monkeypatch, eigvalsh_inputs, m):
+        omega = hp.build_entry("vaisman").forms["Omega"]
+        pts = annulus_points(2, m, seed=61)
+        values = fm.evaluate_form_many(fm.bidegree_part(omega, 1, 1), pts)
+        streamed, whole = self._both(monkeypatch, eigvalsh_inputs, values,
+                                     2, m, pts)
+        self._assert_same(streamed, whole)
+        assert streamed[0].is_definite
+        assert sum(len(c) for c in streamed[1]) <= 5
+        # Through the tape, which hands each chunk's terms in index order.
+        del eigvalsh_inputs[:]
+        rep = fm.definiteness(omega, pts)
+        self._assert_same((rep, eigvalsh_inputs), streamed)
+
+    def test_constant_form_takes_one_lapack_call(self, monkeypatch,
+                                                 eigvalsh_inputs):
+        omega = hp.build_entry("example2").forms["Omega"]
+        m = 2 * ex._CHUNK + 808
+        pts = annulus_points(2, m, seed=62)
+        values = fm.evaluate_form_many(fm.bidegree_part(omega, 1, 1), pts)
+        streamed, whole = self._both(monkeypatch, eigvalsh_inputs, values,
+                                     2, m, pts)
+        self._assert_same(streamed, whole)
+        assert [c.shape for c in streamed[1]] == [(1, 2, 2)]
+
+    def test_three_dimensional_form_matches_one_pass(self, monkeypatch,
+                                                     eigvalsh_inputs):
+        phi = ex.add(ex.add(ex.mul(ex.z(1), ex.zbar(1)),
+                            ex.mul(ex.z(2), ex.zbar(2))),
+                     ex.add(ex.mul(ex.z(3), ex.zbar(3)),
+                            ex.intpow(ex.mul(ex.z(1), ex.zbar(1)), 2)))
+        m = ex._CHUNK + 904
+        pts = annulus_points(3, m, seed=63)
+        values = fm.evaluate_form_many(fm.kaehler_form(3, phi), pts)
+        streamed, whole = self._both(monkeypatch, eigvalsh_inputs, values,
+                                     3, m, pts)
+        self._assert_same(streamed, whole)
+        assert [c.shape for c in streamed[1]] == [(m, 3, 3)]
+
+    def test_stray_part_wins_over_a_non_finite_coefficient(self):
+        m = 3 * ex._CHUNK + 10
+        hs = _hermitian_stack(np.random.default_rng(64), m, "positive")
+        hs[ex._CHUNK + 5, 0, 0] = np.nan  # chunk 2
+        values = {(i, 2 + j): -1j * hs[:, i, j]
+                  for i in range(2) for j in range(2)}
+        pts = np.zeros((m, 2), complex)
+        pts[:, 0] = np.arange(m)
+        stray = np.zeros(m)
+        stray[2 * ex._CHUNK + 7] = 1.0  # chunk 3
+        with pytest.raises(fm.NotType11, match=r"\(2,0\) part has residual 1"):
+            fm._classify(fm.ExteriorForm(2, 2), pts, _definite_fold(
+                values, 2, m, (_max_fold(stray, m), 0.0)), 0)
+        with pytest.raises(fm.NonHermitian, match=r"non-finite coefficient "
+                           r"at point \(\(4101\+0j\), 0j\)"):
+            fm._classify(fm.ExteriorForm(2, 2), pts,
+                         _definite_fold(values, 2, m), 0)
+
+    def test_hermiticity_defect_past_the_first_chunk(self):
+        m = 3 * ex._CHUNK
+        hs = np.repeat(np.eye(2, dtype=complex)[None], m, axis=0)
+        for k in (ex._CHUNK + 100, 2 * ex._CHUNK + 1):
+            hs[k, 0, 1] = 1.0  # the same defect twice: the first is named
+        values = {(i, 2 + j): -1j * hs[:, i, j]
+                  for i in range(2) for j in range(2)}
+        pts = np.zeros((m, 2), complex)
+        pts[:, 0] = np.arange(m)
+        with pytest.raises(fm.NonHermitian, match=r"defect 0.816 at point "
+                                                  r"\(\(4196\+0j\), 0j\)"):
+            fm._classify(fm.ExteriorForm(2, 2), pts,
+                         _definite_fold(values, 2, m), 0)
+        # A larger defect in a later chunk is named instead.
+        hs[2 * ex._CHUNK + 9, 1, 0] = 5.0
+        values = {(i, 2 + j): -1j * hs[:, i, j]
+                  for i in range(2) for j in range(2)}
+        with pytest.raises(fm.NonHermitian, match=r"at point "
+                                                  r"\(\(8201\+0j\), 0j\)"):
+            fm._classify(fm.ExteriorForm(2, 2), pts,
+                         _definite_fold(values, 2, m), 0)
+
+
+class TestMaxFold:
+    """A request that only a maximum reads keeps one running maximum."""
+
+    def test_equals_the_per_point_residual_maximum(self):
+        omega = hp.build_entry("vaisman").forms["Omega"]
+        for m in (1, ex._CHUNK, 2 * ex._CHUNK + 3):
+            pts = annulus_points(2, m, seed=65)
+            for part in ((2, 0), (1, 1), (0, 2)):
+                form = fm.bidegree_part(omega, *part)
+                got = fm.max_form_residual(form, pts)
+                want = fm.pointwise_residual(form, pts).max(initial=0.0)
+                assert type(got) is float and repr(got) == repr(float(want))
+
+    def test_nan_in_a_later_chunk_propagates(self):
+        m = 3 * ex._CHUNK
+        values = np.ones(m, dtype=complex)
+        values[ex._CHUNK + 1] = np.nan
+        values[2 * ex._CHUNK + 1] = 1e300  # a larger value after the NaN
+        assert np.isnan(_max_fold(values, m))
+        assert _max_fold(np.ones(m), m) == 1.0
+
+    def test_empty_point_set_gives_zero(self):
+        pts = np.zeros((0, 2), dtype=complex)
+        assert fm.max_form_residual(fm.form_from_terms(
+            2, 1, {(0,): ex.z(1)}), pts) == 0.0
+        assert fm.max_form_residual(fm.ExteriorForm(2, 1, {}), pts) == 0.0
+        assert _max_fold(np.zeros(0), 0) == 0.0
 
 
 class TestJson:

@@ -422,7 +422,7 @@ class TestTemplates:
         pts = random_annulus(2, 40, seed=127)
         for key, form in entry.forms.items():
             want = fm.evaluate_form_many(form, pts)
-            got = fm._RequestTape([(template[key], True)], 2).run(
+            got = fm._RequestTape([(template[key], fm._Full)], 2).run(
                 pts, binding)[0]
             assert sorted(got) == sorted(want)
             for index in want:

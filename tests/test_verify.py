@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,8 +203,8 @@ class TestLeeClosedForm:
         # largest and median residual on example1 exceed the QR solve's.
         om = hp.build_entry(name).forms["Omega"]
         pts = annulus_points(2, 2000, 7)
-        both = fm._evaluate_forms([(om, True), (fm.exterior_d(om), True)],
-                                  pts)
+        both = fm._evaluate_forms(
+            [(om, fm._Full), (fm.exterior_d(om), fm._Full)], pts)
         w, v = (np.array([vals.get(key, np.zeros(len(pts)))
                           for key in itertools.combinations(range(4), k)],
                          dtype=complex)
@@ -492,6 +493,23 @@ class TestRunSuite:
         assert "potential_homothety" in names
         assert names.index("definiteness") < names.index("potential_homothety")
         assert vf.suite_passed(reports)
+
+    def test_fifty_thousand_points_keep_no_per_point_residuals(self):
+        # Each chunk's coefficients are classified and folded as the tape
+        # hands them over, so a warmed request holds little beyond its
+        # 1.6 MB of points (the whole-array classification peaked at
+        # 11.8 MB above the start).
+        entry = hp.build_entry("vaisman")
+        vf.run_suite(entry, self.small(points=50_000, seed=1))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            reports = vf.run_suite(entry, self.small(points=50_000, seed=2))
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert vf.suite_passed(reports)
+        assert peak <= 6e6, peak
 
     def test_kodaira_suite_has_only_group_checks(self):
         reports = vf.run_suite(hp.kodaira_entry(), self.small())
