@@ -547,7 +547,19 @@ def _apply_implicit(e, args, pts, out=None):
     if np.any(bad):
         raise NewtonDivergence("implicit time undefined (zero radius)",
                                _bad_point(pts, total, bad))
-    t = -np.log(total) / (2.0 * max(r))
+    # F(t) = sum_k s_k exp(2 r_k t) is convex and increasing.  By convexity
+    # F(t) >= S exp(2 rbar t), with S = sum_k s_k and rbar the s-weighted
+    # mean rate, and each term alone is at most F, so the root lies at or
+    # below -log S / (2 rbar) and every -log s_k / (2 r_k).  From the least
+    # of them, where 1 <= F <= n, Newton's method descends to the root
+    # without overshooting, so no exp overflows however spread the rates.
+    rbar = _column_sum([w * sk for w, sk in zip(r, s)])
+    rbar /= total
+    t = -np.log(total) / (2.0 * rbar)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for w, sk in zip(r, s):
+            # fmin skips the NaN of an s_k < 0, which bounds nothing.
+            np.fmin(t, np.log(sk) / (-2.0 * w), out=t)
     slope = [(2.0 * w) * sk for w, sk in zip(r, s)]
     # NEWTON_MAX_ITER steps, each followed by a residual test; the step
     # after the last test is discarded.

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +126,20 @@ class TestVerifyCommand:
         assert tuple(details[k] for k in (
             "radius", "eps", "iterations_needed", "certified_map",
             "reason")) == contraction
+
+    @pytest.mark.parametrize("r1, r2", [("0.2", "5"), ("1", "10"),
+                                        ("5", "0.05")])
+    def test_spread_weights_give_a_report(self, capsys, r1, r2):
+        # The implicit-time solve converges however far apart the weights
+        # are: a report, and no warning, whatever the checks find.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["verify", "--entry", "vaisman",
+                                          "--points", "300", "--r1", r1,
+                                          "--r2", r2])
+        payload = json.loads(out)
+        assert err == ""
+        assert code == (0 if payload["status"] == "pass" else 1)
 
     def test_orbit_budget_pinned(self, capsys):
         code, out, _ = run(capsys, ["verify", "--entry", "kodaira", "--points",

@@ -343,6 +343,36 @@ class TestImplicitTime:
         with pytest.raises(ex.NewtonDivergence, match="reach 0 in 50"):
             ex.evaluate(t, (3.0, 0.5))
 
+    @pytest.mark.parametrize("r1", [0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0])
+    def test_spread_weights_converge(self, r1):
+        # The deck generator diag(e^-r) and its inverse take the samples
+        # far off the annulus, where F's own Newton step from the old start
+        # overflowed or crawled.
+        pts = annulus_points(2, ex._CHUNK + 100, seed=17)
+        for r2 in (0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0):
+            r = np.array([r1, r2])
+            for power in (-1.0, 0.0, 1.0):
+                moved = pts * np.exp(-power * r)
+                with np.errstate(over="raise", invalid="raise",
+                                 divide="raise"):
+                    tv = ex.evaluate_many(ex.implicit_t((r1, r2)), moved)
+                s = np.abs(moved) ** 2
+                relation = (s * np.exp(2 * tv[:, None] * r)).sum(axis=1)
+                assert np.max(np.abs(relation - 1)) < 1e-11, (r2, power)
+
+    def test_four_evaluations_per_chunk_at_the_default_weights(
+            self, monkeypatch):
+        calls, exp = [], np.exp
+
+        def counted(x, *args, **kwargs):
+            calls.append(1)
+            return exp(x, *args, **kwargs)
+
+        pts = annulus_points(2, ex._CHUNK, seed=18)
+        monkeypatch.setattr(np, "exp", counted)
+        ex.evaluate_many(ex.implicit_t((1.0, 1.5)), pts)
+        assert len(calls) <= 4 * 2  # one exp per weight and evaluation
+
     def test_zero_points_give_an_empty_float_array(self):
         tv = ex.evaluate_many(ex.implicit_t((1.0, 2.0)), np.zeros((0, 2)))
         assert tv.shape == (0,) and tv.dtype == np.float64
@@ -356,13 +386,17 @@ class TestImplicitTime:
 
 def _newton_matrix_reference(weights, args, m):
     """t by the (m, n)-array Newton iteration that _apply_implicit replaced:
-    row sums of s * growth, with the same start, stop rule and budget."""
+    row sums of s * growth, with the same start, steps, stop rule and
+    budget."""
     r = np.array([complex(w).real for w in weights])
     n = len(r)
     s = np.empty((m, n))
     for k in range(n):
         s[:, k] = np.broadcast_to(np.asarray(args[k] * args[n + k]), (m,)).real
-    t = -np.log(s.sum(axis=1)) / (2.0 * r.max())
+    total = s.sum(axis=1)
+    t = -np.log(total) / (2.0 * ((r[None, :] * s).sum(axis=1) / total))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.fmin(t, np.fmin.reduce(np.log(s) / (-2.0 * r[None, :]), axis=1))
     for _ in range(ex.NEWTON_MAX_ITER + 1):
         growth = np.exp(2.0 * t[:, None] * r[None, :])
         f = (s * growth).sum(axis=1) - 1.0
