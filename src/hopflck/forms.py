@@ -710,6 +710,13 @@ def _closed_form_2x2(c, eigs):
     return floor, float(ceiling)
 
 
+def _column(value, size):
+    """A term's values at a chunk of ``size`` points, as a complex array
+    (a constant term's one value at each)."""
+    value = np.asarray(value, dtype=complex)
+    return value if value.ndim else np.full(size, value)
+
+
 def _point(pts, k):
     return tuple(complex(c) for c in pts[k])
 
@@ -756,9 +763,8 @@ class _Definite:
         values, self.chunk, self.done = self.chunk, {}, lo + size
         if self.non_finite is not None:
             return
-        c = [[np.broadcast_to(np.asarray(values.get((i, n + j), 0j),
-                                         dtype=complex), (size,))
-              for j in range(n)] for i in range(n)]
+        c = [[_column(values.get((i, n + j), 0j), size) for j in range(n)]
+             for i in range(n)]
         # A NaN would win the argmax below and pass every comparison.
         finite = functools.reduce(np.logical_and,
                                   [np.isfinite(x) for row in c for x in row])
