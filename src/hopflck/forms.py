@@ -727,7 +727,7 @@ class _Definite:
 
     A chunk is classified once the tape has handed over the form's last
     term; an entry without a term is 0.  Of each point it keeps the
-    eigenvalues, and the coefficients only where LAPACK may still have to
+    eigenvalues, and (H + H^*)/2 only where LAPACK may still have to
     decide: for n = 2 where the point's floor (see :func:`_closed_form_2x2`)
     is at most the ceiling of the chunks so far, which only falls, and for
     other n everywhere.  It also keeps the first point with a non-finite
@@ -743,8 +743,8 @@ class _Definite:
         self.non_finite = None
         self.defect = (0.0, 0)
         self.ceiling = np.inf
-        # Per chunk: the kept points, their (n*n, k) coefficients, floors
-        # and hermiticity defects.
+        # Per chunk: the kept points, their (H + H^*)/2 as a (k, n, n)
+        # array, floors and hermiticity defects.
         self.kept = []
 
     def add(self, lo, index, value):
@@ -784,9 +784,8 @@ class _Definite:
         else:
             keep = np.arange(size)
             floor = np.full(size, -np.inf)
-        self.kept.append((lo + keep, np.array([x[keep] for row in c
-                                               for x in row]),
-                          floor, rel[keep]))
+        self.kept.append((lo + keep, _hermitian_part(c, keep), floor,
+                          rel[keep]))
 
     def report(self, pts) -> DefinitenessReport:
         """The classification at ``pts``; NonHermitian at the first point
@@ -799,13 +798,11 @@ class _Definite:
         if defect >= HERMITIAN_RTOL:
             raise NonHermitian("hermiticity defect %.3g at point %r"
                                % (defect, _point(pts, at)))
-        n, eigs = self.n, self.eigenvalues
-        points, coeffs, floor, rel = (np.concatenate(x, axis=-1)
-                                      for x in zip(*self.kept))
+        eigs = self.eigenvalues
+        points, sym, floor, rel = (np.concatenate(x)
+                                   for x in zip(*self.kept))
         select = np.flatnonzero(~(floor > self.ceiling))
-        rows = points[select]
-        sym = _hermitian_part([list(coeffs[i * n:(i + 1) * n])
-                               for i in range(n)], select)
+        rows, sym = points[select], sym[select]
         # Where every matrix has the bits of the first (a constant form),
         # LAPACK gives each the same eigenvalues, so one call does.
         bits = sym.view(np.int64)
@@ -814,26 +811,28 @@ class _Definite:
         else:
             eigs[rows] = np.linalg.eigvalsh(sym)
 
-        # Reduce over the n eigenvalue columns of each chunk: along axis 1
-        # of an (m, n) array numpy would run an inner loop of length n per
-        # point.
-        any_pos = any_neg = mixed = False
+        # Each point's eigenvalues ascend, so its largest |lambda| and its
+        # signs are read off the first and last columns, and only the
+        # smallest |lambda| takes every column.  Columns, not axis 1 of the
+        # (m, n) array, along which numpy would run an inner loop of length
+        # n per point.
+        mixed = any_pos = any_neg = False
         all_pos = all_neg = True
         smallest, worst = None, 0
         for lo in range(0, self.m, ex._CHUNK):
             cols = eigs[lo:lo + ex._CHUNK].T
+            first, last = cols[0], cols[-1]
             mags = [np.abs(x) for x in cols]
-            zero = ZERO_EIGENVALUE_RTOL * functools.reduce(np.maximum, mags)
-            pos = [x > zero for x in cols]
+            zero = np.maximum(mags[0], mags[-1])
+            zero *= ZERO_EIGENVALUE_RTOL
+            point_pos = last > zero
+            all_pos = all_pos and bool((first > zero).all())
             np.negative(zero, out=zero)
-            neg = [x < zero for x in cols]
-            point_pos = functools.reduce(np.logical_or, pos)
-            point_neg = functools.reduce(np.logical_or, neg)
+            point_neg = first < zero
+            all_neg = all_neg and bool((last < zero).all())
             mixed = mixed or bool((point_pos & point_neg).any())
             any_pos = any_pos or bool(point_pos.any())
             any_neg = any_neg or bool(point_neg.any())
-            all_pos = all_pos and all(x.all() for x in pos)
-            all_neg = all_neg and all(x.all() for x in neg)
             small = functools.reduce(np.minimum, mags)
             k = int(np.argmin(small))
             if smallest is None or small[k] < smallest:
