@@ -730,9 +730,11 @@ class _Definite:
     eigenvalues, and (H + H^*)/2 only where LAPACK may still have to
     decide: for n = 2 where the point's floor (see :func:`_closed_form_2x2`)
     is at most the ceiling of the chunks so far, which only falls, and for
-    other n everywhere.  It also keeps the first point with a non-finite
-    coefficient, after which it classifies nothing, and the first point of
-    the largest hermiticity defect.
+    other n everywhere; and of those matrices only the ones without the
+    bits of the first, so that a constant form keeps one.  It also keeps
+    the first point with a non-finite coefficient, after which it
+    classifies nothing, and the first point of the largest hermiticity
+    defect.
     """
 
     def __init__(self, form, m, scratch):
@@ -743,8 +745,10 @@ class _Definite:
         self.non_finite = None
         self.defect = (0.0, 0)
         self.ceiling = np.inf
-        # Per chunk: the kept points, their (H + H^*)/2 as a (k, n, n)
-        # array, floors and hermiticity defects.
+        self.first = None  # the first kept (H + H^*)/2, as a (1, n, n) array
+        # Per chunk: the kept points, their floors and hermiticity defects,
+        # whether each one's (H + H^*)/2 has the bits of ``first``, and
+        # those that do not, as a (k, n, n) array.
         self.kept = []
 
     def add(self, lo, index, value):
@@ -784,8 +788,15 @@ class _Definite:
         else:
             keep = np.arange(size)
             floor = np.full(size, -np.inf)
-        self.kept.append((lo + keep, _hermitian_part(c, keep), floor,
-                          rel[keep]))
+        sym = _hermitian_part(c, keep)
+        if self.first is None and len(sym):
+            self.first = sym[:1].copy()
+        same = np.zeros(len(sym), dtype=bool)
+        if self.first is not None:
+            bits = sym.view(np.int64) == self.first.view(np.int64)
+            same = (np.ones(len(sym), dtype=bool) if bits.all()
+                    else bits.all(axis=(1, 2)))
+        self.kept.append((lo + keep, floor, rel[keep], same, sym[~same]))
 
     def report(self, pts) -> DefinitenessReport:
         """The classification at ``pts``; NonHermitian at the first point
@@ -798,18 +809,25 @@ class _Definite:
         if defect >= HERMITIAN_RTOL:
             raise NonHermitian("hermiticity defect %.3g at point %r"
                                % (defect, _point(pts, at)))
-        eigs = self.eigenvalues
-        points, sym, floor, rel = (np.concatenate(x)
-                                   for x in zip(*self.kept))
+        n, eigs = self.n, self.eigenvalues
+        points, floor, rel, same, other = (np.concatenate(x)
+                                           for x in zip(*self.kept))
         select = np.flatnonzero(~(floor > self.ceiling))
-        rows, sym = points[select], sym[select]
+        rows = points[select]
         # Where every matrix has the bits of the first (a constant form),
         # LAPACK gives each the same eigenvalues, so one call does.
-        bits = sym.view(np.int64)
-        if len(sym) > 1 and (bits == bits[0]).all():
-            eigs[rows] = np.linalg.eigvalsh(sym[:1])
+        if same[select].all():
+            eigs[rows] = np.linalg.eigvalsh(self.first)
+            sym = self.first  # the one matrix of every row
         else:
-            eigs[rows] = np.linalg.eigvalsh(sym)
+            sym = np.empty((len(points), n, n), dtype=complex)
+            sym[same], sym[~same] = self.first, other
+            sym = sym[select]
+            bits = sym.view(np.int64)
+            if (bits == bits[0]).all():
+                eigs[rows] = np.linalg.eigvalsh(sym[:1])
+            else:
+                eigs[rows] = np.linalg.eigvalsh(sym)
 
         # Each point's eigenvalues ascend, so its largest |lambda| and its
         # signs are read off the first and last columns, and only the
@@ -849,7 +867,7 @@ class _Definite:
 
         at = int(np.searchsorted(rows, worst))
         sample = HermitianMatrixSample(
-            point=_point(pts, worst), matrix=sym[at],
+            point=_point(pts, worst), matrix=sym[at if len(sym) > 1 else 0],
             eigenvalues=eigs[worst],
             hermiticity_defect=float(rel[select[at]]))
         return DefinitenessReport(is_definite=is_definite,

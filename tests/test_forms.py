@@ -667,6 +667,26 @@ class TestStreamedClassification:
         self._assert_same(streamed, whole)
         assert [c.shape for c in streamed[1]] == [(1, 2, 2)]
 
+    @pytest.mark.parametrize("odd", [None, 0, ex._CHUNK + 7])
+    def test_nearly_constant_form_matches_one_pass(self, monkeypatch,
+                                                   eigvalsh_inputs, odd):
+        # Every point ties for min|lambda|, so LAPACK takes every point: the
+        # stream keeps one matrix while they all have its bits, and every
+        # row once one differs, in the first chunk or a later one.
+        m = 2 * ex._CHUNK + 5
+        hs = _hermitian_stack(np.random.default_rng(66), m, "constant")
+        if odd is not None:
+            hs[odd, 0, 0] = np.nextafter(hs[odd, 0, 0].real, np.inf)
+        values = {(i, 2 + j): -1j * hs[:, i, j]
+                  for i in range(2) for j in range(2)}
+        pts = np.zeros((m, 2), complex)
+        pts[:, 0] = np.arange(m)
+        streamed, whole = self._both(monkeypatch, eigvalsh_inputs, values,
+                                     2, m, pts)
+        self._assert_same(streamed, whole)
+        assert [c.shape for c in streamed[1]] == [
+            (1, 2, 2) if odd is None else (m, 2, 2)]
+
     def test_three_dimensional_form_matches_one_pass(self, monkeypatch,
                                                      eigvalsh_inputs):
         phi = ex.add(ex.add(ex.mul(ex.z(1), ex.zbar(1)),
