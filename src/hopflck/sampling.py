@@ -14,7 +14,7 @@ import numpy as np
 ANNULUS_INNER = 0.5
 ANNULUS_OUTER = 2.0
 
-# Rows per slice of the norm computation.
+# Rows per slice of the norm computation, whose temporaries are one slice's.
 _SLICE = 4096
 
 

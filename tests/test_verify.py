@@ -255,7 +255,7 @@ class TestLeeClosedForm:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0, np.nan)])
     @pytest.mark.parametrize("where", [0, 1, 2])
-    def test_non_finite_coefficient_raises_what_lapack_raises(
+    def test_non_finite_coefficient_is_refused_before_lapack(
             self, capfd, value, where):
         # Refused before any SVD, even after the degenerate point 1: LAPACK
         # fails to converge on a NaN, and on an inf prints to stderr and
