@@ -40,25 +40,6 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 
 
-def _json_number(what, value, kind=float):
-    """A JSON number as ``kind``; a value of another type, a boolean, a
-    non-integral float for int or an int beyond the float range is refused."""
-    if not isinstance(value, bool) and (isinstance(value, int) or isinstance(
-            value, float) and (kind is float or value.is_integer())):
-        try:
-            return kind(value)
-        except OverflowError:
-            pass
-    raise ValueError("%s must be a %s number, got %r"
-                     % (what, "whole" if kind is int else "real", value))
-
-
-def _coerce_number(key, value):
-    if isinstance(value, list):
-        return mp._json_complex(value, "parameter %s =" % key)
-    return _json_number("parameter %s" % key, value)
-
-
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -81,7 +62,9 @@ def _load_config_file(path: str) -> dict:
     if not isinstance(params, dict):
         raise ValueError("config 'parameters' must be an object")
     obj = dict(obj)
-    obj["parameters"] = {k: _coerce_number(k, v) for k, v in params.items()}
+    obj["parameters"] = {
+        k: mp._json_complex(v, "parameter %s =" % k) if isinstance(v, list)
+        else ex._json_number("parameter %s" % k, v) for k, v in params.items()}
     # A value of another JSON type is a configuration error (exit 2).
     for key in ("entry", "out"):
         value = obj.get(key)
@@ -90,7 +73,7 @@ def _load_config_file(path: str) -> dict:
                              % (key, value))
     for key, kind in (("points", int), ("seed", int), ("tol", float)):
         if obj.get(key) is not None:
-            obj[key] = _json_number("config %r" % key, obj[key], kind)
+            obj[key] = ex._json_number("config %r" % key, obj[key], kind)
     return obj
 
 
@@ -341,14 +324,24 @@ def _lee_text(head, table, template, tail):
     yield tail
 
 
+# Complex parameters, each set by one flag per part: --mu-re, --mu-im.
+_BY_PARTS = ("mu", "alpha")
+
+
+def _catalog_parameters() -> dict:
+    """Every catalog parameter and its default, in catalog order."""
+    return {key: default for spec in hopf._CATALOG.values()
+            for key, default in spec.defaults.items()}
+
+
 def _cli_parameters(args) -> dict:
     params = {}
-    for key in ("mu", "alpha"):
-        real, imag = getattr(args, key + "_re"), getattr(args, key + "_im")
-        if real is not None or imag is not None:
-            params[key] = complex(real or 0.0, imag or 0.0)
-    for key in ("t", "r1", "r2", "p1", "p2"):
-        if getattr(args, key) is not None:
+    for key in _catalog_parameters():
+        if key in _BY_PARTS:
+            real, imag = getattr(args, key + "_re"), getattr(args, key + "_im")
+            if real is not None or imag is not None:
+                params[key] = complex(real or 0.0, imag or 0.0)
+        elif getattr(args, key) is not None:
             params[key] = getattr(args, key)
     return params
 
@@ -373,8 +366,7 @@ def _resolve_entry_config(args):
     suite = vf.SuiteConfig(**{key: setting(key) for key in
                               ("points", "seed", "tol")
                               if setting(key) is not None})
-    params = dict(file_conf.get("parameters", {}))
-    params.update(_cli_parameters(args))
+    params = {**file_conf.get("parameters", {}), **_cli_parameters(args)}
     return hopf.build_entry(name, params), suite, setting("out")
 
 
@@ -546,11 +538,11 @@ def _add_entry_options(sub):
                      "identity proven exactly has residual 0")
     sub.add_argument("--out", default=None, help="write JSON here instead "
                      "of standard output")
-    for flag in ("--mu-re", "--mu-im", "--alpha-re", "--alpha-im"):
-        sub.add_argument(flag, type=float, default=None)
-    sub.add_argument("--t", type=complex, default=None)
-    for flag in ("--r1", "--r2", "--p1", "--p2"):
-        sub.add_argument(flag, type=float, default=None)
+    # A part's type is that of the default's real part: float.
+    for key, default in _catalog_parameters().items():
+        for part in ("-re", "-im") if key in _BY_PARTS else ("",):
+            sub.add_argument("--" + key + part, default=None,
+                             type=type(default.real if part else default))
 
 
 def build_parser() -> argparse.ArgumentParser:

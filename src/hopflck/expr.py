@@ -678,22 +678,22 @@ def _rebuild_implicit(e, kids, zs, zbs, conj):
     return implicit_t(_weights(e, kids), *((b, a) if conj else (a, b)))
 
 
-def _json_real(x) -> float:
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise ValueError("expected a number, got %r" % (x,))
-    return float(x)
-
-
-def _json_int(x) -> int:
-    if isinstance(x, bool) or not (
-            isinstance(x, int) or isinstance(x, float) and x.is_integer()):
-        raise ValueError("expected an integer, got %r" % (x,))
-    return int(x)
+def _json_number(what, value, kind=float):
+    """A JSON number as ``kind``; ValueError for a boolean, another type, a
+    non-integral float for int or an int beyond the float range."""
+    if not isinstance(value, bool) and (isinstance(value, int) or isinstance(
+            value, float) and (kind is float or value.is_integer())):
+        try:
+            return kind(value)
+        except OverflowError:
+            pass
+    raise ValueError("%s must be a %s number, got %r"
+                     % (what, "whole" if kind is int else "real", value))
 
 
 def _parse_const(f, kids):
-    re, im = f["value"]
-    return const(complex(_json_real(re), _json_real(im)))
+    re, im = (_json_number("value", x) for x in f["value"])
+    return const(complex(re, im))
 
 
 def _parse_implicit(f, kids):
@@ -705,7 +705,8 @@ def _parse_implicit(f, kids):
             raise ValueError("%s must be the fixed %r, got %r"
                              % (name, value, f[name]))
     # A weight that is a param is null here and comes after the arguments.
-    weights = [None if w is None else _json_real(w) for w in f["weights"]]
+    weights = [None if w is None else _json_number("weight", w)
+               for w in f["weights"]]
     n, params = len(weights), weights.count(None)
     if len(kids) != 2 * n + params:
         raise ValueError("implicit_t with %d weights, %d of them params, needs "
@@ -775,14 +776,16 @@ _KINDS = {
         lambda e, k, zs, zbs, conj: zs[e.index - 1],
         lambda e, d, i, conj: _ONE if (not conj and e.index == i) else _ZERO,
         lambda e: {"index": e.index},
-        lambda f, k: z(_json_int(f["index"])), lambda e, s: "z%d" % e.index),
+        lambda f, k: z(_json_number("index", f["index"], int)),
+        lambda e, s: "z%d" % e.index),
     ConjVar: _Kind(
         0, lambda e, v, pts, out=None: np.conj(pts[:, e.index - 1], out=out),
         _cannot_fail, _modular_symbol, _degree_symbol,
         lambda e, k, zs, zbs, conj: zbs[e.index - 1],
         lambda e, d, i, conj: _ONE if (conj and e.index == i) else _ZERO,
         lambda e: {"index": e.index},
-        lambda f, k: zbar(_json_int(f["index"])), lambda e, s: "~z%d" % e.index),
+        lambda f, k: zbar(_json_number("index", f["index"], int)),
+        lambda e, s: "~z%d" % e.index),
     Add: _binary("+", add, lambda e, v, pts, out=None: v[0] + v[1],
                  lambda e, v, draw: (v[0] + v[1]) % _P, _degree_sum,
                  lambda e, d, *_: add(*d)),
@@ -802,7 +805,7 @@ _KINDS = {
         lambda e, d, *_: mul(mul(const(e.power), intpow(e.args[0], e.power - 1)),
                              d[0]),
         lambda e: {"value": e.power},
-        lambda f, k: intpow(k[0], _json_int(f["value"])),
+        lambda f, k: intpow(k[0], _json_number("value", f["value"], int)),
         lambda e, s: "%s^%d" % (s[0], e.power)),
     Exp: _unary("exp", exp, lambda e, v, pts, out=None: np.exp(v[0], out=out),
                 lambda e, d, *_: mul(e, d[0])),
@@ -1317,7 +1320,7 @@ def from_json(obj) -> Expression:
             kind = _BY_OP[entry["op"]]
             kids = []
             for a in entry.get("args", []):
-                a = _json_int(a)
+                a = _json_number("arg", a, int)
                 if not 0 <= a < i:
                     raise ValueError("arg %d is not an earlier node" % a)
                 kids.append(nodes[a])
@@ -1326,7 +1329,7 @@ def from_json(obj) -> Expression:
             nodes.append(kind.parse(entry, kids))
         except (KeyError, TypeError, ValueError) as err:
             raise ValueError("bad expression JSON node %d: %s" % (i, err)) from err
-    root = _json_int(root)
+    root = _json_number("root", root, int)
     if not 0 <= root < len(nodes):
         raise ValueError("expression JSON root %d is not a node index" % root)
     return nodes[root]

@@ -21,11 +21,12 @@ The module also builds the two deformation families, both
 weights interpolate a polynomial contraction with its linear part, and the
 graded weights (0, 1, ..., n-1) melt the superdiagonal of a Jordan matrix.
 
-Each entry writes its forms and potential once, in a function whose inputs
-may be numbers or :func:`~hopflck.expr.param` leaves (an
-:class:`EntryTemplate`).  With the entry's numbers it gives the entry's
-forms, built on first access of ``forms``; with params it gives the template
-that :func:`hopflck.verify.run_suite` compiles once and binds per entry.
+The table ``_CATALOG`` gives each entry's parameters (a default's type is
+its parameter's kind), its deck generator and its :class:`EntryTemplate`:
+forms and potential written once over numbers or :func:`~hopflck.expr.param`
+leaves, built from the entry's numbers on first access of ``forms`` and
+compiled over params once by :func:`hopflck.verify.run_suite`.
+:func:`build_entry` and the command-line flags read their parameters there.
 
 On the Vaisman entry: the raw weighted 1-form returned by
 :func:`weighted_sasaki` is invariant under the deck group only when the two
@@ -38,6 +39,7 @@ equal weights, and is deck-invariant for all weights.
 from __future__ import annotations
 
 import cmath
+import numbers
 from types import MappingProxyType
 from typing import Callable, NamedTuple
 
@@ -149,23 +151,6 @@ def _norm_squared(n: int) -> ex.Expression:
     return total
 
 
-def example1_entry(mu: complex = 2.0) -> HopfSurfaceCatalogEntry:
-    """Standard Hopf surface: Omega = omega / |z|^2 with Lee form -d log |z|^2.
-
-    The entry carries Omega, theta, psi, and ``fubini_study`` := d psi, the
-    degenerate rank-one 2-form pulled back from the projective line.  The
-    deck group is generated by z -> mu z with |mu| > 1 (so the inverse of
-    the generator is the contraction).
-    """
-    mu = complex(mu)
-    if not abs(mu) > 1:
-        raise BadParameter("example1 needs |mu| > 1, got |mu| = %g" % abs(mu))
-    group = GroupSpec((np.eye(2, dtype=complex),),
-                      PolyAutomorphism.diagonal([mu] * 2))
-    return HopfSurfaceCatalogEntry("example1", 2, None, group, {"mu": mu},
-                                   template=EntryTemplate(_example1_forms, {}))
-
-
 def _example1_forms():
     n = 2
     rho = _norm_squared(n)
@@ -174,18 +159,12 @@ def _example1_forms():
     pi_ = ex.const(1j)
 
     omega_terms = {(0, 2): ex.div(mi, rho), (1, 3): ex.div(mi, rho)}
-    theta_terms = {
-        (0,): ex.div(ex.mul(ex.const(-1.0), ex.zbar(1)), rho),
-        (1,): ex.div(ex.mul(ex.const(-1.0), ex.zbar(2)), rho),
-        (2,): ex.div(ex.mul(ex.const(-1.0), ex.z(1)), rho),
-        (3,): ex.div(ex.mul(ex.const(-1.0), ex.z(2)), rho),
-    }
-    psi_terms = {
-        (0,): ex.div(ex.mul(mi, ex.zbar(1)), rho),
-        (1,): ex.div(ex.mul(mi, ex.zbar(2)), rho),
-        (2,): ex.div(ex.mul(pi_, ex.z(1)), rho),
-        (3,): ex.div(ex.mul(pi_, ex.z(2)), rho),
-    }
+    # dz_i and dzbar_i carry zbar_i and z_i.
+    coords = (ex.zbar(1), ex.zbar(2), ex.z(1), ex.z(2))
+    theta_terms = {(k,): ex.div(ex.mul(ex.const(-1.0), c), rho)
+                   for k, c in enumerate(coords)}
+    psi_terms = {(k,): ex.div(ex.mul(mi if k < 2 else pi_, c), rho)
+                 for k, c in enumerate(coords)}
     two_i = ex.const(2j)
     fs_terms = {
         (0, 2): ex.div(ex.mul(two_i, ex.mul(ex.z(2), ex.zbar(2))), rho2),
@@ -193,91 +172,40 @@ def _example1_forms():
         (0, 3): ex.div(ex.mul(ex.const(-2j), ex.mul(ex.zbar(1), ex.z(2))), rho2),
         (1, 2): ex.div(ex.mul(ex.const(-2j), ex.mul(ex.zbar(2), ex.z(1))), rho2),
     }
-    forms = {
-        "Omega": fm.form_from_terms(n, 2, omega_terms),
-        "theta": fm.form_from_terms(n, 1, theta_terms),
-        "psi": fm.form_from_terms(n, 1, psi_terms),
-        "fubini_study": fm.form_from_terms(n, 2, fs_terms),
-    }
-    return forms, None
+    return {"Omega": fm.form_from_terms(n, 2, omega_terms),
+            "theta": fm.form_from_terms(n, 1, theta_terms),
+            "psi": fm.form_from_terms(n, 1, psi_terms),
+            "fubini_study": fm.form_from_terms(n, 2, fs_terms)}, None
 
 
 # ---------------------------------------------------------------------------
-# example2: the Kähler potential on the punctured space
+# example2: the Kähler potential on the punctured space; the deck
+# generator z -> mu z of both examples
 # ---------------------------------------------------------------------------
 
 
-def example2_potential(n: int = 2, mu: complex = 2.0):
-    """Potential Phi = sum |z_i|^2 with the diagonal deck group z -> mu z.
-
-    The group acts on Phi by the homothety factor |mu|^2; n = 2 is the
-    surface case, larger n is provided on the same pattern.
-    """
-    group = _example2_group(n, mu)
-    return _norm_squared(group.dim), group
-
-
-def _example2_group(n, mu) -> GroupSpec:
-    mu = complex(mu)
-    try:
-        integral = int(n) == n
-    except (TypeError, ValueError, OverflowError):
-        integral = False
-    if not integral:
-        raise BadParameter("example2 needs an integer dimension n, got %r"
-                           % (n,))
-    n = int(n)
+def _homothety(name, mu, n) -> PolyAutomorphism:
+    """z -> mu z on C^n, the deck generator of example1 and example2."""
     if not abs(mu) > 1:
-        raise BadParameter("example2 needs |mu| > 1, got |mu| = %g" % abs(mu))
+        raise BadParameter("%s needs |mu| > 1, got |mu| = %g"
+                           % (name, abs(mu)))
     if n < 2:
-        raise BadParameter("example2 needs dimension >= 2, got %d" % n)
-    return GroupSpec((np.eye(n, dtype=complex),),
-                     PolyAutomorphism.diagonal([mu] * n))
-
-
-def example2_entry(n: int = 2, mu: complex = 2.0) -> HopfSurfaceCatalogEntry:
-    """Entry form of the potential: Omega = -i del delbar Phi, theta = 0."""
-    group = _example2_group(n, mu)
-    n = group.dim
-    return HopfSurfaceCatalogEntry(
-        "example2", n, None, group, {"mu": complex(mu), "n": n},
-        template=EntryTemplate(_example2_forms, {}, (n,)))
+        raise BadParameter("%s needs dimension >= 2, got %d" % (name, n))
+    # np.diag's matrix, built first: an n too large for it fails here.
+    matrix = np.zeros((n, n), dtype=complex)
+    np.fill_diagonal(matrix, mu)
+    return PolyAutomorphism.from_matrix(matrix)
 
 
 def _example2_forms(n):
     phi = _norm_squared(n)
-    forms = {
-        "Omega": fm.kaehler_form(n, phi),
-        "theta": fm.ExteriorForm(n, 1, {}),
-    }
-    return forms, phi
+    return {"Omega": fm.kaehler_form(n, phi),
+            "theta": fm.ExteriorForm(n, 1, {})}, phi
 
 
 # ---------------------------------------------------------------------------
-# kodaira: the non-diagonal contraction, and the deformation families
+# kodaira, which displays no forms, and the deformation families
 # ---------------------------------------------------------------------------
-
-
-def kodaira_family(alpha: complex = 0.5, t: complex = 1.0) -> PolyAutomorphism:
-    """The non-diagonal contraction (z1, z2) -> (alpha z1 + t z2, alpha z2)."""
-    alpha = complex(alpha)
-    t = complex(t)
-    if not 0 < abs(alpha) < 1:
-        raise BadParameter("kodaira needs 0 < |alpha| < 1, got |alpha| = %g"
-                           % abs(alpha))
-    return PolyAutomorphism.from_tables([
-        {(1, 0): alpha, (0, 1): t},
-        {(0, 1): alpha},
-    ])
-
-
-def kodaira_entry(alpha: complex = 0.5, t: complex = 1.0) -> HopfSurfaceCatalogEntry:
-    """Map/group entry for the non-diagonal Hopf surface; no displayed forms."""
-    gen = kodaira_family(alpha, t)
-    group = GroupSpec((np.eye(2, dtype=complex),), gen)
-    params = {"alpha": complex(alpha), "t": complex(t)}
-    return HopfSurfaceCatalogEntry("kodaira", 2, None, group, params,
-                                   template=EntryTemplate(_no_forms, {}))
 
 
 def _no_forms():
@@ -359,14 +287,10 @@ def _contact_form(r, e) -> fm.ExteriorForm:
     den = ex.add(
         ex.mul(r1, ex.mul(ex.mul(ex.z(1), ex.zbar(1)), e1)),
         ex.mul(r2, ex.mul(ex.mul(ex.z(2), ex.zbar(2)), e2)))
-    mi = ex.const(-1j)
-    pi_ = ex.const(1j)
-    terms = {
-        (0,): ex.div(ex.mul(mi, ex.mul(ex.zbar(1), e1)), den),
-        (1,): ex.div(ex.mul(mi, ex.mul(ex.zbar(2), e2)), den),
-        (2,): ex.div(ex.mul(pi_, ex.mul(ex.z(1), e1)), den),
-        (3,): ex.div(ex.mul(pi_, ex.mul(ex.z(2), e2)), den),
-    }
+    coords = (ex.zbar(1), ex.zbar(2), ex.z(1), ex.z(2))
+    terms = {(k,): ex.div(ex.mul(ex.const(-1j if k < 2 else 1j),
+                                 ex.mul(c, (e1, e2)[k % 2])), den)
+             for k, c in enumerate(coords)}
     return fm.form_from_terms(2, 1, terms)
 
 
@@ -375,14 +299,12 @@ def weighted_sasaki(r=(1.0, 1.0)) -> fm.ExteriorForm:
 
     With equal unit weights this is coefficientwise the psi of example1.
     """
-    one = ex.const(1.0)
-    return _contact_form(_check_weights(r), (one, one))
+    return _contact_form(_check_weights(r), (ex.const(1.0),) * 2)
 
 
 def implicit_time(r=(1.0, 1.0)) -> ex.Expression:
     """The radial coordinate t(w) solving sum_i |w_i|^2 e^{2 r_i t} = 1."""
-    r1, r2 = _check_weights(r)
-    return ex.implicit_t((r1, r2))
+    return ex.implicit_t(_check_weights(r))
 
 
 def weighted_sasaki_invariant(r=(1.0, 1.0)) -> fm.ExteriorForm:
@@ -406,32 +328,18 @@ def _transported_contact_form(r1, r2) -> fm.ExteriorForm:
     """weighted_sasaki_invariant for weights that may be numbers or params."""
     t = ex.implicit_t((r1, r2))
     # 2 r folds to a constant for a numeric weight.
-    e1 = ex.exp(ex.mul(ex.mul(2.0, r1), t))
-    e2 = ex.exp(ex.mul(ex.mul(2.0, r2), t))
-    return _contact_form((r1, r2), (e1, e2))
+    return _contact_form((r1, r2), [ex.exp(ex.mul(ex.mul(2.0, r), t))
+                                    for r in (r1, r2)])
 
 
-def vaisman_entry(r=(1.0, 1.5), p=(1.0, 2.0)) -> HopfSurfaceCatalogEntry:
-    """Weighted Vaisman structure Omega = -theta ^ psi + d psi.
-
-    theta = dt is the differential of the implicit radial coordinate
-    (closed by construction), psi is the deck-invariant weighted contact
-    form, and the deck group is generated by diag(lambda_1, lambda_2) with
-    lambda_i = e^{-r_i + i p_i}, a genuine contraction.
-    """
-    r1, r2 = _check_weights(r)
-    p = tuple(float(x) for x in p)
-    if len(p) != 2:
-        raise BadParameter("need two phases, got %d" % len(p))
-    if any(x == 0 for x in p):
-        raise BadParameter("phases must be nonzero, got %r" % (p,))
-    lam = [cmath.exp(complex(-r1, p[0])), cmath.exp(complex(-r2, p[1]))]
-    group = GroupSpec((np.eye(2, dtype=complex),),
-                      PolyAutomorphism.diagonal(lam))
-    params = {"r1": r1, "r2": r2, "p1": p[0], "p2": p[1]}
-    template = EntryTemplate(_vaisman_forms, {"r1": r1, "r2": r2})
-    return HopfSurfaceCatalogEntry("vaisman", 2, None, group, params,
-                                   template=template)
+def _vaisman_deck(r1, r2, p1, p2) -> PolyAutomorphism:
+    """diag(e^{-r_1 + i p_1}, e^{-r_2 + i p_2}), a genuine contraction for
+    positive weights; the phases must be nonzero."""
+    _check_weights((r1, r2))
+    if p1 == 0 or p2 == 0:
+        raise BadParameter("phases must be nonzero, got %r" % ((p1, p2),))
+    return PolyAutomorphism.diagonal(
+        [cmath.exp(complex(-r1, p1)), cmath.exp(complex(-r2, p2))])
 
 
 def _vaisman_forms(r1, r2):
@@ -448,34 +356,149 @@ def _vaisman_forms(r1, r2):
 # ---------------------------------------------------------------------------
 
 
-# name -> (constructor, default parameters).  The defaults name every key an
-# entry accepts; build_entry merges the given values over them.
+class _Entry(NamedTuple):
+    """A catalog entry: every key it takes, with a default of the key's
+    type; ``deck(**parameters)``, its generator, which raises BadParameter
+    for inadmissible values; and its template's ``write``, run with the
+    keys ``fixed`` as its shape and ``inputs`` as its inputs."""
+
+    defaults: dict
+    deck: Callable
+    write: Callable
+    inputs: tuple = ()
+    fixed: tuple = ()
+
+
 _CATALOG = {
-    "example1": (example1_entry, {"mu": 2.0}),
-    "example2": (example2_entry, {"mu": 2.0, "n": 2}),
-    "kodaira": (kodaira_entry, {"alpha": 0.5, "t": 1.0}),
-    "vaisman": (lambda r1, r2, p1, p2: vaisman_entry(r=(r1, r2), p=(p1, p2)),
-                {"r1": 1.0, "r2": 1.5, "p1": 1.0, "p2": 2.0}),
+    "example1": _Entry({"mu": 2 + 0j},
+                       lambda mu: _homothety("example1", mu, 2),
+                       _example1_forms),
+    "example2": _Entry({"mu": 2 + 0j, "n": 2},
+                       lambda mu, n: _homothety("example2", mu, n),
+                       _example2_forms, fixed=("n",)),
+    # kodaira_family is defined below, its defaults read from this table.
+    "kodaira": _Entry({"alpha": 0.5 + 0j, "t": 1 + 0j},
+                      lambda alpha, t: kodaira_family(alpha, t), _no_forms),
+    "vaisman": _Entry({"r1": 1.0, "r2": 1.5, "p1": 1.0, "p2": 2.0},
+                      _vaisman_deck, _vaisman_forms, inputs=("r1", "r2")),
 }
 
 ENTRY_NAMES = tuple(sorted(_CATALOG))
 
+# Each parameter kind: the numbers it takes, and what a message calls it.
+# The catalog's int parameters are dimensions.
+_NUMBER_KINDS = {complex: (numbers.Complex, "a complex number for"),
+                 float: (numbers.Real, "a real number for"),
+                 int: (numbers.Real, "an integer dimension")}
+
+
+def _parameter(name, key, value, kind):
+    """``value`` as ``kind``, the type of the key's default; BadParameter
+    unless it is a number of that kind (integral for int) and finite."""
+    accepted, noun = _NUMBER_KINDS[kind]
+    try:
+        number = kind(value) if isinstance(value, accepted) else None
+    except (ValueError, OverflowError):  # int(nan), float(10**400)
+        number = None
+    if number is None or kind is int and number != value:
+        raise BadParameter("entry %r needs %s %s, got %r"
+                           % (name, noun, key, value))
+    if kind is not int and not cmath.isfinite(number):
+        raise BadParameter("entry %r needs finite parameters, got %s = %r"
+                           % (name, key, value))
+    return number
+
 
 def build_entry(name: str, parameters=None) -> HopfSurfaceCatalogEntry:
-    """Build a catalog entry by name; unused and non-finite parameters are
-    rejected."""
+    """Build a catalog entry by name.
+
+    Each given value takes the type of its key's default; an unknown key, a
+    value of another kind or a non-finite one raises BadParameter, and so
+    does a value the entry's deck generator does not admit.
+    """
     if name not in _CATALOG:
         raise UnknownEntry("unknown entry %r; known entries: %s"
                            % (name, ", ".join(ENTRY_NAMES)))
-    constructor, defaults = _CATALOG[name]
-    params = dict(parameters or {})
-    unknown = sorted(set(params) - set(defaults))
+    spec = _CATALOG[name]
+    given = dict(parameters or {})
+    unknown = sorted(set(given) - set(spec.defaults))
     if unknown:
         raise BadParameter("entry %r does not accept parameter(s): %s"
                            % (name, ", ".join(unknown)))
-    for key, value in params.items():
-        if (isinstance(value, (int, float, complex))
-                and not cmath.isfinite(value)):
-            raise BadParameter("entry %r needs finite parameters, got %s = %r"
-                               % (name, key, value))
-    return constructor(**{**defaults, **params})
+    params = {**spec.defaults, **{
+        key: _parameter(name, key, value, type(spec.defaults[key]))
+        for key, value in given.items()}}
+    generator = spec.deck(**params)
+    group = GroupSpec((np.eye(generator.dim, dtype=complex),), generator)
+    template = EntryTemplate(spec.write, {k: params[k] for k in spec.inputs},
+                             tuple(params[k] for k in spec.fixed))
+    return HopfSurfaceCatalogEntry(name, generator.dim, None, group, params,
+                                   template=template)
+
+
+# ---------------------------------------------------------------------------
+# The entries by name, with the catalog's defaults
+# ---------------------------------------------------------------------------
+
+_EXAMPLE1, _EXAMPLE2, _KODAIRA, _VAISMAN = (
+    spec.defaults for spec in _CATALOG.values())
+
+
+def example1_entry(mu: complex = _EXAMPLE1["mu"]) -> HopfSurfaceCatalogEntry:
+    """Standard Hopf surface: Omega = omega / |z|^2 with Lee form -d log |z|^2.
+
+    The entry carries Omega, theta, psi, and ``fubini_study`` := d psi, the
+    degenerate rank-one 2-form pulled back from the projective line.  The
+    deck group is generated by z -> mu z with |mu| > 1 (so the inverse of
+    the generator is the contraction).
+    """
+    return build_entry("example1", {"mu": mu})
+
+
+def example2_potential(n: int = _EXAMPLE2["n"], mu: complex = _EXAMPLE2["mu"]):
+    """Potential Phi = sum |z_i|^2 with the diagonal deck group z -> mu z.
+
+    The group acts on Phi by the homothety factor |mu|^2; n = 2 is the
+    surface case, larger n is provided on the same pattern.
+    """
+    entry = example2_entry(n, mu)
+    return _norm_squared(entry.ambient_dim), entry.group
+
+
+def example2_entry(n: int = _EXAMPLE2["n"],
+                   mu: complex = _EXAMPLE2["mu"]) -> HopfSurfaceCatalogEntry:
+    """Entry form of the potential: Omega = -i del delbar Phi, theta = 0."""
+    return build_entry("example2", {"mu": mu, "n": n})
+
+
+def kodaira_family(alpha: complex = _KODAIRA["alpha"],
+                   t: complex = _KODAIRA["t"]) -> PolyAutomorphism:
+    """The non-diagonal contraction (z1, z2) -> (alpha z1 + t z2, alpha z2)."""
+    if not 0 < abs(alpha) < 1:
+        raise BadParameter("kodaira needs 0 < |alpha| < 1, got |alpha| = %g"
+                           % abs(alpha))
+    return PolyAutomorphism.from_tables([{(1, 0): alpha, (0, 1): t},
+                                         {(0, 1): alpha}])
+
+
+def kodaira_entry(alpha: complex = _KODAIRA["alpha"],
+                  t: complex = _KODAIRA["t"]) -> HopfSurfaceCatalogEntry:
+    """Map/group entry for the non-diagonal Hopf surface; no displayed forms."""
+    return build_entry("kodaira", {"alpha": alpha, "t": t})
+
+
+def vaisman_entry(r=(_VAISMAN["r1"], _VAISMAN["r2"]),
+                  p=(_VAISMAN["p1"], _VAISMAN["p2"])
+                  ) -> HopfSurfaceCatalogEntry:
+    """Weighted Vaisman structure Omega = -theta ^ psi + d psi.
+
+    theta = dt is the differential of the implicit radial coordinate
+    (closed by construction), psi is the deck-invariant weighted contact
+    form, and the deck group is generated by diag(lambda_1, lambda_2) with
+    lambda_i = e^{-r_i + i p_i}, a genuine contraction.
+    """
+    r, p = tuple(r), tuple(p)
+    for what, pair in (("weights", r), ("phases", p)):
+        if len(pair) != 2:
+            raise BadParameter("need two %s, got %d" % (what, len(pair)))
+    return build_entry("vaisman", dict(zip(("r1", "r2", "p1", "p2"), r + p)))

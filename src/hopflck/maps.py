@@ -59,7 +59,7 @@ class SingularLinearPart(ValueError):
 
 
 class DegreeOverflow(ValueError):
-    """Composition exceeded the configured total-degree cap."""
+    """A polynomial's total degree exceeds DEGREE_CAP."""
 
 
 class IterationDiverged(RuntimeError):
@@ -91,6 +91,9 @@ class Polynomial:
             mono = tuple(int(e) for e in mono)
             if len(mono) != self.dim or any(e < 0 for e in mono):
                 raise ValueError("bad monomial %r for dimension %d" % (mono, dim))
+            if sum(mono) > DEGREE_CAP:
+                raise DegreeOverflow("monomial %r of degree %d exceeds cap %d"
+                                     % (mono, sum(mono), DEGREE_CAP))
             c = complex(c)
             if c != 0:
                 table[mono] = table.get(mono, 0) + c
@@ -123,9 +126,6 @@ class Polynomial:
         for ma, ca in self.coeffs.items():
             for mb, cb in other.coeffs.items():
                 m = tuple(a + b for a, b in zip(ma, mb))
-                if sum(m) > DEGREE_CAP:
-                    raise DegreeOverflow("monomial degree %d exceeds cap %d"
-                                         % (sum(m), DEGREE_CAP))
                 out[m] = out.get(m, 0) + ca * cb
         return Polynomial(self.dim, out)
 
@@ -677,12 +677,10 @@ def map_to_json(g: PolyAutomorphism):
 
 def _json_complex(pair, what) -> complex:
     """The complex number of a JSON [re, im] pair of real numbers."""
-    if isinstance(pair, list) and len(pair) == 2 and all(
-            isinstance(x, (int, float)) and not isinstance(x, bool)
-            for x in pair):
+    if isinstance(pair, list) and len(pair) == 2:
         try:
-            return complex(*pair)
-        except OverflowError:  # an integer beyond the float range
+            return complex(*(ex._json_number(what, x) for x in pair))
+        except ValueError:
             pass
     raise ValueError("%s %s must be a [re, im] pair of real numbers"
                      % (what, json.dumps(pair)))
@@ -690,7 +688,7 @@ def _json_complex(pair, what) -> complex:
 
 def map_from_json(obj) -> PolyAutomorphism:
     try:
-        dim = ex._json_int(obj["dim"])
+        dim = ex._json_number("map dim", obj["dim"], int)
         comps = obj["components"]
     except (KeyError, TypeError) as err:
         raise ValueError("map JSON needs dim and components") from err
@@ -708,7 +706,8 @@ def map_from_json(obj) -> PolyAutomorphism:
                     item.get("monomial"), list) and "coeff" in item):
                 raise ValueError("map term %s needs a monomial list and a "
                                  "coeff" % json.dumps(item))
-            mono = tuple(ex._json_int(e) for e in item["monomial"])
+            mono = tuple(ex._json_number("monomial exponent", e, int)
+                         for e in item["monomial"])
             c = _json_complex(item["coeff"], "coefficient")
             table[mono] = table.get(mono, 0) + c
         tables.append(table)

@@ -904,3 +904,87 @@ class TestParser:
             scripts = tomllib.loads(text)["project"]["scripts"]
         module, _, attr = scripts["hopflck"].partition(":")
         assert getattr(importlib.import_module(module), attr) is cli.main
+
+
+# Every subcommand's options as (option strings, type, default); the entry
+# flags follow hopf._CATALOG.
+ENTRY_OPTIONS = [
+    (("-h", "--help"), None, "==SUPPRESS=="), (("--entry",), None, None),
+    (("--file",), None, None), (("--points",), int, None),
+    (("--seed",), int, None), (("--tol",), float, None),
+    (("--out",), None, None), (("--mu-re",), float, None),
+    (("--mu-im",), float, None), (("--n",), int, None),
+    (("--alpha-re",), float, None), (("--alpha-im",), float, None),
+    (("--t",), complex, None), (("--r1",), float, None),
+    (("--r2",), float, None), (("--p1",), float, None),
+    (("--p2",), float, None),
+]
+PARSER_OPTIONS = {
+    "verify": ENTRY_OPTIONS,
+    "deform": [(("-h", "--help"), None, "==SUPPRESS=="),
+               (("--file",), None, None), (("--family",), None, None),
+               (("--t",), complex, None), (("--out",), None, None)],
+    "jordan": [(("-h", "--help"), None, "==SUPPRESS=="),
+               (("--file",), None, None), (("--out",), None, None)],
+    "contraction": [(("-h", "--help"), None, "==SUPPRESS=="),
+                    (("--file",), None, None), (("--radius",), float, 1.0),
+                    (("--eps",), float, 1e-6), (("--out",), None, None)],
+    "solve-lee": ENTRY_OPTIONS,
+}
+
+
+class TestParameterTable:
+    """Catalog parameters reach build_entry through one check, from the
+    library, a config file and the flags alike."""
+
+    @pytest.mark.parametrize("key", ["r1", "r2", "p1", "p2"])
+    def test_complex_config_value_for_a_real_key_refused(self, capsys,
+                                                         tmp_path, key):
+        conf = write_json(tmp_path / "conf.json", {
+            "entry": "vaisman", "points": 20, "parameters": {key: [1, 0]}})
+        code, out, err = run(capsys, ["verify", "--file", conf])
+        assert (code, out) == (2, "") and err.count("\n") == 1
+        assert err.startswith("error: ") and key in err
+
+    def test_n_flag_prints_the_config_file_bytes(self, capsys, tmp_path):
+        argv = ["verify", "--points", "200"]
+        code, flagged, err = run(capsys, argv + ["--entry", "example2",
+                                                 "--n", "3"])
+        assert (code, err) == (0, "")
+        assert json.loads(flagged)["parameters"]["n"] == 3
+        conf = write_json(tmp_path / "conf.json", {
+            "entry": "example2", "parameters": {"n": 3}})
+        assert run(capsys, argv + ["--file", conf]) == (0, flagged, "")
+
+    def test_non_integral_n_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--entry", "example2", "--n", "2.5"])
+        assert exc.value.code == 2
+        assert "--n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(PARSER_OPTIONS))
+    def test_options_are_pinned(self, command):
+        parser = cli.build_parser()
+        sub = parser._subparsers._group_actions[0].choices[command]
+        got = [(tuple(a.option_strings), a.type, a.default)
+               for a in sub._actions]
+        assert got == PARSER_OPTIONS[command]
+
+
+class TestMapDegreeCap:
+    """A map above maps.DEGREE_CAP is refused where it is read: exit 2 and
+    one error line, not an overflow or an orbit that runs away."""
+
+    @pytest.mark.parametrize("exponent", [40, 10 ** 400],
+                             ids=["40", "10**400"])
+    @pytest.mark.parametrize("argv", [["contraction"],
+                                      ["deform", "--family", "linearize"]])
+    def test_map_above_the_cap_refused(self, capsys, tmp_path, argv,
+                                       exponent):
+        path = write_json(tmp_path / "map.json", {"dim": 2, "components": [
+            [{"monomial": [exponent, 0], "coeff": [1, 0]}],
+            [{"monomial": [0, 1], "coeff": [0.5, 0]}]]})
+        code, out, err = run(capsys, argv + ["--file", path])
+        assert (code, out) == (2, "") and err.count("\n") == 1
+        assert err.startswith("error: monomial (%d, 0) of degree %d exceeds"
+                              % (exponent, exponent))

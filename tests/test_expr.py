@@ -676,6 +676,37 @@ class TestTapeBits:
             want = _reference_values([roots[j]], pts[lo:lo + self.C], {})[0]
             assert _same_bits(v, want)
 
+    def test_a_slots_later_negative_power_and_log_skip_its_check(self):
+        # The second negative power of a base, and a log whose argument a
+        # checked root has tested, run their rules without the check.
+        base = ex.add(ex.z(1), ex.const(3.0))
+        lg = ex.log(ex.add(ex.z(2), ex.const(2.0 + 1j)))
+        roots = [ex.mul(lg, ex.z(1)), ex.intpow(base, -1),
+                 ex.add(ex.intpow(base, -2), ex.mul(lg, ex.zbar(1)))]
+        tape = ex._Tape(roots, checked={0})
+        rules = [rule for rule, _, _ in tape.ops]
+        assert rules.count(ex._apply_power) == 1
+        assert rules.count(ex._apply_logarithm) == 1
+        calls = []
+        assert tape.run(self.POINTS, lambda lo, k, v: calls.append((k, v))) \
+            is None
+        for k in (1, 2):
+            got = np.concatenate([v for j, v in calls if j == k])
+            want = _chunked_reference([roots[k]], self.POINTS, {})[0]
+            assert _same_bits(got, want)
+        # A zero base or log argument still fails at the guarded operation,
+        # the first on the tape, with the point the unchecked tape names.
+        at = self.C + 17
+        cases = [(0, -3.0, 1, ex.DivisionNearZero),
+                 (1, -2.0 - 1j, 0, ex.LogBranchError)]
+        for column, value, root, error in cases:
+            pts = self.POINTS.copy()
+            pts[at, column] = value
+            got = tape.run(pts, lambda *_: None)
+            want = ex._Tape(roots).run(pts, lambda *_: None)
+            assert (got.root, type(got.cause)) == (root, error)
+            assert got.cause.point == want.cause.point == tuple(pts[at])
+
     def test_two_bindings_back_to_back(self):
         t = ex.implicit_t((ex.param("r"), 2.0))
         roots = [ex.mul(ex.mul(ex.param("p"), ex.z(1)), ex.exp(t)),
@@ -1131,3 +1162,23 @@ class TestNumericallyEqual:
         b = ex.sub(ex.intpow(ex.z(1), 2), ex.intpow(ex.z(2), 2))
         assert ex.numerically_equal(a, b, 2)
         assert not ex.numerically_equal(a, ex.z(1), 2)
+
+
+class TestJsonNumbers:
+    """Expression JSON reads its numbers by the rules of config values."""
+
+    def test_integer_beyond_the_float_range_is_a_value_error(self):
+        obj = {"nodes": [{"op": "const", "value": [10 ** 400, 0]}], "root": 0}
+        with pytest.raises(ValueError, match="^bad expression JSON node 0: "
+                           "value must be a real number, got 1000"):
+            ex.from_json(obj)
+
+    @pytest.mark.parametrize("value,message", [
+        (True, "index must be a whole number, got True"),
+        (1.5, "index must be a whole number, got 1.5"),
+        ("1", "index must be a whole number, got '1'"),
+    ])
+    def test_index_of_another_kind_refused(self, value, message):
+        obj = {"nodes": [{"op": "z", "index": value}], "root": 0}
+        with pytest.raises(ValueError, match="node 0: " + message):
+            ex.from_json(obj)

@@ -427,3 +427,34 @@ class TestTemplates:
             assert sorted(got) == sorted(want)
             for index in want:
                 assert np.array_equal(got[index], want[index])
+
+
+class TestParameterKinds:
+    """build_entry gives every value its default's type, or refuses it."""
+
+    @pytest.mark.parametrize("value", [1j, "x", 10 ** 400],
+                             ids=["1j", "x", "10**400"])
+    def test_weight_of_another_kind_refused(self, value):
+        with pytest.raises(hp.BadParameter, match="r1") as err:
+            hp.build_entry("vaisman", {"r1": value})
+        assert "real number" in str(err.value)
+
+    def test_values_take_their_defaults_types(self):
+        e = hp.build_entry("example2", {"mu": 3, "n": 3.0})
+        assert type(e.parameters["mu"]) is complex
+        assert type(e.parameters["n"]) is int and e.ambient_dim == 3
+        v = hp.build_entry("vaisman", {"r1": 2, "p2": np.float64(-1.0)})
+        assert all(type(x) is float for x in v.parameters.values())
+
+    @pytest.mark.parametrize("n", [2.5, "3", 1j])
+    def test_dimension_must_be_integral(self, n):
+        with pytest.raises(hp.BadParameter, match="integer dimension n"):
+            hp.build_entry("example2", {"n": n})
+
+    def test_catalog_defaults_are_the_constructors_defaults(self):
+        for name in hp.ENTRY_NAMES:
+            built = hp.build_entry(name)
+            by_name = getattr(hp, name + "_entry")()
+            assert dict(built.parameters) == dict(by_name.parameters)
+            assert {k: type(v) for k, v in built.parameters.items()} == {
+                k: type(v) for k, v in hp._CATALOG[name].defaults.items()}

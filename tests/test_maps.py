@@ -591,3 +591,20 @@ class TestSerialization:
     def test_nonsquare_matrix_json(self):
         with pytest.raises(ValueError, match="square"):
             mp.matrix_from_json([[[1.0, 0.0], [0.0, 0.0]]])
+
+
+class TestDegreeCapOnEveryPolynomial:
+    def test_degree_sixteen_accepted_seventeen_refused(self):
+        assert mp.Polynomial(2, {(10, 6): 1.0}).degree() == mp.DEGREE_CAP
+        with pytest.raises(mp.DegreeOverflow,
+                           match=r"monomial \(10, 7\) of degree 17"):
+            mp.Polynomial(2, {(10, 7): 1.0})
+
+    @pytest.mark.parametrize("exponent", [17, 40, 10 ** 400],
+                             ids=["17", "40", "10**400"])
+    def test_map_file_above_the_cap_refused(self, exponent):
+        obj = {"dim": 2, "components": [
+            [{"monomial": [exponent, 0], "coeff": [1, 0]}],
+            [{"monomial": [0, 1], "coeff": [0.5, 0]}]]}
+        with pytest.raises(mp.DegreeOverflow, match="exceeds cap 16"):
+            mp.map_from_json(obj)

@@ -928,3 +928,24 @@ class TestJsonify:
         decoded = json.loads(json.dumps(rep.to_json(), allow_nan=False))
         assert decoded["check_name"] == "invariance"
         assert decoded["status"] in ("pass", "fail")
+
+
+class TestFiniteGenerators:
+    def test_finite_part_is_checked_with_the_cyclic_generator(self):
+        # example1's forms are invariant under z -> -z as well, so a group
+        # whose finite part is {I, -I} passes, each invariance listing both
+        # generators.
+        ex1 = hp.example1_entry()
+        eye = np.eye(2, dtype=complex)
+        group = mp.GroupSpec((eye, -eye), ex1.group.cyclic_generator)
+        entry = hp.HopfSurfaceCatalogEntry("example1-pm", 2, dict(ex1.forms),
+                                           group, {})
+        reports = vf.run_suite(entry, vf.SuiteConfig(points=200))
+        assert len(reports) == 7 and vf.suite_passed(reports)
+        by_name = {r.check_name: r for r in reports}
+        for key in ("invariance_theta", "invariance_psi"):
+            assert [g["generator"] for g in
+                    by_name[key].details["generators"]] == ["cyclic",
+                                                            "finite[1]"]
+        fpf = by_name["fixed_point_free"]
+        assert fpf.passed and fpf.details["min_distance"] == 2.0
