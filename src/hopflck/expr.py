@@ -440,12 +440,12 @@ def _bad_point(pts, values, mask):
 
 
 # The checks of the operations that can fail on their operand: each takes
-# the operation's node and child values (the operand last) and raises where
-# the operation is undefined.  _Tape also runs them alone, as guards.
+# the operation's node and the operand's values, and raises where the
+# operation is undefined.  _Tape runs them as guard operations.
 
 
 def _check_divisor(e, args, pts, out=None):
-    den = args[-1]
+    den = args[0]
     bad = np.abs(den) < DIVISION_EPS
     if np.any(bad):
         raise DivisionNearZero("divisor magnitude below %g" % DIVISION_EPS,
@@ -469,37 +469,19 @@ def _check_log(e, args, pts, out=None):
                              _bad_point(pts, arg, bad))
 
 
-def _apply_div(e, args, pts, out=None):
-    _check_divisor(e, args, pts)
-    num, den = args
-    # Written only once the guard has passed.
-    return num / den if out is None else np.divide(num, den, out=out)
+# The rules of division, power and log: where one can fail, a guard
+# operation before it has checked its operand (see _Tape).
 
 
 def _apply_quotient(e, args, pts, out=None):
-    # A division whose divisor an earlier operation of the same chunk has
-    # already checked (see _Tape).
     return args[0] / args[1]
 
 
 def _apply_power(e, args, pts, out=None):
-    # A power whose negative-power base is already checked.
-    return args[0] ** e.power
-
-
-def _apply_pow(e, args, pts, out=None):
-    if e.power < 0:
-        _check_base(e, args, pts)
     return args[0] ** e.power
 
 
 def _apply_logarithm(e, args, pts, out=None):
-    # A log whose argument is already checked.
-    return np.log(np.asarray(args[0]))
-
-
-def _apply_log(e, args, pts, out=None):
-    _check_log(e, args, pts)
     return np.log(np.asarray(args[0]))
 
 
@@ -739,14 +721,13 @@ def _no_fields(e):
 
 
 # Check rules: None where evaluating the node cannot fail; (check, operand
-# index, the apply rule without the check) where the check tests that
-# operand first; _SELF_CHECKED where evaluating the node is itself the test
-# (implicit time, param).
+# index) where the check tests that operand first; _SELF_CHECKED where
+# evaluating the node is itself the test (implicit time, param).
 def _cannot_fail(e):
     return None
 
 
-_SELF_CHECKED = (None, None, None)
+_SELF_CHECKED = (None, None)
 
 
 def _binary(symbol, make, apply, modular, degree, derive, check=_cannot_fail):
@@ -795,11 +776,10 @@ _KINDS = {
     Mul: _binary("*", mul, lambda e, v, pts, out=None: v[0] * v[1],
                  lambda e, v, draw: v[0] * v[1] % _P, _degree_product,
                  lambda e, d, *_: add(mul(d[0], e.args[1]), mul(e.args[0], d[1]))),
-    Div: _binary("/", div, _apply_div, _modular_div, _degree_quotient,
-                 _derive_div, lambda e: (_check_divisor, 1, _apply_quotient)),
+    Div: _binary("/", div, _apply_quotient, _modular_div, _degree_quotient,
+                 _derive_div, lambda e: (_check_divisor, 1)),
     IntPow: _Kind(
-        1, _apply_pow,
-        lambda e: (_check_base, 0, _apply_power) if e.power < 0 else None,
+        1, _apply_power, lambda e: (_check_base, 0) if e.power < 0 else None,
         _modular_pow, _degree_pow,
         lambda e, k, *_: intpow(k[0], e.power),
         lambda e, d, *_: mul(mul(const(e.power), intpow(e.args[0], e.power - 1)),
@@ -809,8 +789,9 @@ _KINDS = {
         lambda e, s: "%s^%d" % (s[0], e.power)),
     Exp: _unary("exp", exp, lambda e, v, pts, out=None: np.exp(v[0], out=out),
                 lambda e, d, *_: mul(e, d[0])),
-    Log: _unary("log", log, _apply_log, lambda e, d, *_: div(d[0], e.args[0]),
-                lambda e: (_check_log, 0, _apply_logarithm)),
+    Log: _unary("log", log, _apply_logarithm,
+                lambda e, d, *_: div(d[0], e.args[0]),
+                lambda e: (_check_log, 0)),
     ImplicitT: _Kind(
         None, _apply_implicit, lambda e: _SELF_CHECKED, _modular_symbol,
         _degree_symbol,
@@ -971,7 +952,7 @@ def _check_dimension(roots, dim):
 # and the rules that write their array result into ``out`` when given one.
 _UFUNCS = {_KINDS[Add].apply: np.add, _KINDS[Sub].apply: np.subtract,
            _KINDS[Mul].apply: np.multiply, _apply_quotient: np.divide}
-_WRITES_OUT = {*_UFUNCS, _KINDS[Exp].apply, _KINDS[ConjVar].apply, _apply_div}
+_WRITES_OUT = {*_UFUNCS, _KINDS[Exp].apply, _KINDS[ConjVar].apply}
 _CHECKS = {_check_divisor, _check_base, _check_log}
 
 
@@ -999,33 +980,35 @@ class _Tape:
     A root whose index is in ``checked`` keeps its group but not its values:
     the group holds only what can fail below the root and is not reached by
     an earlier root, in post-order, each as the operand's operations and
-    then its check (an implicit time or a param is computed).  So the root
+    then its guard (an implicit time or a param is computed).  So the root
     fails exactly where evaluating it would, with the same error and point,
     and the consumer never sees it.
 
-    Each kind's ``check`` rule says how its nodes can fail.  Only the first
-    test of a slot by a check runs: every later one runs after it in the
-    same chunk, on the same values, and in every prefix of the groups that
-    holds it, so a later division, negative power or log of that slot runs
-    its rule without the check and a later guard is left out.
+    Each kind's ``check`` rule says how its nodes can fail.  A division,
+    negative power or log is preceded by a guard: an operation that runs
+    the check on the operand's slot and whose own slot nothing reads.  A
+    slot gets one guard per check, before its first use: every later use
+    runs after it in the same chunk, on the same values, and in every
+    prefix of the groups that holds it.
 
     ``plan`` is what :meth:`run` executes.  An addition, subtraction,
-    multiplication or unguarded division with an array child is a bare
-    ufunc call; every other operation calls its rule.  Where each array
-    lives is fixed here, by liveness.  A root's values are a fresh array,
-    since a consumer may keep them.  Any other result that a rule can write
-    into ``out`` goes into a child whose last consumer this operation is,
-    where that child has the result's type, is not a view of the points and
-    is not a root; failing that, into a buffer of the arena, which is free
-    again once the last consumer of the value in it has run.  Once a run
-    has filled a chunk the arena lives as long as the tape, so runs of one
-    tape must not overlap.
+    multiplication or division with an array child is a bare ufunc call;
+    every other operation calls its rule.  Where each array lives is fixed
+    here, by liveness.  A root's values are a fresh array, since a consumer
+    may keep them.  Any other result that a rule can write into ``out``
+    goes into a child whose last consumer this operation is, where that
+    child has the result's type, is not a view of the points and is not a
+    root; failing that, into a buffer of the arena, which is free again
+    once the last consumer of the value in it has run.  Once a run has
+    filled a chunk the arena lives as long as the tape, so runs of one tape
+    must not overlap.
     """
 
     def __init__(self, roots, checked=()):
-        # ops: (rule, node, child slots); frees[i]: the slots whose last
-        # consumer is operation i (a root slot has none); roots: each root's
-        # slot, None for a checked root.
+        # ops: (rule, node, child slots), a guard's one child being the
+        # slot it tests; frees[i]: the slots whose last consumer is
+        # operation i (a root slot has none); roots: each root's slot, None
+        # for a checked root.
         # params: the operations of the param leaves, which each run binds.
         slot, self.ops, first_op, self.roots = {}, [], [], []
         last, tested, reached, checked = [], set(), set(), set(checked)
@@ -1036,19 +1019,22 @@ class _Tape:
             self.ops.append((rule, node, kids))
             last.append(-1)
 
+        def guard(node, check):
+            test, operand = check
+            s = slot[node.args[operand]]
+            if (test, s) not in tested:
+                tested.add((test, s))
+                emit(test, node, (s,))
+
         def compute(top):
             for node in _post_order(top, slot.__contains__):
                 reached.add(node)
-                kids = tuple(map(slot.__getitem__, node.args))
                 kind = _KINDS[type(node)]
-                rule, check = kind.apply, kind.check(node)
+                check = kind.check(node)
                 if check is not None and check[0] is not None:
-                    test, operand, plain = check
-                    if (test, kids[operand]) in tested:
-                        rule = plain
-                    tested.add((test, kids[operand]))
+                    guard(node, check)
                 slot[node] = len(self.ops)
-                emit(rule, node, kids)
+                emit(kind.apply, node, tuple(map(slot.__getitem__, node.args)))
 
         for k, root in enumerate(roots):
             first_op.append(len(self.ops))
@@ -1062,14 +1048,10 @@ class _Tape:
                 check = _KINDS[type(node)].check(node)
                 if check is None:
                     continue
-                test, operand, _ = check
-                operand = node if test is None else node.args[operand]
-                if (test, slot.get(operand)) in tested:
-                    continue
-                compute(operand)
+                test, operand = check
+                compute(node if test is None else node.args[operand])
                 if test is not None:
-                    tested.add((test, slot[operand]))
-                    emit(test, node, (slot[operand],))
+                    guard(node, check)
         # groups: (first operation, end, root slot, whether the slot can be
         # dropped once consumed: no later group reads it).
         ends = first_op[1:] + [len(self.ops)]
@@ -1210,7 +1192,11 @@ class _Tape:
         rational function of the symbols.  For a tape with no checked root.
         """
         vals, degrees = [], []
-        for _, node, kids in self.ops:
+        for rule, node, kids in self.ops:
+            if rule in _CHECKS:  # a guard, whose slot nothing reads
+                vals.append(None)
+                degrees.append(None)
+                continue
             kind = _KINDS[type(node)]
             args = [vals[c] for c in kids]
             vals.append(None if None in args

@@ -262,8 +262,8 @@ def del_and_delbar(a: ExteriorForm):
 
 def kaehler_form(ambient_dim: int, potential) -> ExteriorForm:
     """The (1,1)-form -i del delbar Phi of a potential Phi."""
-    dbar = del_and_delbar(scalar_form(ambient_dim, potential))[1]
-    return del_and_delbar(dbar)[0].scale(-1j)
+    dbar = _d_split(scalar_form(ambient_dim, potential), "delbar")
+    return _d_split(dbar, "del").scale(-1j)
 
 
 def bidegree_part(a: ExteriorForm, p: int, q: int) -> ExteriorForm:

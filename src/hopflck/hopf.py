@@ -55,11 +55,16 @@ __all__ = [
     "kodaira_family", "kodaira_entry", "vaisman_entry",
     "family_to_linear", "family_to_diagonal",
     "weighted_sasaki", "weighted_sasaki_invariant", "implicit_time",
-    "ENTRY_NAMES", "build_entry", "JORDAN_SNAP_TOL",
+    "ENTRY_NAMES", "build_entry", "JORDAN_SNAP_TOL", "MAX_DIMENSION",
 ]
 
 # family_to_diagonal snaps off-diagonal entries this close to 0 or 1.
 JORDAN_SNAP_TOL = 1e-12
+# The largest dimension n of example2, refused above before any n x n
+# array is built.  verify on 200 points takes 1.0 s and peaks at 90 MB at
+# n = 64, and 50 s and 2.1 GB at n = 256 (2-vCPU Xeon), its peak growing
+# about as n^2.3: about 10 GB at this bound.
+MAX_DIMENSION = 512
 
 
 class BadParameter(ValueError):
@@ -189,9 +194,9 @@ def _homothety(name, mu, n) -> PolyAutomorphism:
     if not abs(mu) > 1:
         raise BadParameter("%s needs |mu| > 1, got |mu| = %g"
                            % (name, abs(mu)))
-    if n < 2:
-        raise BadParameter("%s needs dimension >= 2, got %d" % (name, n))
-    # np.diag's matrix, built first: an n too large for it fails here.
+    if not 2 <= n <= MAX_DIMENSION:
+        raise BadParameter("%s needs dimension 2 <= n <= %d, got n = %d"
+                           % (name, MAX_DIMENSION, n))
     matrix = np.zeros((n, n), dtype=complex)
     np.fill_diagonal(matrix, mu)
     return PolyAutomorphism.from_matrix(matrix)

@@ -20,6 +20,7 @@ condition number above 1e12 (for example diag(e^-0.01, e^-50)) is refused.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,6 +80,11 @@ class NotJordan(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _brief(k):
+    """The natural number ``k`` as written, or as ~10^e past 15 digits."""
+    return str(k) if k < 10 ** 15 else "~10^%d" % round(math.log10(k))
+
+
 class Polynomial:
     """Multivariate polynomial over C in n variables, as a monomial table."""
 
@@ -92,8 +98,9 @@ class Polynomial:
             if len(mono) != self.dim or any(e < 0 for e in mono):
                 raise ValueError("bad monomial %r for dimension %d" % (mono, dim))
             if sum(mono) > DEGREE_CAP:
-                raise DegreeOverflow("monomial %r of degree %d exceeds cap %d"
-                                     % (mono, sum(mono), DEGREE_CAP))
+                shown = ", ".join(map(_brief, mono)) + "," * (len(mono) == 1)
+                raise DegreeOverflow("monomial (%s) of degree %s exceeds cap %d"
+                                     % (shown, _brief(sum(mono)), DEGREE_CAP))
             c = complex(c)
             if c != 0:
                 table[mono] = table.get(mono, 0) + c

@@ -585,8 +585,8 @@ def _orientations(gen):
 
 def _proofs(requests, dim):
     """Each request's exact test: the Schwartz-Zippel bound of its proof, or
-    None where it is not proven, and a tape of the proven requests (None if
-    there is none).
+    None where it is not proven, and the tape of every request it proved
+    them on.
 
     A request is proven when every coefficient vanished in each trial of
     ex._Tape.prove, params included as unknowns, so that it vanishes for
@@ -604,9 +604,6 @@ def _proofs(requests, dim):
         proven = (k < tape.failed_at and bound <= FALSE_PASS_BOUND
                   and all(vanished[j] for j in roots))
         proofs.append(bound if proven else None)
-    proven = [r for r, proof in zip(requests, proofs) if proof is not None]
-    if len(proven) < len(requests):
-        tape = fm._RequestTape(proven, dim) if proven else None
     return proofs, tape
 
 
@@ -618,8 +615,8 @@ class _Suite:
     evaluates at the sample points, in check order, as one tape.  The lcK
     pair is tested exactly first (``proofs``, each proof's false-pass bound
     or None): a proven one is only checked for errors there, and its float
-    residual comes from the tape ``cross_check``, which runs at the first
-    CROSS_CHECK_POINTS points, and at every point where that residual
+    residual comes from its proof's tape ``cross_check``, which runs at the
+    first CROSS_CHECK_POINTS points, and at every point where that residual
     reaches the tolerance.
     """
 
@@ -731,17 +728,18 @@ def run_suite(entry: HopfSurfaceCatalogEntry,
     reports = []
 
     if suite.lck:
-        # The proven requests' values at the first points, and at all of
-        # them where a float residual there reaches the tolerance.
-        head, checked, sampled, j = pts[:CROSS_CHECK_POINTS], None, None, 0
-        for name, proof in zip(("lck_residual", "lee_closedness"),
-                               suite.proofs):
+        # A proven request's values come from its proof's tape, at the
+        # first points, and at all of them where a float residual there
+        # reaches the tolerance.
+        head, checked, sampled = pts[:CROSS_CHECK_POINTS], None, None
+        names = ("lck_residual", "lee_closedness")
+        for i, (name, proof) in enumerate(zip(names, suite.proofs)):
             res = values[k]  # raises the error of a failing request
             k += 1
             if proof is not None:
                 if checked is None:
                     checked = suite.cross_check.run(head, binding)
-                res, j = checked[j], j + 1
+                res = checked[i]
                 residual = float(res.max(initial=0.0))
                 if residual < tol:
                     reports.append(_report(
@@ -756,7 +754,7 @@ def run_suite(entry: HopfSurfaceCatalogEntry,
                 # Rounding, or an identity that holds only modulo the prime.
                 if sampled is None:
                     sampled = suite.cross_check.run(pts, binding)
-                res = sampled[j - 1]
+                res = sampled[i]
             reports.append(_report(
                 name, res.max(initial=0.0), tol, npts, seed,
                 {"method": "sampled", "worst_points": _worst_points(pts, res)}))

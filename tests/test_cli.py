@@ -247,6 +247,21 @@ class TestVerifyCommand:
         code, _, err = run(capsys, ["verify", "--file", conf])
         assert code == 2 and "dimension n" in err and "2.5" in err
 
+    @pytest.mark.parametrize("command", ["verify", "solve-lee"])
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_oversized_dimension_rejected(self, capsys, tmp_path, command,
+                                          source):
+        n = 10 ** 20
+        argv = [command, "--entry", "example2", "--n", str(n)]
+        if source == "file":
+            argv = [command, "--file", write_json(
+                tmp_path / "conf.json",
+                {"entry": "example2", "parameters": {"n": n}})]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == ("error: example2 needs dimension 2 <= n <= %d, got "
+                       "n = %d\n" % (hopf.MAX_DIMENSION, n))
+
     def test_non_finite_parameter_rejected(self, capsys):
         code, _, err = run(capsys, ["verify", "--entry", "vaisman",
                                     "--r1", "nan"])
@@ -986,5 +1001,8 @@ class TestMapDegreeCap:
             [{"monomial": [0, 1], "coeff": [0.5, 0]}]]})
         code, out, err = run(capsys, argv + ["--file", path])
         assert (code, out) == (2, "") and err.count("\n") == 1
-        assert err.startswith("error: monomial (%d, 0) of degree %d exceeds"
-                              % (exponent, exponent))
+        # An exponent past 15 digits is shown by its order of magnitude.
+        shown = "~10^400" if exponent > 10 ** 15 else str(exponent)
+        assert err.startswith("error: monomial (%s, 0) of degree %s exceeds"
+                              % (shown, shown))
+        assert len(err) < 80

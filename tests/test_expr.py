@@ -442,21 +442,34 @@ class TestTapeKernels:
         entry = hp.build_entry("vaisman")
         suite, _ = vf._suite(entry, vf._generator_list(entry.group))
         # The lcK pair's own tape divides; the suite's tape has the proven
-        # pair's divisor checks (a Div node whose one child is the divisor)
-        # and the divisions of the other checks.
+        # pair's divisor guards and the divisions of the other checks.  A
+        # division is a guard of its divisor's slot, unless that slot has
+        # one already, and a bare quotient.
         for tape, counts in ((suite.cross_check.tape, (56, 5)),
-                             (suite.requests.tape, (29, 7))):
-            divs = [(i, rule, kids[-1]) for i, (rule, node, kids)
-                    in enumerate(tape.ops) if isinstance(node, ex.Div)]
+                             (suite.requests.tape, (24, 7))):
+            ops = [(i, rule, node, kids) for i, (rule, node, kids)
+                   in enumerate(tape.ops) if isinstance(node, ex.Div)]
+            guards = [(i, node, kids[0]) for i, rule, node, kids in ops
+                      if rule is ex._check_divisor]
+            quotients = [(i, node, kids[1]) for i, rule, node, kids in ops
+                         if rule is ex._apply_quotient]
+            assert len(ops) == len(guards) + len(quotients)
+            assert (len(quotients), len(guards)) == counts
+            guarded = {den: i for i, _, den in guards}
+            assert len(guarded) == len(guards)  # one guard per slot
             first = {}
-            for i, _, den in divs:
-                first.setdefault(den, i)
-            guarded = [i for i, rule, _ in divs
-                       if rule in (ex._apply_div, ex._check_divisor)]
-            assert (len(divs), len(guarded)) == counts
-            assert guarded == sorted(first.values())
-            assert all(rule is ex._apply_quotient
-                       for i, rule, _ in divs if i not in guarded)
+            for i, node, den in quotients:
+                first.setdefault(den, (i, node))
+                assert guarded[den] < i
+            # A guard comes just before the first division by its slot, or
+            # tests a divisor in the group of a checked root, which divides
+            # by nothing.
+            for i, node, den in guards:
+                if den in first and first[den][1] is node:
+                    assert first[den][0] == i + 1
+                else:
+                    assert [s for start, stop, s, _ in tape.groups
+                            if start <= i < stop] == [None]
 
     def test_frees_drop_each_slot_after_its_last_consumer(self):
         z1, zb1 = ex.z(1), ex.zbar(1)
@@ -466,13 +479,42 @@ class TestTapeKernels:
         freed = [s for f in tape.frees for s in f]
         assert len(freed) == len(set(freed))
         assert not set(freed) & set(tape.roots)
-        # Every slot but the roots is freed after the last op that reads it.
+        # Every slot but the roots is freed after the last op that reads it;
+        # a guard's slot, which nothing reads, is the only one unread.
+        unread = []
         for s in range(len(tape.ops)):
             readers = [i for i, (_, _, kids) in enumerate(tape.ops)
                        if s in kids]
             if s in tape.roots:
                 continue
-            assert s in tape.frees[max(readers)]
+            if readers:
+                assert s in tape.frees[max(readers)]
+            else:
+                unread.append(s)
+        assert [tape.ops[s][0] for s in unread] == [ex._check_divisor]
+        assert not set(unread) & set(freed)
+
+    @pytest.mark.parametrize("checked", [0, 1])
+    def test_checked_and_ordinary_root_share_one_divisor_guard(self, checked):
+        den = ex.add(ex.z(1), ex.const(3.0))
+        roots = [ex.div(ex.z(2), den), ex.div(ex.zbar(2), den)]
+        tape = ex._Tape(roots, {checked})
+        rules = [rule for rule, _, _ in tape.ops]
+        assert rules.count(ex._check_divisor) == 1
+        assert rules.count(ex._apply_quotient) == 1
+        pts = annulus_points(2, 100, seed=7)
+        calls = []
+        assert tape.run(pts, lambda lo, k, v: calls.append((k, v))) is None
+        ordinary = 1 - checked
+        assert [k for k, _ in calls] == [ordinary]
+        assert _same_bits(calls[0][1], _reference_values(
+            [roots[ordinary]], pts, {})[0])
+        # A zero divisor fails the first root, checked or not.
+        pts[40, 0] = -3.0
+        failure = tape.run(pts, lambda *_: None)
+        assert failure.root == 0
+        assert isinstance(failure.cause, ex.DivisionNearZero)
+        assert failure.cause.point == tuple(pts[40])
 
     # Two coefficients divide by the same z1 - 0.5, which vanishes at point
     # k (second chunk); only the first division on that slot tests it.  In
@@ -678,15 +720,19 @@ class TestTapeBits:
 
     def test_a_slots_later_negative_power_and_log_skip_its_check(self):
         # The second negative power of a base, and a log whose argument a
-        # checked root has tested, run their rules without the check.
+        # checked root has tested, get no second guard.
         base = ex.add(ex.z(1), ex.const(3.0))
         lg = ex.log(ex.add(ex.z(2), ex.const(2.0 + 1j)))
         roots = [ex.mul(lg, ex.z(1)), ex.intpow(base, -1),
                  ex.add(ex.intpow(base, -2), ex.mul(lg, ex.zbar(1)))]
         tape = ex._Tape(roots, checked={0})
         rules = [rule for rule, _, _ in tape.ops]
-        assert rules.count(ex._apply_power) == 1
+        assert rules.count(ex._check_base) == 1
+        assert rules.count(ex._check_log) == 1
+        assert rules.count(ex._apply_power) == 2
         assert rules.count(ex._apply_logarithm) == 1
+        assert rules.index(ex._check_base) < rules.index(ex._apply_power)
+        assert rules.index(ex._check_log) < rules.index(ex._apply_logarithm)
         calls = []
         assert tape.run(self.POINTS, lambda lo, k, v: calls.append((k, v))) \
             is None

@@ -120,6 +120,11 @@ class TestExample2:
             hp.example2_potential(mu=1.0)
         with pytest.raises(hp.BadParameter, match="dimension"):
             hp.example2_potential(n=1)
+        # Refused by name before the n x n generator is built, which at
+        # 10^20 would be numpy's "Maximum allowed dimension exceeded".
+        for n in (hp.MAX_DIMENSION + 1, 10 ** 20):
+            with pytest.raises(hp.BadParameter, match="got n = %d$" % n):
+                hp.example2_entry(n=n)
 
 
 class TestKodaira:

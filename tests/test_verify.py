@@ -759,6 +759,30 @@ class TestExactIdentities:
         closed = by_name["lee_closedness"]
         assert closed.passed and closed.details["method"] == "exact-modular"
 
+    def test_proven_identity_beside_a_sampled_one_keeps_its_residual(self):
+        # theta + d|z1|^2 keeps d theta = 0 but breaks d Omega = theta ^
+        # Omega: the proven closedness is cross-checked on its own values,
+        # the float residual of d theta at the first points.
+        e1 = hp.build_entry("example1")
+        bump = fm.exterior_d(fm.scalar_form(2, ex.mul(ex.z(1), ex.zbar(1))))
+        config = vf.SuiteConfig(points=self.POINTS, seed=5)
+        forms, pts, by_name = self.run_by_hand(
+            "example1", {"theta": e1.forms["theta"] + bump}, config)
+        lck = by_name["lck_residual"]
+        assert lck.status == "fail"
+        self.assert_sampled(lck, forms, pts)
+        head = pts[:vf.CROSS_CHECK_POINTS]
+        res = _residual_one_form_at_a_time(fm.exterior_d(forms["theta"]),
+                                           head)
+        closed = by_name["lee_closedness"]
+        assert closed.passed and closed.max_residual == 0.0
+        assert closed.details == {
+            "method": "exact-modular", "prime": ex.MODULAR_PRIME,
+            "trials": ex.MODULAR_TRIALS,
+            "false_pass_bound": vf.FALSE_PASS_BOUND,
+            "float_residual": res.max(initial=0.0),
+            "worst_points": vf._worst_points(head, res)}
+
     def test_tolerance_below_rounding_is_sampled(self):
         # The proof holds, but a tolerance below the float residual of the
         # cross-check sends both identities back to sampling, which fails.
