@@ -62,6 +62,15 @@ def _load_config_file(path: str) -> dict:
     if not isinstance(params, dict):
         raise ValueError("config 'parameters' must be an object")
     obj = dict(obj)
+    defaults = _catalog_parameters()
+    for k, v in params.items():
+        # An integer past the float range is no value of any kind.
+        if (k in defaults and type(v) is int
+                and not abs(v) <= sys.float_info.max):
+            raise ValueError(
+                "parameter %s: the catalog needs %s %s in the float range, "
+                "got %s" % (k, hopf._NUMBER_KINDS[type(defaults[k])][1], k,
+                            mp._brief(v)))
     obj["parameters"] = {
         k: mp._json_complex(v, "parameter %s =" % k) if isinstance(v, list)
         else ex._json_number("parameter %s" % k, v) for k, v in params.items()}

@@ -46,11 +46,19 @@ numbers by binding them, with no new construction.  Implicit-time weights
 may be params too.
 
 A tape also runs over the integers modulo the prime MODULAR_PRIME
-(:meth:`_Tape.prove`), with each z_i, zbar_i, exp, log, implicit time and
-param an independent unknown drawn at random: a root that vanishes in every
-trial is zero as a rational function of those unknowns, except with a
-probability that its degree bounds (the Schwartz-Zippel lemma), and so for
-every binding and at every point where it can be evaluated.
+(:meth:`_Tape.prove`), with each z_i, zbar_i, log, implicit time and param
+an independent unknown drawn at random: a root that vanishes in every trial
+is zero as a rational function of those unknowns, except with a probability
+that its degree bounds (the Schwartz-Zippel lemma), and so for every binding
+and at every point where it can be evaluated.  An exp whose argument is a
+polynomial sum_m c_m m in those symbols with Gaussian-integer coefficients
+is the product of the powers exp(m)^Re(c_m) exp(i m)^Im(c_m), each exp(m)
+and exp(i m) an unknown of its own, so that exp(a) exp(b) = exp(a + b)
+holds there; any other exp is an unknown.
+
+Substitution knows one identity of the implicit time: moving its arguments
+z_k, zbar_k to exp(u_k) z_k, exp(v_k) zbar_k with u_k + v_k = -2 s r_k for
+every k, the same real s, adds s to it (the time-s flow of its weights).
 """
 
 from __future__ import annotations
@@ -59,6 +67,7 @@ import cmath
 import math
 import random
 import weakref
+from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -628,6 +637,107 @@ def _degree_pow(e, d):
     return (k * a, k * b) if k > 0 else (-k * b, -k * a)
 
 
+# An exp argument as sum_m c_m m: a dict from each monomial m, a frozenset
+# of (symbol, power) pairs over z_i, zbar_i, params and implicit times, to
+# its nonzero coefficient c_m, exact as a pair (re, im) of ints or
+# Fractions.  A polynomial of more than _EXPANSION_TERMS terms is not
+# expanded.
+_EXPANSION_TERMS = 32
+_SYMBOLS = (Var, ConjVar, Param, ImplicitT)
+
+
+def _plus(a, b, sign=1):
+    total = dict(a)
+    for m, (x, y) in b.items():
+        p, q = total.pop(m, (0, 0))
+        p, q = p + sign * x, q + sign * y
+        if p or q:
+            total[m] = (p, q)
+    return total if len(total) <= _EXPANSION_TERMS else None
+
+
+def _times(a, b):
+    total = {}
+    for m, (p, q) in a.items():
+        for k, (x, y) in b.items():
+            powers = dict(m)
+            for symbol, e in k:
+                powers[symbol] = powers.get(symbol, 0) + e
+            total = _plus(total, {frozenset(powers.items()):
+                                  (p * x - q * y, p * y + q * x)})
+            if total is None:
+                return None
+    return total
+
+
+def _expand(node, kids):
+    """``node`` as sum_m c_m m from its children's expansions, or None."""
+    if isinstance(node, _SYMBOLS):
+        return {frozenset([(node, 1)]): (1, 0)}
+    if None in kids:
+        return None
+    if isinstance(node, Const):
+        v = node.value
+        if not cmath.isfinite(v):
+            return None
+        c = (Fraction(v.real), Fraction(v.imag))
+        return {frozenset(): c} if any(c) else {}
+    if isinstance(node, (Add, Sub)):
+        return _plus(kids[0], kids[1], 1 if isinstance(node, Add) else -1)
+    if isinstance(node, Mul):
+        return _times(*kids)
+    # A sum of two terms has more than _EXPANSION_TERMS terms at any higher
+    # power.
+    if isinstance(node, IntPow) and 0 < node.power <= _EXPANSION_TERMS:
+        total = kids[0]
+        for _ in range(node.power - 1):
+            total = total and _times(total, kids[0])
+        return total
+    return None
+
+
+def _exponents(e):
+    """``e`` as sum_m c_m m (see _EXPANSION_TERMS), or None where it is not
+    a polynomial in the symbols of at most that many terms."""
+    terms = {}
+    for node in _post_order(e, terms.__contains__):
+        terms[node] = _expand(node, [terms[c] for c in node.args])
+    return terms[e]
+
+
+def _exp_powers(e):
+    """exp node ``e`` as [((m, 0), Re c_m)] + [((m, 1), Im c_m)] for its
+    argument sum_m c_m m, the nonzero integer powers of exp(m) and exp(i m)
+    whose product it is; None unless every c_m is a Gaussian integer."""
+    terms = _exponents(e.args[0])
+    if terms is None or any(x.denominator != 1 or y.denominator != 1
+                            for x, y in terms.values()):
+        return None
+    return [((m, part), int(c)) for m, pair in terms.items()
+            for part, c in enumerate(pair) if c]
+
+
+def _modular_exp(e, v, draw):
+    powers = _exp_powers(e)
+    if powers is None:
+        return draw(e)
+    value = 1
+    for key, k in powers:
+        r = draw(key)
+        if k < 0 and r == 0:
+            return None
+        value = value * pow(r, k, _P) % _P
+    return value
+
+
+def _degree_exp(e, d):
+    powers = _exp_powers(e)
+    if powers is None:
+        return 1, 0
+    return (sum(k for _, k in powers if k > 0),
+            sum(-k for _, k in powers if k < 0))
+
+
 def _derive_div(e, d, *_):
     a, b = e.args
     return div(sub(mul(d[0], b), mul(a, d[1])), mul(b, b))
@@ -655,9 +765,54 @@ def _derive_implicit(e, d, *_):
 def _rebuild_implicit(e, kids, zs, zbs, conj):
     # t is real, so conjugation swaps its argument families: the result is
     # the same node again for the default arguments.
-    n = len(e.weights)
+    n, weights = len(e.weights), _weights(e, kids)
     a, b = kids[:n], kids[n:2 * n]
-    return implicit_t(_weights(e, kids), *((b, a) if conj else (a, b)))
+    if conj:
+        a, b = b, a
+    s = _flow_time(e, a, b, weights)
+    if s is None:
+        return implicit_t(weights, a, b)
+    return add(implicit_t(weights), const(s))
+
+
+def _exp_factor(x, variable):
+    """u where ``x`` is exp(u) * variable (either order), else None."""
+    if isinstance(x, Mul) and variable in x.args:
+        other = x.args[0] if x.args[1] is variable else x.args[1]
+        if isinstance(other, Exp):
+            return other.args[0]
+    return None
+
+
+def _flow_time(e, a, b, weights):
+    """The real s by which implicit time ``e`` moves when its default
+    arguments become ``a``, ``b``, or None.
+
+    If a_k = exp(u_k) z_k and b_k = exp(v_k) zbar_k with u_k + v_k = -2 s
+    w_k for each weight w_k, one s for all k, then sum_k a_k b_k e^{2 w_k t}
+    = sum_k |z_k|^2 e^{2 w_k (t - s)}, which is strictly increasing in t,
+    so t(a, b) = t(z, zbar) + s.  Each u_k + v_k and w_k is compared by
+    its expansion (see _exponents), so s is exact.
+    """
+    n = len(weights)
+    if e.args[:2 * n] != tuple(map(z, range(1, n + 1))) + tuple(
+            map(zbar, range(1, n + 1))):
+        return None
+    shifts = set()
+    for k, w in enumerate(weights):
+        u, v = _exp_factor(a[k], z(k + 1)), _exp_factor(b[k], zbar(k + 1))
+        if u is None or v is None:
+            return None
+        total, scale = _exponents(add(u, v)), _exponents(_coerce(w))
+        if total is None or scale is None or len(scale) != 1:
+            return None
+        (m, (c, _)), = scale.items()
+        x, y = total.pop(m, (0, 0))
+        if total or y:
+            return None
+        shifts.add(Fraction(-x) / (2 * c))
+    s = shifts.pop()
+    return float(s) if not shifts and float(s) == s else None
 
 
 def _json_number(what, value, kind=float):
@@ -736,9 +891,10 @@ def _binary(symbol, make, apply, modular, degree, derive, check=_cannot_fail):
                  lambda e, s: "(%s %s %s)" % (s[0], symbol, s[1]))
 
 
-def _unary(name, make, apply, derive, check=_cannot_fail):
-    # exp and log: symbols over the integers mod p.
-    return _Kind(1, apply, check, _modular_symbol, _degree_symbol,
+def _unary(name, make, apply, derive, check=_cannot_fail,
+           modular=_modular_symbol, degree=_degree_symbol):
+    # exp and log; a log is a symbol over the integers mod p.
+    return _Kind(1, apply, check, modular, degree,
                  lambda e, k, *_: make(k[0]), derive, _no_fields,
                  lambda f, k: make(k[0]), lambda e, s: "%s(%s)" % (name, s[0]))
 
@@ -788,7 +944,8 @@ _KINDS = {
         lambda f, k: intpow(k[0], _json_number("value", f["value"], int)),
         lambda e, s: "%s^%d" % (s[0], e.power)),
     Exp: _unary("exp", exp, lambda e, v, pts, out=None: np.exp(v[0], out=out),
-                lambda e, d, *_: mul(e, d[0])),
+                lambda e, d, *_: mul(e, d[0]), modular=_modular_exp,
+                degree=_degree_exp),
     Log: _unary("log", log, _apply_logarithm,
                 lambda e, d, *_: div(d[0], e.args[0]),
                 lambda e: (_check_log, 0)),
@@ -1186,7 +1343,9 @@ class _Tape:
         """Every root's residue mod MODULAR_PRIME and its numerator degree.
 
         The operations run over the integers mod p, each symbol (z_i,
-        zbar_i, exp, log, implicit time, param) at ``draw(node)``.  A
+        zbar_i, log, implicit time, param, an exp that is not a product of
+        powers) at ``draw(node)``, and each exp(m) or exp(i m) of the
+        others (see _exp_powers) at ``draw((m, part))``.  A
         residue is None where a divisor or negative-power base below the
         root is 0.  The degree bounds the numerator of the root as a
         rational function of the symbols.  For a tape with no checked root.
@@ -1209,8 +1368,8 @@ class _Tape:
         """Whether each root vanished in MODULAR_TRIALS trials of
         :meth:`modular`, and each root's numerator degree.
 
-        In each trial every symbol takes a residue drawn uniformly from the
-        integers mod p by random.Random(MODULAR_SEED).  A root with a
+        In each trial every symbol takes one residue drawn uniformly from
+        the integers mod p by random.Random(MODULAR_SEED).  A root with a
         divisor that is 0 in some trial has not vanished.  By the
         Schwartz-Zippel lemma, a root that is not identically zero (and
         whose numerator is not 0 mod p) vanishes in one trial with
@@ -1220,8 +1379,14 @@ class _Tape:
         rng = random.Random(MODULAR_SEED)
         vanished = [True] * len(self.roots)
         for _ in range(MODULAR_TRIALS):
-            values, degrees = self.modular(
-                lambda node: rng.randrange(MODULAR_PRIME))
+            drawn = {}
+
+            def draw(symbol):
+                if symbol not in drawn:
+                    drawn[symbol] = rng.randrange(MODULAR_PRIME)
+                return drawn[symbol]
+
+            values, degrees = self.modular(draw)
             vanished = [v and r == 0 for v, r in zip(vanished, values)]
         return vanished, degrees
 

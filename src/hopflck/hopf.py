@@ -23,9 +23,10 @@ graded weights (0, 1, ..., n-1) melt the superdiagonal of a Jordan matrix.
 
 The table ``_CATALOG`` gives each entry's parameters (a default's type is
 its parameter's kind), its deck generator and its :class:`EntryTemplate`:
-forms and potential written once over numbers or :func:`~hopflck.expr.param`
-leaves, built from the entry's numbers on first access of ``forms`` and
-compiled over params once by :func:`hopflck.verify.run_suite`.
+forms, potential and deck generator written once over numbers or
+:func:`~hopflck.expr.param` leaves, built from the entry's numbers on first
+access of ``forms`` and compiled (and proven) over params once by
+:func:`hopflck.verify.run_suite`.
 :func:`build_entry` and the command-line flags read their parameters there.
 
 On the Vaisman entry: the raw weighted 1-form returned by
@@ -76,24 +77,46 @@ class UnknownEntry(KeyError):
 
 
 class EntryTemplate(NamedTuple):
-    """How a catalog entry writes its forms and potential.
+    """How a catalog entry writes its forms, potential and deck generator.
 
-    ``write(*fixed, **inputs)`` returns (forms, potential).  ``fixed`` sets
-    the shape, such as the dimension.  Each input may be a number or the
-    ex.param of its name: with the entry's numbers, ``inputs``, it gives the
-    entry's forms; with params it gives the template, over which the
-    entry's numbers are a binding.
+    ``write(*fixed, **inputs)`` returns (forms, potential, generator), the
+    generator as the expressions of its components.  ``fixed`` sets the
+    shape, such as the dimension.  Each input may be a number or stand for
+    the params of its name, ``key`` for a real input and ``key.re`` + i
+    ``key.im`` for a complex one: with the entry's numbers, ``inputs``, it
+    gives the entry's forms; with params it gives the template, over which
+    the entry's numbers are a binding.  ``generator`` is the entry's deck
+    generator, the map that ``write`` gives at ``inputs``.
     """
 
     write: Callable
     inputs: dict
     fixed: tuple = ()
+    generator: PolyAutomorphism | None = None
+
+    def arguments(self, symbolic: bool = False) -> dict:
+        """The inputs ``write`` takes: the entry's numbers, or their params."""
+        if not symbolic:
+            return self.inputs
+        return {key: ex.add(ex.param(key + ".re"),
+                            ex.mul(1j, ex.param(key + ".im")))
+                if isinstance(value, complex) else ex.param(key)
+                for key, value in self.inputs.items()}
+
+    def binding(self) -> dict:
+        """Each param of the symbolic arguments bound to its number."""
+        binding = {}
+        for key, value in self.inputs.items():
+            if isinstance(value, complex):
+                binding[key + ".re"], binding[key + ".im"] = (value.real,
+                                                              value.imag)
+            else:
+                binding[key] = value
+        return binding
 
     def build(self, symbolic: bool = False):
-        inputs = self.inputs
-        if symbolic:
-            inputs = {key: ex.param(key) for key in inputs}
-        return self.write(*self.fixed, **inputs)
+        """(forms, potential) as ``write`` gives them."""
+        return self.write(*self.fixed, **self.arguments(symbolic))[:2]
 
 
 class HopfSurfaceCatalogEntry:
@@ -156,7 +179,7 @@ def _norm_squared(n: int) -> ex.Expression:
     return total
 
 
-def _example1_forms():
+def _example1_forms(mu):
     n = 2
     rho = _norm_squared(n)
     rho2 = ex.mul(rho, rho)
@@ -177,16 +200,22 @@ def _example1_forms():
         (0, 3): ex.div(ex.mul(ex.const(-2j), ex.mul(ex.zbar(1), ex.z(2))), rho2),
         (1, 2): ex.div(ex.mul(ex.const(-2j), ex.mul(ex.zbar(2), ex.z(1))), rho2),
     }
-    return {"Omega": fm.form_from_terms(n, 2, omega_terms),
-            "theta": fm.form_from_terms(n, 1, theta_terms),
-            "psi": fm.form_from_terms(n, 1, psi_terms),
-            "fubini_study": fm.form_from_terms(n, 2, fs_terms)}, None
+    forms = {"Omega": fm.form_from_terms(n, 2, omega_terms),
+             "theta": fm.form_from_terms(n, 1, theta_terms),
+             "psi": fm.form_from_terms(n, 1, psi_terms),
+             "fubini_study": fm.form_from_terms(n, 2, fs_terms)}
+    return forms, None, _scaled_coordinates(mu, n)
 
 
 # ---------------------------------------------------------------------------
 # example2: the Kähler potential on the punctured space; the deck
 # generator z -> mu z of both examples
 # ---------------------------------------------------------------------------
+
+
+def _scaled_coordinates(mu, n):
+    """(mu z_1, ..., mu z_n), mu a number or an expression."""
+    return tuple(ex.mul(mu, ex.z(k)) for k in range(1, n + 1))
 
 
 def _homothety(name, mu, n) -> PolyAutomorphism:
@@ -202,10 +231,11 @@ def _homothety(name, mu, n) -> PolyAutomorphism:
     return PolyAutomorphism.from_matrix(matrix)
 
 
-def _example2_forms(n):
+def _example2_forms(n, mu):
     phi = _norm_squared(n)
-    return {"Omega": fm.kaehler_form(n, phi),
-            "theta": fm.ExteriorForm(n, 1, {})}, phi
+    forms = {"Omega": fm.kaehler_form(n, phi),
+             "theta": fm.ExteriorForm(n, 1, {})}
+    return forms, phi, _scaled_coordinates(mu, n)
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +243,11 @@ def _example2_forms(n):
 # ---------------------------------------------------------------------------
 
 
-def _no_forms():
-    return {}, None
+def _kodaira_forms(alpha, t):
+    """No forms; the generator (alpha z1 + t z2, alpha z2)."""
+    z1, z2 = ex.z(1), ex.z(2)
+    return {}, None, (ex.add(ex.mul(alpha, z1), ex.mul(t, z2)),
+                      ex.mul(alpha, z2))
 
 
 def family_to_linear(g: PolyAutomorphism) -> ScalingFamily:
@@ -347,13 +380,16 @@ def _vaisman_deck(r1, r2, p1, p2) -> PolyAutomorphism:
         [cmath.exp(complex(-r1, p1)), cmath.exp(complex(-r2, p2))])
 
 
-def _vaisman_forms(r1, r2):
-    """Omega, theta and psi of vaisman_entry; weights numbers or params."""
+def _vaisman_forms(r1, r2, p1, p2):
+    """Omega, theta and psi of vaisman_entry and its generator z_k ->
+    exp(-r_k + i p_k) z_k; weights and phases numbers or params."""
     t = ex.implicit_t((r1, r2))
     theta = fm.exterior_d(fm.scalar_form(2, t))
     psi = _transported_contact_form(r1, r2)
     omega = fm.exterior_d(psi) - fm.wedge(theta, psi)
-    return {"Omega": omega, "theta": theta, "psi": psi}, None
+    generator = tuple(ex.mul(ex.exp(ex.sub(ex.mul(1j, p), r)), ex.z(k))
+                      for k, (r, p) in enumerate(((r1, p1), (r2, p2)), 1))
+    return {"Omega": omega, "theta": theta, "psi": psi}, None, generator
 
 
 # ---------------------------------------------------------------------------
@@ -365,12 +401,11 @@ class _Entry(NamedTuple):
     """A catalog entry: every key it takes, with a default of the key's
     type; ``deck(**parameters)``, its generator, which raises BadParameter
     for inadmissible values; and its template's ``write``, run with the
-    keys ``fixed`` as its shape and ``inputs`` as its inputs."""
+    keys ``fixed`` as its shape and every other key as its inputs."""
 
     defaults: dict
     deck: Callable
     write: Callable
-    inputs: tuple = ()
     fixed: tuple = ()
 
 
@@ -383,9 +418,10 @@ _CATALOG = {
                        _example2_forms, fixed=("n",)),
     # kodaira_family is defined below, its defaults read from this table.
     "kodaira": _Entry({"alpha": 0.5 + 0j, "t": 1 + 0j},
-                      lambda alpha, t: kodaira_family(alpha, t), _no_forms),
+                      lambda alpha, t: kodaira_family(alpha, t),
+                      _kodaira_forms),
     "vaisman": _Entry({"r1": 1.0, "r2": 1.5, "p1": 1.0, "p2": 2.0},
-                      _vaisman_deck, _vaisman_forms, inputs=("r1", "r2")),
+                      _vaisman_deck, _vaisman_forms),
 }
 
 ENTRY_NAMES = tuple(sorted(_CATALOG))
@@ -435,8 +471,9 @@ def build_entry(name: str, parameters=None) -> HopfSurfaceCatalogEntry:
         for key, value in given.items()}}
     generator = spec.deck(**params)
     group = GroupSpec((np.eye(generator.dim, dtype=complex),), generator)
-    template = EntryTemplate(spec.write, {k: params[k] for k in spec.inputs},
-                             tuple(params[k] for k in spec.fixed))
+    template = EntryTemplate(
+        spec.write, {k: v for k, v in params.items() if k not in spec.fixed},
+        tuple(params[k] for k in spec.fixed), generator)
     return HopfSurfaceCatalogEntry(name, generator.dim, None, group, params,
                                    template=template)
 

@@ -81,7 +81,9 @@ class NotJordan(ValueError):
 
 
 def _brief(k):
-    """The natural number ``k`` as written, or as ~10^e past 15 digits."""
+    """The integer ``k`` as written, or as ~10^e (-~10^e) past 15 digits."""
+    if k < 0:
+        return "-" + _brief(-k)
     return str(k) if k < 10 ** 15 else "~10^%d" % round(math.log10(k))
 
 
@@ -252,12 +254,12 @@ class PolyAutomorphism:
         return "<automorphism of C^%d, degree %d>" % (self.dim, self.degree())
 
     def linear_part(self) -> np.ndarray:
-        n = self.dim
-        mat = np.zeros((n, n), dtype=complex)
+        """Entry (i, j) is the coefficient of z_j in component i."""
+        mat = np.zeros((self.dim, self.dim), dtype=complex)
         for i, comp in enumerate(self.components):
-            for j in range(n):
-                mono = tuple(1 if k == j else 0 for k in range(n))
-                mat[i, j] = comp.coeffs.get(mono, 0.0)
+            for mono, c in comp.coeffs.items():
+                if sum(mono) == 1:
+                    mat[i, mono.index(1)] = c
         return mat
 
     def compose(self, other: "PolyAutomorphism") -> "PolyAutomorphism":

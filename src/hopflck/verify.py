@@ -5,8 +5,9 @@ annulus points and reports the worst residual against a tolerance.  Reports
 are plain dataclasses with a fixed JSON shape so that identical inputs
 produce byte-identical output.
 
-The exception is the lcK pair d Omega = theta ^ Omega, d theta = 0 in
-run_suite: each suite first tests it exactly, by evaluating its
+The exception is run_suite's identities, the lcK pair d Omega = theta ^
+Omega, d theta = 0 and the invariance of theta and psi under each deck
+generator: each suite first tests them exactly, by evaluating their
 coefficients at random residues modulo a prime (ex._Tape.prove).  A proven
 identity is no longer sampled at every point: its report carries residual
 0.0, the false-pass bound FALSE_PASS_BOUND, and the float residual at the
@@ -14,7 +15,7 @@ first CROSS_CHECK_POINTS points as a cross-check, while every point is
 still checked for the evaluation errors that sampling would raise.  Where
 that float residual reaches the tolerance the proof is not trusted and the
 identity is sampled at every point after all.  The library functions
-(verify_lck, max_form_residual, ...) stay sampled.
+(verify_lck, verify_invariance, max_form_residual, ...) stay sampled.
 
 Two conventions used throughout:
 
@@ -39,7 +40,7 @@ from . import expr as ex
 from . import forms as fm
 from .hopf import HopfSurfaceCatalogEntry
 from .maps import (FIXED_POINT_TOL, PolyAutomorphism, contraction_test,
-                   fixed_point_free_check, _monomial_sum)
+                   fixed_point_free_check)
 from .sampling import annulus_points
 
 __all__ = [
@@ -101,17 +102,20 @@ class NonPositivePotential(ValueError):
 class VerificationReport:
     """One named check: status is pass exactly when max_residual < tolerance.
 
-    run_suite's lck_residual and lee_closedness reports name their
-    ``method`` in ``details``.  "sampled": ``max_residual`` is the largest
-    residual over the sample points, whose worst are ``worst_points``.
-    "exact-modular": the identity vanished at ``trials`` random points
-    modulo ``prime`` (ex.MODULAR_TRIALS, ex.MODULAR_PRIME), with every
-    param, exp, log and implicit time an unknown, so ``max_residual`` is 0.0;
-    ``false_pass_bound`` (FALSE_PASS_BOUND) bounds the chance that a nonzero
-    identity passes so, and ``float_residual`` and ``worst_points`` come
-    from the float residual at the first CROSS_CHECK_POINTS sample points,
-    which is below the tolerance.  A proven identity whose float residual
-    there is not below the tolerance is reported "sampled".
+    run_suite's lck_residual, lee_closedness and invariance reports name
+    their ``method`` in ``details``.  "sampled": ``max_residual`` is the
+    largest residual over the sample points, whose worst are
+    ``worst_points`` (lcK) or which each generator's ``residual`` gives
+    (invariance).  "exact-modular": the identity vanished at ``trials``
+    random points modulo ``prime`` (ex.MODULAR_TRIALS, ex.MODULAR_PRIME),
+    with every param, exp, log and implicit time an unknown, so
+    ``max_residual`` is 0.0; ``false_pass_bound`` (FALSE_PASS_BOUND) bounds
+    the chance that a nonzero identity passes so, and ``float_residual``
+    with ``worst_points`` (lcK) or each generator's ``float_residual``
+    (invariance) come from the float residual at the first
+    CROSS_CHECK_POINTS sample points, which is below the tolerance.  A
+    proven identity whose float residual there is not below the tolerance
+    is reported "sampled".
     """
 
     check_name: str
@@ -612,32 +616,38 @@ class _Suite:
 
     ``forms``, ``potential`` and the generators' expressions ``deck`` may
     hold params; each run binds them.  ``requests`` holds every form a check
-    evaluates at the sample points, in check order, as one tape.  The lcK
-    pair is tested exactly first (``proofs``, each proof's false-pass bound
-    or None): a proven one is only checked for errors there, and its float
-    residual comes from its proof's tape ``cross_check``, which runs at the
-    first CROSS_CHECK_POINTS points, and at every point where that residual
-    reaches the tolerance.
+    evaluates at the sample points, in check order, as one tape.  The
+    identities, the lcK pair (``lck``) and each invariance under each
+    generator (``invariance``, per form), are tested exactly first
+    (``proofs``, each proof's false-pass bound or None): a proven one is
+    only checked for errors there, and its float residual comes from its
+    proof's tape ``cross_check``, which runs at the first CROSS_CHECK_POINTS
+    points, and at every point where that residual reaches the tolerance.
+    Identity i is request ``at[i]``.
     """
 
     def __init__(self, dim, forms, potential, deck):
         self.tolerance = _auto_tolerance(*forms.values(), potential)
-        self.lck = "Omega" in forms and "theta" in forms
-        self.invariant = [key for key in ("theta", "psi") if key in forms]
-        self.omega11 = None
-        requests, self.proofs, self.cross_check = [], [], None
-        if self.lck:
-            requests += _lck_requests(forms["Omega"], forms["theta"])
-            self.proofs, self.cross_check = _proofs(requests, dim)
+        lck, definite, invariance, self.omega11 = [], [], [], None
+        if "Omega" in forms and "theta" in forms:
+            lck = _lck_requests(forms["Omega"], forms["theta"])
         if "Omega" in forms:
             self.omega11 = fm.bidegree_part(forms["Omega"], 1, 1)
-            requests += fm._definiteness_requests(self.omega11)
-        for key in self.invariant:
-            requests += [_invariance_request(forms[key], g, fm._Max)
-                         for g in deck]
+            definite = fm._definiteness_requests(self.omega11)
+        self.lck, self.invariance = list(range(len(lck))), []
+        for key in ("theta", "psi"):
+            if key in forms:
+                first = len(lck) + len(invariance)
+                self.invariance.append(
+                    (key, list(range(first, first + len(deck)))))
+                invariance += [_invariance_request(forms[key], g, fm._Max)
+                               for g in deck]
+        self.proofs, self.cross_check = _proofs(lck + invariance, dim)
+        self.at = self.lck + [len(definite) + i
+                              for _, ids in self.invariance for i in ids]
         self.requests = fm._RequestTape(
-            requests, dim,
-            {k for k, proof in enumerate(self.proofs) if proof is not None})
+            lck + definite + invariance, dim,
+            {k for k, proof in zip(self.at, self.proofs) if proof is not None})
         self.potential = (None if potential is None
                           else _PotentialCheck(potential, dim))
 
@@ -645,62 +655,39 @@ class _Suite:
 _SUITES: OrderedDict = OrderedDict()
 
 
-def _coefficient_name(k, i, mono):
-    """Name of the coefficient of z^mono in component i of generator k."""
-    return "g%d[%d]%s" % (k, i, mono)
-
-
-def _deck_template(support):
-    """Generator expressions with the given monomials per component, each
-    coefficient the re/im pair of params named after it."""
-    deck = []
-    for k, comps in enumerate(support):
-        exprs = []
-        for i, monos in enumerate(comps):
-            terms = []
-            for mono in monos:
-                name = _coefficient_name(k, i, mono)
-                terms.append((mono, ex.add(
-                    ex.param(name + ".re"),
-                    ex.mul(ex.const(1j), ex.param(name + ".im")))))
-            exprs.append(_monomial_sum(terms))
-        deck.append(tuple(exprs))
-    return deck
-
-
 def _suite(entry, generators):
     """The compiled suite of ``entry`` and the binding to run it with.
 
-    A catalog entry's suite is its template's, with every generator
-    coefficient a param; it is built on the first run of its template
-    (entry and dimension) and generator monomial support, and then kept, up
-    to SUITE_CACHE_SIZE suites.  The binding takes the template's inputs from
-    the entry and each coefficient from its generator, as the group has it.
-    An entry built from its own forms gets a fresh suite and no binding.
+    A catalog entry's suite is its template's, with the deck generator its
+    template writes over params; it is built on the first run of its
+    template (entry and dimension) and generator monomial support, and then
+    kept, up to SUITE_CACHE_SIZE suites.  The binding takes the template's
+    inputs from the entry.  An entry built from its own forms, or whose
+    group is not its template's generator alone, gets a fresh suite of its
+    generators' numbers and no binding.
     """
     template = entry.template
-    if template is None:
+    if template is None or [gen for _, gen in generators] != [
+            template.generator]:
         deck = [gen.as_expressions() for _, gen in generators]
         return _Suite(entry.ambient_dim, entry.forms, entry.potential,
                       deck), {}
-    binding = dict(template.inputs)
-    support = []
-    for k, (_, gen) in enumerate(generators):
-        support.append(tuple(tuple(sorted(c.coeffs)) for c in gen.components))
-        for i, comp in enumerate(gen.components):
-            for mono, c in comp.coeffs.items():
-                name = _coefficient_name(k, i, mono)
-                binding[name + ".re"], binding[name + ".im"] = c.real, c.imag
-    key = (template.write, template.fixed, tuple(support))
+    support = tuple(tuple(tuple(sorted(c.coeffs)) for c in gen.components)
+                    for _, gen in generators)
+    key = (template.write, template.fixed, support)
     suite = _SUITES.pop(key, None)
     if suite is None:
-        forms, potential = template.build(symbolic=True)
-        suite = _Suite(entry.ambient_dim, forms, potential,
-                       _deck_template(support))
+        forms, potential, generator = template.write(
+            *template.fixed, **template.arguments(symbolic=True))
+        suite = _Suite(entry.ambient_dim, forms, potential, [generator])
     _SUITES[key] = suite
     while len(_SUITES) > SUITE_CACHE_SIZE:
         _SUITES.popitem(last=False)
-    return suite, binding
+    return suite, template.binding()
+
+
+_EXACT = {"method": "exact-modular", "prime": ex.MODULAR_PRIME,
+          "trials": ex.MODULAR_TRIALS, "false_pass_bound": FALSE_PASS_BOUND}
 
 
 def run_suite(entry: HopfSurfaceCatalogEntry,
@@ -724,44 +711,39 @@ def run_suite(entry: HopfSurfaceCatalogEntry,
     suite, binding = _suite(entry, generators)
     tol = suite.tolerance if config.tol is None else config.tol
     values = suite.requests.run(pts, binding)
-    k = 0  # where the next check's values start
-    reports = []
+    head, runs, reports = pts[:CROSS_CHECK_POINTS], {}, []
 
-    if suite.lck:
-        # A proven request's values come from its proof's tape, at the
-        # first points, and at all of them where a float residual there
-        # reaches the tolerance.
-        head, checked, sampled = pts[:CROSS_CHECK_POINTS], None, None
-        names = ("lck_residual", "lee_closedness")
-        for i, (name, proof) in enumerate(zip(names, suite.proofs)):
-            res = values[k]  # raises the error of a failing request
-            k += 1
-            if proof is not None:
-                if checked is None:
-                    checked = suite.cross_check.run(head, binding)
-                res = checked[i]
-                residual = float(res.max(initial=0.0))
-                if residual < tol:
-                    reports.append(_report(
-                        name, 0.0, tol, npts, seed,
-                        {"method": "exact-modular",
-                         "prime": ex.MODULAR_PRIME,
-                         "trials": ex.MODULAR_TRIALS,
-                         "false_pass_bound": FALSE_PASS_BOUND,
-                         "float_residual": residual,
-                         "worst_points": _worst_points(head, res)}))
-                    continue
-                # Rounding, or an identity that holds only modulo the prime.
-                if sampled is None:
-                    sampled = suite.cross_check.run(pts, binding)
-                res = sampled[i]
-            reports.append(_report(
-                name, res.max(initial=0.0), tol, npts, seed,
-                {"method": "sampled", "worst_points": _worst_points(pts, res)}))
+    def cross_check(at):
+        if len(at) not in runs:
+            runs[len(at)] = suite.cross_check.run(at, binding)
+        return runs[len(at)]
+
+    def identities(ids):
+        """Whether the identities ``ids`` are reported proven, and their
+        values: each proven one's from its proof's tape at the first
+        points, or, where a float residual there reaches the tolerance
+        (rounding, or an identity that holds only modulo the prime), every
+        one's at every point."""
+        got = [values[suite.at[i]] for i in ids]  # raises their errors
+        if all(suite.proofs[i] is not None for i in ids):
+            checked = [cross_check(head)[i] for i in ids]
+            if all(float(np.max(v, initial=0.0)) < tol for v in checked):
+                return True, checked
+        return False, [v if suite.proofs[i] is None else cross_check(pts)[i]
+                       for i, v in zip(ids, got)]
+
+    for name, i in zip(("lck_residual", "lee_closedness"), suite.lck):
+        proven, (res,) = identities([i])
+        residual = float(res.max(initial=0.0))
+        details = ({**_EXACT, "float_residual": residual} if proven
+                   else {"method": "sampled"})
+        details["worst_points"] = _worst_points(head if proven else pts, res)
+        reports.append(_report(name, 0.0 if proven else residual, tol, npts,
+                               seed, details))
 
     if suite.omega11 is not None:
-        details = _definiteness_summary(suite.omega11, pts, values, k)
-        k += 3
+        details = _definiteness_summary(suite.omega11, pts, values,
+                                        len(suite.lck))
         ok = details.get("is_definite") and details["sign"] is not None
         margin = -details["min_abs_eigenvalue"] if ok else 1.0
         reports.append(_report("definiteness", margin, 0.0, npts, seed,
@@ -771,15 +753,16 @@ def run_suite(entry: HopfSurfaceCatalogEntry,
         reports.append(suite.potential.run(entry.group, pts, tol, seed,
                                            binding))
 
-    for key in suite.invariant:
-        residuals = []
-        for name, _ in generators:
-            residuals.append({"generator": name,
-                              "residual": values[k]})
-            k += 1
-        worst = _worst([0.0] + [g["residual"] for g in residuals])
-        reports.append(_report("invariance_%s" % key, worst, tol, npts, seed,
-                               {"generators": residuals}))
+    for key, ids in suite.invariance:
+        proven, res = identities(ids)
+        worst = _worst([0.0] + res)
+        details = ({**_EXACT, "float_residual": worst} if proven
+                   else {"method": "sampled"})
+        field = "float_residual" if proven else "residual"
+        details["generators"] = [{"generator": name, field: r}
+                                 for (name, _), r in zip(generators, res)]
+        reports.append(_report("invariance_%s" % key, 0.0 if proven else worst,
+                               tol, npts, seed, details))
 
     fpf = fixed_point_free_check(entry.group)
     margin = FIXED_POINT_TOL - fpf.min_distance if fpf.distances else -1.0

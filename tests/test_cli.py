@@ -961,6 +961,21 @@ class TestParameterTable:
         assert (code, out) == (2, "") and err.count("\n") == 1
         assert err.startswith("error: ") and key in err
 
+    @pytest.mark.parametrize("entry,key,kind", [
+        ("example2", "n", "an integer dimension n"),
+        ("vaisman", "r1", "a real number for r1"),
+        ("example1", "mu", "a complex number for mu")])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_integer_past_the_float_range_is_one_short_line(
+            self, capsys, tmp_path, entry, key, kind, sign):
+        conf = write_json(tmp_path / "conf.json", {
+            "entry": entry, "parameters": {key: sign * 10 ** 400}})
+        code, out, err = run(capsys, ["verify", "--file", conf])
+        assert (code, out) == (2, "")
+        assert err == ("error: parameter %s: the catalog needs %s in the "
+                       "float range, got %s~10^400\n"
+                       % (key, kind, "-" if sign < 0 else ""))
+
     def test_n_flag_prints_the_config_file_bytes(self, capsys, tmp_path):
         argv = ["verify", "--points", "200"]
         code, flagged, err = run(capsys, argv + ["--entry", "example2",

@@ -441,12 +441,12 @@ class TestTapeKernels:
     def test_vaisman_suite_guards_each_divisor_once(self):
         entry = hp.build_entry("vaisman")
         suite, _ = vf._suite(entry, vf._generator_list(entry.group))
-        # The lcK pair's own tape divides; the suite's tape has the proven
-        # pair's divisor guards and the divisions of the other checks.  A
-        # division is a guard of its divisor's slot, unless that slot has
-        # one already, and a bare quotient.
-        for tape, counts in ((suite.cross_check.tape, (56, 5)),
-                             (suite.requests.tape, (24, 7))):
+        # The identities' own tape divides; the suite's tape has the proven
+        # identities' divisor guards and the divisions of the definiteness
+        # check.  A division is a guard of its divisor's slot, unless that
+        # slot has one already, and a bare quotient.
+        for tape, counts in ((suite.cross_check.tape, (64, 7)),
+                             (suite.requests.tape, (16, 7))):
             ops = [(i, rule, node, kids) for i, (rule, node, kids)
                    in enumerate(tape.ops) if isinstance(node, ex.Div)]
             guards = [(i, node, kids[0]) for i, rule, node, kids in ops
@@ -1228,3 +1228,117 @@ class TestJsonNumbers:
         obj = {"nodes": [{"op": "z", "index": value}], "root": 0}
         with pytest.raises(ValueError, match="node 0: " + message):
             ex.from_json(obj)
+
+
+class TestExpProductsAndFlow:
+    """The prover's exp(a) exp(b) = exp(a + b), and substitution's t(flow)
+    = t + s, each with controls that must stay unproven or unrewritten."""
+
+    R, P = ex.param("r"), ex.param("p")
+
+    def proven(self, root):
+        return ex._Tape([root]).prove()[0] == [True]
+
+    def test_exp_of_a_sum_is_the_product(self):
+        t = ex.implicit_t((self.R, 1.5))
+        a = ex.add(ex.mul(ex.mul(2.0, self.R), t), ex.mul(ex.z(1), ex.zbar(2)))
+        b = ex.sub(ex.mul(3j, self.P), ex.intpow(ex.add(self.R, ex.z(1)), 2))
+        assert self.proven(ex.sub(ex.mul(ex.exp(a), ex.exp(b)),
+                                  ex.exp(ex.add(a, b))))
+        # exp(-a) is 1 / exp(a), and each power adds to a degree.
+        assert self.proven(ex.sub(ex.mul(ex.exp(ex.mul(-1.0, a)), ex.exp(a)),
+                                  ex.const(1.0)))
+        assert ex._degree_exp(ex.exp(ex.sub(ex.mul(2.0, self.R),
+                                            ex.mul(3.0, self.P))), ()) == (2, 3)
+
+    def test_exp_squared_is_not_exp(self):
+        e = ex.exp(self.R)
+        assert not self.proven(ex.sub(ex.mul(e, e), e))
+
+    def test_non_integer_coefficient_stays_a_symbol(self):
+        # exp(z1 / 2)^2 = exp(z1), but a coefficient 1/2 is no power of
+        # exp(z1), so exp(z1 / 2) stays an unknown of its own.
+        half = ex.exp(ex.mul(0.5, ex.z(1)))
+        assert ex._exp_powers(half) is None
+        assert not self.proven(ex.sub(ex.intpow(half, 2), ex.exp(ex.z(1))))
+
+    def test_opaque_arguments_stay_symbols(self):
+        for arg in (ex.div(ex.z(1), ex.z(2)), ex.log(ex.z(1)),
+                    ex.exp(ex.z(1)), ex.const(float("inf")) * ex.z(1)):
+            assert ex._exp_powers(ex.exp(arg)) is None
+        # Terms beyond _EXPANSION_TERMS are not expanded.
+        big = ex.intpow(ex.add(ex.add(ex.z(1), ex.z(2)), ex.param("q")), 9)
+        assert ex._exponents(big) is None
+        assert len(ex._exponents(ex.intpow(ex.add(ex.z(1), ex.z(2)), 9))) == 10
+
+    @staticmethod
+    def moved(t, rates, phases=(0.5, -1.0)):
+        """t at z_k -> exp(-rates_k + i phases_k) z_k."""
+        return ex.substitute(t, [ex.mul(ex.exp(ex.sub(ex.mul(1j, p), r)),
+                                        ex.z(k))
+                                 for k, (r, p) in enumerate(zip(rates, phases),
+                                                            1)])
+
+    def test_flow_of_the_weights_moves_t_by_s(self):
+        r1, r2 = ex.param("r1"), ex.param("r2")
+        t = ex.implicit_t((r1, r2))
+        assert self.moved(t, (r1, r2)) is ex.add(t, ex.const(1.0))
+        assert self.moved(t, (ex.mul(2.0, r1), ex.mul(2.0, r2))) is \
+            ex.add(t, ex.const(2.0))
+        # A rotation (s = 0) leaves t alone; so does conjugation after it.
+        assert self.moved(t, (ex.const(0.0), ex.const(0.0)),
+                          (self.P, self.P)) is t
+        moved = self.moved(t, (r1, r2))
+        assert ex.formal_conjugate(moved) is moved
+        # Numeric weights (1, 1.5): u_k + v_k = -2 s w_k with s = 1; s must
+        # be a number, not the param q.
+        tn = ex.implicit_t((1.0, 1.5))
+        assert self.moved(tn, (ex.const(1.0), ex.const(1.5)),
+                          (self.P, self.P)) is ex.add(tn, ex.const(1.0))
+        q = ex.param("q")
+        assert isinstance(self.moved(tn, (q, ex.mul(1.5, q))), ex.ImplicitT)
+
+    @pytest.mark.parametrize("rates", [
+        lambda r1, r2: (r2, r1),                      # rates swapped
+        lambda r1, r2: (r1, ex.mul(2.0, r2)),         # s = 1 and s = 2
+        lambda r1, r2: (ex.mul(r1, r1), ex.mul(r1, r2)),  # not -2 s w_k
+    ])
+    def test_other_decks_are_not_rewritten(self, rates):
+        r1, r2 = ex.param("r1"), ex.param("r2")
+        t = ex.implicit_t((r1, r2))
+        moved = self.moved(t, rates(r1, r2))
+        assert isinstance(moved, ex.ImplicitT) and moved is not t
+
+    def test_flow_needs_default_arguments_and_the_exp_factor(self):
+        r1, r2 = ex.param("r1"), ex.param("r2")
+        lam = [ex.exp(ex.sub(ex.mul(1j, ex.const(0.5)), r)) for r in (r1, r2)]
+        # Already moved arguments are not the defaults.
+        twice = ex.implicit_t((r1, r2), [ex.mul(2.0, ex.z(1)), ex.z(2)])
+        assert isinstance(ex.substitute(twice, [ex.mul(lam[0], ex.z(1)),
+                                                ex.mul(lam[1], ex.z(2))]),
+                          ex.ImplicitT)
+        # The same exp(u) on both families: u_k + v_k = 2 u_k is not real.
+        same = [ex.mul(lam[0], ex.z(1)), ex.mul(lam[1], ex.z(2))]
+        assert isinstance(ex.substitute(ex.implicit_t((r1, r2)), same, [
+            ex.mul(lam[0], ex.zbar(1)), ex.mul(lam[1], ex.zbar(2))]),
+            ex.ImplicitT)
+        # A number in place of exp(u) is no flow, even with the flow's value.
+        t = ex.implicit_t((1.0, 1.5))
+        numbers = [ex.mul(ex.const(math.exp(-1.0)), ex.z(1)),
+                   ex.mul(ex.const(math.exp(-1.5)), ex.z(2))]
+        assert isinstance(ex.substitute(t, numbers), ex.ImplicitT)
+
+    def test_flow_rewrite_keeps_the_value(self):
+        r1, r2, p1, p2 = (ex.param(k) for k in ("r1", "r2", "p1", "p2"))
+        t = ex.implicit_t((r1, r2))
+        binding = {"r1": 0.8, "r2": 1.7, "p1": 0.5, "p2": -1.1}
+        moves = [ex.mul(ex.exp(ex.sub(ex.mul(1j, p), ex.mul(2.0, r))), ex.z(k))
+                 for k, (r, p) in enumerate(((r1, p1), (r2, p2)), 1)]
+        moved = ex.substitute(t, moves)
+        assert moved is ex.add(t, ex.const(2.0))
+        # The Newton solve at the moved points agrees with t + 2.
+        pts = annulus_points(2, 50, seed=3)
+        lam = np.exp(-2 * np.array([0.8, 1.7]) + 1j * np.array([0.5, -1.1]))
+        solved = ex._Tape([t]).values(pts * lam, binding)[0]
+        assert np.allclose(ex._Tape([moved]).values(pts, binding)[0], solved,
+                           rtol=0, atol=1e-12)

@@ -164,6 +164,27 @@ class TestPolyAutomorphism:
                                              {(1, 0): 1j, (0, 1): 3.0}])
         assert np.allclose(g.linear_part(), [[2.0, 0.0], [1j, 3.0]])
 
+    def test_linear_part_at_the_largest_dimension(self):
+        # Read off each component's degree-1 monomials, so n = 512 takes
+        # one pass over the coefficients (it built n^2 unit monomials of
+        # length n, 8 s for example2's generator at this n).
+        n = hp.MAX_DIMENSION
+        rng = np.random.default_rng(17)
+        diag = 2.0 * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+        upper = 0.1 * (rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1))
+        unit = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+        tables = [{unit[i]: diag[i]} for i in range(n)]
+        for i in range(n - 1):
+            tables[i][unit[i + 1]] = upper[i]
+        tables[0][tuple(2 * k for k in unit[n - 1])] = 5.0  # z_n^2
+        want = np.diag(diag) + np.diag(upper, 1)
+        g = mp.PolyAutomorphism.from_tables(tables)
+        assert np.array_equal(g.linear_part(), want)
+        mu = 1.5 - 0.5j
+        gen = hp.build_entry("example2", {"n": n, "mu": mu}).group
+        assert np.array_equal(gen.cyclic_generator.linear_part(),
+                              mu * np.eye(n))
+
     def test_compose_agrees_with_pointwise(self):
         g = mp.PolyAutomorphism.from_tables(random_poly_tables(2, 3, seed=11))
         h = mp.PolyAutomorphism.from_tables(random_poly_tables(2, 3, seed=12))

@@ -650,15 +650,27 @@ class TestSuiteOnePass:
                     details["sign"], details["min_abs_eigenvalue"]) == \
                 (alone.is_definite, alone.is_semidefinite, alone.sign,
                  alone.min_abs_eigenvalue)
-        for key in ("theta", "psi"):
-            if key not in forms:
-                continue
-            gens = vf._generator_list(entry.group)
-            got = by_name["invariance_%s" % key].details["generators"]
+        # The catalog's invariances are proven too: each float residual is
+        # that of its request, pullback minus form over the template's
+        # generator, evaluated alone at the first CROSS_CHECK_POINTS points.
+        gens = vf._generator_list(entry.group)
+        suite, binding = vf._suite(entry, gens)
+        assert [key for key, _ in suite.invariance] == [
+            key for key in ("theta", "psi") if key in forms]
+        for key, ids in suite.invariance:
+            report = by_name["invariance_%s" % key]
+            details = report.details
+            assert details["method"] == "exact-modular"
+            assert report.max_residual == 0.0
+            got = details["generators"]
             assert [g["generator"] for g in got] == [n for n, _ in gens]
-            for g, (_, gen) in zip(got, gens):
-                assert g["residual"] == vf.verify_invariance(
-                    forms[key], gen, pts).max_residual
+            for g, i in zip(got, ids):
+                form, _ = suite.cross_check.folds[i]
+                alone = fm._RequestTape([(form, fm._Max)], 2).run(
+                    pts[:vf.CROSS_CHECK_POINTS], binding)[0]
+                assert g["float_residual"] == alone
+            assert details["float_residual"] == max(
+                g["float_residual"] for g in got)
         if entry.potential is not None:
             alone = vf.verify_potential(entry.potential, entry.group, pts,
                                         tolerance=by_name["lck_residual"].tolerance,
@@ -673,9 +685,10 @@ class TestSuiteOnePass:
         vf.run_suite(hp.vaisman_entry(), vf.SuiteConfig(points=300))
         at_samples = [tape for tape, shape in runs if shape == (300, 2)]
         # Form by form this took 7 tapes with 7 implicit solves; the union
-        # holds t(z) and t(lambda z) once each.
+        # holds t(z) once, since the deck moves it to t(z) + 1 (it held
+        # t(lambda z) too while invariance was sampled).
         assert len(at_samples) == 1
-        assert _implicit_ops(at_samples[0]) == 2
+        assert _implicit_ops(at_samples[0]) == 1
 
     def test_lee_solve_runs_one_tape(self, monkeypatch):
         runs = _record_tapes(monkeypatch)
@@ -869,6 +882,100 @@ class TestExactIdentities:
             fm.pointwise_residual(form, pts)  # g alone is not too small
 
 
+def _flow_entry(rates, psi=None, r=(1.0, 1.5), p=(1.0, 2.0)):
+    """vaisman's forms, psi replaced by ``psi`` if given, with the generator
+    z_k -> exp(-rate_k + i p_k) z_k, rates(r1, r2) the rates, written over
+    params by a template so that run_suite proves what it can for all
+    bindings at once; the group holds the same generator in numbers."""
+    def write(r1, r2, p1, p2):
+        forms, potential, _ = hp._vaisman_forms(r1, r2, p1, p2)
+        if psi is not None:
+            forms["psi"] = psi
+        return forms, potential, tuple(
+            ex.mul(ex.exp(ex.sub(ex.mul(1j, q), rate)), ex.z(k))
+            for k, (rate, q) in enumerate(zip(rates(r1, r2), (p1, p2)), 1))
+
+    numbers = dict(zip(("r1", "r2", "p1", "p2"), r + p))
+    gen = mp.PolyAutomorphism.diagonal(
+        [np.exp(complex(-rate, q)) for rate, q in zip(rates(*r), p)])
+    group = mp.GroupSpec((np.eye(2, dtype=complex),), gen)
+    return hp.HopfSurfaceCatalogEntry(
+        "flow", 2, None, group, numbers,
+        template=hp.EntryTemplate(write, numbers, (), gen))
+
+
+class TestDeckProofs:
+    """Invariance under a deck written over params is proven where the
+    deck is the flow of the implicit time's weights, and sampled, and
+    failing where it is not invariant, otherwise."""
+
+    CONFIG = vf.SuiteConfig(points=300, seed=3)
+
+    def invariance(self, entry):
+        reports = vf.run_suite(entry, self.CONFIG)
+        suite, _ = vf._suite(entry, vf._generator_list(entry.group))
+        return suite, {r.check_name: r for r in reports
+                       if r.check_name.startswith("invariance")}
+
+    @pytest.mark.parametrize("name", ["example1", "example2", "vaisman"])
+    def test_catalog_invariance_is_proven(self, name):
+        suite, by_name = self.invariance(hp.build_entry(name))
+        assert by_name and all(p is not None and p <= vf.FALSE_PASS_BOUND
+                               for p in suite.proofs)
+        for report in by_name.values():
+            assert report.passed and report.max_residual == 0.0
+            assert report.details["method"] == "exact-modular"
+            assert report.details["false_pass_bound"] == vf.FALSE_PASS_BOUND
+            assert report.details["float_residual"] < 1e-14
+            assert "worst_points" not in report.details
+
+    def test_time_two_flow_is_proven(self):
+        _, by_name = self.invariance(_flow_entry(lambda r1, r2: (2 * r1,
+                                                                 2 * r2)))
+        assert [r.details["method"] for r in by_name.values()] == [
+            "exact-modular"] * 2
+        assert all(r.passed for r in by_name.values())
+
+    @pytest.mark.parametrize("rates", [lambda r1, r2: (r2, r1),
+                                       lambda r1, r2: (r1, 2 * r2)],
+                             ids=["rates-swapped", "s-per-component"])
+    def test_deck_that_is_not_the_flow_is_sampled_and_fails(self, rates):
+        suite, by_name = self.invariance(_flow_entry(rates))
+        for key, ids in suite.invariance:
+            assert all(suite.proofs[i] is None for i in ids)
+            report = by_name["invariance_" + key]
+            assert report.status == "fail" and report.max_residual > 1e-3
+            assert report.details["method"] == "sampled"
+            assert [g["generator"] for g in report.details["generators"]] \
+                == ["cyclic"]
+
+    def test_raw_weighted_sasaki_fails_by_sampling(self):
+        # The raw contact form is deck-invariant only for equal weights.
+        raw = hp.weighted_sasaki((1.0, 1.5))
+        _, by_name = self.invariance(_flow_entry(lambda r1, r2: (r1, r2),
+                                                 psi=raw))
+        psi = by_name["invariance_psi"]
+        assert psi.status == "fail" and psi.details["method"] == "sampled"
+        theta = by_name["invariance_theta"]
+        assert theta.passed and theta.details["method"] == "exact-modular"
+        # So does the entry built by hand, whose deck is numbers.
+        vaisman = hp.build_entry("vaisman")
+        _, by_name = self.invariance(hp.HopfSurfaceCatalogEntry(
+            "raw", 2, {**vaisman.forms, "psi": raw}, vaisman.group, {}))
+        psi = by_name["invariance_psi"]
+        assert psi.status == "fail" and psi.details["method"] == "sampled"
+
+    def test_proven_invariance_that_rounds_above_the_tolerance_is_sampled(self):
+        config = vf.SuiteConfig(points=300, seed=3, tol=1e-20)
+        reports = vf.run_suite(hp.build_entry("vaisman"), config)
+        for report in reports[3:5]:
+            assert report.check_name.startswith("invariance")
+            assert report.details["method"] == "sampled"
+            assert report.status == "fail" and report.max_residual > 1e-20
+            assert set(report.details["generators"][0]) == {"generator",
+                                                            "residual"}
+
+
 class TestSuiteCache:
     """run_suite compiles each catalog template once and binds each entry's
     numbers to it."""
@@ -927,7 +1034,36 @@ class TestSuiteCache:
         keys = list(vf._SUITES)
         got = vf.reports_to_json(vf.run_suite(by_hand, self.CONFIG))
         assert list(vf._SUITES) == keys  # an entry by hand is not cached
-        assert vf.reports_to_json(vf.run_suite(entry, self.CONFIG)) == got
+        want = vf.reports_to_json(vf.run_suite(entry, self.CONFIG))
+        if name == "vaisman":
+            # A deck by hand holds rounded numbers exp(-r + ip), which are
+            # not exactly the flow of the weights: its invariance is
+            # sampled, where the catalog's deck over params proves it.
+            for mine, theirs in zip(want[3:5], got[3:5]):
+                assert mine["check_name"] == theirs["check_name"]
+                assert mine["status"] == theirs["status"] == "pass"
+                assert mine["details"]["method"] == "exact-modular"
+                assert theirs["details"]["method"] == "sampled"
+            want[3:5], got[3:5] = [], []
+        assert want == got
+
+
+    def test_template_with_another_group_checks_that_group(self):
+        # A template's deck stands for the generator build_entry made with
+        # it; an entry that pairs the template with another group gets the
+        # suite of that group's numbers, uncached, as an entry by hand does.
+        entry = hp.build_entry("vaisman")
+        other = hp.build_entry("vaisman", {"p1": 0.5, "p2": -1.1}).group
+        mixed = hp.HopfSurfaceCatalogEntry(
+            "vaisman", 2, None, other, entry.parameters,
+            template=entry.template)
+        keys = list(vf._SUITES)
+        reports = vf.run_suite(mixed, self.CONFIG)
+        assert list(vf._SUITES) == keys
+        invariance = [r for r in reports
+                      if r.check_name.startswith("invariance")]
+        assert [r.details["method"] for r in invariance] == ["sampled"] * 2
+        assert vf.suite_passed(reports)
 
 
 class TestJsonify:
@@ -973,3 +1109,12 @@ class TestFiniteGenerators:
                                                             "finite[1]"]
         fpf = by_name["fixed_point_free"]
         assert fpf.passed and fpf.details["min_distance"] == 2.0
+        # With the catalog's template in place of the forms, the group's
+        # numbers are the deck too, and both invariances are proven.
+        templated = hp.HopfSurfaceCatalogEntry(
+            "example1-pm", 2, None, group, {}, template=ex1.template)
+        again = {r.check_name: r for r in vf.run_suite(
+            templated, vf.SuiteConfig(points=200))}
+        for key in ("invariance_theta", "invariance_psi"):
+            assert again[key].to_json() == by_name[key].to_json()
+            assert again[key].details["method"] == "exact-modular"
