@@ -48,7 +48,8 @@ import numpy as np
 
 from . import expr as ex
 from . import forms as fm
-from .maps import (GroupSpec, NotJordan, PolyAutomorphism, ScalingFamily)
+from .maps import (GroupSpec, NotJordan, PolyAutomorphism, ScalingFamily,
+                   _brief)
 
 __all__ = [
     "HopfSurfaceCatalogEntry", "EntryTemplate", "BadParameter", "UnknownEntry",
@@ -435,15 +436,18 @@ _NUMBER_KINDS = {complex: (numbers.Complex, "a complex number for"),
 
 def _parameter(name, key, value, kind):
     """``value`` as ``kind``, the type of the key's default; BadParameter
-    unless it is a number of that kind (integral for int) and finite."""
+    unless it is a number of that kind (integral for int), not a boolean,
+    and finite."""
     accepted, noun = _NUMBER_KINDS[kind]
     try:
-        number = kind(value) if isinstance(value, accepted) else None
+        number = (kind(value) if isinstance(value, accepted)
+                  and not isinstance(value, bool) else None)
     except (ValueError, OverflowError):  # int(nan), float(10**400)
         number = None
     if number is None or kind is int and number != value:
-        raise BadParameter("entry %r needs %s %s, got %r"
-                           % (name, noun, key, value))
+        raise BadParameter("entry %r needs %s %s, got %s" % (
+            name, noun, key,
+            _brief(value) if type(value) is int else repr(value)))
     if kind is not int and not cmath.isfinite(number):
         raise BadParameter("entry %r needs finite parameters, got %s = %r"
                            % (name, key, value))

@@ -80,11 +80,19 @@ class NotJordan(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _brief(k):
-    """The integer ``k`` as written, or as ~10^e (-~10^e) past 15 digits."""
+def _brief(k, limit=10 ** 15):
+    """The integer ``k`` as written, or as ~10^e (-~10^e) where |k| reaches
+    ``limit``, by default past 15 digits."""
     if k < 0:
-        return "-" + _brief(-k)
-    return str(k) if k < 10 ** 15 else "~10^%d" % round(math.log10(k))
+        return "-" + _brief(-k, limit)
+    return str(k) if k < limit else "~10^%d" % round(math.log10(k))
+
+
+def _json_text(value) -> str:
+    """``value`` as JSON text for a message, each integer as _brief has it."""
+    if isinstance(value, list):
+        return "[%s]" % ", ".join(map(_json_text, value))
+    return _brief(value) if type(value) is int else json.dumps(value)
 
 
 class Polynomial:
@@ -692,7 +700,7 @@ def _json_complex(pair, what) -> complex:
         except ValueError:
             pass
     raise ValueError("%s %s must be a [re, im] pair of real numbers"
-                     % (what, json.dumps(pair)))
+                     % (what, _json_text(pair)))
 
 
 def map_from_json(obj) -> PolyAutomorphism:

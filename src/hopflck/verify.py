@@ -31,6 +31,7 @@ Two conventions used throughout:
 from __future__ import annotations
 
 import itertools
+import sys
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -39,8 +40,8 @@ import numpy as np
 from . import expr as ex
 from . import forms as fm
 from .hopf import HopfSurfaceCatalogEntry
-from .maps import (FIXED_POINT_TOL, PolyAutomorphism, contraction_test,
-                   fixed_point_free_check)
+from .maps import (FIXED_POINT_TOL, PolyAutomorphism, _brief,
+                   contraction_test, fixed_point_free_check)
 from .sampling import annulus_points
 
 __all__ = [
@@ -254,40 +255,56 @@ def _solve_lee_arrays(Omega: fm.ExteriorForm, points):
     if Omega.degree != 2:
         raise ValueError("Lee solve expects a 2-form")
     n = Omega.ambient_dim
-    nn = 2 * n
     pts = np.asarray(points, dtype=complex)
     m = pts.shape[0]
     both = fm._evaluate_forms(
         [(Omega, fm._Full), (fm.exterior_d(Omega), fm._Full)], pts)
     # Omega's W_ij for i < j and d Omega's V_abc for a < b < c, one row each.
-    pairs = list(itertools.combinations(range(nn), 2))
-    triples = list(itertools.combinations(range(nn), 3))
-    w = np.zeros((len(pairs), m), dtype=complex)
-    v = np.zeros((len(triples), m), dtype=complex)
-    for rows, keys, vals in ((w, pairs, both[0]), (v, triples, both[1])):
-        for k, key in enumerate(keys):
-            if key in vals:
-                rows[k] = vals[key]
+    w, v = (np.array([vals.get(key, np.zeros(m)) for key in
+                      itertools.combinations(range(2 * n), k)], dtype=complex)
+            for vals, k in ((both[0], 2), (both[1], 3)))
     return _lee_solve(w, v, n)
 
 
 def _lee_solve(w, v, n):
     """_solve_lee_arrays from the (pairs, m) array ``w`` of Omega's W_ij,
     i < j, and the (triples, m) array ``v`` of d Omega's V_abc, a < b < c,
-    rows in lexicographic order: closed form on C^2 (see _lee_closed_form),
-    least squares otherwise.  A non-finite W_ij is refused before any solve,
-    naming its first point."""
+    rows in lexicographic order.
+
+    theta ^ Omega = V gives theta_a = sum_{b<c} C_cb V_abc / d (Lefschetz),
+    C and d from _lee_inverse, and one step of iterative refinement follows
+    (theta minus the solution for theta ^ Omega - V).  W and each right-hand
+    side are scaled at each point by powers of two (see _scaled), so nothing
+    overflows or underflows before theta is scaled back.  A non-finite W_ij
+    is refused before any solve, naming its first point.
+    """
     finite = np.isfinite(w).all(axis=0)
     if not finite.all():
         raise DegenerateOmega("2-form has a non-finite coefficient at point %d"
                               % np.argmin(finite))
-    if n != 2:
-        _gate_degeneracy(w, 2 * n, np.arange(w.shape[1]), [])
-        coeffs, residual = _lee_least_squares(w, v, 2 * n)
-    else:
-        theta = _lee_closed_form(w, v)
-        residual = np.abs(_wedge(theta, w) - v).max(axis=0)
-        coeffs = theta.T.copy()
+    nn = 2 * n
+    ws, ew = _scaled(w)
+    c, signs, d = _lee_inverse(w, ws, nn)
+    terms = _contraction_terms(nn, signs)
+
+    def solve(v):
+        vs, ev = _scaled(v)
+        theta = np.empty((nn, v.shape[1]), dtype=complex)
+        for row, ((t, k, negated), *rest) in zip(theta, terms):
+            np.multiply(c[k], vs[t], out=row)
+            if negated:
+                np.negative(row, out=row)
+            for t, k, negated in rest:
+                (np.subtract if negated else np.add)(row, c[k] * vs[t], row)
+        theta /= d
+        parts = theta.view(np.float64)
+        np.ldexp(parts, np.repeat(ev - ew, 2), out=parts)
+        return theta
+
+    theta = solve(v)
+    theta -= solve(_wedge(theta, w, nn) - v)
+    residual = np.abs(_wedge(theta, w, nn) - v).max(axis=0)
+    coeffs = theta.T.copy()
     reality = np.abs(coeffs[:, n:] - np.conj(coeffs[:, :n])).max(axis=1)
     return coeffs, residual, reality
 
@@ -302,26 +319,59 @@ def _wedge_rows(nn):
                              for x, y in ((b, c), (a, c), (a, b)))
 
 
-def _wedge(theta, w):
-    """theta ^ Omega on C^2 as a (triples, m) array, theta as (4, m)."""
-    a, b, c, bc, ac, ab = _wedge_rows(4)
+def _wedge(theta, w, nn):
+    """theta ^ Omega as a (triples, m) array, theta as (nn, m)."""
+    a, b, c, bc, ac, ab = _wedge_rows(nn)
     return theta[a] * w[bc] - theta[b] * w[ac] + theta[c] * w[ab]
 
 
-def _lee_least_squares(w, v, nn):
-    """theta (m, nn) and its residual (m,) by one batched QR solve of each
-    point's design matrix, which must have full column rank."""
+def _contraction_terms(nn, signs):
+    """For each a, the terms (triple, pair k, negated) of sum_{b<c} C_cb
+    V_abc, C_cb = signs[k] C[k]: _wedge transposed, over the triples
+    last-first, so that on C^2 each sum is that of -W *V term by term."""
     a, b, c, bc, ac, ab = _wedge_rows(nn)
-    rows = np.arange(len(a))
-    design = np.zeros((w.shape[1], len(a), nn), dtype=complex)
-    design[:, rows, a] = w[bc].T
-    design[:, rows, b] = -w[ac].T
-    design[:, rows, c] = w[ab].T
-    target = v.T[:, :, None]
-    q, r = np.linalg.qr(design)
-    coeffs = np.linalg.solve(r, np.conj(q.swapaxes(1, 2)) @ target)
-    residual = np.abs(design @ coeffs - target).max(axis=(1, 2))
-    return coeffs[..., 0], residual
+    rows = [[] for _ in range(nn)]
+    for t in reversed(range(len(a))):
+        for x, pair, sign in ((a, bc, 1), (b, ac, -1), (c, ab, 1)):
+            rows[x[t]].append((t, pair[t], sign * signs[pair[t]] < 0))
+    return rows
+
+
+# On C^2 the (c, b) entry of Pf W W^-1, b < c, is W of the complementary
+# pair times this sign, pairs in lexicographic order.  The sign is applied
+# by adding or subtracting a product, never to a factor, which keeps the
+# bits of -W *V: (-x) y and -(x y) can differ in the sign of a zero.
+_COMPLEMENT_SIGNS = (1, -1, 1, 1, -1, 1)
+
+
+def _lee_inverse(w, ws, nn):
+    """(C, signs, d) with C_cb = signs[k] C[k] for the k-th pair b < c, from
+    W and its scaled ``ws``, once W passes the degeneracy gate.
+
+    For n >= 3, C = W^-1 by one batched inverse, after LAPACK's gate at
+    every point, and d = n - 1.  On C^2, C = Pf W W^-1, whose entries are
+    W's, and d = Pf W.  W's singular values are s1, s1, s2, s2 with s1 s2 =
+    |Pf W| and s1^2 + s2^2 = sum_{i<j} |W_ij|^2 = S, so s2/s1 = |Pf W| /
+    s1^2: LAPACK decides only where that is within LEE_BAND of the gate or
+    not a number (see _gate_degeneracy).
+    """
+    if nn != 4:
+        _gate_degeneracy(w, nn, np.arange(w.shape[1]), [])
+        i, j = np.array(list(itertools.combinations(range(nn), 2))).T
+        inverse = np.linalg.inv(_antisymmetric(ws, nn))
+        return inverse[:, j, i].T, (1,) * len(i), nn // 2 - 1
+    w01, w02, w03, w12, w13, w23 = ws
+    with np.errstate(invalid="ignore"):  # NaN where W is 0
+        pf = w01 * w23 - w02 * w13 + w03 * w12
+        p = np.abs(pf)
+        s = (ws.real ** 2 + ws.imag ** 2).sum(axis=0)
+        # s1^2 = (S + sqrt(S^2 - 4 |Pf W|^2)) / 2, where S^2 >= 4 |Pf W|^2
+        # but for rounding.
+        ratio = 2 * p / (s + np.sqrt(np.maximum(s * s - 4 * p * p, 0.0)))
+        decided = np.abs(ratio - LEE_RCOND) > LEE_BAND * LEE_RCOND
+    _gate_degeneracy(w, 4, np.flatnonzero(~decided),
+                     np.flatnonzero(decided & (ratio <= LEE_RCOND)))
+    return ws[::-1], _COMPLEMENT_SIGNS, pf
 
 
 def _gate_degeneracy(w, nn, rows, clear):
@@ -363,52 +413,6 @@ def _scaled(x):
     return np.ldexp(parts, np.repeat(-e, 2)).view(complex), e
 
 
-def _lee_closed_form(w, v):
-    """theta on C^2 at each point as a (4, m) array, in closed form.
-
-    W is Omega's antisymmetric coefficient array and V = d Omega, rows of
-    ``w`` and ``v`` as in _lee_solve.  theta ^ Omega = V is solved by theta
-    = -W *V / Pf W, with Pf W = W01 W23 - W02 W13 + W03 W12 and the dual *V
-    = (V123, -V023, V013, -V012), and one step of iterative refinement
-    (theta minus the solution for theta ^ Omega - V), which brings the
-    residual down to the batched QR solve's level.  W's singular values
-    come in pairs s1 >= s2 with s1 s2 = |Pf W| and s1^2 + s2^2 =
-    sum_{i<j} |W_ij|^2 = S, so s2/s1 = |Pf W| / s1^2: LAPACK decides
-    degeneracy only where that is within LEE_BAND of the gate or not a number
-    (see _gate_degeneracy).  W and each right-hand side are scaled at each
-    point by powers of two (see _scaled), so no quantity overflows or
-    underflows before theta is scaled back.
-    """
-    ws, ew = _scaled(w)
-    w01, w02, w03, w12, w13, w23 = ws
-    with np.errstate(invalid="ignore"):  # NaN where W is 0
-        pf = w01 * w23 - w02 * w13 + w03 * w12
-        p = np.abs(pf)
-        s = (ws.real ** 2 + ws.imag ** 2).sum(axis=0)
-        # s1^2 = (S + sqrt(S^2 - 4 |Pf W|^2)) / 2, where S^2 >= 4 |Pf W|^2
-        # but for rounding.
-        ratio = 2 * p / (s + np.sqrt(np.maximum(s * s - 4 * p * p, 0.0)))
-        decided = np.abs(ratio - LEE_RCOND) > LEE_BAND * LEE_RCOND
-    _gate_degeneracy(w, 4, np.flatnonzero(~decided),
-                     np.flatnonzero(decided & (ratio <= LEE_RCOND)))
-
-    def solve(v):
-        (v012, v013, v023, v123), ev = _scaled(v)
-        # theta_a Pf W = sum_b W_ab (-*V)_b
-        theta = np.array([w01 * v023 - w02 * v013 + w03 * v012,
-                          w01 * v123 - w12 * v013 + w13 * v012,
-                          w02 * v123 - w12 * v023 + w23 * v012,
-                          w03 * v123 - w13 * v023 + w23 * v013])
-        theta /= pf
-        parts = theta.view(np.float64)
-        np.ldexp(parts, np.repeat(ev - ew, 2), out=parts)
-        return theta
-
-    theta = solve(v)
-    theta -= solve(_wedge(theta, w) - v)
-    return theta
-
-
 def solve_lee_many(Omega: fm.ExteriorForm, points):
     """The Lee form at all points at once; see solve_lee_pointwise."""
     pts = np.asarray(points, dtype=complex)
@@ -421,18 +425,16 @@ def solve_lee_many(Omega: fm.ExteriorForm, points):
 def solve_lee_pointwise(Omega: fm.ExteriorForm, point) -> LeeSolveResult:
     """Solve d Omega = theta ^ Omega for theta at a single point.
 
-    For a nondegenerate Omega in complex dimension >= 2 the 2n coefficients
-    of theta in the covector basis are unique.  On C^2 theta ^ Omega is an
-    invertible 4x4 map and theta comes in closed form through the Pfaffian
-    of Omega's coefficient matrix (see _lee_closed_form); in other
-    dimensions they are fitted by least squares against the 3-form d Omega.
-    ``residual`` is the largest |theta ^ Omega - d Omega| either way.
-    Raises DegenerateOmega when a coefficient of Omega is not finite, and
-    when the antisymmetric coefficient matrix of Omega is near singular:
-    LAPACK's smallest singular value is at most LEE_RCOND times its
-    largest, a test that does not depend on the scale of Omega.  On C^2
-    LAPACK is asked only where the closed-form ratio is within LEE_BAND of
-    that threshold, with the same verdict.
+    For a nondegenerate Omega in complex dimension n >= 2 the 2n
+    coefficients of theta in the covector basis are unique: theta_a =
+    sum_{b<c} (W^-1)_cb V_abc / (n - 1), W Omega's antisymmetric coefficient
+    matrix and V d Omega's (see _lee_solve), which on C^2 is -W *V / Pf W.
+    ``residual`` is the largest |theta ^ Omega - d Omega|.  Raises
+    DegenerateOmega when a coefficient of Omega is not finite, and when W is
+    near singular: LAPACK's smallest singular value is at most LEE_RCOND
+    times its largest, a test that does not depend on the scale of Omega.
+    On C^2 LAPACK is asked only where the closed-form ratio is within
+    LEE_BAND of that threshold, with the same verdict.
     """
     return solve_lee_many(Omega, [tuple(point)])[0]
 
@@ -564,18 +566,23 @@ def verify_invariance(a: fm.ExteriorForm, g: PolyAutomorphism, points,
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Sampling parameters and tolerance override for run_suite."""
+    """Sampling parameters and tolerance override for run_suite; a message
+    shows an integer past the float range as ~10^e."""
 
     points: int = 1000
     seed: int = 42
     tol: float | None = None
 
     def __post_init__(self):
+        def shown(k):
+            return _brief(int(k), sys.float_info.max)
         if self.points < 1:
-            raise ValueError("points must be >= 1, got %d" % self.points)
+            raise ValueError("points must be >= 1, got %s" % shown(self.points))
         if self.points > MAX_POINTS:
-            raise ValueError("points must be <= %d, got %d"
-                             % (MAX_POINTS, self.points))
+            raise ValueError("points must be <= %d, got %s"
+                             % (MAX_POINTS, shown(self.points)))
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0, got %s" % shown(self.seed))
         if self.tol is not None and not self.tol > 0:
             raise ValueError("tol must be positive, got %r" % (self.tol,))
 
@@ -658,13 +665,13 @@ _SUITES: OrderedDict = OrderedDict()
 def _suite(entry, generators):
     """The compiled suite of ``entry`` and the binding to run it with.
 
-    A catalog entry's suite is its template's, with the deck generator its
-    template writes over params; it is built on the first run of its
-    template (entry and dimension) and generator monomial support, and then
-    kept, up to SUITE_CACHE_SIZE suites.  The binding takes the template's
-    inputs from the entry.  An entry built from its own forms, or whose
-    group is not its template's generator alone, gets a fresh suite of its
-    generators' numbers and no binding.
+    A catalog entry's suite is its template's, forms, potential and deck
+    generator all written over params; it is built on the first run of its
+    template (entry and fixed shape, such as the dimension) and then kept,
+    up to SUITE_CACHE_SIZE suites, for every binding of those params.  The
+    binding takes the template's inputs from the entry.  An entry built from
+    its own forms, or whose group is not its template's generator alone,
+    gets a fresh suite of its generators' numbers and no binding.
     """
     template = entry.template
     if template is None or [gen for _, gen in generators] != [
@@ -672,9 +679,7 @@ def _suite(entry, generators):
         deck = [gen.as_expressions() for _, gen in generators]
         return _Suite(entry.ambient_dim, entry.forms, entry.potential,
                       deck), {}
-    support = tuple(tuple(tuple(sorted(c.coeffs)) for c in gen.components)
-                    for _, gen in generators)
-    key = (template.write, template.fixed, support)
+    key = (template.write, template.fixed)
     suite = _SUITES.pop(key, None)
     if suite is None:
         forms, potential, generator = template.write(

@@ -5,6 +5,7 @@ differences, closed-form decay counts, direct numeric conjugation) so that
 the symbolic machinery is checked against arithmetic it does not share.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -83,3 +84,27 @@ def random_annulus(dim, count, seed, inner=0.5, outer=2.0):
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)
     radii = rng.uniform(inner, outer, size=(count, 1))
     return raw * radii
+
+
+def lee_least_squares(w, v, nn):
+    """theta (m, nn) with theta ^ Omega = d Omega in the least-squares sense
+    at each point, and the largest entry of |theta ^ Omega - d Omega| (m,),
+    by one batched QR solve of each point's design matrix.
+
+    ``w`` holds Omega's W_ij for i < j and ``v`` d Omega's V_abc for
+    a < b < c as rows in lexicographic order; the design matrix has one row
+    per triple, (theta ^ Omega)_abc = theta_a W_bc - theta_b W_ac
+    + theta_c W_ab, and must have full column rank.
+    """
+    pair = {ij: k for k, ij in enumerate(itertools.combinations(range(nn), 2))}
+    triples = list(itertools.combinations(range(nn), 3))
+    design = np.zeros((w.shape[1], len(triples), nn), dtype=complex)
+    for row, (a, b, c) in enumerate(triples):
+        design[:, row, a] = w[pair[b, c]]
+        design[:, row, b] = -w[pair[a, c]]
+        design[:, row, c] = w[pair[a, b]]
+    target = v.T[:, :, None]
+    q, r = np.linalg.qr(design)
+    coeffs = np.linalg.solve(r, np.conj(q.swapaxes(1, 2)) @ target)
+    residual = np.abs(design @ coeffs - target).max(axis=(1, 2))
+    return coeffs[..., 0], residual

@@ -297,6 +297,16 @@ class TestVerifyCommand:
         assert err == ("error: points must be <= %d, got 100000000000000\n"
                        % vf.MAX_POINTS)
 
+    @pytest.mark.parametrize("command", ["verify", "solve-lee"])
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_negative_seed_rejected(self, capsys, tmp_path, command, source):
+        argv = [command, "--entry", "example1", "--seed", "-1"]
+        if source == "file":
+            argv = [command, "--file", write_json(
+                tmp_path / "conf.json", {"entry": "example1", "seed": -1})]
+        assert run(capsys, argv) == (2, "", "error: seed must be >= 0, "
+                                            "got -1\n")
+
     def test_oversized_points_in_config_rejected(self, capsys, tmp_path):
         # A whole float beyond any array numpy can allocate.
         conf = write_json(tmp_path / "conf.json",
@@ -975,6 +985,21 @@ class TestParameterTable:
         assert err == ("error: parameter %s: the catalog needs %s in the "
                        "float range, got %s~10^400\n"
                        % (key, kind, "-" if sign < 0 else ""))
+
+    @pytest.mark.parametrize("command", ["verify", "solve-lee"])
+    @pytest.mark.parametrize("conf,shown", [
+        ({"points": 10 ** 400}, "points must be <= 1000000, got ~10^400"),
+        ({"seed": -10 ** 400}, "seed must be >= 0, got -~10^400"),
+        ({"parameters": {"mu": [10 ** 400, 0]}},
+         "parameter mu = [~10^400, 0] must be a [re, im] pair of real "
+         "numbers")], ids=["points", "seed", "mu-pair"])
+    def test_other_integers_past_the_float_range_are_one_short_line(
+            self, capsys, tmp_path, command, conf, shown):
+        path = write_json(tmp_path / "conf.json",
+                          {"entry": "example1", **conf})
+        code, out, err = run(capsys, [command, "--file", path])
+        assert (code, out, err) == (2, "", "error: %s\n" % shown)
+        assert len(err) < 80
 
     def test_n_flag_prints_the_config_file_bytes(self, capsys, tmp_path):
         argv = ["verify", "--points", "200"]

@@ -1,6 +1,7 @@
 """Tests for the catalog of Hopf-surface structures and deformation families."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -443,6 +444,25 @@ class TestParameterKinds:
         with pytest.raises(hp.BadParameter, match="r1") as err:
             hp.build_entry("vaisman", {"r1": value})
         assert "real number" in str(err.value)
+
+    @pytest.mark.parametrize("entry,key", [
+        ("vaisman", "r1"), ("example1", "mu"), ("example2", "n")])
+    @pytest.mark.parametrize("value", [True, False, np.True_],
+                             ids=["True", "False", "np.True_"])
+    def test_boolean_refused(self, entry, key, value):
+        # bool is an int to Python; no parameter kind takes one.
+        with pytest.raises(hp.BadParameter, match="needs .* %s, got %s$"
+                           % (key, re.escape(repr(value)))):
+            hp.build_entry(entry, {key: value})
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_integer_past_the_float_range_is_one_short_message(self, sign):
+        with pytest.raises(hp.BadParameter) as err:
+            hp.build_entry("vaisman", {"r1": sign * 10 ** 400})
+        assert str(err.value) == (
+            "entry 'vaisman' needs a real number for r1, got %s~10^400"
+            % ("-" if sign < 0 else ""))
+        assert len(str(err.value)) < 80
 
     def test_values_take_their_defaults_types(self):
         e = hp.build_entry("example2", {"mu": 3, "n": 3.0})

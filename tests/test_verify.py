@@ -14,7 +14,7 @@ import hopflck.hopf as hp
 import hopflck.maps as mp
 import hopflck.verify as vf
 from hopflck.sampling import annulus_points
-from oracles import random_annulus
+from oracles import lee_least_squares, random_annulus
 
 
 class TestSolveLee:
@@ -69,10 +69,7 @@ class TestSolveLee:
         # design matrices are overdetermined.  The reference builds each
         # column from forms.wedge and solves point by point.
         n = 3
-        rho = ex.const(0.0)
-        for i in range(1, n + 1):
-            rho = ex.add(rho, ex.mul(ex.z(i), ex.zbar(i)))
-        om = fm.kaehler_form(n, rho).scale(ex.div(ex.const(1.0), rho))
+        om = omega_over_rho(n)
         pts = random_annulus(n, 12, seed=205)
         results = vf.solve_lee_many(om, pts)
 
@@ -119,20 +116,57 @@ def antisymmetric_mats(w):
     return mats
 
 
-def youla_rows(rng, s1, s2):
-    """The (6,) upper entries of U diag(s1 J, s2 J) U^T, U a random unitary
+def youla_rows(rng, *s):
+    """The upper entries of U diag(s1 J, s2 J, ...) U^T, U a random unitary
     and J = [[0, 1], [-1, 0]]: an antisymmetric W with singular values s1,
-    s1, s2, s2."""
-    u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-    j = np.zeros((4, 4))
-    j[0, 1], j[1, 0], j[2, 3], j[3, 2] = s1, -s1, s2, -s2
+    s1, s2, s2, ..., in 2 len(s) dimensions."""
+    nn = 2 * len(s)
+    u, _ = np.linalg.qr(rng.normal(size=(nn, nn))
+                        + 1j * rng.normal(size=(nn, nn)))
+    j = np.zeros((nn, nn))
+    for k, sk in enumerate(s):
+        j[2 * k, 2 * k + 1], j[2 * k + 1, 2 * k] = sk, -sk
     w = u @ j @ u.T
-    return np.array([w[a, b] for a, b in itertools.combinations(range(4), 2)])
+    return np.array([w[a, b] for a, b in itertools.combinations(range(nn), 2)])
+
+
+def wedge_rows(theta, w, nn):
+    """theta ^ Omega as (triples, m) rows, from theta as (m, nn) and the
+    (pairs, m) rows of W."""
+    pair = {ij: k for k, ij in enumerate(itertools.combinations(range(nn), 2))}
+    return np.array([theta[:, a] * w[pair[b, c]] - theta[:, b] * w[pair[a, c]]
+                     + theta[:, c] * w[pair[a, b]]
+                     for a, b, c in itertools.combinations(range(nn), 3)])
+
+
+def lee_rows(om, pts):
+    """Omega's (pairs, m) rows W_ij and d Omega's (triples, m) rows V_abc."""
+    nn = 2 * om.ambient_dim
+    both = fm._evaluate_forms(
+        [(om, fm._Full), (fm.exterior_d(om), fm._Full)], pts)
+    return (np.array([vals.get(key, np.zeros(len(pts)))
+                      for key in itertools.combinations(range(nn), k)],
+                     dtype=complex)
+            for vals, k in ((both[0], 2), (both[1], 3)))
+
+
+def omega_over_rho(n):
+    """omega / |z|^2 on C^n, whose Lee form is -d log |z|^2."""
+    rho = ex.const(0.0)
+    for i in range(1, n + 1):
+        rho = ex.add(rho, ex.mul(ex.z(i), ex.zbar(i)))
+    return fm.kaehler_form(n, rho).scale(ex.div(ex.const(1.0), rho))
+
+
+def minus_d_log_rho(pts):
+    """-d log |z|^2 at each point, (m, 2n)."""
+    return -np.concatenate([pts.conj(), pts], axis=1) / (
+        np.abs(pts) ** 2).sum(axis=1, keepdims=True)
 
 
 def lapack_gate(w):
-    """The degeneracy gate of the least-squares path, which takes LAPACK's
-    singular values at every point."""
+    """The degeneracy gate with LAPACK's singular values at every point, as
+    the Lee solve takes it for n >= 3."""
     sv = np.linalg.svd(antisymmetric_mats(w), compute_uv=False)
     bad = np.flatnonzero(~(sv[:, -1] > vf.LEE_RCOND * sv[:, 0]))
     if bad.size:
@@ -153,21 +187,31 @@ def outcome(call, *args):
 
 
 class TestLeeClosedForm:
-    """On C^2 theta = -W *V / Pf W, against the batched QR solve that every
-    other dimension uses, called directly."""
+    """theta_a = sum_{b<c} (W^-1)_cb V_abc / (n - 1), which on C^2 is -W *V /
+    Pf W, against an independent batched QR least-squares solve."""
 
-    @pytest.mark.parametrize("w_scale,v_scale", [
-        (1.0, 1.0), (1e100, 1e100), (1e-100, 1e-100), (1e150, 1e150),
-        (1e-150, 1e-150), (1e150, 1e-100), (1e-150, 1e100), (1e100, 1.0),
-        (1e-100, 1.0)])
-    def test_matches_least_squares_at_every_scale(self, w_scale, v_scale):
+    @pytest.mark.parametrize("n,w_scale,v_scale", [
+        pytest.param(n, w, v, id=("%s-%s" if n == 2 else "c3-%s-%s") % (w, v))
+        for n in (2, 3) for w, v in [
+            (1.0, 1.0), (1e100, 1e100), (1e-100, 1e-100), (1e150, 1e150),
+            (1e-150, 1e-150), (1e150, 1e-100), (1e-150, 1e100), (1e100, 1.0),
+            (1e-100, 1.0)]])
+    def test_matches_least_squares_at_every_scale(self, n, w_scale, v_scale):
         rng = np.random.default_rng(291)
         m = 64
         s2 = 10.0 ** rng.uniform(-3, 0, size=m)
-        w = np.stack([youla_rows(rng, 1.0, s) for s in s2], axis=1) * w_scale
-        v = (rng.normal(size=(4, m)) + 1j * rng.normal(size=(4, m))) * v_scale
-        coeffs, residual, reality = vf._lee_solve(w, v, 2)
-        want, want_residual = vf._lee_least_squares(w, v, 4)
+        w = np.stack([youla_rows(rng, 1.0, *(s ** (k / (n - 1))
+                                             for k in range(1, n)))
+                      for s in s2], axis=1) * w_scale
+        if n == 2:  # theta ^ Omega is onto
+            v = rng.normal(size=(4, m)) + 1j * rng.normal(size=(4, m))
+        else:  # d Omega in its image
+            theta = (rng.normal(size=(m, 2 * n))
+                     + 1j * rng.normal(size=(m, 2 * n)))
+            v = wedge_rows(theta, w / w_scale, 2 * n)
+        v = v * v_scale
+        coeffs, residual, reality = vf._lee_solve(w, v, n)
+        want, want_residual = lee_least_squares(w, v, 2 * n)
 
         cond = 1.0 / s2  # sigma_max / sigma_min
         size = np.abs(want).max(axis=1)
@@ -178,22 +222,20 @@ class TestLeeClosedForm:
         terms = size * np.abs(w).max(axis=0) + np.abs(v).max(axis=0)
         assert np.all(residual <= 1e-12 * cond * terms)
         assert np.all(want_residual <= 1e-12 * cond * terms)
-        want_reality = np.abs(want[:, 2:] - np.conj(want[:, :2])).max(axis=1)
+        want_reality = np.abs(want[:, n:] - np.conj(want[:, :n])).max(axis=1)
         assert np.all(np.abs(reality - want_reality) <= 1e-12 * cond * size)
 
-    def test_inverts_the_wedge(self):
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_inverts_the_wedge(self, n):
         # theta ^ Omega for a known theta, solved back.
         rng = np.random.default_rng(292)
         m = 32
-        w = np.stack([youla_rows(rng, 1.0, 0.3) for _ in range(m)], axis=1)
-        theta = rng.normal(size=(m, 4)) + 1j * rng.normal(size=(m, 4))
-        v = np.empty((4, m), dtype=complex)
-        pair = {ij: k for k, ij in
-                enumerate(itertools.combinations(range(4), 2))}
-        for k, (a, b, c) in enumerate(itertools.combinations(range(4), 3)):
-            v[k] = (theta[:, a] * w[pair[b, c]] - theta[:, b] * w[pair[a, c]]
-                    + theta[:, c] * w[pair[a, b]])
-        coeffs, residual, _ = vf._lee_solve(w, v, 2)
+        w = np.stack([youla_rows(rng, *(1.0, 0.3, 0.5, 0.7)[:n])
+                      for _ in range(m)], axis=1)
+        theta = (rng.normal(size=(m, 2 * n))
+                 + 1j * rng.normal(size=(m, 2 * n)))
+        v = wedge_rows(theta, w, 2 * n)
+        coeffs, residual, _ = vf._lee_solve(w, v, n)
         assert np.allclose(coeffs, theta, rtol=0, atol=1e-13)
         assert np.all(residual < 1e-13)
 
@@ -201,18 +243,54 @@ class TestLeeClosedForm:
     def test_residual_is_no_larger_than_least_squares(self, name):
         # One step of iterative refinement: without it the closed form's
         # largest and median residual on example1 exceed the QR solve's.
-        om = hp.build_entry(name).forms["Omega"]
-        pts = annulus_points(2, 2000, 7)
-        both = fm._evaluate_forms(
-            [(om, fm._Full), (fm.exterior_d(om), fm._Full)], pts)
-        w, v = (np.array([vals.get(key, np.zeros(len(pts)))
-                          for key in itertools.combinations(range(4), k)],
-                         dtype=complex)
-                for vals, k in ((both[0], 2), (both[1], 3)))
+        w, v = lee_rows(hp.build_entry(name).forms["Omega"],
+                        annulus_points(2, 2000, 7))
         _, residual, _ = vf._lee_solve(w, v, 2)
-        _, want = vf._lee_least_squares(w, v, 4)
+        _, want = lee_least_squares(w, v, 4)
         assert residual.max() <= want.max()
         assert np.median(residual) <= np.median(want)
+
+    @pytest.mark.parametrize("name", ["example1", "vaisman", "example2"])
+    def test_c2_is_the_pfaffian_closed_form_bit_for_bit(self, name):
+        # theta = -W *V / Pf W written out, with W and V scaled by powers of
+        # two per point and one refinement step, has the solve's bits.
+        w, v = lee_rows(hp.build_entry(name).forms["Omega"],
+                        annulus_points(2, 500, 7))
+
+        def scaled(x):
+            parts = x.view(np.float64)
+            big = np.abs(parts).max(axis=0, initial=0.0)
+            e = np.frexp(np.maximum(big[0::2], big[1::2]))[1]
+            return np.ldexp(parts, np.repeat(-e, 2)).view(complex), e
+
+        (w01, w02, w03, w12, w13, w23), ew = scaled(w)
+        pf = w01 * w23 - w02 * w13 + w03 * w12
+
+        def solve(v):
+            (v012, v013, v023, v123), ev = scaled(v)
+            theta = np.array([w01 * v023 - w02 * v013 + w03 * v012,
+                              w01 * v123 - w12 * v013 + w13 * v012,
+                              w02 * v123 - w12 * v023 + w23 * v012,
+                              w03 * v123 - w13 * v023 + w23 * v013]) / pf
+            parts = theta.view(np.float64)
+            np.ldexp(parts, np.repeat(ev - ew, 2), out=parts)
+            return theta
+
+        theta = solve(v)
+        theta -= solve(wedge_rows(theta.T, w, 4) - v)
+        coeffs, _, _ = vf._lee_solve(w, v, 2)
+        assert coeffs.tobytes() == theta.T.copy().tobytes()
+
+    def test_minus_d_log_rho_on_c3(self):
+        # omega / |z|^2 is lcK with theta = -d log |z|^2; the contraction's
+        # largest residual is no larger than the QR solve's.
+        pts = annulus_points(3, 2000, 7)
+        w, v = lee_rows(omega_over_rho(3), pts)
+        coeffs, residual, reality = vf._lee_solve(w, v, 3)
+        assert np.abs(coeffs - minus_d_log_rho(pts)).max() <= 1e-12
+        _, want = lee_least_squares(w, v, 6)
+        assert residual.max() <= want.max()
+        assert reality.max() <= 1e-12
 
     @pytest.mark.parametrize("k", [3, 6, 9, 11, 14, 20, 30])
     @pytest.mark.parametrize("side", [-1, 1])
@@ -282,12 +360,14 @@ class TestLeeClosedForm:
         assert capfd.readouterr().err == ""
 
     def test_no_points(self):
-        om = hp.example1_entry().forms["Omega"]
-        coeffs, residual, reality = vf._solve_lee_arrays(
-            om, np.empty((0, 2), dtype=complex))
-        assert coeffs.shape == (0, 4)
-        assert residual.shape == reality.shape == (0,)
-        assert vf.solve_lee_many(om, np.empty((0, 2), dtype=complex)) == []
+        for om in (hp.example1_entry().forms["Omega"],
+                   hp.build_entry("example2", {"n": 3}).forms["Omega"]):
+            n = om.ambient_dim
+            coeffs, residual, reality = vf._solve_lee_arrays(
+                om, np.empty((0, n), dtype=complex))
+            assert coeffs.shape == (0, 2 * n)
+            assert residual.shape == reality.shape == (0,)
+            assert vf.solve_lee_many(om, np.empty((0, n), dtype=complex)) == []
 
     def test_one_point_is_a_row_of_many(self):
         om = hp.example1_entry().forms["Omega"]
@@ -469,6 +549,9 @@ class TestSuiteConfig:
         with pytest.raises(ValueError, match="tol"):
             vf.SuiteConfig(tol=0.0)
         vf.SuiteConfig(tol=1e-6)
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            vf.SuiteConfig(seed=-1)
+        assert vf.SuiteConfig(seed=0).seed == 0
 
 
 class TestRunSuite:
@@ -988,11 +1071,11 @@ class TestSuiteCache:
             vf.run_suite(hp.build_entry("example2", {"n": n}),
                          vf.SuiteConfig(points=20))
             assert len(vf._SUITES) <= vf.SUITE_CACHE_SIZE == 8
-        assert [fixed for _, fixed, _ in vf._SUITES] == [
+        assert [fixed for _, fixed in vf._SUITES] == [
             (n,) for n in range(5, 13)]
         vf.run_suite(hp.build_entry("example2", {"n": 5}),
                      vf.SuiteConfig(points=20))
-        assert [fixed for _, fixed, _ in vf._SUITES][-1] == (5,)
+        assert [fixed for _, fixed in vf._SUITES][-1] == (5,)
 
     def test_warm_run_builds_nothing(self, monkeypatch):
         vf.run_suite(hp.build_entry("vaisman"), self.CONFIG)
@@ -1011,13 +1094,19 @@ class TestSuiteCache:
         assert [tape for tape, _ in runs] == [suite.requests.tape,
                                               suite.cross_check.tape]
 
-    def test_support_is_part_of_the_key(self):
-        a = hp.build_entry("kodaira", {"t": 1.0})
-        b = hp.build_entry("kodaira", {"t": 0.0})
-        vf.run_suite(a, self.CONFIG)
-        vf.run_suite(b, self.CONFIG)
-        assert [support for _, _, support in list(vf._SUITES)[-2:]] == [
-            ((((0, 1), (1, 0)), ((0, 1),)),), ((((1, 0),), ((0, 1),)),)]
+    def test_one_suite_for_every_generator_support(self):
+        # kodaira's template writes t z2 over a param, so t = 0, whose
+        # generator has no z2 term, shares the suite of t = 1 and still
+        # prints what the entry built by hand prints.
+        vf._SUITES.clear()
+        for t in (1.0, 0.0):
+            entry = hp.build_entry("kodaira", {"t": t})
+            by_hand = hp.HopfSurfaceCatalogEntry(
+                "kodaira", 2, entry.forms, entry.group, entry.parameters)
+            got = vf.reports_to_json(vf.run_suite(entry, self.CONFIG))
+            assert got == vf.reports_to_json(vf.run_suite(by_hand,
+                                                          self.CONFIG))
+            assert len(vf._SUITES) == 1
 
     @pytest.mark.parametrize("name,params", [
         ("vaisman", {"r1": 0.8, "r2": 1.7, "p1": 0.5, "p2": -1.1}),
