@@ -82,7 +82,8 @@ def _load_config_file(path: str) -> dict:
                              % (key, value))
     for key, kind in (("points", int), ("seed", int), ("tol", float)):
         if obj.get(key) is not None:
-            obj[key] = ex._json_number("config %r" % key, obj[key], kind)
+            obj[key] = ex._json_number("config %r" % key, obj[key], kind,
+                                       mp._shown)
     return obj
 
 

@@ -77,7 +77,8 @@ __all__ = [
     "IntPow", "Exp", "Log", "ImplicitT", "Param",
     "const", "z", "zbar", "add", "sub", "mul", "div", "intpow", "exp", "log",
     "implicit_t", "param", "wirtinger_d", "evaluate", "evaluate_many", "substitute",
-    "formal_conjugate", "numerically_equal", "to_json", "from_json",
+    "formal_conjugate", "value_number", "numerically_equal", "to_json",
+    "from_json",
     "EvaluationError", "DivisionNearZero", "NewtonDivergence",
     "LogBranchError", "UnboundParam", "DimensionMismatch",
     "DIVISION_EPS", "NEWTON_TOL", "NEWTON_MAX_ITER",
@@ -705,16 +706,25 @@ def _exponents(e):
     return terms[e]
 
 
+# Each live exp node's _exp_powers, which every trial of every proof asks
+# for; an entry goes with its node.
+_EXP_POWERS = weakref.WeakKeyDictionary()
+
+
 def _exp_powers(e):
     """exp node ``e`` as [((m, 0), Re c_m)] + [((m, 1), Im c_m)] for its
     argument sum_m c_m m, the nonzero integer powers of exp(m) and exp(i m)
     whose product it is; None unless every c_m is a Gaussian integer."""
+    if e in _EXP_POWERS:
+        return _EXP_POWERS[e]
     terms = _exponents(e.args[0])
-    if terms is None or any(x.denominator != 1 or y.denominator != 1
-                            for x, y in terms.values()):
-        return None
-    return [((m, part), int(c)) for m, pair in terms.items()
-            for part, c in enumerate(pair) if c]
+    powers = None
+    if terms is not None and all(x.denominator == 1 and y.denominator == 1
+                                 for x, y in terms.values()):
+        powers = [((m, part), int(c)) for m, pair in terms.items()
+                  for part, c in enumerate(pair) if c]
+    _EXP_POWERS[e] = powers
+    return powers
 
 
 def _modular_exp(e, v, draw):
@@ -815,17 +825,18 @@ def _flow_time(e, a, b, weights):
     return float(s) if not shifts and float(s) == s else None
 
 
-def _json_number(what, value, kind=float):
+def _json_number(what, value, kind=float, shown=repr):
     """A JSON number as ``kind``; ValueError for a boolean, another type, a
-    non-integral float for int or an int beyond the float range."""
+    non-integral float for int or an int beyond the float range, showing
+    the value as ``shown`` writes it."""
     if not isinstance(value, bool) and (isinstance(value, int) or isinstance(
             value, float) and (kind is float or value.is_integer())):
         try:
             return kind(value)
         except OverflowError:
             pass
-    raise ValueError("%s must be a %s number, got %r"
-                     % (what, "whole" if kind is int else "real", value))
+    raise ValueError("%s must be a %s number, got %s" % (
+        what, "whole" if kind is int else "real", shown(value)))
 
 
 def _parse_const(f, kids):
@@ -1411,6 +1422,108 @@ class _Tape:
         if failure is not None:
             raise failure.cause from None
         return outs
+
+
+def _false_pass(degree):
+    """The chance, at most, that a nonzero root of numerator degree
+    ``degree`` vanished in every trial of :meth:`_Tape.prove`."""
+    return (min(degree, _P) / _P) ** MODULAR_TRIALS
+
+
+# ---------------------------------------------------------------------------
+# Value numbering
+# ---------------------------------------------------------------------------
+
+# Fingerprints draw from their own seed, so the draws that propose a merge
+# are independent of the draws of _Tape.prove that keep it.
+_FINGERPRINT_SEED = MODULAR_SEED + 1
+
+
+def _value_numbering(roots, refused=frozenset()):
+    """The DAG below ``roots`` rebuilt with each node in place of its
+    class's first node, and the merges: (node, its rebuilt self, the node
+    in its place), one per node replaced.
+
+    A class is the nodes of one fingerprint: a node's residues (see
+    _Tape.modular) in MODULAR_TRIALS trials whose residues
+    random.Random(_FINGERPRINT_SEED) draws.  Nodes come in the order of
+    the first root that reaches them, then of their height, so children
+    come first and a class's first node is its lowest one below the first
+    root that reaches the class: in pullback(g, a) - a, a's coefficients.
+    A node whose fingerprint is undefined in a trial, or the same in every
+    trial (a constant, such as a proven identity), keeps its place, as do
+    the nodes in ``refused``.  x - x, where both sides were replaced by one
+    node, stays a subtraction, so that the checks below it stay too.
+    """
+    rng = random.Random(_FINGERPRINT_SEED)
+
+    def drawer(drawn):
+        def draw(symbol):
+            if symbol not in drawn:
+                drawn[symbol] = rng.randrange(_P)
+            return drawn[symbol]
+        return draw
+
+    draws = [drawer({}) for _ in range(MODULAR_TRIALS)]
+    prints = {}
+
+    def fingerprint(top):
+        for node in _post_order(top, prints.__contains__):
+            kids = [prints[c] for c in node.args]
+            modular = _KINDS[type(node)].modular
+            values = None if None in kids else tuple(
+                modular(node, [k[t] for k in kids], draw)
+                for t, draw in enumerate(draws))
+            prints[node] = None if values is None or None in values else values
+        return prints[top]
+
+    order = {}  # node -> (first root reaching it, height, arrival)
+    for k, root in enumerate(roots):
+        for node in _post_order(root, order.__contains__):
+            height = 1 + max((order[c][1] for c in node.args), default=0)
+            order[node] = (k, height, len(order))
+    indices = range(1, max((r.max_index for r in roots), default=0) + 1)
+    zs, zbs = [z(i) for i in indices], [zbar(i) for i in indices]
+    image, first, merges = {}, {}, []
+    for node in sorted(order, key=order.__getitem__):
+        kids = [image[c] for c in node.args]
+        new = _KINDS[type(node)].rebuild(node, kids, zs, zbs, False)
+        if new is _ZERO and isinstance(node, Sub):
+            new = _intern(Sub, ("-",) + tuple(map(id, kids)), tuple(kids))
+        mark = fingerprint(new)
+        if mark is None or len(set(mark)) == 1 or node in refused:
+            image[node] = new
+            continue
+        image[node] = rep = first.setdefault(mark, new)
+        if rep is not new:
+            merges.append((node, new, rep))
+    return [image[r] for r in roots], merges
+
+
+def value_number(roots):
+    """``roots`` over a DAG in which nodes proven equal are one node, and
+    the chance, at most, that some merge is false.
+
+    The merges are those of _value_numbering.  Each is kept only if its
+    difference vanished in every trial of :meth:`_Tape.prove`, on draws
+    independent of the fingerprints; a merge that did not is refused and
+    the DAG rebuilt without it.  The chance is the sum of the kept merges'
+    Schwartz-Zippel bounds (see _false_pass).  Each merged root has the
+    values of its root wherever both can be evaluated, up to rounding, but
+    computes every node once: a subterm written twice, or a pulled-back
+    denominator equal to the unmoved one, is one operation on a tape.
+    """
+    refused = set()
+    while True:
+        merged, merges = _value_numbering(roots, refused)
+        if not merges:
+            return merged, 0.0
+        vanished, degrees = _Tape(
+            [sub(new, rep) for _, new, rep in merges]).prove()
+        failed = {node for (node, _, _), v in zip(merges, vanished) if not v}
+        if not failed:
+            return merged, sum(map(_false_pass, degrees), 0.0)
+        refused |= failed
 
 
 # ---------------------------------------------------------------------------

@@ -454,9 +454,14 @@ class _RequestTape:
     are checked roots of the tape (see ex._Tape), so it gets no values (its
     entry is None), but any error its terms would raise is raised at its
     position, naming the same term and point.
+
+    Given ``merges_within``, the terms are value-numbered
+    (ex.value_number), so that each value is computed once, unless the
+    chance that some merge is false exceeds that bound; ``merge_bound`` is
+    that chance, or None where the terms are not value-numbered.
     """
 
-    def __init__(self, requests, dim, proven=()):
+    def __init__(self, requests, dim, proven=(), merges_within=None):
         roots, self.where, self.folds = [], [], []
         self.failed_at, self.error = len(requests), None
         checked = []
@@ -472,6 +477,11 @@ class _RequestTape:
                 checked += range(len(roots), len(roots) + len(terms))
             roots += [c for _, c in terms]
             self.where += [(k, index) for index, _ in terms]
+        self.merge_bound = None
+        if merges_within is not None:
+            merged, bound = ex.value_number(roots)
+            if bound <= merges_within:
+                roots, self.merge_bound = merged, bound
         self.tape = ex._Tape(roots, checked)
 
     def run(self, pts, binding=None) -> _Evaluation:

@@ -49,7 +49,7 @@ import numpy as np
 from . import expr as ex
 from . import forms as fm
 from .maps import (GroupSpec, NotJordan, PolyAutomorphism, ScalingFamily,
-                   _brief)
+                   _shown)
 
 __all__ = [
     "HopfSurfaceCatalogEntry", "EntryTemplate", "BadParameter", "UnknownEntry",
@@ -445,9 +445,8 @@ def _parameter(name, key, value, kind):
     except (ValueError, OverflowError):  # int(nan), float(10**400)
         number = None
     if number is None or kind is int and number != value:
-        raise BadParameter("entry %r needs %s %s, got %s" % (
-            name, noun, key,
-            _brief(value) if type(value) is int else repr(value)))
+        raise BadParameter("entry %r needs %s %s, got %s"
+                           % (name, noun, key, _shown(value)))
     if kind is not int and not cmath.isfinite(number):
         raise BadParameter("entry %r needs finite parameters, got %s = %r"
                            % (name, key, value))

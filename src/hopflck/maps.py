@@ -88,6 +88,11 @@ def _brief(k, limit=10 ** 15):
     return str(k) if k < limit else "~10^%d" % round(math.log10(k))
 
 
+def _shown(value) -> str:
+    """repr(value), but an integer as _brief has it."""
+    return _brief(value) if type(value) is int else repr(value)
+
+
 def _json_text(value) -> str:
     """``value`` as JSON text for a message, each integer as _brief has it."""
     if isinstance(value, list):

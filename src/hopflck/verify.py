@@ -14,8 +14,13 @@ identity is no longer sampled at every point: its report carries residual
 first CROSS_CHECK_POINTS points as a cross-check, while every point is
 still checked for the evaluation errors that sampling would raise.  Where
 that float residual reaches the tolerance the proof is not trusted and the
-identity is sampled at every point after all.  The library functions
-(verify_lck, verify_invariance, max_form_residual, ...) stay sampled.
+identity is sampled at every point after all.  The tape that runs at every
+sample point is value-numbered (ex.value_number): values proven equal, each
+merge on draws of its own, are computed once, unless the merges' summed
+false-merge bound exceeds FALSE_PASS_BOUND.  The cross-check's tape is not,
+so that it evaluates each identity as written, and neither are the Lee
+solve and the library functions (verify_lck, verify_invariance,
+max_form_residual, ...), which stay sampled.
 
 Two conventions used throughout:
 
@@ -607,11 +612,10 @@ def _proofs(requests, dim):
     """
     tape = fm._RequestTape(requests, dim)
     vanished, degrees = tape.tape.prove()
-    p, trials = ex.MODULAR_PRIME, ex.MODULAR_TRIALS
     proofs = []
     for k in range(len(requests)):
         roots = [j for j, (i, _) in enumerate(tape.where) if i == k]
-        bound = sum(((min(degrees[j], p) / p) ** trials for j in roots), 0.0)
+        bound = sum((ex._false_pass(degrees[j]) for j in roots), 0.0)
         proven = (k < tape.failed_at and bound <= FALSE_PASS_BOUND
                   and all(vanished[j] for j in roots))
         proofs.append(bound if proven else None)
@@ -630,7 +634,8 @@ class _Suite:
     only checked for errors there, and its float residual comes from its
     proof's tape ``cross_check``, which runs at the first CROSS_CHECK_POINTS
     points, and at every point where that residual reaches the tolerance.
-    Identity i is request ``at[i]``.
+    Identity i is request ``at[i]``.  ``requests`` is value-numbered
+    within FALSE_PASS_BOUND (its ``merge_bound``), ``cross_check`` is not.
     """
 
     def __init__(self, dim, forms, potential, deck):
@@ -654,7 +659,8 @@ class _Suite:
                               for _, ids in self.invariance for i in ids]
         self.requests = fm._RequestTape(
             lck + definite + invariance, dim,
-            {k for k, proof in zip(self.at, self.proofs) if proof is not None})
+            {k for k, proof in zip(self.at, self.proofs) if proof is not None},
+            FALSE_PASS_BOUND)
         self.potential = (None if potential is None
                           else _PotentialCheck(potential, dim))
 

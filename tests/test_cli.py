@@ -343,9 +343,12 @@ class TestVerifyCommand:
                           {"entry": "example1", "points": 20, key: value})
         code, out, err = run(capsys, ["verify", "--file", conf])
         assert (code, out) == (2, "")
-        assert err == "error: config %r must be a %s, got %r\n" % (
+        # An integer past the float range is shown by its order of
+        # magnitude, as for points and seed.
+        assert err == "error: config %r must be a %s, got %s\n" % (
             key, {"out": "string", "entry": "string", "tol": "real number"}
-            .get(key, "whole number"), value)
+            .get(key, "whole number"),
+            "~10^400" if value == 10 ** 400 else repr(value))
 
     @pytest.mark.parametrize("value", [[3, "a"], [3, 0, 7], [3, False], "3",
                                        10 ** 400])
@@ -399,6 +402,29 @@ class TestVerifyCommand:
         bad.write_text("{not json")
         code, _, err = run(capsys, ["verify", "--file", str(bad)])
         assert code == 2 and "JSON" in err
+
+
+# The (r1, r2) pairs of the grid below whose verify exits 1, as run before
+# the suite's tape was value-numbered: definiteness fails where one weight
+# is more than ten times the other.
+_SPREAD = (0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0)
+_SPREAD_FAILING = {(0.05, 1.0), (0.05, 2.0), (0.05, 5.0), (0.1, 2.0),
+                   (0.1, 5.0), (0.2, 5.0), (1.0, 0.05), (2.0, 0.05),
+                   (2.0, 0.1), (5.0, 0.05), (5.0, 0.1), (5.0, 0.2)}
+
+
+@pytest.mark.parametrize("r1", _SPREAD)
+@pytest.mark.parametrize("r2", _SPREAD)
+def test_spread_weights_keep_their_exit_status(capsys, r1, r2):
+    code, out, err = run(capsys, ["verify", "--entry", "vaisman", "--points",
+                                  "1000", "--r1=%r" % r1, "--r2=%r" % r2])
+    failed = [r["check_name"] for r in json.loads(out)["reports"]
+              if r["status"] != "pass"]
+    assert err == ""
+    if (r1, r2) in _SPREAD_FAILING:
+        assert (code, failed) == (1, ["definiteness"])
+    else:
+        assert (code, failed) == (0, [])
 
 
 class TestSuiteCacheThroughCli:

@@ -443,10 +443,12 @@ class TestTapeKernels:
         suite, _ = vf._suite(entry, vf._generator_list(entry.group))
         # The identities' own tape divides; the suite's tape has the proven
         # identities' divisor guards and the divisions of the definiteness
-        # check.  A division is a guard of its divisor's slot, unless that
-        # slot has one already, and a bare quotient.
+        # check, value-numbered, so that a pulled-back denominator equal to
+        # an unmoved one is that one.  A division is a guard of its
+        # divisor's slot, unless that slot has one already, and a bare
+        # quotient.
         for tape, counts in ((suite.cross_check.tape, (64, 7)),
-                             (suite.requests.tape, (16, 7))):
+                             (suite.requests.tape, (10, 4))):
             ops = [(i, rule, node, kids) for i, (rule, node, kids)
                    in enumerate(tape.ops) if isinstance(node, ex.Div)]
             guards = [(i, node, kids[0]) for i, rule, node, kids in ops
@@ -461,15 +463,13 @@ class TestTapeKernels:
             for i, node, den in quotients:
                 first.setdefault(den, (i, node))
                 assert guarded[den] < i
-            # A guard comes just before the first division by its slot, or
-            # tests a divisor in the group of a checked root, which divides
-            # by nothing.
+            # A guard tests a divisor in the group of a checked root, which
+            # divides by nothing, or comes just before the first division
+            # by its slot.
             for i, node, den in guards:
-                if den in first and first[den][1] is node:
-                    assert first[den][0] == i + 1
-                else:
-                    assert [s for start, stop, s, _ in tape.groups
-                            if start <= i < stop] == [None]
+                if [s for start, stop, s, _ in tape.groups
+                        if start <= i < stop] != [None]:
+                    assert first[den] == (i + 1, node)
 
     def test_frees_drop_each_slot_after_its_last_consumer(self):
         z1, zb1 = ex.z(1), ex.zbar(1)
@@ -1342,3 +1342,145 @@ class TestExpProductsAndFlow:
         solved = ex._Tape([t]).values(pts * lam, binding)[0]
         assert np.allclose(ex._Tape([moved]).values(pts, binding)[0], solved,
                            rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Value numbering
+# ---------------------------------------------------------------------------
+
+
+class TestValueNumbering:
+    """value_number makes nodes proven equal one node, keeps every merge
+    only on its own proof, and leaves what it cannot prove apart."""
+
+    BINDING = {"r": 1.5, "p": 0.7}
+    POINTS = annulus_points(2, 300, seed=61)
+
+    @staticmethod
+    def radius(i, j):
+        return ex.add(ex.mul(ex.z(i), ex.zbar(i)), ex.mul(ex.z(j), ex.zbar(j)))
+
+    def test_equal_values_written_otherwise_are_one_node(self):
+        a, b = self.radius(1, 2), self.radius(2, 1)
+        roots = [ex.div(ex.z(1), a), ex.div(ex.zbar(1), b),
+                 ex.mul(ex.exp(ex.z(1)), ex.exp(ex.z(2))),
+                 ex.exp(ex.add(ex.z(1), ex.z(2)))]
+        merged, bound = ex.value_number(roots)
+        assert merged[0] is roots[0] and merged[1] is ex.div(ex.zbar(1), a)
+        # exp(a) exp(b) = exp(a + b), and the earlier root's node takes
+        # the place; within one root the lower one does.
+        assert merged[2] is merged[3] is roots[2]
+        assert 0.0 < bound <= vf.FALSE_PASS_BOUND
+        _, merges = ex._value_numbering(roots)
+        assert [(node, rep) for node, _, rep in merges] == [
+            (b, a), (roots[3], roots[2])]
+        z1, z2 = ex.z(1), ex.z(2)
+        low = ex.mul(ex.exp(z1), z2)
+        high = ex.div(ex.mul(ex.exp(z1), ex.mul(z2, z2)), z2)
+        assert ex.value_number([ex.add(high, low)])[0] == [ex.add(low, low)]
+
+    def test_every_kept_merge_is_proven(self):
+        a, b = self.radius(1, 2), self.radius(2, 1)
+        roots = [ex.div(ex.z(1), a), ex.sub(ex.div(ex.z(1), b),
+                                            ex.div(ex.z(1), a))]
+        merged, bound = ex.value_number(roots)
+        _, merges = ex._value_numbering(roots)
+        vanished, degrees = ex._Tape(
+            [ex.sub(new, rep) for _, new, rep in merges]).prove()
+        assert merges and all(vanished)
+        assert bound == sum(map(ex._false_pass, degrees))
+
+    def test_a_merge_that_fails_its_proof_is_refused(self, monkeypatch):
+        a, b = self.radius(1, 2), self.radius(2, 1)
+        roots = [ex.div(ex.z(1), a), ex.div(ex.z(2), b)]
+        prove, calls = ex._Tape.prove, []
+
+        def refuse_the_first(tape):
+            vanished, degrees = prove(tape)
+            calls.append(len(vanished))
+            if len(calls) == 1:
+                vanished[0] = False
+            return vanished, degrees
+
+        monkeypatch.setattr(ex._Tape, "prove", refuse_the_first)
+        # b's merge into a is refused; nothing is left to prove.
+        assert ex.value_number(roots) == (roots, 0.0)
+        assert calls == [1]
+
+    def test_branch_cuts_are_not_merged(self):
+        # log(z1 z2) and log z1 + log z2 differ by 2 pi i off a half-plane:
+        # each log is its own unknown, so they differ mod p.
+        z1, z2 = ex.z(1), ex.z(2)
+        roots = [ex.log(ex.mul(z1, z2)), ex.add(ex.log(z1), ex.log(z2)),
+                 ex.exp(ex.log(z1)), z1]
+        assert ex.value_number(roots) == (roots, 0.0)
+
+    def test_constants_params_and_implicit_times_stay(self):
+        # A constant value is no fingerprint: 0 written as z1 - z1 (after
+        # a merge) or as a param's difference stays a subtraction, so no
+        # divisor check below it folds away.
+        t, p = ex.implicit_t((1.0, ex.param("r"))), ex.param("p")
+        a, b = self.radius(1, 2), self.radius(2, 1)
+        zero = ex.sub(ex.div(p, a), ex.div(p, b))
+        merged, _ = ex.value_number([t, p, zero, ex.sub(p, ex.mul(1.0, p))])
+        assert merged[:2] == [t, p]
+        assert isinstance(merged[2], ex.Sub)
+        assert merged[2].args[0] is merged[2].args[1] is ex.div(p, a)
+        tape = ex._Tape(merged, {2})
+        assert [rule for rule, _, _ in tape.ops].count(ex._check_divisor) == 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_dags_keep_their_values(self, seed):
+        rng = np.random.default_rng(seed)
+        roots = _random_dag(rng) + _random_dag(rng)
+        merged, bound = ex.value_number(roots)
+        assert bound <= vf.FALSE_PASS_BOUND
+        assert len(ex._Tape(merged).ops) <= len(ex._Tape(roots).ops)
+        got = ex._Tape(merged).values(self.POINTS, self.BINDING)
+        want = ex._Tape(roots).values(self.POINTS, self.BINDING)
+        for g, w in zip(got, want):
+            size = np.abs(w)
+            scale = np.max(size[np.isfinite(size)], initial=1.0)
+            assert np.allclose(g, w, rtol=1e-9, atol=1e-12 * scale,
+                               equal_nan=True)
+
+    @pytest.mark.parametrize("proven", [0, 1, 2])
+    def test_division_through_a_merged_divisor_fails_as_before(self, proven):
+        # The divisor |z1|^2 - |z2|^2, written three ways, vanishes exactly
+        # where |z1| = |z2|.  Two requests divide by the first two; the
+        # proven one, at position ``proven``, is the difference of the
+        # second and the third.  The merged tape keeps one guard, and fails
+        # as the tape without merges does: same request, term, error and
+        # point.
+        z1, z2, zb1, zb2 = ex.z(1), ex.z(2), ex.zbar(1), ex.zbar(2)
+        dens = [ex.sub(ex.mul(z1, zb1), ex.mul(z2, zb2)),
+                ex.sub(ex.mul(zb1, z1), ex.mul(zb2, z2)),
+                ex.sub(ex.mul(z1, zb1), ex.mul(zb2, z2))]
+        forms = [fm.scalar_form(2, ex.div(ex.z(2), d)) for d in dens]
+        requests = [(forms[0], fm._Max), (forms[1], fm._Full)]
+        requests.insert(proven, (forms[1] - forms[2], fm._Max))
+        pts = self.POINTS[:40].copy()
+        pts[9] = (1.5, 1.5j)  # every divisor is 0.0 there
+        plain = fm._RequestTape(requests, 2, {proven})
+        merged = fm._RequestTape(requests, 2, {proven}, vf.FALSE_PASS_BOUND)
+        assert 0.0 < merged.merge_bound <= vf.FALSE_PASS_BOUND
+        assert plain.merge_bound is None
+
+        def guards(tape):
+            return [rule for rule, _, _ in tape.tape.ops].count(
+                ex._check_divisor)
+
+        assert (guards(plain), guards(merged)) == (3, 1)
+        want, got = plain.run(pts), merged.run(pts)
+        assert got.failed_at == want.failed_at == 0
+        assert type(got.error.cause) is type(want.error.cause) \
+            is ex.DivisionNearZero
+        assert str(got.error) == str(want.error)
+        assert got.error.cause.point == want.error.cause.point \
+            == tuple(pts[9])
+        # Where no divisor vanishes, both give every value.
+        fine = np.delete(pts, 9, axis=0)
+        want, got = plain.run(fine), merged.run(fine)
+        assert got.failed_at == want.failed_at == 3
