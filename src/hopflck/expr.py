@@ -20,18 +20,12 @@ all drive those rules through one explicit-stack post-order walk, so the
 depth of an expression is bounded by memory, not by the recursion limit.
 
 Evaluation compiles the DAG below one or more roots into a tape: a post-order
-list of operations, one slot per node, each slot knowing its last consumer.
-The tape runs over the points in fixed-size chunks; every operation runs once
-per chunk, so repeated subterms (denominators, implicit solves) are computed
-once.  Where each intermediate array lives is decided when the tape is
-compiled: in an operand that the operation is the last consumer of, or in a
-buffer of an arena that each run allocates once and reuses chunk after chunk,
-once the value in it has had its last consumer.  So an arithmetic operation
-allocates nothing, and intermediate memory grows with the chunk size, not
-with the point count.  The tape hands each root's values, chunk by chunk, to
-a consumer, which keeps them or folds them (say, to a per-point maximum), so
-a caller runs everything it needs at one point array through one tape and one
-pass: one Newton solve per implicit time for a whole verification suite.
+list of operations, one slot per node, run over the points in fixed-size
+chunks, so repeated subterms (denominators, implicit solves) are computed
+once per chunk and intermediate memory grows with the chunk size, not the
+point count (see _Tape).  The tape hands each root's values, chunk by chunk,
+to a consumer that keeps or folds them, so a caller runs everything it needs
+at one point array through one tape and one pass.
 
 The one non-algebraic node is :class:`ImplicitT`, the real-valued function
 t(w) solving  sum_i |w_i|^2 exp(2 r_i t) = 1  for positive weights r_i.  It
@@ -64,6 +58,7 @@ every k, the same real s, adds s to it (the time-s flow of its weights).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import random
 import weakref
@@ -1159,15 +1154,15 @@ class _Tape:
     runs after it in the same chunk, on the same values, and in every
     prefix of the groups that holds it.
 
-    ``plan`` is what :meth:`run` executes.  An addition, subtraction,
-    multiplication or division with an array child is a bare ufunc call;
-    every other operation calls its rule.  Where each array lives is fixed
-    here, by liveness.  A root's values are a fresh array, since a consumer
-    may keep them.  Any other result that a rule can write into ``out``
-    goes into a child whose last consumer this operation is, where that
-    child has the result's type, is not a view of the points and is not a
-    root; failing that, into a buffer of the arena, which is free again
-    once the last consumer of the value in it has run.  Once a run has
+    ``plan`` is what :meth:`run` executes, placed by liveness when first
+    read, so a tape that is only proven never places.  An addition,
+    subtraction, multiplication or division with an array child is a bare
+    ufunc call; every other operation calls its rule.  A root's values are a
+    fresh array, since a consumer may keep them.  Any other result that a
+    rule can write into ``out`` goes into a child whose last consumer this
+    operation is, where that child has the result's type, is not a view of
+    the points and is not a root; failing that, into a buffer of the arena,
+    free again once the last consumer of its value has run.  Once a run has
     filled a chunk the arena lives as long as the tape, so runs of one tape
     must not overlap.
     """
@@ -1237,11 +1232,15 @@ class _Tape:
                 self.frees[i] += (s,)
         self.params = [i for i, (_, node, _) in enumerate(self.ops)
                        if isinstance(node, Param)]
-        self._place()
+        self.buffers = []
 
-    def _place(self):
-        """Fill ``plan``, one (f, a, b, out) per operation, and ``arena``,
-        the type of each arena buffer.
+    plan = property(lambda self: self._placement[0])
+    arena = property(lambda self: self._placement[1])
+
+    @functools.cached_property
+    def _placement(self):
+        """(``plan``, one (f, a, b, out) per operation, ``arena``, the type
+        of each arena buffer).
 
         ``run`` keeps one list of cells: the slots, then the arena's
         buffers, then None.  ``out`` is the cell whose array the operation
@@ -1250,7 +1249,7 @@ class _Tape:
         and ``b`` = None.
         """
         n, roots = len(self.ops), set(self.roots)
-        self.plan, self.arena = [], []
+        plan, arena = [], []
         # Per slot: its type, whether an operation may write into its
         # array, and its arena buffer; per type, the buffers free for reuse.
         types, writable, buffer = [], [], []
@@ -1267,14 +1266,14 @@ class _Tape:
                     buf = buffer[out]
                 else:
                     if not spare[dtype]:
-                        spare[dtype].append(len(self.arena))
-                        self.arena.append(dtype)
+                        spare[dtype].append(len(arena))
+                        arena.append(dtype)
                     buf = spare[dtype].pop()
                     out = n + buf
             if dtype is not None and rule in _UFUNCS:
-                self.plan.append((_UFUNCS[rule], kids[0], kids[1], out))
+                plan.append((_UFUNCS[rule], kids[0], kids[1], out))
             else:
-                self.plan.append((rule, (node, kids), None, out))
+                plan.append((rule, (node, kids), None, out))
             types.append(dtype)
             writable.append(dtype is not None and i not in roots
                             and not isinstance(node, Var))
@@ -1282,7 +1281,7 @@ class _Tape:
             for c in self.frees[i]:
                 if c != out and buffer[c] is not None:
                     spare[types[c]].append(buffer[c])
-        self.buffers = []
+        return plan, arena
 
     def run(self, pts, consume, binding=None):
         """Run the operations over ``pts`` chunk by chunk.

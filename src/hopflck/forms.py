@@ -337,15 +337,9 @@ def evaluate_form(a: ExteriorForm, point):
 
 
 def evaluate_form_many(a: ExteriorForm, points):
-    """Coefficients over an (m, n) point array, as {index: (m,) array}.
-
-    All coefficients run through one evaluation tape: the shared DAG is
-    compiled once into a post-order list of operations, run over chunks of
-    points, and each intermediate is freed after its last use.  Common
-    denominators and implicit solves are thus computed once per chunk for
-    the whole form.  A failure names the first failing coefficient in sorted
-    order.
-    """
+    """Coefficients over an (m, n) point array, as {index: (m,) array},
+    through one tape for the whole form; a failure names the first failing
+    coefficient in sorted order."""
     return _evaluate_forms([(a, _Full)], points)[0]
 
 
@@ -412,6 +406,30 @@ class _Max:
         return float(self.value)
 
 
+class _Range:
+    """A 0-form's least, largest and summed real part (``low``, ``high``,
+    ``total``) and largest |Im|/|Re| (``imag``), each NaN after a NaN."""
+
+    def __init__(self, form, m, scratch):
+        self.m, self.total, self.imag = m, 0.0, 0.0
+        # A form without terms is 0 at every point.
+        self.low, self.high = (np.inf, -np.inf) if form.terms else (0.0, 0.0)
+
+    def add(self, lo, index, value):
+        value = _column(value, min(ex._CHUNK, self.m - lo))
+        re = value.real
+        # numpy's minimum and maximum keep a NaN.
+        self.low = np.minimum(self.low, re.min(initial=np.inf))
+        self.high = np.maximum(self.high, re.max(initial=-np.inf))
+        self.total += re.sum()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.abs(value.imag) / np.abs(re)
+        self.imag = np.maximum(self.imag, ratio.max(initial=0.0))
+
+    def result(self):
+        return self
+
+
 class _Evaluation:
     """The values of :func:`_evaluate_forms`, in request order.
 
@@ -433,9 +451,9 @@ def _evaluate_forms(requests, points) -> _Evaluation:
     """Several forms at one point array, through one tape and one pass.
 
     ``requests`` is a sequence of (form, fold) pairs: the fold (_Full,
-    _Residual, _Max or _Definite) takes the form's coefficients chunk by
-    chunk and keeps of them what its request gives.  Each form's sorted
-    coefficients are the tape's roots, in request order, so an error
+    _Residual, _Max, _Range or _Definite) takes the form's coefficients
+    chunk by chunk and keeps of them what its request gives.  Each form's
+    sorted coefficients are the tape's roots, in request order, so an error
     belongs to the first form that fails and names the term
     :func:`evaluate_form_many` would name.
     """
@@ -446,9 +464,8 @@ def _evaluate_forms(requests, points) -> _Evaluation:
 class _RequestTape:
     """:func:`_evaluate_forms` requests compiled once for points in C^dim.
 
-    Each :meth:`run` binds the params and evaluates every request through
-    the one compiled tape, so a template's requests are built and compiled
-    once however many bindings they are run with.
+    Each :meth:`run` binds the params, so a template's requests are built
+    and compiled once for every binding.
 
     A request whose index is in ``proven`` is known to vanish: its terms
     are checked roots of the tape (see ex._Tape), so it gets no values (its
@@ -892,17 +909,9 @@ class _Definite:
 def _classify(a: ExteriorForm, pts, evaluation, k) -> DefinitenessReport:
     """:func:`definiteness` from the values of its requests, which start at
     ``evaluation[k]``: the largest residuals of the (2,0) and (0,2) parts,
-    then the (1,1) part's :class:`_Definite` fold.
-
-    For n = 2 the eigenvalues come in closed form, and LAPACK's eigvalsh
-    runs only on the points where a decision is within rounding of the
-    closed form (see :func:`_closed_form_2x2`); for other n it runs on
-    every point.  Where the matrices it gets are bit for bit alike, one
-    call serves them all.  Either way every decision, min |eigenvalue| and
-    the worst sample are LAPACK's.  A stray (2,0) or (0,2) part raises
-    NotType11; then a non-finite coefficient raises NonHermitian naming the
-    first point that has one.
-    """
+    then the (1,1) part's :class:`_Definite` fold, whose report is
+    LAPACK's (see :meth:`_Definite.report`).  A stray (2,0) or (0,2) part
+    raises NotType11."""
     _check_type11_shape(a, pts)
     for j, (p, q) in enumerate(((2, 0), (0, 2))):
         stray = evaluation[k + j]

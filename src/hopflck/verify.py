@@ -1,26 +1,21 @@
 """Residual certification of locally conformally Kähler identities.
 
-Checks are sampling-based: each one evaluates symbolic identities at seeded
-annulus points and reports the worst residual against a tolerance.  Reports
-are plain dataclasses with a fixed JSON shape so that identical inputs
-produce byte-identical output.
+Checks evaluate symbolic identities at seeded annulus points and report the
+worst residual against a tolerance, as plain dataclasses with a fixed JSON
+shape, so that identical inputs produce byte-identical output.
 
-The exception is run_suite's identities, the lcK pair d Omega = theta ^
-Omega, d theta = 0 and the invariance of theta and psi under each deck
-generator: each suite first tests them exactly, by evaluating their
-coefficients at random residues modulo a prime (ex._Tape.prove).  A proven
-identity is no longer sampled at every point: its report carries residual
-0.0, the false-pass bound FALSE_PASS_BOUND, and the float residual at the
-first CROSS_CHECK_POINTS points as a cross-check, while every point is
-still checked for the evaluation errors that sampling would raise.  Where
-that float residual reaches the tolerance the proof is not trusted and the
-identity is sampled at every point after all.  The tape that runs at every
-sample point is value-numbered (ex.value_number): values proven equal, each
-merge on draws of its own, are computed once, unless the merges' summed
-false-merge bound exceeds FALSE_PASS_BOUND.  The cross-check's tape is not,
-so that it evaluates each identity as written, and neither are the Lee
-solve and the library functions (verify_lck, verify_invariance,
-max_form_residual, ...), which stay sampled.
+run_suite first tests its identities exactly, by evaluating their
+coefficients at random residues modulo a prime (ex._Tape.prove): the lcK
+pair d Omega = theta ^ Omega, d theta = 0, the invariance of theta and psi
+under each deck generator, and for a potential Phi the closedness of omega~
+= -i del delbar Phi and the constancy of each ratio g*Phi/Phi.  A proven
+identity reports residual 0.0, the false-pass bound FALSE_PASS_BOUND and its
+float residual at the first CROSS_CHECK_POINTS points, a cross-check: where
+that reaches the tolerance it is sampled at every point after all.  Every
+point is checked for the evaluation errors sampling would raise, on one tape
+that is value-numbered (ex.value_number).  verify_potential runs the
+potential's part of such a suite, built by hand; the Lee solve and the other
+library functions (verify_lck, verify_invariance, ...) stay sampled.
 
 Two conventions used throughout:
 
@@ -108,20 +103,14 @@ class NonPositivePotential(ValueError):
 class VerificationReport:
     """One named check: status is pass exactly when max_residual < tolerance.
 
-    run_suite's lck_residual, lee_closedness and invariance reports name
-    their ``method`` in ``details``.  "sampled": ``max_residual`` is the
-    largest residual over the sample points, whose worst are
-    ``worst_points`` (lcK) or which each generator's ``residual`` gives
-    (invariance).  "exact-modular": the identity vanished at ``trials``
-    random points modulo ``prime`` (ex.MODULAR_TRIALS, ex.MODULAR_PRIME),
-    with every param, exp, log and implicit time an unknown, so
-    ``max_residual`` is 0.0; ``false_pass_bound`` (FALSE_PASS_BOUND) bounds
-    the chance that a nonzero identity passes so, and ``float_residual``
-    with ``worst_points`` (lcK) or each generator's ``float_residual``
-    (invariance) come from the float residual at the first
-    CROSS_CHECK_POINTS sample points, which is below the tolerance.  A
-    proven identity whose float residual there is not below the tolerance
-    is reported "sampled".
+    run_suite's identity reports (lck_residual, lee_closedness, the
+    invariances, potential_homothety) name their ``method`` in ``details``:
+    "exact-modular" when the identity vanished at ``trials`` random points
+    modulo ``prime``, every param, exp, log and implicit time an unknown, so
+    ``max_residual`` is 0.0, ``false_pass_bound`` bounds the chance that a
+    nonzero identity passes so, and the float residual at the first
+    CROSS_CHECK_POINTS points, its cross-check, is below the tolerance;
+    "sampled" otherwise, ``max_residual`` being the worst over every point.
     """
 
     check_name: str
@@ -428,18 +417,11 @@ def solve_lee_many(Omega: fm.ExteriorForm, points):
 
 
 def solve_lee_pointwise(Omega: fm.ExteriorForm, point) -> LeeSolveResult:
-    """Solve d Omega = theta ^ Omega for theta at a single point.
-
-    For a nondegenerate Omega in complex dimension n >= 2 the 2n
-    coefficients of theta in the covector basis are unique: theta_a =
-    sum_{b<c} (W^-1)_cb V_abc / (n - 1), W Omega's antisymmetric coefficient
-    matrix and V d Omega's (see _lee_solve), which on C^2 is -W *V / Pf W.
-    ``residual`` is the largest |theta ^ Omega - d Omega|.  Raises
-    DegenerateOmega when a coefficient of Omega is not finite, and when W is
-    near singular: LAPACK's smallest singular value is at most LEE_RCOND
-    times its largest, a test that does not depend on the scale of Omega.
-    On C^2 LAPACK is asked only where the closed-form ratio is within
-    LEE_BAND of that threshold, with the same verdict.
+    """Solve d Omega = theta ^ Omega for theta at a single point (see
+    _lee_solve); ``residual`` is the largest |theta ^ Omega - d Omega|.
+    Raises DegenerateOmega when a coefficient of Omega is not finite, and
+    where LAPACK's smallest singular value of Omega's coefficient matrix is
+    at most LEE_RCOND times its largest (see _lee_inverse).
     """
     return solve_lee_many(Omega, [tuple(point)])[0]
 
@@ -488,68 +470,16 @@ def _generator_list(group):
 def verify_potential(Phi: ex.Expression, group, points,
                      tolerance: float | None = None,
                      seed: int = 0) -> VerificationReport:
-    """Check that the group acts on the potential by pointwise-constant ratios.
-
-    The coordinate axis points are always appended to the samples, so the
-    directional dependence of a non-homothetic action (the negative control)
-    is witnessed deterministically.  Builds omega = -i del delbar Phi, checks
-    it is closed, records its definiteness, and for every generator reports
-    the mean ratio Phi(g z)/Phi(z) and the spread (max - min) across points;
-    pass requires every spread under the tolerance and every ratio positive.
-    """
-    tol = _auto_tolerance(Phi) if tolerance is None else float(tolerance)
-    return _PotentialCheck(Phi, group.dim).run(group, points, tol, seed)
-
-
-class _PotentialCheck:
-    """verify_potential with its symbolic part built and compiled once.
-
-    That part is Phi, and d omega~ with the definiteness requests of
-    omega~ = -i del delbar Phi; :meth:`run` binds the params of Phi.
-    """
-
-    def __init__(self, Phi, n):
-        ex._check_dimension((Phi,), n)
-        self.phi = ex._Tape([Phi])
-        self.omega_tilde = fm.kaehler_form(n, Phi)
-        self.forms = fm._RequestTape(
-            [(fm.exterior_d(self.omega_tilde), fm._Max)]
-            + fm._definiteness_requests(self.omega_tilde), n)
-
-    def run(self, group, points, tol, seed, binding=None):
-        n = group.dim
-        pts = np.concatenate([np.eye(n, dtype=complex),
-                              np.asarray(points, dtype=complex)])
-        vals = self.phi.values(pts, binding)[0]
-        imag = np.abs(vals.imag)
-        if (np.any(~(imag <= POTENTIAL_IMAG_RTOL * np.abs(vals.real)))
-                or float(vals.real.min()) <= 0):
-            raise NonPositivePotential(
-                "potential must be real and positive on the samples "
-                "(worst imaginary part %.3g, min real part %.3g)"
-                % (float(np.max(imag)), float(vals.real.min())))
-
-        values = self.forms.run(pts, binding)
-        closed = values[0]
-        definiteness = _definiteness_summary(self.omega_tilde, pts, values, 1)
-        definiteness.pop("is_semidefinite", None)
-        details = {"closedness_residual": closed, "generators": [],
-                   "definiteness": definiteness}
-
-        worst = [closed]
-        for name, gen in _generator_list(group):
-            moved = self.phi.values(gen.eval_many(pts), binding)[0]
-            ratios = (moved / vals).real
-            rho = float(ratios.mean())
-            spread = float(ratios.max() - ratios.min())
-            details["generators"].append(
-                {"generator": name, "rho": rho, "deviation": spread})
-            worst.append(spread)
-            if rho <= 0:
-                worst.append(1.0)
-                details["nonpositive_ratio"] = True
-        return _report("potential_homothety", _worst(worst), tol,
-                       int(pts.shape[0]), seed, details)
+    """Check that omega~ = -i del delbar Phi is closed and that each
+    generator g moves Phi by a constant ratio g*Phi/Phi (mean rho, spread
+    max - min and spread relative to |rho|), through the potential's part
+    of a suite built by hand, uncached, as run_suite does."""
+    generators = _generator_list(group)
+    suite = _Suite(group.dim, {}, Phi,
+                   [gen.as_expressions() for _, gen in generators])
+    tol = suite.tolerance if tolerance is None else float(tolerance)
+    return _potential_report(_Run(suite, ex._points(points), {}, tol),
+                             generators, seed)
 
 
 def verify_invariance(a: fm.ExteriorForm, g: PolyAutomorphism, points,
@@ -600,16 +530,11 @@ def _orientations(gen):
 
 
 def _proofs(requests, dim):
-    """Each request's exact test: the Schwartz-Zippel bound of its proof, or
-    None where it is not proven, and the tape of every request it proved
-    them on.
-
-    A request is proven when every coefficient vanished in each trial of
-    ex._Tape.prove, params included as unknowns, so that it vanishes for
-    every binding, and the bound on the chance that a coefficient that is
-    not identically zero vanished in each trial, summed over the
-    coefficients, is at most FALSE_PASS_BOUND.
-    """
+    """Each request's Schwartz-Zippel bound, or None where it is not
+    proven, and the tape of every request it proved them on: proven when
+    every coefficient vanished in each trial of ex._Tape.prove, params
+    included as unknowns, and the bounds summed over the coefficients are
+    at most FALSE_PASS_BOUND."""
     tape = fm._RequestTape(requests, dim)
     vanished, degrees = tape.tape.prove()
     proofs = []
@@ -627,15 +552,17 @@ class _Suite:
 
     ``forms``, ``potential`` and the generators' expressions ``deck`` may
     hold params; each run binds them.  ``requests`` holds every form a check
-    evaluates at the sample points, in check order, as one tape.  The
-    identities, the lcK pair (``lck``) and each invariance under each
-    generator (``invariance``, per form), are tested exactly first
-    (``proofs``, each proof's false-pass bound or None): a proven one is
-    only checked for errors there, and its float residual comes from its
-    proof's tape ``cross_check``, which runs at the first CROSS_CHECK_POINTS
-    points, and at every point where that residual reaches the tolerance.
-    Identity i is request ``at[i]``.  ``requests`` is value-numbered
-    within FALSE_PASS_BOUND (its ``merge_bound``), ``cross_check`` is not.
+    evaluates at the sample points, in check order, as one value-numbered
+    tape (within FALSE_PASS_BOUND, its ``merge_bound``).  The identities,
+    the lcK pair (``lck``), each invariance under each generator
+    (``invariance``, per form) and the potential's, are tested exactly
+    first (``proofs``, each bound or None), on the tape ``cross_check``
+    (see _Run.identities); identity i < len(at) is request ``at[i]``.
+
+    ``potential`` is None or (omega~ = -i del delbar Phi, Phi's request,
+    the first of omega~'s definiteness requests, the closedness identity);
+    Phi's request is followed by each generator's ratio g*Phi/Phi, the
+    closedness by each generator's ratio identity, the last identities.
     """
 
     def __init__(self, dim, forms, potential, deck):
@@ -654,15 +581,42 @@ class _Suite:
                     (key, list(range(first, first + len(deck)))))
                 invariance += [_invariance_request(forms[key], g, fm._Max)
                                for g in deck]
-        self.proofs, self.cross_check = _proofs(lck + invariance, dim)
-        self.at = self.lck + [len(definite) + i
-                              for _, ids in self.invariance for i in ids]
+        samples, exact, self.potential = lck + definite, [], None
+        if potential is not None:
+            phi = fm.scalar_form(dim, potential)
+            omega = fm.kaehler_form(dim, potential)
+            moved = [fm.pullback(g, phi) for g in deck]
+            # d omega~ / Phi is d Omega - theta ^ Omega for the lcK structure
+            # Omega = omega~ / Phi, theta = -d log Phi of the potential, so
+            # its float residual does not depend on the scale of Phi.  Where
+            # Phi > 0, Phi d(g*Phi) - (g*Phi) d Phi = 0 says that g*Phi/Phi
+            # is constant, with no divisor to guard.
+            closed = (fm.exterior_d(omega).scale(ex.div(1.0, potential)),
+                      fm._Max)
+            exact = [closed] + [(fm.wedge(phi, fm.exterior_d(h))
+                                 - fm.wedge(h, fm.exterior_d(phi)), fm._Max)
+                                for h in moved]
+            at, samples = len(samples), samples + [(phi, fm._Range)] + [
+                (fm.scalar_form(dim, ex.div(h.terms.get((), 0.0), potential)),
+                 fm._Range) for h in moved]
+            # Where Omega is omega~, as on example2, one classification
+            # serves both.
+            same = omega == self.omega11
+            classified = len(lck) if same else len(samples)
+            samples += [] if same else fm._definiteness_requests(omega)
+            self.potential = (omega, at, classified,
+                              len(lck) + len(invariance))
+            samples.append(closed)
+        shift = len(samples) - len(lck)
+        self.at = self.lck + [shift + i for _, ids in self.invariance
+                              for i in ids]
+        if potential is not None:
+            self.at.append(len(samples) - 1)
+        self.proofs, self.cross_check = _proofs(lck + invariance + exact, dim)
         self.requests = fm._RequestTape(
-            lck + definite + invariance, dim,
+            samples + invariance, dim,
             {k for k, proof in zip(self.at, self.proofs) if proof is not None},
             FALSE_PASS_BOUND)
-        self.potential = (None if potential is None
-                          else _PotentialCheck(potential, dim))
 
 
 _SUITES: OrderedDict = OrderedDict()
@@ -671,13 +625,12 @@ _SUITES: OrderedDict = OrderedDict()
 def _suite(entry, generators):
     """The compiled suite of ``entry`` and the binding to run it with.
 
-    A catalog entry's suite is its template's, forms, potential and deck
-    generator all written over params; it is built on the first run of its
-    template (entry and fixed shape, such as the dimension) and then kept,
-    up to SUITE_CACHE_SIZE suites, for every binding of those params.  The
-    binding takes the template's inputs from the entry.  An entry built from
-    its own forms, or whose group is not its template's generator alone,
-    gets a fresh suite of its generators' numbers and no binding.
+    A catalog entry's suite is its template's, written over params, built on
+    the first run of its template (entry and fixed shape, such as the
+    dimension) and kept, up to SUITE_CACHE_SIZE suites, for every binding of
+    the entry's numbers.  An entry built from its own forms, or whose group
+    is not its template's generator alone, gets a fresh suite of its
+    generators' numbers and no binding.
     """
     template = entry.template
     if template is None or [gen for _, gen in generators] != [
@@ -701,6 +654,78 @@ _EXACT = {"method": "exact-modular", "prime": ex.MODULAR_PRIME,
           "trials": ex.MODULAR_TRIALS, "false_pass_bound": FALSE_PASS_BOUND}
 
 
+class _Run:
+    """A suite's sample tape run at ``pts`` (``values``), and its proofs'
+    tape run there or at the first CROSS_CHECK_POINTS (``head``) on use."""
+
+    def __init__(self, suite, pts, binding, tol):
+        self.suite, self.pts, self.binding, self.tol = suite, pts, binding, tol
+        self.head, self.runs = pts[:CROSS_CHECK_POINTS], {}
+        self.values = suite.requests.run(pts, binding)
+
+    def cross_check(self, at):
+        if len(at) not in self.runs:
+            self.runs[len(at)] = self.suite.cross_check.run(at, self.binding)
+        return self.runs[len(at)]
+
+    def identities(self, ids):
+        """Whether the identities ``ids`` are reported proven, and their
+        values: each proven one's from its proof's tape at ``head``, or,
+        where a float residual there reaches the tolerance (rounding, or an
+        identity that holds only modulo the prime), at every point."""
+        at, bounds, cross = self.suite.at, self.suite.proofs, self.cross_check
+        got = [self.values[at[i]] for i in ids]  # raises their errors
+        if all(bounds[i] is not None for i in ids):
+            checked = [cross(self.head)[i] for i in ids]
+            if all(float(np.max(v, initial=0.0)) < self.tol for v in checked):
+                return True, checked
+        return False, [v if bounds[i] is None else cross(self.pts)[i]
+                       for i, v in zip(ids, got)]
+
+
+def _potential_report(run, generators, seed):
+    """The potential_homothety report of a suite ``run`` (see
+    verify_potential); NonPositivePotential unless Phi is real, |Im Phi| <=
+    POTENTIAL_IMAG_RTOL |Re Phi|, and positive at every point."""
+    suite, values, m = run.suite, run.values, run.pts.shape[0]
+    omega, at, classified, closed = suite.potential
+    phi = values[at]
+    if not (phi.imag <= POTENTIAL_IMAG_RTOL and phi.low > 0):
+        raise NonPositivePotential(
+            "potential must be real and positive on the samples "
+            "(worst |Im|/|Re| %.3g, min real part %.3g)" % (phi.imag, phi.low))
+    rows = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k, (name, _) in enumerate(generators, at + 1):
+            ratio = values[k]
+            rho, spread = ratio.total / m, ratio.high - ratio.low
+            rows.append({"generator": name, "rho": rho, "deviation": spread,
+                         "relative_deviation": spread / abs(rho)})
+    summary = _definiteness_summary(omega, run.pts, values, classified)
+    summary.pop("is_semidefinite", None)
+    # The check is exact when the closedness is (see _Run.identities) and
+    # every ratio identity is proven with each ratio's spread relative to
+    # |rho| below the tolerance; the closedness is 0.0 wherever it is
+    # proven so, and rho and its sign are always sampled.
+    closed_proven, (residual,) = run.identities([closed])
+    ratios_proven = all(suite.proofs[closed + 1 + j] is not None
+                        and row["relative_deviation"] < run.tol
+                        for j, row in enumerate(rows))
+    details = (dict(_EXACT) if closed_proven and ratios_proven
+               else {"method": "sampled"})
+    details.update(closedness_residual=0.0 if closed_proven else residual,
+                   definiteness=summary, generators=rows)
+    if closed_proven:
+        details["float_residual"] = residual
+    worst = [details["closedness_residual"]] + (
+        [] if ratios_proven else [row["relative_deviation"] for row in rows])
+    if any(row["rho"] <= 0 for row in rows):
+        worst.append(1.0)
+        details["nonpositive_ratio"] = True
+    return _report("potential_homothety", _worst(worst), run.tol, m, seed,
+                   details)
+
+
 def run_suite(entry: HopfSurfaceCatalogEntry,
               config: SuiteConfig | None = None):
     """Run every applicable check on a catalog entry, in a fixed order.
@@ -721,30 +746,11 @@ def run_suite(entry: HopfSurfaceCatalogEntry,
     generators = _generator_list(entry.group)
     suite, binding = _suite(entry, generators)
     tol = suite.tolerance if config.tol is None else config.tol
-    values = suite.requests.run(pts, binding)
-    head, runs, reports = pts[:CROSS_CHECK_POINTS], {}, []
-
-    def cross_check(at):
-        if len(at) not in runs:
-            runs[len(at)] = suite.cross_check.run(at, binding)
-        return runs[len(at)]
-
-    def identities(ids):
-        """Whether the identities ``ids`` are reported proven, and their
-        values: each proven one's from its proof's tape at the first
-        points, or, where a float residual there reaches the tolerance
-        (rounding, or an identity that holds only modulo the prime), every
-        one's at every point."""
-        got = [values[suite.at[i]] for i in ids]  # raises their errors
-        if all(suite.proofs[i] is not None for i in ids):
-            checked = [cross_check(head)[i] for i in ids]
-            if all(float(np.max(v, initial=0.0)) < tol for v in checked):
-                return True, checked
-        return False, [v if suite.proofs[i] is None else cross_check(pts)[i]
-                       for i, v in zip(ids, got)]
+    run = _Run(suite, pts, binding, tol)
+    values, head, reports = run.values, run.head, []
 
     for name, i in zip(("lck_residual", "lee_closedness"), suite.lck):
-        proven, (res,) = identities([i])
+        proven, (res,) = run.identities([i])
         residual = float(res.max(initial=0.0))
         details = ({**_EXACT, "float_residual": residual} if proven
                    else {"method": "sampled"})
@@ -761,11 +767,10 @@ def run_suite(entry: HopfSurfaceCatalogEntry,
                                details))
 
     if suite.potential is not None:
-        reports.append(suite.potential.run(entry.group, pts, tol, seed,
-                                           binding))
+        reports.append(_potential_report(run, generators, seed))
 
     for key, ids in suite.invariance:
-        proven, res = identities(ids)
+        proven, res = run.identities(ids)
         worst = _worst([0.0] + res)
         details = ({**_EXACT, "float_residual": worst} if proven
                    else {"method": "sampled"})

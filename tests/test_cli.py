@@ -94,7 +94,7 @@ VERIFY_PINS = {
         (1.0, 1e-6, 20, "generator_inverse", "")),
     "example2": (
         [*zip(_CHECKS, ("pass",) * 3, (1e-10, 1e-10, 0.0), (200,) * 3),
-         ("potential_homothety", "pass", 1e-10, 202),
+         ("potential_homothety", "pass", 1e-10, 200),
          ("invariance_theta", "pass", 1e-10, 200),
          ("fixed_point_free", "pass", 0.0, 1), ("contraction", "pass", 0.0, 72)],
         (1.0, 1e-6, 20, "generator_inverse", "")),

@@ -1,5 +1,6 @@
 """Symbolic engine: interning, Wirtinger calculus, implicit radial time."""
 
+import functools
 import gc
 import json
 import math
@@ -660,6 +661,26 @@ class TestTapeBits:
             types.update(tape.arena)
         assert kinds == {"fresh", "in place", "arena"}
         assert types == {float, complex}
+
+    def test_only_a_tape_that_runs_is_placed(self, monkeypatch):
+        # Placement happens on the first run, so the tapes value numbering
+        # builds to prove its merges, and a suite's tapes until they run,
+        # never place.
+        placed = []
+        place = ex._Tape._placement.func
+        lazy = functools.cached_property(
+            lambda tape: placed.append(tape) or place(tape))
+        lazy.__set_name__(ex._Tape, "_placement")
+        monkeypatch.setattr(ex._Tape, "_placement", lazy)
+        proven = ex._Tape([ex.sub(ex.z(1), ex.z(1))])
+        assert proven.prove()[0] == [True] and placed == []
+        vf._SUITES.clear()
+        entry = hp.build_entry("vaisman")
+        suite, binding = vf._suite(entry, vf._generator_list(entry.group))
+        assert suite.requests.merge_bound is not None and placed == []
+        suite.requests.run(self.POINTS[:10], binding)
+        assert placed == [suite.requests.tape]
+        vf._SUITES.clear()
 
     def test_one_point_chunks_keep_the_bits_of_fresh_products(self):
         # An in-place complex product of 1-element arrays would round

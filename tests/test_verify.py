@@ -452,12 +452,16 @@ class TestVerifyPotential:
         pts = random_annulus(2, 50, seed=221)
         rep = vf.verify_potential(phi, group, pts)
         assert rep.passed
-        assert rep.num_points == 52  # axis points appended
+        assert rep.num_points == 50
         gen = rep.details["generators"][0]
         assert gen["deviation"] < 1e-12
+        assert gen["relative_deviation"] < 1e-12
         assert abs(gen["rho"] - abs(mu) ** 2) < 1e-12
         assert rep.details["definiteness"]["sign"] == 1
         assert rep.details["closedness_residual"] < 1e-12
+        # Both identities are proven: the check is exact.
+        assert rep.details["method"] == "exact-modular"
+        assert rep.max_residual == 0.0
 
     def test_identity_action_has_unit_ratio(self):
         phi, _ = hp.example2_potential()
@@ -511,6 +515,47 @@ class TestVerifyPotential:
         assert rep.details["closedness_residual"] < 1e-12
         assert math.isnan(rep.details["generators"][0]["deviation"])
         assert rep.status == "fail" and math.isnan(rep.max_residual)
+        # The ratio identity is proven, but its float spread is NaN, so the
+        # check falls back to sampling.
+        suite = vf._Suite(2, {}, phi, [group.cyclic_generator.as_expressions()])
+        assert all(bound is not None for bound in suite.proofs)
+        assert rep.details["method"] == "sampled"
+
+    @pytest.mark.parametrize("w", [1.0, 5.0, 20.0])
+    def test_spread_is_relative_to_the_ratio(self, w):
+        # |z1|^2 + |z2|^4 is not homothetic under any scalar deck.  At w = 20
+        # its ratio is about 2.4e-18 and its spread 4.2e-18: an absolute
+        # spread passed it, relative to |rho| it is 1.74.
+        phi = ex.add(ex.mul(ex.z(1), ex.zbar(1)),
+                     ex.intpow(ex.mul(ex.z(2), ex.zbar(2)), 2))
+        group = hp.vaisman_entry(r=(w, w)).group
+        rep = vf.verify_potential(phi, group, annulus_points(2, 1000, 0))
+        gen = rep.details["generators"][0]
+        assert rep.status == "fail" and rep.details["method"] == "sampled"
+        assert gen["relative_deviation"] > 1.0
+        assert rep.max_residual == gen["relative_deviation"]
+        assert gen["deviation"] == pytest.approx(
+            gen["relative_deviation"] * abs(gen["rho"]))
+
+    @pytest.mark.parametrize("c", [6.0, 20.0])
+    def test_closedness_of_a_large_potential_is_proven(self, c):
+        # Phi = exp(-2 c t) reaches about 1e12 on the annulus at c = 20,
+        # where d omega~ evaluated in floats is 1.6e-2: an absolute
+        # tolerance of 1e-8 failed it.  The closedness is proven, as d omega~
+        # / Phi; the ratio under a deck of rounded numbers is not, so it is
+        # sampled.
+        t = ex.implicit_t((1.0, 1.5))
+        phi = ex.exp(ex.mul(ex.const(-2.0 * c), t))
+        group = hp.vaisman_entry(r=(1.0, 1.5)).group
+        rep = vf.verify_potential(phi, group, annulus_points(2, 1000, 0))
+        details = rep.details
+        assert rep.passed and rep.tolerance == vf.IMPLICIT_TOL
+        assert details["closedness_residual"] == 0.0
+        assert details["float_residual"] < 1e-10
+        assert details["method"] == "sampled"
+        gen = details["generators"][0]
+        assert gen["rho"] == pytest.approx(math.exp(-2.0 * c))
+        assert gen["relative_deviation"] < 1e-10
 
     def test_small_relative_imaginary_part_rejected(self):
         phi, group = hp.example2_potential()
@@ -795,6 +840,14 @@ class TestSuiteOnePass:
         # t(lambda z) too while invariance was sampled).
         assert len(at_samples) == 1
         assert _implicit_ops(at_samples[0]) == 1
+
+    def test_example2_suite_runs_two_tapes(self, monkeypatch):
+        # The potential's requests are on the sample tape and its identities
+        # on the cross-check tape: no tape of its own, and no axis points.
+        runs = _record_tapes(monkeypatch)
+        vf.run_suite(hp.example2_entry(), vf.SuiteConfig(points=500))
+        assert [shape for _, shape in runs] == [
+            (500, 2), (vf.CROSS_CHECK_POINTS, 2)]
 
     def test_lee_solve_runs_one_tape(self, monkeypatch):
         runs = _record_tapes(monkeypatch)
@@ -1171,8 +1224,6 @@ class TestValueNumberedSuite:
         vf.verify_invariance(entry.forms["theta"],
                              entry.group.cyclic_generator, pts)
         vf.solve_lee_many(entry.forms["Omega"], pts)
-        e2 = hp.build_entry("example2")
-        vf.verify_potential(e2.potential, e2.group, pts)
         assert calls == []
 
 
