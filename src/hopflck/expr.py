@@ -39,16 +39,18 @@ params is a template: compiled into a tape once, it is evaluated for fresh
 numbers by binding them, with no new construction.  Implicit-time weights
 may be params too.
 
-A tape also runs over the integers modulo the prime MODULAR_PRIME
-(:meth:`_Tape.prove`), with each z_i, zbar_i, log, implicit time and param
-an independent unknown drawn at random: a root that vanishes in every trial
-is zero as a rational function of those unknowns, except with a probability
-that its degree bounds (the Schwartz-Zippel lemma), and so for every binding
-and at every point where it can be evaluated.  An exp whose argument is a
-polynomial sum_m c_m m in those symbols with Gaussian-integer coefficients
-is the product of the powers exp(m)^Re(c_m) exp(i m)^Im(c_m), each exp(m)
-and exp(i m) an unknown of its own, so that exp(a) exp(b) = exp(a + b)
-holds there; any other exp is an unknown.
+The DAG also evaluates over the integers modulo the prime MODULAR_PRIME,
+in one post-order walk (_residues) that serves exact proofs (_prove) and
+value numbering alike, with each z_i, zbar_i, log, implicit time and param
+an independent unknown drawn at random; a tape only evaluates floats.  A
+root that vanishes in every trial is zero as a rational function of those
+unknowns, except with a probability that its degree bounds (the
+Schwartz-Zippel lemma), and so for every binding and at every point where
+it can be evaluated.  An exp whose argument is a polynomial sum_m c_m m in
+those symbols with Gaussian-integer coefficients is the product of the
+powers exp(m)^Re(c_m) exp(i m)^Im(c_m), each exp(m) and exp(i m) an
+unknown of its own, so that exp(a) exp(b) = exp(a + b) holds there; any
+other exp is an unknown.
 
 Substitution knows one identity of the implicit time: moving its arguments
 z_k, zbar_k to exp(u_k) z_k, exp(v_k) zbar_k with u_k + v_k = -2 s r_k for
@@ -83,7 +85,7 @@ __all__ = [
 DIVISION_EPS = 1e-14
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
-# Exact identity tests (_Tape.prove) evaluate over the integers mod
+# Exact identity tests (_prove) evaluate over the integers mod
 # MODULAR_PRIME = 2^62 + 169, a prime = 1 (mod 4), in MODULAR_TRIALS trials
 # whose residues random.Random(MODULAR_SEED) draws.
 MODULAR_PRIME = 4611686018427388073
@@ -106,7 +108,8 @@ class EvaluationError(ValueError):
 
 
 class DivisionNearZero(EvaluationError):
-    """A divisor (or negative-power base) had magnitude below 1e-14."""
+    """A divisor (or negative-power base) had magnitude below 1e-14, or
+    was 0 where it is an exp."""
 
 
 class NewtonDivergence(EvaluationError):
@@ -450,20 +453,15 @@ def _bad_point(pts, values, mask):
 
 
 def _check_divisor(e, args, pts, out=None):
+    # The operand of a division or a negative power is its last child.  An
+    # exp never vanishes, so it fails only where it underflows to 0.
     den = args[0]
-    bad = np.abs(den) < DIVISION_EPS
+    bad = (den == 0 if isinstance(e.args[-1], Exp)
+           else np.abs(den) < DIVISION_EPS)
     if np.any(bad):
-        raise DivisionNearZero("divisor magnitude below %g" % DIVISION_EPS,
-                               _bad_point(pts, den, bad))
-
-
-def _check_base(e, args, pts, out=None):
-    base = args[0]
-    bad = np.abs(base) < DIVISION_EPS
-    if np.any(bad):
-        raise DivisionNearZero(
-            "negative-power base magnitude below %g" % DIVISION_EPS,
-            _bad_point(pts, base, bad))
+        raise DivisionNearZero("%s magnitude below %g" % (
+            "divisor" if isinstance(e, Div) else "negative-power base",
+            DIVISION_EPS), _bad_point(pts, den, bad))
 
 
 def _check_log(e, args, pts, out=None):
@@ -941,7 +939,7 @@ _KINDS = {
     Div: _binary("/", div, _apply_quotient, _modular_div, _degree_quotient,
                  _derive_div, lambda e: (_check_divisor, 1)),
     IntPow: _Kind(
-        1, _apply_power, lambda e: (_check_base, 0) if e.power < 0 else None,
+        1, _apply_power, lambda e: (_check_divisor, 0) if e.power < 0 else None,
         _modular_pow, _degree_pow,
         lambda e, k, *_: intpow(k[0], e.power),
         lambda e, d, *_: mul(mul(const(e.power), intpow(e.args[0], e.power - 1)),
@@ -1116,7 +1114,7 @@ def _check_dimension(roots, dim):
 _UFUNCS = {_KINDS[Add].apply: np.add, _KINDS[Sub].apply: np.subtract,
            _KINDS[Mul].apply: np.multiply, _apply_quotient: np.divide}
 _WRITES_OUT = {*_UFUNCS, _KINDS[Exp].apply, _KINDS[ConjVar].apply}
-_CHECKS = {_check_divisor, _check_base, _check_log}
+_CHECKS = {_check_divisor, _check_log}
 
 
 def _tape_dtype(node, kids):
@@ -1154,17 +1152,18 @@ class _Tape:
     runs after it in the same chunk, on the same values, and in every
     prefix of the groups that holds it.
 
-    ``plan`` is what :meth:`run` executes, placed by liveness when first
-    read, so a tape that is only proven never places.  An addition,
-    subtraction, multiplication or division with an array child is a bare
-    ufunc call; every other operation calls its rule.  A root's values are a
-    fresh array, since a consumer may keep them.  Any other result that a
-    rule can write into ``out`` goes into a child whose last consumer this
-    operation is, where that child has the result's type, is not a view of
-    the points and is not a root; failing that, into a buffer of the arena,
-    free again once the last consumer of its value has run.  Once a run has
-    filled a chunk the arena lives as long as the tape, so runs of one tape
-    must not overlap.
+    A tape evaluates in floating point only; exact proofs walk the DAG
+    itself (see _prove).  ``plan`` is what :meth:`run` executes, placed by
+    liveness when first read, so a tape that never runs never places.  An
+    addition, subtraction, multiplication or division with an array child
+    is a bare ufunc call; every other operation calls its rule.  A root's
+    values are a fresh array, since a consumer may keep them.  Any other
+    result that a rule can write into ``out`` goes into a child whose last
+    consumer this operation is, where that child has the result's type, is
+    not a view of the points and is not a root; failing that, into a buffer
+    of the arena, free again once the last consumer of its value has run.
+    Once a run has filled a chunk the arena lives as long as the tape, so
+    runs of one tape must not overlap.
     """
 
     def __init__(self, roots, checked=()):
@@ -1349,57 +1348,6 @@ class _Tape:
                     vals[s] = None
         return failure
 
-    def modular(self, draw):
-        """Every root's residue mod MODULAR_PRIME and its numerator degree.
-
-        The operations run over the integers mod p, each symbol (z_i,
-        zbar_i, log, implicit time, param, an exp that is not a product of
-        powers) at ``draw(node)``, and each exp(m) or exp(i m) of the
-        others (see _exp_powers) at ``draw((m, part))``.  A
-        residue is None where a divisor or negative-power base below the
-        root is 0.  The degree bounds the numerator of the root as a
-        rational function of the symbols.  For a tape with no checked root.
-        """
-        vals, degrees = [], []
-        for rule, node, kids in self.ops:
-            if rule in _CHECKS:  # a guard, whose slot nothing reads
-                vals.append(None)
-                degrees.append(None)
-                continue
-            kind = _KINDS[type(node)]
-            args = [vals[c] for c in kids]
-            vals.append(None if None in args
-                        else kind.modular(node, args, draw))
-            degrees.append(kind.degree(node, [degrees[c] for c in kids]))
-        return ([vals[s] for s in self.roots],
-                [degrees[s][0] for s in self.roots])
-
-    def prove(self):
-        """Whether each root vanished in MODULAR_TRIALS trials of
-        :meth:`modular`, and each root's numerator degree.
-
-        In each trial every symbol takes one residue drawn uniformly from
-        the integers mod p by random.Random(MODULAR_SEED).  A root with a
-        divisor that is 0 in some trial has not vanished.  By the
-        Schwartz-Zippel lemma, a root that is not identically zero (and
-        whose numerator is not 0 mod p) vanishes in one trial with
-        probability at most degree / p, and in every trial with that to
-        the power MODULAR_TRIALS.
-        """
-        rng = random.Random(MODULAR_SEED)
-        vanished = [True] * len(self.roots)
-        for _ in range(MODULAR_TRIALS):
-            drawn = {}
-
-            def draw(symbol):
-                if symbol not in drawn:
-                    drawn[symbol] = rng.randrange(MODULAR_PRIME)
-                return drawn[symbol]
-
-            values, degrees = self.modular(draw)
-            vanished = [v and r == 0 for v, r in zip(vanished, values)]
-        return vanished, degrees
-
     def values(self, pts, binding=None):
         """Every root's values at the (m, n) array ``pts``, in root order.
 
@@ -1423,18 +1371,77 @@ class _Tape:
         return outs
 
 
-def _false_pass(degree):
-    """The chance, at most, that a nonzero root of numerator degree
-    ``degree`` vanished in every trial of :meth:`_Tape.prove`."""
-    return (min(degree, _P) / _P) ** MODULAR_TRIALS
+# ---------------------------------------------------------------------------
+# Exact identity tests and value numbering
+# ---------------------------------------------------------------------------
 
 
-# ---------------------------------------------------------------------------
-# Value numbering
-# ---------------------------------------------------------------------------
+def _drawer(rng):
+    """A draw (see _residues) that gives each symbol, on its first request,
+    a residue that ``rng`` draws uniformly from the integers mod p."""
+    drawn = {}
+
+    def draw(symbol):
+        if symbol not in drawn:
+            drawn[symbol] = rng.randrange(_P)
+        return drawn[symbol]
+    return draw
+
+
+def _residues(roots, draws, known=None):
+    """Each root's residues mod MODULAR_PRIME, a tuple of one per draw.
+
+    The DAG below ``roots`` is walked once, in post-order, and each node's
+    ``modular`` rule runs once per draw on its children's residues of that
+    draw: each symbol (z_i, zbar_i, log, implicit time, param, an exp that
+    is not a product of powers) is at ``draw(node)``, and each exp(m) or
+    exp(i m) of the other exps (see _exp_powers) at ``draw((m, part))``.  A
+    residue is None where a divisor or negative-power base below the node
+    is 0 in that draw, or a constant is not finite, and the rules above it
+    then do not run for that draw.  ``known`` holds one dict per draw, of
+    the residues of the nodes already walked; the walk adds those it
+    reaches.
+    """
+    known = [{} for _ in draws] if known is None else known
+    for root in roots:
+        for node in _post_order(root, known[0].__contains__):
+            modular = _KINDS[type(node)].modular
+            for draw, values in zip(draws, known):
+                args = [values[c] for c in node.args]
+                values[node] = (None if None in args
+                                else modular(node, args, draw))
+    return [tuple(values[r] for values in known) for r in roots]
+
+
+def _prove(roots):
+    """Whether each root vanished in MODULAR_TRIALS trials of _residues,
+    and the chance, at most, that it did though it is not zero.
+
+    In each trial every symbol takes one residue drawn uniformly from the
+    integers mod p by random.Random(MODULAR_SEED).  A root with a divisor
+    that is 0 in some trial has not vanished.  By the Schwartz-Zippel
+    lemma, a root that is not identically zero (and whose numerator is not
+    0 mod p) vanishes in one trial with probability at most degree / p,
+    where each node's ``degree`` rule bounds the degree of its numerator as
+    a rational function of the symbols, and in every trial with that to
+    the power MODULAR_TRIALS.
+    """
+    rng = random.Random(MODULAR_SEED)
+    vanished = [True] * len(roots)
+    for _ in range(MODULAR_TRIALS):
+        residues = _residues(roots, [_drawer(rng)])
+        vanished = [v and r == (0,) for v, r in zip(vanished, residues)]
+    degrees = {}
+    for root in roots:
+        for node in _post_order(root, degrees.__contains__):
+            degrees[node] = _KINDS[type(node)].degree(
+                node, [degrees[c] for c in node.args])
+    return vanished, [(min(degrees[r][0], _P) / _P) ** MODULAR_TRIALS
+                      for r in roots]
+
 
 # Fingerprints draw from their own seed, so the draws that propose a merge
-# are independent of the draws of _Tape.prove that keep it.
+# are independent of the draws of _prove that keep it.
 _FINGERPRINT_SEED = MODULAR_SEED + 1
 
 
@@ -1444,38 +1451,19 @@ def _value_numbering(roots, refused=frozenset()):
     in its place), one per node replaced.
 
     A class is the nodes of one fingerprint: a node's residues (see
-    _Tape.modular) in MODULAR_TRIALS trials whose residues
-    random.Random(_FINGERPRINT_SEED) draws.  Nodes come in the order of
-    the first root that reaches them, then of their height, so children
-    come first and a class's first node is its lowest one below the first
-    root that reaches the class: in pullback(g, a) - a, a's coefficients.
+    _residues) in MODULAR_TRIALS draws from one
+    random.Random(_FINGERPRINT_SEED).  Nodes come in the order of the first
+    root that reaches them, then of their height, so children come first
+    and a class's first node is its lowest one below the first root that
+    reaches the class: in pullback(g, a) - a, a's coefficients.
     A node whose fingerprint is undefined in a trial, or the same in every
     trial (a constant, such as a proven identity), keeps its place, as do
     the nodes in ``refused``.  x - x, where both sides were replaced by one
     node, stays a subtraction, so that the checks below it stay too.
     """
     rng = random.Random(_FINGERPRINT_SEED)
-
-    def drawer(drawn):
-        def draw(symbol):
-            if symbol not in drawn:
-                drawn[symbol] = rng.randrange(_P)
-            return drawn[symbol]
-        return draw
-
-    draws = [drawer({}) for _ in range(MODULAR_TRIALS)]
-    prints = {}
-
-    def fingerprint(top):
-        for node in _post_order(top, prints.__contains__):
-            kids = [prints[c] for c in node.args]
-            modular = _KINDS[type(node)].modular
-            values = None if None in kids else tuple(
-                modular(node, [k[t] for k in kids], draw)
-                for t, draw in enumerate(draws))
-            prints[node] = None if values is None or None in values else values
-        return prints[top]
-
+    draws = [_drawer(rng) for _ in range(MODULAR_TRIALS)]
+    prints = [{} for _ in draws]
     order = {}  # node -> (first root reaching it, height, arrival)
     for k, root in enumerate(roots):
         for node in _post_order(root, order.__contains__):
@@ -1489,8 +1477,8 @@ def _value_numbering(roots, refused=frozenset()):
         new = _KINDS[type(node)].rebuild(node, kids, zs, zbs, False)
         if new is _ZERO and isinstance(node, Sub):
             new = _intern(Sub, ("-",) + tuple(map(id, kids)), tuple(kids))
-        mark = fingerprint(new)
-        if mark is None or len(set(mark)) == 1 or node in refused:
+        mark, = _residues([new], draws, prints)
+        if None in mark or len(set(mark)) == 1 or node in refused:
             image[node] = new
             continue
         image[node] = rep = first.setdefault(mark, new)
@@ -1504,24 +1492,23 @@ def value_number(roots):
     the chance, at most, that some merge is false.
 
     The merges are those of _value_numbering.  Each is kept only if its
-    difference vanished in every trial of :meth:`_Tape.prove`, on draws
-    independent of the fingerprints; a merge that did not is refused and
-    the DAG rebuilt without it.  The chance is the sum of the kept merges'
-    Schwartz-Zippel bounds (see _false_pass).  Each merged root has the
-    values of its root wherever both can be evaluated, up to rounding, but
-    computes every node once: a subterm written twice, or a pulled-back
-    denominator equal to the unmoved one, is one operation on a tape.
+    difference vanished in every trial of _prove, on draws independent of
+    the fingerprints; a merge that did not is refused and the DAG rebuilt
+    without it.  The chance is the sum of the kept merges' Schwartz-Zippel
+    bounds.  Each merged root has the values of its root wherever both can
+    be evaluated, up to rounding, but computes every node once: a subterm
+    written twice, or a pulled-back denominator equal to the unmoved one,
+    is one operation on a tape.
     """
     refused = set()
     while True:
         merged, merges = _value_numbering(roots, refused)
         if not merges:
             return merged, 0.0
-        vanished, degrees = _Tape(
-            [sub(new, rep) for _, new, rep in merges]).prove()
+        vanished, bounds = _prove([sub(new, rep) for _, new, rep in merges])
         failed = {node for (node, _, _), v in zip(merges, vanished) if not v}
         if not failed:
-            return merged, sum(map(_false_pass, degrees), 0.0)
+            return merged, sum(bounds, 0.0)
         refused |= failed
 
 

@@ -476,6 +476,7 @@ class _RequestTape:
     (ex.value_number), so that each value is computed once, unless the
     chance that some merge is false exceeds that bound; ``merge_bound`` is
     that chance, or None where the terms are not value-numbered.
+    ``roots`` holds the terms as compiled, ``where`` the request of each.
     """
 
     def __init__(self, requests, dim, proven=(), merges_within=None):
@@ -499,7 +500,7 @@ class _RequestTape:
             merged, bound = ex.value_number(roots)
             if bound <= merges_within:
                 roots, self.merge_bound = merged, bound
-        self.tape = ex._Tape(roots, checked)
+        self.roots, self.tape = roots, ex._Tape(roots, checked)
 
     def run(self, pts, binding=None) -> _Evaluation:
         """The values of the requests at the complex (m, dim) array ``pts``."""

@@ -5,7 +5,7 @@ worst residual against a tolerance, as plain dataclasses with a fixed JSON
 shape, so that identical inputs produce byte-identical output.
 
 run_suite first tests its identities exactly, by evaluating their
-coefficients at random residues modulo a prime (ex._Tape.prove): the lcK
+coefficients' DAGs at random residues modulo a prime (ex._prove): the lcK
 pair d Omega = theta ^ Omega, d theta = 0, the invariance of theta and psi
 under each deck generator, and for a potential Phi the closedness of omega~
 = -i del delbar Phi and the constancy of each ratio g*Phi/Phi.  A proven
@@ -532,15 +532,15 @@ def _orientations(gen):
 def _proofs(requests, dim):
     """Each request's Schwartz-Zippel bound, or None where it is not
     proven, and the tape of every request it proved them on: proven when
-    every coefficient vanished in each trial of ex._Tape.prove, params
+    every coefficient vanished in each trial of ex._prove, params
     included as unknowns, and the bounds summed over the coefficients are
     at most FALSE_PASS_BOUND."""
     tape = fm._RequestTape(requests, dim)
-    vanished, degrees = tape.tape.prove()
+    vanished, bounds = ex._prove(tape.roots)
     proofs = []
     for k in range(len(requests)):
         roots = [j for j, (i, _) in enumerate(tape.where) if i == k]
-        bound = sum((ex._false_pass(degrees[j]) for j in roots), 0.0)
+        bound = sum((bounds[j] for j in roots), 0.0)
         proven = (k < tape.failed_at and bound <= FALSE_PASS_BOUND
                   and all(vanished[j] for j in roots))
         proofs.append(bound if proven else None)

@@ -517,6 +517,41 @@ class TestTapeKernels:
         assert isinstance(failure.cause, ex.DivisionNearZero)
         assert failure.cause.point == tuple(pts[40])
 
+    def test_an_exp_operand_fails_only_where_it_is_zero(self):
+        # An exp never vanishes: as a divisor or a negative-power base it
+        # fails only where it underflows to 0, with its consumer's message.
+        # Any other operand fails below DIVISION_EPS.
+        z1, at_one = ex.z(1), [1.0]
+        r2 = ex.mul(z1, ex.zbar(1))
+        small = ex.exp(ex.mul(-40.0, r2))  # about 4.2e-18 at z1 = 1
+        assert ex.evaluate(ex.div(1.0, small), at_one) == pytest.approx(
+            math.exp(40.0))
+        assert ex.evaluate(ex.intpow(small, -2), at_one) == pytest.approx(
+            math.exp(80.0))
+        gone = ex.exp(ex.mul(-1000.0, r2))  # 0.0 at z1 = 1
+        tiny = ex.mul(small, z1)
+        for operand in (gone, tiny):
+            for e, consumer in [(ex.div(1.0, operand), "divisor"),
+                                (ex.intpow(operand, -2),
+                                 "negative-power base")]:
+                with pytest.raises(ex.DivisionNearZero) as info:
+                    ex.evaluate(e, at_one)
+                assert str(info.value) == (
+                    "%s magnitude below 1e-14 at point ((1+0j),)" % consumer)
+
+    @pytest.mark.parametrize("first", ["divisor", "negative-power base"])
+    def test_a_divisor_that_is_also_a_base_gets_one_guard(self, first):
+        # Both are one test of one operand, so the first consumer's guard
+        # serves the second, and its message is raised.
+        den = ex.add(ex.z(1), ex.const(3.0))
+        roots = [ex.div(1.0, den), ex.intpow(den, -2)]
+        tape = ex._Tape(roots if first == "divisor" else roots[::-1])
+        assert [rule for rule, _, _ in tape.ops if rule in ex._CHECKS] == [
+            ex._check_divisor]
+        with pytest.raises(ex.DivisionNearZero) as info:
+            tape.values(np.array([[-3.0]], dtype=complex))
+        assert str(info.value).startswith(first + " magnitude below 1e-14")
+
     # Two coefficients divide by the same z1 - 0.5, which vanishes at point
     # k (second chunk); only the first division on that slot tests it.  In
     # the second layout the later coefficient also divides by z2, which
@@ -663,17 +698,18 @@ class TestTapeBits:
         assert types == {float, complex}
 
     def test_only_a_tape_that_runs_is_placed(self, monkeypatch):
-        # Placement happens on the first run, so the tapes value numbering
-        # builds to prove its merges, and a suite's tapes until they run,
-        # never place.
+        # Placement happens on the first run, so a tape that is compiled
+        # but never run (its roots proven on the DAG), and a suite's tapes
+        # until they run, never place.
         placed = []
         place = ex._Tape._placement.func
         lazy = functools.cached_property(
             lambda tape: placed.append(tape) or place(tape))
         lazy.__set_name__(ex._Tape, "_placement")
         monkeypatch.setattr(ex._Tape, "_placement", lazy)
-        proven = ex._Tape([ex.sub(ex.z(1), ex.z(1))])
-        assert proven.prove()[0] == [True] and placed == []
+        roots = [ex.sub(ex.z(1), ex.z(1))]
+        ex._Tape(roots)
+        assert ex._prove(roots)[0] == [True] and placed == []
         vf._SUITES.clear()
         entry = hp.build_entry("vaisman")
         suite, binding = vf._suite(entry, vf._generator_list(entry.group))
@@ -748,11 +784,11 @@ class TestTapeBits:
                  ex.add(ex.intpow(base, -2), ex.mul(lg, ex.zbar(1)))]
         tape = ex._Tape(roots, checked={0})
         rules = [rule for rule, _, _ in tape.ops]
-        assert rules.count(ex._check_base) == 1
+        assert rules.count(ex._check_divisor) == 1
         assert rules.count(ex._check_log) == 1
         assert rules.count(ex._apply_power) == 2
         assert rules.count(ex._apply_logarithm) == 1
-        assert rules.index(ex._check_base) < rules.index(ex._apply_power)
+        assert rules.index(ex._check_divisor) < rules.index(ex._apply_power)
         assert rules.index(ex._check_log) < rules.index(ex._apply_logarithm)
         calls = []
         assert tape.run(self.POINTS, lambda lo, k, v: calls.append((k, v))) \
@@ -883,6 +919,12 @@ class TestCheckedRoots:
 P = ex.MODULAR_PRIME
 
 
+def _false_pass(degree):
+    """The Schwartz-Zippel bound of a root of numerator degree ``degree``
+    over MODULAR_TRIALS trials."""
+    return (degree / P) ** ex.MODULAR_TRIALS
+
+
 def _mod(q):
     """A Gaussian rational (re, im) of Fractions mod p."""
     re, im = ((f.numerator * pow(f.denominator, -1, P)) % P for f in q)
@@ -974,16 +1016,16 @@ class TestModular:
         symbols = {ex.z(i + 1): _mod(q) for i, q in enumerate(point)}
         symbols.update({ex.zbar(i + 1): _mod((q[0], -q[1]))
                         for i, q in enumerate(point)})
-        got, _ = ex._Tape(roots).modular(symbols.__getitem__)
+        got = ex._residues(roots, [symbols.__getitem__])
         want = _fraction_values(roots, point)
-        assert got == [None if w is None else _mod(w) for w in want]
+        assert got == [(None if w is None else _mod(w),) for w in want]
 
     def test_constants_are_exact(self):
         c = 0.1 - 2.75j  # 0.1 is the nearest double, not 1/10
-        got, _ = ex._Tape([ex.const(c)]).modular(None)
-        assert got == [_mod((Fraction(c.real), Fraction(c.imag)))]
+        got = ex._residues([ex.const(c)], [None])
+        assert got == [(_mod((Fraction(c.real), Fraction(c.imag))),)]
         assert ex._I_MOD ** 2 % P == P - 1 and P % 4 == 1
-        assert ex._Tape([ex.const(math.inf)]).modular(None)[0] == [None]
+        assert ex._residues([ex.const(math.inf)], [None]) == [(None,)]
 
     @pytest.mark.parametrize("make,degree", [
         (lambda z1, z2: ex.const(3.0), 0),
@@ -1000,38 +1042,38 @@ class TestModular:
     ])
     def test_degree_bounds_the_numerator(self, make, degree):
         # Each numerator has exactly this total degree in its unknowns.
-        _, got = ex._Tape([make(ex.z(1), ex.z(2))]).modular(lambda node: 1)
-        assert got == [degree]
+        _, got = ex._prove([make(ex.z(1), ex.z(2))])
+        assert got == [_false_pass(degree)]
 
     def test_degree_is_an_upper_bound(self):
         # (z1^2 - z2^2) / (z1 - z2) is z1 + z2, of degree 1; the bound,
         # which does not cancel, is 2.
         z1, z2 = ex.z(1), ex.z(2)
         e = ex.div(ex.sub(ex.mul(z1, z1), ex.mul(z2, z2)), ex.sub(z1, z2))
-        assert ex._Tape([e]).modular(lambda node: 1)[1] == [2]
+        assert ex._prove([e])[1] == [_false_pass(2)]
 
     def test_zero_divisor_is_not_proven(self):
         z1, z2 = ex.z(1), ex.z(2)
         # A divisor that is 0 for these residues only: that trial fails.
         e = ex.div(ex.const(1.0), ex.sub(z1, z2))
-        assert ex._Tape([e]).modular(lambda node: 5)[0] == [None]
+        assert ex._residues([e], [lambda node: 5]) == [(None,)]
         # z1 z2 - z2 z1 is 0 for all residues: it vanishes, and a root
         # that divides by it is not proven, though its value is 0 wherever
         # it is defined.
         zero = ex.sub(ex.mul(z1, z2), ex.mul(z2, z1))
-        vanished, _ = ex._Tape([zero, ex.div(zero, zero),
-                                ex.sub(ex.div(zero, zero), ex.const(1.0)),
-                                ex.sub(z1, z2)]).prove()
+        vanished, _ = ex._prove([zero, ex.div(zero, zero),
+                                 ex.sub(ex.div(zero, zero), ex.const(1.0)),
+                                 ex.sub(z1, z2)])
         assert vanished == [True, False, False, False]
 
     def test_proof_is_seeded(self):
         z1 = ex.z(1)
-        tape = ex._Tape([ex.sub(ex.intpow(ex.add(z1, 1.0), 2),
-                                ex.add(ex.mul(z1, z1),
-                                       ex.add(ex.mul(2.0, z1), 1.0))),
-                         ex.sub(z1, ex.zbar(1))])
-        assert tape.prove() == ([True, False], [2, 1])
-        assert tape.prove() == tape.prove()
+        roots = [ex.sub(ex.intpow(ex.add(z1, 1.0), 2),
+                        ex.add(ex.mul(z1, z1), ex.add(ex.mul(2.0, z1), 1.0))),
+                 ex.sub(z1, ex.zbar(1))]
+        assert ex._prove(roots) == ([True, False],
+                                    [_false_pass(2), _false_pass(1)])
+        assert ex._prove(roots) == ex._prove(roots)
 
 
 class TestParam:
@@ -1258,7 +1300,7 @@ class TestExpProductsAndFlow:
     R, P = ex.param("r"), ex.param("p")
 
     def proven(self, root):
-        return ex._Tape([root]).prove()[0] == [True]
+        return ex._prove([root])[0] == [True]
 
     def test_exp_of_a_sum_is_the_product(self):
         t = ex.implicit_t((self.R, 1.5))
@@ -1406,24 +1448,24 @@ class TestValueNumbering:
                                             ex.div(ex.z(1), a))]
         merged, bound = ex.value_number(roots)
         _, merges = ex._value_numbering(roots)
-        vanished, degrees = ex._Tape(
-            [ex.sub(new, rep) for _, new, rep in merges]).prove()
+        vanished, bounds = ex._prove(
+            [ex.sub(new, rep) for _, new, rep in merges])
         assert merges and all(vanished)
-        assert bound == sum(map(ex._false_pass, degrees))
+        assert bound == sum(bounds)
 
     def test_a_merge_that_fails_its_proof_is_refused(self, monkeypatch):
         a, b = self.radius(1, 2), self.radius(2, 1)
         roots = [ex.div(ex.z(1), a), ex.div(ex.z(2), b)]
-        prove, calls = ex._Tape.prove, []
+        prove, calls = ex._prove, []
 
-        def refuse_the_first(tape):
-            vanished, degrees = prove(tape)
+        def refuse_the_first(roots):
+            vanished, bounds = prove(roots)
             calls.append(len(vanished))
             if len(calls) == 1:
                 vanished[0] = False
-            return vanished, degrees
+            return vanished, bounds
 
-        monkeypatch.setattr(ex._Tape, "prove", refuse_the_first)
+        monkeypatch.setattr(ex, "_prove", refuse_the_first)
         # b's merge into a is refused; nothing is left to prove.
         assert ex.value_number(roots) == (roots, 0.0)
         assert calls == [1]

@@ -557,6 +557,24 @@ class TestVerifyPotential:
         assert gen["rho"] == pytest.approx(math.exp(-2.0 * c))
         assert gen["relative_deviation"] < 1e-10
 
+    @pytest.mark.parametrize("c", [30.0, 100.0])
+    def test_a_potential_below_the_divisor_eps_passes(self, c):
+        # Phi = exp(-2 c t) falls to about 1.9e-17 (c = 30) and 1.9e-56
+        # (c = 100) at the inner radius, below DIVISION_EPS, and g*Phi/Phi
+        # and d omega~ / Phi divide by it.  An exp vanishes nowhere, so it
+        # fails only where it underflows to 0: both pass, with the
+        # closedness proven.
+        t = ex.implicit_t((1.0, 1.5))
+        phi = ex.exp(ex.mul(ex.const(-2.0 * c), t))
+        group = hp.vaisman_entry(r=(1.0, 1.5)).group
+        rep = vf.verify_potential(phi, group, annulus_points(2, 1000, 0))
+        details = rep.details
+        assert rep.passed and details["closedness_residual"] == 0.0
+        assert 0.0 < details["float_residual"] < rep.tolerance
+        gen = details["generators"][0]
+        assert gen["rho"] == pytest.approx(math.exp(-2.0 * c))
+        assert gen["relative_deviation"] < 1e-10
+
     def test_small_relative_imaginary_part_rejected(self):
         phi, group = hp.example2_potential()
         tilted = ex.add(phi, ex.mul(ex.const(0.1j), ex.mul(ex.z(1), ex.zbar(1))))
@@ -1182,19 +1200,38 @@ class TestValueNumberedSuite:
         # Every merge holds on draws of its own, and their bounds add up
         # to the tape's, within the proofs' bound.
         merged, merges = ex._value_numbering(roots)
-        vanished, degrees = ex._Tape(
-            [ex.sub(new, rep) for _, new, rep in merges]).prove()
+        vanished, bounds = ex._prove(
+            [ex.sub(new, rep) for _, new, rep in merges])
         assert len(merges) > 20 and all(vanished)
-        assert suite.requests.merge_bound == sum(map(ex._false_pass, degrees))
+        assert suite.requests.merge_bound == sum(bounds)
         assert 0.0 < suite.requests.merge_bound <= vf.FALSE_PASS_BOUND
         # Each merged term is its term, and a proven term stays a
         # difference whose checks the tape still runs.
-        vanished, _ = ex._Tape([ex.sub(a, b) for a, b in zip(roots, merged)
-                                if a is not b]).prove()
+        vanished, _ = ex._prove([ex.sub(a, b) for a, b in zip(roots, merged)
+                                 if a is not b])
         assert all(vanished)
         for k, s in enumerate(tape.roots):
             if s is None:
                 assert type(merged[k]) is type(roots[k]) is not ex.Const
+
+    def test_proofs_compile_no_tape(self, monkeypatch):
+        # Proofs and fingerprints walk the DAG (ex._residues): value
+        # numbering compiles no tape, and a suite compiles two, the
+        # cross-check its identities are proven on and the sample tape.
+        compiled, init = [], ex._Tape.__init__
+
+        def count(tape, *args, **kwargs):
+            compiled.append(tape)
+            init(tape, *args, **kwargs)
+
+        monkeypatch.setattr(ex._Tape, "__init__", count)
+        radius = ex.add(ex.mul(ex.z(1), ex.zbar(1)), ex.mul(ex.z(2), ex.zbar(2)))
+        moved = ex.add(ex.mul(ex.zbar(2), ex.z(2)), ex.mul(ex.zbar(1), ex.z(1)))
+        merged, bound = ex.value_number([radius, moved])
+        assert merged == [radius, radius] and bound > 0.0 and compiled == []
+        suite, _ = _built_suite("vaisman", monkeypatch)
+        assert compiled == [suite.cross_check.tape, suite.requests.tape]
+        vf._SUITES.clear()
 
     def test_cross_check_tape_is_not_merged(self, monkeypatch):
         suite, _ = _built_suite("vaisman", monkeypatch)
