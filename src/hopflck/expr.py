@@ -1417,9 +1417,10 @@ def _prove(roots):
     """Whether each root vanished in MODULAR_TRIALS trials of _residues,
     and the chance, at most, that it did though it is not zero.
 
-    In each trial every symbol takes one residue drawn uniformly from the
-    integers mod p by random.Random(MODULAR_SEED).  A root with a divisor
-    that is 0 in some trial has not vanished.  By the Schwartz-Zippel
+    The trials are the draws of one _residues walk: in each, every symbol
+    takes one residue drawn uniformly from the integers mod p by one
+    random.Random(MODULAR_SEED), which all draws share.  A root with a
+    divisor that is 0 in some trial has not vanished.  By the Schwartz-Zippel
     lemma, a root that is not identically zero (and whose numerator is not
     0 mod p) vanishes in one trial with probability at most degree / p,
     where each node's ``degree`` rule bounds the degree of its numerator as
@@ -1427,10 +1428,8 @@ def _prove(roots):
     the power MODULAR_TRIALS.
     """
     rng = random.Random(MODULAR_SEED)
-    vanished = [True] * len(roots)
-    for _ in range(MODULAR_TRIALS):
-        residues = _residues(roots, [_drawer(rng)])
-        vanished = [v and r == (0,) for v, r in zip(vanished, residues)]
+    residues = _residues(roots, [_drawer(rng) for _ in range(MODULAR_TRIALS)])
+    vanished = [r == (0,) * MODULAR_TRIALS for r in residues]
     degrees = {}
     for root in roots:
         for node in _post_order(root, degrees.__contains__):

@@ -758,25 +758,27 @@ class _Definite:
     eigenvalues, and (H + H^*)/2 only where LAPACK may still have to
     decide: for n = 2 where the point's floor (see :func:`_closed_form_2x2`)
     is at most the ceiling of the chunks so far, which only falls, and for
-    other n everywhere; and of those matrices only the ones without the
-    bits of the first, so that a constant form keeps one.  It also keeps
-    the first point with a non-finite coefficient, after which it
-    classifies nothing, and the first point of the largest hermiticity
-    defect.
+    other n everywhere.  A form of constants, which the tape hands over as
+    scalars, or of no terms is classified at its first point alone, whose
+    eigenvalues the report gives every point.  It also keeps the first
+    point with a non-finite coefficient, after which it classifies nothing,
+    and the first point of the largest hermiticity defect.  Without points
+    it raises ValueError.
     """
 
     def __init__(self, form, m, scratch):
+        if m == 0:
+            raise ValueError("definiteness needs at least one sample point")
         self.n, self.m = form.ambient_dim, m
         self.last = max(form.terms, default=None)  # the tape's last term
-        self.chunk, self.done = {}, 0
+        self.chunk = {}
         self.eigenvalues = np.empty((m, self.n))
         self.non_finite = None
         self.defect = (0.0, 0)
         self.ceiling = np.inf
-        self.first = None  # the first kept (H + H^*)/2, as a (1, n, n) array
+        self.constant = False
         # Per chunk: the kept points, their floors and hermiticity defects,
-        # whether each one's (H + H^*)/2 has the bits of ``first``, and
-        # those that do not, as a (k, n, n) array.
+        # and their (H + H^*)/2, as a (k, n, n) array.
         self.kept = []
 
     def add(self, lo, index, value):
@@ -785,16 +787,17 @@ class _Definite:
             self._classify_chunk(lo)
 
     def result(self):
-        # A form without terms is 0 at every point.
-        for lo in range(self.done, self.m, ex._CHUNK):
-            self._classify_chunk(lo)
+        if self.last is None:  # no terms: the constant 0
+            self._classify_chunk(0)
         return self
 
     def _classify_chunk(self, lo):
         n, size = self.n, min(ex._CHUNK, self.m - lo)
-        values, self.chunk, self.done = self.chunk, {}, lo + size
-        if self.non_finite is not None:
+        values, self.chunk = self.chunk, {}
+        if self.non_finite is not None or self.constant:
             return
+        if not any(np.ndim(v) for v in values.values()):
+            self.constant, size = True, 1
         c = [[_column(values.get((i, n + j), 0j), size) for j in range(n)]
              for i in range(n)]
         # A NaN would win the argmax below and pass every comparison.
@@ -816,15 +819,8 @@ class _Definite:
         else:
             keep = np.arange(size)
             floor = np.full(size, -np.inf)
-        sym = _hermitian_part(c, keep)
-        if self.first is None and len(sym):
-            self.first = sym[:1].copy()
-        same = np.zeros(len(sym), dtype=bool)
-        if self.first is not None:
-            bits = sym.view(np.int64) == self.first.view(np.int64)
-            same = (np.ones(len(sym), dtype=bool) if bits.all()
-                    else bits.all(axis=(1, 2)))
-        self.kept.append((lo + keep, floor, rel[keep], same, sym[~same]))
+        self.kept.append((lo + keep, floor, rel[keep],
+                          _hermitian_part(c, keep)))
 
     def report(self, pts) -> DefinitenessReport:
         """The classification at ``pts``; NonHermitian at the first point
@@ -837,25 +833,13 @@ class _Definite:
         if defect >= HERMITIAN_RTOL:
             raise NonHermitian("hermiticity defect %.3g at point %r"
                                % (defect, _point(pts, at)))
-        n, eigs = self.n, self.eigenvalues
-        points, floor, rel, same, other = (np.concatenate(x)
-                                           for x in zip(*self.kept))
+        eigs = self.eigenvalues
+        points, floor, rel, sym = (np.concatenate(x) for x in zip(*self.kept))
         select = np.flatnonzero(~(floor > self.ceiling))
-        rows = points[select]
-        # Where every matrix has the bits of the first (a constant form),
-        # LAPACK gives each the same eigenvalues, so one call does.
-        if same[select].all():
-            eigs[rows] = np.linalg.eigvalsh(self.first)
-            sym = self.first  # the one matrix of every row
-        else:
-            sym = np.empty((len(points), n, n), dtype=complex)
-            sym[same], sym[~same] = self.first, other
-            sym = sym[select]
-            bits = sym.view(np.int64)
-            if (bits == bits[0]).all():
-                eigs[rows] = np.linalg.eigvalsh(sym[:1])
-            else:
-                eigs[rows] = np.linalg.eigvalsh(sym)
+        rows, sym = points[select], sym[select]
+        eigs[rows] = np.linalg.eigvalsh(sym)
+        if self.constant:  # one point classified for all
+            eigs[1:] = eigs[0]
 
         # Each point's eigenvalues ascend, so its largest |lambda| and its
         # signs are read off the first and last columns, and only the
@@ -895,7 +879,7 @@ class _Definite:
 
         at = int(np.searchsorted(rows, worst))
         sample = HermitianMatrixSample(
-            point=_point(pts, worst), matrix=sym[at if len(sym) > 1 else 0],
+            point=_point(pts, worst), matrix=sym[at],
             eigenvalues=eigs[worst],
             hermiticity_defect=float(rel[select[at]]))
         return DefinitenessReport(is_definite=is_definite,

@@ -73,7 +73,9 @@ WORST_POINTS = 3
 SUITE_CACHE_SIZE = 8
 # Most sample points a suite or a Lee solve takes.  At this size verify on
 # vaisman peaks at 91 MB in a fresh process (263 MB while definiteness was
-# classified over whole arrays), and solve-lee prints about 630 MB of JSON.
+# classified over whole arrays), on example2 at about 92 MB (149 MB while
+# every point of its constant form was kept), and solve-lee prints about
+# 630 MB of JSON.
 MAX_POINTS = 10 ** 6
 # A suite's identity proven exactly still has its float residual computed,
 # as a cross-check, at the first CROSS_CHECK_POINTS sample points.

@@ -1075,6 +1075,19 @@ class TestModular:
                                     [_false_pass(2), _false_pass(1)])
         assert ex._prove(roots) == ex._prove(roots)
 
+    def test_proof_walks_the_residues_once(self, monkeypatch):
+        calls, residues = [], ex._residues
+
+        def counted(roots, draws, known=None):
+            calls.append(len(draws))
+            return residues(roots, draws, known)
+
+        monkeypatch.setattr(ex, "_residues", counted)
+        z1 = ex.z(1)
+        assert ex._prove([ex.sub(ex.mul(z1, z1), ex.intpow(z1, 2)),
+                          ex.sub(z1, ex.zbar(1))])[0] == [True, False]
+        assert calls == [ex.MODULAR_TRIALS]
+
 
 class TestParam:
     PTS = annulus_points(2, 50, seed=31)

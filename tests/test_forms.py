@@ -406,21 +406,27 @@ class TestDefiniteness:
 
 def _definite_fold(values, n, m, stray=(0.0, 0.0)):
     """The :func:`fm._definiteness_requests` values of a form on C^n whose
-    (1,1) coefficients are ``values`` ({index: (m,) array}), handed to its
-    fold chunk by chunk in index order as the tape hands them."""
+    (1,1) coefficients are ``values`` ({index: (m,) array, or a scalar where
+    constant}), handed to its fold chunk by chunk in index order as the tape
+    hands them: a scalar as is."""
     form = fm.form_from_terms(n, 2, {index: ex.const(1.0) for index in values})
     fold = fm._Definite(form, m, None)
     for lo in range(0, m, ex._CHUNK):
         for index in sorted(values):
-            fold.add(lo, index, values[index][lo:lo + ex._CHUNK])
+            value = values[index]
+            fold.add(lo, index, value if np.ndim(value) == 0
+                     else value[lo:lo + ex._CHUNK])
     return [*stray, fold.result()]
 
 
-def _classify_matrices(hs):
+def _classify_matrices(hs, constant=False):
     """:func:`fm._classify` on an (m, 2, 2) stack of matrices H, fed in as
-    the (1,1) coefficients C = -i H of a form on C^2, at the points (k, 0)."""
+    the (1,1) coefficients C = -i H of a form on C^2, at the points (k, 0);
+    ``constant`` feeds the first point's C as scalars, as the tape hands a
+    constant coefficient over."""
     m = len(hs)
-    values = {(i, 2 + j): -1j * hs[:, i, j] for i in range(2) for j in range(2)}
+    values = {(i, 2 + j): complex(-1j * hs[0, i, j]) if constant
+              else -1j * hs[:, i, j] for i in range(2) for j in range(2)}
     pts = np.zeros((m, 2), complex)
     pts[:, 0] = np.arange(m)
     return fm._classify(fm.ExteriorForm(2, 2), pts,
@@ -534,15 +540,22 @@ class TestClosedForm2x2:
                                                     scale):
         hs = _hermitian_stack(np.random.default_rng(6), 500, "constant")
         hs *= scale
-        rep = _classify_matrices(hs)
+
+        def lapack():
+            h = (-1j * hs) * 1j
+            sym = (np.conjugate(h.transpose(0, 2, 1)) + h) * 0.5
+            return np.linalg.eigvalsh(sym).tobytes()
+
+        rep = _classify_matrices(hs, constant=True)
         assert eigvalsh_shapes == [(1, 2, 2)]
-        h = (-1j * hs) * 1j
-        sym = (np.conjugate(h.transpose(0, 2, 1)) + h) * 0.5
-        assert rep.eigenvalues.tobytes() == np.linalg.eigvalsh(sym).tobytes()
-        # One bit apart at one point: LAPACK on every point again.
-        hs[250, 0, 0] = np.nextafter(hs[250, 0, 0].real, np.inf)
-        _classify_matrices(hs)
-        assert eigvalsh_shapes[1] == (500, 2, 2)
+        assert rep.eigenvalues.tobytes() == lapack()
+        # The same matrices as arrays, the same or one bit apart at one
+        # point, are no constant form: LAPACK on every point.
+        for _ in range(2):
+            rep = _classify_matrices(hs)
+            assert eigvalsh_shapes[-1] == (500, 2, 2)
+            assert rep.eigenvalues.tobytes() == lapack()
+            hs[250, 0, 0] = np.nextafter(hs[250, 0, 0].real, np.inf)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -661,18 +674,40 @@ class TestStreamedClassification:
         omega = hp.build_entry("example2").forms["Omega"]
         m = 2 * ex._CHUNK + 808
         pts = annulus_points(2, m, seed=62)
-        values = fm.evaluate_form_many(fm.bidegree_part(omega, 1, 1), pts)
+        # Each coefficient as the tape hands it over: a constant's scalar.
+        values = {index: ex.evaluate_many(c, pts) for index, c
+                  in fm.bidegree_part(omega, 1, 1).terms.items()}
+        assert all(np.ndim(v) == 0 for v in values.values())
         streamed, whole = self._both(monkeypatch, eigvalsh_inputs, values,
                                      2, m, pts)
         self._assert_same(streamed, whole)
         assert [c.shape for c in streamed[1]] == [(1, 2, 2)]
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_constant_form_keeps_one_point(self, monkeypatch,
+                                           eigvalsh_inputs, n):
+        omega = hp.build_entry("example2", {"n": n}).forms["Omega"]
+        m = 2 * ex._CHUNK + 808  # three chunks
+        pts = annulus_points(n, m, seed=65)
+        got = []
+        for chunk in (ex._CHUNK, m):
+            del eigvalsh_inputs[:]
+            with monkeypatch.context() as patch:
+                patch.setattr(ex, "_CHUNK", chunk)
+                evaluation = fm._RequestTape(
+                    fm._definiteness_requests(omega), n).run(pts)
+                rep = fm._classify(omega, pts, evaluation, 0)
+            assert sum(len(kept[0]) for kept in evaluation[2].kept) == 1
+            got.append((rep, list(eigvalsh_inputs)))
+        self._assert_same(*got)
+        assert [c.shape for c in got[0][1]] == [(1, n, n)]
+
     @pytest.mark.parametrize("odd", [None, 0, ex._CHUNK + 7])
     def test_nearly_constant_form_matches_one_pass(self, monkeypatch,
                                                    eigvalsh_inputs, odd):
-        # Every point ties for min|lambda|, so LAPACK takes every point: the
-        # stream keeps one matrix while they all have its bits, and every
-        # row once one differs, in the first chunk or a later one.
+        # Every point ties for min|lambda|, so LAPACK takes every point,
+        # also where every matrix has the bits of the first: arrays are no
+        # constant form, whichever chunk holds the one that differs.
         m = 2 * ex._CHUNK + 5
         hs = _hermitian_stack(np.random.default_rng(66), m, "constant")
         if odd is not None:
@@ -684,8 +719,7 @@ class TestStreamedClassification:
         streamed, whole = self._both(monkeypatch, eigvalsh_inputs, values,
                                      2, m, pts)
         self._assert_same(streamed, whole)
-        assert [c.shape for c in streamed[1]] == [
-            (1, 2, 2) if odd is None else (m, 2, 2)]
+        assert [c.shape for c in streamed[1]] == [(m, 2, 2)]
 
     def test_three_dimensional_form_matches_one_pass(self, monkeypatch,
                                                      eigvalsh_inputs):

@@ -445,6 +445,32 @@ class TestVerifyLck:
                           random_annulus(2, 5, seed=215))
 
 
+# A constant form (example2's) and one that is not (vaisman's Omega, and
+# the potential |z1|^2 + |z2|^4).
+@pytest.mark.parametrize("constant", [True, False])
+@pytest.mark.parametrize("check", ["definiteness", "lck", "potential"])
+def test_definiteness_refuses_zero_points(monkeypatch, constant, check):
+    e = hp.build_entry("example2" if constant else "vaisman")
+    phi, group = hp.example2_potential()
+    if not constant:
+        phi = ex.add(ex.mul(ex.z(1), ex.zbar(1)),
+                     ex.intpow(ex.mul(ex.z(2), ex.zbar(2)), 2))
+    calls = {
+        "definiteness": lambda pts: fm.definiteness(e.forms["Omega"], pts),
+        "lck": lambda pts: vf.verify_lck(e.forms["Omega"], e.forms["theta"],
+                                         pts),
+        "potential": lambda pts: vf.verify_potential(phi, group, pts),
+    }
+
+    def never(*args):
+        raise AssertionError("the tape ran")
+
+    monkeypatch.setattr(ex._Tape, "run", never)
+    with pytest.raises(ValueError, match="^definiteness needs at least one "
+                                         "sample point$"):
+        calls[check](np.empty((0, 2), dtype=complex))
+
+
 class TestVerifyPotential:
     def test_homothety_with_expected_factor(self):
         mu = 1.5 + 0.5j
