@@ -1457,8 +1457,11 @@ def _value_numbering(roots, refused=frozenset()):
     reaches the class: in pullback(g, a) - a, a's coefficients.
     A node whose fingerprint is undefined in a trial, or the same in every
     trial (a constant, such as a proven identity), keeps its place, as do
-    the nodes in ``refused``.  x - x, where both sides were replaced by one
-    node, stays a subtraction, so that the checks below it stay too.
+    the nodes in ``refused``.  A constant that is 0 modulo p but not 0 has
+    no fingerprint, so a node above it, which it leaves unchanged modulo p
+    alone, never takes the place of a node without it.  x - x, where both
+    sides were replaced by one node, stays a subtraction, so that the
+    checks below it stay too.
     """
     rng = random.Random(_FINGERPRINT_SEED)
     draws = [_drawer(rng) for _ in range(MODULAR_TRIALS)]
@@ -1477,6 +1480,9 @@ def _value_numbering(roots, refused=frozenset()):
         if new is _ZERO and isinstance(node, Sub):
             new = _intern(Sub, ("-",) + tuple(map(id, kids)), tuple(kids))
         mark, = _residues([new], draws, prints)
+        if isinstance(new, Const) and new.value != 0 and mark[0] == 0:
+            for values in prints:
+                values[new] = None
         if None in mark or len(set(mark)) == 1 or node in refused:
             image[node] = new
             continue
@@ -1486,20 +1492,21 @@ def _value_numbering(roots, refused=frozenset()):
     return [image[r] for r in roots], merges
 
 
-def value_number(roots):
+def value_number(roots, keep=()):
     """``roots`` over a DAG in which nodes proven equal are one node, and
     the chance, at most, that some merge is false.
 
-    The merges are those of _value_numbering.  Each is kept only if its
-    difference vanished in every trial of _prove, on draws independent of
-    the fingerprints; a merge that did not is refused and the DAG rebuilt
+    The merges are those of _value_numbering, but for the nodes in
+    ``keep``, which keep their place.  Each is kept only if its difference
+    vanished in every trial of _prove, on draws independent of the
+    fingerprints; a merge that did not is refused and the DAG rebuilt
     without it.  The chance is the sum of the kept merges' Schwartz-Zippel
     bounds.  Each merged root has the values of its root wherever both can
     be evaluated, up to rounding, but computes every node once: a subterm
     written twice, or a pulled-back denominator equal to the unmoved one,
     is one operation on a tape.
     """
-    refused = set()
+    refused = set(keep)
     while True:
         merged, merges = _value_numbering(roots, refused)
         if not merges:

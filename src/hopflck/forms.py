@@ -16,6 +16,7 @@ definiteness of (1,1)-forms via the Hermitian coefficient matrix H = i C.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -450,56 +451,79 @@ class _Evaluation:
 def _evaluate_forms(requests, points) -> _Evaluation:
     """Several forms at one point array, through one tape and one pass.
 
-    ``requests`` is a sequence of (form, fold) pairs: the fold (_Full,
-    _Residual, _Max, _Range or _Definite) takes the form's coefficients
-    chunk by chunk and keeps of them what its request gives.  Each form's
-    sorted coefficients are the tape's roots, in request order, so an error
-    belongs to the first form that fails and names the term
+    ``requests`` is a sequence of (form, fold) pairs (see _RequestTape): the
+    fold (_Full, _Residual, _Max, _Range or _Definite) takes the form's
+    coefficients chunk by chunk and keeps of them what its request gives.
+    Each form's sorted coefficients are the tape's roots, in request order,
+    so an error belongs to the first form that fails and names the term
     :func:`evaluate_form_many` would name.
     """
     pts = ex._points(points)
     return _RequestTape(requests, pts.shape[1]).run(pts)
 
 
+def _whole(form):
+    """A request's form: an exterior form, or an identity's sides (see
+    _RequestTape) as their difference."""
+    if not isinstance(form, tuple):
+        return form
+    minuend, subtrahend = form
+    return minuend if subtrahend is None else minuend - subtrahend
+
+
 class _RequestTape:
     """:func:`_evaluate_forms` requests compiled once for points in C^dim.
 
-    Each :meth:`run` binds the params, so a template's requests are built
-    and compiled once for every binding.
+    A request's form is an exterior form or an identity's sides: a pair
+    (minuend, subtrahend) that stands for their difference, or (form, None)
+    for an identity that is one form.  Each :meth:`run` binds the params,
+    so a template's requests are built and compiled once for every binding.
 
     A request whose index is in ``proven`` is known to vanish: its terms
     are checked roots of the tape (see ex._Tape), so it gets no values (its
     entry is None), but any error its terms would raise is raised at its
     position, naming the same term and point.
 
-    Given ``merges_within``, the terms are value-numbered
-    (ex.value_number), so that each value is computed once, unless the
-    chance that some merge is false exceeds that bound; ``merge_bound`` is
-    that chance, or None where the terms are not value-numbered.
-    ``roots`` holds the terms as compiled, ``where`` the request of each.
+    Given ``merges_within``, the terms are value-numbered (ex.value_number)
+    each side apart, the forms and minuends in one DAG and the subtrahends
+    in another, so that each value of a side is computed once, and a
+    request's terms are the differences of its numbered sides: a minuend
+    never merges with a subtrahend, so an identity's float value still
+    compares two computations.  An identity of one form is compiled as
+    written, since numbering would make one node of the two terms of each
+    of its differences (the mixed partials of d theta, say).  The
+    numbering is dropped where the chance that some merge is false, the
+    sides' bounds summed, exceeds that bound, or where it would make both
+    sides of a term one node; ``merge_bound`` is that chance, or None where
+    the terms are not value-numbered.
+    ``folds`` holds each request's form as compiled and its fold, ``roots``
+    the terms and ``where`` the request and index of each.
     """
 
     def __init__(self, requests, dim, proven=(), merges_within=None):
-        roots, self.where, self.folds = [], [], []
-        self.failed_at, self.error = len(requests), None
-        checked = []
-        for k, (form, fold) in enumerate(requests):
+        self.failed_at, self.error, forms = len(requests), None, []
+        for k, (form, _) in enumerate(requests):
+            whole = _whole(form)
             try:
-                ex._check_dimension(form.terms.values(), dim)
+                ex._check_dimension(whole.terms.values(), dim)
             except ex.DimensionMismatch as err:
                 self.failed_at, self.error = k, err
                 break
+            forms.append(whole)
+        self.merge_bound = None
+        if merges_within is not None:
+            numbered, bound = _numbered(
+                [form for form, _ in requests[:len(forms)]], forms)
+            if bound <= merges_within:
+                forms, self.merge_bound = numbered, bound
+        roots, self.where, self.folds, checked = [], [], [], []
+        for k, (form, (_, fold)) in enumerate(zip(forms, requests)):
             terms = form.sorted_terms()
             self.folds.append((form, None if k in proven else fold))
             if k in proven:
                 checked += range(len(roots), len(roots) + len(terms))
             roots += [c for _, c in terms]
             self.where += [(k, index) for index, _ in terms]
-        self.merge_bound = None
-        if merges_within is not None:
-            merged, bound = ex.value_number(roots)
-            if bound <= merges_within:
-                roots, self.merge_bound = merged, bound
         self.roots, self.tape = roots, ex._Tape(roots, checked)
 
     def run(self, pts, binding=None) -> _Evaluation:
@@ -523,6 +547,55 @@ class _RequestTape:
                             else fold.result()
                             for k, fold in enumerate(folds)],
                            failed_at, error)
+
+
+def _numbered(forms, wholes):
+    """The request forms ``forms``, written as ``wholes``, value-numbered
+    as _RequestTape says, and the sum of both sides' bounds; or None and
+    infinity where numbering makes both sides of some term one node.
+
+    A minuend coefficient whose subtrahend coefficient is written below
+    the minuends keeps its place, since numbering would merge the two: a
+    pulled-back coefficient of theta, say, into the unmoved one that
+    d Omega holds.
+    """
+    pairs = [form for form in forms
+             if isinstance(form, tuple) and form[1] is not None]
+    first = [form[0] if isinstance(form, tuple) else form for form in forms
+             if not isinstance(form, tuple) or form[1] is not None]
+    below = set()
+    for form in first:
+        for c in form.terms.values():
+            for node in ex._post_order(c, below.__contains__):
+                below.add(node)
+    keep = [minuend.terms[index] for minuend, subtrahend in pairs
+            for index, c in subtrahend.terms.items()
+            if c in below and index in minuend.terms]
+    first, bound = _number_side(first, keep)
+    second, more = _number_side([subtrahend for _, subtrahend in pairs], ())
+    first, second = iter(first), iter(second)
+    numbered = [next(first) if not isinstance(form, tuple)
+                else whole if form[1] is None
+                else next(first) - next(second)
+                for form, whole in zip(forms, wholes)]
+    if any(form.terms.keys() != whole.terms.keys()
+           for form, whole in zip(numbered, wholes)):
+        return None, math.inf
+    return numbered, bound + more
+
+
+def _number_side(column, keep):
+    """The forms ``column`` with their coefficients value-numbered in one
+    DAG, the nodes in ``keep`` kept in place, and the merges' bound."""
+    terms = [form.sorted_terms() for form in column]
+    roots = [c for t in terms for _, c in t]
+    if not roots:
+        return column, 0.0
+    merged, bound = ex.value_number(roots, keep)
+    coeffs = iter(merged)
+    return [ExteriorForm(form.ambient_dim, form.degree,
+                         {index: next(coeffs) for index, _ in t})
+            for form, t in zip(column, terms)], bound
 
 
 # ---------------------------------------------------------------------------

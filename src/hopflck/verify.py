@@ -11,11 +11,14 @@ under each deck generator, and for a potential Phi the closedness of omega~
 = -i del delbar Phi and the constancy of each ratio g*Phi/Phi.  A proven
 identity reports residual 0.0, the false-pass bound FALSE_PASS_BOUND and its
 float residual at the first CROSS_CHECK_POINTS points, a cross-check: where
-that reaches the tolerance it is sampled at every point after all.  Every
-point is checked for the evaluation errors sampling would raise, on one tape
-that is value-numbered (ex.value_number).  verify_potential runs the
-potential's part of such a suite, built by hand; the Lee solve and the other
-library functions (verify_lck, verify_invariance, ...) stay sampled.
+that reaches the tolerance it is sampled at every point after all.  The
+proofs and the cross-check run on one tape whose identities keep their two
+sides, each side value-numbered apart (ex.value_number), so that the float
+residual still compares two computations.  Every point is checked for the
+evaluation errors sampling would raise, on one tape that is value-numbered
+as a whole.  verify_potential runs the potential's part of such a suite,
+built by hand; the Lee solve and the other library functions (verify_lck,
+verify_invariance, ...) stay sampled.
 
 Two conventions used throughout:
 
@@ -213,9 +216,10 @@ def _report(check_name, worst, tolerance, num_points, seed, details):
 
 
 def _lck_requests(Omega, theta):
-    """d Omega - theta ^ Omega and d theta, for their per-point residuals."""
-    return [(fm.exterior_d(Omega) - fm.wedge(theta, Omega), fm._Residual),
-            (fm.exterior_d(theta), fm._Residual)]
+    """d Omega - theta ^ Omega, as its sides, and d theta, for their
+    per-point residuals."""
+    return [((fm.exterior_d(Omega), fm.wedge(theta, Omega)), fm._Residual),
+            ((fm.exterior_d(theta), None), fm._Residual)]
 
 
 def _definiteness_summary(form, pts, evaluation, k) -> dict:
@@ -232,8 +236,9 @@ def _definiteness_summary(form, pts, evaluation, k) -> dict:
 
 
 def _invariance_request(a, g_exprs, fold):
-    """pullback(g, a) - a, for its residual by ``fold``; g as expressions."""
-    return fm.pullback(g_exprs, a) - a, fold
+    """pullback(g, a) - a, as its sides, for its residual by ``fold``; g as
+    expressions."""
+    return (fm.pullback(g_exprs, a), a), fold
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +481,8 @@ def verify_potential(Phi: ex.Expression, group, points,
     generator g moves Phi by a constant ratio g*Phi/Phi (mean rho, spread
     max - min and spread relative to |rho|), through the potential's part
     of a suite built by hand, uncached, as run_suite does."""
+    if Phi is None:
+        raise ValueError("verify_potential needs a potential Phi, got None")
     generators = _generator_list(group)
     suite = _Suite(group.dim, {}, Phi,
                    [gen.as_expressions() for _, gen in generators])
@@ -533,16 +540,17 @@ def _orientations(gen):
 
 def _proofs(requests, dim):
     """Each request's Schwartz-Zippel bound, or None where it is not
-    proven, and the tape of every request it proved them on: proven when
-    every coefficient vanished in each trial of ex._prove, params
-    included as unknowns, and the bounds summed over the coefficients are
-    at most FALSE_PASS_BOUND."""
-    tape = fm._RequestTape(requests, dim)
+    proven, and the tape of every request it proved them on, whose sides
+    are value-numbered apart (see fm._RequestTape): proven when every
+    coefficient vanished in each trial of ex._prove, params included as
+    unknowns, and the bounds summed over the coefficients, plus the sides'
+    merge bound, are at most FALSE_PASS_BOUND."""
+    tape = fm._RequestTape(requests, dim, merges_within=FALSE_PASS_BOUND)
     vanished, bounds = ex._prove(tape.roots)
-    proofs = []
+    merged, proofs = tape.merge_bound or 0.0, []
     for k in range(len(requests)):
         roots = [j for j, (i, _) in enumerate(tape.where) if i == k]
-        bound = sum((bounds[j] for j in roots), 0.0)
+        bound = sum((bounds[j] for j in roots), merged)
         proven = (k < tape.failed_at and bound <= FALSE_PASS_BOUND
                   and all(vanished[j] for j in roots))
         proofs.append(bound if proven else None)
@@ -558,8 +566,10 @@ class _Suite:
     tape (within FALSE_PASS_BOUND, its ``merge_bound``).  The identities,
     the lcK pair (``lck``), each invariance under each generator
     (``invariance``, per form) and the potential's, are tested exactly
-    first (``proofs``, each bound or None), on the tape ``cross_check``
-    (see _Run.identities); identity i < len(at) is request ``at[i]``.
+    first (``proofs``, each bound or None), on the tape ``cross_check``,
+    which keeps each identity's two sides and value-numbers each side apart
+    (see _proofs and _Run.identities); identity i < len(at) is request
+    ``at[i]``.  d theta and the potential's closedness are one form each.
 
     ``potential`` is None or (omega~ = -i del delbar Phi, Phi's request,
     the first of omega~'s definiteness requests, the closedness identity);
@@ -593,10 +603,10 @@ class _Suite:
             # its float residual does not depend on the scale of Phi.  Where
             # Phi > 0, Phi d(g*Phi) - (g*Phi) d Phi = 0 says that g*Phi/Phi
             # is constant, with no divisor to guard.
-            closed = (fm.exterior_d(omega).scale(ex.div(1.0, potential)),
-                      fm._Max)
-            exact = [closed] + [(fm.wedge(phi, fm.exterior_d(h))
-                                 - fm.wedge(h, fm.exterior_d(phi)), fm._Max)
+            closed = ((fm.exterior_d(omega).scale(ex.div(1.0, potential)),
+                       None), fm._Max)
+            exact = [closed] + [((fm.wedge(phi, fm.exterior_d(h)),
+                                  fm.wedge(h, fm.exterior_d(phi))), fm._Max)
                                 for h in moved]
             at, samples = len(samples), samples + [(phi, fm._Range)] + [
                 (fm.scalar_form(dim, ex.div(h.terms.get((), 0.0), potential)),
@@ -616,7 +626,8 @@ class _Suite:
             self.at.append(len(samples) - 1)
         self.proofs, self.cross_check = _proofs(lck + invariance + exact, dim)
         self.requests = fm._RequestTape(
-            samples + invariance, dim,
+            [(fm._whole(form), fold) for form, fold in samples + invariance],
+            dim,
             {k for k, proof in zip(self.at, self.proofs) if proof is not None},
             FALSE_PASS_BOUND)
 

@@ -108,3 +108,17 @@ def lee_least_squares(w, v, nn):
     coeffs = np.linalg.solve(r, np.conj(q.swapaxes(1, 2)) @ target)
     residual = np.abs(design @ coeffs - target).max(axis=(1, 2))
     return coeffs[..., 0], residual
+
+
+def gaussian_zero_mod(p, root):
+    """x + iy or x - iy, with x^2 + y^2 = p (Cornacchia), whichever is 0
+    modulo the prime p = 1 mod 4 where i is ``root``, a square root of -1
+    modulo p; |x + iy| is about sqrt(p), and exact as a float for p < 2^106.
+    """
+    a, b = p, root
+    while b * b > p:
+        a, b = b, a % b
+    x = b
+    y = math.isqrt(p - x * x)
+    assert x * x + y * y == p
+    return complex(x, y if (x + root * y) % p == 0 else -y)

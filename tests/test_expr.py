@@ -17,7 +17,7 @@ from hopflck import hopf as hp
 from hopflck import verify as vf
 from hopflck.sampling import annulus_points
 
-from oracles import fd_wirtinger, implicit_time_reference
+from oracles import fd_wirtinger, gaussian_zero_mod, implicit_time_reference
 
 
 def _random_expr(rng, dim=2, depth=3):
@@ -442,13 +442,13 @@ class TestTapeKernels:
     def test_vaisman_suite_guards_each_divisor_once(self):
         entry = hp.build_entry("vaisman")
         suite, _ = vf._suite(entry, vf._generator_list(entry.group))
-        # The identities' own tape divides; the suite's tape has the proven
-        # identities' divisor guards and the divisions of the definiteness
-        # check, value-numbered, so that a pulled-back denominator equal to
-        # an unmoved one is that one.  A division is a guard of its
-        # divisor's slot, unless that slot has one already, and a bare
-        # quotient.
-        for tape, counts in ((suite.cross_check.tape, (64, 7)),
+        # The identities' own tape divides, each side value-numbered apart;
+        # the suite's tape has the proven identities' divisor guards and
+        # the divisions of the definiteness check, value-numbered, so that
+        # a pulled-back denominator equal to an unmoved one is that one.  A
+        # division is a guard of its divisor's slot, unless that slot has
+        # one already, and a bare quotient.
+        for tape, counts in ((suite.cross_check.tape, (37, 5)),
                              (suite.requests.tape, (10, 4))):
             ops = [(i, rule, node, kids) for i, (rule, node, kids)
                    in enumerate(tape.ops) if isinstance(node, ex.Div)]
@@ -1482,6 +1482,25 @@ class TestValueNumbering:
         # b's merge into a is refused; nothing is left to prove.
         assert ex.value_number(roots) == (roots, 0.0)
         assert calls == [1]
+
+    def test_kept_nodes_keep_their_place(self):
+        a, b = self.radius(1, 2), self.radius(2, 1)
+        roots = [ex.div(ex.z(1), a), ex.div(ex.zbar(1), b)]
+        assert ex.value_number(roots)[0] == [roots[0], ex.div(ex.zbar(1), a)]
+        assert ex.value_number(roots, [b]) == (roots, 0.0)
+
+    def test_a_constant_zero_modulo_p_alone_merges_nothing(self):
+        # c is 0 modulo p but about 2^31 as a float (defect 6), so |z1|^2 +
+        # c z2 has the residues of |z1|^2, its operand: merged into it, the
+        # sum would lose c z2.  Such a constant has no fingerprint, and
+        # nothing above it merges.
+        c = ex.const(gaussian_zero_mod(ex.MODULAR_PRIME, ex._I_MOD))
+        assert ex._modular_const(c, (), None) == 0 and abs(c.value) > 1e9
+        square = ex.mul(ex.z(1), ex.zbar(1))
+        bumped = ex.add(square, ex.mul(c, ex.z(2)))
+        assert ex._prove([ex.sub(bumped, square)])[0] == [True]
+        merged, bound = ex.value_number([bumped, ex.mul(ex.zbar(1), ex.z(1))])
+        assert merged == [bumped, square] and bound > 0.0
 
     def test_branch_cuts_are_not_merged(self):
         # log(z1 z2) and log z1 + log z2 differ by 2 pi i off a half-plane:

@@ -14,7 +14,7 @@ import hopflck.hopf as hp
 import hopflck.maps as mp
 import hopflck.verify as vf
 from hopflck.sampling import annulus_points
-from oracles import lee_least_squares, random_annulus
+from oracles import gaussian_zero_mod, lee_least_squares, random_annulus
 
 
 class TestSolveLee:
@@ -489,6 +489,21 @@ class TestVerifyPotential:
         assert rep.details["method"] == "exact-modular"
         assert rep.max_residual == 0.0
 
+    def test_missing_potential_is_refused_before_the_suite(self,
+                                                           monkeypatch):
+        # example1, kodaira and vaisman have no potential: passing theirs
+        # names it, and no suite is built.
+        def never(*args):
+            raise AssertionError("a suite was built")
+
+        monkeypatch.setattr(vf, "_Suite", never)
+        entry = hp.build_entry("vaisman")
+        assert entry.potential is None
+        with pytest.raises(ValueError, match="^verify_potential needs a "
+                                             "potential Phi, got None$"):
+            vf.verify_potential(entry.potential, entry.group,
+                                random_annulus(2, 5, seed=224))
+
     def test_identity_action_has_unit_ratio(self):
         phi, _ = hp.example2_potential()
         group = mp.GroupSpec((np.eye(2),), mp.PolyAutomorphism.identity(2))
@@ -726,18 +741,24 @@ class TestRunSuite:
     @pytest.mark.parametrize("make", [hp.example1_entry, hp.vaisman_entry])
     def test_suite_residuals_match_verify_lck(self, make):
         # Both identities are proven, so their float residuals are the
-        # cross-check's, at the first CROSS_CHECK_POINTS points.
+        # cross-check's, at the first CROSS_CHECK_POINTS points: d theta's
+        # as written, and d Omega - theta ^ Omega's with each side
+        # value-numbered apart, which moves its digits by rounding alone.
         entry = make()
         config = self.small()
         by_name = {r.check_name: r for r in vf.run_suite(entry, config)}
         pts = annulus_points(entry.ambient_dim, config.points, config.seed)
-        lck = vf.verify_lck(entry.forms["Omega"], entry.forms["theta"],
-                            pts[:vf.CROSS_CHECK_POINTS])
+        head = pts[:vf.CROSS_CHECK_POINTS]
+        lck = vf.verify_lck(entry.forms["Omega"], entry.forms["theta"], head)
         for check in ("lck_residual", "lee_closedness"):
             assert by_name[check].details["method"] == "exact-modular"
             assert by_name[check].max_residual == 0.0
-        assert lck.details["lck_residual"] == \
+        numbered = _cross_check_residual(entry, 0, head)
+        assert numbered.max() == \
             by_name["lck_residual"].details["float_residual"]
+        assert _equal_but_rounding(
+            lck.details["lck_residual"],
+            by_name["lck_residual"].details["float_residual"])
         assert lck.details["lee_closedness_residual"] == \
             by_name["lee_closedness"].details["float_residual"]
 
@@ -770,6 +791,15 @@ def _equal_but_rounding(a, b, atol=1e-12):
     if isinstance(a, float) and isinstance(b, float):
         return a == b or abs(a - b) <= atol
     return type(a) is type(b) and a == b
+
+
+def _cross_check_residual(entry, i, pts):
+    """The per-point residual of identity ``i`` of ``entry``'s suite: its
+    cross-check form as compiled, evaluated alone at ``pts``."""
+    suite, binding = vf._suite(entry, vf._generator_list(entry.group))
+    form, _ = suite.cross_check.folds[i]
+    return fm._RequestTape([(form, fm._Residual)], entry.ambient_dim).run(
+        pts, binding)[0]
 
 
 def _residual_one_form_at_a_time(form, pts):
@@ -815,21 +845,26 @@ class TestSuiteOnePass:
             omega, theta = forms["Omega"], forms["theta"]
             lck = vf.verify_lck(omega, theta, pts)
             # The catalog's lcK pairs are proven: their float residuals come
-            # from the first CROSS_CHECK_POINTS points.
+            # from the first CROSS_CHECK_POINTS points, d theta's as written
+            # and d Omega - theta ^ Omega's with each side value-numbered
+            # apart, its digits moved by rounding alone.
             head = pts[:vf.CROSS_CHECK_POINTS]
             lck_head = vf.verify_lck(omega, theta, head)
-            for check, key, form in (
+            for check, key, res in (
                     ("lck_residual", "lck_residual",
-                     fm.exterior_d(omega) - fm.wedge(theta, omega)),
+                     _cross_check_residual(entry, 0, head)),
                     ("lee_closedness", "lee_closedness_residual",
-                     fm.exterior_d(theta))):
-                res = _residual_one_form_at_a_time(form, head)
+                     _residual_one_form_at_a_time(fm.exterior_d(theta),
+                                                  head))):
                 details = by_name[check].details
                 assert details["method"] == "exact-modular"
                 assert by_name[check].max_residual == 0.0
-                assert details["float_residual"] == lck_head.details[key]
+                assert _equal_but_rounding(details["float_residual"],
+                                           lck_head.details[key])
                 assert details["float_residual"] == res.max(initial=0.0)
                 assert details["worst_points"] == vf._worst_points(head, res)
+            assert by_name["lee_closedness"].details["float_residual"] == \
+                lck_head.details["lee_closedness_residual"]
             alone = fm.definiteness(fm.bidegree_part(omega, 1, 1), pts)
             details = by_name["definiteness"].details
             want = {"is_definite": alone.is_definite,
@@ -1026,14 +1061,7 @@ class TestExactIdentities:
         # 0 modulo p, with i the square root of -1 there, while |c| is about
         # 2^31 and exact as a float.  theta + c zbar_1 dz_1 then passes the
         # exact test but breaks both identities by about 1e9 in floats.
-        p, root = ex.MODULAR_PRIME, ex._I_MOD
-        a, b = p, root
-        while b * b > p:
-            a, b = b, a % b
-        x = b
-        y = math.isqrt(p - x * x)
-        assert x * x + y * y == p
-        c = complex(x, y if (x + root * y) % p == 0 else -y)
+        c = gaussian_zero_mod(ex.MODULAR_PRIME, ex._I_MOD)
         assert ex._modular_const(ex.const(c), (), None) == 0
         eta = fm.form_from_terms(2, 1, {(0,): ex.mul(ex.const(c),
                                                      ex.zbar(1))})
@@ -1189,21 +1217,22 @@ class TestDeckProofs:
 
 
 def _built_suite(name, monkeypatch):
-    """``name``'s catalog suite, built afresh, and the terms its sample tape
-    had before value numbering."""
+    """``name``'s catalog suite, built afresh, and the terms and kept nodes
+    of each ex.value_number call: the cross-check's minuends and
+    subtrahends, then the sample tape's terms."""
     vf._SUITES.clear()
     number, calls = ex.value_number, []
 
-    def record(roots):
-        calls.append(roots)
-        return number(roots)
+    def record(roots, keep=()):
+        calls.append((roots, keep))
+        return number(roots, keep)
 
     monkeypatch.setattr(ex, "value_number", record)
     entry = hp.build_entry(name)
     suite, _ = vf._suite(entry, vf._generator_list(entry.group))
     monkeypatch.setattr(ex, "value_number", number)
-    (roots,) = calls  # the sample tape's, and no other tape's
-    return suite, roots
+    assert len(calls) == 3 and not calls[2][1]
+    return suite, calls
 
 
 def _guards(tape):
@@ -1211,15 +1240,15 @@ def _guards(tape):
 
 
 class TestValueNumberedSuite:
-    """The suite's sample tape is value-numbered (ex.value_number); its
-    proofs and their cross-check tape are not."""
+    """The suite's sample tape is value-numbered (ex.value_number), and so
+    is the cross-check tape its proofs are made on, each side apart."""
 
     @pytest.mark.parametrize("name,ops,guards,unmerged", [
         ("vaisman", 114, 4, 211), ("example1", 12, 2, 27)])
     def test_merges_are_proven_and_the_tape_shrinks(self, monkeypatch, name,
                                                     ops, guards, unmerged):
-        suite, roots = _built_suite(name, monkeypatch)
-        tape = suite.requests.tape
+        suite, calls = _built_suite(name, monkeypatch)
+        (roots, _), tape = calls[2], suite.requests.tape
         assert (len(tape.ops), _guards(tape)) == (ops, guards)
         assert len(ex._Tape(roots, [k for k, s in enumerate(tape.roots)
                                     if s is None]).ops) == unmerged
@@ -1259,28 +1288,108 @@ class TestValueNumberedSuite:
         assert compiled == [suite.cross_check.tape, suite.requests.tape]
         vf._SUITES.clear()
 
-    def test_cross_check_tape_is_not_merged(self, monkeypatch):
-        suite, _ = _built_suite("vaisman", monkeypatch)
-        assert len(suite.cross_check.tape.ops) == 1037
-        assert suite.cross_check.merge_bound is None
+    def test_cross_check_numbers_each_side_apart(self, monkeypatch):
+        # vaisman's minuends (d Omega, g*theta, g*psi) are numbered in one
+        # DAG and its subtrahends (theta ^ Omega, theta, psi) in another;
+        # d theta, an identity of one form, is compiled as written.  The
+        # pulled-back coefficients of theta and psi keep their place: the
+        # unmoved ones are written below d Omega.
+        suite, calls = _built_suite("vaisman", monkeypatch)
+        (minuends, keep), (subtrahends, none) = calls[:2]
+        tape = suite.cross_check.tape
+        assert (len(tape.ops), _guards(tape)) == (469, 5)
+        assert len(minuends) == 4 + 4 + 4 and len(subtrahends) == 4 + 4 + 4
+        assert len(keep) == 8 and none == ()
+        assert set(keep) <= set(minuends[4:])
+        bound = (ex.value_number(minuends, keep)[1]
+                 + ex.value_number(subtrahends)[1])
+        assert suite.cross_check.merge_bound == bound
+        assert 0.0 < bound <= vf.FALSE_PASS_BOUND
+        # Each proof's bound counts the merges.
+        assert all(bound < proof <= vf.FALSE_PASS_BOUND
+                   for proof in suite.proofs)
+
+    def test_no_proven_root_is_x_minus_x(self):
+        # Every proven identity of two sides keeps the terms of its form as
+        # written, each the difference of two nodes, so its float residual
+        # compares two computations: at the head the lcK residual is not 0.
+        entry = hp.build_entry("vaisman")
+        suite, _ = vf._suite(entry, vf._generator_list(entry.group))
+        two_sided = [0] + [i for _, ids in suite.invariance for i in ids]
+        assert all(suite.proofs[i] is not None for i in two_sided)
+        forms, pulled = entry.forms, entry.group.cyclic_generator
+        written = [fm.exterior_d(forms["Omega"])
+                   - fm.wedge(forms["theta"], forms["Omega"])] + [
+            fm.pullback(pulled.as_expressions(), forms[key]) - forms[key]
+            for key, _ in suite.invariance]
+        for i, form in zip(two_sided, written):
+            compiled, _ = suite.cross_check.folds[i]
+            assert compiled.terms.keys() == form.terms.keys()
+            for c in compiled.terms.values():
+                assert type(c) is ex.Sub and c.args[0] is not c.args[1]
+        head = annulus_points(2, vf.CROSS_CHECK_POINTS, 0)
+        assert _cross_check_residual(entry, 0, head).max() > 0.0
+
+    def test_identity_that_holds_only_modulo_the_prime_across_sides(self):
+        # 2^124 = 28561 modulo MODULAR_PRIME (defect 6).  Under the deck z1
+        # -> 28561 2^-124 z1, theta = 2^124 z1 pulls back to 28561 z1, so
+        # the invariance vanishes in every trial of the exact test.  Its
+        # sides are numbered apart and stay two nodes: the float
+        # cross-check reads about 2e37 and sends the identity back to
+        # sampling, where it fails.  Numbered in one DAG, the sides would
+        # be one node and the identity would pass.
+        assert pow(2, 124, ex.MODULAR_PRIME) == 28561
+        theta = fm.scalar_form(2, ex.mul(ex.const(2.0 ** 124), ex.z(1)))
+        deck = (ex.mul(ex.const(28561.0 * 2.0 ** -124), ex.z(1)), ex.z(2))
+        suite = vf._Suite(2, {"theta": theta}, None, [deck])
+        (moved,) = fm.pullback(deck, theta).terms.values()
+        assert ex.evaluate(moved, (1.0, 1.0)) == 28561.0
+        assert suite.proofs[0] is not None
+        (root,) = suite.cross_check.roots
+        assert type(root) is ex.Sub and root.args[0] is not root.args[1]
+        (key, ids), = suite.invariance
+        pts = annulus_points(2, 300, 0)
+        run = vf._Run(suite, pts, {}, suite.tolerance)
+        proven, (residual,) = run.identities(ids)
+        assert key == "theta" and not proven and residual > 1e36
 
     def test_too_large_a_bound_keeps_the_unmerged_tape(self, monkeypatch):
         number = ex.value_number
-        monkeypatch.setattr(ex, "value_number", lambda roots: (
-            number(roots)[0], 2 * vf.FALSE_PASS_BOUND))
+        monkeypatch.setattr(ex, "value_number", lambda roots, keep=(): (
+            number(roots, keep)[0], 2 * vf.FALSE_PASS_BOUND))
         vf._SUITES.clear()
         entry = hp.build_entry("vaisman")
         suite, _ = vf._suite(entry, vf._generator_list(entry.group))
         assert len(suite.requests.tape.ops) == 211
         assert suite.requests.merge_bound is None
+        assert len(suite.cross_check.tape.ops) == 1037
+        assert suite.cross_check.merge_bound is None
+        vf._SUITES.clear()
+
+    def test_too_large_a_summed_side_bound_keeps_the_cross_check_unmerged(
+            self, monkeypatch):
+        # Each side's bound alone is within FALSE_PASS_BOUND, so the sample
+        # tape, one side, is merged; the cross-check's two sides sum past
+        # it, so its identities are proven on their unmerged terms.
+        number = ex.value_number
+        monkeypatch.setattr(ex, "value_number", lambda roots, keep=(): (
+            number(roots, keep)[0], 0.6 * vf.FALSE_PASS_BOUND))
+        vf._SUITES.clear()
+        entry = hp.build_entry("vaisman")
+        suite, _ = vf._suite(entry, vf._generator_list(entry.group))
+        assert len(suite.requests.tape.ops) == 114
+        assert suite.requests.merge_bound == 0.6 * vf.FALSE_PASS_BOUND
+        assert len(suite.cross_check.tape.ops) == 1037
+        assert suite.cross_check.merge_bound is None
+        assert None not in suite.proofs
         vf._SUITES.clear()
 
     def test_library_checks_and_the_lee_solve_are_not_merged(self,
                                                             monkeypatch):
         calls = []
         number = ex.value_number
-        monkeypatch.setattr(ex, "value_number",
-                            lambda roots: calls.append(1) or number(roots))
+        monkeypatch.setattr(ex, "value_number", lambda roots, keep=():
+                            calls.append(1) or number(roots, keep))
         entry = hp.build_entry("vaisman")
         pts = annulus_points(2, 50, seed=1)
         vf.verify_lck(entry.forms["Omega"], entry.forms["theta"], pts)
@@ -1366,9 +1475,15 @@ class TestSuiteCache:
                 assert theirs["details"]["method"] == "sampled"
             want[3:5], got[3:5] = [], []
         if name == "vaisman" and params["r1"] == params["r2"]:
-            # Equal weights by hand are one number, so the entry's tape
-            # merges values (ex.value_number) that the template's two
-            # params keep apart: the digits of its definiteness move.
+            # Equal weights by hand are one number, so the entry's tapes
+            # merge values (ex.value_number) that the template's two
+            # params keep apart: the digits of its definiteness move, and
+            # those of the proven lcK residual's cross-check, with the
+            # points where its rounding is largest.
+            for report in want + got:
+                if report["check_name"] == "lck_residual":
+                    assert report["details"]["method"] == "exact-modular"
+                    del report["details"]["worst_points"]
             assert _equal_but_rounding(want, got)
             assert [r["status"] for r in want] == [r["status"] for r in got]
         else:
