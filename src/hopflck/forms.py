@@ -9,8 +9,9 @@ stay in the table and are handled by the numeric comparisons.
 
 Provided operations: graded-commutative wedge, exterior derivative through
 exact Wirtinger partials, the (1,0)/(0,1) split of d, bidegree projection,
-pullback along holomorphic maps, pointwise evaluation, and eigenvalue-based
-definiteness of (1,1)-forms via the Hermitian coefficient matrix H = i C.
+the complex structure J on 1-forms, pullback along holomorphic maps,
+pointwise evaluation, and eigenvalue-based definiteness of (1,1)-forms via
+the Hermitian coefficient matrix H = i C.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ __all__ = [
     "ExteriorForm", "scalar_form", "d_z", "d_zbar", "form_from_terms",
     "wedge", "exterior_d", "del_and_delbar", "bidegree_part", "pullback",
     "evaluate_form", "evaluate_form_many", "max_form_residual",
-    "pointwise_residual", "kaehler_form",
+    "pointwise_residual", "kaehler_form", "complex_structure",
     "definiteness", "DefinitenessReport", "HermitianMatrixSample",
     "form_to_json", "form_from_json",
     "NonHolomorphicMap", "NotType11", "NonHermitian", "FormEvaluationError",
@@ -265,6 +266,15 @@ def kaehler_form(ambient_dim: int, potential) -> ExteriorForm:
     """The (1,1)-form -i del delbar Phi of a potential Phi."""
     dbar = _d_split(scalar_form(ambient_dim, potential), "delbar")
     return _d_split(dbar, "del").scale(-1j)
+
+
+def complex_structure(a: ExteriorForm) -> ExteriorForm:
+    """J on 1-forms: dz_i -> i dz_i and dzbar_i -> -i dzbar_i."""
+    if a.degree != 1:
+        raise ValueError("J acts on 1-forms, got a %d-form" % a.degree)
+    return ExteriorForm(a.ambient_dim, 1, {
+        (b,): ex.mul(1j if b < a.ambient_dim else -1j, c)
+        for (b,), c in a.terms.items()})
 
 
 def bidegree_part(a: ExteriorForm, p: int, q: int) -> ExteriorForm:

@@ -5,16 +5,22 @@ differential forms of a classical construction together with the deck group
 of the quotient Hopf manifold:
 
 * ``example1``  — the standard Hopf surface with Omega = omega / |z|^2, its
-  Lee form theta = -d log |z|^2, the contact-type 1-form psi, and the
-  rank-one 2-form d psi (the pullback of the Fubini-Study form under the
-  Hopf fibration, stored here with the normalization that makes it equal
-  d psi coefficientwise).
+  Lee form theta = -d log |z|^2, the contact-type 1-form psi = J theta, and
+  the rank-one 2-form d psi (the pullback of the Fubini-Study form under the
+  Hopf fibration).
 * ``example2``  — the Kähler potential Phi = |z_1|^2 + ... + |z_n|^2 on W,
   on which the diagonal deck group acts by homotheties.
 * ``kodaira``   — the non-diagonal contraction (z1, z2) -> (a z1 + t z2,
   a z2); a map/group entry with no displayed forms.
-* ``vaisman``   — the weighted Vaisman structure Omega = -theta ^ psi + d psi
-  on a diagonal Hopf surface with weights (r1, r2) and phases (p1, p2).
+* ``vaisman``   — the weighted Vaisman structure on a diagonal Hopf surface
+  with weights (r1, r2) and phases (p1, p2), of the potential Phi = e^{-t}
+  of its implicit radial coordinate t; Omega = -4 omega~ / Phi equals
+  d psi - theta ^ psi.
+
+example1 and vaisman are lcK with potential (Ornea-Verbitsky), and one
+writer gives both from their potentials Phi: Omega = k_omega omega~ / Phi
+with omega~ = -i del delbar Phi, its Lee form theta = -d log Phi, and
+psi = k_psi J theta, J the complex structure on 1-forms.
 
 The module also builds the two deformation families, both
 :class:`~hopflck.maps.ScalingFamily` curves t -> T_t^{-1} g T_t: uniform
@@ -28,13 +34,6 @@ forms, potential and deck generator written once over numbers or
 access of ``forms`` and compiled (and proven) over params once by
 :func:`hopflck.verify.run_suite`.
 :func:`build_entry` and the command-line flags read their parameters there.
-
-On the Vaisman entry: the raw weighted 1-form returned by
-:func:`weighted_sasaki` is invariant under the deck group only when the two
-weights agree.  The entry therefore uses :func:`weighted_sasaki_invariant`,
-the transport of the same spherical form along the radial trivialization
-w = e^{-r t} z; it coincides with the raw form on the unit sphere and for
-equal weights, and is deck-invariant for all weights.
 """
 
 from __future__ import annotations
@@ -180,31 +179,25 @@ def _norm_squared(n: int) -> ex.Expression:
     return total
 
 
+def _from_potential(n, phi, k_omega, k_psi, t=None):
+    """Omega = k_omega omega~ / Phi, theta = -d log Phi and psi = k_psi J theta
+    of an lcK potential Phi on C^n, where omega~ = -i del delbar Phi.
+
+    theta is dt where t = -log Phi is given, and -d Phi / Phi otherwise.
+    """
+    # Written -d Phi / Phi, vaisman's theta would have its pullback g*theta
+    # value-numbered into theta's own nodes, whose parts d Omega holds, and
+    # its cross-check would stay unmerged (726 operations against 461).
+    theta = (fm.exterior_d(fm.scalar_form(n, t)) if t is not None else
+             fm.exterior_d(fm.scalar_form(n, phi)).scale(ex.div(-1.0, phi)))
+    return {"Omega": fm.kaehler_form(n, phi).scale(ex.div(k_omega, phi)),
+            "theta": theta, "psi": fm.complex_structure(theta).scale(k_psi)}
+
+
 def _example1_forms(mu):
     n = 2
-    rho = _norm_squared(n)
-    rho2 = ex.mul(rho, rho)
-    mi = ex.const(-1j)
-    pi_ = ex.const(1j)
-
-    omega_terms = {(0, 2): ex.div(mi, rho), (1, 3): ex.div(mi, rho)}
-    # dz_i and dzbar_i carry zbar_i and z_i.
-    coords = (ex.zbar(1), ex.zbar(2), ex.z(1), ex.z(2))
-    theta_terms = {(k,): ex.div(ex.mul(ex.const(-1.0), c), rho)
-                   for k, c in enumerate(coords)}
-    psi_terms = {(k,): ex.div(ex.mul(mi if k < 2 else pi_, c), rho)
-                 for k, c in enumerate(coords)}
-    two_i = ex.const(2j)
-    fs_terms = {
-        (0, 2): ex.div(ex.mul(two_i, ex.mul(ex.z(2), ex.zbar(2))), rho2),
-        (1, 3): ex.div(ex.mul(two_i, ex.mul(ex.z(1), ex.zbar(1))), rho2),
-        (0, 3): ex.div(ex.mul(ex.const(-2j), ex.mul(ex.zbar(1), ex.z(2))), rho2),
-        (1, 2): ex.div(ex.mul(ex.const(-2j), ex.mul(ex.zbar(2), ex.z(1))), rho2),
-    }
-    forms = {"Omega": fm.form_from_terms(n, 2, omega_terms),
-             "theta": fm.form_from_terms(n, 1, theta_terms),
-             "psi": fm.form_from_terms(n, 1, psi_terms),
-             "fubini_study": fm.form_from_terms(n, 2, fs_terms)}
+    forms = _from_potential(n, _norm_squared(n), 1.0, 1.0)
+    forms["fubini_study"] = fm.exterior_d(forms["psi"])
     return forms, None, _scaled_coordinates(mu, n)
 
 
@@ -317,28 +310,18 @@ def _check_weights(r) -> tuple:
     return r
 
 
-def _contact_form(r, e) -> fm.ExteriorForm:
-    """i (sum_j r_j |z_j|^2 E_j)^-1 sum_i E_i (z_i dzbar_i - zbar_i dz_i).
-
-    The weights r_j may be numbers or params.
-    """
-    (r1, r2), (e1, e2) = r, e
-    den = ex.add(
-        ex.mul(r1, ex.mul(ex.mul(ex.z(1), ex.zbar(1)), e1)),
-        ex.mul(r2, ex.mul(ex.mul(ex.z(2), ex.zbar(2)), e2)))
-    coords = (ex.zbar(1), ex.zbar(2), ex.z(1), ex.z(2))
-    terms = {(k,): ex.div(ex.mul(ex.const(-1j if k < 2 else 1j),
-                                 ex.mul(c, (e1, e2)[k % 2])), den)
-             for k, c in enumerate(coords)}
-    return fm.form_from_terms(2, 1, terms)
-
-
 def weighted_sasaki(r=(1.0, 1.0)) -> fm.ExteriorForm:
     """The weighted contact 1-form i (sum r_i |z_i|^2)^-1 (z dzbar - zbar dz).
 
-    With equal unit weights this is coefficientwise the psi of example1.
+    With equal unit weights this is the psi of example1.
     """
-    return _contact_form(_check_weights(r), (ex.const(1.0),) * 2)
+    r1, r2 = _check_weights(r)
+    den = ex.add(ex.mul(r1, ex.mul(ex.z(1), ex.zbar(1))),
+                 ex.mul(r2, ex.mul(ex.z(2), ex.zbar(2))))
+    coords = (ex.zbar(1), ex.zbar(2), ex.z(1), ex.z(2))
+    return fm.form_from_terms(2, 1, {
+        (k,): ex.div(ex.mul(ex.const(-1j if k < 2 else 1j), c), den)
+        for k, c in enumerate(coords)})
 
 
 def implicit_time(r=(1.0, 1.0)) -> ex.Expression:
@@ -347,28 +330,22 @@ def implicit_time(r=(1.0, 1.0)) -> ex.Expression:
 
 
 def weighted_sasaki_invariant(r=(1.0, 1.0)) -> fm.ExteriorForm:
-    """Deck-invariant transport of the weighted contact form off the sphere.
+    """2 J dt, the deck-invariant weighted contact form: vaisman's psi.
 
-    Substituting z_i = e^{r_i t(w)} w_i into the spherical form gives
+    t(w) = implicit_time(r) is the radial coordinate, so 2 J dt is the
+    weighted contact form transported off the unit sphere along w =
+    e^{-r t} z,
 
         i (sum_j r_j |w_j|^2 e^{2 r_j t})^-1
-          sum_i e^{2 r_i t} (w_i dwbar_i - wbar_i dw_i)
+          sum_i e^{2 r_i t} (w_i dwbar_i - wbar_i dw_i).
 
-    (the dt contributions cancel in each numerator term).  On the unit
-    sphere t = 0 and for equal weights the exponentials drop out, so this
-    agrees with :func:`weighted_sasaki` there; unlike the raw form it is
-    invariant under diag(e^{-r_1 + i p_1}, e^{-r_2 + i p_2}) for all weights
-    because t picks up exactly +1 under the deck generator.
+    On the unit sphere t = 0 and for equal weights the exponentials drop
+    out, so this agrees with :func:`weighted_sasaki` there; unlike the raw
+    form it is invariant under diag(e^{-r_1 + i p_1}, e^{-r_2 + i p_2}) for
+    all weights because t picks up exactly +1 under the deck generator.
     """
-    return _transported_contact_form(*_check_weights(r))
-
-
-def _transported_contact_form(r1, r2) -> fm.ExteriorForm:
-    """weighted_sasaki_invariant for weights that may be numbers or params."""
-    t = ex.implicit_t((r1, r2))
-    # 2 r folds to a constant for a numeric weight.
-    return _contact_form((r1, r2), [ex.exp(ex.mul(ex.mul(2.0, r), t))
-                                    for r in (r1, r2)])
+    dt = fm.exterior_d(fm.scalar_form(2, implicit_time(r)))
+    return fm.complex_structure(dt).scale(2.0)
 
 
 def _vaisman_deck(r1, r2, p1, p2) -> PolyAutomorphism:
@@ -385,12 +362,10 @@ def _vaisman_forms(r1, r2, p1, p2):
     """Omega, theta and psi of vaisman_entry and its generator z_k ->
     exp(-r_k + i p_k) z_k; weights and phases numbers or params."""
     t = ex.implicit_t((r1, r2))
-    theta = fm.exterior_d(fm.scalar_form(2, t))
-    psi = _transported_contact_form(r1, r2)
-    omega = fm.exterior_d(psi) - fm.wedge(theta, psi)
+    forms = _from_potential(2, ex.exp(ex.mul(-1.0, t)), -4.0, 2.0, t)
     generator = tuple(ex.mul(ex.exp(ex.sub(ex.mul(1j, p), r)), ex.z(k))
                       for k, (r, p) in enumerate(((r1, p1), (r2, p2)), 1))
-    return {"Omega": omega, "theta": theta, "psi": psi}, None, generator
+    return forms, None, generator
 
 
 # ---------------------------------------------------------------------------
@@ -492,10 +467,11 @@ _EXAMPLE1, _EXAMPLE2, _KODAIRA, _VAISMAN = (
 def example1_entry(mu: complex = _EXAMPLE1["mu"]) -> HopfSurfaceCatalogEntry:
     """Standard Hopf surface: Omega = omega / |z|^2 with Lee form -d log |z|^2.
 
-    The entry carries Omega, theta, psi, and ``fubini_study`` := d psi, the
-    degenerate rank-one 2-form pulled back from the projective line.  The
-    deck group is generated by z -> mu z with |mu| > 1 (so the inverse of
-    the generator is the contraction).
+    Omega and theta are those of the potential Phi = |z|^2, whose omega~ is
+    omega; the entry also carries psi = J theta and ``fubini_study`` :=
+    d psi, the degenerate rank-one 2-form pulled back from the projective
+    line.  The deck group is generated by z -> mu z with |mu| > 1 (so the
+    inverse of the generator is the contraction).
     """
     return build_entry("example1", {"mu": mu})
 
@@ -535,12 +511,15 @@ def kodaira_entry(alpha: complex = _KODAIRA["alpha"],
 def vaisman_entry(r=(_VAISMAN["r1"], _VAISMAN["r2"]),
                   p=(_VAISMAN["p1"], _VAISMAN["p2"])
                   ) -> HopfSurfaceCatalogEntry:
-    """Weighted Vaisman structure Omega = -theta ^ psi + d psi.
+    """Weighted Vaisman structure of the potential Phi = e^{-t}.
 
-    theta = dt is the differential of the implicit radial coordinate
-    (closed by construction), psi is the deck-invariant weighted contact
-    form, and the deck group is generated by diag(lambda_1, lambda_2) with
-    lambda_i = e^{-r_i + i p_i}, a genuine contraction.
+    t is the implicit radial coordinate, so theta = -d log Phi = dt (closed
+    by construction), Omega = -4 omega~ / Phi with omega~ = -i del delbar
+    Phi, and psi = 2 J dt is the deck-invariant weighted contact form
+    (:func:`weighted_sasaki_invariant`); Omega = d psi - theta ^ psi.  The
+    deck group is generated by diag(lambda_1, lambda_2) with lambda_i =
+    e^{-r_i + i p_i}, a genuine contraction, which moves t by 1 and so
+    multiplies Phi by e^{-1}.
     """
     r, p = tuple(r), tuple(p)
     for what, pair in (("weights", r), ("phases", p)):

@@ -3,12 +3,18 @@
 Everything here is deliberately implemented from first principles (finite
 differences, closed-form decay counts, direct numeric conjugation) so that
 the symbolic machinery is checked against arithmetic it does not share.
+The catalog's references are its forms written by hand, coefficient by
+coefficient, against which the forms the catalog derives from potentials
+are proven.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from hopflck import expr as ex
+from hopflck import forms as fm
 
 
 def fd_wirtinger(func, point, index, conjugate=False, h=1e-5):
@@ -122,3 +128,50 @@ def gaussian_zero_mod(p, root):
     y = math.isqrt(p - x * x)
     assert x * x + y * y == p
     return complex(x, y if (x + root * y) % p == 0 else -y)
+
+
+def example1_reference_forms():
+    """example1's Omega, theta, psi and fubini_study as coefficient tables:
+    Omega = -i (dz1 ^ dzbar1 + dz2 ^ dzbar2) / rho, theta = -d rho / rho,
+    psi = i (z dzbar - zbar dz) / rho and fubini_study = d psi, with
+    rho = |z1|^2 + |z2|^2."""
+    z1, z2, zb1, zb2 = ex.z(1), ex.z(2), ex.zbar(1), ex.zbar(2)
+    rho = ex.add(ex.mul(z1, zb1), ex.mul(z2, zb2))
+    rho2 = ex.mul(rho, rho)
+    # dz_i and dzbar_i carry zbar_i and z_i.
+    coords = (zb1, zb2, z1, z2)
+    return {
+        "Omega": fm.form_from_terms(2, 2, {(0, 2): ex.div(-1j, rho),
+                                           (1, 3): ex.div(-1j, rho)}),
+        "theta": fm.form_from_terms(2, 1, {
+            (k,): ex.div(ex.mul(-1.0, c), rho) for k, c in enumerate(coords)}),
+        "psi": fm.form_from_terms(2, 1, {
+            (k,): ex.div(ex.mul(-1j if k < 2 else 1j, c), rho)
+            for k, c in enumerate(coords)}),
+        "fubini_study": fm.form_from_terms(2, 2, {
+            (0, 2): ex.div(ex.mul(2j, ex.mul(z2, zb2)), rho2),
+            (1, 3): ex.div(ex.mul(2j, ex.mul(z1, zb1)), rho2),
+            (0, 3): ex.div(ex.mul(-2j, ex.mul(zb1, z2)), rho2),
+            (1, 2): ex.div(ex.mul(-2j, ex.mul(zb2, z1)), rho2)}),
+    }
+
+
+def vaisman_reference_forms(r1, r2):
+    """vaisman's theta = dt, psi the weighted contact form transported off
+    the unit sphere along w = e^{-r t} z,
+
+        i (sum_j r_j |w_j|^2 e^{2 r_j t})^-1
+          sum_i e^{2 r_i t} (w_i dwbar_i - wbar_i dw_i),
+
+    and Omega = d psi - theta ^ psi; the weights numbers or params."""
+    t = ex.implicit_t((r1, r2))
+    e = [ex.exp(ex.mul(ex.mul(2.0, r), t)) for r in (r1, r2)]
+    den = ex.add(ex.mul(r1, ex.mul(ex.mul(ex.z(1), ex.zbar(1)), e[0])),
+                 ex.mul(r2, ex.mul(ex.mul(ex.z(2), ex.zbar(2)), e[1])))
+    coords = (ex.zbar(1), ex.zbar(2), ex.z(1), ex.z(2))
+    psi = fm.form_from_terms(2, 1, {
+        (k,): ex.div(ex.mul(-1j if k < 2 else 1j, ex.mul(c, e[k % 2])), den)
+        for k, c in enumerate(coords)})
+    theta = fm.exterior_d(fm.scalar_form(2, t))
+    return {"Omega": fm.exterior_d(psi) - fm.wedge(theta, psi),
+            "theta": theta, "psi": psi}

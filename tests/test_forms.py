@@ -160,6 +160,28 @@ class TestExteriorDerivative:
         assert total == a
 
 
+class TestComplexStructure:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_basis_covectors(self, n):
+        for i in range(1, n + 1):
+            assert fm.complex_structure(fm.d_z(n, i)) == fm.d_z(n, i).scale(1j)
+            assert (fm.complex_structure(fm.d_zbar(n, i))
+                    == fm.d_zbar(n, i).scale(-1j))
+
+    @given(st.integers(0, 10 ** 5))
+    def test_j_squared_is_minus_one(self, seed):
+        a = _random_form(np.random.default_rng(seed), degree=1)
+        twice = fm.complex_structure(fm.complex_structure(a))
+        vanished, _ = ex._prove(list((twice + a).terms.values()))
+        assert all(vanished)
+
+    @pytest.mark.parametrize("form", [
+        fm.scalar_form(2, ex.z(1)), fm.wedge(fm.d_z(2, 1), fm.d_zbar(2, 2))])
+    def test_refuses_other_degrees(self, form):
+        with pytest.raises(ValueError, match="1-forms"):
+            fm.complex_structure(form)
+
+
 class TestPullback:
     def _scaling(self, mu):
         return (ex.mul(ex.const(mu), ex.z(1)), ex.mul(ex.const(mu), ex.z(2)))

@@ -10,9 +10,17 @@ import hopflck.expr as ex
 import hopflck.forms as fm
 import hopflck.hopf as hp
 import hopflck.maps as mp
-from oracles import implicit_time_reference, random_annulus
+import hopflck.verify as vf
+from oracles import (example1_reference_forms, implicit_time_reference,
+                     random_annulus, vaisman_reference_forms)
 
 DZ1, DZ2, DZB1, DZB2 = 0, 1, 2, 3
+
+
+def assert_proven_equal(a, b):
+    """Each coefficient of a - b is proven zero, within FALSE_PASS_BOUND."""
+    vanished, bounds = ex._prove(list((a - b).terms.values()))
+    assert all(vanished) and max(bounds, default=0.0) <= vf.FALSE_PASS_BOUND
 
 
 def lck_defect(entry, points):
@@ -224,7 +232,8 @@ class TestDiagonalizingFamily:
 
 class TestWeightedContactForm:
     def test_equal_weights_match_catalog_contact_form(self):
-        assert hp.weighted_sasaki((1.0, 1.0)) == hp.example1_entry().forms["psi"]
+        assert_proven_equal(hp.weighted_sasaki((1.0, 1.0)),
+                            hp.example1_entry().forms["psi"])
 
     def test_weight_guards(self):
         with pytest.raises(hp.BadParameter, match="positive"):
@@ -346,6 +355,33 @@ class TestVaismanEntry:
         closed = fm.exterior_d(fm.scalar_form(2, ex.mul(ex.const(-0.5), ex.log(rho))))
         pts = random_annulus(2, 25, seed=135)
         assert fm.max_form_residual(e.forms["theta"] - closed, pts) < 1e-10
+
+
+class TestFromPotential:
+    """example1 and vaisman are written from their lcK potentials; each
+    form is proven equal to the one written by hand."""
+
+    def test_example1_forms_are_the_hand_written_tables(self):
+        forms = hp.example1_entry().forms
+        reference = example1_reference_forms()
+        assert set(forms) == set(reference)
+        for key, form in reference.items():
+            assert_proven_equal(forms[key], form)
+
+    def test_vaisman_forms_are_the_transported_contact_structure(self):
+        # Over params, so the identities hold for every weight.
+        forms, _ = hp.build_entry("vaisman").template.build(symbolic=True)
+        reference = vaisman_reference_forms(ex.param("r1"), ex.param("r2"))
+        assert set(forms) == set(reference)
+        for key, form in reference.items():
+            assert_proven_equal(forms[key], form)
+        assert forms["theta"] == reference["theta"]
+
+    def test_vaisman_metric_form_is_of_type_11(self):
+        omega = hp.vaisman_entry().forms["Omega"]
+        assert fm.bidegree_part(omega, 2, 0).is_zero()
+        assert fm.bidegree_part(omega, 0, 2).is_zero()
+        assert len(omega.terms) == 4
 
 
 class TestRegistry:
