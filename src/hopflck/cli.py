@@ -104,24 +104,19 @@ def _write(pieces, out_path: str | None) -> None:
         sys.stdout.writelines(pieces)
 
 
-# Stands in for the results list while the header is rendered; json writes
-# it as "\u0000results", which no header value can contain.
-_RESULTS_MARKER = "\0results"
-
-
-def _lee_record_template(n: int) -> str:
-    """One solve-lee result as _render lays it out, with a %r per float.
-
-    The values go in the order point (re, im pairs), reality_defect,
-    residual, theta_coeffs (re, im pairs): sorted keys, at the depth of an
-    item of the report's results list.  _lee_text writes the text
-    between the %r's as it stands and each value as repr writes it.
-    """
-    pair = "        [\n          %r,\n          %r\n        ]"
-    return ('    {\n      "point": [\n%s\n      ],\n'
-            '      "reality_defect": %%r,\n      "residual": %%r,\n'
-            '      "theta_coeffs": [\n%s\n      ]\n    }'
-            % (",\n".join([pair] * n), ",\n".join([pair] * (2 * n))))
+def _lee_layout(payload, n: int):
+    """solve-lee's report on C^n as _render lays it out around one result:
+    (head, record, tail), the record with a %r for each of its values, in
+    the order point (re, im pairs), reality_defect, residual, theta_coeffs
+    (re, im pairs).  Each value is rendered as NUL, "\\u0000" in json."""
+    pair = ["\0", "\0"]
+    text = _render({**payload, "results": [
+        {"point": [pair] * n, "reality_defect": "\0", "residual": "\0",
+         "theta_coeffs": [pair] * (2 * n)}]})
+    hole = '"\\u0000"'
+    start = text.rindex("\n", 0, text.rindex("{", 0, text.index(hole))) + 1
+    end = text.index("}", text.rindex(hole)) + 1
+    return text[:start], text[start:end].replace(hole, "%r"), text[end:]
 
 
 # ---------------------------------------------------------------------------
@@ -513,9 +508,8 @@ def cmd_solve_lee(args) -> int:
                "tolerance": tol,
                "max_residual": max_residual,
                "max_reality_defect": max(reality.tolist(), default=0.0),
-               "status": "pass" if ok else "fail",
-               "results": _RESULTS_MARKER}
-    head, tail = _render(payload).split(json.dumps(_RESULTS_MARKER))
+               "status": "pass" if ok else "fail"}
+    head, template, tail = _lee_layout(payload, entry.ambient_dim)
     # One row per record, in the template's order of values.
     table = np.concatenate([pts.view(np.float64), reality[:, None],
                             residual[:, None], coeffs.view(np.float64)],
@@ -524,9 +518,7 @@ def cmd_solve_lee(args) -> int:
     if not finite.all():
         # allow_nan=False rejects the value with json's own ValueError.
         _render(float(table[~finite][0]))
-    _write(_lee_text(head + "[\n", table,
-                     _lee_record_template(entry.ambient_dim), "\n  ]" + tail),
-           out)
+    _write(_lee_text(head, table, template, tail), out)
     return EXIT_PASS if ok else EXIT_FAIL
 
 

@@ -564,8 +564,8 @@ def _numbered(forms, wholes):
     as _RequestTape says, and the sum of both sides' bounds; or None and
     infinity where numbering makes both sides of some term one node.
 
-    A minuend coefficient whose subtrahend coefficient is written below
-    the minuends keeps its place, since numbering would merge the two: a
+    Every minuend coefficient keeps its place, so that none merges into a
+    node written below the minuends that its subtrahend holds too: a
     pulled-back coefficient of theta, say, into the unmoved one that
     d Omega holds.
     """
@@ -573,14 +573,7 @@ def _numbered(forms, wholes):
              if isinstance(form, tuple) and form[1] is not None]
     first = [form[0] if isinstance(form, tuple) else form for form in forms
              if not isinstance(form, tuple) or form[1] is not None]
-    below = set()
-    for form in first:
-        for c in form.terms.values():
-            for node in ex._post_order(c, below.__contains__):
-                below.add(node)
-    keep = [minuend.terms[index] for minuend, subtrahend in pairs
-            for index, c in subtrahend.terms.items()
-            if c in below and index in minuend.terms]
+    keep = [c for minuend, _ in pairs for c in minuend.terms.values()]
     first, bound = _number_side(first, keep)
     second, more = _number_side([subtrahend for _, subtrahend in pairs], ())
     first, second = iter(first), iter(second)

@@ -563,72 +563,71 @@ class _Suite:
     ``forms``, ``potential`` and the generators' expressions ``deck`` may
     hold params; each run binds them.  ``requests`` holds every form a check
     evaluates at the sample points, in check order, as one value-numbered
-    tape (within FALSE_PASS_BOUND, its ``merge_bound``).  The identities,
-    the lcK pair (``lck``), each invariance under each generator
-    (``invariance``, per form) and the potential's, are tested exactly
+    tape (within FALSE_PASS_BOUND, its ``merge_bound``).  The identities, in
+    check order the lcK pair (``lck``), the potential's and each invariance
+    under each generator (``invariance``, per form), are tested exactly
     first (``proofs``, each bound or None), on the tape ``cross_check``,
     which keeps each identity's two sides and value-numbers each side apart
-    (see _proofs and _Run.identities); identity i < len(at) is request
+    (see _proofs and _Run.identities); a sampled identity i is request
     ``at[i]``.  d theta and the potential's closedness are one form each.
 
     ``potential`` is None or (omega~ = -i del delbar Phi, Phi's request,
     the first of omega~'s definiteness requests, the closedness identity);
     Phi's request is followed by each generator's ratio g*Phi/Phi, the
-    closedness by each generator's ratio identity, the last identities.
+    closedness by each generator's ratio identity, which is only proven.
     """
 
     def __init__(self, dim, forms, potential, deck):
         self.tolerance = _auto_tolerance(*forms.values(), potential)
-        lck, definite, invariance, self.omega11 = [], [], [], None
-        if "Omega" in forms and "theta" in forms:
-            lck = _lck_requests(forms["Omega"], forms["theta"])
+        samples, identities, self.at = [], [], {}
+
+        def declare(requests, sampled=True):
+            """Append identities, sampled unless only proven; their ids."""
+            for request in requests:
+                if sampled:
+                    self.at[len(identities)] = len(samples)
+                    samples.append(request)
+                identities.append(request)
+            return range(len(identities) - len(requests), len(identities))
+
+        self.omega11, self.potential = None, None
+        self.lck = declare(_lck_requests(forms["Omega"], forms["theta"])
+                           if "Omega" in forms and "theta" in forms else [])
         if "Omega" in forms:
             self.omega11 = fm.bidegree_part(forms["Omega"], 1, 1)
-            definite = fm._definiteness_requests(self.omega11)
-        self.lck, self.invariance = list(range(len(lck))), []
-        for key in ("theta", "psi"):
-            if key in forms:
-                first = len(lck) + len(invariance)
-                self.invariance.append(
-                    (key, list(range(first, first + len(deck)))))
-                invariance += [_invariance_request(forms[key], g, fm._Max)
-                               for g in deck]
-        samples, exact, self.potential = lck + definite, [], None
+            samples += fm._definiteness_requests(self.omega11)
         if potential is not None:
             phi = fm.scalar_form(dim, potential)
             omega = fm.kaehler_form(dim, potential)
             moved = [fm.pullback(g, phi) for g in deck]
-            # d omega~ / Phi is d Omega - theta ^ Omega for the lcK structure
-            # Omega = omega~ / Phi, theta = -d log Phi of the potential, so
-            # its float residual does not depend on the scale of Phi.  Where
-            # Phi > 0, Phi d(g*Phi) - (g*Phi) d Phi = 0 says that g*Phi/Phi
-            # is constant, with no divisor to guard.
-            closed = ((fm.exterior_d(omega).scale(ex.div(1.0, potential)),
-                       None), fm._Max)
-            exact = [closed] + [((fm.wedge(phi, fm.exterior_d(h)),
-                                  fm.wedge(h, fm.exterior_d(phi))), fm._Max)
-                                for h in moved]
-            at, samples = len(samples), samples + [(phi, fm._Range)] + [
+            at = len(samples)
+            samples += [(phi, fm._Range)] + [
                 (fm.scalar_form(dim, ex.div(h.terms.get((), 0.0), potential)),
                  fm._Range) for h in moved]
             # Where Omega is omega~, as on example2, one classification
             # serves both.
             same = omega == self.omega11
-            classified = len(lck) if same else len(samples)
+            classified = len(self.lck) if same else len(samples)
             samples += [] if same else fm._definiteness_requests(omega)
-            self.potential = (omega, at, classified,
-                              len(lck) + len(invariance))
-            samples.append(closed)
-        shift = len(samples) - len(lck)
-        self.at = self.lck + [shift + i for _, ids in self.invariance
-                              for i in ids]
-        if potential is not None:
-            self.at.append(len(samples) - 1)
-        self.proofs, self.cross_check = _proofs(lck + invariance + exact, dim)
+            # d omega~ / Phi is d Omega - theta ^ Omega for the lcK structure
+            # Omega = omega~ / Phi, theta = -d log Phi of the potential, so
+            # its float residual does not depend on the scale of Phi.  Where
+            # Phi > 0, Phi d(g*Phi) - (g*Phi) d Phi = 0 says that g*Phi/Phi
+            # is constant, with no divisor to guard.
+            (closed,) = declare([((fm.exterior_d(omega).scale(
+                ex.div(1.0, potential)), None), fm._Max)])
+            declare([((fm.wedge(phi, fm.exterior_d(h)),
+                       fm.wedge(h, fm.exterior_d(phi))), fm._Max)
+                     for h in moved], sampled=False)
+            self.potential = (omega, at, classified, closed)
+        self.invariance = [
+            (key, declare([_invariance_request(forms[key], g, fm._Max)
+                           for g in deck]))
+            for key in ("theta", "psi") if key in forms]
+        self.proofs, self.cross_check = _proofs(identities, dim)
         self.requests = fm._RequestTape(
-            [(fm._whole(form), fold) for form, fold in samples + invariance],
-            dim,
-            {k for k, proof in zip(self.at, self.proofs) if proof is not None},
+            [(fm._whole(form), fold) for form, fold in samples], dim,
+            {k for i, k in self.at.items() if self.proofs[i] is not None},
             FALSE_PASS_BOUND)
 
 

@@ -403,6 +403,25 @@ class TestVerifyCommand:
         code, _, err = run(capsys, ["verify", "--file", str(bad)])
         assert code == 2 and "JSON" in err
 
+    @pytest.mark.parametrize("command,payload,message", [
+        ("verify", [1, 2], "config file {} must hold a JSON object"),
+        ("verify", {"entry": "example1", "parameters": [1]},
+         "config 'parameters' must be an object"),
+        ("verify", None, "cannot read {}: "),
+        ("jordan", [1, 2], "map file {} must hold a JSON object"),
+        ("contraction", [1, 2], "map file {} must hold a JSON object"),
+    ], ids=["verify-list", "verify-parameters-list", "verify-missing",
+            "jordan-list", "contraction-list"])
+    def test_file_that_is_not_a_json_object_refused(self, capsys, tmp_path,
+                                                    command, payload,
+                                                    message):
+        path = tmp_path / "file.json"
+        if payload is not None:
+            write_json(path, payload)
+        code, out, err = run(capsys, [command, "--file", str(path)])
+        assert (code, out) == (2, "") and err.count("\n") == 1
+        assert err.startswith("error: " + message.format(path))
+
 
 # The (r1, r2) pairs of the grid below whose verify exits 1, as run before
 # the suite's tape was value-numbered: definiteness fails where one weight
@@ -826,7 +845,7 @@ class TestLeeWriter:
     @pytest.mark.parametrize("rows", [0, 1, cli._WRITE_CHUNK - 1,
                                       cli._WRITE_CHUNK, cli._WRITE_CHUNK + 1])
     def test_records_match_the_template(self, n, rows):
-        template = cli._lee_record_template(n)
+        _, template, _ = cli._lee_layout({}, n)
         rng = np.random.default_rng(rows)
         table = rng.normal(size=(rows, 6 * n + 2)) * 10.0 ** rng.integers(
             -20, 20, size=(rows, 6 * n + 2))
@@ -858,6 +877,19 @@ class TestSolveLeeCommand:
     def test_entry_without_forms(self, capsys):
         code, _, err = run(capsys, ["solve-lee", "--entry", "kodaira"])
         assert code == 2 and "no 2-form" in err
+
+    def test_degenerate_omega_exits_1(self, capsys):
+        # At weights this far apart the solve's gate finds vaisman's Omega
+        # degenerate at a sample point and refuses the whole request.
+        code, out, err = run(capsys, ["solve-lee", "--entry", "vaisman",
+                                      "--r1", "0.2", "--r2", "5",
+                                      "--points", "1000"])
+        payload = json.loads(out)
+        assert code == 1 and set(payload) == {"command", "entry", "error"}
+        assert payload["command"] == "solve-lee"
+        assert payload["entry"] == "vaisman"
+        assert payload["error"].startswith("2-form degenerate at point ")
+        assert err == "solve-lee: %s\n" % payload["error"]
 
     @pytest.mark.parametrize("source,points", [
         (source, points) for source in ("example1", "vaisman", "example2-n3")

@@ -511,6 +511,19 @@ class TestVerifyPotential:
         assert rep.passed
         assert rep.details["generators"][0]["rho"] == pytest.approx(1.0)
 
+    def test_nonpositive_ratio_fails(self):
+        # |z|^2 - 0.24 is positive on the annulus, but halving z makes it
+        # negative wherever |z|^2 < 0.96, and its mean ratio is negative.
+        phi = ex.add(ex.add(ex.mul(ex.z(1), ex.zbar(1)),
+                            ex.mul(ex.z(2), ex.zbar(2))), ex.const(-0.24))
+        group = mp.GroupSpec((np.eye(2),),
+                             mp.PolyAutomorphism.diagonal([0.5, 0.5]))
+        rep = vf.verify_potential(phi, group, annulus_points(2, 1000, 0))
+        (gen,) = rep.details["generators"]
+        assert rep.status == "fail" and rep.details["method"] == "sampled"
+        assert rep.details["nonpositive_ratio"] is True
+        assert gen["rho"] == pytest.approx(-0.248, abs=1e-3)
+
     def test_shear_action_is_not_a_homothety(self):
         """The non-diagonal contraction moves the potential anisotropically."""
         phi, _ = hp.example2_potential()
@@ -1292,16 +1305,16 @@ class TestValueNumberedSuite:
     def test_cross_check_numbers_each_side_apart(self, monkeypatch):
         # vaisman's minuends (d Omega, g*theta, g*psi) are numbered in one
         # DAG and its subtrahends (theta ^ Omega, theta, psi) in another;
-        # d theta, an identity of one form, is compiled as written.  The
-        # pulled-back coefficients of theta keep their place: the unmoved
-        # ones are written below d Omega.  psi's, 2 J theta, are not.
+        # d theta, an identity of one form, is compiled as written.  Every
+        # minuend coefficient keeps its place, so the pulled-back ones of
+        # theta do not merge into the unmoved ones written below d Omega.
         suite, calls = _built_suite("vaisman", monkeypatch)
         (minuends, keep), (subtrahends, none) = calls[:2]
         tape = suite.cross_check.tape
         assert (len(tape.ops), _guards(tape)) == (461, 5)
         assert len(minuends) == 4 + 4 + 4 and len(subtrahends) == 4 + 4 + 4
-        assert len(keep) == 4 and none == ()
-        assert set(keep) == set(minuends[4:8])
+        assert len(keep) == 12 and none == ()
+        assert set(keep) == set(minuends)
         bound = (ex.value_number(minuends, keep)[1]
                  + ex.value_number(subtrahends)[1])
         assert suite.cross_check.merge_bound == bound
