@@ -6,7 +6,7 @@ classical constructions, and a residual-certification suite with a JSON CLI.
 
 from . import expr, forms, hopf, maps, sampling, verify
 from .expr import (Expression, evaluate, evaluate_many, formal_conjugate,
-                   implicit_t, numerically_equal, substitute, wirtinger_d)
+                   implicit_t, substitute, wirtinger_d)
 from .forms import (DefinitenessReport, ExteriorForm, bidegree_part,
                     definiteness, del_and_delbar, evaluate_form,
                     evaluate_form_many, exterior_d, max_form_residual,
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "expr", "forms", "maps", "hopf", "verify", "sampling",
     "Expression", "evaluate", "evaluate_many", "wirtinger_d",
-    "formal_conjugate", "substitute", "implicit_t", "numerically_equal",
+    "formal_conjugate", "substitute", "implicit_t",
     "ExteriorForm", "exterior_d", "del_and_delbar", "wedge", "pullback",
     "bidegree_part", "definiteness", "DefinitenessReport",
     "evaluate_form", "evaluate_form_many", "max_form_residual",

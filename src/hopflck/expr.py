@@ -74,8 +74,7 @@ __all__ = [
     "IntPow", "Exp", "Log", "ImplicitT", "Param",
     "const", "z", "zbar", "add", "sub", "mul", "div", "intpow", "exp", "log",
     "implicit_t", "param", "wirtinger_d", "evaluate", "evaluate_many", "substitute",
-    "formal_conjugate", "value_number", "numerically_equal", "to_json",
-    "from_json",
+    "formal_conjugate", "value_number", "to_json", "from_json",
     "EvaluationError", "DivisionNearZero", "NewtonDivergence",
     "LogBranchError", "UnboundParam", "DimensionMismatch",
     "DIVISION_EPS", "NEWTON_TOL", "NEWTON_MAX_ITER",
@@ -1516,20 +1515,6 @@ def value_number(roots, keep=()):
         if not failed:
             return merged, sum(bounds, 0.0)
         refused |= failed
-
-
-# ---------------------------------------------------------------------------
-# Probabilistic numeric equality
-# ---------------------------------------------------------------------------
-
-
-def numerically_equal(a: Expression, b: Expression, dim: int) -> bool:
-    """Test a == b within 1e-10 at 64 annulus points of seed 0."""
-    from .sampling import annulus_points
-    pts = annulus_points(dim, 64, 0)
-    va = np.broadcast_to(np.asarray(evaluate_many(a, pts)), (64,))
-    vb = np.broadcast_to(np.asarray(evaluate_many(b, pts)), (64,))
-    return bool(np.max(np.abs(va - vb)) <= 1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -645,28 +645,20 @@ def definiteness(a: ExteriorForm, points) -> DefinitenessReport:
     With this extraction the coefficient matrix of -i sum h_ij dz_i dzbar_j
     is exactly h, so forms written in that convention with positive h report
     sign +1.  The common sign is recorded, never assumed: degenerate and
-    negative catalog forms are legitimate outputs.
+    negative catalog forms are legitimate outputs.  A (2,0) or (0,2) part
+    whose largest residual is not below TYPE11_TOL raises NotType11.
     """
-    pts = np.asarray(points, dtype=complex)
-    _check_type11_shape(a, pts)
-    return _classify(a, pts, _evaluate_forms(_definiteness_requests(a), pts), 0)
-
-
-def _definiteness_requests(a: ExteriorForm):
-    """What :func:`definiteness` evaluates, as :func:`_evaluate_forms`
-    requests: the largest residuals of the (2,0) and (0,2) parts of ``a``,
-    then the classification of its (1,1) part."""
-    return [(bidegree_part(a, 2, 0), _Max), (bidegree_part(a, 0, 2), _Max),
-            (bidegree_part(a, 1, 1), _Definite)]
-
-
-def _check_type11_shape(a: ExteriorForm, pts):
     if a.degree != 2:
         raise NotType11("definiteness needs a 2-form, got degree %d" % a.degree)
-    _, n = pts.shape
-    if n != a.ambient_dim:
-        raise ex.DimensionMismatch("points dimension %d vs form on C^%d"
-                                   % (n, a.ambient_dim))
+    pts = np.asarray(points, dtype=complex)
+    values = _evaluate_forms(
+        [(bidegree_part(a, 2, 0), _Max), (bidegree_part(a, 0, 2), _Max),
+         (bidegree_part(a, 1, 1), _Definite)], pts)
+    for k, (p, q) in enumerate(((2, 0), (0, 2))):
+        if not values[k] < TYPE11_TOL:  # a NaN residual is refused too
+            raise NotType11("(%d,%d) part has residual %.3g >= %.3g"
+                            % (p, q, values[k], TYPE11_TOL))
+    return values[2].report(pts)
 
 
 def _defect_ratio(c):
@@ -826,8 +818,8 @@ def _point(pts, k):
 
 
 class _Definite:
-    """The fold of a (1,1)-form's coefficients C that :func:`_classify`
-    finishes: the eigenvalues of (H + H^*)/2 for H = i C, chunk by chunk.
+    """The fold of a (1,1)-form's coefficients C that :meth:`report`
+    classifies: the eigenvalues of (H + H^*)/2 for H = i C, chunk by chunk.
 
     A chunk is classified once the tape has handed over the form's last
     term; an entry without a term is 0.  Of each point it keeps the
@@ -899,9 +891,13 @@ class _Definite:
                           _hermitian_part(c, keep)))
 
     def report(self, pts) -> DefinitenessReport:
-        """The classification at ``pts``; NonHermitian at the first point
-        with a non-finite coefficient, else at the first point of the
-        largest hermiticity defect if that reaches HERMITIAN_RTOL."""
+        """The classification at ``pts``; DimensionMismatch for points of
+        another dimension, NonHermitian at the first point with a
+        non-finite coefficient, else at the first point of the largest
+        hermiticity defect if that reaches HERMITIAN_RTOL."""
+        if pts.shape[1] != self.n:
+            raise ex.DimensionMismatch("points dimension %d vs form on C^%d"
+                                       % (pts.shape[1], self.n))
         if self.non_finite is not None:
             raise NonHermitian("non-finite coefficient at point %r"
                                % (_point(pts, self.non_finite),))
@@ -967,21 +963,6 @@ class _Definite:
                                   worst_sample=sample)
 
 
-def _classify(a: ExteriorForm, pts, evaluation, k) -> DefinitenessReport:
-    """:func:`definiteness` from the values of its requests, which start at
-    ``evaluation[k]``: the largest residuals of the (2,0) and (0,2) parts,
-    then the (1,1) part's :class:`_Definite` fold, whose report is
-    LAPACK's (see :meth:`_Definite.report`).  A stray (2,0) or (0,2) part
-    raises NotType11."""
-    _check_type11_shape(a, pts)
-    for j, (p, q) in enumerate(((2, 0), (0, 2))):
-        stray = evaluation[k + j]
-        if not stray < TYPE11_TOL:  # a NaN residual is refused too
-            raise NotType11("(%d,%d) part has residual %.3g >= %.3g"
-                            % (p, q, stray, TYPE11_TOL))
-    return evaluation[k + 2].report(pts)
-
-
 # ---------------------------------------------------------------------------
 # JSON serialization
 # ---------------------------------------------------------------------------
@@ -997,16 +978,26 @@ def form_to_json(a: ExteriorForm):
 
 
 def form_from_json(obj) -> ExteriorForm:
+    """Inverse of :func:`form_to_json`; its numbers are read as expression
+    JSON reads them (ex._json_number), and anything else raises
+    ValueError."""
     try:
-        degree = int(obj["degree"])
-        ambient = int(obj["ambient_dim"])
-        raw = obj["terms"]
+        degree, ambient, raw = obj["degree"], obj["ambient_dim"], obj["terms"]
     except (KeyError, TypeError) as err:
         raise ValueError("form JSON needs degree, ambient_dim, terms") from err
+    degree = ex._json_number("degree", degree, int)
+    ambient = ex._json_number("ambient_dim", ambient, int)
+    if not isinstance(raw, list):
+        raise ValueError("form JSON 'terms' must be a list")
     terms = {}
-    for item in raw:
-        index = tuple(int(i) for i in item["index"])
+    for k, item in enumerate(raw):
+        try:
+            index = tuple(ex._json_number("index", i, int)
+                          for i in item["index"])
+            coeff = ex.from_json(item["coeff"])
+        except (KeyError, TypeError, ValueError) as err:
+            raise ValueError("bad form JSON term %d: %s" % (k, err)) from err
         if index in terms:
             raise ValueError("duplicate index %r in form JSON" % (index,))
-        terms[index] = ex.from_json(item["coeff"])
+        terms[index] = coeff
     return ExteriorForm(ambient, degree, terms)

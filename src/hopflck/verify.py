@@ -222,12 +222,12 @@ def _lck_requests(Omega, theta):
             ((fm.exterior_d(theta), None), fm._Residual)]
 
 
-def _definiteness_summary(form, pts, evaluation, k) -> dict:
-    """Sign classification of a (1,1)-form, or the reason it has none, from
-    its fm._definiteness_requests values at ``evaluation[k]`` on."""
+def _definiteness_summary(definite, pts) -> dict:
+    """Sign classification of a (1,1)-form at ``pts``, or the reason it has
+    none, from its fm._Definite fold ``definite``."""
     try:
-        rep = fm._classify(form, pts, evaluation, k)
-    except (fm.NotType11, fm.NonHermitian) as err:
+        rep = definite.report(pts)
+    except fm.NonHermitian as err:
         return {"error": str(err)}
     return {"is_definite": rep.is_definite,
             "is_semidefinite": rep.is_semidefinite,
@@ -451,15 +451,14 @@ def verify_lck(Omega: fm.ExteriorForm, theta: fm.ExteriorForm, points,
         raise ex.DimensionMismatch("forms live in different dimensions")
     tol = _auto_tolerance(Omega, theta) if tolerance is None else float(tolerance)
     pts = np.asarray(points, dtype=complex)
-    omega11 = fm.bidegree_part(Omega, 1, 1)
-    values = fm._evaluate_forms(
-        _lck_requests(Omega, theta) + fm._definiteness_requests(omega11), pts)
+    values = fm._evaluate_forms(_lck_requests(Omega, theta) + [
+        (fm.bidegree_part(Omega, 1, 1), fm._Definite)], pts)
     lck_res, closed_res = values[0], values[1]
     details = {
         "lck_residual": float(lck_res.max(initial=0.0)),
         "lee_closedness_residual": float(closed_res.max(initial=0.0)),
         "worst_points": _worst_points(pts, np.maximum(lck_res, closed_res)),
-        "definiteness": _definiteness_summary(omega11, pts, values, 2),
+        "definiteness": _definiteness_summary(values[2], pts),
     }
     worst = _worst([details["lck_residual"],
                     details["lee_closedness_residual"]])
@@ -571,44 +570,47 @@ class _Suite:
     (see _proofs and _Run.identities); a sampled identity i is request
     ``at[i]``.  d theta and the potential's closedness are one form each.
 
-    ``potential`` is None or (omega~ = -i del delbar Phi, Phi's request,
-    the first of omega~'s definiteness requests, the closedness identity);
-    Phi's request is followed by each generator's ratio g*Phi/Phi, the
-    closedness by each generator's ratio identity, which is only proven.
+    ``definite`` is Omega^(1,1)'s classification request, or None;
+    ``potential`` is None or the requests of Phi, of each ratio g*Phi/Phi
+    and of omega~ = -i del delbar Phi's classification, the closedness
+    identity and each generator's ratio identity, which is only proven.
     """
 
     def __init__(self, dim, forms, potential, deck):
         self.tolerance = _auto_tolerance(*forms.values(), potential)
         samples, identities, self.at = [], [], {}
 
+        def request(form, fold):
+            """Append a sample request; its index."""
+            samples.append((form, fold))
+            return len(samples) - 1
+
         def declare(requests, sampled=True):
             """Append identities, sampled unless only proven; their ids."""
-            for request in requests:
+            for identity in requests:
                 if sampled:
-                    self.at[len(identities)] = len(samples)
-                    samples.append(request)
-                identities.append(request)
+                    self.at[len(identities)] = request(*identity)
+                identities.append(identity)
             return range(len(identities) - len(requests), len(identities))
 
-        self.omega11, self.potential = None, None
+        self.definite, self.potential, omega11 = None, None, None
         self.lck = declare(_lck_requests(forms["Omega"], forms["theta"])
                            if "Omega" in forms and "theta" in forms else [])
         if "Omega" in forms:
-            self.omega11 = fm.bidegree_part(forms["Omega"], 1, 1)
-            samples += fm._definiteness_requests(self.omega11)
+            omega11 = fm.bidegree_part(forms["Omega"], 1, 1)
+            self.definite = request(omega11, fm._Definite)
         if potential is not None:
             phi = fm.scalar_form(dim, potential)
             omega = fm.kaehler_form(dim, potential)
             moved = [fm.pullback(g, phi) for g in deck]
-            at = len(samples)
-            samples += [(phi, fm._Range)] + [
-                (fm.scalar_form(dim, ex.div(h.terms.get((), 0.0), potential)),
-                 fm._Range) for h in moved]
+            phi_at = request(phi, fm._Range)
+            ratios = [request(fm.scalar_form(
+                dim, ex.div(h.terms.get((), 0.0), potential)), fm._Range)
+                for h in moved]
             # Where Omega is omega~, as on example2, one classification
             # serves both.
-            same = omega == self.omega11
-            classified = len(self.lck) if same else len(samples)
-            samples += [] if same else fm._definiteness_requests(omega)
+            classified = (self.definite if omega == omega11
+                          else request(omega, fm._Definite))
             # d omega~ / Phi is d Omega - theta ^ Omega for the lcK structure
             # Omega = omega~ / Phi, theta = -d log Phi of the potential, so
             # its float residual does not depend on the scale of Phi.  Where
@@ -616,10 +618,10 @@ class _Suite:
             # is constant, with no divisor to guard.
             (closed,) = declare([((fm.exterior_d(omega).scale(
                 ex.div(1.0, potential)), None), fm._Max)])
-            declare([((fm.wedge(phi, fm.exterior_d(h)),
-                       fm.wedge(h, fm.exterior_d(phi))), fm._Max)
-                     for h in moved], sampled=False)
-            self.potential = (omega, at, classified, closed)
+            ratio_ids = declare([((fm.wedge(phi, fm.exterior_d(h)),
+                                   fm.wedge(h, fm.exterior_d(phi))), fm._Max)
+                                 for h in moved], sampled=False)
+            self.potential = (phi_at, ratios, classified, closed, ratio_ids)
         self.invariance = [
             (key, declare([_invariance_request(forms[key], g, fm._Max)
                            for g in deck]))
@@ -700,29 +702,29 @@ def _potential_report(run, generators, seed):
     verify_potential); NonPositivePotential unless Phi is real, |Im Phi| <=
     POTENTIAL_IMAG_RTOL |Re Phi|, and positive at every point."""
     suite, values, m = run.suite, run.values, run.pts.shape[0]
-    omega, at, classified, closed = suite.potential
-    phi = values[at]
+    phi_at, ratios, classified, closed, ratio_ids = suite.potential
+    phi = values[phi_at]
     if not (phi.imag <= POTENTIAL_IMAG_RTOL and phi.low > 0):
         raise NonPositivePotential(
             "potential must be real and positive on the samples "
             "(worst |Im|/|Re| %.3g, min real part %.3g)" % (phi.imag, phi.low))
     rows = []
     with np.errstate(divide="ignore", invalid="ignore"):
-        for k, (name, _) in enumerate(generators, at + 1):
+        for (name, _), k in zip(generators, ratios):
             ratio = values[k]
             rho, spread = ratio.total / m, ratio.high - ratio.low
             rows.append({"generator": name, "rho": rho, "deviation": spread,
                          "relative_deviation": spread / abs(rho)})
-    summary = _definiteness_summary(omega, run.pts, values, classified)
+    summary = _definiteness_summary(values[classified], run.pts)
     summary.pop("is_semidefinite", None)
     # The check is exact when the closedness is (see _Run.identities) and
     # every ratio identity is proven with each ratio's spread relative to
     # |rho| below the tolerance; the closedness is 0.0 wherever it is
     # proven so, and rho and its sign are always sampled.
     closed_proven, (residual,) = run.identities([closed])
-    ratios_proven = all(suite.proofs[closed + 1 + j] is not None
+    ratios_proven = all(suite.proofs[i] is not None
                         and row["relative_deviation"] < run.tol
-                        for j, row in enumerate(rows))
+                        for i, row in zip(ratio_ids, rows))
     details = (dict(_EXACT) if closed_proven and ratios_proven
                else {"method": "sampled"})
     details.update(closedness_residual=0.0 if closed_proven else residual,
@@ -770,9 +772,8 @@ def run_suite(entry: HopfSurfaceCatalogEntry,
         reports.append(_report(name, 0.0 if proven else residual, tol, npts,
                                seed, details))
 
-    if suite.omega11 is not None:
-        details = _definiteness_summary(suite.omega11, pts, values,
-                                        len(suite.lck))
+    if suite.definite is not None:
+        details = _definiteness_summary(values[suite.definite], pts)
         ok = details.get("is_definite") and details["sign"] is not None
         margin = -details["min_abs_eigenvalue"] if ok else 1.0
         reports.append(_report("definiteness", margin, 0.0, npts, seed,

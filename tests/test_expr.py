@@ -142,6 +142,23 @@ class TestEvaluation:
             ex.evaluate(ex.z(3), (1.0, 2.0))
 
 
+class TestArgumentRefusals:
+    """Each public entry point names what is wrong with its arguments."""
+
+    @pytest.mark.parametrize("call,args,error,message", [
+        (ex.implicit_t, ((1.0, 2.0), (ex.z(1),), (ex.zbar(1), ex.zbar(2))),
+         ex.DimensionMismatch, "^implicit time needs 2 argument pairs$"),
+        (ex.substitute, (ex.z(1), (ex.z(1),), (ex.zbar(1), ex.zbar(2))),
+         ex.DimensionMismatch, "differ in length"),
+        (ex.wirtinger_d, (ex.z(1), 0), ValueError,
+         "^variable index must be positive$"),
+        (ex.evaluate_many, (ex.z(1), np.ones(3)), ex.DimensionMismatch,
+         r"^points must be an \(m, n\) array$")])
+    def test_refused(self, call, args, error, message):
+        with pytest.raises(error, match=message):
+            call(*args)
+
+
 class TestChunkedEvaluation:
     """evaluate_many runs its tape over chunks of ex._CHUNK points."""
 
@@ -1289,14 +1306,6 @@ class TestJson:
         obj = {"nodes": [{"op": "z", "index": 1.0},
                          {"op": "pow", "value": 3.0, "args": [0]}], "root": 1}
         assert ex.from_json(obj) is ex.intpow(ex.z(1), 3)
-
-
-class TestNumericallyEqual:
-    def test_true_and_false_cases(self):
-        a = ex.mul(ex.add(ex.z(1), ex.z(2)), ex.sub(ex.z(1), ex.z(2)))
-        b = ex.sub(ex.intpow(ex.z(1), 2), ex.intpow(ex.z(2), 2))
-        assert ex.numerically_equal(a, b, 2)
-        assert not ex.numerically_equal(a, ex.z(1), 2)
 
 
 class TestJsonNumbers:

@@ -61,6 +61,13 @@ class TestConstruction:
         with pytest.raises(AttributeError):
             a.degree = 7
 
+    @pytest.mark.parametrize("dim,degree,message", [
+        (1, 0, "ambient dimension must be at least 2"),
+        (2, 5, "degree 5 out of range for dimension 2")])
+    def test_dimension_and_degree_ranges(self, dim, degree, message):
+        with pytest.raises(ValueError, match="^%s$" % message):
+            fm.ExteriorForm(dim, degree)
+
     def test_coefficient_dimension_guard(self):
         with pytest.raises(ex.DimensionMismatch):
             fm.ExteriorForm(2, 1, {(0,): ex.z(3)})
@@ -399,6 +406,17 @@ class TestDefiniteness:
         with pytest.raises(fm.NotType11):
             fm.definiteness(a, PTS)
 
+    def test_rejects_a_form_of_another_degree(self):
+        with pytest.raises(fm.NotType11, match="^definiteness needs a 2-form, "
+                                               "got degree 1$"):
+            fm.definiteness(fm.d_z(2, 1), PTS)
+
+    def test_rejects_points_of_another_dimension(self):
+        omega = hp.example1_entry().forms["Omega"]
+        with pytest.raises(ex.DimensionMismatch,
+                           match=r"^points dimension 3 vs form on C\^2$"):
+            fm.definiteness(omega, annulus_points(3, 5, 0))
+
     @pytest.mark.parametrize("scale", [1.0, 1e-60, 1e-200])
     def test_rejects_non_hermitian(self, scale):
         a = fm.form_from_terms(2, 2, {(0, 3): ex.const(-1j * scale)})
@@ -426,10 +444,10 @@ class TestDefiniteness:
         assert rep.worst_sample.matrix.shape == (2, 2)
 
 
-def _definite_fold(values, n, m, stray=(0.0, 0.0)):
-    """The :func:`fm._definiteness_requests` values of a form on C^n whose
-    (1,1) coefficients are ``values`` ({index: (m,) array, or a scalar where
-    constant}), handed to its fold chunk by chunk in index order as the tape
+def _definite_fold(values, n, m):
+    """The :class:`fm._Definite` fold of a form on C^n whose (1,1)
+    coefficients are ``values`` ({index: (m,) array, or a scalar where
+    constant}), handed to it chunk by chunk in index order as the tape
     hands them: a scalar as is."""
     form = fm.form_from_terms(n, 2, {index: ex.const(1.0) for index in values})
     fold = fm._Definite(form, m, None)
@@ -438,11 +456,11 @@ def _definite_fold(values, n, m, stray=(0.0, 0.0)):
             value = values[index]
             fold.add(lo, index, value if np.ndim(value) == 0
                      else value[lo:lo + ex._CHUNK])
-    return [*stray, fold.result()]
+    return fold.result()
 
 
 def _classify_matrices(hs, constant=False):
-    """:func:`fm._classify` on an (m, 2, 2) stack of matrices H, fed in as
+    """The classification of an (m, 2, 2) stack of matrices H, fed in as
     the (1,1) coefficients C = -i H of a form on C^2, at the points (k, 0);
     ``constant`` feeds the first point's C as scalars, as the tape hands a
     constant coefficient over."""
@@ -451,8 +469,7 @@ def _classify_matrices(hs, constant=False):
               else -1j * hs[:, i, j] for i in range(2) for j in range(2)}
     pts = np.zeros((m, 2), complex)
     pts[:, 0] = np.arange(m)
-    return fm._classify(fm.ExteriorForm(2, 2), pts,
-                        _definite_fold(values, 2, m), 0)
+    return _definite_fold(values, 2, m).report(pts)
 
 
 def _decisions(eigs):
@@ -600,12 +617,12 @@ class TestClosedForm2x2:
             _classify_matrices(hs)
 
     def test_nan_residual_of_a_stray_part_is_refused(self):
-        hs = _hermitian_stack(np.random.default_rng(5), 5, "positive")
-        values = {(i, 2 + j): -1j * hs[:, i, j]
-                  for i in range(2) for j in range(2)}
-        with pytest.raises(fm.NotType11, match="residual nan"):
-            fm._classify(fm.ExteriorForm(2, 2), np.zeros((5, 2), complex),
-                         _definite_fold(values, 2, 5, (np.nan, 0.0)), 0)
+        a = fm.form_from_terms(2, 2, {(0, 1): ex.const(np.nan),
+                                      (0, 2): ex.const(-1j),
+                                      (1, 3): ex.const(-1j)})
+        with pytest.raises(fm.NotType11, match=r"\(2,0\) part has residual "
+                                               "nan"):
+            fm.definiteness(a, np.zeros((5, 2), complex))
 
     def test_three_dimensional_forms_use_lapack_at_every_point(
             self, eigvalsh_shapes):
@@ -655,8 +672,7 @@ class TestStreamedClassification:
             del inputs[:]
             with monkeypatch.context() as patch:
                 patch.setattr(ex, "_CHUNK", chunk)
-                rep = fm._classify(fm.ExteriorForm(n, 2), pts,
-                                   _definite_fold(values, n, m), 0)
+                rep = _definite_fold(values, n, m).report(pts)
             got.append((rep, list(inputs)))
         return got
 
@@ -716,10 +732,9 @@ class TestStreamedClassification:
             del eigvalsh_inputs[:]
             with monkeypatch.context() as patch:
                 patch.setattr(ex, "_CHUNK", chunk)
-                evaluation = fm._RequestTape(
-                    fm._definiteness_requests(omega), n).run(pts)
-                rep = fm._classify(omega, pts, evaluation, 0)
-            assert sum(len(kept[0]) for kept in evaluation[2].kept) == 1
+                fold = fm._RequestTape([(omega, fm._Definite)], n).run(pts)[0]
+                rep = fold.report(pts)
+            assert sum(len(kept[0]) for kept in fold.kept) == 1
             got.append((rep, list(eigvalsh_inputs)))
         self._assert_same(*got)
         assert [c.shape for c in got[0][1]] == [(1, n, n)]
@@ -759,21 +774,20 @@ class TestStreamedClassification:
 
     def test_stray_part_wins_over_a_non_finite_coefficient(self):
         m = 3 * ex._CHUNK + 10
-        hs = _hermitian_stack(np.random.default_rng(64), m, "positive")
-        hs[ex._CHUNK + 5, 0, 0] = np.nan  # chunk 2
-        values = {(i, 2 + j): -1j * hs[:, i, j]
-                  for i in range(2) for j in range(2)}
+        # H = diag(1, |z2|^2), whose (2,2) entry is NaN where z2 is; the
+        # (2,0) part z1 dz1 ^ dz2 is 1 at one point of a later chunk.
         pts = np.zeros((m, 2), complex)
-        pts[:, 0] = np.arange(m)
-        stray = np.zeros(m)
-        stray[2 * ex._CHUNK + 7] = 1.0  # chunk 3
+        pts[:, 1] = 1.0
+        pts[ex._CHUNK + 5, 1] = np.nan  # chunk 2
+        pts[2 * ex._CHUNK + 7, 0] = 1.0  # chunk 3
+        h22 = ex.mul(ex.const(-1j), ex.mul(ex.z(2), ex.zbar(2)))
+        a = fm.form_from_terms(2, 2, {(0, 1): ex.z(1),
+                                      (0, 2): ex.const(-1j), (1, 3): h22})
         with pytest.raises(fm.NotType11, match=r"\(2,0\) part has residual 1"):
-            fm._classify(fm.ExteriorForm(2, 2), pts, _definite_fold(
-                values, 2, m, (_max_fold(stray, m), 0.0)), 0)
+            fm.definiteness(a, pts)
         with pytest.raises(fm.NonHermitian, match=r"non-finite coefficient "
-                           r"at point \(\(4101\+0j\), 0j\)"):
-            fm._classify(fm.ExteriorForm(2, 2), pts,
-                         _definite_fold(values, 2, m), 0)
+                           r"at point \(0j, \(nan\+0j\)\)"):
+            fm.definiteness(fm.bidegree_part(a, 1, 1), pts)
 
     def test_hermiticity_defect_past_the_first_chunk(self):
         m = 3 * ex._CHUNK
@@ -786,16 +800,14 @@ class TestStreamedClassification:
         pts[:, 0] = np.arange(m)
         with pytest.raises(fm.NonHermitian, match=r"defect 0.816 at point "
                                                   r"\(\(4196\+0j\), 0j\)"):
-            fm._classify(fm.ExteriorForm(2, 2), pts,
-                         _definite_fold(values, 2, m), 0)
+            _definite_fold(values, 2, m).report(pts)
         # A larger defect in a later chunk is named instead.
         hs[2 * ex._CHUNK + 9, 1, 0] = 5.0
         values = {(i, 2 + j): -1j * hs[:, i, j]
                   for i in range(2) for j in range(2)}
         with pytest.raises(fm.NonHermitian, match=r"at point "
                                                   r"\(\(8201\+0j\), 0j\)"):
-            fm._classify(fm.ExteriorForm(2, 2), pts,
-                         _definite_fold(values, 2, m), 0)
+            _definite_fold(values, 2, m).report(pts)
 
 
 class TestMaxFold:
@@ -838,6 +850,43 @@ class TestJson:
         t = ex.implicit_t((1.0, 1.5))
         a = fm.form_from_terms(2, 1, {(0,): t})
         assert fm.form_from_json(fm.form_to_json(a)) == a
+
+    @staticmethod
+    def _d_z1():
+        return fm.form_to_json(fm.d_z(2, 1))
+
+    def test_integral_floats_accepted(self):
+        obj = self._d_z1()
+        obj.update(degree=1.0, ambient_dim=2.0)
+        obj["terms"][0]["index"] = [0.0]
+        assert fm.form_from_json(obj) == fm.d_z(2, 1)
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("degree", 1.9, "^degree must be a whole number, got 1.9$"),
+        ("ambient_dim", "2", "^ambient_dim must be a whole number, got '2'$"),
+        ("terms", {"index": [0]}, "^form JSON 'terms' must be a list$")])
+    def test_malformed_field_refused(self, key, value, message):
+        obj = self._d_z1()
+        obj[key] = value
+        with pytest.raises(ValueError, match=message):
+            fm.form_from_json(obj)
+
+    @pytest.mark.parametrize("index,message", [
+        ([0.5], "index must be a whole number, got 0.5"),
+        ([True], "index must be a whole number, got True"),
+        (0, "not iterable")])
+    def test_malformed_index_refused(self, index, message):
+        obj = self._d_z1()
+        obj["terms"][0]["index"] = index
+        with pytest.raises(ValueError, match="^bad form JSON term 0: .*%s"
+                                             % message):
+            fm.form_from_json(obj)
+
+    def test_term_that_is_a_list_refused(self):
+        obj = self._d_z1()
+        obj["terms"] = [[[0], obj["terms"][0]["coeff"]]]
+        with pytest.raises(ValueError, match="^bad form JSON term 0: "):
+            fm.form_from_json(obj)
 
     @staticmethod
     def _dag_size(root):

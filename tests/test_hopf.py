@@ -451,6 +451,14 @@ class TestTemplates:
                 "x", 2, {"theta": fm.ExteriorForm(2, 1, {})}, entry.group, {},
                 template=entry.template)
 
+    def test_form_of_another_dimension_refused_by_name(self):
+        group = hp.build_entry("example1").group
+        with pytest.raises(ex.DimensionMismatch,
+                           match="^form 'theta' has ambient dimension 3, "
+                                 "entry expects 2$"):
+            hp.HopfSurfaceCatalogEntry("x", 2, {"theta": fm.d_z(3, 1)},
+                                       group, {})
+
     def test_template_with_params_is_the_same_shape_for_all_weights(self):
         a = hp.vaisman_entry(r=(0.8, 1.7)).template.build(symbolic=True)
         b = hp.vaisman_entry(r=(1.9, 0.6)).template.build(symbolic=True)

@@ -123,6 +123,16 @@ class TestPolyAutomorphism:
             mp.PolyAutomorphism.from_tables([{(0, 0): 1.0, (1, 0): 1.0},
                                              {(0, 1): 1.0}])
 
+    @pytest.mark.parametrize("make,args,error,message", [
+        (mp.PolyAutomorphism, ([],), ValueError, "^empty component list$"),
+        (mp.PolyAutomorphism, ([1, 2],), TypeError,
+         "^components must be Polynomial instances$"),
+        (mp.PolyAutomorphism.from_matrix, (np.ones((2, 3)),), ValueError,
+         "^matrix must be square$")])
+    def test_malformed_input_refused(self, make, args, error, message):
+        with pytest.raises(error, match=message):
+            make(*args)
+
     def test_singular_linear_part_rejected(self):
         with pytest.raises(mp.SingularLinearPart):
             mp.PolyAutomorphism.from_tables([{(1, 0): 1.0},
@@ -550,6 +560,14 @@ class TestGroupSpec:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ex.DimensionMismatch):
             mp.GroupSpec((np.eye(3),), mp.PolyAutomorphism.identity(2))
+
+    def test_product_outside_the_finite_part_named(self):
+        # diag(-1, 1) diag(1, -1) = -I is not in the finite part.
+        with pytest.raises(ValueError, match=r"^finite part not closed under "
+                                             r"products \(matrices 1, 2\)$"):
+            mp.GroupSpec((np.eye(2), np.diag([-1.0, 1.0]),
+                          np.diag([1.0, -1.0])),
+                         mp.PolyAutomorphism.identity(2))
 
 
 class TestFixedPointFree:

@@ -444,6 +444,13 @@ class TestVerifyLck:
             vf.verify_lck(e1.forms["Omega"], e3.forms["theta"],
                           random_annulus(2, 5, seed=215))
 
+    def test_points_of_another_dimension_refused(self):
+        e = hp.example1_entry()
+        with pytest.raises(ex.DimensionMismatch,
+                           match=r"^points dimension 3 vs form on C\^2$"):
+            vf.verify_lck(e.forms["Omega"], e.forms["theta"],
+                          annulus_points(3, 5, 0))
+
 
 # A constant form (example2's) and one that is not (vaisman's Omega, and
 # the potential |z1|^2 + |z2|^4).
