@@ -1070,7 +1070,9 @@ def evaluate_many(e: Expression, points) -> np.ndarray:
     whose runs take a binding.
     """
     pts = _points(points)
-    _check_dimension((e,), pts.shape[1])
+    if e.max_index > pts.shape[1]:
+        raise DimensionMismatch("expression uses z_%d but points have "
+                                "dimension %d" % (e.max_index, pts.shape[1]))
     return _Tape((e,)).values(pts)[0]
 
 
@@ -1099,13 +1101,6 @@ def _points(points):
     if pts.ndim != 2:
         raise DimensionMismatch("points must be an (m, n) array")
     return pts
-
-
-def _check_dimension(roots, dim):
-    used = max((r.max_index for r in roots), default=0)
-    if used > dim:
-        raise DimensionMismatch(
-            "expression uses z_%d but points have dimension %d" % (used, dim))
 
 
 # The rules that the tape runs as a bare ufunc call when a child is an array,
@@ -1491,21 +1486,21 @@ def _value_numbering(roots, refused=frozenset()):
     return [image[r] for r in roots], merges
 
 
-def value_number(roots, keep=()):
+def value_number(roots):
     """``roots`` over a DAG in which nodes proven equal are one node, and
     the chance, at most, that some merge is false.
 
-    The merges are those of _value_numbering, but for the nodes in
-    ``keep``, which keep their place.  Each is kept only if its difference
-    vanished in every trial of _prove, on draws independent of the
-    fingerprints; a merge that did not is refused and the DAG rebuilt
-    without it.  The chance is the sum of the kept merges' Schwartz-Zippel
-    bounds.  Each merged root has the values of its root wherever both can
-    be evaluated, up to rounding, but computes every node once: a subterm
-    written twice, or a pulled-back denominator equal to the unmoved one,
-    is one operation on a tape.
+    The merges are those of _value_numbering, but every root keeps its
+    place: no root takes the place of a node, nor a node a root's.  Each
+    merge is kept only if its difference vanished in every trial of
+    _prove, on draws independent of the fingerprints; a merge that did not
+    is refused and the DAG rebuilt without it.  The chance is the sum of
+    the kept merges' Schwartz-Zippel bounds.  Each merged root has the
+    values of its root wherever both can be evaluated, up to rounding, but
+    computes every node once: a subterm written twice, or a pulled-back
+    denominator equal to the unmoved one, is one operation on a tape.
     """
-    refused = set(keep)
+    refused = set(roots)
     while True:
         merged, merges = _value_numbering(roots, refused)
         if not merges:

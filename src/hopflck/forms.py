@@ -444,8 +444,8 @@ class _Range:
 class _Evaluation:
     """The values of :func:`_evaluate_forms`, in request order.
 
-    Indexing at or past the first request that failed raises its error, so
-    a caller that takes the values in request order meets each error where
+    Indexing at or past the request whose term failed raises its error, so
+    a caller that takes the values in request order meets the error where
     evaluating the forms one at a time would have raised it.
     """
 
@@ -466,10 +466,11 @@ def _evaluate_forms(requests, points) -> _Evaluation:
     coefficients chunk by chunk and keeps of them what its request gives.
     Each form's sorted coefficients are the tape's roots, in request order,
     so an error belongs to the first form that fails and names the term
-    :func:`evaluate_form_many` would name.
+    :func:`evaluate_form_many` would name.  The forms share one ambient
+    dimension, and points of another raise DimensionMismatch.
     """
-    pts = ex._points(points)
-    return _RequestTape(requests, pts.shape[1]).run(pts)
+    dim = _whole(requests[0][0]).ambient_dim
+    return _RequestTape(requests, dim).run(ex._points(points))
 
 
 def _whole(form):
@@ -482,7 +483,8 @@ def _whole(form):
 
 
 class _RequestTape:
-    """:func:`_evaluate_forms` requests compiled once for points in C^dim.
+    """:func:`_evaluate_forms` requests compiled once for forms on C^dim,
+    whose :meth:`run` refuses points of another dimension.
 
     A request's form is an exterior form or an identity's sides: a pair
     (minuend, subtrahend) that stands for their difference, or (form, None)
@@ -511,19 +513,10 @@ class _RequestTape:
     """
 
     def __init__(self, requests, dim, proven=(), merges_within=None):
-        self.failed_at, self.error, forms = len(requests), None, []
-        for k, (form, _) in enumerate(requests):
-            whole = _whole(form)
-            try:
-                ex._check_dimension(whole.terms.values(), dim)
-            except ex.DimensionMismatch as err:
-                self.failed_at, self.error = k, err
-                break
-            forms.append(whole)
-        self.merge_bound = None
+        self.dim, self.merge_bound = dim, None
+        forms = [_whole(form) for form, _ in requests]
         if merges_within is not None:
-            numbered, bound = _numbered(
-                [form for form, _ in requests[:len(forms)]], forms)
+            numbered, bound = _numbered([form for form, _ in requests], forms)
             if bound <= merges_within:
                 forms, self.merge_bound = numbered, bound
         roots, self.where, self.folds, checked = [], [], [], []
@@ -538,6 +531,9 @@ class _RequestTape:
 
     def run(self, pts, binding=None) -> _Evaluation:
         """The values of the requests at the complex (m, dim) array ``pts``."""
+        if pts.shape[1] != self.dim:
+            raise ex.DimensionMismatch("points dimension %d vs form on C^%d"
+                                       % (pts.shape[1], self.dim))
         m, where = pts.shape[0], self.where
         scratch = np.empty(min(m, ex._CHUNK))  # one chunk's |value|
         folds = [None if fold is None else fold(form, m, scratch)
@@ -547,7 +543,7 @@ class _RequestTape:
             k, index = where[j]
             folds[k].add(lo, index, value)
 
-        failed_at, error = self.failed_at, self.error
+        failed_at, error = len(folds), None
         failure = self.tape.run(pts, consume, binding)
         if failure is not None:
             failed_at, index = where[failure.root]
@@ -564,18 +560,17 @@ def _numbered(forms, wholes):
     as _RequestTape says, and the sum of both sides' bounds; or None and
     infinity where numbering makes both sides of some term one node.
 
-    Every minuend coefficient keeps its place, so that none merges into a
-    node written below the minuends that its subtrahend holds too: a
-    pulled-back coefficient of theta, say, into the unmoved one that
-    d Omega holds.
+    Each coefficient keeps its place (see ex.value_number), so that no
+    minuend coefficient merges into a node written below the minuends that
+    its subtrahend holds too: a pulled-back coefficient of theta, say, into
+    the unmoved one that d Omega holds.
     """
     pairs = [form for form in forms
              if isinstance(form, tuple) and form[1] is not None]
     first = [form[0] if isinstance(form, tuple) else form for form in forms
              if not isinstance(form, tuple) or form[1] is not None]
-    keep = [c for minuend, _ in pairs for c in minuend.terms.values()]
-    first, bound = _number_side(first, keep)
-    second, more = _number_side([subtrahend for _, subtrahend in pairs], ())
+    first, bound = _number_side(first)
+    second, more = _number_side([subtrahend for _, subtrahend in pairs])
     first, second = iter(first), iter(second)
     numbered = [next(first) if not isinstance(form, tuple)
                 else whole if form[1] is None
@@ -587,14 +582,14 @@ def _numbered(forms, wholes):
     return numbered, bound + more
 
 
-def _number_side(column, keep):
+def _number_side(column):
     """The forms ``column`` with their coefficients value-numbered in one
-    DAG, the nodes in ``keep`` kept in place, and the merges' bound."""
+    DAG, and the merges' bound."""
     terms = [form.sorted_terms() for form in column]
     roots = [c for t in terms for _, c in t]
     if not roots:
         return column, 0.0
-    merged, bound = ex.value_number(roots, keep)
+    merged, bound = ex.value_number(roots)
     coeffs = iter(merged)
     return [ExteriorForm(form.ambient_dim, form.degree,
                          {index: next(coeffs) for index, _ in t})
@@ -891,13 +886,10 @@ class _Definite:
                           _hermitian_part(c, keep)))
 
     def report(self, pts) -> DefinitenessReport:
-        """The classification at ``pts``; DimensionMismatch for points of
-        another dimension, NonHermitian at the first point with a
-        non-finite coefficient, else at the first point of the largest
-        hermiticity defect if that reaches HERMITIAN_RTOL."""
-        if pts.shape[1] != self.n:
-            raise ex.DimensionMismatch("points dimension %d vs form on C^%d"
-                                       % (pts.shape[1], self.n))
+        """The classification at ``pts``, the points of the run; NonHermitian
+        at the first point with a non-finite coefficient, else at the first
+        point of the largest hermiticity defect if that reaches
+        HERMITIAN_RTOL."""
         if self.non_finite is not None:
             raise NonHermitian("non-finite coefficient at point %r"
                                % (_point(pts, self.non_finite),))

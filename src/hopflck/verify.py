@@ -34,6 +34,8 @@ Two conventions used throughout:
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 import sys
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -447,8 +449,6 @@ def verify_lck(Omega: fm.ExteriorForm, theta: fm.ExteriorForm, points,
     carries the definiteness classification of the (1,1) part of Omega —
     the sign is recorded, not asserted.
     """
-    if Omega.ambient_dim != theta.ambient_dim:
-        raise ex.DimensionMismatch("forms live in different dimensions")
     tol = _auto_tolerance(Omega, theta) if tolerance is None else float(tolerance)
     pts = np.asarray(points, dtype=complex)
     values = fm._evaluate_forms(_lck_requests(Omega, theta) + [
@@ -509,8 +509,9 @@ def verify_invariance(a: fm.ExteriorForm, g: PolyAutomorphism, points,
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Sampling parameters and tolerance override for run_suite; a message
-    shows an integer past the float range as ~10^e."""
+    """Sampling parameters and tolerance override for run_suite, refused
+    with a ValueError that names the key; a message shows an integer past
+    the float range as ~10^e."""
 
     points: int = 1000
     seed: int = 42
@@ -519,6 +520,11 @@ class SuiteConfig:
     def __post_init__(self):
         def shown(k):
             return _brief(int(k), sys.float_info.max)
+        for key in ("points", "seed"):
+            value = getattr(self, key)
+            if type(value) is bool or not isinstance(value, numbers.Integral):
+                raise ValueError("%s must be an integer, got %r"
+                                 % (key, value))
         if self.points < 1:
             raise ValueError("points must be >= 1, got %s" % shown(self.points))
         if self.points > MAX_POINTS:
@@ -526,8 +532,9 @@ class SuiteConfig:
                              % (MAX_POINTS, shown(self.points)))
         if self.seed < 0:
             raise ValueError("seed must be >= 0, got %s" % shown(self.seed))
-        if self.tol is not None and not self.tol > 0:
-            raise ValueError("tol must be positive, got %r" % (self.tol,))
+        if self.tol is not None and not 0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite, got %r"
+                             % (self.tol,))
 
 
 def _orientations(gen):
@@ -550,8 +557,7 @@ def _proofs(requests, dim):
     for k in range(len(requests)):
         roots = [j for j, (i, _) in enumerate(tape.where) if i == k]
         bound = sum((bounds[j] for j in roots), merged)
-        proven = (k < tape.failed_at and bound <= FALSE_PASS_BOUND
-                  and all(vanished[j] for j in roots))
+        proven = bound <= FALSE_PASS_BOUND and all(vanished[j] for j in roots)
         proofs.append(bound if proven else None)
     return proofs, tape
 

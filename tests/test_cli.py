@@ -307,6 +307,18 @@ class TestVerifyCommand:
         assert run(capsys, argv) == (2, "", "error: seed must be >= 0, "
                                             "got -1\n")
 
+    @pytest.mark.parametrize("command", ["verify", "solve-lee"])
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_infinite_tol_rejected_before_any_run(self, capsys, tmp_path,
+                                                  command, source):
+        argv = [command, "--entry", "example1", "--tol", "inf"]
+        if source == "file":
+            path = tmp_path / "conf.json"
+            path.write_text('{"entry": "example1", "tol": Infinity}')
+            argv = [command, "--file", str(path)]
+        assert run(capsys, argv) == (2, "", "error: tol must be positive "
+                                            "and finite, got inf\n")
+
     def test_oversized_points_in_config_rejected(self, capsys, tmp_path):
         # A whole float beyond any array numpy can allocate.
         conf = write_json(tmp_path / "conf.json",

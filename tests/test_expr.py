@@ -1460,18 +1460,23 @@ class TestValueNumbering:
 
     def test_equal_values_written_otherwise_are_one_node(self):
         a, b = self.radius(1, 2), self.radius(2, 1)
+        product = ex.mul(ex.exp(ex.z(1)), ex.exp(ex.z(2)))
+        exp_sum = ex.exp(ex.add(ex.z(1), ex.z(2)))
         roots = [ex.div(ex.z(1), a), ex.div(ex.zbar(1), b),
-                 ex.mul(ex.exp(ex.z(1)), ex.exp(ex.z(2))),
-                 ex.exp(ex.add(ex.z(1), ex.z(2)))]
+                 ex.mul(ex.z(1), product), ex.mul(ex.z(2), exp_sum)]
         merged, bound = ex.value_number(roots)
         assert merged[0] is roots[0] and merged[1] is ex.div(ex.zbar(1), a)
         # exp(a) exp(b) = exp(a + b), and the earlier root's node takes
         # the place; within one root the lower one does.
-        assert merged[2] is merged[3] is roots[2]
+        assert merged[2] is roots[2]
+        assert merged[3] is ex.mul(ex.z(2), product)
         assert 0.0 < bound <= vf.FALSE_PASS_BOUND
-        _, merges = ex._value_numbering(roots)
+        _, merges = ex._value_numbering(roots, set(roots))
         assert [(node, rep) for node, _, rep in merges] == [
-            (b, a), (roots[3], roots[2])]
+            (b, a), (exp_sum, product)]
+        # Two roots stay two nodes, equal as their values are.
+        assert ex.value_number([product, exp_sum]) == ([product, exp_sum],
+                                                       0.0)
         z1, z2 = ex.z(1), ex.z(2)
         low = ex.mul(ex.exp(z1), z2)
         high = ex.div(ex.mul(ex.exp(z1), ex.mul(z2, z2)), z2)
@@ -1509,7 +1514,10 @@ class TestValueNumbering:
         a, b = self.radius(1, 2), self.radius(2, 1)
         roots = [ex.div(ex.z(1), a), ex.div(ex.zbar(1), b)]
         assert ex.value_number(roots)[0] == [roots[0], ex.div(ex.zbar(1), a)]
-        assert ex.value_number(roots, [b]) == (roots, 0.0)
+        # b below a root merges into a.  But the root b does not merge
+        # into a, and b below a root does not merge into the root a.
+        assert ex.value_number([a, b]) == ([a, b], 0.0)
+        assert ex.value_number([a, roots[1]]) == ([a, roots[1]], 0.0)
 
     def test_a_constant_zero_modulo_p_alone_merges_nothing(self):
         # c is 0 modulo p but about 2^31 as a float (defect 6), so |z1|^2 +
@@ -1521,8 +1529,9 @@ class TestValueNumbering:
         square = ex.mul(ex.z(1), ex.zbar(1))
         bumped = ex.add(square, ex.mul(c, ex.z(2)))
         assert ex._prove([ex.sub(bumped, square)])[0] == [True]
-        merged, bound = ex.value_number([bumped, ex.mul(ex.zbar(1), ex.z(1))])
-        assert merged == [bumped, square] and bound > 0.0
+        roots = [ex.exp(bumped), ex.exp(ex.mul(ex.zbar(1), ex.z(1)))]
+        merged, bound = ex.value_number(roots)
+        assert merged == [roots[0], ex.exp(square)] and bound > 0.0
 
     def test_branch_cuts_are_not_merged(self):
         # log(z1 z2) and log z1 + log z2 differ by 2 pi i off a half-plane:

@@ -335,22 +335,18 @@ class TestEvaluation:
         ok = fm.form_from_terms(2, 1, {(0,): ex.z(1)})
         bad = fm.form_from_terms(2, 1, {(1,): ex.div(
             ex.const(1.0), ex.mul(ex.const(1e-20), ex.z(1)))})
-        wide = fm.form_from_terms(2, 1, {(1,): ex.z(2)})
         values = fm._evaluate_forms(
             [(ok, fm._Full), (bad, fm._Residual), (ok, fm._Residual)], pts)
         assert np.array_equal(values[0][(0,)], pts[:, 0])
         for k in (1, 2):
             with pytest.raises(fm.FormEvaluationError, match=r"term \(1,\)"):
                 values[k]
-        # The dimension error of the second form comes before the third
-        # form's evaluation error, which is never reached.
-        narrow = fm._evaluate_forms(
-            [(ok, fm._Residual), (wide, fm._Residual), (bad, fm._Residual)],
-            pts[:, :1])
-        assert np.array_equal(narrow[0], np.abs(pts[:, 0]))
-        for k in (1, 2):
-            with pytest.raises(ex.DimensionMismatch, match="uses z_2"):
-                narrow[k]
+        # Points of another dimension are refused before any form is
+        # evaluated, even where the first form uses z_1 alone.
+        with pytest.raises(ex.DimensionMismatch,
+                           match=r"^points dimension 1 vs form on C\^2$"):
+            fm._evaluate_forms([(ok, fm._Residual), (bad, fm._Residual)],
+                               pts[:, :1])
 
     def test_nan_survives_the_per_chunk_fold(self):
         pts = annulus_points(2, 2 * ex._CHUNK + 1, seed=22)

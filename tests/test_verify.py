@@ -452,6 +452,35 @@ class TestVerifyLck:
                           annulus_points(3, 5, 0))
 
 
+# Every form evaluation refuses points of another dimension with one
+# message: narrow points, with which a form would fail mid-evaluation, and
+# wide ones, whose extra coordinates it would ignore.
+_EXAMPLE1 = hp.example1_entry()
+_DIMENSION_CALLS = {
+    "verify_potential": (1, lambda pts: vf.verify_potential(
+        *hp.example2_potential(), pts)),
+    "verify_invariance": (3, lambda pts: vf.verify_invariance(
+        _EXAMPLE1.forms["theta"], _EXAMPLE1.group.cyclic_generator, pts)),
+    "max_form_residual": (3, lambda pts: fm.max_form_residual(
+        _EXAMPLE1.forms["theta"], pts)),
+    "evaluate_form_many": (3, lambda pts: fm.evaluate_form_many(
+        _EXAMPLE1.forms["theta"], pts)),
+    "solve_lee_many": (3, lambda pts: vf.solve_lee_many(
+        _EXAMPLE1.forms["Omega"], pts)),
+}
+
+
+@pytest.mark.parametrize("name", _DIMENSION_CALLS)
+def test_every_form_evaluation_refuses_points_of_another_dimension(name):
+    columns, call = _DIMENSION_CALLS[name]
+    pts = (np.ones((5, 1), dtype=complex) if columns == 1
+           else annulus_points(columns, 5, 0))
+    with pytest.raises(ex.DimensionMismatch,
+                       match=r"^points dimension %d vs form on C\^2$"
+                       % columns):
+        call(pts)
+
+
 # A constant form (example2's) and one that is not (vaisman's Omega, and
 # the potential |z1|^2 + |z2|^4).
 @pytest.mark.parametrize("constant", [True, False])
@@ -676,6 +705,25 @@ class TestSuiteConfig:
         with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
             vf.SuiteConfig(seed=-1)
         assert vf.SuiteConfig(seed=0).seed == 0
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"tol": math.inf}, "tol must be positive and finite, got inf"),
+        ({"tol": -math.inf}, "tol must be positive and finite, got -inf"),
+        ({"tol": math.nan}, "tol must be positive and finite, got nan"),
+        ({"points": 2.5}, "points must be an integer, got 2.5"),
+        ({"points": 200.0}, "points must be an integer, got 200.0"),
+        ({"points": True}, "points must be an integer, got True"),
+        ({"seed": 7.5}, "seed must be an integer, got 7.5"),
+        ({"seed": False}, "seed must be an integer, got False")],
+        ids=["inf", "-inf", "nan", "points-2.5", "points-200.0",
+             "points-bool", "seed-7.5", "seed-bool"])
+    def test_refused_up_front_naming_the_key(self, kwargs, message):
+        with pytest.raises(ValueError, match="^%s$" % message):
+            vf.SuiteConfig(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        config = vf.SuiteConfig(points=np.int64(20), seed=np.uint8(3))
+        assert (config.points, config.seed) == (20, 3)
 
 
 class TestRunSuite:
@@ -1237,21 +1285,21 @@ class TestDeckProofs:
 
 
 def _built_suite(name, monkeypatch):
-    """``name``'s catalog suite, built afresh, and the terms and kept nodes
-    of each ex.value_number call: the cross-check's minuends and
-    subtrahends, then the sample tape's terms."""
+    """``name``'s catalog suite, built afresh, and the terms of each
+    ex.value_number call: the cross-check's minuends and subtrahends, then
+    the sample tape's terms."""
     vf._SUITES.clear()
     number, calls = ex.value_number, []
 
-    def record(roots, keep=()):
-        calls.append((roots, keep))
-        return number(roots, keep)
+    def record(roots):
+        calls.append(roots)
+        return number(roots)
 
     monkeypatch.setattr(ex, "value_number", record)
     entry = hp.build_entry(name)
     suite, _ = vf._suite(entry, vf._generator_list(entry.group))
     monkeypatch.setattr(ex, "value_number", number)
-    assert len(calls) == 3 and not calls[2][1]
+    assert len(calls) == 3
     return suite, calls
 
 
@@ -1269,7 +1317,7 @@ class TestValueNumberedSuite:
     def test_merges_are_proven_and_the_tape_shrinks(self, monkeypatch, name,
                                                     ops, guards, unmerged):
         suite, calls = _built_suite(name, monkeypatch)
-        (roots, _), tape = calls[2], suite.requests.tape
+        roots, tape = calls[2], suite.requests.tape
         assert (len(tape.ops), _guards(tape)) == (ops, guards)
         assert len(ex._Tape(roots, [k for k, s in enumerate(tape.roots)
                                     if s is None]).ops) == unmerged
@@ -1303,8 +1351,9 @@ class TestValueNumberedSuite:
         monkeypatch.setattr(ex._Tape, "__init__", count)
         radius = ex.add(ex.mul(ex.z(1), ex.zbar(1)), ex.mul(ex.z(2), ex.zbar(2)))
         moved = ex.add(ex.mul(ex.zbar(2), ex.z(2)), ex.mul(ex.zbar(1), ex.z(1)))
-        merged, bound = ex.value_number([radius, moved])
-        assert merged == [radius, radius] and bound > 0.0 and compiled == []
+        merged, bound = ex.value_number([ex.exp(radius), ex.exp(moved)])
+        assert merged == [ex.exp(radius)] * 2 and bound > 0.0
+        assert compiled == []
         suite, _ = _built_suite("vaisman", monkeypatch)
         assert compiled == [suite.cross_check.tape, suite.requests.tape]
         vf._SUITES.clear()
@@ -1313,17 +1362,20 @@ class TestValueNumberedSuite:
         # vaisman's minuends (d Omega, g*theta, g*psi) are numbered in one
         # DAG and its subtrahends (theta ^ Omega, theta, psi) in another;
         # d theta, an identity of one form, is compiled as written.  Every
-        # minuend coefficient keeps its place, so the pulled-back ones of
-        # theta do not merge into the unmoved ones written below d Omega.
+        # root keeps its place, so the pulled-back coefficients of theta
+        # (minuends 4 to 7) do not merge into the unmoved ones written
+        # below d Omega, as they would numbered freely.
         suite, calls = _built_suite("vaisman", monkeypatch)
-        (minuends, keep), (subtrahends, none) = calls[:2]
+        minuends, subtrahends = calls[:2]
         tape = suite.cross_check.tape
         assert (len(tape.ops), _guards(tape)) == (461, 5)
         assert len(minuends) == 4 + 4 + 4 and len(subtrahends) == 4 + 4 + 4
-        assert len(keep) == 12 and none == ()
-        assert set(keep) == set(minuends)
-        bound = (ex.value_number(minuends, keep)[1]
-                 + ex.value_number(subtrahends)[1])
+        _, merges = ex._value_numbering(minuends)
+        assert [minuends.index(node) for node, _, _ in merges
+                if node in minuends] == [4, 5, 6, 7]
+        numbered, bound = ex.value_number(minuends)
+        assert not set(numbered) & {rep for _, _, rep in merges}
+        bound += ex.value_number(subtrahends)[1]
         assert suite.cross_check.merge_bound == bound
         assert 0.0 < bound <= vf.FALSE_PASS_BOUND
         # Each proof's bound counts the merges.
@@ -1376,8 +1428,8 @@ class TestValueNumberedSuite:
 
     def test_too_large_a_bound_keeps_the_unmerged_tape(self, monkeypatch):
         number = ex.value_number
-        monkeypatch.setattr(ex, "value_number", lambda roots, keep=(): (
-            number(roots, keep)[0], 2 * vf.FALSE_PASS_BOUND))
+        monkeypatch.setattr(ex, "value_number", lambda roots: (
+            number(roots)[0], 2 * vf.FALSE_PASS_BOUND))
         vf._SUITES.clear()
         entry = hp.build_entry("vaisman")
         suite, _ = vf._suite(entry, vf._generator_list(entry.group))
@@ -1393,8 +1445,8 @@ class TestValueNumberedSuite:
         # tape, one side, is merged; the cross-check's two sides sum past
         # it, so its identities are proven on their unmerged terms.
         number = ex.value_number
-        monkeypatch.setattr(ex, "value_number", lambda roots, keep=(): (
-            number(roots, keep)[0], 0.6 * vf.FALSE_PASS_BOUND))
+        monkeypatch.setattr(ex, "value_number", lambda roots: (
+            number(roots)[0], 0.6 * vf.FALSE_PASS_BOUND))
         vf._SUITES.clear()
         entry = hp.build_entry("vaisman")
         suite, _ = vf._suite(entry, vf._generator_list(entry.group))
@@ -1409,8 +1461,8 @@ class TestValueNumberedSuite:
                                                             monkeypatch):
         calls = []
         number = ex.value_number
-        monkeypatch.setattr(ex, "value_number", lambda roots, keep=():
-                            calls.append(1) or number(roots, keep))
+        monkeypatch.setattr(ex, "value_number", lambda roots:
+                            calls.append(1) or number(roots))
         entry = hp.build_entry("vaisman")
         pts = annulus_points(2, 50, seed=1)
         vf.verify_lck(entry.forms["Omega"], entry.forms["theta"], pts)
