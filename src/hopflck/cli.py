@@ -11,7 +11,11 @@ contraction  certify the contraction property of a map from a JSON file
 solve-lee    pointwise Lee-form recovery on a catalog entry's 2-form
 
 All artifacts are JSON with complex numbers as [re, im] pairs; output is
-deterministic for fixed inputs and seed (sorted keys, no timestamps).
+deterministic for fixed inputs and seed (sorted keys, no timestamps).  A
+report is written in one walk (_render), its values coerced as
+verify.jsonify coerces them and laid out as json.dumps(sort_keys=True,
+indent=2, allow_nan=False) lays them out; solve-lee's records are written
+from its arrays (_lee_text).
 Exit codes: 0 pass, 1 verification/computation failure, 2 configuration or
 parse error.
 """
@@ -22,6 +26,7 @@ import argparse
 import cmath
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -38,6 +43,8 @@ CONFIG_KEYS = ("entry", "points", "seed", "tol", "out", "parameters")
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
+
+_float_repr, _int_repr = float.__repr__, int.__repr__
 
 
 def _load_json(path: str):
@@ -88,7 +95,71 @@ def _load_config_file(path: str) -> dict:
 
 
 def _render(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """``json.dumps(vf.jsonify(payload), sort_keys=True, indent=2,
+    allow_nan=False) + "\\n"``, written in one walk (see _json_text)."""
+    return _json_text(payload, "\n") + "\n"
+
+
+def _json_text(value, indent: str) -> str:
+    """``value`` coerced as vf.jsonify coerces it, as json.dumps(...,
+    sort_keys=True, indent=2) lays it out at ``indent``, a newline and the
+    indentation.  Strings and keys go through json's own
+    encode_basestring_ascii, numbers through int.__repr__ and
+    float.__repr__.  A non-finite float raises json's own ValueError (its
+    wording varies between Python versions)."""
+    write = _WRITERS.get(type(value))
+    return write(value, indent) if write else _coerced_text(value, indent)
+
+
+def _float_text(value, indent=None) -> str:
+    """float.__repr__ of a finite float; json's ValueError otherwise."""
+    if value - value == 0.0:
+        return _float_repr(value)
+    return json.dumps(value, indent=2, allow_nan=False)  # raises
+
+
+def _complex_text(value, indent) -> str:
+    inner = indent + "  "
+    return "[%s%s,%s%s%s]" % (inner, _float_text(value.real), inner,
+                              _float_text(value.imag), indent)
+
+
+def _dict_text(value, indent) -> str:
+    if not value:
+        return "{}"
+    inner = indent + "  "
+    items = sorted({str(k): v for k, v in value.items()}.items())
+    return "{%s%s%s}" % (inner, (",%s" % inner).join([
+        "%s: %s" % (_quote(k), _json_text(v, inner)) for k, v in items]),
+        indent)
+
+
+def _list_text(value, indent) -> str:
+    if not value:
+        return "[]"
+    inner = indent + "  "
+    return "[%s%s%s]" % (inner, (",%s" % inner).join([
+        _json_text(v, inner) for v in value]), indent)
+
+
+def _coerced_text(value, indent) -> str:
+    """_json_text of a value of no type in _WRITERS: vf.jsonify's coercion
+    (which keeps a str subclass as it is), then its text."""
+    if isinstance(value, str):
+        return _quote(value)
+    return _json_text(vf.jsonify(value), indent)
+
+
+# _json_text's writer for each exact type, called as write(value, indent).
+_WRITERS = {
+    float: _float_text, str: lambda value, indent: _quote(value),
+    int: lambda value, indent: _int_repr(value),
+    bool: lambda value, indent: "true" if value else "false",
+    type(None): lambda value, indent: "null",
+    complex: _complex_text, dict: _dict_text, list: _list_text,
+    tuple: _list_text,
+    np.float64: lambda value, indent: _float_text(float(value)),
+}
 
 
 def _emit(payload, out_path: str | None) -> None:
@@ -377,7 +448,7 @@ def _resolve_entry_config(args):
 
 def _entry_payload(command, entry, suite) -> dict:
     return {"command": command, "entry": entry.name,
-            "parameters": vf.jsonify(dict(entry.parameters)),
+            "parameters": dict(entry.parameters),
             "points": suite.points, "seed": suite.seed}
 
 
@@ -392,7 +463,7 @@ def cmd_verify(args) -> int:
     ok = vf.suite_passed(reports)
     _emit({**_entry_payload("verify", entry, suite),
            "status": "pass" if ok else "fail",
-           "reports": vf.reports_to_json(reports)}, out)
+           "reports": [vars(r) for r in reports]}, out)  # their fields
     return EXIT_PASS if ok else EXIT_FAIL
 
 
@@ -435,7 +506,7 @@ def cmd_deform(args) -> int:
         payload = {"matrix_at_t": mp.matrix_to_json(at_t.linear_part()),
                    "limit0": mp.matrix_to_json(limit.linear_part())}
     _emit({"command": "deform", "family": args.family,
-           "t": vf.jsonify(complex(t)), **payload}, args.out)
+           "t": complex(t), **payload}, args.out)
     return EXIT_PASS
 
 
@@ -451,7 +522,7 @@ def cmd_jordan(args) -> int:
         return EXIT_FAIL
     payload = {
         "command": "jordan",
-        "blocks": [{"eigenvalue": vf.jsonify(lam), "size": size}
+        "blocks": [{"eigenvalue": lam, "size": size}
                    for lam, size in dec.blocks],
         "transform": mp.matrix_to_json(dec.transform),
         "reconstruction_residual": dec.reconstruction_residual,

@@ -15,10 +15,18 @@ singular value exceeds LINEAR_RCOND times its largest; otherwise it raises
 SingularLinearPart.  The ratio does not change when the map is scaled, so
 mu^-1 * I is accepted for every finite mu != 0, while a linear part with
 condition number above 1e12 (for example diag(e^-0.01, e^-50)) is refused.
+
+Contraction: contraction_test takes a map or the matrix of a linear one.  A
+linear map's orbit is evaluated a block of steps at a time, as start (A^T)^k
+from stacked powers of A^T (see _linear_orbit), so a power replaces k
+successive products and a norm's last digits can differ from those of the
+orbit stepped one product at a time; the first k whose largest norm is below
+eps, or else above ORBIT_DIVERGENCE, ends it.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -50,6 +58,8 @@ FIXED_POINT_TOL = 1e-8   # least |eigenvalue - 1| of a non-identity element
 ORBIT_DIVERGENCE = 1e6
 CONTRACTION_MAX_ITER = 1000
 CONTRACTION_SEED = 1234
+ORBIT_BLOCK = 32         # steps in a linear orbit's first block
+ORBIT_ENTRIES = 1 << 13  # most points x coordinates x steps evaluated at once
 RANK_GRAY_ZONE = 10.0    # factor around a rank threshold that is ambiguous
 RANK_RTOL = 1e-8         # singular values of ||A||-scaled powers counted as 0
 CLUSTER_TOL = 1e-6       # eigenvalues of A/||A|| this close are identified
@@ -190,6 +200,19 @@ def _monomial_sum(terms) -> ex.Expression:
     return total
 
 
+def _check_linear_part(lin) -> None:
+    """SingularLinearPart unless the square matrix ``lin`` is finite and
+    sigma_min > LINEAR_RCOND sigma_max."""
+    if not np.isfinite(lin).all():
+        raise SingularLinearPart("linear part has a non-finite entry")
+    sv = np.linalg.svd(lin, compute_uv=False)
+    if not sv[-1] > LINEAR_RCOND * sv[0]:
+        ratio = sv[-1] / sv[0] if sv[0] > 0 else 0.0
+        raise SingularLinearPart(
+            "linear part near singular (sigma_min/sigma_max = %.3g <= %.3g)"
+            % (ratio, LINEAR_RCOND))
+
+
 class PolyAutomorphism:
     """Polynomial map of C^n in z only, fixing 0, with invertible linear part."""
 
@@ -211,15 +234,7 @@ class PolyAutomorphism:
                 raise ValueError("component %d has a constant term" % (k + 1,))
         self.dim = dim
         self.components = tuple(comps)
-        lin = self.linear_part()
-        if not np.isfinite(lin).all():
-            raise SingularLinearPart("linear part has a non-finite entry")
-        sv = np.linalg.svd(lin, compute_uv=False)
-        if not sv[-1] > LINEAR_RCOND * sv[0]:
-            ratio = sv[-1] / sv[0] if sv[0] > 0 else 0.0
-            raise SingularLinearPart(
-                "linear part near singular (sigma_min/sigma_max = %.3g <= %.3g)"
-                % (ratio, LINEAR_RCOND))
+        _check_linear_part(self.linear_part())
 
     @classmethod
     def from_tables(cls, tables) -> "PolyAutomorphism":
@@ -283,9 +298,14 @@ class PolyAutomorphism:
         return PolyAutomorphism(comps)
 
     def inverse_linear(self) -> "PolyAutomorphism":
+        return PolyAutomorphism.from_matrix(self.inverse_matrix())
+
+    def inverse_matrix(self) -> np.ndarray:
+        """The matrix of a linear map's inverse, as inverse_linear()'s
+        linear_part() reads it: each zero +0.0."""
         if not self.is_linear():
             raise ValueError("only linear maps are inverted here")
-        return PolyAutomorphism.from_matrix(np.linalg.inv(self.linear_part()))
+        return np.linalg.inv(self.linear_part()) + 0
 
     def eval(self, point):
         pts = np.asarray([list(point)], dtype=complex)
@@ -379,44 +399,117 @@ class ContractionResult:
 
 
 def spectral_radius(matrix) -> float:
-    return float(np.max(np.abs(np.linalg.eigvals(np.asarray(matrix, complex)))))
+    return float(np.abs(np.linalg.eigvals(np.asarray(matrix, complex))).max())
 
 
-def contraction_test(g: PolyAutomorphism, radius: float = 1.0,
+@functools.lru_cache(maxsize=8)
+def _orbit_start(n: int, radius: float) -> np.ndarray:
+    """The 2 n^2 + 64 points of the radius-sphere in C^n of CONTRACTION_SEED
+    that every orbit test starts from, read-only."""
+    pts = sphere_points(n, 2 * n * n + 64, radius, CONTRACTION_SEED)
+    pts.flags.writeable = False
+    return pts
+
+
+def _linear_orbit(a, start, eps):
+    """(k, largest) at the first k <= CONTRACTION_MAX_ITER at which the
+    largest row norm of start (A^T)^k is below eps or above
+    ORBIT_DIVERGENCE, or (None, None): the orbit of A in blocks of steps.
+
+    The blocks hold ORBIT_BLOCK, twice that, four times that, ... steps.
+    The powers (A^T)^k are stacked as rows and doubled as a block needs
+    them, each time by one product with the next square (A^T)^(2^i); one
+    product of the start points with a block's powers side by side gives
+    its orbit, at most ORBIT_ENTRIES orbit entries at a time.
+    """
+    count, n = start.shape
+    last = CONTRACTION_MAX_ITER + 1
+    widest = max(1, ORBIT_ENTRIES // (count * n))
+    powers = np.empty((last, n, n), dtype=complex)
+    powers[0] = np.eye(n)
+    rows = powers.reshape(-1, n)  # (A^T)^k is rows n k ... n k + n - 1
+    square, filled = a.T, 1
+    done, size = 0, ORBIT_BLOCK
+    while done < last:
+        end = min(done + size, last)
+        while filled < end:
+            if filled > 1:
+                square = square @ square  # (A^T)^filled
+            step = min(filled, last - filled)
+            np.matmul(rows[:n * step], square,
+                      out=rows[n * filled:n * (filled + step)])
+            filled += step
+        for lo in range(done, end, widest):
+            block = powers[lo:min(lo + widest, end)]
+            width = len(block)
+            # orbit[r, j, k] = (start (A^T)^(lo + k))[r, j]
+            orbit = (start @ block.transpose(1, 2, 0).reshape(n, n * width)
+                     ).reshape(count, n, width)
+            squared = (orbit.conj() * orbit).real
+            largest = np.sqrt(squared.sum(axis=1).max(axis=0))
+            for k, value in enumerate(largest.tolist(), lo):
+                # A NaN is neither below eps nor above the guard.
+                if value < eps or value > ORBIT_DIVERGENCE:
+                    return k, value
+        done, size = end, 2 * size
+    return None, None
+
+
+def _stepped_orbit(step, start, eps):
+    """_linear_orbit's (k, largest) for a map stepped one evaluation at a
+    time."""
+    current = start
+    for k in range(CONTRACTION_MAX_ITER + 1):
+        largest = float(np.linalg.norm(current, axis=1).max())
+        if largest < eps or largest > ORBIT_DIVERGENCE:
+            return k, largest
+        current = step(current)
+    return None, None
+
+
+def contraction_test(g, radius: float = 1.0,
                      eps: float = 1e-6) -> ContractionResult:
     """Certify that iterates of g send the radius-sphere inside eps.
 
-    The necessary spectral condition rho(linear part) < 1 is checked first;
-    only then is the point set (2 n^2 + 64 sphere points of CONTRACTION_SEED)
-    iterated, at most CONTRACTION_MAX_ITER times, until every orbit norm
-    drops below eps.  A linear map steps all orbits by one matrix product.
-    Any orbit passing 1e6 raises IterationDiverged rather than reporting a
-    silent failure.  A radius or eps that is not finite and positive raises
+    ``g`` is a PolyAutomorphism or the square matrix of a linear one, which
+    must pass the same finiteness and LINEAR_RCOND test
+    (SingularLinearPart).  The necessary spectral condition rho(linear
+    part) < 1 is checked first; only then is the point set (2 n^2 + 64
+    sphere points of CONTRACTION_SEED) iterated, at most
+    CONTRACTION_MAX_ITER times, until every orbit norm drops below eps.  A
+    linear map's orbit is a block of matrix powers at a time (see
+    _linear_orbit), a nonlinear one's one evaluation at a time.  Any orbit
+    passing 1e6 raises IterationDiverged rather than reporting a silent
+    failure.  A radius or eps that is not finite and positive raises
     ValueError.
     """
     for name, value in (("radius", radius), ("eps", eps)):
         if not (np.isfinite(value) and value > 0):
             raise ValueError("contraction %s must be finite and > 0, got %r"
                              % (name, value))
-    n = g.dim
+    if isinstance(g, PolyAutomorphism):
+        a = g.linear_part()
+    else:
+        a = np.asarray(g, dtype=complex)
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+            raise ValueError("matrix must be square and non-empty")
+        _check_linear_part(a)
+    n = a.shape[0]
     count = 2 * n * n + 64
-    rho = spectral_radius(g.linear_part())
+    rho = spectral_radius(a)
     if rho >= 1.0:
         return ContractionResult(False, None, rho, count, radius, eps,
                                  reason="spectral radius %.17g >= 1" % rho)
-    step = g.eval_many
-    if g.is_linear():
-        a_t = g.linear_part().T
-        step = lambda z: z @ a_t  # each row z_k becomes A z_k
-    current = sphere_points(n, count, radius, CONTRACTION_SEED)
-    for k in range(CONTRACTION_MAX_ITER + 1):
-        largest = float(np.linalg.norm(current, axis=1).max())
-        if largest < eps:
-            return ContractionResult(True, k, rho, count, radius, eps)
-        if largest > ORBIT_DIVERGENCE:
-            raise IterationDiverged("orbit norm %.3g exceeded %.0g after %d steps"
-                                    % (largest, ORBIT_DIVERGENCE, k))
-        current = step(current)
+    start = _orbit_start(n, radius)
+    if isinstance(g, PolyAutomorphism) and not g.is_linear():
+        k, largest = _stepped_orbit(g.eval_many, start, eps)
+    else:
+        k, largest = _linear_orbit(a, start, eps)
+    if k is not None and largest < eps:
+        return ContractionResult(True, k, rho, count, radius, eps)
+    if k is not None:
+        raise IterationDiverged("orbit norm %.3g exceeded %.0g after %d steps"
+                                % (largest, ORBIT_DIVERGENCE, k))
     return ContractionResult(False, None, rho, count, radius, eps,
                              reason="norms still >= eps after %d iterations"
                              % CONTRACTION_MAX_ITER)

@@ -16,6 +16,25 @@ ANNULUS_OUTER = 2.0
 
 # Rows per slice of the norm computation, whose temporaries are one slice's.
 _SLICE = 4096
+# Widest row that numpy's add.reduce sums in sequence; from 8 entries on it
+# sums pairwise.
+_SEQUENTIAL = 7
+
+
+def _squared_norms(x):
+    """np.add.reduce((x.conj() * x).real, axis=1), with its bits.
+
+    A row of at most _SEQUENTIAL entries is summed in sequence, so adding
+    whole columns one after another gives the same sums without the
+    strided reduction.
+    """
+    if not 0 < x.shape[1] <= _SEQUENTIAL:
+        return np.add.reduce((x.conj() * x).real, axis=1)
+    total = None
+    for column in x.T:
+        part = (column.conj() * column).real
+        total = part if total is None else np.add(total, part, out=total)
+    return total
 
 
 def _gaussian_points(rng, dim: int, count: int):
@@ -24,7 +43,7 @@ def _gaussian_points(rng, dim: int, count: int):
 
     The points take one complex array and one float buffer, which holds
     the draws and then the norms.  The norms are np.linalg.norm's own
-    expression, over slices of rows.
+    expression, over slices of rows (see _squared_norms).
     """
     raw = np.empty((count, dim), dtype=complex)
     buffer = np.empty(count * max(dim, 1))
@@ -34,8 +53,7 @@ def _gaussian_points(rng, dim: int, count: int):
     norms = buffer[:count]
     for lo in range(0, count, _SLICE):
         x = raw[lo:lo + _SLICE]
-        np.sqrt(np.add.reduce((x.conj() * x).real, axis=1),
-                out=norms[lo:lo + _SLICE])
+        np.sqrt(_squared_norms(x), out=norms[lo:lo + _SLICE])
     norms[norms == 0] = 1.0
     return raw, norms
 

@@ -532,16 +532,21 @@ class SuiteConfig:
                              % (MAX_POINTS, shown(self.points)))
         if self.seed < 0:
             raise ValueError("seed must be >= 0, got %s" % shown(self.seed))
-        if self.tol is not None and not 0 < self.tol < math.inf:
+        if self.tol is None:
+            return
+        if type(self.tol) is bool or not isinstance(self.tol, numbers.Real):
+            raise ValueError("tol must be a real number, got %r" % (self.tol,))
+        if not 0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite, got %r"
                              % (self.tol,))
 
 
 def _orientations(gen):
-    """The generator, then its inverse when it is linear (computed lazily)."""
+    """The generator, then its inverse's matrix when it is linear (computed
+    lazily)."""
     yield "generator", gen
     if gen.is_linear():
-        yield "generator_inverse", gen.inverse_linear()
+        yield "generator_inverse", gen.inverse_matrix()
 
 
 def _proofs(requests, dim):
@@ -758,13 +763,15 @@ def run_suite(entry: HopfSurfaceCatalogEntry,
     either orientation of the deck action presents the same quotient.
 
     A catalog entry's forms are not built: its compiled template is run
-    with the entry's numbers bound (see _suite).
+    with the entry's numbers bound (see _suite).  A suite without sample
+    requests (kodaira's) draws no points.
     """
     config = config or SuiteConfig()
-    pts = annulus_points(entry.ambient_dim, config.points, config.seed)
     npts, seed = config.points, config.seed
     generators = _generator_list(entry.group)
     suite, binding = _suite(entry, generators)
+    pts = (annulus_points(entry.ambient_dim, npts, seed) if suite.requests.folds
+           else np.empty((0, entry.ambient_dim), dtype=complex))
     tol = suite.tolerance if config.tol is None else config.tol
     run = _Run(suite, pts, binding, tol)
     values, head, reports = run.values, run.head, []

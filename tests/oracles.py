@@ -15,6 +15,8 @@ import numpy as np
 
 from hopflck import expr as ex
 from hopflck import forms as fm
+from hopflck import maps as mp
+from hopflck.sampling import sphere_points
 
 
 def fd_wirtinger(func, point, index, conjugate=False, h=1e-5):
@@ -175,3 +177,33 @@ def vaisman_reference_forms(r1, r2):
     theta = fm.exterior_d(fm.scalar_form(2, t))
     return {"Omega": fm.exterior_d(psi) - fm.wedge(theta, psi),
             "theta": theta, "psi": psi}
+
+
+def stepped_contraction(g, radius=1.0, eps=1e-6):
+    """The contraction test as it stepped every orbit: one matrix product
+    (a linear map) or one evaluation and one norm per step, from the same
+    start points.  The ContractionResult, or the IterationDiverged message.
+    """
+    n = g.dim
+    count = 2 * n * n + 64
+    rho = mp.spectral_radius(g.linear_part())
+    if rho >= 1.0:
+        return mp.ContractionResult(False, None, rho, count, radius, eps,
+                                    reason="spectral radius %.17g >= 1" % rho)
+    step = g.eval_many
+    if g.is_linear():
+        a_t = g.linear_part().T
+        step = lambda z: z @ a_t  # noqa: E731
+    current = sphere_points(n, count, radius, mp.CONTRACTION_SEED)
+    for k in range(mp.CONTRACTION_MAX_ITER + 1):
+        largest = float(np.linalg.norm(current, axis=1).max())
+        if largest < eps:
+            return mp.ContractionResult(True, k, rho, count, radius, eps)
+        if largest > mp.ORBIT_DIVERGENCE:
+            return ("orbit norm %.3g exceeded %.0g after %d steps"
+                    % (largest, mp.ORBIT_DIVERGENCE, k))
+        current = step(current)
+    return mp.ContractionResult(
+        False, None, rho, count, radius, eps,
+        reason="norms still >= eps after %d iterations"
+        % mp.CONTRACTION_MAX_ITER)

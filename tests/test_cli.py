@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface, run in process."""
 
+import enum
 import gc
 import importlib
 import json
@@ -864,6 +865,91 @@ class TestLeeWriter:
         want = ",\n".join([template % tuple(row) for row in table.tolist()])
         text = "".join(cli._lee_text("[", table, template, "]"))
         assert text == "[%s]" % want
+
+
+def dumped(payload):
+    """The text the report writer must match: jsonify, then json.dumps."""
+    return json.dumps(vf.jsonify(payload), sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
+
+
+# JSON-like values with the types jsonify coerces: numpy scalars, complex
+# numbers, tuples and arrays among them.
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-10 ** 30, 10 ** 30),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.complex_numbers(allow_nan=False, allow_infinity=False),
+    st.text(), st.builds(np.bool_, st.booleans()),
+    st.builds(np.int64, st.integers(-2 ** 63, 2 ** 63 - 1)),
+    st.builds(np.float32, st.floats(width=32, allow_nan=False,
+                                    allow_infinity=False)),
+    st.builds(np.complex128, st.complex_numbers(allow_nan=False,
+                                                allow_infinity=False)))
+_payloads = st.recursive(_scalars, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.builds(tuple, st.lists(inner, max_size=3)),
+    st.dictionaries(st.one_of(st.text(), st.integers()), inner, max_size=4)),
+    max_leaves=25)
+
+
+class _Text(str):
+    pass
+
+
+class _Mapping(dict):
+    pass
+
+
+class TestRender:
+    """_render writes in one walk what json.dumps writes for jsonify's
+    coercion of the payload, byte for byte."""
+
+    @pytest.mark.parametrize("payload", [
+        {"bool": np.bool_(True), "false": np.bool_(False), "int": np.int64(-3),
+         "uint": np.uint8(200), "f64": np.float64(0.1), "f32": np.float32(0.1),
+         "c128": np.complex128(1 - 2j), "c64": np.complex64(0.5j),
+         "py": [True, None, 7, -0.0, 5e-324, 1e300, 10 ** 40, 2 + 0j]},
+        {"tuple": (1, (2.5, "x"), ()), "array": np.arange(6).reshape(2, 3),
+         "complex array": np.array([1 + 1j, -0.0 - 2j]),
+         "empty array": np.array([]), "empty": [{}, [], (), {"a": {}}]},
+        {"caf\u00e9 \u2603": "\u00fcber \U0001f600", "nul": "a\x00b",
+         "control": "\t\n\r\x08\x0c\x1f\x7f", "quote": '"\\/'},
+        {3: "int key", 1.5: "float key", None: "none key", True: "bool key",
+         "3": "a key that str(3) repeats"},
+        _Mapping({_Text("k"): [_Text("v\x00"), enum.IntEnum("E", "a b").b],
+                  "t": _Mapping()}),
+        [], {}, "text", 1.0, None, True, np.float64(-2.5), 1j, (),
+    ], ids=["numpy scalars", "containers", "strings", "keys", "subclasses",
+            "empty list", "empty dict", "str", "float", "none", "bool",
+            "float64", "complex", "tuple"])
+    def test_same_text_as_json_dumps(self, payload):
+        assert cli._render(payload) == dumped(payload)
+
+    @settings(max_examples=300)
+    @given(_payloads)
+    def test_property_same_text_as_json_dumps(self, payload):
+        assert cli._render(payload) == dumped(payload)
+
+    @pytest.mark.parametrize("name", hopf.ENTRY_NAMES)
+    def test_suite_reports_as_json_dumps_writes_them(self, name):
+        reports = vf.run_suite(hopf.build_entry(name), vf.SuiteConfig(
+            points=200, seed=11))
+        assert cli._render([vars(r) for r in reports]) == dumped(
+            vf.reports_to_json(reports))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("-inf"),
+                                     np.float64("inf"), np.float32("nan"),
+                                     complex(1.0, float("nan"))])
+    def test_non_finite_float_fails_as_json_fails(self, bad):
+        payload = {"a": [1.0, {"b": bad, "c": float("inf")}], "z": float("nan")}
+        with pytest.raises(ValueError) as want:
+            dumped(payload)
+        with pytest.raises(ValueError) as got:
+            cli._render(payload)
+        assert str(got.value) == str(want.value)
+
+    def test_unknown_type_fails_as_jsonify_fails(self):
+        with pytest.raises(TypeError, match="^cannot serialize <class 'object'>$"):
+            cli._render({"a": [object()]})
 
 
 class TestSolveLeeCommand:

@@ -9,7 +9,7 @@ import hopflck.expr as ex
 import hopflck.hopf as hp
 import hopflck.maps as mp
 from oracles import (conjugated_map_numeric, geometric_contraction_count,
-                     poly_eval_naive, random_annulus)
+                     poly_eval_naive, random_annulus, stepped_contraction)
 
 
 def block_key(blocks, digits=10):
@@ -401,6 +401,126 @@ class TestContraction:
         monkeypatch.setattr(mp.PolyAutomorphism, "is_linear", lambda self: False)
         slow = mp.contraction_test(g)
         assert fast == slow
+
+
+def _catalog_draw(name, rng):
+    """Admissible parameters of a catalog entry, wider than perfbench's."""
+    def phase(lo, hi):
+        return complex(rng.uniform(lo, hi) * np.exp(1j * rng.uniform(-np.pi,
+                                                                      np.pi)))
+    if name == "vaisman":
+        r1, r2 = rng.uniform(0.05, 4.0, 2)
+        p1, p2 = rng.uniform(0.0, 3.2, 2) * rng.choice([-1, 1], 2)
+        return {"r1": r1, "r2": r2, "p1": p1, "p2": p2}
+    if name == "example1":
+        return {"mu": phase(1.01, 6.0)}
+    if name == "example2":
+        return {"mu": phase(1.01, 6.0), "n": int(rng.integers(2, 5))}
+    return {"alpha": phase(0.05, 0.995),
+            "t": complex(*rng.uniform(-20.0, 20.0, 2))}
+
+
+def _verdict(result):
+    """The compared fields of a contraction result, or the divergence
+    message."""
+    if isinstance(result, str):
+        return result
+    return (result.is_contraction, result.iterations_needed, result.reason,
+            result.spectral_radius)
+
+
+def _blocked(g):
+    try:
+        return _verdict(mp.contraction_test(g))
+    except mp.IterationDiverged as err:
+        return str(err)
+
+
+def _both_orientations(gen):
+    """(blocked, stepped) verdicts of the generator and of its inverse, the
+    inverse given to contraction_test as run_suite gives it, a matrix."""
+    return [(_blocked(gen), _verdict(stepped_contraction(gen))),
+            (_blocked(gen.inverse_matrix()),
+             _verdict(stepped_contraction(gen.inverse_linear())))]
+
+
+class TestBlockedOrbit:
+    """The linear orbit from stacked powers of A^T against the orbit
+    stepped one product at a time: a power replaces k products, so only a
+    norm within rounding of eps could move a count."""
+
+    DRAWS = 1000
+
+    @pytest.mark.parametrize("name", hp.ENTRY_NAMES)
+    def test_catalog_draws_match_the_stepped_orbit(self, name):
+        rng = np.random.default_rng([1234, hp.ENTRY_NAMES.index(name)])
+        spec = hp._CATALOG[name]
+        counts = set()
+        for _ in range(self.DRAWS):
+            gen = spec.deck(**{**spec.defaults, **_catalog_draw(name, rng)})
+            for got, want in _both_orientations(gen):
+                assert got == want, (name, gen.linear_part())
+                counts.add(want[1])
+        assert len(counts) > 10  # the draws reach many iteration counts
+
+    @pytest.mark.parametrize("alpha,t,steps", [
+        (0.99, 100, None), (0.9, 5, 198), (0.95, 1, 386), (0.5, 1, 26)])
+    def test_kodaira_full_budget_and_slow_orbits(self, alpha, t, steps):
+        gen = hp.build_entry("kodaira", {"alpha": alpha, "t": t}
+                             ).group.cyclic_generator
+        (got, want), _ = _both_orientations(gen)
+        assert got == want and got[1] == steps
+        if steps is None:
+            assert got[2] == "norms still >= eps after 1000 iterations"
+
+    # They diverge after 3, 6, 17 and 73 (the second block) steps.
+    @pytest.mark.parametrize("alpha,t", [
+        (0.9, 5e5), (0.9, 3e5), (0.97, 1e5), (0.99, 2.9e4)])
+    def test_divergence_message_matches_the_stepped_orbit(self, alpha, t):
+        gen = mp.PolyAutomorphism.from_matrix([[alpha, t], [0.0, alpha]])
+        got, want = _blocked(gen), _verdict(stepped_contraction(gen))
+        assert got == want and "exceeded 1e+06" in got
+
+    def test_nonlinear_map_keeps_its_step_loop(self):
+        g = mp.PolyAutomorphism.from_tables(
+            [{(1, 0): 0.5, (0, 2): 0.1}, {(0, 1): 0.6, (1, 1): -0.2j}])
+        assert _blocked(g) == _verdict(stepped_contraction(g))
+
+    def test_wide_map_orbit_is_evaluated_in_slices(self):
+        # 16 x 16: each slice of the orbit holds fewer steps than a block.
+        rng = np.random.default_rng(9)
+        a = np.triu(rng.normal(size=(16, 16)) * 0.1) + 0.93 * np.eye(16)
+        g = mp.PolyAutomorphism.from_matrix(a)
+        count = 2 * 16 * 16 + 64
+        assert mp.ORBIT_ENTRIES // (count * 16) < mp.ORBIT_BLOCK
+        assert _blocked(g) == _verdict(stepped_contraction(g))
+
+    def test_matrix_is_tested_as_its_linear_map(self):
+        a = np.array([[0.7, 1.0], [0.0, 0.7j]])
+        assert mp.contraction_test(a) == mp.contraction_test(
+            mp.PolyAutomorphism.from_matrix(a))
+
+    @pytest.mark.parametrize("matrix,error", [
+        ([[0.5, np.inf], [0.0, 0.5]], mp.SingularLinearPart),
+        ([[0.5, 1.0], [0.25, 0.5]], mp.SingularLinearPart),
+        ([[0.5, 0.0, 0.0], [0.0, 0.5, 0.0]], ValueError),
+        (np.zeros((0, 0)), ValueError)])
+    def test_matrix_is_refused_as_a_linear_part_is(self, matrix, error):
+        with pytest.raises(error):
+            mp.contraction_test(np.array(matrix, dtype=complex))
+
+    def test_inverse_matrix_is_inverse_linears_linear_part(self):
+        for gen in (hp.build_entry("kodaira", {"alpha": -0.3 + 0.4j,
+                                               "t": 2.0}).group.cyclic_generator,
+                    hp.build_entry("example2", {"n": 3}).group.cyclic_generator):
+            got = gen.inverse_matrix()
+            assert got.tobytes() == gen.inverse_linear().linear_part().tobytes()
+
+    def test_start_points_are_cached_read_only(self):
+        pts = mp._orbit_start(2, 1.0)
+        assert pts is mp._orbit_start(2, 1.0) and not pts.flags.writeable
+        with pytest.raises(ValueError):
+            pts[0, 0] = 0.0
 
 
 class TestJordanForm:

@@ -714,9 +714,13 @@ class TestSuiteConfig:
         ({"points": 200.0}, "points must be an integer, got 200.0"),
         ({"points": True}, "points must be an integer, got True"),
         ({"seed": 7.5}, "seed must be an integer, got 7.5"),
-        ({"seed": False}, "seed must be an integer, got False")],
+        ({"seed": False}, "seed must be an integer, got False"),
+        ({"tol": True}, "tol must be a real number, got True"),
+        ({"tol": "1e-6"}, "tol must be a real number, got '1e-6'"),
+        ({"tol": 1e-6j}, "tol must be a real number, got 1e-06j")],
         ids=["inf", "-inf", "nan", "points-2.5", "points-200.0",
-             "points-bool", "seed-7.5", "seed-bool"])
+             "points-bool", "seed-7.5", "seed-bool", "tol-bool", "tol-str",
+             "tol-complex"])
     def test_refused_up_front_naming_the_key(self, kwargs, message):
         with pytest.raises(ValueError, match="^%s$" % message):
             vf.SuiteConfig(**kwargs)
@@ -725,10 +729,31 @@ class TestSuiteConfig:
         config = vf.SuiteConfig(points=np.int64(20), seed=np.uint8(3))
         assert (config.points, config.seed) == (20, 3)
 
+    def test_real_tolerances_accepted(self):
+        # A boolean tolerance of 1 ran the suite before; any real number
+        # type is a tolerance.
+        for tol in (1, 1e-6, np.float32(1e-3), np.float64(1e-9)):
+            assert vf.SuiteConfig(tol=tol).tol == tol
+
 
 class TestRunSuite:
     def small(self, **kw):
         return vf.SuiteConfig(points=kw.pop("points", 80), **kw)
+
+    def test_suite_without_sample_requests_draws_no_points(self, monkeypatch):
+        # kodaira's suite has no sample request, so its reports are the
+        # same whether or not points could be drawn.
+        entry = hp.build_entry("kodaira", {"alpha": 0.7j, "t": 1.5})
+        config = vf.SuiteConfig(points=500, seed=3)
+        want = vf.reports_to_json(vf.run_suite(entry, config))
+
+        def refuse(*args):
+            raise AssertionError("a suite without sample requests drew points")
+        monkeypatch.setattr(vf, "annulus_points", refuse)
+        got = vf.reports_to_json(vf.run_suite(entry, config))
+        assert json.dumps(got) == json.dumps(want)
+        assert [r["check_name"] for r in got] == ["fixed_point_free",
+                                                  "contraction"]
 
     def test_example1_check_order_and_status(self):
         reports = vf.run_suite(hp.example1_entry(), self.small())
