@@ -617,12 +617,10 @@ class DefinitenessReport:
     """Joint eigenvalue-sign summary of a (1,1)-form over sample points.
 
     ``eigenvalues`` holds each point's eigenvalues of (H + H^*)/2 in
-    ascending order, as an (m, n) array.  For n = 2 they come from a closed
-    form (see :func:`_closed_form_2x2`) and lie within a few ulps of the
-    point's largest |eigenvalue| of LAPACK's; at each point where a decision
-    is that close, they are LAPACK's own, so every verdict,
-    ``min_abs_eigenvalue`` and ``worst_sample`` are what LAPACK's eigvalsh
-    at every point gives.  For other n they are LAPACK's at every point.
+    ascending order, as an (m, n) array: for n = 2 from a closed form (see
+    :func:`_closed_form_2x2`), for other n from LAPACK's eigvalsh.  Every
+    verdict, ``min_abs_eigenvalue`` and ``worst_sample``, the first point
+    of least min|lambda|, are read off them.
     """
 
     is_definite: bool
@@ -706,11 +704,11 @@ def _hermiticity_defect(c):
 
 
 def _hermitian_part(c, rows):
-    """(H + H^*)/2 for H = i C at the points ``rows``, as a
-    (len(rows), n, n) array: the bits that LAPACK's eigvalsh reads."""
+    """(H + H^*)/2 for H = i C at the points ``rows`` (an index array or
+    slice), as a (points, n, n) array."""
     n = len(c)
     h = [[x[rows] * 1j for x in row] for row in c]
-    sym = np.empty((len(rows), n, n), dtype=complex)
+    sym = np.empty((len(h[0][0]), n, n), dtype=complex)
     for i in range(n):
         for j in range(n):
             np.add(np.conjugate(h[j][i]), h[i][j], out=sym[:, i, j])
@@ -718,33 +716,16 @@ def _hermitian_part(c, rows):
     return sym
 
 
-# The closed-form 2x2 eigenvalues and LAPACK's are both backward stable: at
-# a point they differ by a few ulps of max|lambda|, which is at most 2.5
-# times the largest part of (H + H^*)/2.  Where a decision lies within
-# _CLOSED_FORM_BAND times that part, LAPACK makes it.  Outside
-# _CLOSED_FORM_RANGE of the largest part the band underflows, or (H + H^*)/2
-# may overflow, so LAPACK decides there too.
-_CLOSED_FORM_BAND = 2.0 ** -40
-_CLOSED_FORM_RANGE = (2.0 ** -1000, 2.0 ** 1020)
-
-
 def _closed_form_2x2(c, eigs):
     """The ascending eigenvalues of each 2x2 (H + H^*)/2 for H = i C, written
-    into the (m, 2) array ``eigs``, and what decides the points LAPACK must
-    take: each point's floor, the least min|lambda| LAPACK may give there
-    (-inf where LAPACK decides whatever the other points hold), and the
-    ceiling, the least min|lambda| + band over the points in range.
+    into the (m, 2) array ``eigs``.
 
     a = H_11, d = H_22 and b, the (2,1) entry of (H + H^*)/2, are scaled at
     each point by the power of two that ``np.frexp`` takes from max(|a|,
     |d|, |Re b|, |Im b|), which is exact.  The eigenvalue of larger modulus
     is then rt1 = (a + d +- hypot(a - d, 2|b|))/2, signed as a + d, and the
-    other is det/rt1: the stable formula of LAPACK's dlae2.  LAPACK decides a
-    point where the smaller eigenvalue lies within the band of the sign
-    test's zero threshold, at a non-finite entry and outside the range, and
-    where min|lambda| lies within the band of the smallest over all points,
-    that is where its floor is at most the ceiling over all points, so that
-    minimum and its first index are LAPACK's.
+    other is det/rt1: the stable formula of LAPACK's dlae2, so both lie
+    within a few ulps of the point's max|lambda| of the exact ones.
     """
     (c11, c12), (c21, c22) = c
     # H = i C: Re H = -Im C and Im H = Re C.  The four parts share one
@@ -757,8 +738,7 @@ def _closed_form_2x2(c, eigs):
     b_re *= -0.5
     np.subtract(c21.real, c12.real, out=b_im)
     b_im *= 0.5
-    big = np.abs(parts).max(axis=0)
-    e = np.frexp(big)[1]
+    e = np.frexp(np.abs(parts).max(axis=0))[1]
     with np.errstate(invalid="ignore", over="ignore"):
         np.ldexp(parts, -e, out=parts)
         bb = b_re * b_re
@@ -775,30 +755,8 @@ def _closed_form_2x2(c, eigs):
         det -= bb
         # rt1 = 0 only where S = 0, and there det = 0 already.
         rt2 = np.divide(det, rt1, out=det, where=rt1 != 0)
-        # |rt1| = |S|_2 is at least the largest entry of S, so only rt2 can
-        # lie near the zero threshold.
-        small = np.abs(rt2)
-        gap = np.maximum(np.abs(rt1, out=sm), small, out=sm)
-        gap *= ZERO_EIGENVALUE_RTOL
-        gap -= small
-        decided = np.abs(gap, out=gap) > _CLOSED_FORM_BAND
-        lo, hi = _CLOSED_FORM_RANGE
-        in_range = (big >= lo) & (big < hi)
-        decided &= in_range
-
         np.ldexp(np.minimum(rt1, rt2, out=d), e, out=eigs[:, 0])
         np.ldexp(np.maximum(rt1, rt2, out=d), e, out=eigs[:, 1])
-        # LAPACK's smallest min|lambda| is at most the ceiling, and a point
-        # whose min|lambda| exceeds it by more than the band cannot be where
-        # that minimum lies.  big and bb are not read again: band and
-        # low + band reuse them.
-        low = np.ldexp(small, e, out=small)
-        band = np.multiply(big, _CLOSED_FORM_BAND, out=big)
-        ceiling = np.min(np.add(low, band, out=bb), where=in_range,
-                         initial=np.inf)
-        floor = np.subtract(low, band, out=low)
-        floor[~decided] = -np.inf
-    return floor, float(ceiling)
 
 
 def _column(value, size):
@@ -817,16 +775,16 @@ class _Definite:
     classifies: the eigenvalues of (H + H^*)/2 for H = i C, chunk by chunk.
 
     A chunk is classified once the tape has handed over the form's last
-    term; an entry without a term is 0.  Of each point it keeps the
-    eigenvalues, and (H + H^*)/2 only where LAPACK may still have to
-    decide: for n = 2 where the point's floor (see :func:`_closed_form_2x2`)
-    is at most the ceiling of the chunks so far, which only falls, and for
-    other n everywhere.  A form of constants, which the tape hands over as
-    scalars, or of no terms is classified at its first point alone, whose
-    eigenvalues the report gives every point.  It also keeps the first
-    point with a non-finite coefficient, after which it classifies nothing,
-    and the first point of the largest hermiticity defect.  Without points
-    it raises ValueError.
+    term; an entry without a term is 0.  Its eigenvalues come in closed form
+    for n = 2 (see :func:`_closed_form_2x2`) and from LAPACK's eigvalsh of
+    the chunk for other n.  Of the chunk's first point of least min|lambda|
+    it keeps (H + H^*)/2 and the hermiticity defect, if that point is the
+    first of the least so far.  A form of constants, which the tape hands
+    over as scalars, or of no terms is classified at its first point alone,
+    whose eigenvalues the report gives every point.  It also keeps the
+    first point with a non-finite coefficient, after which it classifies
+    nothing, and the first point of the largest hermiticity defect.
+    Without points it raises ValueError.
     """
 
     def __init__(self, form, m, scratch):
@@ -838,11 +796,10 @@ class _Definite:
         self.eigenvalues = np.empty((m, self.n))
         self.non_finite = None
         self.defect = (0.0, 0)
-        self.ceiling = np.inf
         self.constant = False
-        # Per chunk: the kept points, their floors and hermiticity defects,
-        # and their (H + H^*)/2, as a (k, n, n) array.
-        self.kept = []
+        # (min|lambda|, point, (H + H^*)/2, hermiticity defect) at the first
+        # point of the least min|lambda| so far.
+        self.least = None
 
     def add(self, lo, index, value):
         self.chunk[index] = value
@@ -873,17 +830,18 @@ class _Definite:
         worst = int(np.argmax(rel))
         if rel[worst] > self.defect[0]:
             self.defect = (rel[worst], lo + worst)
+        eigs = self.eigenvalues[lo:lo + size]
         if n == 2:
-            floor, ceiling = _closed_form_2x2(
-                c, self.eigenvalues[lo:lo + size])
-            self.ceiling = min(self.ceiling, ceiling)
-            keep = np.flatnonzero(~(floor > self.ceiling))
-            floor = floor[keep]
+            _closed_form_2x2(c, eigs)
         else:
-            keep = np.arange(size)
-            floor = np.full(size, -np.inf)
-        self.kept.append((lo + keep, floor, rel[keep],
-                          _hermitian_part(c, keep)))
+            eigs[:] = np.linalg.eigvalsh(_hermitian_part(c, slice(None)))
+        # Columns, not axis 1 of the (size, n) array, along which numpy
+        # would run an inner loop of length n per point.
+        small = functools.reduce(np.minimum, [np.abs(x) for x in eigs.T])
+        k = int(np.argmin(small))
+        if self.least is None or small[k] < self.least[0]:
+            self.least = (small[k], lo + k, _hermitian_part(c, [k])[0],
+                          rel[k])
 
     def report(self, pts) -> DefinitenessReport:
         """The classification at ``pts``, the points of the run; NonHermitian
@@ -898,26 +856,17 @@ class _Definite:
             raise NonHermitian("hermiticity defect %.3g at point %r"
                                % (defect, _point(pts, at)))
         eigs = self.eigenvalues
-        points, floor, rel, sym = (np.concatenate(x) for x in zip(*self.kept))
-        select = np.flatnonzero(~(floor > self.ceiling))
-        rows, sym = points[select], sym[select]
-        eigs[rows] = np.linalg.eigvalsh(sym)
         if self.constant:  # one point classified for all
             eigs[1:] = eigs[0]
 
         # Each point's eigenvalues ascend, so its largest |lambda| and its
-        # signs are read off the first and last columns, and only the
-        # smallest |lambda| takes every column.  Columns, not axis 1 of the
-        # (m, n) array, along which numpy would run an inner loop of length
-        # n per point.
+        # signs are read off the first and last columns.
         mixed = any_pos = any_neg = False
         all_pos = all_neg = True
-        smallest, worst = None, 0
         for lo in range(0, self.m, ex._CHUNK):
             cols = eigs[lo:lo + ex._CHUNK].T
             first, last = cols[0], cols[-1]
-            mags = [np.abs(x) for x in cols]
-            zero = np.maximum(mags[0], mags[-1])
+            zero = np.maximum(np.abs(first), np.abs(last))
             zero *= ZERO_EIGENVALUE_RTOL
             point_pos = last > zero
             all_pos = all_pos and bool((first > zero).all())
@@ -927,10 +876,6 @@ class _Definite:
             mixed = mixed or bool((point_pos & point_neg).any())
             any_pos = any_pos or bool(point_pos.any())
             any_neg = any_neg or bool(point_neg.any())
-            small = functools.reduce(np.minimum, mags)
-            k = int(np.argmin(small))
-            if smallest is None or small[k] < smallest:
-                smallest, worst = small[k], lo + k
         if mixed:
             sign = None
             is_definite = is_semidefinite = False
@@ -941,11 +886,10 @@ class _Definite:
         else:
             sign, is_semidefinite, is_definite = 0, True, False
 
-        at = int(np.searchsorted(rows, worst))
+        smallest, worst, matrix, rel = self.least
         sample = HermitianMatrixSample(
-            point=_point(pts, worst), matrix=sym[at],
-            eigenvalues=eigs[worst],
-            hermiticity_defect=float(rel[select[at]]))
+            point=_point(pts, worst), matrix=matrix,
+            eigenvalues=eigs[worst], hermiticity_defect=float(rel))
         return DefinitenessReport(is_definite=is_definite,
                                   is_semidefinite=is_semidefinite,
                                   sign=sign,

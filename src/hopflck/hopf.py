@@ -49,6 +49,7 @@ from . import expr as ex
 from . import forms as fm
 from .maps import (GroupSpec, NotJordan, PolyAutomorphism, ScalingFamily,
                    _shown)
+from .sampling import ANNULUS_OUTER
 
 __all__ = [
     "HopfSurfaceCatalogEntry", "EntryTemplate", "BadParameter", "UnknownEntry",
@@ -217,6 +218,10 @@ def _homothety(name, mu, n) -> PolyAutomorphism:
     if not abs(mu) > 1:
         raise BadParameter("%s needs |mu| > 1, got |mu| = %g"
                            % (name, abs(mu)))
+    outer = abs(mu) * ANNULUS_OUTER  # |mu z| on the sampling annulus
+    if np.isinf(outer * outer):
+        raise BadParameter("%s needs |mu z|^2 finite for |z| <= %g, got "
+                           "mu = %s" % (name, ANNULUS_OUTER, _shown(mu)))
     if not 2 <= n <= MAX_DIMENSION:
         raise BadParameter("%s needs dimension 2 <= n <= %d, got n = %d"
                            % (name, MAX_DIMENSION, n))

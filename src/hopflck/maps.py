@@ -21,7 +21,7 @@ linear map's orbit is evaluated a block of steps at a time, as start (A^T)^k
 from stacked powers of A^T (see _linear_orbit), so a power replaces k
 successive products and a norm's last digits can differ from those of the
 orbit stepped one product at a time; the first k whose largest norm is below
-eps, or else above ORBIT_DIVERGENCE, ends it.
+eps, or else above ORBIT_DIVERGENCE times the radius, ends it.
 """
 
 from __future__ import annotations
@@ -411,10 +411,10 @@ def _orbit_start(n: int, radius: float) -> np.ndarray:
     return pts
 
 
-def _linear_orbit(a, start, eps):
+def _linear_orbit(a, start, eps, guard):
     """(k, largest) at the first k <= CONTRACTION_MAX_ITER at which the
-    largest row norm of start (A^T)^k is below eps or above
-    ORBIT_DIVERGENCE, or (None, None): the orbit of A in blocks of steps.
+    largest row norm of start (A^T)^k is below eps or above ``guard``, or
+    (None, None): the orbit of A in blocks of steps.
 
     The blocks hold ORBIT_BLOCK, twice that, four times that, ... steps.
     The powers (A^T)^k are stacked as rows and doubled as a block needs
@@ -449,19 +449,19 @@ def _linear_orbit(a, start, eps):
             largest = np.sqrt(squared.sum(axis=1).max(axis=0))
             for k, value in enumerate(largest.tolist(), lo):
                 # A NaN is neither below eps nor above the guard.
-                if value < eps or value > ORBIT_DIVERGENCE:
+                if value < eps or value > guard:
                     return k, value
         done, size = end, 2 * size
     return None, None
 
 
-def _stepped_orbit(step, start, eps):
+def _stepped_orbit(step, start, eps, guard):
     """_linear_orbit's (k, largest) for a map stepped one evaluation at a
     time."""
     current = start
     for k in range(CONTRACTION_MAX_ITER + 1):
         largest = float(np.linalg.norm(current, axis=1).max())
-        if largest < eps or largest > ORBIT_DIVERGENCE:
+        if largest < eps or largest > guard:
             return k, largest
         current = step(current)
     return None, None
@@ -478,15 +478,19 @@ def contraction_test(g, radius: float = 1.0,
     sphere points of CONTRACTION_SEED) iterated, at most
     CONTRACTION_MAX_ITER times, until every orbit norm drops below eps.  A
     linear map's orbit is a block of matrix powers at a time (see
-    _linear_orbit), a nonlinear one's one evaluation at a time.  Any orbit
-    passing 1e6 raises IterationDiverged rather than reporting a silent
-    failure.  A radius or eps that is not finite and positive raises
-    ValueError.
+    _linear_orbit), a nonlinear one's one evaluation at a time.  An orbit
+    past ORBIT_DIVERGENCE times the radius raises IterationDiverged.  A
+    radius or eps that is not finite and positive raises ValueError, as
+    does a radius whose guard squares past the float range.
     """
     for name, value in (("radius", radius), ("eps", eps)):
         if not (np.isfinite(value) and value > 0):
             raise ValueError("contraction %s must be finite and > 0, got %r"
                              % (name, value))
+    guard = ORBIT_DIVERGENCE * radius
+    if math.isinf(guard * guard):  # the orbit's squared norms must hold it
+        raise ValueError("contraction radius %r: its divergence guard %.3g "
+                         "squares past the float range" % (radius, guard))
     if isinstance(g, PolyAutomorphism):
         a = g.linear_part()
     else:
@@ -502,14 +506,14 @@ def contraction_test(g, radius: float = 1.0,
                                  reason="spectral radius %.17g >= 1" % rho)
     start = _orbit_start(n, radius)
     if isinstance(g, PolyAutomorphism) and not g.is_linear():
-        k, largest = _stepped_orbit(g.eval_many, start, eps)
+        k, largest = _stepped_orbit(g.eval_many, start, eps, guard)
     else:
-        k, largest = _linear_orbit(a, start, eps)
+        k, largest = _linear_orbit(a, start, eps, guard)
     if k is not None and largest < eps:
         return ContractionResult(True, k, rho, count, radius, eps)
     if k is not None:
         raise IterationDiverged("orbit norm %.3g exceeded %.0g after %d steps"
-                                % (largest, ORBIT_DIVERGENCE, k))
+                                % (largest, guard, k))
     return ContractionResult(False, None, rho, count, radius, eps,
                              reason="norms still >= eps after %d iterations"
                              % CONTRACTION_MAX_ITER)

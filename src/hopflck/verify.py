@@ -55,8 +55,7 @@ __all__ = [
     "verify_lck", "verify_potential", "verify_invariance",
     "run_suite", "suite_passed", "reports_to_json", "jsonify",
     "DegenerateOmega", "NonPositivePotential",
-    "RATIONAL_TOL", "IMPLICIT_TOL", "LEE_RCOND", "LEE_BAND",
-    "POTENTIAL_IMAG_RTOL",
+    "RATIONAL_TOL", "IMPLICIT_TOL", "LEE_RCOND", "POTENTIAL_IMAG_RTOL",
     "SUITE_CACHE_SIZE", "MAX_POINTS", "CROSS_CHECK_POINTS",
     "FALSE_PASS_BOUND",
 ]
@@ -64,12 +63,6 @@ __all__ = [
 RATIONAL_TOL = 1e-10
 IMPLICIT_TOL = 1e-8
 LEE_RCOND = 1e-10
-# On C^2, where the closed-form sigma_min/sigma_max of Omega's coefficient
-# array lies within LEE_BAND * LEE_RCOND of LEE_RCOND, LAPACK's SVD decides
-# degeneracy.  Both ratios are within a few ulps of 1 of the exact one,
-# about 1e-6 of LEE_RCOND, so the band is wide enough and almost never
-# entered.
-LEE_BAND = 2.0 ** -10
 # A potential counts as real where |Im Phi| <= POTENTIAL_IMAG_RTOL |Re Phi|.
 POTENTIAL_IMAG_RTOL = 1e-12
 WORST_POINTS = 3
@@ -351,15 +344,16 @@ def _lee_inverse(w, ws, nn):
     """(C, signs, d) with C_cb = signs[k] C[k] for the k-th pair b < c, from
     W and its scaled ``ws``, once W passes the degeneracy gate.
 
-    For n >= 3, C = W^-1 by one batched inverse, after LAPACK's gate at
-    every point, and d = n - 1.  On C^2, C = Pf W W^-1, whose entries are
-    W's, and d = Pf W.  W's singular values are s1, s1, s2, s2 with s1 s2 =
-    |Pf W| and s1^2 + s2^2 = sum_{i<j} |W_ij|^2 = S, so s2/s1 = |Pf W| /
-    s1^2: LAPACK decides only where that is within LEE_BAND of the gate or
-    not a number (see _gate_degeneracy).
+    For n >= 3, C = W^-1 by one batched inverse, after the gate on LAPACK's
+    sigma_min/sigma_max at every point, and d = n - 1.  On C^2, C = Pf W
+    W^-1, whose entries are W's, and d = Pf W.  W's singular values are s1,
+    s1, s2, s2 with s1 s2 = |Pf W| and s1^2 + s2^2 = sum_{i<j} |W_ij|^2 =
+    S, so the gate takes s2/s1 = |Pf W| / s1^2 in closed form.
     """
     if nn != 4:
-        _gate_degeneracy(w, nn, np.arange(w.shape[1]), [])
+        sv = np.linalg.svd(_antisymmetric(w, nn), compute_uv=False)
+        with np.errstate(invalid="ignore"):  # NaN where W is 0
+            _gate_degeneracy(sv[:, -1] / sv[:, 0])
         i, j = np.array(list(itertools.combinations(range(nn), 2))).T
         inverse = np.linalg.inv(_antisymmetric(ws, nn))
         return inverse[:, j, i].T, (1,) * len(i), nn // 2 - 1
@@ -371,30 +365,20 @@ def _lee_inverse(w, ws, nn):
         # s1^2 = (S + sqrt(S^2 - 4 |Pf W|^2)) / 2, where S^2 >= 4 |Pf W|^2
         # but for rounding.
         ratio = 2 * p / (s + np.sqrt(np.maximum(s * s - 4 * p * p, 0.0)))
-        decided = np.abs(ratio - LEE_RCOND) > LEE_BAND * LEE_RCOND
-    _gate_degeneracy(w, 4, np.flatnonzero(~decided),
-                     np.flatnonzero(decided & (ratio <= LEE_RCOND)))
+    _gate_degeneracy(ratio)
     return ws[::-1], _COMPLEMENT_SIGNS, pf
 
 
-def _gate_degeneracy(w, nn, rows, clear):
-    """Raise DegenerateOmega at the first point where W is degenerate.
-
-    LAPACK's singular values decide at the points ``rows`` of the (pairs,
-    m) array ``w``, whose values are finite: degenerate where sigma_min <=
-    LEE_RCOND sigma_max.  ``clear`` holds points
-    known to be degenerate without them.  The message gives LAPACK's
-    sigma_min/sigma_max at the first point.
-    """
-    sv = np.linalg.svd(_antisymmetric(w[:, rows], nn), compute_uv=False)
-    bad = np.concatenate([rows[~(sv[:, -1] > LEE_RCOND * sv[:, 0])], clear])
+def _gate_degeneracy(ratio):
+    """Raise DegenerateOmega at the first point where W's
+    sigma_min/sigma_max, the array ``ratio``, is not above LEE_RCOND (a NaN
+    ratio, where W is 0, included), giving that ratio."""
+    bad = np.flatnonzero(~(ratio > LEE_RCOND))
     if bad.size:
-        k = int(bad.min())
-        sv = np.linalg.svd(_antisymmetric(w[:, [k]], nn), compute_uv=False)[0]
-        ratio = sv[-1] / sv[0] if sv[0] > 0 else 0.0
+        k = int(bad[0])
         raise DegenerateOmega(
             "2-form degenerate at point %d (sigma_min/sigma_max = %.3g)"
-            % (k, ratio))
+            % (k, ratio[k]))
 
 
 def _antisymmetric(w, nn):
@@ -429,8 +413,8 @@ def solve_lee_pointwise(Omega: fm.ExteriorForm, point) -> LeeSolveResult:
     """Solve d Omega = theta ^ Omega for theta at a single point (see
     _lee_solve); ``residual`` is the largest |theta ^ Omega - d Omega|.
     Raises DegenerateOmega when a coefficient of Omega is not finite, and
-    where LAPACK's smallest singular value of Omega's coefficient matrix is
-    at most LEE_RCOND times its largest (see _lee_inverse).
+    where the smallest singular value of Omega's coefficient matrix is at
+    most LEE_RCOND times its largest (see _lee_inverse).
     """
     return solve_lee_many(Omega, [tuple(point)])[0]
 

@@ -199,9 +199,9 @@ def stepped_contraction(g, radius=1.0, eps=1e-6):
         largest = float(np.linalg.norm(current, axis=1).max())
         if largest < eps:
             return mp.ContractionResult(True, k, rho, count, radius, eps)
-        if largest > mp.ORBIT_DIVERGENCE:
+        if largest > mp.ORBIT_DIVERGENCE * radius:
             return ("orbit norm %.3g exceeded %.0g after %d steps"
-                    % (largest, mp.ORBIT_DIVERGENCE, k))
+                    % (largest, mp.ORBIT_DIVERGENCE * radius, k))
         current = step(current)
     return mp.ContractionResult(
         False, None, rho, count, radius, eps,

@@ -273,12 +273,28 @@ class TestVerifyCommand:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_residual_is_refused(self, capsys):
-        # Every invariance residual is NaN at mu = 1e200: the report fails,
-        # and json refuses to print the NaN.
+        # Every invariance residual would be NaN at mu = 1e200, where |mu
+        # z|^2 overflows: refused before the suite runs, naming mu.
         code, out, err = run(capsys, ["verify", "--entry", "example1",
                                       "--mu-re", "1e200", "--points", "3"])
-        assert (code, out) == (2, "") and err.count("\n") == 1
-        assert err.startswith("error: Out of range float values")
+        assert (code, out) == (2, "")
+        assert err == ("error: example1 needs |mu z|^2 finite for |z| <= 2, "
+                       "got mu = (1e+200+0j)\n")
+
+    @pytest.mark.filterwarnings("error")
+    def test_largest_admitted_mu_passes(self, capsys):
+        # |mu| = sqrt(float max) / ANNULUS_OUTER, the largest |mu| whose
+        # deck image of the annulus squares within the float range.
+        code, out, err = run(capsys, ["verify", "--entry", "example1",
+                                      "--mu-re", "6.703903964971298e153"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["status"] == "pass"
+        for entry in ("example1", "example2"):
+            code, out, err = run(capsys, ["verify", "--entry", entry,
+                                          "--mu-re", "1e154"])
+            assert (code, out) == (2, "")
+            assert err == ("error: %s needs |mu z|^2 finite for |z| <= 2, "
+                           "got mu = (1e+154+0j)\n" % entry)
 
     @pytest.mark.parametrize("key,value", [
         ("points", 2.7), ("points", True), ("seed", 4.5), ("seed", False),
@@ -740,6 +756,19 @@ class TestContractionCommand:
         assert payload["is_contraction"] is True
         assert payload["iterations_needed"] == 21
         assert payload["num_points"] == 72
+
+    def test_divergence_guard_scales_with_the_radius(self, capsys, tmp_path):
+        path = matrix_file(tmp_path, [[0.5, 0.0], [0.0, 0.5]])
+        code, out, _ = run(capsys, ["contraction", "--file", path,
+                                    "--radius", "1e7"])
+        assert code == 0
+        assert json.loads(out)["iterations_needed"] == 44
+        # A guard of 1e6 * 1e200 squares past the float range.
+        code, out, err = run(capsys, ["contraction", "--file", path,
+                                      "--radius", "1e200"])
+        assert (code, out) == (2, "")
+        assert err == ("error: contraction radius 1e+200: its divergence "
+                       "guard 1e+206 squares past the float range\n")
 
     def test_identity_fails(self, capsys, tmp_path):
         path = matrix_file(tmp_path, np.eye(2))

@@ -49,6 +49,21 @@ class TestExample1:
             hp.example1_entry(mu=1.0)
         hp.example1_entry(mu=-2.0)  # modulus is what matters
 
+    @pytest.mark.parametrize("name", ["example1", "example2"])
+    def test_mu_whose_deck_image_squares_past_the_float_range_refused(
+            self, name):
+        # |mu z|^2 for |z| <= ANNULUS_OUTER = 2 must be finite.
+        largest = 6.703903964971298e153
+        above = math.nextafter(largest, math.inf)
+        assert math.isfinite((2 * largest) * (2 * largest))
+        assert math.isinf((2 * above) * (2 * above))
+        hp.build_entry(name, {"mu": complex(largest)})
+        for mu in (above, -1e154, 1e200j):
+            with pytest.raises(hp.BadParameter, match=(
+                    r"^%s needs \|mu z\|\^2 finite for \|z\| <= 2, got "
+                    r"mu = %s$" % (name, re.escape(repr(complex(mu)))))):
+                hp.build_entry(name, {"mu": complex(mu)})
+
     def test_spot_values_at_unit_point(self):
         e = self.entry()
         pt = (1.0, 0.0)

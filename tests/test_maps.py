@@ -366,6 +366,24 @@ class TestContraction:
         with pytest.raises(mp.IterationDiverged):
             mp.contraction_test(g, radius=10.0)
 
+    def test_divergence_guard_scales_with_the_radius(self):
+        # 1e7 / 2^44 < 1e-6 <= 1e7 / 2^43, by matrix powers and by steps.
+        linear = mp.PolyAutomorphism.diagonal([0.5, 0.5])
+        res = mp.contraction_test(linear, radius=1e7)
+        assert res.is_contraction and res.iterations_needed == 44
+        assert res.iterations_needed == geometric_contraction_count(
+            0.5, 1e7, 1e-6)
+        stepped = mp.PolyAutomorphism.from_tables(
+            [{(1, 0): 0.5, (0, 2): 1e-30}, {(0, 1): 0.5}])
+        res = mp.contraction_test(stepped, radius=1e7)
+        assert res.is_contraction and res.iterations_needed == 44
+        # The guard, 1e6 times the radius, must square within the float
+        # range: 1.3e148 is the largest such radius.
+        mp.contraction_test(linear, radius=1.3e148)
+        with pytest.raises(ValueError, match="radius 1.4e[+]148: its "
+                                             "divergence guard 1.4e[+]154 "):
+            mp.contraction_test(linear, radius=1.4e148)
+
     @pytest.mark.parametrize("radius,eps", [
         (0.0, 1e-6), (-1.0, 1e-6), (float("inf"), 1e-6), (float("nan"), 1e-6),
         (1.0, 0.0), (1.0, float("nan")),

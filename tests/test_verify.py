@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -165,8 +166,8 @@ def minus_d_log_rho(pts):
 
 
 def lapack_gate(w):
-    """The degeneracy gate with LAPACK's singular values at every point, as
-    the Lee solve takes it for n >= 3."""
+    """The degeneracy gate with LAPACK's singular values at every point, the
+    reference for the closed-form gate on C^2."""
     sv = np.linalg.svd(antisymmetric_mats(w), compute_uv=False)
     bad = np.flatnonzero(~(sv[:, -1] > vf.LEE_RCOND * sv[:, 0]))
     if bad.size:
@@ -184,6 +185,27 @@ def outcome(call, *args):
     except vf.DegenerateOmega as err:
         return type(err).__name__, str(err)
     return None
+
+
+def degenerate_at(message):
+    """The point and the sigma_min/sigma_max a DegenerateOmega message
+    names."""
+    found = re.fullmatch(r"2-form degenerate at point (\d+) "
+                         r"\(sigma_min/sigma_max = (\S+)\)", message)
+    return int(found[1]), float(found[2])
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """The shape of every stack passed to np.linalg.svd."""
+    shapes, svd = [], np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return shapes
 
 
 class TestLeeClosedForm:
@@ -302,9 +324,12 @@ class TestLeeClosedForm:
                       youla_rows(rng, 1.0, 0.1)], axis=1)
         v = rng.normal(size=(4, 4)) + 0j
         want = outcome(lapack_gate, w)
-        assert outcome(vf._lee_solve, w, v, 2) == want
-        if 2.0 ** -k > vf.LEE_BAND:  # outside the band, far from rounding
+        got = outcome(vf._lee_solve, w, v, 2)
+        if k <= 10:  # far from rounding: LAPACK's outcome
             assert (want is None) == (side > 0)
+            assert got == want
+        else:  # within rounding of the gate: a clean solve or a refusal
+            assert got is None or degenerate_at(got[1])[0] == 2
 
     @pytest.mark.parametrize("ratios", [
         [0.5, vf.LEE_RCOND * (1 + 2.0 ** -30), 1e-12, 0.5],
@@ -313,10 +338,21 @@ class TestLeeClosedForm:
         [0.5, 0.0, 1e-12],
         [1.0, 1.0, 1.0]])
     def test_first_degenerate_point_agrees_with_lapack(self, ratios):
+        # A ratio within 2^-30 of LEE_RCOND is within rounding of W's
+        # entries (about 1e-6 relative at sigma_min/sigma_max = 1e-10), so
+        # either verdict is right there, for LAPACK and the closed form
+        # alike; each must name a point the ratios allow.
         rng = np.random.default_rng(294)
         w = np.stack([youla_rows(rng, 1.0, r) for r in ratios], axis=1)
         v = rng.normal(size=(4, len(ratios))) + 0j
-        assert outcome(vf._lee_solve, w, v, 2) == outcome(lapack_gate, w)
+        band = vf.LEE_RCOND * 2.0 ** -10
+        for got in (outcome(vf._lee_solve, w, v, 2), outcome(lapack_gate, w)):
+            named = len(ratios) if got is None else degenerate_at(got[1])[0]
+            assert all(r > vf.LEE_RCOND - band for r in ratios[:named])
+            if got is not None:
+                point, ratio = degenerate_at(got[1])
+                assert ratios[point] < vf.LEE_RCOND + band
+                assert ratio <= vf.LEE_RCOND
 
     def test_rank_two_is_degenerate_as_lapack_says(self):
         rng = np.random.default_rng(295)
@@ -329,7 +365,35 @@ class TestLeeClosedForm:
             v = np.ones((4, 2), dtype=complex)
             want = outcome(lapack_gate, w)
             assert want[0] == "DegenerateOmega" and "at point 1 " in want[1]
-            assert outcome(vf._lee_solve, w, v, 2) == want
+            got = outcome(vf._lee_solve, w, v, 2)
+            assert got[0] == "DegenerateOmega"
+            point, ratio = degenerate_at(got[1])
+            assert point == 1 and ratio <= vf.LEE_RCOND
+
+    def test_zero_form_is_degenerate(self):
+        # W = 0 has no sigma_min/sigma_max; the gate refuses it all the same.
+        w = np.zeros((6, 2), dtype=complex)
+        w[:, 0] = youla_rows(np.random.default_rng(297), 1.0, 0.5)
+        v = np.ones((4, 2), dtype=complex)
+        got = outcome(vf._lee_solve, w, v, 2)
+        assert got == ("DegenerateOmega", "2-form degenerate at point 1 "
+                       "(sigma_min/sigma_max = nan)")
+
+    def test_c2_solve_takes_no_svd(self, svd_calls):
+        w, v = lee_rows(hp.build_entry("vaisman").forms["Omega"],
+                        annulus_points(2, 500, 7))
+        del svd_calls[:]  # building the entry takes one
+        vf._lee_solve(w, v, 2)
+        degenerate = w.copy()
+        degenerate[:, 3] = 0.0
+        with pytest.raises(vf.DegenerateOmega, match="at point 3 "):
+            vf._lee_solve(degenerate, v, 2)
+        assert svd_calls == []
+        # On C^3 LAPACK's SVD gates every point, in one call.
+        w, v = lee_rows(omega_over_rho(3), annulus_points(3, 40, 7))
+        del svd_calls[:]
+        vf._lee_solve(w, v, 3)
+        assert svd_calls == [(40, 6, 6)]
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0, np.nan)])
     @pytest.mark.parametrize("where", [0, 1, 2])
@@ -800,8 +864,14 @@ class TestRunSuite:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_invariance_residual_fails(self):
-        reports = vf.run_suite(hp.build_entry("example1", {"mu": 1e200 + 0j}),
-                               vf.SuiteConfig(points=3))
+        # example1's forms under z -> 1e200 z, which the catalog refuses:
+        # |mu z|^2 overflows.
+        base = hp.example1_entry()
+        group = mp.GroupSpec((np.eye(2, dtype=complex),),
+                             mp.PolyAutomorphism.diagonal([1e200, 1e200]))
+        entry = hp.HopfSurfaceCatalogEntry("example1", 2, base.forms, group,
+                                           {})
+        reports = vf.run_suite(entry, vf.SuiteConfig(points=3))
         by_name = {r.check_name: r for r in reports}
         for key in ("theta", "psi"):
             rep = by_name["invariance_" + key]
